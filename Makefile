@@ -1,27 +1,12 @@
-# Development entry points. `make bench` is the benchmark regression
-# harness: it runs the detection benchmarks and writes BENCH_detect.json
-# (ns/op, allocs/op, speedup vs parallelism=1) — see README "Detection
-# engine". `make bench-stream` writes BENCH_stream.json: incremental
-# violation maintenance vs full re-detection at delta batch sizes
-# 1/10/100 (speedup_vs_full), plus the fsync-on WAL journal comparison —
-# serial commits vs group commit at 8 concurrent writers
-# (speedup_vs_serial, fsync_batches_per_commit) — see README "Streaming
-# ingestion" and "Operations".
-# `make bench-shard` writes BENCH_shard.json: full sharded detection over
-# a ≥1M-row datagen table at K=1/2/4/8 (rows/sec, speedup_vs_1shard,
-# plus detect_p50_ms/detect_p95_ms read from the obs span histogram the
-# per-shard engine bootstraps feed) — see README "Sharding".
-# SHARD_BENCH_ROWS scales the table for quick local runs.
+# Development entry points. The performance record is the serving
+# benchmark: `bash bench/run.sh` (declared in BENCHMARK.json, documented
+# in bench/README.md). `make bench-quick` only checks that bench/ — a Go
+# module of its own — still builds and passes its quick test against
+# this tree.
 
-GO        ?= go
-BENCHTIME ?=
-BENCHOUT  ?= BENCH_detect.json
-STREAMOUT ?= BENCH_stream.json
-SHARDOUT  ?= BENCH_shard.json
-# Table size of the shard bench (read by the benchmark as an env var).
-export SHARD_BENCH_ROWS
+GO ?= go
 
-.PHONY: all build vet test race bench bench-stream bench-shard cluster-e2e hardening fuzz vulncheck lint-obs
+.PHONY: all build vet test race bench-quick cluster-e2e hardening fuzz vulncheck lint-obs
 
 all: vet lint-obs build test
 
@@ -43,17 +28,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# BENCHTIME=1x makes a fast smoke record (CI); leave empty for real numbers.
-bench:
-	$(GO) run ./cmd/benchjson -out $(BENCHOUT) $(if $(BENCHTIME),-benchtime $(BENCHTIME))
-
-bench-stream:
-	$(GO) run ./cmd/benchjson -out $(STREAMOUT) -pkg ./internal/stream,./internal/persist \
-		-bench 'BenchmarkStreamAppend|BenchmarkStreamRepair|BenchmarkWALJournal' $(if $(BENCHTIME),-benchtime $(BENCHTIME))
-
-bench-shard:
-	$(GO) run ./cmd/benchjson -out $(SHARDOUT) -pkg ./internal/shard \
-		-bench 'BenchmarkShardDetect|BenchmarkShardApply' $(if $(BENCHTIME),-benchtime $(BENCHTIME))
+# The frozen benchmark compiles against this tree's packages; a change
+# that breaks its build or its quick run (TestQuick, < 5 s) fails here.
+bench-quick:
+	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 
 # Multi-process distributed-mode acceptance: real worker subprocesses on
 # loopback TCP, golden-corpus equivalence at N=1/2/4 plus kill-a-worker
@@ -71,6 +49,7 @@ hardening:
 
 fuzz:
 	$(GO) test ./internal/table -run '^$$' -fuzz FuzzReadCSV -fuzztime 30s
+	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecode -fuzztime 30s
 
 # Requires network access to fetch the scanner and vuln DB; CI runs it.
 vulncheck:

@@ -188,7 +188,7 @@ func WithWorkers(workers []string, spares ...string) Option {
 }
 
 // WithClusterDir sets the directory distributed sessions persist their
-// failover stores under (snapshot + K-way replicated WAL, one
+// worker-failover stores under (snapshot + WAL, one
 // subdirectory per session). "" keeps per-session temporary directories.
 func WithClusterDir(dir string) Option {
 	return func(o *options) error { o.cfg.ClusterDir = dir; return nil }
@@ -215,17 +215,6 @@ func New(opts ...Option) (*System, error) {
 		}
 	}
 	return core.NewSystemWith(store, o.cfg), nil
-}
-
-// NewSystem builds a system. With a non-empty path the document store
-// persists there; with "" it is memory-only.
-//
-// Deprecated: use New with WithStorePath.
-func NewSystem(storePath string) (*System, error) {
-	if storePath == "" {
-		return New()
-	}
-	return New(WithStorePath(storePath))
 }
 
 // LoadCSV reads a table from a CSV file (header row required).

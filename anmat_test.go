@@ -28,7 +28,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("rows = %d", tbl.NumRows())
 	}
 
-	sys, err := NewSystem(filepath.Join(dir, "store.json"))
+	sys, err := New(WithStorePath(filepath.Join(dir, "store.json")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestFacadeBadStorePath(t *testing.T) {
 	if err := writeFile(bad, "{corrupt"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSystem(bad); err == nil {
+	if _, err := New(WithStorePath(bad)); err == nil {
 		t.Error("corrupt store should fail to open")
 	}
 }

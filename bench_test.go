@@ -150,7 +150,7 @@ func BenchmarkFigure5_ViolationListing(b *testing.B) {
 
 // BenchmarkParallelDetection measures the concurrent detection engine on
 // the Figure-5-scale table across worker counts. The /p1 variant is the
-// sequential baseline that cmd/benchjson computes speedups against; the
+// sequential baseline to compare the others' ns/op against; the
 // detector (and so the column indexes) is shared across iterations, so
 // the bench isolates the tableau-row fan-out rather than index builds.
 func BenchmarkParallelDetection(b *testing.B) {

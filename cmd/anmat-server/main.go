@@ -2,8 +2,8 @@
 //
 //	anmat-server [-addr :8080] [-data dir] [-store anmat.json] [-in data.csv] [-parallelism n] [-shards k]
 //
-// With -in the dataset is loaded as the default session and the pipeline
-// run at startup; otherwise POST a CSV to /api/v1/sessions. The server is
+// With -in the dataset is loaded as a session and the pipeline run at
+// startup; otherwise POST a CSV to /api/v1/sessions. The server is
 // multi-session: every upload creates an independent session addressable
 // under /api/v1/sessions/{id}.
 //
@@ -22,7 +22,7 @@
 // driven entirely by a coordinator. A coordinator runs the normal server
 // with every session's incremental engine fanned out over the workers
 // (one shard per worker, byte-identical results), journaling batches to
-// a K-way replicated WAL and failing over to -spares workers when a
+// a per-session failover WAL and failing over to -spares workers when a
 // primary dies.
 //
 // Observability: every process (coordinator and workers) serves
@@ -134,7 +134,7 @@ func main() {
 	data := flag.String("data", "", "durability directory: checkpoint sessions + journal deltas here, rehydrate on startup (empty = memory-only sessions)")
 	fsync := flag.Bool("fsync", false, "with -data: fsync every WAL append and snapshot (power-loss durability)")
 	compactEvery := flag.Int("compact-every", persist.DefaultCompactEvery, "with -data: journaled batches before a session's WAL is folded into a fresh snapshot")
-	in := flag.String("in", "", "CSV to load at startup as the default session")
+	in := flag.String("in", "", "CSV to load at startup as a session")
 	coverage := flag.Float64("coverage", core.DefaultParams().MinCoverage, "minimum coverage γ")
 	violations := flag.Float64("violations", core.DefaultParams().AllowedViolations, "allowed violation ratio")
 	parallelism := flag.Int("parallelism", 0, "pipeline workers per session: discovery candidates and detection/repair fan-out (0 = GOMAXPROCS)")
@@ -144,7 +144,7 @@ func main() {
 	of := flag.Int("of", -1, "with -worker: the topology's total shard count N")
 	workers := flag.String("workers", "", "comma-separated shard worker base URLs: run every session's incremental engine distributed over them (one shard per worker)")
 	spares := flag.String("spares", "", "with -workers: comma-separated standby worker base URLs consumed on failover")
-	clusterData := flag.String("cluster-data", "", "with -workers: directory for per-session failover stores (snapshot + K-way replicated WAL; empty = temp dirs)")
+	clusterData := flag.String("cluster-data", "", "with -workers: directory for per-session worker-failover stores (snapshot + WAL, rebuilt at every start; empty = temp dirs)")
 	maxSessions := flag.Int("max-sessions", 0, "per-tenant admission: max open sessions (tenant = X-Anmat-Tenant header; 0 = unlimited)")
 	maxRows := flag.Int("max-rows", 0, "per-tenant admission: max total table rows across a tenant's sessions (0 = unlimited)")
 	deltaRate := flag.Float64("delta-rate", 0, "per-tenant admission: sustained delta batches/sec through a token bucket (0 = unlimited)")

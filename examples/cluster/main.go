@@ -84,8 +84,9 @@ func main() {
 	}
 	for bi, batch := range script {
 		if bi == len(script)/2 {
-			// Machine failure mid-stream: the coordinator replays the dead
-			// shard's replicated WAL into the spare and keeps going.
+			// Machine failure mid-stream: the coordinator rebuilds the dead
+			// shard from its failover snapshot + WAL on the spare and keeps
+			// going.
 			fmt.Println("killing worker 1 — failing over to the spare")
 			kills[1]()
 		}

@@ -37,7 +37,7 @@ func TestPipelineAcrossFamilies(t *testing.T) {
 		t.Run(fam.name, func(t *testing.T) {
 			t.Parallel()
 			ds := fam.gen(fam.n, fam.rate, 2019)
-			sys, err := NewSystem("")
+			sys, err := New()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,20 +1,19 @@
 // Package cluster scales sharded detection past one process: the same
 // coordinator/translator machinery as internal/shard, but with each
 // shard's engine living in a worker process reached over the /shard/v1
-// HTTP API, and with a snapshot + K-way replicated write-ahead log
-// backing failover. The cluster Coordinator implements the same
+// HTTP API, and with a snapshot + write-ahead log (store.go) backing
+// worker failover. The cluster Coordinator implements the same
 // incremental-detection surface as stream.Engine and shard.Coordinator
 // (core.Streamer), and its merged violation sets stay byte-identical to
 // single-engine detection at any worker count — the multi-process
 // equivalence tests pin that down over golden corpora and randomized
 // delta scripts, including a worker killed mid-script.
 //
-// Failover path: every batch is journaled to the K-way WAL before any
+// Failover path: every batch is journaled to the store's WAL before any
 // worker sees it. When a worker stops answering (request timeouts, then
 // the bounded retry budget, exhausted), the coordinator rehydrates the
-// dead shard's state — snapshot + merged WAL replayed through a fresh
-// placement translator, taking any intact record when a copy is torn —
-// and pushes it to a spare worker over /restore. The coordinator's own
+// dead shard's state — snapshot + WAL replayed through a fresh placement
+// translator — and pushes it to a spare worker over /restore. The coordinator's own
 // diff log is untouched by the swap, so violations?since= cursors issued
 // before the failure keep resolving exactly.
 //
@@ -148,7 +147,7 @@ func New(t *table.Table, rules []*pfd.PFD, workers []string, opts Options) (*Coo
 
 // recoverShard is the failover hook the sharded coordinator invokes once
 // a worker's retry budget is exhausted: rehydrate the shard's state from
-// snapshot + merged WAL, claim a replacement endpoint, and push the state
+// snapshot + WAL, claim a replacement endpoint, and push the state
 // over /restore. The boot the coordinator hands us (its live translator's
 // view) and the WAL replay must agree; the store is the durable source of
 // truth, so it is what the replacement receives.
@@ -203,9 +202,6 @@ func newEpoch() string {
 // Epoch returns the coordinator's fencing epoch (every worker it boots
 // is claimed under it).
 func (c *Coordinator) Epoch() string { return c.opts.Client.Epoch }
-
-// Store exposes the failover store (tests inspect the WAL copies).
-func (c *Coordinator) Store() *Store { return c.store }
 
 // Close releases the remote nodes and the failover store (removing its
 // directory when it was auto-created).

@@ -161,12 +161,12 @@ func TestClusterEquivalence(t *testing.T) {
 				rules := testRules()
 
 				replicaTbl := tbl.Clone()
-				replica, err := stream.NewEngine(replicaTbl, rules)
+				replica, err := stream.NewEngineFrom(replicaTbl, rules, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
 				inprocTbl := tbl.Clone()
-				inproc, err := shard.New(inprocTbl, rules, k)
+				inproc, err := shard.NewFrom(inprocTbl, rules, k, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -268,7 +268,7 @@ func TestSeqIdempotencyUnderFlakyTransport(t *testing.T) {
 	tbl := testTable(rng, 12)
 	rules := testRules()
 	replicaTbl := tbl.Clone()
-	replica, err := stream.NewEngine(replicaTbl, rules)
+	replica, err := stream.NewEngineFrom(replicaTbl, rules, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestFailoverRestoresFromWAL(t *testing.T) {
 	tbl := testTable(rng, 12)
 	rules := testRules()
 	replicaTbl := tbl.Clone()
-	replica, err := stream.NewEngine(replicaTbl, rules)
+	replica, err := stream.NewEngineFrom(replicaTbl, rules, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,10 +430,11 @@ func TestFailoverRestoresFromWAL(t *testing.T) {
 	}
 }
 
-// TestStoreSurvivesTornSiblingCopy tears the tail of one WAL copy and
-// checks rehydration still reconstructs the full timeline from the
-// intact sibling.
-func TestStoreSurvivesTornSiblingCopy(t *testing.T) {
+// TestStoreDropsTornTail tears the final record of the store's one WAL
+// — the shape a failed append leaves — and checks rehydration lands on
+// the timeline before it, trims the tear, and that the batch journaled
+// next is replayed rather than stranded behind it.
+func TestStoreDropsTornTail(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tbl := testTable(rng, 10)
 	rules := testRules()
@@ -443,47 +444,79 @@ func TestStoreSurvivesTornSiblingCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 || entries[0].Name() != "cluster.snap" || entries[1].Name() != "cluster.wal" {
+		t.Fatalf("store directory holds %v, want cluster.snap + cluster.wal", entries)
+	}
 
 	// Drive a translator alongside the store, as the coordinator would.
 	tr, err := shard.NewTranslator(tbl, rules, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	path := filepath.Join(dir, "cluster.wal")
+	size := func() int64 {
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Size()
+	}
+	rehydrated := func(wantSeq int64) {
+		t.Helper()
+		for s := 0; s < 2; s++ {
+			boot, _, gotSeq, err := st.RehydrateBoot(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotSeq != wantSeq {
+				t.Fatalf("shard %d rehydrated to seq %d, want %d", s, gotSeq, wantSeq)
+			}
+			want := tr.Boot(s)
+			if mustJSON(t, boot) != mustJSON(t, want) {
+				t.Fatalf("shard %d rehydrated boot diverged:\n got %s\nwant %s", s, mustJSON(t, boot), mustJSON(t, want))
+			}
+		}
+	}
 	seq := int64(0)
-	for i := 0; i < 6; i++ {
-		batch := stream.Batch{stream.AppendRows(randRow(rng))}
+	journal := func(batch stream.Batch) {
+		t.Helper()
 		seq++
 		if err := st.Append(context.Background(), seq, batch); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for i := 0; i < 5; i++ {
+		batch := stream.Batch{stream.AppendRows(randRow(rng))}
+		journal(batch)
 		if _, _, err := tr.Translate(batch); err != nil {
 			t.Fatal(err)
 		}
 	}
+	clean := size()
+	rehydrated(5)
 
-	// Tear copy 0 halfway: recovery must fall back to copy 1's records.
-	path := filepath.Join(dir, "cluster.shard0.wal")
-	info, err := os.Stat(path)
-	if err != nil {
+	// Batch 6 is cut mid-record: it was never acknowledged, so the
+	// translator never saw it.
+	journal(stream.Batch{stream.AppendRows(randRow(rng))})
+	if err := os.Truncate(path, (clean+size())/2); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(path, info.Size()/2); err != nil {
-		t.Fatal(err)
+	seq--
+	rehydrated(5)
+	if got := size(); got != clean {
+		t.Fatalf("torn tail not trimmed: %d bytes, want %d", got, clean)
 	}
 
-	for s := 0; s < 2; s++ {
-		boot, _, gotSeq, err := st.RehydrateBoot(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotSeq != seq {
-			t.Fatalf("shard %d rehydrated to seq %d, want %d", s, gotSeq, seq)
-		}
-		want := tr.Boot(s)
-		if mustJSON(t, boot) != mustJSON(t, want) {
-			t.Fatalf("shard %d rehydrated boot diverged:\n got %s\nwant %s", s, mustJSON(t, boot), mustJSON(t, want))
-		}
+	batch := stream.Batch{stream.AppendRows(randRow(rng))}
+	journal(batch)
+	if _, _, err := tr.Translate(batch); err != nil {
+		t.Fatal(err)
 	}
+	rehydrated(6)
 }
 
 // TestBackoffDo covers the retry helper: eventual success, permanent

@@ -1,7 +1,7 @@
 // Cluster-layer instrumentation: retry/backoff accounting on the
 // coordinator's client side, epoch fences and per-shard apply counters
-// on the worker side, and replicated-WAL byte accounting in the
-// failover store. Worker counters are labeled by the shard the worker
+// on the worker side, and WAL byte accounting in the failover
+// store. Worker counters are labeled by the shard the worker
 // currently serves, so several workers sharing one process (unit
 // tests) stay distinguishable.
 package cluster
@@ -14,9 +14,9 @@ var (
 	retryExhausted = obs.Default.NewCounter("anmat_cluster_retries_exhausted_total",
 		"Remote worker calls that exhausted their retry budget (failover trigger).")
 	clusterWALBytes = obs.Default.NewCounter("anmat_cluster_wal_bytes_total",
-		"Bytes appended to the coordinator's K-way replicated failover WAL (all copies).")
+		"Bytes appended to the coordinator's failover WAL.")
 	clusterWALAppendDur = obs.Default.NewHistogram("anmat_cluster_wal_append_duration_seconds",
-		"Latency of journaling one batch to all K failover-WAL copies (includes fsync when enabled).",
+		"Latency of journaling one batch to the failover WAL (includes fsync when enabled).",
 		obs.DurationBuckets)
 	epochFences = obs.Default.NewCounter("anmat_worker_epoch_fences_total",
 		"Worker requests rejected by epoch fencing (a superseded coordinator knocking).")

@@ -1,15 +1,19 @@
 // The coordinator's failover store: a snapshot of the global table at
-// coordinator construction plus a K-way replicated write-ahead log of
-// every batch since. Each batch is journaled — before any worker sees
-// it — to K per-shard WAL files (wal.Record encoding, shared with the
-// session durability layer), so losing a worker, or a torn tail in one
-// WAL copy, never loses the batch: recovery merges the copies by
-// sequence number and takes any intact record.
+// coordinator construction plus a write-ahead log (a wal.Log — the same
+// implementation the session durability layer journals into) of every
+// batch since. Each batch is journaled before any worker sees it, so
+// losing a worker never loses the batch.
+//
+// The store serves worker failover within one coordinator's lifetime,
+// not coordinator restarts: CreateStore replaces it at every coordinator
+// construction, and a restarted session is rebuilt from the session
+// store (internal/persist) instead. That is why internal/core never asks
+// it to fsync — nothing reads it after the process that wrote it died.
 //
 // Rehydrating a shard is a replay, not a re-route: a row's home shard is
 // its global index mod K *at insertion time*, so current cell values
 // alone cannot reconstruct placement. RehydrateBoot decodes the
-// snapshot, rebuilds a shard.Translator over it, feeds it the merged WAL
+// snapshot, rebuilds a shard.Translator over it, feeds it the WAL
 // batches (discarding the translated operations — only the bookkeeping
 // matters), and renders the dead shard's boot state from the result.
 package cluster
@@ -20,7 +24,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"time"
 
@@ -42,21 +45,22 @@ type storeSnapshot struct {
 	Rules []*pfd.PFD `json:"rules"`
 }
 
-// Store is the coordinator's snapshot + K-way WAL directory.
+// Store is the coordinator's snapshot + WAL directory.
 type Store struct {
 	dir   string
-	k     int
 	fsync bool
-	files []*os.File // open WAL appenders, one per shard copy
+	log   *wal.Log
 }
 
-const snapName = "cluster.snap"
-
-func walName(s int) string { return fmt.Sprintf("cluster.shard%d.wal", s) }
+const (
+	snapName = "cluster.snap"
+	walName  = "cluster.wal"
+)
 
 // CreateStore initializes dir as a fresh failover store: snapshots the
-// table, rules, and base sequence, and truncates the K WAL copies. Any
-// previous store in dir is replaced.
+// table, rules, shard count k, and base sequence, and empties the WAL.
+// Any previous store in dir is replaced. With fsync the snapshot, the
+// WAL's directory entry, and every append are synced.
 func CreateStore(dir string, t *table.Table, rules []*pfd.PFD, k int, seq int64, fsync bool) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cluster store: %w", err)
@@ -69,130 +73,60 @@ func CreateStore(dir string, t *table.Table, rules []*pfd.PFD, k int, seq int64,
 	if err != nil {
 		return nil, fmt.Errorf("cluster store: encode snapshot: %w", err)
 	}
-	tmp := filepath.Join(dir, snapName+".tmp")
-	if err := writeFileSync(tmp, blob, fsync); err != nil {
+	if err := wal.WriteFileAtomic(filepath.Join(dir, snapName), blob, fsync); err != nil {
 		return nil, fmt.Errorf("cluster store: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, snapName)); err != nil {
+	l, err := wal.Open(filepath.Join(dir, walName), fsync)
+	if err != nil {
 		return nil, fmt.Errorf("cluster store: %w", err)
 	}
-	if fsync {
-		// Make the rename itself durable: with only the WAL appends synced,
-		// a power loss could leave durable WAL records beside a missing
-		// snapshot, and RehydrateBoot would have nothing to replay over.
-		if err := syncDir(dir); err != nil {
-			return nil, fmt.Errorf("cluster store: %w", err)
-		}
+	if err := l.Reset(); err != nil {
+		l.Close()
+		return nil, fmt.Errorf("cluster store: %w", err)
 	}
-	st := &Store{dir: dir, k: k, fsync: fsync}
-	for s := 0; s < k; s++ {
-		f, err := os.OpenFile(filepath.Join(dir, walName(s)), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-		if err != nil {
-			_ = st.Close()
-			return nil, fmt.Errorf("cluster store: %w", err)
-		}
-		st.files = append(st.files, f)
-	}
-	if fsync {
-		// The WAL files' directory entries must survive power loss too, or
-		// fsynced appends land in files no recovery can find.
-		if err := syncDir(dir); err != nil {
-			_ = st.Close()
-			return nil, fmt.Errorf("cluster store: %w", err)
-		}
-	}
-	return st, nil
+	return &Store{dir: dir, fsync: fsync, log: l}, nil
 }
 
-// writeFileSync writes data to path, fsyncing before close when sync is
-// set (an os.WriteFile whose contents are durable before the caller's
-// rename publishes them).
-func writeFileSync(path string, data []byte, sync bool) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if sync {
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			return err
-		}
-	}
-	return f.Close()
-}
-
-// syncDir fsyncs a directory, making its entries (renames, creations)
-// durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	if err := d.Sync(); err != nil {
-		_ = d.Close()
-		return err
-	}
-	return d.Close()
-}
-
-// Append journals one batch to every WAL copy, write-ahead of any worker
-// seeing it. An error from any copy fails the append — the coordinator
-// must not apply a batch it cannot replay. The record is encoded once
-// and replicated K times.
+// Append journals one batch, write-ahead of any worker seeing it. An
+// error fails the append — the coordinator must not apply a batch it
+// cannot replay — and rolls the log back so no partial record strands
+// the batches journaled after it.
 func (st *Store) Append(ctx context.Context, seq int64, batch stream.Batch) error {
 	ctx, endSpan := obs.StartSpan(ctx, "cluster.wal.append")
 	t0 := time.Now()
 	b, err := wal.Encode(wal.Record{Seq: seq, Batch: batch})
+	if err == nil {
+		obs.SetSpanAttrs(ctx, "seq", strconv.FormatInt(seq, 10), "wal_bytes", strconv.Itoa(len(b)))
+		err = st.log.Commit(b, st.fsync)
+	}
 	if err != nil {
-		err = fmt.Errorf("cluster store: %w", err)
+		err = fmt.Errorf("cluster store: seq %d: %w", seq, err)
 		endSpan(err)
 		return err
 	}
-	obs.SetSpanAttrs(ctx,
-		"seq", strconv.FormatInt(seq, 10),
-		"wal_bytes", strconv.Itoa(len(b)*len(st.files)),
-		"copies", strconv.Itoa(len(st.files)))
-	for s, f := range st.files {
-		if err := wal.AppendEncoded(f, seq, b, st.fsync); err != nil {
-			err = fmt.Errorf("cluster store copy %d: %w", s, err)
-			endSpan(err)
-			return err
-		}
-	}
 	endSpan(nil)
-	clusterWALBytes.Add(float64(len(b) * len(st.files)))
+	clusterWALBytes.Add(float64(len(b)))
 	clusterWALAppendDur.Observe(time.Since(t0).Seconds())
 	return nil
 }
 
-// Close releases the WAL file handles.
+// Close releases the WAL file handle.
 func (st *Store) Close() error {
-	var first error
-	for _, f := range st.files {
-		if f == nil {
-			continue
-		}
-		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
+	if st.log == nil {
+		return nil
 	}
-	st.files = nil
-	return first
+	err := st.log.Close()
+	st.log = nil
+	return err
 }
 
 // Dir returns the store directory.
 func (st *Store) Dir() string { return st.dir }
 
-// load reads the snapshot and the merged WAL timeline: per sequence
-// number, the first intact copy across the K files wins, so one torn or
-// lost copy is survivable as long as a sibling has the record. The
-// returned batches are contiguous from snapshot seq+1; a gap present in
-// every copy truncates the timeline there (batches after an unrecoverable
-// hole could not have been acknowledged against a recovered state).
+// load reads the snapshot and the WAL timeline: the batches contiguous
+// from snapshot seq+1. A torn tail or a gap ends the timeline there
+// (batches after an unrecoverable hole could not have been acknowledged
+// against a recovered state) and is trimmed off the file.
 func (st *Store) load() (storeSnapshot, []wal.Record, error) {
 	blob, err := os.ReadFile(filepath.Join(st.dir, snapName))
 	if err != nil {
@@ -202,42 +136,15 @@ func (st *Store) load() (storeSnapshot, []wal.Record, error) {
 	if err := json.Unmarshal(blob, &snap); err != nil {
 		return storeSnapshot{}, nil, fmt.Errorf("cluster store: decode snapshot: %w", err)
 	}
-	bySeq := make(map[int64]wal.Record)
-	for s := 0; s < snap.K; s++ {
-		recs, _, _, err := wal.Read(filepath.Join(st.dir, walName(s)))
-		if err != nil {
-			// A copy that cannot be read at all (I/O error) is treated like a
-			// fully torn one: siblings carry the records.
-			continue
-		}
-		for _, rec := range recs {
-			if _, ok := bySeq[rec.Seq]; !ok {
-				bySeq[rec.Seq] = rec
-			}
-		}
+	recs, err := wal.Replay(filepath.Join(st.dir, walName), snap.Seq)
+	if err != nil {
+		return storeSnapshot{}, nil, fmt.Errorf("cluster store: %w", err)
 	}
-	seqs := make([]int64, 0, len(bySeq))
-	for seq := range bySeq {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	var out []wal.Record
-	next := snap.Seq + 1
-	for _, seq := range seqs {
-		if seq < next {
-			continue // pre-snapshot remnant
-		}
-		if seq != next {
-			break // unrecoverable gap: stop at the clean prefix
-		}
-		out = append(out, bySeq[seq])
-		next++
-	}
-	return snap, out, nil
+	return snap, recs, nil
 }
 
 // RehydrateBoot reconstructs shard s's current boot state by replaying
-// the snapshot plus the merged WAL through a fresh placement translator.
+// the snapshot plus the WAL through a fresh placement translator.
 // It also returns the rule set and the sequence number the state
 // corresponds to.
 func (st *Store) RehydrateBoot(s int) (shard.NodeBoot, []*pfd.PFD, int64, error) {

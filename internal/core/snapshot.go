@@ -49,9 +49,8 @@ type SessionSnapshot struct {
 	// folded into TableData and are skipped on replay.
 	Seq int64 `json:"seq"`
 	// Shards is the session's resolved shard count at checkpoint time
-	// (>= 1), so recovery rebuilds the same engine topology — a sharded
-	// session journals into per-shard WALs, and its coordinator is
-	// rebuilt shard by shard and re-merged.
+	// (>= 1), so recovery rebuilds the same engine topology: a sharded
+	// session's coordinator is rebuilt shard by shard and re-merged.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -73,12 +72,6 @@ type Persister interface {
 	// Journal durably appends one delta batch before the session applies
 	// it (write-ahead). An error aborts the batch.
 	Journal(ctx context.Context, sessionID string, seq int64, batch stream.Batch) error
-	// JournalSharded durably appends one delta batch to each of the
-	// session's k per-shard journals before the session applies it — a
-	// k-way replicated write-ahead record, so recovery can read the
-	// batch from any shard's WAL whose tail survived the crash intact.
-	// An error aborts the batch.
-	JournalSharded(ctx context.Context, sessionID string, k int, seq int64, batch stream.Batch) error
 	// Checkpoint durably replaces the session's snapshot and resets its
 	// journal to empty.
 	Checkpoint(snap *SessionSnapshot) error
@@ -99,22 +92,14 @@ func (se *Session) SetPersist(p Persister) {
 }
 
 // journalSink adapts the session's persister to the engine's write-ahead
-// hook. Sharded sessions journal each batch into k per-shard WALs (one
-// replicated record per shard); single-engine sessions keep the one
-// session WAL.
+// hook: one journal record per batch, whatever the engine's topology.
 func (se *Session) journalSink() func(context.Context, int64, stream.Batch) error {
 	if se.persist == nil {
 		return nil
 	}
-	id, p, k := se.ID, se.persist, se.Shards()
+	id, p := se.ID, se.persist
 	return func(ctx context.Context, seq int64, batch stream.Batch) error {
-		var err error
-		if k > 1 {
-			err = p.JournalSharded(ctx, id, k, seq, batch)
-		} else {
-			err = p.Journal(ctx, id, seq, batch)
-		}
-		if err != nil {
+		if err := p.Journal(ctx, id, seq, batch); err != nil {
 			return &PersistenceError{Err: err}
 		}
 		return nil

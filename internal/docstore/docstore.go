@@ -8,9 +8,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
+
+	"github.com/anmat/anmat/internal/wal"
 )
 
 // Doc is one stored document: arbitrary JSON fields plus the reserved
@@ -143,41 +144,7 @@ func (s *Store) flushLocked() error {
 	if err != nil {
 		return err
 	}
-	tmp := s.path + ".tmp"
-	if s.fsync {
-		f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-		if err != nil {
-			return err
-		}
-		if _, err := f.Write(b); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	} else if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, s.path); err != nil {
-		return err
-	}
-	if s.fsync {
-		d, err := os.Open(filepath.Dir(s.path))
-		if err != nil {
-			return err
-		}
-		if err := d.Sync(); err != nil {
-			d.Close()
-			return err
-		}
-		return d.Close()
-	}
-	return nil
+	return wal.WriteFileAtomic(s.path, b, s.fsync)
 }
 
 func (s *Store) coll(name string) *collection {

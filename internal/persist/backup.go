@@ -8,18 +8,10 @@ package persist
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"github.com/anmat/anmat/internal/core"
 	"github.com/anmat/anmat/internal/docstore"
 )
-
-// WALFile is one journal file's raw bytes, named by its on-disk base
-// name (<id>.wal or <id>.shard<K>.wal).
-type WALFile struct {
-	Name string
-	Data []byte
-}
 
 // Snapshot returns the session's checkpointed snapshot, or ok=false when
 // none was ever written. The returned snapshot (including its table
@@ -39,31 +31,23 @@ func (m *Manager) Snapshot(id string) (snap *core.SessionSnapshot, ok bool, err 
 	return snap, true, nil
 }
 
-// WALTail reads the raw bytes of every journal file of the session —
-// the replay input a backup carries alongside the snapshot. The
-// session's journal lock is held across the reads so no group-commit
-// round interleaves; callers wanting a consistent (snapshot, tail) pair
-// must additionally hold the session's own lock, which quiesces new
-// journals and checkpoints entirely. The tail is small by construction
-// (bounded by the compaction threshold).
-func (m *Manager) WALTail(id string) ([]WALFile, error) {
+// WALTail reads the raw bytes of the session's journal — the replay
+// input a backup carries alongside the snapshot; nil when the session
+// never journaled. The session's journal lock is held across the read so
+// no group-commit round interleaves; callers wanting a consistent
+// (snapshot, tail) pair must additionally hold the session's own lock,
+// which quiesces new journals and checkpoints entirely. The tail is
+// small by construction (bounded by the compaction threshold).
+func (m *Manager) WALTail(id string) ([]byte, error) {
 	ws, err := m.state(id)
 	if err != nil {
 		return nil, err
 	}
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	paths, err := m.sessionWALPaths(id)
-	if err != nil {
-		return nil, err
+	data, err := os.ReadFile(m.walPath(id))
+	if err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("persist: backup wal %s: %w", id, err)
 	}
-	out := make([]WALFile, 0, len(paths))
-	for _, p := range paths {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			return nil, fmt.Errorf("persist: backup wal %s: %w", id, err)
-		}
-		out = append(out, WALFile{Name: filepath.Base(p), Data: b})
-	}
-	return out, nil
+	return data, nil
 }

@@ -2,18 +2,18 @@
 // write+fsync rounds. The first writer to arrive while no round is in
 // flight becomes the leader; everyone arriving while the leader works
 // parks on a commit ticket. The leader drains the pending queue in
-// rounds — append every queued record, then fsync each touched file
-// once — and wakes the followers with the shared outcome. Under N
-// concurrent writers this turns N fsyncs into one per touched file per
+// rounds — append every queued record, then fsync each touched session
+// WAL once — and wakes the followers with the shared outcome. Under N
+// concurrent writers this turns N fsyncs into one per touched WAL per
 // round, which is where fsync-on throughput comes from (see
-// BenchmarkWALJournal).
+// BenchmarkWALJournal). It is the only commit path: a lone writer is a
+// round of one.
 //
-// Failure semantics match the serial path, widened to the round: if any
-// append or fsync in a round fails, every file the round touched is
-// truncated back to its pre-round length and every queued call reports
-// the error. No caller is ever acknowledged while its bytes are subject
-// to rollback, and no record survives on disk for a batch whose caller
-// was told the journal failed.
+// Failure semantics: if any append or fsync in a round fails, every WAL
+// the round touched is rolled back to its pre-round length and every
+// queued call reports the error. No caller is ever acknowledged while
+// its bytes are subject to rollback, and no record survives on disk for
+// a batch whose caller was told the journal failed.
 //
 // Locking: the leader holds every queued session's walState.mu for the
 // whole round (so checkpoint truncation cannot interleave with the
@@ -25,22 +25,20 @@ package persist
 
 import (
 	"fmt"
-	"os"
 	"sync"
 
 	"github.com/anmat/anmat/internal/wal"
 )
 
 // commitReq is one Journal call's commit ticket: the pre-encoded record,
-// where it goes, and the channel its caller parks on.
+// the session it belongs to, and the channel its caller parks on.
 type commitReq struct {
-	ws      *walState
-	id      string
-	targets []int
-	seq     int64
-	enc     []byte
-	err     error
-	done    chan struct{}
+	ws   *walState
+	id   string
+	seq  int64
+	enc  []byte
+	err  error
+	done chan struct{}
 }
 
 // groupCommitter is the shared queue and leader election state.
@@ -76,69 +74,50 @@ func (m *Manager) commit(req *commitReq) error {
 }
 
 // commitRound durably applies one drained queue: append every record,
-// fsync each touched file once, then wake every caller with the shared
+// fsync each touched WAL once, then wake every caller with the shared
 // outcome.
 func (m *Manager) commitRound(round []*commitReq) {
-	type touched struct {
-		f    *os.File
-		size int64
-	}
-	var files []touched
-	seen := make(map[*os.File]bool)
-	locked := make(map[*walState]bool)
+	// touched lists each session's WAL once, locked and marked at its
+	// pre-round length, in first-appearance order.
+	var touched []*walState
+	logs := make(map[*walState]*wal.Log)
 	var roundErr error
 	for _, req := range round {
-		if roundErr != nil {
-			break
-		}
-		if !locked[req.ws] {
+		l := logs[req.ws]
+		if l == nil {
 			req.ws.mu.Lock()
-			locked[req.ws] = true
+			touched = append(touched, req.ws)
+			if l, roundErr = m.openLog(req.ws, req.id); roundErr != nil {
+				break
+			}
+			if roundErr = l.Mark(); roundErr != nil {
+				break
+			}
+			logs[req.ws] = l
 		}
-		for _, idx := range req.targets {
-			f, err := m.file(req.ws, req.id, idx)
-			if err != nil {
-				roundErr = err
-				break
-			}
-			if !seen[f] {
-				fi, err := f.Stat()
-				if err != nil {
-					roundErr = fmt.Errorf("persist: journal %s: %w", req.id, err)
-					break
-				}
-				seen[f] = true
-				files = append(files, touched{f, fi.Size()})
-			}
-			if err := wal.AppendEncoded(f, req.seq, req.enc, false); err != nil {
-				roundErr = err
-				break
-			}
+		if err := l.Append(req.enc); err != nil {
+			roundErr = fmt.Errorf("persist: journal %s seq %d: %w", req.id, req.seq, err)
+			break
 		}
 	}
 	fsyncs := 0
 	if roundErr == nil && m.opts.Fsync {
-		for _, t := range files {
-			if err := t.f.Sync(); err != nil {
-				roundErr = fmt.Errorf("persist: fsync wal %s: %w", t.f.Name(), err)
+		for _, ws := range touched {
+			if err := logs[ws].Sync(); err != nil {
+				roundErr = fmt.Errorf("persist: %w", err)
 				break
 			}
 			fsyncs++
 		}
 	}
 	if roundErr != nil {
-		// Roll every touched file back to its pre-round length — same
-		// contract as the serial path's rollback, widened to the round: a
-		// partial or unfsynced record left mid-file would strand every
-		// later acknowledged record at the next recovery. Best-effort;
-		// recovery's torn-tail handling is the backstop.
-		for _, t := range files {
-			_ = t.f.Truncate(t.size)
+		for _, l := range logs {
+			_ = l.Rollback() // best-effort: recovery trims what a failed truncate leaves
 		}
 	} else {
 		for _, req := range round {
 			req.ws.records++
-			walBytes.Add(float64(len(req.enc) * len(req.targets)))
+			walBytes.Add(float64(len(req.enc)))
 		}
 		groupBatches.Add(float64(len(round)))
 		if fsyncs > 0 {
@@ -146,7 +125,7 @@ func (m *Manager) commitRound(round []*commitReq) {
 			groupBatchesPerFsync.Observe(float64(len(round)) / float64(fsyncs))
 		}
 	}
-	for ws := range locked {
+	for _, ws := range touched {
 		ws.mu.Unlock()
 	}
 	for _, req := range round {

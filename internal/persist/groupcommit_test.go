@@ -1,14 +1,17 @@
 package persist
 
 import (
+	"bytes"
 	"context"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/anmat/anmat/internal/stream"
+	"github.com/anmat/anmat/internal/wal"
 )
 
 // TestGroupCommitConcurrentJournal hammers one manager from many
@@ -131,121 +134,159 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 }
 
-// TestGroupCommitRoundRollback forces a mid-round failure (second shard
-// file swapped for a read-only handle) and checks the touched sibling is
-// rolled back to its pre-round length: a failed round must leave no
-// record behind for a batch whose caller saw an error.
+// TestGroupCommitRoundRollback forces a failure in the second session
+// of a two-session round — its WAL handle dead, or its file on a full
+// device — and checks nobody in the round is acked and the sibling the
+// round had already appended to is rolled back to its pre-round length:
+// a failed round must leave no record behind for a batch whose caller
+// saw an error. (The read-only-handle variant of this fault lives with
+// the handle, in internal/wal's TestLogRollbackReadOnlyHandle.)
 func TestGroupCommitRoundRollback(t *testing.T) {
+	for _, fault := range []string{"closed handle", "full device"} {
+		t.Run(fault, func(t *testing.T) {
+			m, err := Open(t.TempDir(), Options{Fsync: true, CompactEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			ctx := context.Background()
+			if err := m.Journal(ctx, "a", 1, stream.Batch{stream.DeleteRows(1)}); err != nil {
+				t.Fatal(err)
+			}
+			wsA, _ := m.state("a")
+			wsB, _ := m.state("b")
+			switch fault {
+			case "closed handle":
+				if err := m.Journal(ctx, "b", 1, stream.Batch{stream.DeleteRows(1)}); err != nil {
+					t.Fatal(err)
+				}
+				wsB.log.Close()
+				defer func() { wsB.log = nil }() // m.Close must not close it twice
+			case "full device":
+				if _, err := os.Stat("/dev/full"); err != nil {
+					t.Skip("no /dev/full on this platform")
+				}
+				if err := os.Symlink("/dev/full", m.walPath("b")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			batches0, bytes0 := groupBatches.Value(), walBytes.Value()
+
+			enc, err := wal.Encode(wal.Record{Seq: 2, Batch: stream.Batch{stream.DeleteRows(2)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			round := []*commitReq{
+				{ws: wsA, id: "a", seq: 2, enc: enc, done: make(chan struct{})},
+				{ws: wsB, id: "b", seq: 2, enc: enc, done: make(chan struct{})},
+			}
+			m.commitRound(round)
+			for _, req := range round {
+				<-req.done
+				if req.err == nil {
+					t.Fatalf("session %s was acked in a failed round", req.id)
+				}
+			}
+			recs, _, tornAt, err := readWAL(m.walPath("a"))
+			if err != nil || tornAt >= 0 {
+				t.Fatalf("recs=%d tornAt=%d err=%v", len(recs), tornAt, err)
+			}
+			if len(recs) != 1 || recs[0].Seq != 1 {
+				t.Fatalf("failed round left %d records in the sibling WAL (want only seq 1)", len(recs))
+			}
+			// The round that failed must not count toward the compaction
+			// trigger or the metrics.
+			if st, ok := m.Status("a"); !ok || st.WALRecords != 1 {
+				t.Fatalf("status after failed round: %+v", st)
+			}
+			if groupBatches.Value() != batches0 || walBytes.Value() != bytes0 {
+				t.Fatal("failed round advanced the journal metrics")
+			}
+			// The sibling keeps journaling where it left off.
+			if err := m.Journal(ctx, "a", 2, stream.Batch{stream.DeleteRows(2)}); err != nil {
+				t.Fatal(err)
+			}
+			if recs, _, tornAt, _ := readWAL(m.walPath("a")); tornAt >= 0 || len(recs) != 2 || recs[1].Seq != 2 {
+				t.Fatalf("after retry: recs=%d tornAt=%d", len(recs), tornAt)
+			}
+		})
+	}
+}
+
+// TestGroupCommitFileContents interleaves batches to two sessions (one
+// through the JournalSharded forwarder) and checks each session's WAL is
+// byte for byte the concatenation of its records' wal.Encode outputs, in
+// sequence order: one record per batch, nothing else.
+func TestGroupCommitFileContents(t *testing.T) {
 	m, err := Open(t.TempDir(), Options{Fsync: true, CompactEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if err := m.JournalSharded(context.Background(), "s", 2, 1, stream.Batch{stream.DeleteRows(1)}); err != nil {
-		t.Fatal(err)
-	}
-	ws, err := m.state("s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws.mu.Lock()
-	good := ws.files[1]
-	ro, err := os.Open(m.shardWALPath("s", 1)) // read-only: writes fail
-	if err != nil {
-		ws.mu.Unlock()
-		t.Fatal(err)
-	}
-	ws.files[1] = ro
-	ws.mu.Unlock()
-
-	if err := m.JournalSharded(context.Background(), "s", 2, 2, stream.Batch{stream.DeleteRows(2)}); err == nil {
-		t.Fatal("journal with a read-only shard file should fail")
-	}
-	ws.mu.Lock()
-	ws.files[1] = good
-	ws.mu.Unlock()
-	ro.Close()
-
-	for shard := 0; shard < 2; shard++ {
-		recs, _, tornAt, err := readWAL(m.shardWALPath("s", shard))
-		if err != nil || tornAt >= 0 {
-			t.Fatalf("shard %d: recs=%d tornAt=%d err=%v", shard, len(recs), tornAt, err)
-		}
-		if len(recs) != 1 || recs[0].Seq != 1 {
-			t.Fatalf("shard %d: failed round left %d records (want only seq 1)", shard, len(recs))
+	want := map[string][]byte{}
+	for seq := int64(1); seq <= 5; seq++ {
+		for _, id := range []string{"s", "sharded"} {
+			batch := stream.Batch{stream.UpdateCell(int(seq), "c", id)}
+			if id == "sharded" {
+				err = m.JournalSharded(context.Background(), id, 4, seq, batch)
+			} else {
+				err = m.Journal(context.Background(), id, seq, batch)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc, err := wal.Encode(wal.Record{Seq: seq, Batch: batch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[id] = append(want[id], enc...)
 		}
 	}
-	// The round that failed must not count toward the compaction
-	// trigger or the metrics.
-	if st, ok := m.Status("s"); !ok || st.WALRecords != 1 {
-		t.Fatalf("status after failed round: %+v", st)
-	}
-}
-
-// TestSerialCommitEquivalence runs the same journal workload through
-// both commit paths and checks the WAL contents agree.
-func TestSerialCommitEquivalence(t *testing.T) {
-	read := func(serial bool) []walRecord {
-		m, err := Open(t.TempDir(), Options{Fsync: true, SerialCommit: serial, CompactEvery: -1})
+	for id, w := range want {
+		got, err := os.ReadFile(m.walPath(id))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer m.Close()
-		for seq := int64(1); seq <= 5; seq++ {
-			if err := m.Journal(context.Background(), "s", seq, stream.Batch{stream.UpdateCell(int(seq), "c", "v")}); err != nil {
-				t.Fatal(err)
-			}
+		if !bytes.Equal(got, w) {
+			t.Fatalf("session %s: WAL is %d bytes, want the %d-byte concatenation of its encoded records", id, len(got), len(w))
 		}
-		recs, _, tornAt, err := readWAL(m.walPath("s"))
-		if err != nil || tornAt >= 0 {
-			t.Fatalf("recs=%d tornAt=%d err=%v", len(recs), tornAt, err)
-		}
-		return recs
 	}
-	groupRecs, serialRecs := read(false), read(true)
-	if len(groupRecs) != len(serialRecs) {
-		t.Fatalf("group wrote %d records, serial %d", len(groupRecs), len(serialRecs))
+	entries, err := os.ReadDir(filepath.Join(m.Dir(), "wal"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range groupRecs {
-		if groupRecs[i].Seq != serialRecs[i].Seq {
-			t.Fatalf("record %d: group seq %d, serial seq %d", i, groupRecs[i].Seq, serialRecs[i].Seq)
-		}
+	if len(entries) != len(want) {
+		t.Fatalf("%d files under wal/, want one per session (%d)", len(entries), len(want))
 	}
 }
 
 // BenchmarkWALJournal measures fsync-on journal throughput under 8
-// concurrent writers to one session — group-commit coalescing vs the
-// serial one-fsync-per-batch baseline. fsync_batches_per_commit is the
+// concurrent writers to one session. fsync_batches_per_commit is the
 // measured coalescing factor (batches amortized per fsync).
 func BenchmarkWALJournal(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		serial bool
-	}{{"serial", true}, {"group", false}} {
-		b.Run(mode.name+"/w8", func(b *testing.B) {
-			m, err := Open(b.TempDir(), Options{Fsync: true, SerialCommit: mode.serial, CompactEvery: -1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer m.Close()
-			batch := stream.Batch{stream.AppendRows([]string{"alice", "2024-01-02", "10.50"})}
-			var seq atomic.Int64
-			batches0, fsyncs0 := groupBatches.Value(), groupFsyncs.Value()
-			b.SetParallelism(8) // >= 8 writer goroutines regardless of GOMAXPROCS
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if err := m.Journal(context.Background(), "bench", seq.Add(1), batch); err != nil {
-						b.Error(err)
-						return
-					}
+	b.Run("group/w8", func(b *testing.B) {
+		m, err := Open(b.TempDir(), Options{Fsync: true, CompactEvery: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer m.Close()
+		batch := stream.Batch{stream.AppendRows([]string{"alice", "2024-01-02", "10.50"})}
+		var seq atomic.Int64
+		batches0, fsyncs0 := groupBatches.Value(), groupFsyncs.Value()
+		b.SetParallelism(8) // >= 8 writer goroutines regardless of GOMAXPROCS
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if err := m.Journal(context.Background(), "bench", seq.Add(1), batch); err != nil {
+					b.Error(err)
+					return
 				}
-			})
-			b.StopTimer()
-			if df := groupFsyncs.Value() - fsyncs0; df > 0 {
-				b.ReportMetric((groupBatches.Value()-batches0)/df, "fsync_batches_per_commit")
 			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "batches/sec")
 		})
-	}
+		b.StopTimer()
+		if df := groupFsyncs.Value() - fsyncs0; df > 0 {
+			b.ReportMetric((groupBatches.Value()-batches0)/df, "fsync_batches_per_commit")
+		}
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "batches/sec")
+	})
 }

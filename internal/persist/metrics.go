@@ -7,10 +7,10 @@ import "github.com/anmat/anmat/internal/obs"
 
 var (
 	walAppendDur = obs.Default.NewHistogram("anmat_persist_wal_append_duration_seconds",
-		"Latency of durably journaling one delta batch (all replicated copies; includes fsync when enabled).",
+		"Latency of durably journaling one delta batch (includes fsync when enabled).",
 		obs.DurationBuckets)
 	walBytes = obs.Default.NewCounter("anmat_persist_wal_bytes_total",
-		"Bytes appended to session WALs (all replicated copies).")
+		"Bytes appended to session WALs.")
 	checkpoints = obs.Default.NewCounter("anmat_persist_checkpoints_total",
 		"Session snapshot checkpoints written.")
 	compactions = obs.Default.NewCounter("anmat_persist_compactions_total",
@@ -22,9 +22,9 @@ var (
 		"Serialized size of checkpointed session snapshots.",
 		obs.SizeBuckets)
 	groupBatches = obs.Default.NewCounter("anmat_wal_group_commit_batches_total",
-		"Delta batches durably journaled (group-commit rounds and the serial ablation path both count here).")
+		"Delta batches durably journaled.")
 	groupFsyncs = obs.Default.NewCounter("anmat_wal_group_commit_fsyncs_total",
-		"WAL fsync calls issued; with group-commit, one per touched file per round, not one per batch.")
+		"WAL fsync calls issued: one per touched session WAL per group-commit round, not one per batch.")
 	groupBatchesPerFsync = obs.Default.NewHistogram("anmat_wal_group_commit_batches_per_fsync",
 		"Batches amortized over each group-commit round's fsyncs; >1 means concurrent writers are coalescing.",
 		[]float64{1, 1.5, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64})

@@ -15,23 +15,21 @@
 //
 // Layout under the data directory:
 //
-//	<dir>/store.json              document store holding one snapshot per session
-//	<dir>/wal/<id>.wal            delta batches journaled since <id>'s checkpoint
-//	<dir>/wal/<id>.shard<K>.wal   per-shard journals of a sharded session
+//	<dir>/store.json      document store holding one snapshot per session
+//	<dir>/wal/<id>.wal    delta batches journaled since <id>'s checkpoint
 //
-// A sharded session (core.SessionConfig.Shards > 1) journals every batch
-// into each of its K per-shard WALs — a K-way replicated write-ahead
-// record keyed by the session's global sequence number. Recovery merges
-// the base WAL and every shard WAL by sequence number, so a batch whose
-// record was torn in one shard's file is still replayed from any sibling
-// whose copy survived intact; only a batch torn (or missing) in every
-// file — the expected artifact of a crash mid-journal, before the batch
-// was ever acknowledged — is discarded.
+// Every session, sharded or not, journals one record per batch into its
+// one WAL (a wal.Log), keyed by the session's global sequence number. A
+// record torn at the tail — the expected artifact of a crash
+// mid-journal, before the batch was ever acknowledged — is discarded by
+// recovery. Data directories written before this layout may still hold
+// <id>.shard<k>.wal files; Restore refuses them by name rather than
+// reading around them.
 //
 // Durability protocol: a delta batch is journaled write-ahead (the
 // session's engine calls Journal before mutating anything), so a batch is
 // either durable in the WAL or was never applied. Checkpoints write the
-// snapshot first and truncate the WALs after; a crash between the two
+// snapshot first and truncate the WAL after; a crash between the two
 // leaves stale WAL records at or below the snapshot's cursor, which
 // replay skips.
 //
@@ -49,6 +47,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -78,11 +77,6 @@ type Options struct {
 	// Fsync forces fsync on every WAL append and snapshot flush, making
 	// durability survive power loss rather than just process death.
 	Fsync bool
-	// SerialCommit disables WAL group-commit: every Journal call pays
-	// its own write+fsync, as before the group committer existed. It is
-	// the ablation baseline for the group-commit benchmark, not an
-	// operator knob.
-	SerialCommit bool
 }
 
 // Manager implements core.Persister over a data directory. It is safe for
@@ -114,20 +108,14 @@ type Manager struct {
 // ws.mu, never the reverse.
 type walState struct {
 	mu sync.Mutex
-	// files are the session's open journal handles, keyed by shard index
-	// (baseWAL = the unsharded session WAL), opened lazily on first
-	// append.
-	files map[int]*os.File
+	// log is the session's open journal, opened lazily on first append.
+	log *wal.Log
 	// records counts batches journaled (or replayed) since the last
-	// checkpoint; it is the compaction trigger. A sharded batch counts
-	// once, not once per shard copy.
+	// checkpoint; it is the compaction trigger.
 	records int
 	// ckptSeq is the sequence cursor of the last durable checkpoint.
 	ckptSeq int64
 }
-
-// baseWAL is the files key of the unsharded session WAL (<id>.wal).
-const baseWAL = -1
 
 // Open creates (or reopens) the durability layer rooted at dir.
 func Open(dir string, opts Options) (*Manager, error) {
@@ -152,45 +140,6 @@ func (m *Manager) walPath(id string) string {
 	return filepath.Join(m.dir, "wal", id+".wal")
 }
 
-// shardWALPath maps (session, shard) to the shard's journal file.
-func (m *Manager) shardWALPath(id string, shard int) string {
-	return filepath.Join(m.dir, "wal", fmt.Sprintf("%s.shard%d.wal", id, shard))
-}
-
-// walPathIdx resolves a files key to its path.
-func (m *Manager) walPathIdx(id string, idx int) string {
-	if idx == baseWAL {
-		return m.walPath(id)
-	}
-	return m.shardWALPath(id, idx)
-}
-
-// sessionWALPaths lists every journal file of the session that exists on
-// disk: the base WAL plus any per-shard WALs — including shard files left
-// by an earlier run with a different shard count, which checkpointing and
-// dropping must still clean up.
-func (m *Manager) sessionWALPaths(id string) ([]string, error) {
-	var out []string
-	if _, err := os.Stat(m.walPath(id)); err == nil {
-		out = append(out, m.walPath(id))
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	entries, err := os.ReadDir(filepath.Join(m.dir, "wal"))
-	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	prefix := id + ".shard"
-	for _, e := range entries {
-		name := e.Name()
-		if strings.HasPrefix(name, prefix) && strings.HasSuffix(name, ".wal") {
-			out = append(out, filepath.Join(m.dir, "wal", name))
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
 // validID rejects session IDs that would escape the wal directory.
 func validID(id string) error {
 	if id == "" || strings.ContainsAny(id, "/\\") || strings.Contains(id, "..") {
@@ -200,7 +149,7 @@ func validID(id string) error {
 }
 
 // state returns (creating if needed) the session's journal bookkeeping.
-// WAL files open lazily on first append (see file).
+// The WAL opens lazily on first append (see openLog).
 func (m *Manager) state(id string) (*walState, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -211,75 +160,30 @@ func (m *Manager) state(id string) (*walState, error) {
 	if err := validID(id); err != nil {
 		return nil, err
 	}
-	ws = &walState{files: make(map[int]*os.File)}
+	ws = &walState{}
 	m.wals[id] = ws
 	return ws, nil
 }
 
-// file returns (opening if needed) one of the session's journal handles.
-// The caller holds ws.mu. In fsync mode the wal directory is synced so a
-// freshly created file's directory entry is durable too.
-func (m *Manager) file(ws *walState, id string, idx int) (*os.File, error) {
-	if f := ws.files[idx]; f != nil {
-		return f, nil
-	}
-	f, err := os.OpenFile(m.walPathIdx(id, idx), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("persist: open wal: %w", err)
-	}
-	if m.opts.Fsync {
-		if err := syncDir(filepath.Join(m.dir, "wal")); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("persist: open wal: %w", err)
+// openLog returns (opening if needed) the session's journal. The caller
+// holds ws.mu. In fsync mode the wal directory is synced so a freshly
+// created file's directory entry is durable too.
+func (m *Manager) openLog(ws *walState, id string) (*wal.Log, error) {
+	if ws.log == nil {
+		l, err := wal.Open(m.walPath(id), m.opts.Fsync)
+		if err != nil {
+			return nil, fmt.Errorf("persist: %w", err)
 		}
+		ws.log = l
 	}
-	ws.files[idx] = f
-	return f, nil
+	return ws.log, nil
 }
 
-// syncDir fsyncs a directory so entry creations/renames inside it are
-// durable across power loss.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	if err := d.Sync(); err != nil {
-		d.Close()
-		return err
-	}
-	return d.Close()
-}
-
-// Journal durably appends one delta batch to the session's WAL. It is the
-// write-ahead half of core.Persister: the session's engine calls it after
-// validating a batch and before applying it. Distinct sessions append
-// concurrently — only same-session appends serialize.
+// Journal durably appends one delta batch to the session's WAL through
+// the group committer (groupcommit.go). It is the write-ahead half of
+// core.Persister: the session's engine calls it after validating a batch
+// and before applying it.
 func (m *Manager) Journal(ctx context.Context, sessionID string, seq int64, batch stream.Batch) error {
-	return m.journal(ctx, sessionID, []int{baseWAL}, seq, batch)
-}
-
-// JournalSharded durably appends one delta batch to each of the
-// session's k per-shard WALs — one replicated record per shard, all
-// carrying the session's global sequence number. Recovery merges the
-// shard files by sequence, so the batch survives as long as any copy's
-// tail is intact. All k appends must succeed for the batch to be
-// acknowledged; on failure every copy written in this call is rolled
-// back.
-func (m *Manager) JournalSharded(ctx context.Context, sessionID string, k int, seq int64, batch stream.Batch) error {
-	if k <= 1 {
-		return m.Journal(ctx, sessionID, seq, batch)
-	}
-	targets := make([]int, k)
-	for s := range targets {
-		targets[s] = s
-	}
-	return m.journal(ctx, sessionID, targets, seq, batch)
-}
-
-// journal appends one record to each target WAL of the session, either
-// through the group committer (default) or serially (SerialCommit).
-func (m *Manager) journal(ctx context.Context, sessionID string, targets []int, seq int64, batch stream.Batch) error {
 	ctx, endSpan := obs.StartSpan(ctx, "persist.journal")
 	ws, err := m.state(sessionID)
 	if err != nil {
@@ -287,7 +191,7 @@ func (m *Manager) journal(ctx context.Context, sessionID string, targets []int, 
 		return err
 	}
 	t0 := time.Now()
-	enc, err := wal.Encode(walRecord{Seq: seq, Batch: batch})
+	enc, err := wal.Encode(wal.Record{Seq: seq, Batch: batch})
 	if err != nil {
 		err = fmt.Errorf("persist: journal %s: %w", sessionID, err)
 		endSpan(err)
@@ -296,16 +200,8 @@ func (m *Manager) journal(ctx context.Context, sessionID string, targets []int, 
 	obs.SetSpanAttrs(ctx,
 		"session", sessionID,
 		"seq", strconv.FormatInt(seq, 10),
-		"wal_bytes", strconv.Itoa(len(enc)*len(targets)),
-		"targets", strconv.Itoa(len(targets)))
-	if m.opts.SerialCommit {
-		err = m.journalSerial(ws, sessionID, targets, seq, enc)
-	} else {
-		err = m.commit(&commitReq{
-			ws: ws, id: sessionID, targets: targets, seq: seq, enc: enc,
-			done: make(chan struct{}),
-		})
-	}
+		"wal_bytes", strconv.Itoa(len(enc)))
+	err = m.commit(&commitReq{ws: ws, id: sessionID, seq: seq, enc: enc, done: make(chan struct{})})
 	endSpan(err)
 	if err != nil {
 		return err
@@ -314,51 +210,11 @@ func (m *Manager) journal(ctx context.Context, sessionID string, targets []int, 
 	return nil
 }
 
-// journalSerial is the pre-group-commit append path: one write (and one
-// fsync per target file) per Journal call, under the session lock.
-func (m *Manager) journalSerial(ws *walState, sessionID string, targets []int, seq int64, enc []byte) error {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	type written struct {
-		f    *os.File
-		size int64
-	}
-	var done []written
-	rollback := func() {
-		// Roll every touched file back to its pre-append length: a
-		// partial record left mid-file would strand (and lose) every
-		// later acknowledged record behind it at the next recovery, and a
-		// fully written record whose fsync failed would replay a batch
-		// the caller was told did not happen. Best-effort — if a truncate
-		// fails too, recovery's torn-tail handling is the backstop.
-		for _, w := range done {
-			_ = w.f.Truncate(w.size)
-		}
-	}
-	for _, idx := range targets {
-		f, err := m.file(ws, sessionID, idx)
-		if err != nil {
-			rollback()
-			return err
-		}
-		fi, err := f.Stat()
-		if err != nil {
-			rollback()
-			return fmt.Errorf("persist: journal %s: %w", sessionID, err)
-		}
-		done = append(done, written{f, fi.Size()})
-		if err := wal.AppendEncoded(f, seq, enc, m.opts.Fsync); err != nil {
-			rollback()
-			return err
-		}
-	}
-	ws.records++
-	walBytes.Add(float64(len(enc) * len(targets)))
-	groupBatches.Inc()
-	if m.opts.Fsync {
-		groupFsyncs.Add(float64(len(targets)))
-	}
-	return nil
+// JournalSharded forwards to Journal: a sharded session journals into the
+// same one WAL. bench/ (frozen this PR) still calls it; the next
+// benchmark PR deletes it.
+func (m *Manager) JournalSharded(ctx context.Context, sessionID string, _ int, seq int64, batch stream.Batch) error {
+	return m.Journal(ctx, sessionID, seq, batch)
 }
 
 // CompactionDue reports whether the session's journal has reached the
@@ -379,10 +235,8 @@ func (m *Manager) CompactionDue(sessionID string) bool {
 }
 
 // Checkpoint durably replaces the session's snapshot document and resets
-// its WALs — the base file plus every per-shard file, including stragglers
-// from an earlier shard count. Snapshot first, truncate after: a crash
-// between the two leaves only stale WAL records, which replay skips by
-// sequence number.
+// its WAL. Snapshot first, truncate after: a crash between the two leaves
+// only stale WAL records, which replay skips by sequence number.
 func (m *Manager) Checkpoint(snap *core.SessionSnapshot) error {
 	ws, err := m.state(snap.ID)
 	if err != nil {
@@ -392,38 +246,28 @@ func (m *Manager) Checkpoint(snap *core.SessionSnapshot) error {
 	defer ws.mu.Unlock()
 	t0 := time.Now()
 	folded := ws.records > 0
+	// Marshal once: the blob becomes the stored document and sizes the
+	// checkpoint histogram.
+	blob, err := json.Marshal(snap)
+	var doc docstore.Doc
+	if err == nil {
+		err = json.Unmarshal(blob, &doc)
+	}
+	if err != nil {
+		return fmt.Errorf("persist: store snapshot %s: %w", snap.ID, err)
+	}
 	m.storeMu.Lock()
 	m.store.Delete(CollSnapshots, docstore.Filter{"session": snap.ID})
-	_, insErr := m.store.InsertJSON(CollSnapshots, snap)
-	var flushErr error
-	if insErr == nil {
-		flushErr = m.store.Flush()
-	}
+	m.store.Insert(CollSnapshots, doc)
+	flushErr := m.store.Flush()
 	m.storeMu.Unlock()
-	if insErr != nil {
-		return fmt.Errorf("persist: store snapshot %s: %w", snap.ID, insErr)
-	}
 	if flushErr != nil {
 		return fmt.Errorf("persist: flush snapshot %s: %w", snap.ID, flushErr)
 	}
-	// Truncate the session's known WAL paths — the base file plus the
-	// snapshot's shard count — rather than scanning the whole wal/
-	// directory, so per-session checkpoint cost does not scale with the
-	// server's total session count. Straggler shard files from an
-	// earlier, larger shard count hold only records at or below an older
-	// checkpoint cursor; replay skips them by sequence number and the
-	// next recovery's tail() trims them, so leaving them untouched here
-	// is safe.
-	paths := []string{m.walPath(snap.ID)}
-	for s := 0; s < snap.Shards; s++ {
-		paths = append(paths, m.shardWALPath(snap.ID, s))
-	}
-	for _, p := range paths {
-		// O_APPEND handles keep working after a path truncate: their next
-		// write lands at the (new) end of file.
-		if err := os.Truncate(p, 0); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("persist: reset wal %s: %w", snap.ID, err)
-		}
+	// Truncate by path: the WAL may not be open yet, and an open O_APPEND
+	// handle keeps working — its next write lands at the new end of file.
+	if err := os.Truncate(m.walPath(snap.ID), 0); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("persist: reset wal %s: %w", snap.ID, err)
 	}
 	ws.records = 0
 	ws.ckptSeq = snap.Seq
@@ -431,15 +275,12 @@ func (m *Manager) Checkpoint(snap *core.SessionSnapshot) error {
 	if folded {
 		compactions.Inc()
 	}
-	if blob, err := json.Marshal(snap); err == nil {
-		checkpointBytes.Observe(float64(len(blob)))
-	}
+	checkpointBytes.Observe(float64(len(blob)))
 	checkpointDur.Observe(time.Since(t0).Seconds())
 	return nil
 }
 
-// Drop removes every trace of the session: snapshot document, base WAL,
-// and all per-shard WALs.
+// Drop removes every trace of the session: snapshot document and WAL.
 func (m *Manager) Drop(sessionID string) error {
 	if err := validID(sessionID); err != nil {
 		return err
@@ -450,8 +291,8 @@ func (m *Manager) Drop(sessionID string) error {
 	m.mu.Unlock()
 	if ws != nil {
 		ws.mu.Lock()
-		for _, f := range ws.files {
-			f.Close()
+		if ws.log != nil {
+			ws.log.Close() // the file is removed below; nothing left to lose
 		}
 		ws.mu.Unlock()
 	}
@@ -465,14 +306,8 @@ func (m *Manager) Drop(sessionID string) error {
 	if flushErr != nil {
 		return fmt.Errorf("persist: drop %s: %w", sessionID, flushErr)
 	}
-	paths, err := m.sessionWALPaths(sessionID)
-	if err != nil {
-		return err
-	}
-	for _, p := range paths {
-		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("persist: drop %s: %w", sessionID, err)
-		}
+	if err := os.Remove(m.walPath(sessionID)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("persist: drop %s: %w", sessionID, err)
 	}
 	return nil
 }
@@ -484,8 +319,8 @@ func (m *Manager) Close() error {
 	var first error
 	for id, ws := range m.wals {
 		ws.mu.Lock()
-		for _, f := range ws.files {
-			if err := f.Close(); err != nil && first == nil {
+		if ws.log != nil {
+			if err := ws.log.Close(); err != nil && first == nil {
 				first = err
 			}
 		}
@@ -518,6 +353,15 @@ func (m *Manager) Status(sessionID string) (Status, bool) {
 	return Status{CheckpointSeq: ws.ckptSeq, WALRecords: ws.records}, true
 }
 
+var legacyShardWAL = regexp.MustCompile(`\.shard[0-9]+\.wal$`)
+
+// LegacyShardWAL reports whether name is a per-shard journal file
+// (<id>.shard<k>.wal) of the kind sharded sessions wrote before every
+// session journaled into its one <id>.wal. Recovery no longer merges
+// them, so a data directory or backup that still carries one is refused
+// by name.
+func LegacyShardWAL(name string) bool { return legacyShardWAL.MatchString(name) }
+
 // Restore rehydrates every persisted session into the system: for each
 // snapshot document it rebuilds the session, replays the WAL tail through
 // the incremental engine (recomputing the violation set, byte-identical
@@ -525,6 +369,20 @@ func (m *Manager) Status(sessionID string) (Status, bool) {
 // sorted by ID. Torn WAL tails — the expected artifact of a crash mid
 // append — are discarded; structurally damaged snapshots are an error.
 func (m *Manager) Restore(sys *core.System) ([]*core.Session, error) {
+	entries, err := os.ReadDir(filepath.Join(m.dir, "wal"))
+	if err != nil {
+		return nil, fmt.Errorf("persist: %w", err)
+	}
+	var legacy []string
+	for _, e := range entries {
+		if LegacyShardWAL(e.Name()) {
+			legacy = append(legacy, e.Name())
+		}
+	}
+	if len(legacy) > 0 {
+		return nil, fmt.Errorf("persist: %s holds per-shard WALs of an older layout (%s) that this release does not read: checkpoint with the release that wrote them, or delete them to drop their batches",
+			filepath.Join(m.dir, "wal"), strings.Join(legacy, ", "))
+	}
 	docs := m.store.Find(CollSnapshots, nil)
 	out := make([]*core.Session, 0, len(docs))
 	for _, d := range docs {
@@ -536,11 +394,13 @@ func (m *Manager) Restore(sys *core.System) ([]*core.Session, error) {
 		if err != nil {
 			return nil, fmt.Errorf("persist: %w", err)
 		}
-		batches, err := m.tail(snap)
+		// The replayable suffix: the contiguous run of batches right after
+		// the snapshot's cursor; the file is trimmed to its clean prefix.
+		recs, err := wal.Replay(m.walPath(snap.ID), snap.Seq)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("persist: wal %s: %w", snap.ID, err)
 		}
-		if err := se.ReplayJournal(snap.Seq, batches); err != nil {
+		if err := se.ReplayJournal(snap.Seq, wal.Batches(recs)); err != nil {
 			return nil, fmt.Errorf("persist: %w", err)
 		}
 		ws, err := m.state(snap.ID)
@@ -548,7 +408,7 @@ func (m *Manager) Restore(sys *core.System) ([]*core.Session, error) {
 			return nil, err
 		}
 		ws.mu.Lock()
-		ws.records = len(batches)
+		ws.records = len(recs)
 		ws.ckptSeq = snap.Seq
 		ws.mu.Unlock()
 		se.SetPersist(m)
@@ -556,75 +416,6 @@ func (m *Manager) Restore(sys *core.System) ([]*core.Session, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
-}
-
-// tail reads the session's WALs — the base file plus every per-shard
-// file — and extracts the replayable suffix: the contiguous run of
-// batches starting right after the snapshot's cursor, merged across
-// files by sequence number. A sharded session writes one replicated
-// record per shard, so a record torn in one file (the crash landed
-// mid-append there) is recovered from any sibling whose copy is intact;
-// a batch readable from no file was never acknowledged and is discarded.
-// Records at or below the cursor are a crash artifact of checkpointing
-// (snapshot durable, truncate lost) and are skipped; a sequence gap
-// means the records beyond it can no longer be interpreted, so they are
-// discarded like a torn tail. Every file is then truncated back to its
-// clean replayable prefix — leaving torn or beyond-the-gap bytes in
-// place would strand (or worse, resurrect under a reused sequence
-// number) records journaled after recovery.
-func (m *Manager) tail(snap *core.SessionSnapshot) ([]stream.Batch, error) {
-	paths, err := m.sessionWALPaths(snap.ID)
-	if err != nil {
-		return nil, err
-	}
-	type walFile struct {
-		path   string
-		recs   []walRecord
-		ends   []int64
-		tornAt int64
-	}
-	files := make([]walFile, 0, len(paths))
-	bySeq := make(map[int64]stream.Batch)
-	for _, p := range paths {
-		recs, ends, tornAt, err := readWAL(p)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, walFile{p, recs, ends, tornAt})
-		for _, rec := range recs {
-			if _, ok := bySeq[rec.Seq]; !ok {
-				bySeq[rec.Seq] = rec.Batch
-			}
-		}
-	}
-	var batches []stream.Batch
-	next := snap.Seq + 1
-	for {
-		b, ok := bySeq[next]
-		if !ok {
-			break
-		}
-		batches = append(batches, b)
-		next++
-	}
-	replayEnd := next - 1
-	for _, f := range files {
-		var keep int64
-		cut := f.tornAt >= 0
-		for i, rec := range f.recs {
-			if rec.Seq > replayEnd {
-				cut = true // gapped or duplicated-ahead record: unreachable
-				break
-			}
-			keep = f.ends[i] // stale records (<= cursor) are harmless; keep them
-		}
-		if cut {
-			if err := os.Truncate(f.path, keep); err != nil {
-				return nil, fmt.Errorf("persist: trim wal %s: %w", snap.ID, err)
-			}
-		}
-	}
-	return batches, nil
 }
 
 // decodeSnapshot converts a snapshot document back to the typed form.
@@ -641,7 +432,7 @@ func decodeSnapshot(d docstore.Doc) (*core.SessionSnapshot, error) {
 		return nil, fmt.Errorf("persist: snapshot doc %v: missing session id", d[docstore.IDField])
 	}
 	// A tampered store must not smuggle a path-traversing ID into the WAL
-	// path construction — tail() truncates the file it resolves to.
+	// path construction — wal.Replay truncates the file it resolves to.
 	if err := validID(snap.ID); err != nil {
 		return nil, fmt.Errorf("persist: snapshot doc %v: %w", d[docstore.IDField], err)
 	}

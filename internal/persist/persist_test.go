@@ -15,6 +15,7 @@ import (
 	"github.com/anmat/anmat/internal/stream"
 	"github.com/anmat/anmat/internal/table"
 	"github.com/anmat/anmat/internal/tableau"
+	"github.com/anmat/anmat/internal/wal"
 )
 
 // testRules mirrors the stream property rules: constant and variable
@@ -30,6 +31,17 @@ func testRules() []*pfd.PFD {
 			tableau.Row{LHS: pattern.MustParseConstrained(`<\D+>\D+`), RHS: tableau.Wildcard},
 		)),
 	}
+}
+
+// readWAL decodes the WAL file at path (a missing file is an empty log);
+// see wal.Decode for the torn-tail contract.
+func readWAL(path string) (recs []wal.Record, ends []int64, tornAt int64, err error) {
+	b, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, nil, -1, err
+	}
+	recs, ends, tornAt = wal.Decode(b)
+	return recs, ends, tornAt, nil
 }
 
 func mustJSON(t *testing.T, v any) string {
@@ -292,21 +304,16 @@ func TestRestoredIDsDoNotCollide(t *testing.T) {
 func TestWALTornTailVariants(t *testing.T) {
 	// Build a clean 3-record WAL, then damage it in every crash shape.
 	dir := t.TempDir()
-	path := filepath.Join(dir, "s.wal")
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var clean []byte
 	var sizes []int64
 	for seq := int64(1); seq <= 3; seq++ {
-		if err := appendRecord(f, walRecord{Seq: seq, Batch: stream.Batch{stream.DeleteRows(int(seq))}}, false); err != nil {
+		b, err := wal.Encode(wal.Record{Seq: seq, Batch: stream.Batch{stream.DeleteRows(int(seq))}})
+		if err != nil {
 			t.Fatal(err)
 		}
-		fi, _ := f.Stat()
-		sizes = append(sizes, fi.Size())
+		clean = append(clean, b...)
+		sizes = append(sizes, int64(len(clean)))
 	}
-	f.Close()
-	clean, _ := os.ReadFile(path)
 
 	check := func(name string, data []byte, wantRecs int, wantTorn bool) {
 		t.Helper()
@@ -398,5 +405,56 @@ func TestInvalidSessionID(t *testing.T) {
 	}
 	if err := m.Drop("a/b"); err == nil {
 		t.Error("path-escaping id should be rejected")
+	}
+}
+
+// TestBackupAccessors: Snapshot and WALTail hand the backup endpoint
+// exactly what crash recovery would read — the checkpointed document and
+// the journal's raw bytes.
+func TestBackupAccessors(t *testing.T) {
+	dir := t.TempDir()
+	m, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := m.Snapshot("s1"); ok || err != nil {
+		t.Fatalf("snapshot of an unknown session: ok=%v err=%v", ok, err)
+	}
+	if _, _, err := m.Snapshot("../escape"); err == nil {
+		t.Error("path-escaping id should be rejected")
+	}
+	if _, err := m.WALTail("../escape"); err == nil {
+		t.Error("path-escaping id should be rejected")
+	}
+	m.Close()
+
+	se, m := newDetectedSession(t, dir)
+	defer m.Close()
+	if tail, err := m.WALTail(se.ID); err != nil || tail != nil {
+		t.Fatalf("tail before any journal: %d bytes, err %v", len(tail), err)
+	}
+	if _, err := se.ApplyDeltas(stream.Batch{stream.AppendRows([]string{"90002", "SD", "85125", "CA"})}); err != nil {
+		t.Fatal(err)
+	}
+	snap, ok, err := m.Snapshot(se.ID)
+	if err != nil || !ok {
+		t.Fatalf("snapshot: ok=%v err=%v", ok, err)
+	}
+	if snap.ID != se.ID || snap.Seq != 0 || len(snap.TableData) == 0 {
+		t.Fatalf("snapshot = id %q seq %d, %d table bytes; want the seq-0 checkpoint", snap.ID, snap.Seq, len(snap.TableData))
+	}
+	tail, err := m.WALTail(se.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk, err := os.ReadFile(filepath.Join(dir, "wal", se.ID+".wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tail) == 0 || string(tail) != string(onDisk) {
+		t.Fatalf("tail is %d bytes, the WAL file %d", len(tail), len(onDisk))
+	}
+	if recs, _, tornAt := wal.Decode(tail); tornAt >= 0 || len(recs) != 1 || recs[0].Seq != 1 {
+		t.Fatalf("tail decodes to %d records (tornAt %d), want seq 1", len(recs), tornAt)
 	}
 }

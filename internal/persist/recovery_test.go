@@ -49,12 +49,9 @@ const (
 //
 // A failing script is dumped to testdata/failures/ so CI can upload it.
 //
-// The property runs both unsharded (one engine, one WAL) and sharded
-// (K=4: a coordinator journaling replicated records into four per-shard
-// WALs). For the sharded torn crash, the final record is cut in EVERY
-// shard file — the only damage shape that actually loses the batch,
-// since any intact sibling replica replays it; garbage lands in one
-// shard file only, and siblings must carry recovery through.
+// The property runs both unsharded (one engine) and sharded (K=4: a
+// coordinator); either way the session journals into its one WAL, which
+// is the file the crash damages.
 func TestCrashRecoveryEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		for _, style := range []crashStyle{crashClean, crashTorn, crashGarbage} {
@@ -124,20 +121,9 @@ func crashRecoveryOnce(t *testing.T, style crashStyle, seed int64, shards int) {
 
 	// Apply a random script, recording per-seq ground truth: the table
 	// and violation set after every applied batch (seq 0 = bootstrap).
-	// For sharded sessions all shard WALs carry identical bytes, so
-	// shard 0's file stands in for size tracking and damage offsets.
 	shadowTbl := map[int64]*table.Table{0: tbl.Clone()}
 	vioAt := map[int64][]pfd.Violation{0: se.Violations}
 	walPath := m.walPath(se.ID)
-	var damagePaths []string
-	if shards > 1 {
-		walPath = m.shardWALPath(se.ID, 0)
-		for s := 0; s < shards; s++ {
-			damagePaths = append(damagePaths, m.shardWALPath(se.ID, s))
-		}
-	} else {
-		damagePaths = []string{walPath}
-	}
 	finalSeq := int64(0)
 	var sizeBeforeLast, sizeAfterLast int64
 	steps := 3 + rng.Intn(14)
@@ -160,24 +146,18 @@ func crashRecoveryOnce(t *testing.T, style crashStyle, seed int64, shards int) {
 	expectSeq := finalSeq
 	switch style {
 	case crashTorn:
-		// Cut the final record at a random byte — in EVERY replica for a
-		// sharded session, since one intact sibling is enough to keep the
-		// batch. Only possible when the last applied batch actually left
-		// bytes in the WAL (a batch that triggered compaction emptied it
-		// — nothing to tear).
+		// Cut the final record at a random byte. Only possible when the
+		// last applied batch actually left bytes in the WAL (a batch that
+		// triggered compaction emptied it — nothing to tear).
 		if sizeAfterLast > sizeBeforeLast {
 			cut := sizeBeforeLast + 1 + rng.Int63n(sizeAfterLast-sizeBeforeLast-1)
-			for _, p := range damagePaths {
-				if err := os.Truncate(p, cut); err != nil {
-					t.Fatal(err)
-				}
+			if err := os.Truncate(walPath, cut); err != nil {
+				t.Fatal(err)
 			}
 			script.CutBytes = sizeAfterLast - cut
 			expectSeq = finalSeq - 1
 		}
 	case crashGarbage:
-		// Garbage lands in one replica only; a sharded session must
-		// recover the full sequence from the clean siblings.
 		f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			t.Fatal(err)

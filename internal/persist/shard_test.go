@@ -34,8 +34,7 @@ func newShardedSession(t *testing.T, dir string, k int) (*core.Session, *Manager
 	return se, m
 }
 
-// shardBatches drives a few batches through the sharded session so every
-// shard WAL holds replicated records.
+// shardBatches drives three batches through the sharded session.
 func shardBatches(t *testing.T, se *core.Session) {
 	t.Helper()
 	batches := []stream.Batch{
@@ -50,41 +49,60 @@ func shardBatches(t *testing.T, se *core.Session) {
 	}
 }
 
-func TestShardedJournalWritesPerShardWALs(t *testing.T) {
+// TestShardedSessionJournalsOneWAL: a sharded session journals one
+// record per batch into the one session WAL — no per-shard file appears —
+// and checkpoint and drop treat that file like any session's.
+func TestShardedSessionJournalsOneWAL(t *testing.T) {
 	dir := t.TempDir()
 	se, m := newShardedSession(t, dir, 4)
+	defer m.Close()
 	shardBatches(t, se)
-	// Every shard WAL exists and holds the same record sequence.
-	var want string
-	for s := 0; s < 4; s++ {
-		path := m.shardWALPath(se.ID, s)
-		recs, _, tornAt, err := readWAL(path)
+	walFiles := func() []string {
+		t.Helper()
+		entries, err := os.ReadDir(filepath.Join(dir, "wal"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tornAt >= 0 {
-			t.Fatalf("shard %d WAL torn at %d", s, tornAt)
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
 		}
-		if len(recs) != 3 {
-			t.Fatalf("shard %d WAL has %d records, want 3", s, len(recs))
-		}
-		got := mustJSON(t, recs)
-		if want == "" {
-			want = got
-		} else if got != want {
-			t.Fatalf("shard %d WAL diverges from shard 0", s)
-		}
+		return names
 	}
-	// The base (unsharded) WAL was never written.
-	if _, err := os.Stat(m.walPath(se.ID)); !os.IsNotExist(err) {
-		t.Fatalf("base WAL exists for a sharded session (err=%v)", err)
+	if got := walFiles(); len(got) != 1 || got[0] != se.ID+".wal" {
+		t.Fatalf("wal/ holds %v, want only %s.wal", got, se.ID)
 	}
-	// One record per batch in the status, not one per shard copy.
-	st, ok := m.Status(se.ID)
-	if !ok || st.WALRecords != 3 {
+	recs, _, tornAt, err := readWAL(m.walPath(se.ID))
+	if err != nil || tornAt >= 0 {
+		t.Fatalf("recs=%d tornAt=%d err=%v", len(recs), tornAt, err)
+	}
+	if len(recs) != 3 || recs[0].Seq != 1 || recs[2].Seq != 3 {
+		t.Fatalf("session WAL holds %d records, want seqs 1..3", len(recs))
+	}
+	if st, ok := m.Status(se.ID); !ok || st.WALRecords != 3 {
 		t.Fatalf("status = %+v, want 3 records", st)
 	}
-	m.Close()
+
+	if err := se.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if size := fileSize(m.walPath(se.ID)); size != 0 {
+		t.Fatalf("WAL not reset by checkpoint (size %d)", size)
+	}
+	// Journaling continues cleanly after the reset.
+	if _, err := se.ApplyDeltas(stream.Batch{stream.UpdateCell(0, "state", "NV")}); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := m.Status(se.ID); st.WALRecords != 1 || st.CheckpointSeq != 3 {
+		t.Fatalf("status after checkpoint+1 batch = %+v", st)
+	}
+
+	if err := m.Drop(se.ID); err != nil {
+		t.Fatal(err)
+	}
+	if got := walFiles(); len(got) != 0 {
+		t.Fatalf("leftover WAL files %v after Drop", got)
+	}
 }
 
 func TestShardedCrashRecoveryRoundTrip(t *testing.T) {
@@ -127,124 +145,40 @@ func TestShardedCrashRecoveryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardedRecoveryTornShardWAL tears the tail record of ONE shard's
-// WAL while its siblings stay clean: the batch must still replay (any
-// intact replica suffices), and the torn file must be trimmed back so
-// post-recovery journaling cannot strand records behind the tear.
-func TestShardedRecoveryTornShardWAL(t *testing.T) {
+// TestRestoreRefusesLegacyShardWALs: a data directory written by the
+// per-shard layout still carries <id>.shard<k>.wal files whose batches
+// the session WAL does not hold; Restore must fail naming them, not read
+// around them.
+func TestRestoreRefusesLegacyShardWALs(t *testing.T) {
 	dir := t.TempDir()
-	se, m := newShardedSession(t, dir, 4)
+	se, m := newShardedSession(t, dir, 2)
 	shardBatches(t, se)
-	wantVio := mustJSON(t, se.Violations)
 	m.Close()
-
-	// Tear the last record of shard 2's WAL mid-payload.
-	torn := filepath.Join(dir, "wal", se.ID+".shard2.wal")
-	fi, err := os.Stat(torn)
+	leftover := se.ID + ".shard0.wal"
+	if err := os.WriteFile(filepath.Join(dir, "wal", leftover), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(torn, fi.Size()-7); err != nil {
-		t.Fatal(err)
-	}
-
-	back, m2 := restoreOne(t, dir)
-	if got := mustJSON(t, back.Violations); got != wantVio {
-		t.Fatalf("torn sibling lost an acknowledged batch:\n got %s\nwant %s", got, wantVio)
-	}
-	if eng, err := back.Stream(); err != nil || eng.Seq() != 3 {
-		t.Fatalf("restored seq after torn sibling: %v, %v", eng, err)
-	}
-	// The torn file was trimmed to a clean prefix.
-	if recs, _, tornAt, err := readWAL(torn); err != nil || tornAt >= 0 || len(recs) != 2 {
-		t.Fatalf("torn WAL not trimmed: recs=%d tornAt=%d err=%v", len(recs), tornAt, err)
-	}
-	m2.Close()
-}
-
-// TestShardedRecoveryAllWALsTorn tears the FINAL record in every shard
-// WAL — the crash-mid-journal case where the batch was never
-// acknowledged anywhere — and expects recovery to drop exactly that
-// batch.
-func TestShardedRecoveryAllWALsTorn(t *testing.T) {
-	dir := t.TempDir()
-	se, m := newShardedSession(t, dir, 4)
-	shardBatches(t, se)
-	// State after two batches is what recovery should land on.
-	m.Close()
-	for s := 0; s < 4; s++ {
-		path := filepath.Join(dir, "wal", se.ID+fmt.Sprintf(".shard%d.wal", s))
-		fi, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Truncate(path, fi.Size()-3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	back, m2 := restoreOne(t, dir)
 	defer m2.Close()
-	eng, err := back.Stream()
-	if err != nil {
+	_, err = m2.Restore(core.NewSystem(docstore.NewMem()))
+	if err == nil || !strings.Contains(err.Error(), leftover) {
+		t.Fatalf("Restore over a leftover %s: err = %v, want a refusal naming it", leftover, err)
+	}
+	// The refusal touched nothing: once the operator removes the file the
+	// same directory restores in full.
+	if err := os.Remove(filepath.Join(dir, "wal", leftover)); err != nil {
 		t.Fatal(err)
 	}
-	if eng.Seq() != 2 {
-		t.Fatalf("seq = %d, want 2 (unacknowledged batch 3 dropped)", eng.Seq())
+	sessions, err := m2.Restore(core.NewSystem(docstore.NewMem()))
+	if err != nil || len(sessions) != 1 {
+		t.Fatalf("restore after removing the leftover: %d sessions, err %v", len(sessions), err)
 	}
-	// The recovered set must equal a fresh full detection of the
-	// recovered table (the invariant, regardless of dropped batches).
-	if _, err := back.RunDetection(context.Background()); err != nil {
-		t.Fatal(err)
+	if eng, err := sessions[0].Stream(); err != nil || eng.Seq() != 3 {
+		t.Fatalf("restored seq: %v, %v", eng, err)
 	}
-}
-
-// TestShardCountChangeAcrossRestart restores a session journaled at K=4
-// into a system where it replays through its snapshotted K, then
-// checkpoint cleans up every shard WAL.
-func TestShardedCheckpointResetsShardWALs(t *testing.T) {
-	dir := t.TempDir()
-	se, m := newShardedSession(t, dir, 4)
-	shardBatches(t, se)
-	if err := se.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < 4; s++ {
-		fi, err := os.Stat(m.shardWALPath(se.ID, s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fi.Size() != 0 {
-			t.Fatalf("shard %d WAL not reset (size %d)", s, fi.Size())
-		}
-	}
-	// Journaling continues cleanly after the reset.
-	if _, err := se.ApplyDeltas(stream.Batch{stream.UpdateCell(0, "state", "NV")}); err != nil {
-		t.Fatal(err)
-	}
-	st, _ := m.Status(se.ID)
-	if st.WALRecords != 1 || st.CheckpointSeq != 3 {
-		t.Fatalf("status after checkpoint+1 batch = %+v", st)
-	}
-	m.Close()
-}
-
-func TestShardedDropRemovesShardWALs(t *testing.T) {
-	dir := t.TempDir()
-	se, m := newShardedSession(t, dir, 4)
-	shardBatches(t, se)
-	if err := m.Drop(se.ID); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(filepath.Join(dir, "wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), se.ID+".") {
-			t.Fatalf("leftover WAL %s after Drop", e.Name())
-		}
-	}
-	m.Close()
 }
 
 // TestShardedJournalFsync exercises the fsync path end to end: sharded
@@ -267,13 +201,6 @@ func TestShardedJournalFsync(t *testing.T) {
 	}
 	if _, err := se.ApplyDeltas(stream.Batch{stream.AppendRows([]string{"90001", "SF", "85125", "CA"})}); err != nil {
 		t.Fatal(err)
-	}
-	// JournalSharded with k<=1 must fall through to the base WAL.
-	if err := m.JournalSharded(context.Background(), se.ID+"x", 1, 1, stream.Batch{stream.UpdateCell(0, "city", "LA")}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(m.walPath(se.ID + "x")); err != nil {
-		t.Fatalf("k=1 JournalSharded did not write the base WAL: %v", err)
 	}
 	wantVio := mustJSON(t, se.Violations)
 	m.Close()

@@ -9,9 +9,9 @@
 // path as a restart: violations and `violations?since=` sequence
 // cursors come back byte-identical. The tar layout:
 //
-//	meta.json   backup format version + SessionSnapshot (sans table bytes)
-//	table.bin   the binary table snapshot (table.EncodeBinaryBytes)
-//	wal/<name>  raw journal files, replayed on restore
+//	meta.json     backup format version + SessionSnapshot (sans table bytes)
+//	table.bin     the binary table snapshot (table.EncodeBinaryBytes)
+//	wal/<id>.wal  the raw journal, replayed on restore (absent when empty)
 //
 // Memory-only sessions (no -data directory) are backed up from a fresh
 // in-memory snapshot with an empty WAL tail; restore works identically.
@@ -26,7 +26,6 @@ import (
 
 	"github.com/anmat/anmat/internal/core"
 	"github.com/anmat/anmat/internal/persist"
-	"github.com/anmat/anmat/internal/stream"
 	"github.com/anmat/anmat/internal/wal"
 )
 
@@ -46,7 +45,7 @@ type backupMeta struct {
 }
 
 // apiBackup streams the session as a tar. The durable state (snapshot
-// doc + WAL files) is captured under the session's read lock — every
+// doc + WAL) is captured under the session's read lock — every
 // mutation path (deltas, confirm, delete) takes the write lock, so the
 // pair is consistent — and then streamed to the client with no locks
 // held, so a slow download never blocks the session's writers.
@@ -59,12 +58,12 @@ func (s *Server) apiBackup(w http.ResponseWriter, r *http.Request) {
 	sess := h.sess
 	id := sess.ID
 	var snap *core.SessionSnapshot
-	var walFiles []persist.WALFile
+	var walTail []byte
 	var err error
 	if s.pm != nil {
 		var ok bool
 		if snap, ok, err = s.pm.Snapshot(id); err == nil && ok {
-			walFiles, err = s.pm.WALTail(id)
+			walTail, err = s.pm.WALTail(id)
 		}
 	}
 	if err == nil && snap == nil {
@@ -106,8 +105,8 @@ func (s *Server) apiBackup(w http.ResponseWriter, r *http.Request) {
 	if err := entry("table.bin", table); err != nil {
 		return
 	}
-	for _, f := range walFiles {
-		if err := entry("wal/"+f.Name, f.Data); err != nil {
+	if len(walTail) > 0 {
+		if err := entry("wal/"+id+".wal", walTail); err != nil {
 			return
 		}
 	}
@@ -122,7 +121,7 @@ func (s *Server) apiRestore(w http.ResponseWriter, r *http.Request) {
 	tr := tar.NewReader(r.Body)
 	var meta *backupMeta
 	var tableBin []byte
-	var walBlobs [][]byte
+	var walTail []byte
 	for {
 		hdr, err := tr.Next()
 		if err == io.EOF {
@@ -146,8 +145,15 @@ func (s *Server) apiRestore(w http.ResponseWriter, r *http.Request) {
 			}
 		case hdr.Name == "table.bin":
 			tableBin = b
+		case persist.LegacyShardWAL(hdr.Name):
+			writeError(w, http.StatusBadRequest, "backup carries per-shard WAL %s of an older layout that this release does not read; take the backup again from a server running this release", hdr.Name)
+			return
 		case strings.HasPrefix(hdr.Name, "wal/"):
-			walBlobs = append(walBlobs, b)
+			if walTail != nil {
+				writeError(w, http.StatusBadRequest, "backup carries more than one WAL (%s)", hdr.Name)
+				return
+			}
+			walTail = b
 		default:
 			// Unknown entries are skipped, so a newer writer may add
 			// entries without breaking older readers.
@@ -193,8 +199,11 @@ func (s *Server) apiRestore(w http.ResponseWriter, r *http.Request) {
 		}
 		writeError(w, status, format, args...)
 	}
-	batches := mergeWALBatches(snap.Seq, walBlobs)
-	if err := sess.ReplayJournal(snap.Seq, batches); err != nil {
+	// The same run extraction crash recovery applies to the file: a torn
+	// final record is dropped by Decode, the run stops at the first gap.
+	recs, _, _ := wal.Decode(walTail)
+	run, _ := wal.Run(recs, snap.Seq)
+	if err := sess.ReplayJournal(snap.Seq, wal.Batches(run)); err != nil {
 		fail(http.StatusBadRequest, "restore %s: replay: %v", snap.ID, err)
 		return
 	}
@@ -215,7 +224,7 @@ func (s *Server) apiRestore(w http.ResponseWriter, r *http.Request) {
 		"table":      sess.Table.Name(),
 		"rows":       sess.Table.NumRows(),
 		"violations": len(sess.Violations),
-		"seq":        snap.Seq + int64(len(batches)),
+		"seq":        snap.Seq + int64(len(run)),
 	})
 }
 
@@ -229,34 +238,5 @@ func (s *Server) registerNew(sess *core.Session) bool {
 		return false
 	}
 	s.sessions[sess.ID] = &sessionHandle{sess: sess}
-	if s.defaultID == "" {
-		s.defaultID = sess.ID
-	}
 	return true
-}
-
-// mergeWALBatches decodes every carried WAL file and merges the records
-// into one contiguous replay list after baseSeq — the in-memory analog
-// of the persist layer's recovery tail: duplicate seqs (replicated
-// shard WALs) collapse to one, a torn final record is dropped by
-// wal.Decode, and the list stops at the first gap.
-func mergeWALBatches(baseSeq int64, blobs [][]byte) []stream.Batch {
-	bySeq := make(map[int64]stream.Batch)
-	for _, b := range blobs {
-		recs, _, _ := wal.Decode(b)
-		for _, rec := range recs {
-			if _, ok := bySeq[rec.Seq]; !ok {
-				bySeq[rec.Seq] = rec.Batch
-			}
-		}
-	}
-	var out []stream.Batch
-	for next := baseSeq + 1; ; next++ {
-		b, ok := bySeq[next]
-		if !ok {
-			break
-		}
-		out = append(out, b)
-	}
-	return out
 }

@@ -185,6 +185,57 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesLegacyShardWAL: a backup taken by the per-shard WAL
+// layout carries wal/<id>.shard<k>.wal entries whose batches this release
+// would not replay; the restore must be refused naming the entry, and no
+// session may appear.
+func TestRestoreRefusesLegacyShardWAL(t *testing.T) {
+	src, id := newStreamServer(t)
+	good := takeBackup(t, src, id)
+	var buf bytes.Buffer
+	tw := tar.NewWriter(&buf)
+	add := func(name string, b []byte) {
+		t.Helper()
+		if err := tw.WriteHeader(&tar.Header{Name: name, Size: int64(len(b)), Mode: 0o644}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tw.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr := tar.NewReader(bytes.NewReader(good))
+	for {
+		hdr, err := tr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := io.ReadAll(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(hdr.Name, b)
+	}
+	leftover := "wal/" + id + ".shard0.wal"
+	add(leftover, nil)
+	tw.Close()
+
+	dst := New(core.NewSystem(docstore.NewMem())).Handler()
+	rec := postRestore(t, dst, buf.Bytes())
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), leftover) {
+		t.Fatalf("restore with %s: %d %s, want 400 naming it", leftover, rec.Code, rec.Body.String())
+	}
+	if rec := get(t, dst, "/api/v1/sessions/"+id); rec.Code != http.StatusNotFound {
+		t.Fatalf("refused restore still registered %s: %d", id, rec.Code)
+	}
+	// The same backup without the leftover restores.
+	if rec := postRestore(t, dst, good); rec.Code != http.StatusOK {
+		t.Fatalf("restore of the clean backup: %d %s", rec.Code, rec.Body.String())
+	}
+}
+
 // TestRestoreCountsAgainstAdmission: a restore is an upload as far as
 // tenant quotas go.
 func TestRestoreCountsAgainstAdmission(t *testing.T) {

@@ -36,9 +36,6 @@
 // and delta writes on a session that has never run detection return a
 // structured 409 rather than an empty 200, so partial-stage sessions
 // (?stages=profile,discovery) are distinguishable from clean ones.
-//
-// The pre-versioning routes under /api/ remain as deprecated aliases onto
-// the default session (the first created, or the last legacy upload).
 package server
 
 import (
@@ -86,9 +83,8 @@ type Server struct {
 	// sessions are dropped from it. Set via AttachPersist before serving.
 	pm *persist.Manager
 
-	mu        sync.RWMutex // guards sessions and defaultID only
-	sessions  map[string]*sessionHandle
-	defaultID string
+	mu       sync.RWMutex // guards sessions only
+	sessions map[string]*sessionHandle
 
 	// start anchors the /healthz and /api/v1/stats uptime reports.
 	start time.Time
@@ -130,8 +126,7 @@ func (s *Server) SetLimits(l Limits) {
 // layer: each persisted session is rebuilt from its latest snapshot, its
 // WAL tail is replayed through the incremental engine (so violation sets
 // and sequence timelines — including clients' `violations?since=` cursors
-// — survive the restart), and the session is registered. The lowest ID
-// becomes the default session for the unversioned routes. Returns the
+// — survive the restart), and the session is registered. Returns the
 // number of sessions restored.
 func (s *Server) RestoreSessions(m *persist.Manager) (int, error) {
 	sessions, err := m.Restore(s.sys)
@@ -139,7 +134,7 @@ func (s *Server) RestoreSessions(m *persist.Manager) (int, error) {
 		return 0, err
 	}
 	for _, sess := range sessions {
-		s.register(sess, false)
+		s.register(sess)
 		if s.adm != nil {
 			// Tenancy is not persisted; restored sessions belong to the
 			// default tenant and must never be refused by their own
@@ -147,15 +142,6 @@ func (s *Server) RestoreSessions(m *persist.Manager) (int, error) {
 			s.adm.bindSession(DefaultTenant, sess.ID, sess.Table.NumRows())
 		}
 	}
-	// register promotes the first-registered session; re-elect the lowest
-	// numeric ID so the default is stable across restarts.
-	s.mu.Lock()
-	for id := range s.sessions {
-		if sessionIDBefore(id, s.defaultID) {
-			s.defaultID = id
-		}
-	}
-	s.mu.Unlock()
 	return len(sessions), nil
 }
 
@@ -191,8 +177,6 @@ func (s *Server) persistNew(sess *core.Session) error {
 }
 
 // CreateSession runs the full pipeline on a new session and registers it.
-// The first session ever registered becomes the default target of the
-// deprecated unversioned routes.
 func (s *Server) CreateSession(ctx context.Context, project string, t *table.Table, p core.Params) (*core.Session, error) {
 	sess := s.sys.NewSession(project, t, p)
 	if err := sess.Run(ctx); err != nil {
@@ -201,39 +185,17 @@ func (s *Server) CreateSession(ctx context.Context, project string, t *table.Tab
 	if err := s.persistNew(sess); err != nil {
 		return nil, err
 	}
-	s.register(sess, false)
+	s.register(sess)
 	if s.adm != nil {
 		s.adm.bindSession(DefaultTenant, sess.ID, t.NumRows())
 	}
 	return sess, nil
 }
 
-// LoadSession binds a dataset to the server, runs the pipeline, and makes
-// the session the default for the unversioned routes.
-//
-// Deprecated: use CreateSession and address the session by ID.
-func (s *Server) LoadSession(project string, t *table.Table, p core.Params) error {
-	sess := s.sys.NewSession(project, t, p)
-	if err := sess.Run(context.Background()); err != nil {
-		return err
-	}
-	if err := s.persistNew(sess); err != nil {
-		return err
-	}
-	s.register(sess, true)
-	if s.adm != nil {
-		s.adm.bindSession(DefaultTenant, sess.ID, t.NumRows())
-	}
-	return nil
-}
-
-func (s *Server) register(sess *core.Session, makeDefault bool) {
+func (s *Server) register(sess *core.Session) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sessions[sess.ID] = &sessionHandle{sess: sess}
-	if makeDefault || s.defaultID == "" {
-		s.defaultID = sess.ID
-	}
 }
 
 // Handler returns the HTTP handler with all routes mounted. Every route
@@ -277,17 +239,7 @@ func (s *Server) Handler() http.Handler {
 	passive("GET /healthz", s.apiHealthz)
 	// Observability: Prometheus exposition + optional pprof.
 	s.mountObs(mux)
-	// Deprecated unversioned aliases onto the default session.
-	handle("GET /api/profile", deprecated(s.apiProfile))
-	handle("GET /api/pfds", deprecated(s.apiPFDs))
-	handle("GET /api/violations", deprecated(s.apiViolations))
-	handle("GET /api/repairs", deprecated(s.apiRepairs))
-	handle("GET /api/projects", deprecated(s.apiProjects))
-	handle("POST /api/upload", deprecated(s.apiUpload))
-	handle("POST /api/confirm", deprecated(s.apiConfirm))
-	handle("GET /api/violation", deprecated(s.apiLegacyViolationDetail))
-	handle("GET /api/dmv", deprecated(s.apiDMV))
-	// HTML views (default session, or ?session=id).
+	// HTML views (?session=id, or the lowest session ID without it).
 	handle("GET /profile", s.pageProfile)
 	handle("GET /pfds", s.pagePFDs)
 	handle("GET /violations", s.pageViolations)
@@ -295,41 +247,35 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// deprecated marks a legacy unversioned route in the response headers.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		h(w, r)
-	}
-}
-
-// handle resolves a session: the {id} path value (or ?session= for HTML
-// pages) when present, the default session otherwise. Returns nil when no
-// such session exists.
+// handle looks a session up by ID; nil when no such session exists.
 func (s *Server) handle(id string) *sessionHandle {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if id == "" {
-		id = s.defaultID
-	}
 	return s.sessions[id]
 }
 
-// requestHandle resolves the session addressed by the request, writing a
-// 404 and returning nil when it does not exist.
+// lowestSessionID returns the first session ID in sessionIDBefore order
+// ("" when there is none): the session the HTML pages show without a
+// ?session= and the "default" the session list reports.
+func (s *Server) lowestSessionID() string {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	lowest := ""
+	for id := range s.sessions {
+		if lowest == "" || sessionIDBefore(id, lowest) {
+			lowest = id
+		}
+	}
+	return lowest
+}
+
+// requestHandle resolves the session addressed by the request's {id},
+// writing a 404 and returning nil when it does not exist.
 func (s *Server) requestHandle(w http.ResponseWriter, r *http.Request) *sessionHandle {
 	id := r.PathValue("id")
-	if id == "" {
-		id = r.URL.Query().Get("session")
-	}
 	h := s.handle(id)
 	if h == nil {
-		if id == "" {
-			http.Error(w, "no dataset loaded", http.StatusNotFound)
-		} else {
-			http.Error(w, "no such session "+id, http.StatusNotFound)
-		}
-		return nil
+		http.Error(w, "no such session "+id, http.StatusNotFound)
 	}
 	return h
 }
@@ -604,16 +550,6 @@ func (s *Server) apiStats(w http.ResponseWriter, r *http.Request) {
 // runs the pipeline under the request context, and registers the session —
 // the demo's "upload the datasets that need to be processed".
 func (s *Server) apiCreateSession(w http.ResponseWriter, r *http.Request) {
-	s.createSession(w, r, false)
-}
-
-// apiUpload is the deprecated unversioned upload; it additionally makes
-// the new session the default target of the other unversioned routes.
-func (s *Server) apiUpload(w http.ResponseWriter, r *http.Request) {
-	s.createSession(w, r, true)
-}
-
-func (s *Server) createSession(w http.ResponseWriter, r *http.Request, makeDefault bool) {
 	name := r.URL.Query().Get("name")
 	if name == "" {
 		name = "uploaded"
@@ -661,7 +597,7 @@ func (s *Server) createSession(w http.ResponseWriter, r *http.Request, makeDefau
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.register(sess, makeDefault)
+	s.register(sess)
 	if s.adm != nil {
 		s.adm.bindReserved(tenant, sess.ID, t.NumRows())
 	}
@@ -680,13 +616,17 @@ func (s *Server) apiListSessions(w http.ResponseWriter, r *http.Request) {
 	for _, h := range s.sessions {
 		handles = append(handles, h)
 	}
-	defaultID := s.defaultID
 	s.mu.RUnlock()
 	out := make([]sessionSummary, 0, len(handles))
 	for _, h := range handles {
 		out = append(out, s.summarize(h))
 	}
 	sort.Slice(out, func(i, j int) bool { return sessionIDBefore(out[i].Session, out[j].Session) })
+	// "default" is the session the HTML pages show without ?session=.
+	defaultID := ""
+	if len(out) > 0 {
+		defaultID = out[0].Session
+	}
 	writeJSON(w, map[string]any{"sessions": out, "default": defaultID})
 }
 
@@ -704,16 +644,6 @@ func (s *Server) apiDeleteSession(w http.ResponseWriter, r *http.Request) {
 	h, ok := s.sessions[id]
 	if ok {
 		delete(s.sessions, id)
-		if s.defaultID == id {
-			// Promote the oldest surviving session so the deprecated
-			// unversioned routes keep working.
-			s.defaultID = ""
-			for sid := range s.sessions {
-				if s.defaultID == "" || sessionIDBefore(sid, s.defaultID) {
-					s.defaultID = sid
-				}
-			}
-		}
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -1139,26 +1069,13 @@ func (s *Server) apiDMV(w http.ResponseWriter, r *http.Request) {
 // apiViolationDetail returns one violation with the full violating
 // records (the Figure 5 drill-down: "display … the full violating
 // records to have more insights"). The index comes from the {i} path
-// value on the versioned route.
+// value.
 func (s *Server) apiViolationDetail(w http.ResponseWriter, r *http.Request) {
 	idx, err := strconv.Atoi(r.PathValue("i"))
 	if err != nil {
 		http.Error(w, fmt.Sprintf("malformed violation index %q", r.PathValue("i")), http.StatusBadRequest)
 		return
 	}
-	s.violationDetail(w, r, idx)
-}
-
-// apiLegacyViolationDetail serves the deprecated /api/violation?i= form.
-func (s *Server) apiLegacyViolationDetail(w http.ResponseWriter, r *http.Request) {
-	idx := 0
-	if !intParam(w, r, "i", &idx) {
-		return
-	}
-	s.violationDetail(w, r, idx)
-}
-
-func (s *Server) violationDetail(w http.ResponseWriter, r *http.Request, idx int) {
 	h := s.requestHandle(w, r)
 	if h == nil {
 		return
@@ -1208,10 +1125,15 @@ func (s *Server) render(w http.ResponseWriter, p page) {
 	_ = pageTmpl.Execute(w, p)
 }
 
-// pageSession resolves the session for an HTML view without writing a 404
-// (the pages render a placeholder instead).
+// pageSession resolves the session for an HTML view — ?session=id, or the
+// lowest session ID without it — without writing a 404 (the pages render
+// a placeholder instead).
 func (s *Server) pageSession(r *http.Request) *sessionHandle {
-	return s.handle(r.URL.Query().Get("session"))
+	id := r.URL.Query().Get("session")
+	if id == "" {
+		id = s.lowestSessionID()
+	}
+	return s.handle(id)
 }
 
 func (s *Server) pageIndex(w http.ResponseWriter, r *http.Request) {

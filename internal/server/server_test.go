@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -14,13 +15,17 @@ import (
 	"github.com/anmat/anmat/internal/docstore"
 )
 
+// s1 is the route prefix of the first session a fresh system creates.
+const s1 = "/api/v1/sessions/s1"
+
+// newLoadedServer serves one 800-row session, s1.
 func newLoadedServer(t *testing.T) *Server {
 	t.Helper()
 	sys := core.NewSystem(docstore.NewMem())
 	sys.CreateProject("demo")
 	srv := New(sys)
 	d := datagen.ZipCity(800, 0.01, 21)
-	if err := srv.LoadSession("demo", d.Table, core.DefaultParams()); err != nil {
+	if _, err := srv.CreateSession(context.Background(), "demo", d.Table, core.DefaultParams()); err != nil {
 		t.Fatal(err)
 	}
 	return srv
@@ -36,7 +41,7 @@ func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
 
 func TestAPIProfile(t *testing.T) {
 	h := newLoadedServer(t).Handler()
-	rec := get(t, h, "/api/profile")
+	rec := get(t, h, s1+"/profile")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
@@ -65,11 +70,11 @@ func TestAPIProfile(t *testing.T) {
 
 func TestAPIPFDsAndViolations(t *testing.T) {
 	h := newLoadedServer(t).Handler()
-	rec := get(t, h, "/api/pfds")
+	rec := get(t, h, s1+"/pfds")
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "tableau") {
 		t.Errorf("pfds: %d %s", rec.Code, rec.Body.String()[:100])
 	}
-	rec = get(t, h, "/api/violations")
+	rec = get(t, h, s1+"/violations")
 	var out struct {
 		Count int `json:"count"`
 	}
@@ -79,7 +84,7 @@ func TestAPIPFDsAndViolations(t *testing.T) {
 	if out.Count == 0 {
 		t.Error("dirty dataset should produce violations")
 	}
-	rec = get(t, h, "/api/repairs")
+	rec = get(t, h, s1+"/repairs")
 	if rec.Code != http.StatusOK {
 		t.Errorf("repairs status = %d", rec.Code)
 	}
@@ -87,7 +92,7 @@ func TestAPIPFDsAndViolations(t *testing.T) {
 
 func TestAPIProjects(t *testing.T) {
 	h := newLoadedServer(t).Handler()
-	rec := get(t, h, "/api/projects")
+	rec := get(t, h, "/api/v1/projects")
 	if !strings.Contains(rec.Body.String(), "demo") {
 		t.Errorf("projects = %s", rec.Body.String())
 	}
@@ -96,7 +101,7 @@ func TestAPIProjects(t *testing.T) {
 func TestAPIEmptySession(t *testing.T) {
 	srv := New(core.NewSystem(docstore.NewMem()))
 	h := srv.Handler()
-	for _, path := range []string{"/api/profile", "/api/pfds", "/api/violations", "/api/repairs"} {
+	for _, path := range []string{s1 + "/profile", s1 + "/pfds", s1 + "/violations", s1 + "/repairs"} {
 		if rec := get(t, h, path); rec.Code != http.StatusNotFound {
 			t.Errorf("%s without session: status %d", path, rec.Code)
 		}
@@ -107,7 +112,7 @@ func TestAPIUpload(t *testing.T) {
 	srv := New(core.NewSystem(docstore.NewMem()))
 	h := srv.Handler()
 	csv := "zip,city\n90001,Los Angeles\n90002,Los Angeles\n90003,Los Angeles\n90004,Los Angeles\n90005,New York\n"
-	req := httptest.NewRequest(http.MethodPost, "/api/upload?name=zips&coverage=0.5&violations=0.4", strings.NewReader(csv))
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/sessions?name=zips&coverage=0.5&violations=0.4", strings.NewReader(csv))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
@@ -132,7 +137,7 @@ func TestAPIUpload(t *testing.T) {
 func TestAPIUploadBadCSV(t *testing.T) {
 	srv := New(core.NewSystem(docstore.NewMem()))
 	h := srv.Handler()
-	req := httptest.NewRequest(http.MethodPost, "/api/upload", strings.NewReader(""))
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/sessions", strings.NewReader(""))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusBadRequest {
@@ -144,7 +149,7 @@ func TestAPIConfirm(t *testing.T) {
 	srv := newLoadedServer(t)
 	h := srv.Handler()
 	// Find a discovered PFD id.
-	rec := get(t, h, "/api/pfds")
+	rec := get(t, h, s1+"/pfds")
 	var pfds struct {
 		PFDs []struct {
 			Table string `json:"table"`
@@ -161,7 +166,7 @@ func TestAPIConfirm(t *testing.T) {
 	id := pfds.PFDs[0].Table + ":" + pfds.PFDs[0].LHS + "->" + pfds.PFDs[0].RHS
 
 	body := strings.NewReader(`{"ids": ["` + id + `"]}`)
-	req := httptest.NewRequest(http.MethodPost, "/api/confirm", body)
+	req := httptest.NewRequest(http.MethodPost, s1+"/confirm", body)
 	rec2 := httptest.NewRecorder()
 	h.ServeHTTP(rec2, req)
 	if rec2.Code != http.StatusOK {
@@ -179,7 +184,7 @@ func TestAPIConfirm(t *testing.T) {
 	}
 
 	// Bad id rejected.
-	req = httptest.NewRequest(http.MethodPost, "/api/confirm", strings.NewReader(`{"ids":["nope"]}`))
+	req = httptest.NewRequest(http.MethodPost, s1+"/confirm", strings.NewReader(`{"ids":["nope"]}`))
 	rec3 := httptest.NewRecorder()
 	h.ServeHTTP(rec3, req)
 	if rec3.Code != http.StatusBadRequest {
@@ -187,7 +192,7 @@ func TestAPIConfirm(t *testing.T) {
 	}
 
 	// Empty body confirms everything.
-	req = httptest.NewRequest(http.MethodPost, "/api/confirm", strings.NewReader(""))
+	req = httptest.NewRequest(http.MethodPost, s1+"/confirm", strings.NewReader(""))
 	rec4 := httptest.NewRecorder()
 	h.ServeHTTP(rec4, req)
 	if rec4.Code != http.StatusOK {
@@ -198,7 +203,7 @@ func TestAPIConfirm(t *testing.T) {
 func TestAPIViolationDetail(t *testing.T) {
 	srv := newLoadedServer(t)
 	h := srv.Handler()
-	rec := get(t, h, "/api/violation?i=0")
+	rec := get(t, h, s1+"/violations/0")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("detail status = %d", rec.Code)
 	}
@@ -217,7 +222,7 @@ func TestAPIViolationDetail(t *testing.T) {
 	if _, ok := out.Records[0].Cells["zip"]; !ok {
 		t.Errorf("record cells = %v", out.Records[0].Cells)
 	}
-	if rec := get(t, h, "/api/violation?i=999999"); rec.Code != http.StatusNotFound {
+	if rec := get(t, h, s1+"/violations/999999"); rec.Code != http.StatusNotFound {
 		t.Errorf("out-of-range status = %d", rec.Code)
 	}
 }
@@ -230,10 +235,10 @@ func TestAPIDMV(t *testing.T) {
 	for r := 0; r < d.Table.NumRows(); r += 60 {
 		d.Table.SetCell(r, zi, "99999")
 	}
-	if err := srv.LoadSession("demo", d.Table, core.DefaultParams()); err != nil {
+	if _, err := srv.CreateSession(context.Background(), "demo", d.Table, core.DefaultParams()); err != nil {
 		t.Fatal(err)
 	}
-	rec := get(t, srv.Handler(), "/api/dmv")
+	rec := get(t, srv.Handler(), s1+"/dmv")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("dmv status = %d", rec.Code)
 	}
@@ -241,7 +246,7 @@ func TestAPIDMV(t *testing.T) {
 		t.Errorf("dmv response lacks sentinel: %s", rec.Body.String())
 	}
 	empty := New(core.NewSystem(docstore.NewMem()))
-	if rec := get(t, empty.Handler(), "/api/dmv"); rec.Code != http.StatusNotFound {
+	if rec := get(t, empty.Handler(), s1+"/dmv"); rec.Code != http.StatusNotFound {
 		t.Errorf("empty-session dmv status = %d", rec.Code)
 	}
 }
@@ -385,7 +390,7 @@ func TestV1ViolationsPagination(t *testing.T) {
 		Returned   int   `json:"returned"`
 		Violations []any `json:"violations"`
 	}
-	rec := get(t, h, "/api/violations")
+	rec := get(t, h, s1+"/violations")
 	if err := json.Unmarshal(rec.Body.Bytes(), &all); err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +403,7 @@ func TestV1ViolationsPagination(t *testing.T) {
 		Returned   int   `json:"returned"`
 		Violations []any `json:"violations"`
 	}
-	rec = get(t, h, "/api/violations?limit=1&offset=1")
+	rec = get(t, h, s1+"/violations?limit=1&offset=1")
 	if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +411,7 @@ func TestV1ViolationsPagination(t *testing.T) {
 		t.Errorf("page = %+v", page)
 	}
 	// Offset past the end yields an empty page, not an error.
-	rec = get(t, h, "/api/violations?offset=999999")
+	rec = get(t, h, s1+"/violations?offset=999999")
 	if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
 		t.Fatal(err)
 	}
@@ -421,9 +426,9 @@ func TestAPIBadParams(t *testing.T) {
 	srv := newLoadedServer(t)
 	h := srv.Handler()
 	for _, path := range []string{
-		"/api/violations?limit=abc",
-		"/api/violations?offset=-3",
-		"/api/violation?i=abc",
+		s1 + "/violations?limit=abc",
+		s1 + "/violations?offset=-3",
+		s1 + "/violations/abc",
 	} {
 		if rec := get(t, h, path); rec.Code != http.StatusBadRequest {
 			t.Errorf("%s status = %d, want 400", path, rec.Code)
@@ -488,38 +493,36 @@ func TestV1SessionLifecycle(t *testing.T) {
 	}
 }
 
-// TestLegacyRoutesAliasDefaultSession pins the deprecation contract: the
-// unversioned routes serve the default session and say so in a header.
-func TestLegacyRoutesAliasDefaultSession(t *testing.T) {
-	srv := newLoadedServer(t)
-	h := srv.Handler()
-	rec := get(t, h, "/api/pfds")
-	if rec.Header().Get("Deprecation") != "true" {
-		t.Error("legacy route lacks Deprecation header")
-	}
-	var legacy, v1 struct {
-		Session string `json:"session"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &legacy); err != nil {
-		t.Fatal(err)
-	}
-	rec = get(t, h, "/api/v1/sessions/"+legacy.Session+"/pfds")
-	if err := json.Unmarshal(rec.Body.Bytes(), &v1); err != nil {
-		t.Fatal(err)
-	}
-	if v1.Session != legacy.Session {
-		t.Errorf("legacy session %q != v1 session %q", legacy.Session, v1.Session)
-	}
-}
-
-// TestDeleteDefaultPromotesSurvivor: deleting the default session hands
-// the legacy routes to the lowest surviving session.
+// TestDeleteDefaultPromotesSurvivor: no default session is stored — the
+// session list's "default" and the HTML pages without ?session= resolve
+// to the lowest session ID at lookup, so deleting that session hands
+// both to the lowest survivor.
 func TestDeleteDefaultPromotesSurvivor(t *testing.T) {
 	srv := New(core.NewSystem(docstore.NewMem()))
 	h := srv.Handler()
 	_, out1 := postCSV(t, h, "/api/v1/sessions?name=first", csvBody(t, datagen.ZipCity(400, 0.01, 26)))
 	_, out2 := postCSV(t, h, "/api/v1/sessions?name=second", csvBody(t, datagen.ZipCity(400, 0.01, 27)))
 	id1, id2 := out1["session"].(string), out2["session"].(string)
+	check := func(wantID, wantTable string) {
+		t.Helper()
+		var list struct {
+			Default string `json:"default"`
+		}
+		if err := json.Unmarshal(get(t, h, "/api/v1/sessions").Body.Bytes(), &list); err != nil {
+			t.Fatal(err)
+		}
+		if list.Default != wantID {
+			t.Errorf("session list default = %q, want %q", list.Default, wantID)
+		}
+		if rec := get(t, h, "/"); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "<b>"+wantTable+"</b>") {
+			t.Errorf("index page without ?session= does not show %q: %d %s", wantTable, rec.Code, rec.Body.String())
+		}
+	}
+	check(id1, "first")
+	// An explicit ?session= still addresses any session.
+	if rec := get(t, h, "/?session="+id2); !strings.Contains(rec.Body.String(), "<b>second</b>") {
+		t.Errorf("index page with ?session=%s: %s", id2, rec.Body.String())
+	}
 
 	req := httptest.NewRequest(http.MethodDelete, "/api/v1/sessions/"+id1, nil)
 	rec := httptest.NewRecorder()
@@ -527,19 +530,7 @@ func TestDeleteDefaultPromotesSurvivor(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("delete default: %d", rec.Code)
 	}
-	rec = get(t, h, "/api/pfds")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("legacy route after default deletion: %d", rec.Code)
-	}
-	var out struct {
-		Session string `json:"session"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Session != id2 {
-		t.Errorf("legacy route serves %q, want promoted %q", out.Session, id2)
-	}
+	check(id2, "second")
 }
 
 // TestAPIDetectionStats: the detection endpoint reports per-rule timing

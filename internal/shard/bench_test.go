@@ -56,11 +56,9 @@ func benchRules() []*pfd.PFD {
 // bootstrap over the whole table, i.e. routing + K parallel engine
 // builds + the global merge — at K = 1/2/4/8. Violations are
 // byte-identical at every K (the tests pin that); what varies is
-// wall-clock. benchjson turns the /k<N> variants into speedup_vs_1shard,
-// and rows/sec is reported as a custom metric. Run via `make bench-shard`
-// → BENCH_shard.json. NOTE: with NumCPU=1 (the committed CI container)
-// the K-way parallel bootstrap cannot fan out; multicore hardware is
-// where the speedup shows.
+// wall-clock: compare the /k<N> variants' ns/op against /k1; rows/sec is
+// reported as a custom metric. NOTE: with NumCPU=1 the K-way parallel
+// bootstrap cannot fan out; multicore hardware is where a speedup shows.
 func BenchmarkShardDetect(b *testing.B) {
 	tbl := benchCorpus()
 	rules := benchRules()
@@ -73,7 +71,7 @@ func BenchmarkShardDetect(b *testing.B) {
 			before, _, beforeN := span.Snapshot()
 			var violations int
 			for i := 0; i < b.N; i++ {
-				c, err := New(tbl, rules, k)
+				c, err := NewFrom(tbl, rules, k, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -103,7 +101,7 @@ func BenchmarkShardApply(b *testing.B) {
 	for _, k := range []int{1, 4} {
 		b.Run(fmt.Sprintf("append1/k%d", k), func(b *testing.B) {
 			ds := datagen.PhoneState(20_000, 0.005, 7)
-			c, err := New(ds.Table, rules, k)
+			c, err := NewFrom(ds.Table, rules, k, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -83,7 +83,7 @@ func TestInterningEquivalenceProperty(t *testing.T) {
 		}
 
 		for _, k := range []int{1, 4} {
-			c, err := New(tbl, rules, k)
+			c, err := NewFrom(tbl, rules, k, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

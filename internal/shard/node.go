@@ -18,7 +18,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"github.com/anmat/anmat/internal/pfd"
 	"github.com/anmat/anmat/internal/stream"
@@ -177,7 +176,7 @@ func (n *LocalNode) applyMapping(op NodeOp) error {
 		}
 	}
 	if len(op.Renumber) > 0 {
-		remap := remapFor(op.Renumber)
+		remap := stream.RemapFor(op.Renumber)
 		for i, g := range n.globalOf {
 			ng, ok := remap(g)
 			if !ok {
@@ -275,18 +274,4 @@ func globalize(v pfd.Violation, globalOf []int) pfd.Violation {
 		nv.Observed, nv.Expected = nv.Expected, nv.Observed
 	}
 	return nv
-}
-
-// remapFor returns the old→new global row mapping of deleting the sorted
-// target rows (the same mapping full detection's table compaction
-// induces).
-func remapFor(sortedTargets []int) func(int) (int, bool) {
-	targets := append([]int(nil), sortedTargets...)
-	return func(old int) (int, bool) {
-		below := sort.SearchInts(targets, old)
-		if below < len(targets) && targets[below] == old {
-			return 0, false
-		}
-		return old - below, true
-	}
 }

@@ -75,11 +75,11 @@ func replayOnce(t *testing.T, k int, rng *rand.Rand) {
 	// Replica: the proven single-table engine over its own table copy,
 	// fed the same accepted batches.
 	replicaTbl := tbl.Clone()
-	replica, err := stream.NewEngine(replicaTbl, rules)
+	replica, err := stream.NewEngineFrom(replicaTbl, rules, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(tbl, rules, k)
+	c, err := NewFrom(tbl, rules, k, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

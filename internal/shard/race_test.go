@@ -13,7 +13,7 @@ import (
 // consistent merged set. Run under -race in CI.
 func TestCoordinatorConcurrency(t *testing.T) {
 	tbl := testTable()
-	c, err := New(tbl, testRules(), 4)
+	c, err := NewFrom(tbl, testRules(), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -449,7 +449,7 @@ func (tr *Translator) translateDelete(drop []int, ops [][]NodeOp) error {
 			perShard[lr.shard] = append(perShard[lr.shard], int(lr.local))
 		}
 	}
-	remap := remapFor(targets)
+	remap := stream.RemapFor(targets)
 
 	// Rewrite every shard's mirror: drop deleted rows, shift surviving
 	// locals down, renumber the global values — the same transformation
@@ -498,7 +498,7 @@ func (tr *Translator) translateDelete(drop []int, ops [][]NodeOp) error {
 // coordinator.
 type RecoverFunc func(s int, boot NodeBoot, seq int64) (Node, error)
 
-// Config tunes NewWith. The zero value reproduces New.
+// Config tunes NewWith. The zero value reproduces NewFrom at sequence 0.
 type Config struct {
 	// BaseSeq is the starting sequence number (see stream.NewEngineFrom
 	// for the cursor-continuity contract).
@@ -551,21 +551,16 @@ type Coordinator struct {
 	sink   func(ctx context.Context, seq int64, batch stream.Batch) error
 }
 
-// New builds a coordinator with K in-process shards over the table's
-// current contents. Like stream.NewEngine, the bootstrap costs about one
-// full detection pass — but split across the shards, which bootstrap
-// their engines in parallel.
-func New(t *table.Table, rules []*pfd.PFD, k int) (*Coordinator, error) {
-	return NewWith(t, rules, k, Config{})
-}
-
-// NewFrom is New with an explicit starting sequence number (see
-// stream.NewEngineFrom for the cursor-continuity contract).
+// NewFrom builds a coordinator with K in-process shards over the table's
+// current contents, starting at sequence number baseSeq (see
+// stream.NewEngineFrom for the cursor-continuity contract). Like a
+// single engine's, the bootstrap costs about one full detection pass —
+// but split across the shards, which bootstrap their engines in parallel.
 func NewFrom(t *table.Table, rules []*pfd.PFD, k int, baseSeq int64) (*Coordinator, error) {
 	return NewWith(t, rules, k, Config{BaseSeq: baseSeq})
 }
 
-// NewWith is New with the full configuration: custom node transports,
+// NewWith is NewFrom with the full configuration: custom node transports,
 // failover recovery, and the coordinator's own journal hook.
 func NewWith(t *table.Table, rules []*pfd.PFD, k int, cfg Config) (*Coordinator, error) {
 	tr, err := NewTranslator(t, rules, k)

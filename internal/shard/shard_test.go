@@ -78,7 +78,7 @@ func TestBootstrapMatchesFullDetection(t *testing.T) {
 		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
 			tbl := testTable()
 			rules := testRules()
-			c, err := New(tbl, rules, k)
+			c, err := NewFrom(tbl, rules, k, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +98,7 @@ func TestDeltasMatchFullDetection(t *testing.T) {
 		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
 			tbl := testTable()
 			rules := testRules()
-			c, err := New(tbl, rules, k)
+			c, err := NewFrom(tbl, rules, k, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +128,7 @@ func TestDeltasMatchFullDetection(t *testing.T) {
 func TestKeyMoveAcrossShards(t *testing.T) {
 	tbl := testTable()
 	rules := testRules()
-	c, err := New(tbl, rules, 4)
+	c, err := NewFrom(tbl, rules, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestDeleteSpanningShards(t *testing.T) {
 		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
 			tbl := testTable()
 			rules := testRules()
-			c, err := New(tbl, rules, k)
+			c, err := NewFrom(tbl, rules, k, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -251,7 +251,7 @@ func TestCoordinatorSinceAndDiffs(t *testing.T) {
 
 func TestCoordinatorStaleAndBadBatch(t *testing.T) {
 	tbl := testTable()
-	c, err := New(tbl, testRules(), 2)
+	c, err := NewFrom(tbl, testRules(), 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestCoordinatorStaleAndBadBatch(t *testing.T) {
 
 func TestCoordinatorStats(t *testing.T) {
 	tbl := testTable()
-	c, err := New(tbl, testRules(), 4)
+	c, err := NewFrom(tbl, testRules(), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,4 +318,66 @@ func TestOwnerDeterministicAndInRange(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCoordinatorSinkWriteAhead pins the coordinator's two journal hooks
+// (the stream.Engine contract, see stream's TestSinkWriteAhead): the
+// session sink sees every applied batch with its seq before anything
+// mutates and its error aborts the batch untouched; Replay bypasses the
+// sink; the coordinator's own Journal hook sees Apply and Replay alike.
+func TestCoordinatorSinkWriteAhead(t *testing.T) {
+	tbl, rules := testTable(), testRules()
+	var journaled []int64
+	c, err := NewWith(tbl, rules, 2, Config{
+		BaseSeq: 10,
+		Journal: func(_ context.Context, seq int64, _ stream.Batch) error {
+			journaled = append(journaled, seq)
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if c.Shards() != 2 || len(c.Rules()) != len(rules) || c.Translator().Shards() != 2 || c.Node(1) == nil {
+		t.Fatalf("accessors: shards=%d rules=%d node1=%v", c.Shards(), len(c.Rules()), c.Node(1))
+	}
+	type call struct {
+		seq  int64
+		rows int // table rows observed at call time (pre-mutation)
+	}
+	var calls []call
+	var fail bool
+	c.SetSink(func(_ context.Context, seq int64, _ stream.Batch) error {
+		if fail {
+			return fmt.Errorf("disk full")
+		}
+		calls = append(calls, call{seq, tbl.NumRows()})
+		return nil
+	})
+	rows := tbl.NumRows()
+	if _, err := c.ApplyCtx(context.Background(), stream.Batch{stream.AppendRows([]string{"8501112222", "TX", "h"})}); err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != 1 || calls[0] != (call{11, rows}) {
+		t.Fatalf("sink calls = %+v, want one at seq 11 seeing %d rows (write-ahead)", calls, rows)
+	}
+	fail = true
+	if _, err := c.Apply(stream.Batch{stream.AppendRows([]string{"8503334444", "TX", "i"})}); err == nil {
+		t.Fatal("Apply should surface the sink error")
+	}
+	if tbl.NumRows() != rows+1 || c.Seq() != 11 {
+		t.Fatalf("failed journal mutated state: %d rows, seq %d", tbl.NumRows(), c.Seq())
+	}
+	// Replay bypasses the (still failing) sink but advances like Apply.
+	if _, err := c.Replay(stream.Batch{stream.AppendRows([]string{"8503334444", "TX", "i"})}); err != nil {
+		t.Fatal(err)
+	}
+	if tbl.NumRows() != rows+2 || c.Seq() != 12 {
+		t.Fatalf("replay: %d rows, seq %d", tbl.NumRows(), c.Seq())
+	}
+	if mustJSON(t, journaled) != "[11,12]" {
+		t.Fatalf("coordinator journal saw seqs %v, want [11 12] (the sink-refused batch never reached it)", journaled)
+	}
+	assertMerged(t, c, tbl, rules)
 }

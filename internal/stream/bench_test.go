@@ -51,9 +51,8 @@ func benchRules() []*pfd.PFD {
 // BenchmarkStreamAppend compares maintaining the violation set through
 // the incremental engine against the pre-subsystem behaviour — rebuild
 // the detection engine and re-run full detection after every batch — at
-// delta batch sizes 1, 10 and 100 over a 20k-row table. cmd/benchjson
-// pairs each batchN/incremental result with its batchN/full sibling into
-// a speedup_vs_full metric (see make bench-stream).
+// delta batch sizes 1, 10 and 100 over a 20k-row table: compare each
+// batchN/incremental result with its batchN/full sibling.
 func BenchmarkStreamAppend(b *testing.B) {
 	const base = 20000
 	for _, size := range []int{1, 10, 100} {
@@ -61,7 +60,7 @@ func BenchmarkStreamAppend(b *testing.B) {
 		b.Run(fmt.Sprintf("batch%d/incremental", size), func(b *testing.B) {
 			tbl := benchTable(base)
 			rules := benchRules()
-			eng, err := NewEngine(tbl, rules)
+			eng, err := NewEngineFrom(tbl, rules, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -103,7 +102,7 @@ func BenchmarkStreamRepair(b *testing.B) {
 	const base = 20000
 	b.Run("incremental", func(b *testing.B) {
 		tbl := benchTable(base)
-		eng, err := NewEngine(tbl, benchRules())
+		eng, err := NewEngineFrom(tbl, benchRules(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -129,7 +129,7 @@ type Engine struct {
 	sink func(ctx context.Context, seq int64, batch Batch) error
 }
 
-// EngineOptions tunes NewEngineOpts. The zero value reproduces NewEngine.
+// EngineOptions tunes NewEngineOpts. The zero value reproduces NewEngineFrom at sequence 0.
 type EngineOptions struct {
 	// BaseSeq is the starting sequence number (see NewEngineFrom).
 	BaseSeq int64
@@ -156,25 +156,20 @@ type EngineOptions struct {
 	GlobalID func(local int) int
 }
 
-// NewEngine bootstraps an engine over the table's current contents. The
-// rule set is fixed for the engine's lifetime; build a new engine to
-// change it. The bootstrap costs about one full detection pass — every
-// delta after that is proportional to the data it touches.
-func NewEngine(t *table.Table, rules []*pfd.PFD) (*Engine, error) {
-	return NewEngineFrom(t, rules, 0)
-}
-
-// NewEngineFrom is NewEngine with an explicit starting sequence number.
-// A holder replacing an engine (table mutated externally, rule set
-// changed) passes the old engine's Seq()+1 so client cursors keep a
-// consistent timeline: cursors at or before the old seq fall outside the
-// fresh (empty) diff log and resolve to a reset snapshot instead of an
-// out-of-range error.
+// NewEngineFrom bootstraps an engine over the table's current contents,
+// starting at sequence number baseSeq. The rule set is fixed for the
+// engine's lifetime; build a new engine to change it. The bootstrap costs
+// about one full detection pass — every delta after that is proportional
+// to the data it touches. A holder replacing an engine (table mutated
+// externally, rule set changed) passes the old engine's Seq()+1 so client
+// cursors keep a consistent timeline: cursors at or before the old seq
+// fall outside the fresh (empty) diff log and resolve to a reset snapshot
+// instead of an out-of-range error.
 func NewEngineFrom(t *table.Table, rules []*pfd.PFD, baseSeq int64) (*Engine, error) {
 	return NewEngineOpts(t, rules, EngineOptions{BaseSeq: baseSeq})
 }
 
-// NewEngineOpts is NewEngine with the full option set.
+// NewEngineOpts is NewEngineFrom with the full option set.
 func NewEngineOpts(t *table.Table, rules []*pfd.PFD, opts EngineOptions) (*Engine, error) {
 	// One span per bootstrap — the detection-pass-equivalent cost every
 	// later delta amortizes; per-row work stays uninstrumented.
@@ -609,7 +604,7 @@ func (e *Engine) applyDelete(drop []int, d *batchDiff) {
 	// and renumber everything that survived. Dictionary IDs are never
 	// renumbered, so the per-ID verdict memos stay valid.
 	_, _ = e.t.DeleteRows(targets...) // validated in-range
-	remap := remapFor(targets)
+	remap := RemapFor(targets)
 	keyMap := make(map[string]string, len(e.vio))
 	newVio := make(map[string]*vioEntry, len(e.vio))
 	for k, ent := range e.vio {
@@ -652,10 +647,11 @@ func (e *Engine) applyDelete(drop []int, d *batchDiff) {
 	}
 }
 
-// remapFor returns the old→new row mapping of deleting the sorted target
-// rows: a surviving row shifts down by the number of deleted rows below
-// it; deleted rows do not survive.
-func remapFor(sortedTargets []int) func(int) (int, bool) {
+// RemapFor returns the old→new row mapping of deleting the sorted target
+// rows — the mapping full detection's table compaction induces: a
+// surviving row shifts down by the number of deleted rows below it;
+// deleted rows do not survive.
+func RemapFor(sortedTargets []int) func(int) (int, bool) {
 	targets := append([]int(nil), sortedTargets...)
 	return func(old int) (int, bool) {
 		below := sort.SearchInts(targets, old)

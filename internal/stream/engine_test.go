@@ -68,7 +68,7 @@ func assertMaintained(t *testing.T, e *Engine, tbl *table.Table, rules []*pfd.PF
 func TestEngineBootstrapMatchesFullDetection(t *testing.T) {
 	tbl := streamTable()
 	rules := streamRules()
-	e, err := NewEngine(tbl, rules)
+	e, err := NewEngineFrom(tbl, rules, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestEngineBootstrapMatchesFullDetection(t *testing.T) {
 func TestEngineAppendUpdateDelete(t *testing.T) {
 	tbl := streamTable()
 	rules := streamRules()
-	e, err := NewEngine(tbl, rules)
+	e, err := NewEngineFrom(tbl, rules, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestEngineAppendUpdateDelete(t *testing.T) {
 
 func TestEngineValidation(t *testing.T) {
 	tbl := streamTable()
-	e, err := NewEngine(tbl, streamRules())
+	e, err := NewEngineFrom(tbl, streamRules(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestEngineValidation(t *testing.T) {
 
 func TestEngineStale(t *testing.T) {
 	tbl := streamTable()
-	e, err := NewEngine(tbl, streamRules())
+	e, err := NewEngineFrom(tbl, streamRules(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestEngineStale(t *testing.T) {
 func TestEngineSince(t *testing.T) {
 	tbl := streamTable()
 	rules := streamRules()
-	e, err := NewEngine(tbl, rules)
+	e, err := NewEngineFrom(tbl, rules, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestEngineSinceReset(t *testing.T) {
 
 func TestEngineStats(t *testing.T) {
 	tbl := streamTable()
-	e, err := NewEngine(tbl, streamRules())
+	e, err := NewEngineFrom(tbl, streamRules(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestEngineStats(t *testing.T) {
 func TestEngineNormalizesCRLFCells(t *testing.T) {
 	tbl := streamTable()
 	rules := streamRules()
-	e, err := NewEngine(tbl, rules)
+	e, err := NewEngineFrom(tbl, rules, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func replayOnce(t *testing.T, rng *rand.Rand) {
 		tbl.MustAppend(randRow(rng)...)
 	}
 	rules := propRules()
-	e, err := NewEngine(tbl, rules)
+	e, err := NewEngineFrom(tbl, rules, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 func TestConcurrentApply(t *testing.T) {
 	tbl := streamTable()
 	rules := streamRules()
-	e, err := NewEngine(tbl, rules)
+	e, err := NewEngineFrom(tbl, rules, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

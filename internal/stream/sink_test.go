@@ -16,7 +16,7 @@ func TestSinkWriteAhead(t *testing.T) {
 		{"90001", "LA", "85123", "FL"},
 		{"90002", "NY", "85124", "FL"},
 	})
-	e, err := NewEngine(tbl, propRules())
+	e, err := NewEngineFrom(tbl, propRules(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

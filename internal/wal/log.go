@@ -1,0 +1,225 @@
+package wal
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+
+	"github.com/anmat/anmat/internal/stream"
+)
+
+// file is what a Log needs of its *os.File; the fault tests substitute a
+// handle whose Write or Sync fails.
+type file interface {
+	Write(b []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Stat() (os.FileInfo, error)
+	Close() error
+}
+
+// Log is one open write-ahead log file. It is not safe for concurrent
+// use; the owner serializes calls.
+//
+// The commit protocol a caller runs per batch (or per group-commit
+// round) is Mark, Append one or more encoded records, Sync when the
+// acknowledgement must survive power loss, and on any failure Rollback:
+// a partial record left mid-file would strand every later acknowledged
+// record behind it at the next recovery, and a fully written record
+// whose sync failed would replay a batch the caller was told did not
+// happen. Commit is that protocol for a single record.
+type Log struct {
+	f    file
+	path string
+	mark int64
+}
+
+// Open opens the log at path for appending, creating it when missing.
+// With syncDir the parent directory is fsynced too, so a freshly created
+// file's directory entry survives power loss — otherwise fsynced appends
+// could land in a file no recovery can find.
+func Open(path string, syncDir bool) (*Log, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("wal: open: %w", err)
+	}
+	if syncDir {
+		if err := SyncDir(filepath.Dir(path)); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("wal: open %s: %w", path, err)
+		}
+	}
+	return &Log{f: f, path: path}, nil
+}
+
+// Mark remembers the log's current length as the point Rollback returns
+// to.
+func (l *Log) Mark() error {
+	fi, err := l.f.Stat()
+	if err != nil {
+		return fmt.Errorf("wal %s: %w", l.path, err)
+	}
+	l.mark = fi.Size()
+	return nil
+}
+
+// Append writes pre-encoded record bytes (from Encode) at the end of the
+// log in a single write call.
+func (l *Log) Append(b []byte) error {
+	if _, err := l.f.Write(b); err != nil {
+		return fmt.Errorf("wal %s: append: %w", l.path, err)
+	}
+	return nil
+}
+
+// Sync fsyncs the log. After a failed Sync the appended data must be
+// treated as lost (Rollback), never re-synced and acknowledged.
+func (l *Log) Sync() error {
+	if err := l.f.Sync(); err != nil {
+		return fmt.Errorf("wal %s: fsync: %w", l.path, err)
+	}
+	return nil
+}
+
+// Rollback truncates the log back to the last Mark. Callers treat it as
+// best-effort: if the truncate fails too, Replay's clean-prefix trim is
+// the backstop.
+func (l *Log) Rollback() error {
+	return l.f.Truncate(l.mark)
+}
+
+// Commit runs the whole protocol for one record: Mark, Append, Sync when
+// sync is set, and Rollback (best-effort) if either failed. nil means the
+// caller may acknowledge the batch.
+func (l *Log) Commit(b []byte, sync bool) error {
+	if err := l.Mark(); err != nil {
+		return err
+	}
+	err := l.Append(b)
+	if err == nil && sync {
+		err = l.Sync()
+	}
+	if err != nil {
+		_ = l.Rollback() // Replay trims what a failed truncate leaves
+	}
+	return err
+}
+
+// Reset empties the log (after its records were folded into a snapshot).
+func (l *Log) Reset() error {
+	if err := l.f.Truncate(0); err != nil {
+		return fmt.Errorf("wal %s: reset: %w", l.path, err)
+	}
+	return nil
+}
+
+// Close releases the file handle.
+func (l *Log) Close() error { return l.f.Close() }
+
+// Run extracts the replayable records from a decoded log: the contiguous
+// run starting right after the checkpoint cursor afterSeq. Records at or
+// below the cursor are a crash artifact of checkpointing (snapshot
+// durable, truncate lost) and are skipped, as is a repeat of a sequence
+// number already taken. A record further ahead than the next expected
+// sequence number means the records from it on can no longer be
+// interpreted, so the run ends there like at a torn tail. clean is the
+// number of leading records up to that point — the prefix worth keeping.
+func Run(recs []Record, afterSeq int64) (run []Record, clean int) {
+	next := afterSeq + 1
+	for i, rec := range recs {
+		switch {
+		case rec.Seq < next:
+			// Stale or repeated: harmless, stays in the clean prefix.
+		case rec.Seq == next:
+			run = append(run, rec)
+			next++
+		default:
+			return run, i
+		}
+	}
+	return run, len(recs)
+}
+
+// Batches strips the sequence numbers off a run, giving the form a
+// session replays.
+func Batches(recs []Record) []stream.Batch {
+	out := make([]stream.Batch, len(recs))
+	for i, rec := range recs {
+		out[i] = rec.Batch
+	}
+	return out
+}
+
+// Replay reads the log at path and returns the run of records after the
+// checkpoint cursor (see Run). A missing file is an empty log. The file
+// is then truncated back to its clean prefix: leaving torn or
+// beyond-the-gap bytes in place would strand (or worse, resurrect under
+// a reused sequence number) records journaled after recovery. Only real
+// I/O failures produce an error.
+func Replay(path string, afterSeq int64) ([]Record, error) {
+	b, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	recs, ends, tornAt := Decode(b)
+	run, clean := Run(recs, afterSeq)
+	if tornAt >= 0 || clean < len(recs) {
+		var keep int64
+		if clean > 0 {
+			keep = ends[clean-1]
+		}
+		if err := os.Truncate(path, keep); err != nil {
+			return nil, fmt.Errorf("wal: trim: %w", err)
+		}
+	}
+	return run, nil
+}
+
+// SyncDir fsyncs a directory so entry creations and renames inside it
+// are durable across power loss.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
+}
+
+// WriteFileAtomic replaces path with data by writing path+".tmp" and
+// renaming it over path, so a crash leaves either the old or the new
+// contents. With sync the data is fsynced before the rename publishes it
+// and the directory after, making the replacement durable.
+func WriteFileAtomic(path string, data []byte, sync bool) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if sync {
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return err
+		}
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	if sync {
+		return SyncDir(filepath.Dir(path))
+	}
+	return nil
+}

@@ -1,7 +1,8 @@
-// Package wal holds the write-ahead-log record encoding shared by the
-// session durability layer (internal/persist) and the cluster
-// coordinator's failover journal (internal/cluster). One append-only
-// file holds length-prefixed, checksummed records:
+// Package wal is the write-ahead log shared by the session durability
+// layer (internal/persist) and the cluster coordinator's failover
+// journal (internal/cluster): the record encoding (this file) and the
+// one log implementation over it (log.go). One append-only file holds
+// length-prefixed, checksummed records:
 //
 //	uint32 LE payload length | uint32 LE CRC-32 (IEEE) of payload | payload
 //
@@ -19,7 +20,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"os"
 
 	"github.com/anmat/anmat/internal/stream"
 )
@@ -48,54 +48,12 @@ func Encode(rec Record) ([]byte, error) {
 	return out, nil
 }
 
-// Append writes one record to the open WAL file in a single write call,
-// optionally fsyncing for power-loss durability.
-func Append(f *os.File, rec Record, fsync bool) error {
-	b, err := Encode(rec)
-	if err != nil {
-		return err
-	}
-	return AppendEncoded(f, rec.Seq, b, fsync)
-}
-
-// AppendEncoded writes pre-encoded record bytes (from Encode) in a
-// single write call, optionally fsyncing. Callers replicating one
-// record across K files encode once and append K times; seq is only
-// for error messages.
-func AppendEncoded(f *os.File, seq int64, b []byte, fsync bool) error {
-	if _, err := f.Write(b); err != nil {
-		return fmt.Errorf("wal %s: append seq %d: %w", f.Name(), seq, err)
-	}
-	if fsync {
-		if err := f.Sync(); err != nil {
-			return fmt.Errorf("wal %s: fsync seq %d: %w", f.Name(), seq, err)
-		}
-	}
-	return nil
-}
-
-// Read parses the WAL at path. A missing file is an empty log. ends[i]
-// is the byte offset just past record i, so callers can truncate the
-// file back to any clean prefix. The returned tornAt is the byte offset
-// of the first undecodable record (-1 when the file parsed cleanly);
-// records before it are returned, bytes from it on are a crash artifact
-// to be cut off — left in place they would strand every record appended
-// after them. Only real I/O failures produce an error.
-func Read(path string) (recs []Record, ends []int64, tornAt int64, err error) {
-	b, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil, -1, nil
-	}
-	if err != nil {
-		return nil, nil, -1, fmt.Errorf("wal %s: %w", path, err)
-	}
-	recs, ends, tornAt = Decode(b)
-	return recs, ends, tornAt, nil
-}
-
-// Decode parses WAL bytes already in memory — the same torn-tail
-// contract as Read, for callers holding a log that never lived in a
-// file (e.g. a WAL entry extracted from a backup archive).
+// Decode parses WAL bytes. ends[i] is the byte offset just past record
+// i, so callers can cut the log back to any clean prefix. tornAt is the
+// byte offset of the first undecodable record (-1 when b parsed
+// cleanly); records before it are returned, bytes from it on are a crash
+// artifact to be cut off — left in place they would strand every record
+// appended after them.
 func Decode(b []byte) (recs []Record, ends []int64, tornAt int64) {
 	off := 0
 	for off < len(b) {
