@@ -15,7 +15,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/anmat/anmat/internal/blocking"
 	"github.com/anmat/anmat/internal/datagen"
 	"github.com/anmat/anmat/internal/detect"
 	"github.com/anmat/anmat/internal/discovery"
@@ -427,20 +426,6 @@ func BenchmarkTokenize(b *testing.B) {
 			}
 		}
 	})
-}
-
-func BenchmarkBlocking(b *testing.B) {
-	ds := datagen.ZipCity(benchRows, 0.01, experiments.Seed)
-	lhs, _ := ds.Table.Column("zip")
-	rhs, _ := ds.Table.Column("city")
-	q := pattern.MustParseConstrained(`<\D{4}>\D`)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(blocking.Blocks(q, lhs, rhs)) == 0 {
-			b.Fatal("no blocks")
-		}
-	}
 }
 
 func BenchmarkIncrementalIngest(b *testing.B) {

@@ -618,6 +618,7 @@ type Streamer interface {
 	// spans (apply, journal, fan-out, RPC) join the request's trace.
 	ApplyCtx(context.Context, stream.Batch) (*stream.Diff, error)
 	Replay(stream.Batch) (*stream.Diff, error)
+	// Violations is the engine's shared sorted snapshot: read-only.
 	Violations() []pfd.Violation
 	Since(int64) (*stream.Diff, error)
 	Seq() int64
@@ -662,9 +663,10 @@ func (se *Session) newStreamer(rules []*pfd.PFD, base int64) (Streamer, error) {
 // lazily over the active rule set and rebuilding when the table was
 // mutated outside the engine (e.g. a direct detect.Apply) or the rule set
 // changed (Confirm, UseRules). The bootstrap costs about one detection
-// pass (split across shards when the session is sharded); every delta
-// after that is proportional to what it touches, so the engine is the
-// cheap path for continuously arriving data.
+// pass (split across shards when the session is sharded). After that an
+// append or a cell update costs in proportion to what it changes, not to
+// the blocks it touches (stream.NewEngineFrom names the exceptions), so
+// the engine is the cheap path for continuously arriving data.
 func (se *Session) Stream() (Streamer, error) {
 	rules := se.rules()
 	if len(rules) == 0 {

@@ -26,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -549,21 +550,13 @@ func (b *iblock) appendConflicts(out []pfd.Violation, p *pfd.PFD, row tableau.Ro
 	return out
 }
 
-// dedupe removes duplicate violations (a pair found through two blocks, a
-// cell flagged by two tableau rows of the same PFD stays distinct because
-// the rule differs) and sorts by first cell for stable output.
+// dedupe sorts the violations into the total order and removes
+// duplicates: a pair found through two blocks renders one key (a cell
+// flagged by two tableau rows of the same PFD stays distinct because the
+// rule differs), and equal keys end up adjacent.
 func dedupe(vs []pfd.Violation) []pfd.Violation {
-	seen := make(map[string]bool, len(vs))
-	out := vs[:0]
-	for _, v := range vs {
-		k := v.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, v)
-		}
-	}
-	SortViolations(out)
-	return out
+	SortViolations(vs)
+	return slices.CompactFunc(vs, func(a, b pfd.Violation) bool { return CompareViolations(&a, &b) == 0 })
 }
 
 // SortViolations sorts violations into the engine's one total order:
@@ -583,38 +576,35 @@ func SortViolations(vs []pfd.Violation) {
 	if len(vs) < 2 {
 		return
 	}
-	// Keys are needed O(n log n) times; render each once.
-	keys := make([]string, len(vs))
-	for i := range vs {
-		keys[i] = vs[i].Key()
-	}
-	sort.Stable(&violationSort{vs: vs, keys: keys})
+	sort.Stable(violationSort(vs))
 }
 
-type violationSort struct {
-	vs   []pfd.Violation
-	keys []string
-}
+type violationSort []pfd.Violation
 
-func (s *violationSort) Len() int { return len(s.vs) }
+func (s violationSort) Len() int           { return len(s) }
+func (s violationSort) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
+func (s violationSort) Less(i, j int) bool { return CompareViolations(&s[i], &s[j]) < 0 }
 
-func (s *violationSort) Swap(i, j int) {
-	s.vs[i], s.vs[j] = s.vs[j], s.vs[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-}
-
-func (s *violationSort) Less(i, j int) bool {
-	a, b := &s.vs[i], &s.vs[j]
+// CompareViolations is the total order SortViolations sorts by, as a
+// three-way comparison; zero means the two share a violation key. It
+// renders nothing, so merging two sorted lists costs no allocation.
+func CompareViolations(a, b *pfd.Violation) int {
 	aCells, bCells := len(a.Cells) > 0, len(b.Cells) > 0
 	if aCells != bCells {
-		return !aCells // cell-less violations form their own leading tier
+		if aCells {
+			return 1 // cell-less violations form their own leading tier
+		}
+		return -1
 	}
 	if aCells && a.Cells[0] != b.Cells[0] {
-		return a.Cells[0].Less(b.Cells[0])
+		if a.Cells[0].Less(b.Cells[0]) {
+			return -1
+		}
+		return 1
 	}
 	// The violation key is a total order; using it keeps the output
 	// identical across detection engines.
-	return s.keys[i] < s.keys[j]
+	return pfd.CompareKeys(a, b)
 }
 
 // Repair is a suggested fix for one cell.

@@ -144,48 +144,3 @@ func (e Entry) Confidence() float64 {
 	}
 	return float64(e.TopCount) / float64(e.Support)
 }
-
-// Remove drops every posting of the key that mentions the tuple, deleting
-// the key when its posting list empties. It is the incremental reverse of
-// Insert, used by the streaming engine when a delta moves a tuple out of
-// a block. Returns how many postings were removed.
-func (l *List) Remove(key string, tupleID int) int {
-	ps, ok := l.m[key]
-	if !ok {
-		return 0
-	}
-	kept := ps[:0]
-	for _, p := range ps {
-		if p.TupleID != tupleID {
-			kept = append(kept, p)
-		}
-	}
-	removed := len(ps) - len(kept)
-	if len(kept) == 0 {
-		delete(l.m, key)
-	} else {
-		l.m[key] = kept
-	}
-	return removed
-}
-
-// RenumberTuples remaps every posting's tuple id through remap, which
-// returns the new id and whether the tuple survives; postings of
-// non-surviving tuples are dropped and emptied keys removed. Used after a
-// table compaction (row deletion) shifts tuple ids down.
-func (l *List) RenumberTuples(remap func(old int) (int, bool)) {
-	for key, ps := range l.m {
-		kept := ps[:0]
-		for _, p := range ps {
-			if id, ok := remap(p.TupleID); ok {
-				p.TupleID = id
-				kept = append(kept, p)
-			}
-		}
-		if len(kept) == 0 {
-			delete(l.m, key)
-		} else {
-			l.m[key] = kept
-		}
-	}
-}

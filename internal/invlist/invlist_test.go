@@ -108,37 +108,3 @@ func TestDominantPosition(t *testing.T) {
 		t.Errorf("PosPurity = %f", e.PosPurity)
 	}
 }
-
-func TestRemoveAndRenumber(t *testing.T) {
-	l := NewList()
-	l.Insert("k", Posting{TupleID: 0, RHS: "a"})
-	l.Insert("k", Posting{TupleID: 1, RHS: "b"})
-	l.Insert("k", Posting{TupleID: 1, RHS: "c"}) // second posting, same tuple
-	l.Insert("q", Posting{TupleID: 2, RHS: "d"})
-	if n := l.Remove("k", 1); n != 2 {
-		t.Errorf("Remove(k,1) = %d postings, want 2", n)
-	}
-	if n := l.Remove("missing", 0); n != 0 {
-		t.Errorf("Remove on absent key = %d, want 0", n)
-	}
-	if got := l.Postings("k"); len(got) != 1 || got[0].TupleID != 0 {
-		t.Errorf("postings after remove: %v", got)
-	}
-	if n := l.Remove("q", 2); n != 1 {
-		t.Errorf("Remove(q,2) = %d, want 1", n)
-	}
-	if l.Len() != 1 {
-		t.Errorf("emptied key should be deleted: %d keys", l.Len())
-	}
-	l.Insert("k", Posting{TupleID: 5, RHS: "e"})
-	l.RenumberTuples(func(old int) (int, bool) {
-		if old == 0 {
-			return 0, false // dropped tuple
-		}
-		return old - 1, true
-	})
-	got := l.Postings("k")
-	if len(got) != 1 || got[0].TupleID != 4 || got[0].RHS != "e" {
-		t.Errorf("postings after renumber: %v", got)
-	}
-}

@@ -34,8 +34,10 @@ import (
 var Default = NewRegistry()
 
 // DurationBuckets are the fixed upper bounds (seconds) used by every
-// latency histogram: 100µs to 10s, roughly 2.5x apart.
+// latency histogram: 10µs to 10s, roughly 2.5x apart. The floor sits
+// below the fastest thing timed, an engine apply of tens of µs.
 var DurationBuckets = []float64{
+	0.00001, 0.000025, 0.00005,
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }

@@ -238,6 +238,29 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
+// TestDurationBucketsResolveMicroseconds pins the floor of the shared
+// latency bounds: an incremental engine apply takes tens of µs, so a
+// histogram of such samples must bracket them between two finite bounds
+// instead of reporting everything as "under the first bound".
+func TestDurationBucketsResolveMicroseconds(t *testing.T) {
+	for i := 1; i < len(DurationBuckets); i++ {
+		if DurationBuckets[i] <= DurationBuckets[i-1] {
+			t.Fatalf("bounds not increasing at %d: %v", i, DurationBuckets)
+		}
+	}
+	h := NewRegistry().NewHistogram("apply_seconds", "", DurationBuckets)
+	for i := 0; i < 100; i++ {
+		h.Observe(30e-6)
+	}
+	counts, _, _ := h.Snapshot()
+	if counts[0] != 0 {
+		t.Fatalf("30µs samples fell in the first bucket (le=%v)", DurationBuckets[0])
+	}
+	if p50 := Quantile(0.5, h.Buckets(), counts); p50 <= 25e-6 || p50 > 50e-6 {
+		t.Fatalf("p50 of 30µs samples = %v, want within (25µs, 50µs]", p50)
+	}
+}
+
 // TestSpan pins the histogram feed and the slow ring.
 func TestSpan(t *testing.T) {
 	SetSlowThreshold(0) // keep everything

@@ -1,6 +1,8 @@
 package pfd
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/anmat/anmat/internal/table"
@@ -47,5 +49,45 @@ func TestViolationKeyInjective(t *testing.T) {
 				t.Fatalf("key not deterministic")
 			}
 		})
+	}
+}
+
+// TestCompareKeysMatchesRenderedOrder pins CompareKeys to the order it
+// replaces: the bytewise order of the rendered keys, over components
+// drawn from an alphabet of the encoding's own control bytes (NUL, the
+// escape byte, ':', digits) and over row numbers whose decimal and
+// numeric orders disagree.
+func TestCompareKeysMatchesRenderedOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	alphabet := []byte{0, 1, ':', '0', '9', 'a'}
+	word := func() string {
+		b := make([]byte, rng.Intn(4))
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return string(b)
+	}
+	rows := []int{0, 1, 2, 9, 10, 19, 20, 99, 100, 101}
+	draw := func() Violation {
+		v := Violation{PFDID: word(), Row: word()}
+		for n := rng.Intn(4); n > 0; n-- {
+			v.Cells = append(v.Cells, table.CellRef{Row: rows[rng.Intn(len(rows))], Column: word()})
+		}
+		return v
+	}
+	sign := func(c int) int {
+		switch {
+		case c < 0:
+			return -1
+		case c > 0:
+			return 1
+		}
+		return 0
+	}
+	for i := 0; i < 20000; i++ {
+		a, b := draw(), draw()
+		if got, want := sign(CompareKeys(&a, &b)), strings.Compare(a.Key(), b.Key()); got != want {
+			t.Fatalf("CompareKeys(%+v, %+v) = %d, rendered keys compare %d", a, b, got, want)
+		}
 	}
 }

@@ -6,9 +6,11 @@
 package pfd
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"strconv"
+	"strings"
 
 	"github.com/anmat/anmat/internal/pattern"
 	"github.com/anmat/anmat/internal/table"
@@ -104,6 +106,34 @@ func appendComponent(b []byte, s string) []byte {
 		}
 	}
 	return append(b, 0, 0)
+}
+
+// CompareKeys orders two violations exactly as their Key() strings
+// compare bytewise, without rendering either. Escaping preserves each
+// component's order and terminates it, so the keys compare component by
+// component: rule ID, tableau row, then per cell the row number as the
+// decimal text Key() writes ("10:" sorts before "9:") and the column
+// name; a key with fewer cells is a prefix of the other and sorts first.
+func CompareKeys(a, b *Violation) int {
+	if c := strings.Compare(a.PFDID, b.PFDID); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Row, b.Row); c != 0 {
+		return c
+	}
+	for i := 0; i < len(a.Cells) && i < len(b.Cells); i++ {
+		ca, cb := a.Cells[i], b.Cells[i]
+		if ca.Row != cb.Row {
+			var ba, bb [21]byte // 19 digits, a sign, the ':' closing the run
+			da := append(strconv.AppendInt(ba[:0], int64(ca.Row), 10), ':')
+			db := append(strconv.AppendInt(bb[:0], int64(cb.Row), 10), ':')
+			return bytes.Compare(da, db)
+		}
+		if c := strings.Compare(ca.Column, cb.Column); c != 0 {
+			return c
+		}
+	}
+	return len(a.Cells) - len(b.Cells)
 }
 
 // SatisfiedBy checks every tuple (and, for variable rows, every matching

@@ -573,7 +573,6 @@ func NewWith(t *table.Table, rules []*pfd.PFD, k int, cfg Config) (*Coordinator,
 		tr:      tr,
 		k:       k,
 		seq:     cfg.BaseSeq,
-		log:     stream.NewDiffLog(0),
 		recover: cfg.Recover,
 		journal: cfg.Journal,
 	}
@@ -617,6 +616,8 @@ func NewWith(t *table.Table, rules []*pfd.PFD, k int, cfg Config) (*Coordinator,
 		return nil, fmt.Errorf("shard: %w", err)
 	}
 	c.vio, c.owners = vio, owners
+	// The diff from nothing adds the whole merged set, sorted: the log's base.
+	c.log = stream.NewDiffLog(0, diffSets(nil, vio, c.seq, t.NumRows()).Added)
 	c.version = t.Version()
 	return c, nil
 }
@@ -680,20 +681,13 @@ func (c *Coordinator) SetSink(fn func(ctx context.Context, seq int64, batch stre
 }
 
 // Violations returns the merged global violation set — byte-identical to
-// a fresh full detection over the current global table.
+// a fresh full detection over the current global table. Like
+// stream.Engine.Violations it is the diff log's shared snapshot: the
+// caller must not modify it, and no later batch will.
 func (c *Coordinator) Violations() []pfd.Violation {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.violationsLocked()
-}
-
-func (c *Coordinator) violationsLocked() []pfd.Violation {
-	out := make([]pfd.Violation, 0, len(c.vio))
-	for _, v := range c.vio {
-		out = append(out, v)
-	}
-	detect.SortViolations(out)
-	return out
+	return c.log.Snapshot()
 }
 
 // Since merges the retained per-batch diffs after the cursor into one net
@@ -701,7 +695,7 @@ func (c *Coordinator) violationsLocked() []pfd.Violation {
 func (c *Coordinator) Since(seq int64) (*stream.Diff, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.log.Merge(seq, c.seq, c.t.NumRows(), c.violationsLocked)
+	return c.log.Merge(seq, c.seq, c.t.NumRows())
 }
 
 // Apply validates the batch against the global table, journals it through

@@ -5,9 +5,9 @@
 // An Engine is built once over a table and a fixed set of PFDs. Batched
 // deltas (AppendRows, UpdateCell, DeleteRows) flow through Apply, which
 // updates the table, its dictionary-coded column views (intern), the
-// per-tableau-row block posting lists (invlist), and the materialized
-// violation set — recomputing only the constant-row tuples and
-// variable-row pattern groups a delta touches. The maintained invariant,
+// per-block majority state of every variable tableau row, and the
+// materialized violation set — touching only the constant-row tuples and
+// the block memberships a delta changes. The maintained invariant,
 // property-tested by replaying random delta scripts against full
 // re-detection, is:
 //
@@ -24,28 +24,30 @@
 // sources — a (rule, constant tableau row, tuple) triple or a (rule,
 // variable tableau row, block key) triple — and carries a reference
 // count, since ambiguous pattern extractions can make two blocks report
-// the same pair. A delta recomputes exactly the touched sources,
-// unreferencing their old violations and referencing the new ones; the
-// 0↔1 reference transitions form the batch's violation diff.
+// the same pair. What a block owes follows from its state — every member
+// outside the majority RHS group, paired with that group's first member —
+// so a delta references and unreferences the pairs its membership change
+// adds or removes, and re-derives a block only when its majority or
+// witness moves. The 0↔1 reference transitions form the batch's diff.
 //
 // Each applied batch advances a sequence number and appends its Diff to a
 // bounded log, so clients can poll "what changed since seq s" (Since)
-// without ever re-reading the full set. An Engine is safe for concurrent
-// use; Apply batches serialize on an internal lock.
+// without re-reading the full set; the log also carries the sorted full
+// set, patched by each diff. An Engine is safe for concurrent use; Apply
+// batches serialize on an internal lock.
 package stream
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
-	"github.com/anmat/anmat/internal/blocking"
 	"github.com/anmat/anmat/internal/detect"
 	"github.com/anmat/anmat/internal/intern"
-	"github.com/anmat/anmat/internal/invlist"
 	"github.com/anmat/anmat/internal/obs"
 	"github.com/anmat/anmat/internal/pattern"
 	"github.com/anmat/anmat/internal/pfd"
@@ -58,6 +60,24 @@ import (
 // full-snapshot reset.
 const DefaultLogCap = 512
 
+// vioKey identifies one maintained violation without rendering its key:
+// the source identity (see ruleState.src) and the violating tuples in
+// ascending row order, hi being -1 for a constant row's single tuple.
+// Over one engine's rule set it is in bijection with Violation.Key().
+type vioKey struct {
+	src    int32
+	lo, hi int32
+}
+
+func constKey(src int32, tuple int) vioKey { return vioKey{src: src, lo: int32(tuple), hi: -1} }
+
+func pairKey(src int32, a, b int) vioKey {
+	if b < a {
+		a, b = b, a
+	}
+	return vioKey{src: src, lo: int32(a), hi: int32(b)}
+}
+
 // vioEntry is one maintained violation with the number of sources
 // currently reporting it.
 type vioEntry struct {
@@ -65,31 +85,139 @@ type vioEntry struct {
 	refs int
 }
 
+// group is one RHS-agreement class of a block.
+type group struct {
+	rhs  uint32 // interned RHS ID
+	rows []int  // members in evaluation order (see Engine.before)
+}
+
+// block is the maintained state of one (rule, variable tableau row,
+// block key) source. It owes one violation per member outside the
+// majority group, paired with the majority group's first member (the
+// witness): the pairs full detection's blocking pass reports for it.
+type block struct {
+	groups []group // never holds an empty group between operations
+	// maj indexes the majority group: the largest, ties going to the
+	// smallest RHS string. -1 until the first election.
+	maj int
+	// released marks a block whose owed violations a delete op has
+	// dropped and not yet re-derived in the new numbering.
+	released bool
+}
+
+// groupFor returns the index of the group holding rhs, appending an empty
+// one (to be filled by the caller) when the value is new to the block.
+func (b *block) groupFor(rhs uint32) int {
+	for i := range b.groups {
+		if b.groups[i].rhs == rhs {
+			return i
+		}
+	}
+	b.groups = append(b.groups, group{rhs: rhs})
+	return len(b.groups) - 1
+}
+
+// leader elects the majority group as if group g held delta more members
+// than it does (g < 0: as the block stands). -1 when no member remains.
+func (b *block) leader(dict *intern.Dict, g, delta int) int {
+	best, bestN := -1, 0
+	for i := range b.groups {
+		n := len(b.groups[i].rows)
+		if i == g {
+			n += delta
+		}
+		if n > bestN || n > 0 && n == bestN && dict.Value(b.groups[i].rhs) < dict.Value(b.groups[best].rhs) {
+			best, bestN = i, n
+		}
+	}
+	return best
+}
+
+func (b *block) witness() int { return b.groups[b.maj].rows[0] }
+
+// owed yields every (witness, deviating member) pair the block owes.
+func (b *block) owed(yield func(witness, r int)) {
+	if len(b.groups) < 2 {
+		return
+	}
+	w := b.witness()
+	for gi := range b.groups {
+		if gi == b.maj {
+			continue
+		}
+		for _, r := range b.groups[gi].rows {
+			yield(w, r)
+		}
+	}
+}
+
+// renumber rewrites every member through remap, dropping members that do
+// not survive and groups they empty, and reports whether any member is
+// left. Survivors keep their relative order, so groups stay sorted.
+func (b *block) renumber(remap func(int) (int, bool)) bool {
+	kept := b.groups[:0]
+	for _, g := range b.groups {
+		rows := g.rows[:0]
+		for _, r := range g.rows {
+			if nr, ok := remap(r); ok {
+				rows = append(rows, nr)
+			}
+		}
+		if len(rows) > 0 {
+			kept = append(kept, group{rhs: g.rhs, rows: rows})
+		}
+	}
+	clear(b.groups[len(kept):])
+	b.groups = kept
+	return len(kept) > 0
+}
+
 // ruleState is the incremental bookkeeping of one PFD. Slices are indexed
 // by tableau-row position; only the slot matching the row kind is
-// populated (consts for constant rows, blocks/vioOf for variable rows).
+// populated (verd for constant rows, blocks for variable rows).
 type ruleState struct {
 	p      *pfd.PFD
 	li, ri int
-	rows   []tableau.Row
+	// liv/riv are the dictionary-coded views of the LHS and RHS columns.
+	// The table maintains them through every delta; detection compares
+	// interned IDs and decodes strings only to render a violation.
+	liv, riv *table.Interned
+	rows     []tableau.Row
 	// emb caches each row's embedded pattern so per-delta matching does
 	// not rebuild it.
 	emb []pattern.Pattern
-	// consts maps, per constant row, a violating tuple to the key of the
-	// violation it currently owes.
-	consts []map[int]string
-	// blocks holds, per variable row, the block posting lists: block key →
-	// postings whose TupleID is the member row (RHS carries the member's
-	// current determined value for observability).
-	blocks []*invlist.List
-	// vioOf maps, per variable row, a block key to the keys of the
-	// violations that block currently owes.
-	vioOf []map[string][]string
+	// src is each row's violation-key identity: an index per distinct
+	// (rule ID, columns, row rendering). Sources that render equal keys —
+	// a rule listed twice — share it, as full detection dedupes them.
+	src []int32
+	// blocks holds, per variable row, the state of every tracked block.
+	blocks []map[string]*block
 	// verd memoizes, per constant row, the embedded pattern's verdict per
-	// interned LHS dictionary ID: the DFA runs once over the column's
-	// distinct values, not once per cell. IDs are never renumbered (see
-	// intern), so the memo survives every delta.
+	// interned LHS dictionary ID (see matches). IDs are never renumbered
+	// (see intern), so the memo survives every delta.
 	verd []*intern.Verdicts
+}
+
+// matches reports whether the LHS value with dictionary ID id matches the
+// constant row's embedded pattern, running the DFA at most once per ID.
+func (rs *ruleState) matches(tri int, id uint32) bool {
+	match, known := rs.verd[tri].Known(id)
+	if !known {
+		match = rs.emb[tri].MatchesDFA(rs.liv.Dict.Value(id))
+		rs.verd[tri].Set(id, match)
+	}
+	return match
+}
+
+// block returns the state of the variable row's block under key, tracking
+// an empty one from here on when the key is new.
+func (rs *ruleState) block(tri int, key string) *block {
+	b := rs.blocks[tri][key]
+	if b == nil {
+		b = &block{maj: -1}
+		rs.blocks[tri][key] = b
+	}
+	return b
 }
 
 // Engine maintains the violation set of a rule set over a mutating table.
@@ -101,20 +229,16 @@ type Engine struct {
 
 	seq int64
 	rs  []*ruleState
-	vio map[string]*vioEntry
+	vio map[vioKey]*vioEntry
 	// icols are the dictionary-coded views of every column some rule
-	// reads (LHS and RHS), keyed by column position. The table maintains
-	// them through every delta; detection compares interned IDs.
+	// reads (LHS and RHS), keyed by column position.
 	icols map[int]*table.Interned
 
-	// extBuf/extBuf2 are extraction scratch buffers reused across rows;
-	// two exist because applyUpdate needs before- and after-keys live at
-	// once. Apply batches serialize on mu, so engine-owned scratch is
-	// safe.
-	extBuf, extBuf2 []string
-	// touched is the per-batch-op scratch set of (tableau row, block key)
-	// sources to re-evaluate, reused across ops.
-	touched map[touchKey]bool
+	// Per-batch scratch, safe to own because batches serialize on mu:
+	// extBuf backs extract, prior records the batch-start rendering (nil =
+	// absent) of every violation key the running batch has modified.
+	extBuf []string
+	prior  map[vioKey]*pfd.Violation
 
 	log *DiffLog
 
@@ -137,14 +261,14 @@ type EngineOptions struct {
 	LogCap int
 	// KeyFilter, when set, restricts which variable-row block keys the
 	// engine tracks and evaluates: keys for which it returns false are
-	// never inserted into the posting lists, so their blocks report no
-	// violations. A sharding coordinator gives each shard the filter
-	// "keys this shard owns" — each key is then evaluated on exactly one
-	// shard, over that shard's complete membership. Constant tableau rows
-	// are unaffected. nil tracks every key.
+	// never given a block, so they report no violations. A sharding
+	// coordinator gives each shard the filter "keys this shard owns" —
+	// each key is then evaluated on exactly one shard, over that shard's
+	// complete membership. Constant tableau rows are unaffected. nil
+	// tracks every key.
 	KeyFilter func(key string) bool
 	// GlobalID, when set, maps a local row index to its position in an
-	// enclosing global order; block members are evaluated in that order
+	// enclosing global order; block members are kept in that order
 	// instead of local row order. The blocking pass pairs each deviating
 	// row against the *first* row of the majority group, so which pairs
 	// are reported depends on member order — a shard whose local order
@@ -152,19 +276,24 @@ type EngineOptions struct {
 	// local table) must evaluate in global order to report exactly the
 	// pairs a whole-table detection would. The mapping is consulted
 	// during Apply for the rows it touches and must reflect the table
-	// state the current operation leads to. nil means local order.
+	// state the current operation leads to; two live rows never swap
+	// order. nil means local order.
 	GlobalID func(local int) int
 }
 
 // NewEngineFrom bootstraps an engine over the table's current contents,
 // starting at sequence number baseSeq. The rule set is fixed for the
 // engine's lifetime; build a new engine to change it. The bootstrap costs
-// about one full detection pass — every delta after that is proportional
-// to the data it touches. A holder replacing an engine (table mutated
-// externally, rule set changed) passes the old engine's Seq()+1 so client
-// cursors keep a consistent timeline: cursors at or before the old seq
-// fall outside the fresh (empty) diff log and resolve to a reset snapshot
-// instead of an out-of-range error.
+// about one full detection pass. After it an append or a cell update
+// costs in proportion to the memberships and violations it changes (plus
+// one copy of the sorted set when it changes any), not to the blocks it
+// touches — unless it moves a block's majority or witness, which
+// re-derives that block. A delete renumbers rows: it visits everything.
+// A holder replacing an engine (table mutated externally, rule set
+// changed) passes the old engine's Seq()+1 so client cursors keep a
+// consistent timeline: cursors at or before the old seq fall outside the
+// fresh (empty) diff log and resolve to a reset snapshot instead of an
+// out-of-range error.
 func NewEngineFrom(t *table.Table, rules []*pfd.PFD, baseSeq int64) (*Engine, error) {
 	return NewEngineOpts(t, rules, EngineOptions{BaseSeq: baseSeq})
 }
@@ -178,13 +307,14 @@ func NewEngineOpts(t *table.Table, rules []*pfd.PFD, opts EngineOptions) (*Engin
 		t:         t,
 		rules:     rules,
 		seq:       opts.BaseSeq,
-		vio:       make(map[string]*vioEntry),
+		vio:       make(map[vioKey]*vioEntry),
+		prior:     make(map[vioKey]*pfd.Violation),
 		icols:     make(map[int]*table.Interned),
-		touched:   make(map[touchKey]bool),
-		log:       NewDiffLog(opts.LogCap),
 		keyFilter: opts.KeyFilter,
 		globalID:  opts.GlobalID,
 	}
+	type srcIdent struct{ id, lhs, rhs, row string }
+	srcs := make(map[srcIdent]int32)
 	for _, p := range rules {
 		li, ok := t.ColIndex(p.LHS)
 		if !ok {
@@ -197,74 +327,59 @@ func NewEngineOpts(t *table.Table, rules []*pfd.PFD, opts EngineOptions) (*Engin
 		rows := p.Tableau.Rows()
 		rs := &ruleState{
 			p: p, li: li, ri: ri, rows: rows,
+			liv:    t.InternedColumn(li),
+			riv:    t.InternedColumn(ri),
 			emb:    make([]pattern.Pattern, len(rows)),
-			consts: make([]map[int]string, len(rows)),
-			blocks: make([]*invlist.List, len(rows)),
-			vioOf:  make([]map[string][]string, len(rows)),
+			src:    make([]int32, len(rows)),
+			blocks: make([]map[string]*block, len(rows)),
 			verd:   make([]*intern.Verdicts, len(rows)),
 		}
 		for tri, row := range rows {
 			rs.emb[tri] = row.LHS.Embedded()
+			ident := srcIdent{p.ID(), p.LHS, p.RHS, row.String()}
+			if _, ok := srcs[ident]; !ok {
+				srcs[ident] = int32(len(srcs))
+			}
+			rs.src[tri] = srcs[ident]
 			if row.Variable() {
-				rs.blocks[tri] = invlist.NewList()
-				rs.vioOf[tri] = make(map[string][]string)
+				rs.blocks[tri] = make(map[string]*block)
 			} else {
-				rs.consts[tri] = make(map[int]string)
 				rs.verd[tri] = &intern.Verdicts{}
 			}
 		}
 		e.rs = append(e.rs, rs)
-		if _, ok := e.icols[li]; !ok {
-			e.icols[li] = t.InternedColumn(li)
-		}
-		if _, ok := e.icols[ri]; !ok {
-			e.icols[ri] = t.InternedColumn(ri)
-		}
+		e.icols[li], e.icols[ri] = rs.liv, rs.riv
 	}
 
 	// Bootstrap the maintained state over the coded columns. Constant
-	// rows run the compiled DFA once per distinct LHS value (memoized per
-	// dictionary ID) and compare RHS IDs against the interned constant;
-	// variable rows extract block keys per tuple into a reused scratch
-	// buffer and then evaluate each block once.
-	d := newBatchDiff()
-	for rsi, rs := range e.rs {
-		liv, riv := e.icols[rs.li], e.icols[rs.ri]
+	// rows compare RHS IDs against the interned constant wherever the LHS
+	// matches; variable rows file each tuple under its RHS group in every
+	// block its LHS extracts, then derive each block once.
+	for _, rs := range e.rs {
+		liv, riv := rs.liv, rs.riv
 		for tri, row := range rs.rows {
 			if !row.Variable() {
 				constID, haveConst := riv.Dict.Lookup(row.RHS)
-				emb := rs.emb[tri]
-				verd := rs.verd[tri]
 				for r, id := range liv.IDs {
-					match, known := verd.Known(id)
-					if !known {
-						match = emb.MatchesDFA(liv.Dict.Value(id))
-						verd.Set(id, match)
-					}
-					if !match {
-						continue
-					}
-					if rid := riv.IDs[r]; !haveConst || rid != constID {
-						v := pfd.ConstantViolation(rs.p, row, r, liv.Dict.Value(id), riv.Dict.Value(rid))
-						rs.consts[tri][r] = e.ref(v, d)
+					if rs.matches(tri, id) && (!haveConst || riv.IDs[r] != constID) {
+						e.refConst(rs, tri, r)
 					}
 				}
 				continue
 			}
-			touched := make(map[string]bool)
 			for r, id := range liv.IDs {
-				e.extBuf = e.extractInto(e.extBuf[:0], row, liv.Dict.Value(id))
-				for _, key := range e.extBuf {
-					rs.blocks[tri].Insert(key, invlist.Posting{TupleID: r, RHS: riv.Value(r)})
-					touched[key] = true
+				for _, key := range e.extract(row, liv.Dict.Value(id)) {
+					b := rs.block(tri, key)
+					e.insert(b, b.groupFor(riv.IDs[r]), r)
 				}
 			}
-			for key := range touched {
-				e.recomputeBlock(rsi, tri, key, d)
+			for _, b := range rs.blocks[tri] {
+				e.rebuild(rs, tri, b)
 			}
 		}
 	}
-	d.release()
+	// Bootstrap's own "diff" adds the whole set, sorted: the log's base.
+	e.log = NewDiffLog(opts.LogCap, e.finalize().Added)
 	e.version = t.Version()
 	return e, nil
 }
@@ -291,20 +406,12 @@ func (e *Engine) Rules() []*pfd.PFD { return e.rules }
 
 // Violations returns the maintained violation set in the engine's total
 // order — byte-identical to a fresh full detection over the current
-// table.
+// table. It is the log's shared snapshot: free to return, not to be
+// modified by the caller, never written by a later batch.
 func (e *Engine) Violations() []pfd.Violation {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.violationsLocked()
-}
-
-func (e *Engine) violationsLocked() []pfd.Violation {
-	out := make([]pfd.Violation, 0, len(e.vio))
-	for _, ent := range e.vio {
-		out = append(out, ent.v)
-	}
-	detect.SortViolations(out)
-	return out
+	return e.log.Snapshot()
 }
 
 // Stats summarizes the engine's maintained state for observability.
@@ -332,10 +439,8 @@ func (e *Engine) Stats() Stats {
 		Violations: len(e.vio), IndexedColumns: len(e.icols), LogLen: e.log.Len(),
 	}
 	for _, rs := range e.rs {
-		for _, bl := range rs.blocks {
-			if bl != nil {
-				st.Blocks += bl.Len()
-			}
+		for _, blocks := range rs.blocks {
+			st.Blocks += len(blocks)
 		}
 	}
 	return st
@@ -400,24 +505,22 @@ func (e *Engine) apply(ctx context.Context, batch Batch, journal bool) (*Diff, e
 	}
 	defer endSpan(nil)
 	start := time.Now()
-	d := newBatchDiff()
 	for _, op := range batch {
 		switch op.Kind {
 		case OpAppend:
-			e.applyAppend(op.Rows, d)
+			e.applyAppend(op.Rows)
 			opsAppend.Inc()
 		case OpUpdate:
-			e.applyUpdate(op.Row, op.Column, op.Value, d)
+			e.applyUpdate(op.Row, op.Column, op.Value)
 			opsUpdate.Inc()
 		case OpDelete:
-			e.applyDelete(op.Drop, d)
+			e.applyDelete(op.Drop)
 			opsDelete.Inc()
 		}
 		e.version = e.t.Version()
 	}
 	e.seq++
-	diff := d.finalize(e.seq, e.t.NumRows(), e.vio)
-	d.release()
+	diff := e.finalize()
 	e.log.Append(diff)
 	applyDur.Observe(time.Since(start).Seconds())
 	batchesApplied.Inc()
@@ -430,42 +533,29 @@ func (e *Engine) apply(ctx context.Context, batch Batch, journal bool) (*Diff, e
 // diff: violations both added and removed in the span cancel out, and a
 // violation whose bytes changed appears in both lists. When the cursor
 // predates the retained log the change cannot be expressed as a diff and
-// a full snapshot is returned with Reset set. A cursor ahead of the
-// engine is an error. (The merge itself lives in DiffLog, shared with the
-// sharding coordinator.)
+// the full (shared, immutable) snapshot is returned with Reset set. A
+// cursor ahead of the engine is an error. (The merge itself lives in
+// DiffLog, shared with the sharding coordinator.)
 func (e *Engine) Since(seq int64) (*Diff, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.log.Merge(seq, e.seq, e.t.NumRows(), e.violationsLocked)
+	return e.log.Merge(seq, e.seq, e.t.NumRows())
 }
 
-// extractInto appends a variable tableau row's block keys for one LHS
-// value to dst, dropping keys the engine's KeyFilter rejects. Callers
-// pass an engine-owned scratch buffer (ops serialize on mu).
-func (e *Engine) extractInto(dst []string, row tableau.Row, lv string) []string {
-	start := len(dst)
-	dst = row.LHS.AppendExtract(dst, lv)
-	if e.keyFilter == nil {
-		return dst
+// extract returns a variable tableau row's block keys for one LHS value,
+// without the keys the engine's KeyFilter rejects, in the engine's
+// scratch buffer: the result is valid until the next call.
+func (e *Engine) extract(row tableau.Row, lv string) []string {
+	e.extBuf = row.LHS.AppendExtract(e.extBuf[:0], lv)
+	if e.keyFilter != nil {
+		e.extBuf = slices.DeleteFunc(e.extBuf, func(k string) bool { return !e.keyFilter(k) })
 	}
-	kept := dst[:start]
-	for _, k := range dst[start:] {
-		if e.keyFilter(k) {
-			kept = append(kept, k)
-		}
-	}
-	return kept
+	return e.extBuf
 }
 
 // ---- delta application ----
 
-// touchKey names one (tableau row, block key) source to re-evaluate.
-type touchKey struct {
-	tri int
-	key string
-}
-
-func (e *Engine) applyAppend(rows [][]string, d *batchDiff) {
+func (e *Engine) applyAppend(rows [][]string) {
 	start := e.t.NumRows()
 	for _, r := range rows {
 		// The engine is an ingestion boundary: normalize CRLF sequences
@@ -477,127 +567,98 @@ func (e *Engine) applyAppend(rows [][]string, d *batchDiff) {
 		}
 		_ = e.t.Append(rec)
 	}
-	for rsi, rs := range e.rs {
-		clear(e.touched)
+	for _, rs := range e.rs {
 		for n := start; n < e.t.NumRows(); n++ {
-			lv := e.t.Cell(n, rs.li)
+			lv := rs.liv.Value(n)
 			for tri, row := range rs.rows {
 				if !row.Variable() {
-					e.recomputeConst(rsi, tri, n, d)
+					e.recomputeConst(rs, tri, n)
 					continue
 				}
-				e.extBuf = e.extractInto(e.extBuf[:0], row, lv)
-				for _, key := range e.extBuf {
-					rs.blocks[tri].Insert(key, invlist.Posting{TupleID: n, RHS: e.t.Cell(n, rs.ri)})
-					e.touched[touchKey{tri, key}] = true
+				for _, key := range e.extract(row, lv) {
+					e.join(rs, tri, key, n)
 				}
 			}
-		}
-		for tk := range e.touched {
-			e.recomputeBlock(rsi, tk.tri, tk.key, d)
 		}
 	}
 }
 
-func (e *Engine) applyUpdate(rowIdx int, column, value string, d *batchDiff) {
+func (e *Engine) applyUpdate(rowIdx int, column, value string) {
 	ci, _ := e.t.ColIndex(column) // validated
 	value = table.NormalizeCell(value)
 	old := e.t.Cell(rowIdx, ci)
 	if old == value {
 		return
 	}
+	var oldID uint32
+	if iv := e.icols[ci]; iv != nil {
+		oldID = iv.IDs[rowIdx]
+	}
 	e.t.SetCell(rowIdx, ci, value)
-	for rsi, rs := range e.rs {
+	for _, rs := range e.rs {
 		if rs.li != ci && rs.ri != ci {
 			continue
 		}
+		lhsBefore, rhsBefore := rs.liv.Value(rowIdx), rs.riv.IDs[rowIdx]
+		if rs.li == ci {
+			lhsBefore = old
+		}
+		if rs.ri == ci {
+			rhsBefore = oldID
+		}
 		for tri, row := range rs.rows {
 			if !row.Variable() {
-				e.recomputeConst(rsi, tri, rowIdx, d)
+				e.recomputeConst(rs, tri, rowIdx)
 				continue
 			}
-			// Move the tuple between blocks (LHS change) and/or refresh
-			// its determined value (RHS change), then re-evaluate every
-			// block the tuple left or joined.
-			lhsNow := e.t.Cell(rowIdx, rs.li)
-			lhsBefore := lhsNow
+			// The tuple leaves the blocks of its old LHS under its old RHS
+			// value and joins the blocks of its new LHS under the new one:
+			// a move between blocks, between groups of one block, or both.
+			keys := e.extract(row, lhsBefore)
+			for _, key := range keys {
+				e.leave(rs, tri, key, rowIdx, rhsBefore)
+			}
 			if rs.li == ci {
-				lhsBefore = old
+				keys = e.extract(row, rs.liv.Value(rowIdx))
 			}
-			rhsNow := e.t.Cell(rowIdx, rs.ri)
-			touched := make(map[string]bool)
-			e.extBuf = e.extractInto(e.extBuf[:0], row, lhsBefore)
-			for _, key := range e.extBuf {
-				rs.blocks[tri].Remove(key, rowIdx)
-				touched[key] = true
-			}
-			e.extBuf2 = e.extractInto(e.extBuf2[:0], row, lhsNow)
-			for _, key := range e.extBuf2 {
-				rs.blocks[tri].Insert(key, invlist.Posting{TupleID: rowIdx, RHS: rhsNow})
-				touched[key] = true
-			}
-			for key := range touched {
-				e.recomputeBlock(rsi, tri, key, d)
+			for _, key := range keys {
+				e.join(rs, tri, key, rowIdx)
 			}
 		}
 	}
 }
 
-func (e *Engine) applyDelete(drop []int, d *batchDiff) {
-	// Dedupe and sort the targets.
-	set := make(map[int]bool, len(drop))
-	for _, r := range drop {
-		set[r] = true
-	}
-	targets := make([]int, 0, len(set))
-	for r := range set {
-		targets = append(targets, r)
-	}
-	sort.Ints(targets)
+func (e *Engine) applyDelete(drop []int) {
+	targets := slices.Clone(drop)
+	slices.Sort(targets)
+	targets = slices.Compact(targets)
 
 	// A delete renumbers every surviving row, so every maintained
 	// violation may change its rendering: snapshot them all into the
 	// batch diff before touching anything.
 	for k, ent := range e.vio {
-		d.touch(k, ent)
+		e.touch(k, ent)
 	}
 
-	// Drop the deleted tuples from every source, and clear the violations
-	// of every block that loses a member — any violation mentioning a
-	// deleted row lives in such a block (or in a constant source of the
-	// row itself), so after this pass no maintained violation references a
-	// deleted row and renumbering is total.
-	type varKey struct {
-		rsi, tri int
-		key      string
-	}
-	affected := make(map[varKey]bool)
-	for rsi, rs := range e.rs {
+	// Drop what the deleted tuples' own constant sources owe and release
+	// every block that loses a member: any violation mentioning a deleted
+	// row is owed by such a source, so afterwards none does and the
+	// renumbering is total. The renumbering pass trims the memberships.
+	for _, rs := range e.rs {
 		for tri, row := range rs.rows {
-			if !row.Variable() {
-				for _, r := range targets {
-					if key, ok := rs.consts[tri][r]; ok {
-						e.unref(key, d)
-						delete(rs.consts[tri], r)
+			for _, r := range targets {
+				if !row.Variable() {
+					e.unref(constKey(rs.src[tri], r))
+					continue
+				}
+				for _, key := range e.extract(row, rs.liv.Value(r)) {
+					if b := rs.blocks[tri][key]; !b.released {
+						b.released = true
+						e.release(rs, tri, b)
 					}
 				}
-				continue
-			}
-			for _, r := range targets {
-				e.extBuf = e.extractInto(e.extBuf[:0], row, e.t.Cell(r, rs.li))
-				for _, key := range e.extBuf {
-					rs.blocks[tri].Remove(key, r)
-					affected[varKey{rsi, tri, key}] = true
-				}
 			}
 		}
-	}
-	for vk := range affected {
-		rs := e.rs[vk.rsi]
-		for _, key := range rs.vioOf[vk.tri][vk.key] {
-			e.unref(key, d)
-		}
-		delete(rs.vioOf[vk.tri], vk.key)
 	}
 
 	// Compact the table (which compacts the coded column views in step)
@@ -605,45 +666,35 @@ func (e *Engine) applyDelete(drop []int, d *batchDiff) {
 	// renumbered, so the per-ID verdict memos stay valid.
 	_, _ = e.t.DeleteRows(targets...) // validated in-range
 	remap := RemapFor(targets)
-	keyMap := make(map[string]string, len(e.vio))
-	newVio := make(map[string]*vioEntry, len(e.vio))
+	newVio := make(map[vioKey]*vioEntry, len(e.vio))
 	for k, ent := range e.vio {
-		nv := renumberViolation(ent.v, remap)
-		nk := nv.Key()
-		keyMap[k] = nk
-		newVio[nk] = &vioEntry{v: nv, refs: ent.refs}
-		// The renumbered key may be brand new this batch; record that it
-		// was absent at batch start so the diff reports the re-addition.
-		// (If nk was live at batch start it is already snapshotted: every
-		// key live at delete time was, and keys removed earlier in the
-		// batch were touched when removed.)
-		d.touch(nk, nil)
+		lo, _ := remap(int(k.lo)) // no surviving violation mentions a deleted row
+		nk := constKey(k.src, lo)
+		if k.hi >= 0 {
+			hi, _ := remap(int(k.hi))
+			nk = pairKey(k.src, lo, hi)
+		}
+		ent.v = renumberViolation(ent.v, remap)
+		newVio[nk] = ent
+		// The renumbered key may be new this batch: record it absent at
+		// batch start so the diff reports the re-addition. (A key live at
+		// batch start is already recorded — every key live at delete time
+		// was, and keys removed earlier were touched when removed.)
+		e.touch(nk, nil)
 	}
 	e.vio = newVio
+	// Renumber every block, and re-derive the ones that lost members.
 	for _, rs := range e.rs {
-		for tri, row := range rs.rows {
-			if !row.Variable() {
-				renumbered := make(map[int]string, len(rs.consts[tri]))
-				for tuple, key := range rs.consts[tri] {
-					nt, _ := remap(tuple) // deleted tuples were dropped above
-					renumbered[nt] = keyMap[key]
+		for tri, blocks := range rs.blocks {
+			for key, b := range blocks {
+				if !b.renumber(remap) {
+					delete(blocks, key)
+				} else if b.released {
+					b.released = false
+					e.rebuild(rs, tri, b)
 				}
-				rs.consts[tri] = renumbered
-				continue
-			}
-			rs.blocks[tri].RenumberTuples(remap)
-			for blockKey, keys := range rs.vioOf[tri] {
-				for i, key := range keys {
-					keys[i] = keyMap[key]
-				}
-				rs.vioOf[tri][blockKey] = keys
 			}
 		}
-	}
-
-	// Re-evaluate the blocks that lost members, now in the new numbering.
-	for vk := range affected {
-		e.recomputeBlock(vk.rsi, vk.tri, vk.key, d)
 	}
 }
 
@@ -679,154 +730,187 @@ func renumberViolation(v pfd.Violation, remap func(int) (int, bool)) pfd.Violati
 	return nv
 }
 
-// ---- per-source recomputation ----
+// ---- per-source maintenance ----
 
 // recomputeConst re-evaluates one (rule, constant tableau row, tuple)
-// source against the current table.
-func (e *Engine) recomputeConst(rsi, tri, tuple int, d *batchDiff) {
-	rs := e.rs[rsi]
-	row := rs.rows[tri]
-	if key, ok := rs.consts[tri][tuple]; ok {
-		e.unref(key, d)
-		delete(rs.consts[tri], tuple)
-	}
-	liv, riv := e.icols[rs.li], e.icols[rs.ri]
-	id := liv.IDs[tuple]
-	verd := rs.verd[tri]
-	match, known := verd.Known(id)
-	if !known {
-		match = rs.emb[tri].MatchesDFA(liv.Dict.Value(id))
-		verd.Set(id, match)
-	}
-	if !match {
+// source against the current table. The source keeps no record of what it
+// owes: it drops a reference to its key if the key is held at all, and
+// takes one back if the tuple violates the row now. Sources that share a
+// key are copies of one rule, agree on every tuple, and are all visited
+// by every operation, so the key stays held exactly while it is owed.
+func (e *Engine) recomputeConst(rs *ruleState, tri, tuple int) {
+	e.unref(constKey(rs.src[tri], tuple))
+	if !rs.matches(tri, rs.liv.IDs[tuple]) {
 		return
 	}
-	constID, haveConst := riv.Dict.Lookup(row.RHS)
-	if rid := riv.IDs[tuple]; !haveConst || rid != constID {
-		v := pfd.ConstantViolation(rs.p, row, tuple, liv.Dict.Value(id), riv.Dict.Value(rid))
-		rs.consts[tri][tuple] = e.ref(v, d)
+	constID, haveConst := rs.riv.Dict.Lookup(rs.rows[tri].RHS)
+	if !haveConst || rs.riv.IDs[tuple] != constID {
+		e.refConst(rs, tri, tuple)
 	}
 }
 
-// recomputeBlock re-evaluates one (rule, variable tableau row, block key)
-// source: it rebuilds the block from the maintained postings and reports
-// exactly the conflicts full detection's blocking pass would.
-func (e *Engine) recomputeBlock(rsi, tri int, key string, d *batchDiff) {
-	rs := e.rs[rsi]
-	row := rs.rows[tri]
-	for _, k := range rs.vioOf[tri][key] {
-		e.unref(k, d)
+// refConst records that the tuple violates the constant tableau row.
+func (e *Engine) refConst(rs *ruleState, tri, tuple int) {
+	v := pfd.ConstantViolation(rs.p, rs.rows[tri], tuple, rs.liv.Value(tuple), rs.riv.Value(tuple))
+	e.ref(constKey(rs.src[tri], tuple), v)
+}
+
+// before reports whether row a precedes row b in evaluation order: global
+// order when the engine is one shard of a larger table — the order a
+// whole-table detection would see — and local row order otherwise.
+func (e *Engine) before(a, b int) bool {
+	if e.globalID != nil {
+		return e.globalID(a) < e.globalID(b)
 	}
-	delete(rs.vioOf[tri], key)
-	ps := rs.blocks[tri].Postings(key)
-	if len(ps) < 2 {
+	return a < b
+}
+
+// insert files row r under group g at its place in evaluation order.
+func (e *Engine) insert(b *block, g, r int) {
+	rows := b.groups[g].rows
+	at := len(rows)
+	if at > 0 && !e.before(rows[at-1], r) {
+		at = sort.Search(at, func(i int) bool { return e.before(r, rows[i]) })
+	}
+	b.groups[g].rows = slices.Insert(rows, at, r)
+}
+
+// remove takes row r out of group g, and the group out of the block with
+// its last member. A majority index pointing at the removed group is
+// left for the caller's rebuild to replace.
+func (e *Engine) remove(b *block, g, r int) {
+	rows := b.groups[g].rows
+	at := sort.Search(len(rows), func(i int) bool { return !e.before(rows[i], r) })
+	if at == len(rows) || rows[at] != r {
+		panic(fmt.Sprintf("stream: row %d not filed where evaluation order puts it", r))
+	}
+	if len(rows) > 1 {
+		b.groups[g].rows = slices.Delete(rows, at, at+1)
 		return
 	}
-	rows := make([]int, len(ps))
-	for i, p := range ps {
-		rows[i] = p.TupleID
+	b.groups = slices.Delete(b.groups, g, g+1)
+	if b.maj > g {
+		b.maj--
 	}
-	// Member order decides which pairs the blocking pass reports (each
-	// deviating row is paired against the first majority-group row), so
-	// evaluate in global order when the engine is one shard of a larger
-	// table — that is the order a whole-table detection would use.
-	if e.globalID != nil {
-		sort.Slice(rows, func(i, j int) bool { return e.globalID(rows[i]) < e.globalID(rows[j]) })
-	} else {
-		sort.Ints(rows)
+}
+
+// join adds row r, under its current RHS value, to the block of key. When
+// the majority and its witness stay what they were the block owes at most
+// one pair more — r against the witness, if r deviates; otherwise the
+// block is re-derived.
+func (e *Engine) join(rs *ruleState, tri int, key string, r int) {
+	b := rs.block(tri, key)
+	g := b.groupFor(rs.riv.IDs[r])
+	if b.maj >= 0 && b.leader(rs.riv.Dict, g, +1) == b.maj && (g != b.maj || e.before(b.witness(), r)) {
+		e.insert(b, g, r)
+		if g != b.maj {
+			e.refPair(rs, tri, b.witness(), r)
+		}
+		return
 	}
-	b := blocking.Block{Key: key, Rows: rows, RHSVals: make([]string, len(rows))}
-	for i, r := range rows {
-		b.RHSVals[i] = e.t.Cell(r, rs.ri)
+	e.release(rs, tri, b)
+	e.insert(b, g, r)
+	e.rebuild(rs, tri, b)
+}
+
+// leave takes row r, filed under RHS value rhs, out of the block of key:
+// the reverse of join, with the same fallback.
+func (e *Engine) leave(rs *ruleState, tri int, key string, r int, rhs uint32) {
+	b := rs.blocks[tri][key]
+	g := b.groupFor(rhs)
+	if b.leader(rs.riv.Dict, g, -1) == b.maj && (g != b.maj || r != b.witness()) {
+		if g != b.maj {
+			e.unref(pairKey(rs.src[tri], b.witness(), r))
+		}
+		e.remove(b, g, r)
+		return
 	}
-	var keys []string
-	for _, c := range b.Conflicts(true) {
-		v := pfd.VariableViolation(rs.p, row, c.I, c.J, c.RHSI, c.RHSJ)
-		keys = append(keys, e.ref(v, d))
+	e.release(rs, tri, b)
+	e.remove(b, g, r)
+	if len(b.groups) == 0 {
+		delete(rs.blocks[tri], key)
+		return
 	}
-	if len(keys) > 0 {
-		rs.vioOf[tri][key] = keys
-	}
+	e.rebuild(rs, tri, b)
+}
+
+// release unreferences every pair the block owes, ahead of a membership
+// change that invalidates them.
+func (e *Engine) release(rs *ruleState, tri int, b *block) {
+	b.owed(func(w, r int) { e.unref(pairKey(rs.src[tri], w, r)) })
+}
+
+// rebuild derives a block from its membership: it elects the majority
+// and references every pair the block owes. Bootstrap builds every block
+// with it, and a delta falls back to it (after release) when a membership
+// change moves the majority or its witness.
+func (e *Engine) rebuild(rs *ruleState, tri int, b *block) {
+	b.maj = b.leader(rs.riv.Dict, -1, 0)
+	b.owed(func(w, r int) { e.refPair(rs, tri, w, r) })
+}
+
+// refPair references the violation of the witness and a deviating member,
+// rendered from the current table.
+func (e *Engine) refPair(rs *ruleState, tri, w, r int) {
+	v := pfd.VariableViolation(rs.p, rs.rows[tri], w, r, rs.riv.Value(w), rs.riv.Value(r))
+	e.ref(pairKey(rs.src[tri], w, r), v)
 }
 
 // ---- violation reference counting and batch diffs ----
 
-// ref adds one source reference to the violation and returns its key.
-// When the key is already tracked the stored rendering is refreshed: the
-// caller just computed v from the current table, while the entry may hold
-// bytes from before this delta (two sources can owe the same violation —
-// ambiguous extractions put a pair in several blocks — and sequential
-// recomputation then never passes through zero references).
-func (e *Engine) ref(v pfd.Violation, d *batchDiff) string {
-	k := v.Key()
+// ref adds one source reference to the violation. When the key is already
+// tracked the stored rendering is refreshed: the caller just rendered v
+// from the current table, while the entry may hold bytes from before
+// this delta (two sources can owe the same violation — ambiguous
+// extractions put a pair in several blocks — and sequential maintenance
+// then never passes through zero references).
+func (e *Engine) ref(k vioKey, v pfd.Violation) {
 	ent := e.vio[k]
-	d.touch(k, ent)
+	e.touch(k, ent)
 	if ent == nil {
 		e.vio[k] = &vioEntry{v: v, refs: 1}
 	} else {
 		ent.refs++
 		ent.v = v
 	}
-	return k
 }
 
 // unref drops one source reference, deleting the violation when no source
 // reports it any more.
-func (e *Engine) unref(k string, d *batchDiff) {
+func (e *Engine) unref(k vioKey) {
 	ent := e.vio[k]
 	if ent == nil {
 		return
 	}
-	d.touch(k, ent)
+	e.touch(k, ent)
 	ent.refs--
 	if ent.refs <= 0 {
 		delete(e.vio, k)
 	}
 }
 
-// batchDiff records, per violation key touched during one batch, the
-// violation's rendering at batch start (nil = absent), so the batch's net
-// diff falls out of comparing that snapshot with the final state.
-type batchDiff struct {
-	prior map[string]*pfd.Violation
-}
-
-// diffPool recycles batchDiff scratch across Apply calls: the prior map
-// retains its buckets, so steady-state single-row batches stop paying a
-// map allocation per delta.
-var diffPool = sync.Pool{
-	New: func() any { return &batchDiff{prior: make(map[string]*pfd.Violation)} },
-}
-
-func newBatchDiff() *batchDiff { return diffPool.Get().(*batchDiff) }
-
-// release clears the scratch and returns it to the pool. The finalized
-// Diff copies every violation it reports, so nothing aliases the map.
-func (d *batchDiff) release() {
-	clear(d.prior)
-	diffPool.Put(d)
-}
-
-// touch records the batch-start state of a key the first time the key is
-// modified within the batch.
-func (d *batchDiff) touch(k string, ent *vioEntry) {
-	if _, done := d.prior[k]; done {
+// touch records the batch-start state of a key (nil = absent) the first
+// time the key is modified within the batch, so the batch's net diff
+// falls out of comparing that record with the final state.
+func (e *Engine) touch(k vioKey, ent *vioEntry) {
+	if _, done := e.prior[k]; done {
 		return
 	}
 	if ent == nil {
-		d.prior[k] = nil
+		e.prior[k] = nil
 		return
 	}
 	v := ent.v
-	d.prior[k] = &v
+	e.prior[k] = &v
 }
 
 // finalize compares every touched key's batch-start state with the final
-// state and renders the net diff in the engine's violation order.
-func (d *batchDiff) finalize(seq int64, rows int, vio map[string]*vioEntry) *Diff {
-	out := &Diff{Seq: seq, Rows: rows}
-	for k, prior := range d.prior {
-		cur := vio[k]
+// state, renders the net diff in the engine's violation order, and
+// clears the record for the next batch.
+func (e *Engine) finalize() *Diff {
+	out := &Diff{Seq: e.seq, Rows: e.t.NumRows()}
+	for k, prior := range e.prior {
+		cur := e.vio[k]
 		switch {
 		case prior == nil && cur != nil:
 			out.Added = append(out.Added, cur.v)
@@ -839,6 +923,12 @@ func (d *batchDiff) finalize(seq int64, rows int, vio map[string]*vioEntry) *Dif
 			}
 		}
 	}
+	if len(e.prior) > 64 {
+		// A delete records every violation, and clearing a map costs its
+		// capacity on every later batch: let a large one go.
+		e.prior = make(map[vioKey]*pfd.Violation)
+	}
+	clear(e.prior)
 	detect.SortViolations(out.Added)
 	detect.SortViolations(out.Removed)
 	return out
