@@ -42,13 +42,17 @@ cluster-e2e:
 
 # Hostile-traffic acceptance: multi-tenant concurrent load against
 # quotas + fsync-on group commit, crash, and byte-identical recovery —
-# plus the admission, body-cap, and backup/restore suites, under -race.
+# plus the admission, body-cap, and backup/restore suites and the
+# snapshot path's own (crash points inside a checkpoint, one file per
+# checkpoint, concurrent restore), under -race.
 hardening:
-	$(GO) test -race -v -run 'TestHardeningMultiTenantRecovery|TestAdmission|TestConfirmEmptyBodyAndCap|TestBackupRestore|TestRestore|TestGroupCommit|TestHTTPServerTimeouts' \
+	$(GO) test -race -v -run 'TestHardeningMultiTenantRecovery|TestAdmission|TestConfirmEmptyBodyAndCap|TestBackupRestore|TestRestore|TestGroupCommit|TestHTTPServerTimeouts|TestCrashRecoveryEquivalence|TestCheckpoint' \
 		./internal/server/ ./internal/persist/ ./cmd/anmat-server/
 
 fuzz:
 	$(GO) test ./internal/table -run '^$$' -fuzz FuzzReadCSV -fuzztime 30s
+	$(GO) test ./internal/table -run '^$$' -fuzz FuzzDecodeBinary -fuzztime 30s
+	$(GO) test ./internal/persist -run '^$$' -fuzz FuzzDecodeSnapFile -fuzztime 30s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecode -fuzztime 30s
 
 # Requires network access to fetch the scanner and vuln DB; CI runs it.

@@ -65,11 +65,7 @@ func CreateStore(dir string, t *table.Table, rules []*pfd.PFD, k int, seq int64,
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cluster store: %w", err)
 	}
-	data, err := t.EncodeBinaryBytes()
-	if err != nil {
-		return nil, fmt.Errorf("cluster store: snapshot table: %w", err)
-	}
-	blob, err := json.Marshal(storeSnapshot{Seq: seq, K: k, Table: data, Rules: rules})
+	blob, err := json.Marshal(storeSnapshot{Seq: seq, K: k, Table: t.EncodeBinaryBytes(), Rules: rules})
 	if err != nil {
 		return nil, fmt.Errorf("cluster store: encode snapshot: %w", err)
 	}

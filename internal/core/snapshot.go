@@ -25,8 +25,8 @@ import (
 )
 
 // SessionSnapshot is the durable image of one session at a checkpoint.
-// It marshals to JSON (TableData travels base64-encoded), which is how
-// the persistence layer stores it in the document store.
+// The persistence layer and the backup tar both store it as a JSON
+// header without TableData, and the table bytes raw beside it.
 type SessionSnapshot struct {
 	ID      string `json:"session"`
 	Project string `json:"project"`
@@ -109,17 +109,13 @@ func (se *Session) journalSink() func(context.Context, int64, stream.Batch) erro
 // Snapshot captures the session's durable state. The caller must hold the
 // session's external lock (sessions are not safe for concurrent use), so
 // the table bytes and the engine cursor are mutually consistent.
-func (se *Session) Snapshot() (*SessionSnapshot, error) {
-	data, err := se.Table.EncodeBinaryBytes()
-	if err != nil {
-		return nil, fmt.Errorf("session %s: snapshot table: %w", se.ID, err)
-	}
+func (se *Session) Snapshot() *SessionSnapshot {
 	snap := &SessionSnapshot{
 		ID:           se.ID,
 		Project:      se.Project,
 		Params:       se.Params,
 		TableName:    se.Table.Name(),
-		TableData:    data,
+		TableData:    se.Table.EncodeBinaryBytes(),
 		Discovered:   se.Discovered,
 		Confirmed:    se.Confirmed,
 		ConfirmedSet: se.Confirmed != nil,
@@ -141,7 +137,7 @@ func (se *Session) Snapshot() (*SessionSnapshot, error) {
 	if se.strNextBase > snap.Seq {
 		snap.Seq = se.strNextBase
 	}
-	return snap, nil
+	return snap
 }
 
 // Checkpoint snapshots the session into its persister. It is a no-op
@@ -151,11 +147,7 @@ func (se *Session) Checkpoint() error {
 	if se.persist == nil {
 		return nil
 	}
-	snap, err := se.Snapshot()
-	if err != nil {
-		return err
-	}
-	if err := se.persist.Checkpoint(snap); err != nil {
+	if err := se.persist.Checkpoint(se.Snapshot()); err != nil {
 		return &PersistenceError{Err: fmt.Errorf("session %s: checkpoint: %w", se.ID, err)}
 	}
 	return nil

@@ -1,6 +1,6 @@
 // Package docstore is the embedded document store standing in for the
 // demo's MongoDB backend (DESIGN.md §3): named collections of JSON
-// documents with insert/find/update/delete, optional field filters, and
+// documents with insert/find/update, optional field filters, and
 // durable single-file persistence. It is safe for concurrent use.
 package docstore
 
@@ -37,12 +37,9 @@ type collection struct {
 
 // Options tunes a persisted store.
 type Options struct {
-	// Fsync forces, on every Flush, an fsync of the temp file before the
-	// atomic rename and of the parent directory after it — without the
-	// directory sync the rename's entry is not durable, so a power loss
-	// could revert the store to its previous contents. Off by default:
-	// the atomic rename alone already guarantees the file is never
-	// half-written on process death.
+	// Fsync makes every Flush survive power loss (wal.WriteFileAtomic's
+	// sync mode). Off by default: the atomic rename alone already keeps
+	// the file from ever being half-written on process death.
 	Fsync bool
 }
 
@@ -286,24 +283,6 @@ func (s *Store) Update(coll string, id int64, d Doc) bool {
 	cp[IDField] = id
 	c.docs[id] = cp
 	return true
-}
-
-// Delete removes matching documents and returns how many were removed.
-func (s *Store) Delete(coll string, f Filter) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := s.colls[coll]
-	if c == nil {
-		return 0
-	}
-	n := 0
-	for id, d := range c.docs {
-		if f.matches(d) {
-			delete(c.docs, id)
-			n++
-		}
-	}
-	return n
 }
 
 // Collections lists the collection names in sorted order.

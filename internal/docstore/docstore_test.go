@@ -88,21 +88,6 @@ func TestUpdate(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	s := NewMem()
-	s.Insert("c", Doc{"kind": "a"})
-	s.Insert("c", Doc{"kind": "b"})
-	if n := s.Delete("c", Filter{"kind": "a"}); n != 1 {
-		t.Fatalf("Delete = %d", n)
-	}
-	if s.Count("c", nil) != 1 {
-		t.Error("wrong count after delete")
-	}
-	if n := s.Delete("nope", nil); n != 0 {
-		t.Errorf("missing collection Delete = %d", n)
-	}
-}
-
 func TestCollections(t *testing.T) {
 	s := NewMem()
 	s.Insert("b", Doc{})

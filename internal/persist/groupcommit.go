@@ -116,7 +116,7 @@ func (m *Manager) commitRound(round []*commitReq) {
 		}
 	} else {
 		for _, req := range round {
-			req.ws.records++
+			req.ws.WALRecords++
 			walBytes.Add(float64(len(req.enc)))
 		}
 		groupBatches.Add(float64(len(round)))

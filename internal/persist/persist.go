@@ -1,10 +1,10 @@
 // Package persist is the session durability layer: it checkpoints each
 // session's full state (binary table snapshot, parameters, rule sets,
-// detection state, stream-engine sequence cursor) into the document
-// store, journals every applied delta batch to a per-session write-ahead
-// log, and rebuilds the whole session registry on startup by loading the
-// latest snapshots and replaying the WAL tails through the incremental
-// detection engine.
+// detection state, stream-engine sequence cursor) into a snapshot file
+// of its own, journals every applied delta batch to a per-session
+// write-ahead log, and rebuilds the whole session registry on startup by
+// loading the latest snapshots and replaying the WAL tails through the
+// incremental detection engine.
 //
 // The recovery invariant — property-tested with simulated crashes at
 // arbitrary batch boundaries and torn final WAL records — is that a
@@ -15,16 +15,18 @@
 //
 // Layout under the data directory:
 //
-//	<dir>/store.json      document store holding one snapshot per session
-//	<dir>/wal/<id>.wal    delta batches journaled since <id>'s checkpoint
+//	<dir>/snap/<id>.snap  <id>'s latest checkpoint (format: snapfile.go), replaced
+//	                      atomically and alone: a checkpoint costs O(own table)
+//	<dir>/wal/<id>.wal    delta batches journaled since that checkpoint
 //
 // Every session, sharded or not, journals one record per batch into its
 // one WAL (a wal.Log), keyed by the session's global sequence number. A
 // record torn at the tail — the expected artifact of a crash
 // mid-journal, before the batch was ever acknowledged — is discarded by
 // recovery. Data directories written before this layout may still hold
-// <id>.shard<k>.wal files; Restore refuses them by name rather than
-// reading around them.
+// <id>.shard<k>.wal files, or the store.json that held every session's
+// snapshot as one JSON document; Restore refuses either by name rather
+// than reading around it.
 //
 // Durability protocol: a delta batch is journaled write-ahead (the
 // session's engine calls Journal before mutating anything), so a batch is
@@ -32,22 +34,15 @@
 // snapshot first and truncate the WAL after; a crash between the two
 // leaves stale WAL records at or below the snapshot's cursor, which
 // replay skips.
-//
-// Cost note: snapshots live in one docstore file, so a checkpoint
-// rewrites every session's snapshot (journal appends — the hot path —
-// touch only the session's own WAL). With many large sessions, moving to
-// one snapshot file per session would make checkpoints O(own table);
-// the single-file layout follows the docstore the rest of the system
-// already uses.
 package persist
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -55,15 +50,10 @@ import (
 	"time"
 
 	"github.com/anmat/anmat/internal/core"
-	"github.com/anmat/anmat/internal/docstore"
 	"github.com/anmat/anmat/internal/obs"
 	"github.com/anmat/anmat/internal/stream"
 	"github.com/anmat/anmat/internal/wal"
 )
-
-// CollSnapshots is the document-store collection holding one snapshot
-// document per session.
-const CollSnapshots = "session_snapshots"
 
 // DefaultCompactEvery is the number of journaled batches after which a
 // session's WAL is folded into a fresh snapshot.
@@ -84,9 +74,8 @@ type Options struct {
 // session map, and each session's journal has its own lock, so sessions
 // append (and fsync) their WALs in parallel.
 type Manager struct {
-	dir   string
-	opts  Options
-	store *docstore.Store
+	dir  string
+	opts Options
 
 	mu   sync.Mutex // guards wals (the map, not the states)
 	wals map[string]*walState
@@ -94,13 +83,6 @@ type Manager struct {
 	// gc is the group committer: concurrent Journal calls coalesce into
 	// shared write+fsync rounds (groupcommit.go).
 	gc groupCommitter
-
-	// storeMu serializes snapshot-document rewrites (Checkpoint, Drop)
-	// across sessions. Without it, session A's Flush could durably write
-	// the store in the window where session B's snapshot is deleted but
-	// not yet re-inserted — a crash then would silently lose B. Journal
-	// appends (the hot path) never take it.
-	storeMu sync.Mutex
 }
 
 // walState is the per-session journal bookkeeping. Its lock serializes
@@ -110,11 +92,8 @@ type walState struct {
 	mu sync.Mutex
 	// log is the session's open journal, opened lazily on first append.
 	log *wal.Log
-	// records counts batches journaled (or replayed) since the last
-	// checkpoint; it is the compaction trigger.
-	records int
-	// ckptSeq is the sequence cursor of the last durable checkpoint.
-	ckptSeq int64
+	// Status is what the admin API reports; WALRecords triggers compaction.
+	Status
 }
 
 // Open creates (or reopens) the durability layer rooted at dir.
@@ -122,14 +101,18 @@ func Open(dir string, opts Options) (*Manager, error) {
 	if opts.CompactEvery == 0 {
 		opts.CompactEvery = DefaultCompactEvery
 	}
-	if err := os.MkdirAll(filepath.Join(dir, "wal"), 0o755); err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
+	err := os.MkdirAll(filepath.Join(dir, "wal"), 0o755)
+	if err == nil {
+		err = os.MkdirAll(filepath.Join(dir, "snap"), 0o755)
 	}
-	store, err := docstore.OpenWith(filepath.Join(dir, "store.json"), docstore.Options{Fsync: opts.Fsync})
+	if err == nil && opts.Fsync {
+		// The two directory entries must survive power loss too.
+		err = wal.SyncDir(dir)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	return &Manager{dir: dir, opts: opts, store: store, wals: make(map[string]*walState)}, nil
+	return &Manager{dir: dir, opts: opts, wals: make(map[string]*walState)}, nil
 }
 
 // Dir returns the data directory the manager persists into.
@@ -140,7 +123,12 @@ func (m *Manager) walPath(id string) string {
 	return filepath.Join(m.dir, "wal", id+".wal")
 }
 
-// validID rejects session IDs that would escape the wal directory.
+// snapPath maps a session ID to its snapshot file.
+func (m *Manager) snapPath(id string) string {
+	return filepath.Join(m.dir, "snap", id+snapExt)
+}
+
+// validID rejects session IDs that would escape the data directory.
 func validID(id string) error {
 	if id == "" || strings.ContainsAny(id, "/\\") || strings.Contains(id, "..") {
 		return fmt.Errorf("persist: invalid session id %q", id)
@@ -177,6 +165,27 @@ func (m *Manager) openLog(ws *walState, id string) (*wal.Log, error) {
 		ws.log = l
 	}
 	return ws.log, nil
+}
+
+// WALTail reads the raw bytes of the session's journal — the replay
+// input a backup carries alongside the snapshot; nil when the session
+// never journaled. The session's journal lock is held across the read so
+// no group-commit round interleaves; callers wanting a consistent
+// (snapshot, tail) pair must additionally hold the session's own lock,
+// which quiesces new journals and checkpoints entirely. The tail is
+// small by construction (bounded by the compaction threshold).
+func (m *Manager) WALTail(id string) ([]byte, error) {
+	ws, err := m.state(id)
+	if err != nil {
+		return nil, err
+	}
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	data, err := os.ReadFile(m.walPath(id))
+	if err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("persist: backup wal %s: %w", id, err)
+	}
+	return data, nil
 }
 
 // Journal durably appends one delta batch to the session's WAL through
@@ -220,23 +229,13 @@ func (m *Manager) JournalSharded(ctx context.Context, sessionID string, _ int, s
 // CompactionDue reports whether the session's journal has reached the
 // compaction threshold.
 func (m *Manager) CompactionDue(sessionID string) bool {
-	if m.opts.CompactEvery < 0 {
-		return false
-	}
-	m.mu.Lock()
-	ws := m.wals[sessionID]
-	m.mu.Unlock()
-	if ws == nil {
-		return false
-	}
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	return ws.records >= m.opts.CompactEvery
+	st, ok := m.Status(sessionID)
+	return ok && m.opts.CompactEvery >= 0 && st.WALRecords >= m.opts.CompactEvery
 }
 
-// Checkpoint durably replaces the session's snapshot document and resets
-// its WAL. Snapshot first, truncate after: a crash between the two leaves
-// only stale WAL records, which replay skips by sequence number.
+// Checkpoint durably replaces the session's snapshot file, then resets
+// its WAL (the package comment has the crash argument); a failed write
+// leaves the previous snapshot and the whole WAL.
 func (m *Manager) Checkpoint(snap *core.SessionSnapshot) error {
 	ws, err := m.state(snap.ID)
 	if err != nil {
@@ -245,42 +244,29 @@ func (m *Manager) Checkpoint(snap *core.SessionSnapshot) error {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	t0 := time.Now()
-	folded := ws.records > 0
-	// Marshal once: the blob becomes the stored document and sizes the
-	// checkpoint histogram.
-	blob, err := json.Marshal(snap)
-	var doc docstore.Doc
+	blob, err := encodeSnapFile(snap)
 	if err == nil {
-		err = json.Unmarshal(blob, &doc)
+		err = wal.WriteFileAtomic(m.snapPath(snap.ID), blob, m.opts.Fsync)
 	}
 	if err != nil {
-		return fmt.Errorf("persist: store snapshot %s: %w", snap.ID, err)
-	}
-	m.storeMu.Lock()
-	m.store.Delete(CollSnapshots, docstore.Filter{"session": snap.ID})
-	m.store.Insert(CollSnapshots, doc)
-	flushErr := m.store.Flush()
-	m.storeMu.Unlock()
-	if flushErr != nil {
-		return fmt.Errorf("persist: flush snapshot %s: %w", snap.ID, flushErr)
+		return fmt.Errorf("persist: write snapshot %s: %w", snap.ID, err)
 	}
 	// Truncate by path: the WAL may not be open yet, and an open O_APPEND
 	// handle keeps working — its next write lands at the new end of file.
 	if err := os.Truncate(m.walPath(snap.ID), 0); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("persist: reset wal %s: %w", snap.ID, err)
 	}
-	ws.records = 0
-	ws.ckptSeq = snap.Seq
 	checkpoints.Inc()
-	if folded {
+	if ws.WALRecords > 0 {
 		compactions.Inc()
 	}
+	ws.Status = Status{CheckpointSeq: snap.Seq}
 	checkpointBytes.Observe(float64(len(blob)))
 	checkpointDur.Observe(time.Since(t0).Seconds())
 	return nil
 }
 
-// Drop removes every trace of the session: snapshot document and WAL.
+// Drop removes every trace of the session: snapshot file and WAL.
 func (m *Manager) Drop(sessionID string) error {
 	if err := validID(sessionID); err != nil {
 		return err
@@ -296,17 +282,15 @@ func (m *Manager) Drop(sessionID string) error {
 		}
 		ws.mu.Unlock()
 	}
-	m.storeMu.Lock()
-	removed := m.store.Delete(CollSnapshots, docstore.Filter{"session": sessionID})
-	var flushErr error
-	if removed > 0 {
-		flushErr = m.store.Flush()
+	// Snapshot first, durably: without it no Restore reads the WAL.
+	err := os.Remove(m.snapPath(sessionID))
+	if err == nil && m.opts.Fsync {
+		err = wal.SyncDir(filepath.Join(m.dir, "snap"))
 	}
-	m.storeMu.Unlock()
-	if flushErr != nil {
-		return fmt.Errorf("persist: drop %s: %w", sessionID, flushErr)
+	if err == nil || os.IsNotExist(err) {
+		err = os.Remove(m.walPath(sessionID))
 	}
-	if err := os.Remove(m.walPath(sessionID)); err != nil && !os.IsNotExist(err) {
+	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("persist: drop %s: %w", sessionID, err)
 	}
 	return nil
@@ -350,7 +334,7 @@ func (m *Manager) Status(sessionID string) (Status, bool) {
 	}
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	return Status{CheckpointSeq: ws.ckptSeq, WALRecords: ws.records}, true
+	return ws.Status, true
 }
 
 var legacyShardWAL = regexp.MustCompile(`\.shard[0-9]+\.wal$`)
@@ -362,13 +346,23 @@ var legacyShardWAL = regexp.MustCompile(`\.shard[0-9]+\.wal$`)
 // by name.
 func LegacyShardWAL(name string) bool { return legacyShardWAL.MatchString(name) }
 
+// snapExt is the snapshot file extension; a crash mid-checkpoint can
+// leave <id>.snap.tmp (wal.WriteFileAtomic's temporary) beside it.
+const snapExt = ".snap"
+
 // Restore rehydrates every persisted session into the system: for each
-// snapshot document it rebuilds the session, replays the WAL tail through
+// snapshot file it rebuilds the session, replays the WAL tail through
 // the incremental engine (recomputing the violation set, byte-identical
 // to a full detection), reattaches the journal, and returns the sessions
 // sorted by ID. Torn WAL tails — the expected artifact of a crash mid
 // append — are discarded; structurally damaged snapshots are an error.
+// Sessions rehydrate independently on up to GOMAXPROCS goroutines; the
+// first failing ID's error wins, and none is attached unless all came back.
 func (m *Manager) Restore(sys *core.System) ([]*core.Session, error) {
+	old := filepath.Join(m.dir, "store.json") // every session's snapshot as one JSON document
+	if _, err := os.Stat(old); err == nil {
+		return nil, fmt.Errorf("persist: %s holds the sessions of an older layout, which this release does not read: move them with `anmat backup` from the release that wrote it and `anmat restore` into this one, or delete the file to drop them", old)
+	}
 	entries, err := os.ReadDir(filepath.Join(m.dir, "wal"))
 	if err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
@@ -383,58 +377,77 @@ func (m *Manager) Restore(sys *core.System) ([]*core.Session, error) {
 		return nil, fmt.Errorf("persist: %s holds per-shard WALs of an older layout (%s) that this release does not read: checkpoint with the release that wrote them, or delete them to drop their batches",
 			filepath.Join(m.dir, "wal"), strings.Join(legacy, ", "))
 	}
-	docs := m.store.Find(CollSnapshots, nil)
-	out := make([]*core.Session, 0, len(docs))
-	for _, d := range docs {
-		snap, err := decodeSnapshot(d)
+	if entries, err = os.ReadDir(filepath.Join(m.dir, "snap")); err != nil {
+		return nil, fmt.Errorf("persist: %w", err)
+	}
+	var ids []string
+	for _, e := range entries {
+		switch name := e.Name(); {
+		case strings.HasSuffix(name, snapExt+".tmp"):
+			// A checkpoint that died before its rename: never published.
+			if err := os.Remove(filepath.Join(m.dir, "snap", name)); err != nil {
+				return nil, fmt.Errorf("persist: %w", err)
+			}
+		case strings.HasSuffix(name, snapExt):
+			ids = append(ids, strings.TrimSuffix(name, snapExt))
+		}
+	}
+	sort.Strings(ids)
+	sessions := make([]*core.Session, len(ids))
+	stats := make([]Status, len(ids))
+	errs := make([]error, len(ids))
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-slots; wg.Done() }()
+			sessions[i], stats[i], errs[i] = m.rehydrate(sys, id)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		se, err := sys.RestoreSession(snap)
-		if err != nil {
-			return nil, fmt.Errorf("persist: %w", err)
-		}
-		// The replayable suffix: the contiguous run of batches right after
-		// the snapshot's cursor; the file is trimmed to its clean prefix.
-		recs, err := wal.Replay(m.walPath(snap.ID), snap.Seq)
-		if err != nil {
-			return nil, fmt.Errorf("persist: wal %s: %w", snap.ID, err)
-		}
-		if err := se.ReplayJournal(snap.Seq, wal.Batches(recs)); err != nil {
-			return nil, fmt.Errorf("persist: %w", err)
-		}
-		ws, err := m.state(snap.ID)
+	}
+	for i, se := range sessions {
+		ws, err := m.state(se.ID)
 		if err != nil {
 			return nil, err
 		}
 		ws.mu.Lock()
-		ws.records = len(recs)
-		ws.ckptSeq = snap.Seq
+		ws.Status = stats[i]
 		ws.mu.Unlock()
 		se.SetPersist(m)
-		out = append(out, se)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out, nil
+	return sessions, nil
 }
 
-// decodeSnapshot converts a snapshot document back to the typed form.
-func decodeSnapshot(d docstore.Doc) (*core.SessionSnapshot, error) {
-	b, err := json.Marshal(d)
+// rehydrate rebuilds one session from its snapshot file and WAL tail and
+// reports where its journal bookkeeping starts. It touches no manager
+// state, so Restore can run it concurrently.
+func (m *Manager) rehydrate(sys *core.System, id string) (*core.Session, Status, error) {
+	snap, ok, err := m.Snapshot(id)
+	if err == nil && !ok {
+		err = fmt.Errorf("persist: snapshot %s disappeared during restore", m.snapPath(id))
+	}
 	if err != nil {
-		return nil, fmt.Errorf("persist: snapshot doc %v: %w", d[docstore.IDField], err)
+		return nil, Status{}, err
 	}
-	var snap core.SessionSnapshot
-	if err := json.Unmarshal(b, &snap); err != nil {
-		return nil, fmt.Errorf("persist: snapshot doc %v: %w", d[docstore.IDField], err)
+	se, err := sys.RestoreSession(snap)
+	if err != nil {
+		return nil, Status{}, fmt.Errorf("persist: %w", err)
 	}
-	if snap.ID == "" {
-		return nil, fmt.Errorf("persist: snapshot doc %v: missing session id", d[docstore.IDField])
+	// The replayable suffix: the contiguous run of batches right after
+	// the snapshot's cursor; the file is trimmed to its clean prefix.
+	recs, err := wal.Replay(m.walPath(id), snap.Seq)
+	if err != nil {
+		return nil, Status{}, fmt.Errorf("persist: wal %s: %w", id, err)
 	}
-	// A tampered store must not smuggle a path-traversing ID into the WAL
-	// path construction — wal.Replay truncates the file it resolves to.
-	if err := validID(snap.ID); err != nil {
-		return nil, fmt.Errorf("persist: snapshot doc %v: %w", d[docstore.IDField], err)
+	if err := se.ReplayJournal(snap.Seq, wal.Batches(recs)); err != nil {
+		return nil, Status{}, fmt.Errorf("persist: %w", err)
 	}
-	return &snap, nil
+	return se, Status{CheckpointSeq: snap.Seq, WALRecords: len(recs)}, nil
 }

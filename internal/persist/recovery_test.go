@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -32,7 +33,22 @@ const (
 	// crashGarbage leaves intact records followed by non-record bytes
 	// (e.g. a reused disk block).
 	crashGarbage crashStyle = "garbage"
+	// crashCkptTmp kills the process inside a checkpoint, part of the way
+	// through writing the temporary file: the previous snapshot and the
+	// whole WAL are what recovery has.
+	crashCkptTmp crashStyle = "ckpt-tmp"
+	// crashCkptRenamed kills it one step later: the new snapshot is
+	// published but the WAL, now all at or below its cursor, was never
+	// truncated.
+	crashCkptRenamed crashStyle = "ckpt-renamed"
+	// crashCkptFailed runs the whole script with snapshot writes failing
+	// (compaction comes due every 3rd batch and is refused every time):
+	// the baseline snapshot and an ever-growing WAL carry every batch.
+	crashCkptFailed crashStyle = "ckpt-failed"
 )
+
+// crashStyles is every way TestCrashRecoveryEquivalence ends a run.
+var crashStyles = []crashStyle{crashClean, crashTorn, crashGarbage, crashCkptTmp, crashCkptRenamed, crashCkptFailed}
 
 // TestCrashRecoveryEquivalence is the durability layer's acceptance
 // property: run a session with persistence attached, apply a random delta
@@ -51,10 +67,11 @@ const (
 //
 // The property runs both unsharded (one engine) and sharded (K=4: a
 // coordinator); either way the session journals into its one WAL, which
-// is the file the crash damages.
+// is the file the crash damages — or it dies inside a checkpoint, or
+// cannot write one at all (the ckpt-* styles).
 func TestCrashRecoveryEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		for _, style := range []crashStyle{crashClean, crashTorn, crashGarbage} {
+		for _, style := range crashStyles {
 			for seed := int64(0); seed < 4; seed++ {
 				shards, style, seed := shards, style, seed
 				t.Run(fmt.Sprintf("k%d/%s/seed%d", shards, style, seed), func(t *testing.T) {
@@ -83,7 +100,7 @@ func crashRecoveryOnce(t *testing.T, style crashStyle, seed int64, shards int) {
 	// Alternate between aggressive compaction (snapshot churn mid-script)
 	// and none (long WAL tails).
 	compactEvery := 1000
-	if seed%2 == 0 {
+	if seed%2 == 0 || style == crashCkptFailed {
 		compactEvery = 3
 	}
 	script := &recoveryScript{Seed: seed, Style: style, Shards: shards, CompactEvery: compactEvery}
@@ -124,6 +141,17 @@ func crashRecoveryOnce(t *testing.T, style crashStyle, seed int64, shards int) {
 	shadowTbl := map[int64]*table.Table{0: tbl.Clone()}
 	vioAt := map[int64][]pfd.Violation{0: se.Violations}
 	walPath := m.walPath(se.ID)
+	if style == crashCkptFailed {
+		// Once the engine has its baseline snapshot (the first delta would
+		// build it), a directory where the temporary file goes fails every
+		// snapshot write, whoever runs the test (root ignores modes).
+		if _, err := se.Stream(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Mkdir(m.snapPath(se.ID)+".tmp", 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
 	finalSeq := int64(0)
 	var sizeBeforeLast, sizeAfterLast int64
 	steps := 3 + rng.Intn(14)
@@ -131,6 +159,15 @@ func crashRecoveryOnce(t *testing.T, style crashStyle, seed int64, shards int) {
 		batch := randBatch(rng, se.Table)
 		before := fileSize(walPath)
 		diff, err := se.ApplyDeltas(batch)
+		var perr *core.PersistenceError
+		if diff != nil && errors.As(err, &perr) && style == crashCkptFailed {
+			// The batch was journaled and applied; only the compaction
+			// after it failed, and must not have touched the bookkeeping.
+			if st, _ := m.Status(se.ID); st.WALRecords != len(script.Batches)+1 || st.CheckpointSeq != 0 {
+				t.Fatalf("status after a failed checkpoint = %+v, want %d journaled batches on the seq-0 snapshot", st, len(script.Batches)+1)
+			}
+			err = nil
+		}
 		if err != nil {
 			continue // validation rejected (e.g. delete+update race in one batch): no-op
 		}
@@ -141,10 +178,31 @@ func crashRecoveryOnce(t *testing.T, style crashStyle, seed int64, shards int) {
 		sizeBeforeLast, sizeAfterLast = before, fileSize(walPath)
 	}
 
-	// Crash: abandon all in-memory state; optionally damage the WAL tail.
+	if style == crashCkptFailed {
+		err := se.Checkpoint()
+		if st, _ := m.Status(se.ID); !errors.As(err, new(*core.PersistenceError)) || st.WALRecords != len(script.Batches) {
+			t.Fatalf("checkpoint with snapshot writes failing: err = %v, status %+v; want a PersistenceError and all %d batches still journaled", err, st, len(script.Batches))
+		}
+	}
+
+	// Crash: abandon all in-memory state; optionally damage the WAL tail
+	// or leave a checkpoint half done.
 	m.Close()
 	expectSeq := finalSeq
 	switch style {
+	case crashCkptTmp, crashCkptRenamed:
+		snap := se.Snapshot()
+		blob, err := encodeSnapFile(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := m.snapPath(se.ID)
+		if style == crashCkptTmp {
+			path, blob = path+".tmp", blob[:rng.Intn(len(blob)+1)]
+		}
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	case crashTorn:
 		// Cut the final record at a random byte. Only possible when the
 		// last applied batch actually left bytes in the WAL (a batch that
@@ -182,6 +240,9 @@ func crashRecoveryOnce(t *testing.T, style crashStyle, seed int64, shards int) {
 		t.Fatalf("restored %d sessions, want 1", len(sessions))
 	}
 	back := sessions[0]
+	if left, _ := filepath.Glob(filepath.Join(dir, "snap", "*.tmp")); len(left) > 0 {
+		t.Fatalf("restore left %v behind", left)
+	}
 
 	// (1) The recovered table is exactly the surviving prefix's table.
 	want := shadowTbl[expectSeq]

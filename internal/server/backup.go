@@ -45,7 +45,7 @@ type backupMeta struct {
 }
 
 // apiBackup streams the session as a tar. The durable state (snapshot
-// doc + WAL) is captured under the session's read lock — every
+// file + WAL) is captured under the session's read lock — every
 // mutation path (deltas, confirm, delete) takes the write lock, so the
 // pair is consistent — and then streamed to the client with no locks
 // held, so a slow download never blocks the session's writers.
@@ -69,7 +69,7 @@ func (s *Server) apiBackup(w http.ResponseWriter, r *http.Request) {
 	if err == nil && snap == nil {
 		// Memory-only (or never-checkpointed) session: snapshot it fresh.
 		// Everything is folded into the snapshot, so the tail is empty.
-		snap, err = sess.Snapshot()
+		snap = sess.Snapshot()
 	}
 	h.mu.RUnlock()
 	if err != nil {

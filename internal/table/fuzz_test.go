@@ -2,6 +2,9 @@ package table
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -75,6 +78,42 @@ func FuzzReadCSV(f *testing.F) {
 				if tbl.Cell(r, c) != back.Cell(r, c) {
 					t.Fatalf("cell (%d,%d) changed: %q -> %q", r, c, tbl.Cell(r, c), back.Cell(r, c))
 				}
+			}
+		}
+	})
+}
+
+// FuzzDecodeBinary feeds the snapshot decoder — the first thing every
+// restart runs over bytes from disk — both the raw input and the input
+// with a correct checksum appended (so mutations get past the CRC and
+// reach the structure). Decoding never panics, allocates no more than a
+// multiple of the input (no length prefix is trusted further than the
+// bytes behind it), and whatever decodes re-encodes to the same bytes.
+// The hostile bodies (oversized counts and lengths, padded and overflowing
+// varints, schemas New rejects) are the committed corpus under testdata/.
+func FuzzDecodeBinary(f *testing.F) {
+	for _, tbl := range append(goldenTables(f), snapshotFixture(), MustNew("empty", []string{"a"}), wideTable()) {
+		b := tbl.EncodeBinaryBytes()
+		f.Add(b)
+		f.Add(b[:len(b)-crc32.Size]) // the body alone: the harness seals it
+		f.Add(b[:len(b)/2])
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		sealed := binary.LittleEndian.AppendUint32(append([]byte(nil), b...), crc32.ChecksumIEEE(b))
+		for _, in := range [][]byte{b, sealed} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			tbl, err := DecodeBinaryBytes(in)
+			runtime.ReadMemStats(&after)
+			if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(256*len(in)+64<<10); grew > bound {
+				t.Fatalf("decoding %d bytes allocated %d, bound %d", len(in), grew, bound)
+			}
+			if err != nil {
+				continue
+			}
+			again := tbl.EncodeBinaryBytes()
+			if !bytes.Equal(again, in) {
+				t.Fatalf("decoded %d bytes, re-encoded to %d different ones", len(in), len(again))
 			}
 		}
 	})

@@ -12,114 +12,108 @@
 package table
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
+	"math/bits"
 )
 
-// snapshotMagic identifies a binary table snapshot stream.
-const snapshotMagic = "ANMTBL"
+// snapshotMagic identifies a binary table snapshot stream of the current
+// encoding version, the uvarint after "ANMTBL".
+const snapshotMagic = "ANMTBL\x01"
 
-// snapshotVersion is the current encoding version.
-const snapshotVersion = 1
-
-// maxSnapshotStr caps one decoded string length (64 MiB) so a corrupt
-// length prefix cannot drive a huge allocation.
-const maxSnapshotStr = 64 << 20
-
-// EncodeBinary writes the table (name, schema, every row) in the binary
-// snapshot format. The mutation version is deliberately not encoded: a
-// decoded table starts a fresh version timeline, and holders rebuild
-// their caches over it.
-func (t *Table) EncodeBinary(w io.Writer) error {
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriter(io.MultiWriter(w, crc))
-	if _, err := bw.WriteString(snapshotMagic); err != nil {
-		return err
-	}
-	writeUvarint(bw, snapshotVersion)
-	writeString(bw, t.name)
-	writeUvarint(bw, uint64(len(t.columns)))
+// EncodeBinaryBytes returns the table (name, schema, every row) in the
+// binary snapshot format: one exactly pre-sized buffer, checksummed once.
+// The mutation version is deliberately not encoded: a decoded table starts
+// a fresh version timeline, and holders rebuild their caches over it.
+func (t *Table) EncodeBinaryBytes() []byte {
+	size := len(snapshotMagic) + stringLen(t.name) +
+		uvarintLen(uint64(len(t.columns))) + uvarintLen(uint64(len(t.rows))) + crc32.Size
 	for _, c := range t.columns {
-		writeString(bw, c)
+		size += stringLen(c)
 	}
-	writeUvarint(bw, uint64(len(t.rows)))
 	for _, row := range t.rows {
 		for _, cell := range row {
-			writeString(bw, cell)
+			size += stringLen(cell)
 		}
 	}
-	// Flush through the MultiWriter so the CRC covers everything written.
-	if err := bw.Flush(); err != nil {
-		return err
+	b := appendString(append(make([]byte, 0, size), snapshotMagic...), t.name)
+	b = binary.AppendUvarint(b, uint64(len(t.columns)))
+	for _, c := range t.columns {
+		b = appendString(b, c)
 	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	_, err := w.Write(sum[:])
-	return err
+	b = binary.AppendUvarint(b, uint64(len(t.rows)))
+	for _, row := range t.rows {
+		for _, cell := range row {
+			b = appendString(b, cell)
+		}
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
-// EncodeBinaryBytes is EncodeBinary into a fresh byte slice.
-func (t *Table) EncodeBinaryBytes() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := t.EncodeBinary(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+// uvarintLen and stringLen are the encoded sizes of v and s.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+func stringLen(s string) int  { return uvarintLen(uint64(len(s))) + len(s) }
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-// DecodeBinary reads one binary table snapshot to EOF, verifying the
-// magic, version, and checksum. Any structural damage — truncation, a
-// foreign stream, a flipped bit — yields an error naming the defect.
-func DecodeBinary(r io.Reader) (*Table, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("table snapshot: %w", err)
-	}
-	return DecodeBinaryBytes(b)
-}
-
-// DecodeBinaryBytes is DecodeBinary over an in-memory snapshot.
+// DecodeBinaryBytes reads one binary table snapshot. Any structural damage
+// — truncation, a foreign stream, a flipped bit — yields an error naming
+// the defect. The body is copied into one string and the name, columns and
+// cells are cut out of it, rows being windows of one flat slice: a constant
+// number of allocations per table, none sized beyond the bytes left. The
+// decoded cells share that backing string, which lives as long as any does.
 func DecodeBinaryBytes(b []byte) (*Table, error) {
-	if len(b) < len(snapshotMagic)+4 {
+	if len(b) < len(snapshotMagic)+crc32.Size {
 		return nil, fmt.Errorf("table snapshot: truncated (%d bytes)", len(b))
 	}
-	body, tail := b[:len(b)-4], b[len(b)-4:]
+	body, tail := b[:len(b)-crc32.Size], b[len(b)-crc32.Size:]
 	if got, want := binary.LittleEndian.Uint32(tail), crc32.ChecksumIEEE(body); got != want {
 		return nil, fmt.Errorf("table snapshot: checksum mismatch (stored %08x, computed %08x)", got, want)
 	}
-	br := bytes.NewReader(body)
-	magic := make([]byte, len(snapshotMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("table snapshot: read magic: %w", err)
+	s, off := string(body), len(snapshotMagic)
+	if s[:off] != snapshotMagic {
+		return nil, fmt.Errorf("table snapshot: bad magic or unsupported version %q", s[:off])
 	}
-	if string(magic) != snapshotMagic {
-		return nil, fmt.Errorf("table snapshot: bad magic %q", magic)
+	// uvarint accepts only the shortest encoding of a value (the one the
+	// encoder writes), so that what decodes re-encodes to the same bytes.
+	uvarint := func() (uint64, error) {
+		v, n := binary.Uvarint(body[off:])
+		if n <= 0 || n != uvarintLen(v) {
+			return 0, fmt.Errorf("truncated, overflowing or padded varint at byte %d", off)
+		}
+		off += n
+		return v, nil
 	}
-	version, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("table snapshot: read version: %w", err)
+	str := func() (string, error) {
+		n, err := uvarint()
+		if err != nil {
+			return "", err
+		}
+		if n > uint64(len(s)-off) {
+			return "", fmt.Errorf("string length %d exceeds the %d bytes left", n, len(s)-off)
+		}
+		off += int(n)
+		return s[off-int(n) : off], nil
 	}
-	if version != snapshotVersion {
-		return nil, fmt.Errorf("table snapshot: unsupported version %d (want %d)", version, snapshotVersion)
-	}
-	name, err := readString(br)
+	name, err := str()
 	if err != nil {
 		return nil, fmt.Errorf("table snapshot: read name: %w", err)
 	}
-	ncols, err := binary.ReadUvarint(br)
+	// Every string costs at least its length byte, so a count beyond the
+	// bytes left is corrupt — checked before anything is sized by it.
+	ncols, err := uvarint()
+	if err == nil && (ncols == 0 || ncols > uint64(len(s)-off)) {
+		err = fmt.Errorf("%d columns with %d bytes left", ncols, len(s)-off)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("table snapshot: read column count: %w", err)
 	}
-	if ncols == 0 || ncols > 1<<20 {
-		return nil, fmt.Errorf("table snapshot: implausible column count %d", ncols)
-	}
 	cols := make([]string, ncols)
 	for i := range cols {
-		if cols[i], err = readString(br); err != nil {
+		if cols[i], err = str(); err != nil {
 			return nil, fmt.Errorf("table snapshot: read column %d: %w", i, err)
 		}
 	}
@@ -127,48 +121,28 @@ func DecodeBinaryBytes(b []byte) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("table snapshot: %w", err)
 	}
-	nrows, err := binary.ReadUvarint(br)
+	nrows, err := uvarint()
+	if err == nil && nrows > uint64(len(s)-off)/ncols {
+		err = fmt.Errorf("%d rows of %d columns with %d bytes left", nrows, ncols, len(s)-off)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("table snapshot: read row count: %w", err)
 	}
-	t.rows = make([][]string, 0, min(nrows, 1<<20))
-	for i := uint64(0); i < nrows; i++ {
-		row := make([]string, ncols)
-		for j := range row {
-			if row[j], err = readString(br); err != nil {
-				return nil, fmt.Errorf("table snapshot: read row %d cell %d: %w", i, j, err)
-			}
+	nc := int(ncols)
+	cells := make([]string, int(nrows)*nc)
+	for i := range cells {
+		if cells[i], err = str(); err != nil {
+			return nil, fmt.Errorf("table snapshot: read row %d cell %d: %w", i/nc, i%nc, err)
 		}
-		t.rows = append(t.rows, row)
 	}
-	if br.Len() != 0 {
-		return nil, fmt.Errorf("table snapshot: %d trailing bytes after %d rows", br.Len(), nrows)
+	if off != len(s) {
+		return nil, fmt.Errorf("table snapshot: %d trailing bytes after %d rows", len(s)-off, nrows)
+	}
+	t.rows = make([][]string, nrows)
+	for i := range t.rows {
+		// Full slice expressions: Derive appends to a row, which must
+		// reallocate rather than run into the next row's cells.
+		t.rows[i] = cells[i*nc : (i+1)*nc : (i+1)*nc]
 	}
 	return t, nil
-}
-
-func writeUvarint(w *bufio.Writer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	_, _ = w.Write(tmp[:n])
-}
-
-func writeString(w *bufio.Writer, s string) {
-	writeUvarint(w, uint64(len(s)))
-	_, _ = w.WriteString(s)
-}
-
-func readString(br *bytes.Reader) (string, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return "", err
-	}
-	if n > maxSnapshotStr {
-		return "", fmt.Errorf("string length %d exceeds limit", n)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(br, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
 }

@@ -192,30 +192,35 @@ func SyncDir(dir string) error {
 	return d.Close()
 }
 
+// createFile opens WriteFileAtomic's temporary file; the fault tests
+// substitute a handle whose Write, Sync or Close fails.
+var createFile = func(path string) (file, error) {
+	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+}
+
 // WriteFileAtomic replaces path with data by writing path+".tmp" and
 // renaming it over path, so a crash leaves either the old or the new
 // contents. With sync the data is fsynced before the rename publishes it
-// and the directory after, making the replacement durable.
+// and the directory after, making the replacement durable. A failed
+// write, fsync, close or rename removes the temporary file again.
 func WriteFileAtomic(path string, data []byte, sync bool) error {
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := createFile(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	_, err = f.Write(data)
+	if err == nil && sync {
+		err = f.Sync()
 	}
-	if sync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		return err
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
+		os.Remove(tmp) // best effort: the caller gets the first failure
 		return err
 	}
 	if sync {

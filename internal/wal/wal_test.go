@@ -200,11 +200,11 @@ func TestReplay(t *testing.T) {
 	}
 }
 
-// faultyFile fails the log's next Write (after writing a partial
-// record, like a full disk) or its next Sync.
+// faultyFile fails its next Write (after writing half the bytes, like a
+// full disk), its next Sync, or its Close (after really closing).
 type faultyFile struct {
 	*os.File
-	failWrite, failSync bool
+	failWrite, failSync, failClose bool
 }
 
 var errInjected = errors.New("injected fault")
@@ -222,6 +222,14 @@ func (f *faultyFile) Sync() error {
 		return errInjected
 	}
 	return f.File.Sync()
+}
+
+func (f *faultyFile) Close() error {
+	err := f.File.Close()
+	if f.failClose {
+		return errInjected
+	}
+	return err
 }
 
 // commit reports whether the log's owner may acknowledge the batch.
@@ -356,6 +364,51 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 	if err := SyncDir(filepath.Join(dir, "missing")); err == nil {
 		t.Fatal("syncing a missing directory should fail")
+	}
+}
+
+// TestWriteFileAtomicFaults fails each step after the temporary file
+// exists — write, fsync, close (injected) and rename (a directory in the
+// way) — and requires the error back, the previous contents untouched,
+// and no <path>.tmp left for a later directory scan to trip over.
+func TestWriteFileAtomicFaults(t *testing.T) {
+	open := createFile
+	defer func() { createFile = open }()
+	for _, fault := range []string{"write", "sync", "close", "rename"} {
+		t.Run(fault, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "s7.snap")
+			createFile = open
+			if err := WriteFileAtomic(path, []byte("previous"), true); err != nil {
+				t.Fatal(err)
+			}
+			createFile = func(p string) (file, error) {
+				f, err := open(p)
+				if err != nil {
+					return nil, err
+				}
+				return &faultyFile{File: f.(*os.File), failWrite: fault == "write", failSync: fault == "sync", failClose: fault == "close"}, nil
+			}
+			target := path
+			if fault == "rename" {
+				// Renaming a file over a non-empty directory fails.
+				target = filepath.Join(dir, "d")
+				if err := os.MkdirAll(filepath.Join(target, "child"), 0o755); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := WriteFileAtomic(target, []byte("replacement"), true); err == nil {
+				t.Fatalf("failed %s was not reported", fault)
+			} else if fault != "rename" && !errors.Is(err, errInjected) {
+				t.Fatalf("failed %s reported %v, want the injected fault", fault, err)
+			}
+			if _, err := os.Stat(target + ".tmp"); !os.IsNotExist(err) {
+				t.Fatalf("failed %s left %s.tmp behind (err=%v)", fault, target, err)
+			}
+			if got, err := os.ReadFile(path); err != nil || string(got) != "previous" {
+				t.Fatalf("failed %s: previous contents now %q (err=%v)", fault, got, err)
+			}
+		})
 	}
 }
 
