@@ -250,7 +250,13 @@ type Session struct {
 	// violation ratio).
 	Discovery *discovery.Config
 
-	Profile    profile.TableProfile
+	Profile profile.TableProfile
+	// profiledTable and profiledVersion record which table, at which
+	// Version, RunProfile computed Profile from, so RunDiscovery can hand
+	// it to discovery instead of profiling the same rows again.
+	profiledTable   *table.Table
+	profiledVersion int64
+
 	Discovered []*pfd.PFD
 	Confirmed  []*pfd.PFD
 	Violations []pfd.Violation
@@ -433,6 +439,7 @@ func (se *Session) RunStages(ctx context.Context, stages ...Stage) error {
 // "the system will automatically profile the dataset").
 func (se *Session) RunProfile() profile.TableProfile {
 	se.Profile = profile.Profile(se.Table)
+	se.profiledTable, se.profiledVersion = se.Table, se.Table.Version()
 	doc := docstore.Doc{
 		"session": se.ID,
 		"project": se.Project,
@@ -472,7 +479,11 @@ func (se *Session) RunDMV() []DMVFinding {
 // Cancelling ctx aborts mining mid-candidate with an error wrapping
 // context.Canceled.
 func (se *Session) RunDiscovery(ctx context.Context) ([]*pfd.PFD, error) {
-	res, err := discovery.DiscoverContext(ctx, se.Table, se.discoveryConfig())
+	var tp *profile.TableProfile // nil: discovery profiles the table itself
+	if se.profiledTable == se.Table && se.profiledVersion == se.Table.Version() {
+		tp = &se.Profile // the profile stage already profiled exactly these rows
+	}
+	res, err := discovery.DiscoverProfiled(ctx, se.Table, tp, se.discoveryConfig())
 	if err != nil {
 		return nil, fmt.Errorf("session %s: %w", se.ID, err)
 	}

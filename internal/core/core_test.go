@@ -273,6 +273,49 @@ func TestRunCancelledMidDiscovery(t *testing.T) {
 	}
 }
 
+// RunDiscovery hands discovery the profile the profile stage computed —
+// and only while it still describes the table: any mutation since makes
+// discovery profile for itself.
+func TestRunDiscoveryUsesCurrentProfileOnly(t *testing.T) {
+	sys := NewSystem(docstore.NewMem())
+	d := datagen.PhoneState(800, 0.005, 52)
+	se := sys.NewSession("p", d.Table, DefaultParams())
+	ctx := context.Background()
+
+	want, err := discovery.Discover(d.Table, se.discoveryConfig())
+	if err != nil || len(want.PFDs) == 0 {
+		t.Fatalf("fixture: %d PFDs, err %v", len(want.PFDs), err)
+	}
+	se.RunProfile()
+	got, err := se.RunDiscovery(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tableaux(got), tableaux(want.PFDs)) {
+		t.Errorf("discovery over the session's profile differs from a self-profiled run")
+	}
+
+	// A doctored profile (no columns, so no candidates) shows which one
+	// discovery used: the stored one while the table is unchanged …
+	se.Profile.Columns = nil
+	if got, err = se.RunDiscovery(ctx); err != nil || len(got) != 0 {
+		t.Errorf("current profile not handed to discovery: %d PFDs, err %v", len(got), err)
+	}
+	// … and its own as soon as a row changed under it.
+	se.Table.SetCell(0, 1, se.Table.Cell(0, 1))
+	if got, err = se.RunDiscovery(ctx); err != nil || !reflect.DeepEqual(tableaux(got), tableaux(want.PFDs)) {
+		t.Errorf("stale profile must not be used: %d PFDs, err %v", len(got), err)
+	}
+}
+
+func tableaux(ps []*pfd.PFD) []string {
+	out := make([]string, len(ps))
+	for i, p := range ps {
+		out[i] = p.ID() + "\n" + p.Tableau.String()
+	}
+	return out
+}
+
 // TestRunStagesCancelledBetweenStages checks the stage-boundary ctx check.
 func TestRunStagesCancelledBetweenStages(t *testing.T) {
 	sys := NewSystem(docstore.NewMem())

@@ -9,8 +9,11 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"github.com/anmat/anmat/internal/dmv"
 	"github.com/anmat/anmat/internal/invlist"
@@ -144,9 +147,17 @@ func Discover(t *table.Table, cfg Config) (*Result, error) {
 
 // DiscoverContext is Discover with cancellation: ctx is checked before
 // each candidate dependency and periodically inside each candidate's
-// inverted-list scan, so a cancelled mining run stops within a bounded
-// amount of work and returns an error wrapping ctx.Err().
+// inverted-list build and scan, so a cancelled mining run stops within a
+// bounded amount of work and returns an error wrapping ctx.Err().
 func DiscoverContext(ctx context.Context, t *table.Table, cfg Config) (*Result, error) {
+	return DiscoverProfiled(ctx, t, nil, cfg)
+}
+
+// DiscoverProfiled is DiscoverContext for a caller that may already hold
+// the profile of t as it is now (a session that ran its profile stage):
+// candidates come from tp, and discovery profiles t itself only when tp
+// is nil.
+func DiscoverProfiled(ctx context.Context, t *table.Table, tp *profile.TableProfile, cfg Config) (*Result, error) {
 	if cfg.NGramN <= 0 {
 		cfg.NGramN = 3
 	}
@@ -160,8 +171,36 @@ func DiscoverContext(ctx context.Context, t *table.Table, cfg Config) (*Result, 
 	if f == nil {
 		f = cfg.defaultDecision()
 	}
-	tp := profile.Profile(t)
-	cands := profile.Candidates(tp)
+
+	// Every column the run touches is dictionary-coded once; profiling,
+	// every candidate's inverted list and every coverage count then work
+	// per distinct value. The codings live in this call only.
+	cols := make([]*profile.Coded, t.NumCols())
+	if tp == nil {
+		own, coded := profile.ProfileAndCode(t)
+		tp = &own
+		if !cfg.CleanDMVs { // else mining codes the cleaned columns below
+			cols = coded
+		}
+	}
+	cands := profile.Candidates(*tp)
+	sides := make([][2]*profile.Coded, len(cands)) // each candidate's LHS and RHS column
+	for c, cand := range cands {
+		for side, name := range [2]string{cand.LHS, cand.RHS} {
+			i, ok := t.ColIndex(name)
+			if !ok {
+				return nil, fmt.Errorf("table %q: no column %q", t.Name(), name)
+			}
+			if cols[i] == nil {
+				vals := t.ColumnByIndex(i)
+				if cfg.CleanDMVs {
+					vals, _ = dmv.CleanColumn(vals, dmv.Options{})
+				}
+				cols[i] = profile.NewCoded(vals)
+			}
+			sides[c][side] = cols[i]
+		}
+	}
 
 	workers := cfg.Parallelism
 	if workers <= 0 {
@@ -191,7 +230,7 @@ func DiscoverContext(ctx context.Context, t *table.Table, cfg Config) (*Result, 
 					outs[i] = outcome{err: err}
 					continue
 				}
-				p, stats, err := discoverCandidate(ctx, t, cands[i], cfg, f)
+				p, stats, err := discoverCandidate(ctx, t.Name(), cands[i], sides[i][0], sides[i][1], cfg, f)
 				outs[i] = outcome{p: p, stats: stats, err: err}
 			}
 		}()
@@ -223,30 +262,27 @@ feed:
 	return res, nil
 }
 
-// discoverCandidate mines one A → B candidate.
-func discoverCandidate(ctx context.Context, t *table.Table, cand profile.Candidate, cfg Config, f DecisionFunc) (*pfd.PFD, CandidateStats, error) {
+// rule is an accepted inverted-list entry on its way to a tableau row,
+// with the sorted distinct ids of its supporting tuples — the extension
+// that de-duplication and subset pruning compare.
+type rule struct {
+	e      invlist.Entry
+	tuples []int32
+}
+
+// discoverCandidate mines one A → B candidate over the coded columns.
+func discoverCandidate(ctx context.Context, tableName string, cand profile.Candidate, lhs, rhs *profile.Coded, cfg Config, f DecisionFunc) (*pfd.PFD, CandidateStats, error) {
 	stats := CandidateStats{Candidate: cand}
-	lhsVals, err := t.Column(cand.LHS)
-	if err != nil {
-		return nil, stats, err
-	}
-	rhsVals, err := t.Column(cand.RHS)
-	if err != nil {
-		return nil, stats, err
-	}
-
-	if cfg.CleanDMVs {
-		lhsVals, _ = dmv.CleanColumn(lhsVals, dmv.Options{})
-		rhsVals, _ = dmv.CleanColumn(rhsVals, dmv.Options{})
-	}
-
 	useTokens := tokenModeFor(cand, cfg.Mode)
-	list := buildInvertedList(lhsVals, rhsVals, useTokens, cfg)
+	list, err := buildInvertedList(ctx, lhs, rhs, useTokens, cfg)
+	if err != nil {
+		return nil, stats, err
+	}
 	entries := list.Entries()
 	stats.Entries = len(entries)
 
-	tab := tableau.New()
-	accepted := make([]invlist.Entry, 0)
+	var accepted []rule
+	supporting := 0
 	for j, e := range entries {
 		// Large candidates can hold millions of entries; a cancelled run
 		// must not scan them to completion.
@@ -258,15 +294,24 @@ func discoverCandidate(ctx context.Context, t *table.Table, cand profile.Candida
 		if !f(e) {
 			continue
 		}
-		accepted = append(accepted, e)
+		accepted = append(accepted, rule{e: e})
+		supporting += len(e.Postings)
 	}
 	stats.Accepted = len(accepted)
+	// One arena holds every accepted entry's tuple list; it is sized up
+	// front, so the sub-slices stay valid as it fills.
+	arena := make([]int32, 0, supporting)
+	for i := range accepted {
+		from := len(arena)
+		arena = accepted[i].e.Tuples(arena)
+		accepted[i].tuples = arena[from:len(arena):len(arena)]
+	}
 
 	// Extensional dedup: several keys can support exactly the same tuple
 	// set with the same RHS (a prefix and the interior n-gram it implies).
 	// Keep one rule per (tuple set, RHS): prefixes beat n-grams, then
 	// higher specificity wins.
-	accepted = dedupeExtensional(accepted, useTokens)
+	accepted = dedupeExtensional(accepted)
 
 	// Subset dedup: an entry whose supporting tuples are a subset of a
 	// larger accepted entry with the same RHS is extensionally redundant
@@ -274,38 +319,46 @@ func discoverCandidate(ctx context.Context, t *table.Table, cand profile.Candida
 	// keeps tableaux the size the paper's Figure 4 shows.
 	accepted = dropSubsumedEntries(accepted)
 
-	// Constant rows from accepted entries.
-	rows := make([]tableau.Row, 0, len(accepted))
-	for _, e := range accepted {
-		q, ok := patternTupleFor(e, lhsVals, useTokens)
+	// Constant rows from accepted entries, highest support first; the
+	// rendered LHS breaks ties and is rendered once per row, not once per
+	// comparison.
+	type sortedRow struct {
+		row tableau.Row
+		lhs string
+	}
+	rows := make([]sortedRow, 0, len(accepted))
+	seen := make([]bool, len(lhs.Values))
+	for _, r := range accepted {
+		q, ok := patternTupleFor(r.e, lhs, seen)
 		if !ok {
 			continue
 		}
-		rows = append(rows, tableau.Row{
+		rows = append(rows, sortedRow{lhs: q.String(), row: tableau.Row{
 			LHS:      q,
-			RHS:      e.TopRHS,
-			Support:  e.Support,
-			Position: e.DominantLHSPos,
-		})
+			RHS:      r.e.TopRHS,
+			Support:  r.e.Support,
+			Position: r.e.DominantLHSPos,
+		}})
 	}
-	// Keep the highest-support rows when capped.
-	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i].Support != rows[j].Support {
-			return rows[i].Support > rows[j].Support
+	slices.SortStableFunc(rows, func(a, b sortedRow) int {
+		if a.row.Support != b.row.Support {
+			return b.row.Support - a.row.Support
 		}
-		return rows[i].LHS.String() < rows[j].LHS.String()
+		return strings.Compare(a.lhs, b.lhs)
 	})
+	// Keep the highest-support rows when capped.
 	if cfg.MaxTableauRows > 0 && len(rows) > cfg.MaxTableauRows {
 		rows = rows[:cfg.MaxTableauRows]
 	}
+	tab := tableau.New()
 	for _, r := range rows {
-		tab.Add(r)
+		tab.Add(r.row)
 	}
 
 	// Variable rows: if almost every key of a positional family is
 	// individually functional, the family generalizes to a wildcard rule.
 	if cfg.MineVariable {
-		for _, vr := range mineVariableRows(entries, lhsVals, useTokens, cfg) {
+		for _, vr := range mineVariableRows(entries, lhs, useTokens, cfg) {
 			tab.Add(vr)
 		}
 	}
@@ -315,13 +368,13 @@ func discoverCandidate(ctx context.Context, t *table.Table, cand profile.Candida
 	if tab.Empty() {
 		return nil, stats, nil
 	}
-	cov := tab.Coverage(lhsVals)
+	cov := tab.CoverageCounted(lhs.Values, lhs.Counts)
 	stats.Coverage = cov
 	if cov < cfg.MinCoverage {
 		return nil, stats, nil
 	}
 	stats.Kept = true
-	p := pfd.New(t.Name(), cand.LHS, cand.RHS, tab)
+	p := pfd.New(tableName, cand.LHS, cand.RHS, tab)
 	p.Coverage = cov
 	p.Source = "discovered"
 	return p, stats, nil
@@ -344,80 +397,68 @@ func tokenModeFor(cand profile.Candidate, m Mode) bool {
 // like Table 3's `850…`) plus interior n-grams. The RHS value u is the
 // whole of t[B]: Table 3's rules predict complete RHS values, and pairing
 // with whole values keeps multi-token constants like "Los Angeles" intact.
-func buildInvertedList(lhs, rhs []string, useTokens bool, cfg Config) *invlist.List {
-	list := invlist.NewList()
-	for id := range lhs {
-		v := lhs[id]
-		if v == "" {
-			continue
-		}
-		u := rhs[id]
-		if u == "" {
-			// A missing RHS carries no evidence for or against any rule.
-			continue
-		}
-		if useTokens {
-			for _, tok := range tokenize.Tokenize(v) {
-				list.Insert(tok.Text, invlist.Posting{TupleID: id, LHSPos: tok.Pos, RHS: u, RHSPos: 0})
+//
+// Each distinct LHS value is decomposed once, on the first tuple that
+// holds it with a non-empty RHS; when other tuples hold it too, its (key,
+// position) pairs are kept so those insert without tokenizing or hashing
+// again.
+func buildInvertedList(ctx context.Context, lhs, rhs *profile.Coded, useTokens bool, cfg Config) (*invlist.List, error) {
+	list := invlist.New(rhs.IDs, rhs.Values)
+	type ref struct {
+		key uint32
+		pos int32
+	}
+	// kept[span[d].from:span[d].to] are the pairs of a repeated LHS value
+	// d. Slot 0 is unused, so to == 0 means "not decomposed yet" even for
+	// a value that decomposes to nothing.
+	kept := make([]ref, 1)
+	span := make([]struct{ from, to int32 }, len(lhs.Values))
+	var cur []ref
+	var toks []tokenize.Token
+	for tuple, d := range lhs.IDs {
+		if tuple&8191 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
+		}
+		v := lhs.Values[d]
+		// A missing RHS carries no evidence for or against any rule.
+		if v == "" || rhs.Values[rhs.IDs[tuple]] == "" {
 			continue
 		}
-		for _, tok := range tokenize.Prefixes(v, cfg.MaxPrefix) {
-			list.Insert(prefixKey(tok.Text), invlist.Posting{TupleID: id, LHSPos: 0, RHS: u, RHSPos: 0})
-		}
-		for _, tok := range tokenize.NGrams(v, cfg.NGramN) {
-			if tok.Pos == 0 {
-				continue // prefix of same length already indexed
-			}
-			list.Insert(gramKey(tok.Text, tok.Pos), invlist.Posting{TupleID: id, LHSPos: tok.Pos, RHS: u, RHSPos: 0})
-		}
-	}
-	return list
-}
-
-// Key namespaces: prefixes and positioned n-grams share one hash map but
-// must not collide ("900" as a prefix vs "900" at position 3).
-func prefixKey(s string) string        { return "p\x00" + s }
-func gramKey(s string, pos int) string { return "g\x00" + s + "\x00" + itoa(pos) }
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
-}
-
-// keyParts recovers the namespace, text and position of an inverted-list
-// key produced by buildInvertedList; token-mode keys are returned as-is.
-func keyParts(key string, useTokens bool) (kind byte, text string, pos int) {
-	if useTokens {
-		return 't', key, -1
-	}
-	if len(key) > 2 && key[1] == 0 {
-		switch key[0] {
-		case 'p':
-			return 'p', key[2:], 0
-		case 'g':
-			rest := key[2:]
-			for i := len(rest) - 1; i >= 0; i-- {
-				if rest[i] == 0 {
-					p := 0
-					for _, c := range rest[i+1:] {
-						p = p*10 + int(c-'0')
+		refs := kept[span[d].from:span[d].to]
+		if span[d].to == 0 {
+			cur = cur[:0]
+			if useTokens {
+				toks = tokenize.AppendTokens(toks[:0], v, tokenize.DefaultDelims)
+				for _, tok := range toks {
+					cur = append(cur, ref{list.KeyID(invlist.Key{Kind: invlist.Token, Text: tok.Text}), int32(tok.Pos)})
+				}
+			} else {
+				toks = tokenize.AppendPrefixes(toks[:0], v, cfg.MaxPrefix)
+				for _, tok := range toks {
+					cur = append(cur, ref{list.KeyID(invlist.Key{Kind: invlist.Prefix, Text: tok.Text}), 0})
+				}
+				toks = tokenize.AppendNGrams(toks[:0], v, cfg.NGramN)
+				for _, tok := range toks {
+					if tok.Pos == 0 {
+						continue // prefix of same length already indexed
 					}
-					return 'g', rest[:i], p
+					cur = append(cur, ref{list.KeyID(invlist.Key{Kind: invlist.Gram, Pos: int32(tok.Pos), Text: tok.Text}), int32(tok.Pos)})
 				}
 			}
+			refs = cur
+			if lhs.Counts[d] > 1 {
+				span[d].from = int32(len(kept))
+				kept = append(kept, cur...)
+				span[d].to = int32(len(kept))
+			}
+		}
+		for _, r := range refs {
+			list.Insert(r.key, tuple, int(r.pos))
 		}
 	}
-	return '?', key, -1
+	return list, nil
 }
 
 // patternTupleFor is line 12 of Figure 2: turn an accepted entry into a
@@ -430,19 +471,19 @@ func keyParts(key string, useTokens bool) (kind byte, text string, pos int) {
 //   - prefix:                <pre>tail         (tail = LCG of supporting
 //     suffixes, e.g. <850>\D{7})
 //   - interior n-gram:       \A{pos}<gram>\A*
-func patternTupleFor(e invlist.Entry, lhsVals []string, useTokens bool) (pattern.Constrained, bool) {
-	kind, text, pos := keyParts(e.Key, useTokens)
-	switch kind {
-	case 't':
-		return tokenPatternTuple(e, text, lhsVals)
-	case 'p':
-		return prefixPatternTuple(e, text, lhsVals)
-	case 'g':
+func patternTupleFor(e invlist.Entry, lhs *profile.Coded, seen []bool) (pattern.Constrained, bool) {
+	text := e.Key.Text
+	switch e.Key.Kind {
+	case invlist.Token:
+		return tokenPatternTuple(e, text, lhs)
+	case invlist.Prefix:
+		return prefixPatternTuple(e, text, lhs, seen)
+	default:
 		if text == "" {
 			return pattern.Constrained{}, false
 		}
 		segs := []pattern.Segment{
-			{Pat: pattern.New(pattern.ClassTok(gentreeAll()).WithCount(pos))},
+			{Pat: pattern.New(pattern.ClassTok(gentreeAll()).WithCount(int(e.Key.Pos)))},
 			{Pat: pattern.Literal(text), Constrained: true},
 			{Pat: pattern.AnyString()},
 		}
@@ -451,12 +492,10 @@ func patternTupleFor(e invlist.Entry, lhsVals []string, useTokens bool) (pattern
 			return pattern.Constrained{}, false
 		}
 		return q, true
-	default:
-		return pattern.Constrained{}, false
 	}
 }
 
-func tokenPatternTuple(e invlist.Entry, tok string, lhsVals []string) (pattern.Constrained, bool) {
+func tokenPatternTuple(e invlist.Entry, tok string, lhs *profile.Coded) (pattern.Constrained, bool) {
 	if tok == "" {
 		return pattern.Constrained{}, false
 	}
@@ -469,7 +508,7 @@ func tokenPatternTuple(e invlist.Entry, tok string, lhsVals []string) (pattern.C
 		// token, constrain the whole value; otherwise token + separator.
 		allWhole := true
 		for _, p := range e.Postings {
-			if p.LHSPos == 0 && lhsVals[p.TupleID] != tok {
+			if p.Pos == 0 && lhs.Value(int(p.Tuple)) != tok {
 				allWhole = false
 				break
 			}
@@ -491,14 +530,14 @@ func tokenPatternTuple(e invlist.Entry, tok string, lhsVals []string) (pattern.C
 	// comma-terminated token, and drop the trailing \A* when the token is
 	// always value-final (Table 3's `\A*,\ David` row has no tail).
 	prefix := pattern.AnyString().Concat(pattern.Literal(" "))
-	if alwaysAfterComma(e, lhsVals, tok) {
+	if alwaysAfterComma(e, lhs, tok) {
 		prefix = pattern.AnyString().Concat(pattern.Literal(", "))
 	}
 	segs := []pattern.Segment{
 		{Pat: prefix},
 		{Pat: pattern.Literal(tok), Constrained: true},
 	}
-	if !alwaysValueFinal(e, lhsVals, tok) {
+	if !alwaysValueFinal(e, lhs, tok) {
 		segs = append(segs, pattern.Segment{Pat: pattern.AnyString()})
 	}
 	q, err := pattern.NewConstrained(segs...)
@@ -509,11 +548,10 @@ func tokenPatternTuple(e invlist.Entry, tok string, lhsVals []string) (pattern.C
 }
 
 // alwaysValueFinal reports whether the token ends every supporting value.
-func alwaysValueFinal(e invlist.Entry, lhsVals []string, tok string) bool {
+func alwaysValueFinal(e invlist.Entry, lhs *profile.Coded, tok string) bool {
 	checked := 0
 	for _, p := range e.Postings {
-		v := lhsVals[p.TupleID]
-		if len(v) < len(tok) || v[len(v)-len(tok):] != tok {
+		if !strings.HasSuffix(lhs.Value(int(p.Tuple)), tok) {
 			return false
 		}
 		checked++
@@ -526,19 +564,19 @@ func alwaysValueFinal(e invlist.Entry, lhsVals []string, tok string) bool {
 
 // alwaysAfterComma samples supporting values and reports whether the
 // character immediately before the token's occurrences is always ", ".
-func alwaysAfterComma(e invlist.Entry, lhsVals []string, tok string) bool {
+func alwaysAfterComma(e invlist.Entry, lhs *profile.Coded, tok string) bool {
 	checked := 0
+	var toks []tokenize.Token
 	for _, p := range e.Postings {
-		v := lhsVals[p.TupleID]
-		toks := tokenize.Tokenize(v)
-		if p.LHSPos >= len(toks) || toks[p.LHSPos].Text != tok {
+		toks = tokenize.AppendTokens(toks[:0], lhs.Value(int(p.Tuple)), tokenize.DefaultDelims)
+		pos := int(p.Pos)
+		if pos >= len(toks) || toks[pos].Text != tok {
 			continue
 		}
-		if p.LHSPos == 0 {
+		if pos == 0 {
 			return false
 		}
-		prev := toks[p.LHSPos-1].Text
-		if len(prev) == 0 || prev[len(prev)-1] != ',' {
+		if !strings.HasSuffix(toks[pos-1].Text, ",") {
 			return false
 		}
 		checked++
@@ -550,23 +588,26 @@ func alwaysAfterComma(e invlist.Entry, lhsVals []string, tok string) bool {
 }
 
 // prefixPatternTuple builds <prefix>tail where tail generalizes the
-// suffixes of the supporting values.
-func prefixPatternTuple(e invlist.Entry, prefix string, lhsVals []string) (pattern.Constrained, bool) {
+// suffixes of the supporting values. seen is scratch space indexed by LHS
+// value ID, all false on entry and on return: distinct values with the
+// prefix have distinct suffixes, so each value is looked at once.
+func prefixPatternTuple(e invlist.Entry, prefix string, lhs *profile.Coded, seen []bool) (pattern.Constrained, bool) {
 	if prefix == "" {
 		return pattern.Constrained{}, false
 	}
 	var suffixes []string
-	seen := map[string]bool{}
 	for _, p := range e.Postings {
-		v := lhsVals[p.TupleID]
-		if len(v) < len(prefix) || v[:len(prefix)] != prefix {
+		d := lhs.IDs[p.Tuple]
+		if seen[d] {
 			continue
 		}
-		sfx := v[len(prefix):]
-		if !seen[sfx] {
-			seen[sfx] = true
-			suffixes = append(suffixes, sfx)
+		seen[d] = true
+		if v := lhs.Values[d]; strings.HasPrefix(v, prefix) {
+			suffixes = append(suffixes, v[len(prefix):])
 		}
+	}
+	for _, p := range e.Postings {
+		seen[lhs.IDs[p.Tuple]] = false
 	}
 	sort.Strings(suffixes)
 	var tail pattern.Pattern
@@ -590,54 +631,48 @@ func prefixPatternTuple(e invlist.Entry, prefix string, lhsVals []string) (patte
 // dedupeExtensional keeps one accepted entry per (supporting tuple set,
 // majority RHS). Interior n-grams implied by a prefix ("060" at position 1
 // inside every "6060…" zip) duplicate the prefix rule's extension and are
-// dropped in its favour.
-func dedupeExtensional(entries []invlist.Entry, useTokens bool) []invlist.Entry {
-	type best struct {
-		e    invlist.Entry
-		rank int
-	}
-	rankOf := func(e invlist.Entry) int {
-		kind, text, _ := keyParts(e.Key, useTokens)
-		switch kind {
-		case 't':
+// dropped in its favour. Extensions are found by hash and confirmed by
+// comparing the sorted tuple lists.
+func dedupeExtensional(rules []rule) []rule {
+	rankOf := func(k invlist.Key) int {
+		switch k.Kind {
+		case invlist.Token:
 			return 3
-		case 'p':
+		case invlist.Prefix:
 			// Among extensionally equal rules, the longer prefix anchors
 			// more of the key without changing the matched set ("850"
 			// beats "85" when every 85x is 850).
-			return 2_000 + len(text)
+			return 2_000 + len(k.Text)
 		default:
 			return 1
 		}
 	}
-	byExt := make(map[string]*best)
-	var order []string
-	for _, e := range entries {
-		ids := make([]int, 0, len(e.Postings))
-		seen := map[int]bool{}
-		for _, p := range e.Postings {
-			if !seen[p.TupleID] {
-				seen[p.TupleID] = true
-				ids = append(ids, p.TupleID)
+	slot := make(map[uint64]int, len(rules)) // extension hash → index into out
+	out := make([]rule, 0, len(rules))       // best rule per extension, in first-seen order
+	for _, r := range rules {
+		h := uint64(14695981039346656037)
+		for i := 0; i < len(r.e.TopRHS); i++ {
+			h = (h ^ uint64(r.e.TopRHS[i])) * 1099511628211
+		}
+		for _, id := range r.tuples {
+			h = (h ^ uint64(uint32(id))) * 1099511628211
+		}
+		for ; ; h++ { // a colliding, different extension probes the next hash
+			i, ok := slot[h]
+			if !ok {
+				slot[h] = len(out)
+				out = append(out, r)
+				break
 			}
+			b := &out[i]
+			if b.e.TopRHS != r.e.TopRHS || !slices.Equal(b.tuples, r.tuples) {
+				continue
+			}
+			if rr, br := rankOf(r.e.Key), rankOf(b.e.Key); rr > br || (rr == br && invlist.Compare(r.e.Key, b.e.Key) < 0) {
+				*b = r
+			}
+			break
 		}
-		sort.Ints(ids)
-		var sb []byte
-		for _, id := range ids {
-			sb = append(sb, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-		}
-		key := e.TopRHS + "\x00" + string(sb)
-		r := rankOf(e)
-		if b, ok := byExt[key]; !ok {
-			byExt[key] = &best{e: e, rank: r}
-			order = append(order, key)
-		} else if r > b.rank || (r == b.rank && e.Key < b.e.Key) {
-			b.e, b.rank = e, r
-		}
-	}
-	out := make([]invlist.Entry, 0, len(order))
-	for _, k := range order {
-		out = append(out, byExt[k].e)
 	}
 	return out
 }
@@ -646,52 +681,43 @@ func dedupeExtensional(entries []invlist.Entry, useTokens bool) []invlist.Entry 
 // is a strict subset of another accepted entry with the same majority
 // RHS. Entries are processed largest-first so survivors are the most
 // general rules.
-func dropSubsumedEntries(entries []invlist.Entry) []invlist.Entry {
-	type holder struct {
-		e   invlist.Entry
-		ids map[int]bool
-	}
-	hs := make([]holder, 0, len(entries))
-	for _, e := range entries {
-		ids := make(map[int]bool, len(e.Postings))
-		for _, p := range e.Postings {
-			ids[p.TupleID] = true
+func dropSubsumedEntries(rules []rule) []rule {
+	slices.SortStableFunc(rules, func(a, b rule) int {
+		if len(a.tuples) != len(b.tuples) {
+			return len(b.tuples) - len(a.tuples)
 		}
-		hs = append(hs, holder{e: e, ids: ids})
-	}
-	sort.SliceStable(hs, func(i, j int) bool {
-		if len(hs[i].ids) != len(hs[j].ids) {
-			return len(hs[i].ids) > len(hs[j].ids)
-		}
-		return hs[i].e.Key < hs[j].e.Key
+		return invlist.Compare(a.e.Key, b.e.Key)
 	})
-	keptByRHS := make(map[string][]map[int]bool)
-	var out []invlist.Entry
-	for _, h := range hs {
-		subsumed := false
-		for _, big := range keptByRHS[h.e.TopRHS] {
-			if len(h.ids) > len(big) {
-				continue
-			}
-			all := true
-			for id := range h.ids {
-				if !big[id] {
-					all = false
-					break
-				}
-			}
-			if all {
-				subsumed = true
-				break
-			}
-		}
-		if subsumed {
+	keptByRHS := make(map[string][][]int32)
+	out := rules[:0]
+	for _, r := range rules {
+		if slices.ContainsFunc(keptByRHS[r.e.TopRHS], func(big []int32) bool { return subset(r.tuples, big) }) {
 			continue
 		}
-		keptByRHS[h.e.TopRHS] = append(keptByRHS[h.e.TopRHS], h.ids)
-		out = append(out, h.e)
+		keptByRHS[r.e.TopRHS] = append(keptByRHS[r.e.TopRHS], r.tuples)
+		out = append(out, r)
 	}
 	return out
+}
+
+// subset reports whether every id of a occurs in b; both are ascending.
+// Each id is binary-searched in what is left of b, so a small set is
+// tested against a large one in O(|a| log |b|).
+func subset(a, b []int32) bool {
+	if len(a) > len(b) {
+		return false
+	}
+	if len(a) > 0 && (a[0] < b[0] || a[len(a)-1] > b[len(b)-1]) {
+		return false
+	}
+	for _, id := range a {
+		i, found := slices.BinarySearch(b, id)
+		if !found {
+			return false
+		}
+		b = b[i+1:]
+	}
+	return true
 }
 
 // mineVariableRows looks for positional key families that are uniformly
@@ -701,27 +727,26 @@ func dropSubsumedEntries(entries []invlist.Entry) []invlist.Entry {
 //     <\LU\LL*\ >\A* → ⊥ (λ4) when they share that shape;
 //   - prefix families: all length-L prefixes whose entries are functional
 //     generalize to <\D{L}>tail → ⊥ (λ5).
-func mineVariableRows(entries []invlist.Entry, lhsVals []string, useTokens bool, cfg Config) []tableau.Row {
+func mineVariableRows(entries []invlist.Entry, lhs *profile.Coded, useTokens bool, cfg Config) []tableau.Row {
 	minConf := 1 - cfg.MaxViolationRatio
 	if useTokens {
-		return variableTokenRow(entries, lhsVals, cfg, minConf)
+		return variableTokenRow(entries, cfg, minConf)
 	}
-	return variablePrefixRows(entries, lhsVals, cfg, minConf)
+	return variablePrefixRows(entries, lhs, cfg, minConf)
 }
 
-func variableTokenRow(entries []invlist.Entry, lhsVals []string, cfg Config, minConf float64) []tableau.Row {
+func variableTokenRow(entries []invlist.Entry, cfg Config, minConf float64) []tableau.Row {
 	var keys []string
 	good, total, support := 0, 0, 0
 	for _, e := range entries {
-		kind, text, _ := keyParts(e.Key, true)
-		if kind != 't' || e.DominantLHSPos != 0 || e.Support < cfg.MinSupport {
+		if e.Key.Kind != invlist.Token || e.DominantLHSPos != 0 || e.Support < cfg.MinSupport {
 			continue
 		}
 		total++
 		if e.Confidence() >= minConf {
 			good++
 			support += e.Support
-			keys = append(keys, text)
+			keys = append(keys, e.Key.Text)
 		}
 	}
 	if total == 0 || float64(good)/float64(total) < cfg.VariableKeyFraction || len(keys) < 2 {
@@ -739,7 +764,7 @@ func variableTokenRow(entries []invlist.Entry, lhsVals []string, cfg Config, min
 	return []tableau.Row{{LHS: q, RHS: tableau.Wildcard, Support: support}}
 }
 
-func variablePrefixRows(entries []invlist.Entry, lhsVals []string, cfg Config, minConf float64) []tableau.Row {
+func variablePrefixRows(entries []invlist.Entry, lhs *profile.Coded, cfg Config, minConf float64) []tableau.Row {
 	// Group prefix entries by length.
 	type fam struct {
 		good, total, support int
@@ -748,11 +773,11 @@ func variablePrefixRows(entries []invlist.Entry, lhsVals []string, cfg Config, m
 	}
 	fams := map[int]*fam{}
 	for _, e := range entries {
-		kind, text, _ := keyParts(e.Key, false)
-		if kind != 'p' || e.Support < cfg.MinSupport {
+		text := e.Key.Text
+		if e.Key.Kind != invlist.Prefix || e.Support < cfg.MinSupport {
 			continue
 		}
-		L := len([]rune(text))
+		L := utf8.RuneCountInString(text)
 		f := fams[L]
 		if f == nil {
 			f = &fam{}
@@ -764,8 +789,7 @@ func variablePrefixRows(entries []invlist.Entry, lhsVals []string, cfg Config, m
 			f.support += e.Support
 			f.prefixes = append(f.prefixes, text)
 			for _, p := range e.Postings {
-				v := lhsVals[p.TupleID]
-				if len(v) >= len(text) && v[:len(text)] == text {
+				if v := lhs.Value(int(p.Tuple)); strings.HasPrefix(v, text) {
 					f.tails = append(f.tails, v[len(text):])
 					break
 				}
@@ -796,16 +820,8 @@ func variablePrefixRows(entries []invlist.Entry, lhsVals []string, cfg Config, m
 }
 
 func dedupStrings(ss []string) []string {
-	seen := map[string]bool{}
-	out := ss[:0]
-	for _, s := range ss {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	sort.Strings(out)
-	return out
+	sort.Strings(ss)
+	return slices.Compact(ss)
 }
 
 // openRunsOf widens literal-heavy LCG results (e.g. `\LU\LL{3}`) to the

@@ -4,39 +4,81 @@ import (
 	"testing"
 )
 
+// newList returns an empty list over tuples with the given RHS values,
+// interning them in first-occurrence order.
+func newList(rhs ...string) *List {
+	var rhsOf []uint32
+	var rhsVals []string
+	ids := map[string]uint32{}
+	for _, u := range rhs {
+		id, ok := ids[u]
+		if !ok {
+			id = uint32(len(rhsVals))
+			ids[u] = id
+			rhsVals = append(rhsVals, u)
+		}
+		rhsOf = append(rhsOf, id)
+	}
+	return New(rhsOf, rhsVals)
+}
+
+func tok(s string) Key { return Key{Kind: Token, Text: s} }
+
+func (l *List) insert(key string, tuple, pos int) { l.Insert(l.KeyID(tok(key)), tuple, pos) }
+
+// entry returns the analyzed entry of a key, or the zero Entry.
+func entry(l *List, k Key) Entry {
+	for _, e := range l.Entries() {
+		if e.Key == k {
+			return e
+		}
+	}
+	return Entry{}
+}
+
 func buildSample() *List {
-	l := NewList()
 	// Key "John" appears in tuples 0,1,2 all with RHS "M"; tuple 3 has
 	// RHS "F" (the dirty one).
-	l.Insert("John", Posting{TupleID: 0, LHSPos: 0, RHS: "M"})
-	l.Insert("John", Posting{TupleID: 1, LHSPos: 0, RHS: "M"})
-	l.Insert("John", Posting{TupleID: 2, LHSPos: 0, RHS: "M"})
-	l.Insert("John", Posting{TupleID: 3, LHSPos: 0, RHS: "F"})
-	l.Insert("Susan", Posting{TupleID: 4, LHSPos: 0, RHS: "F"})
-	l.Insert("Susan", Posting{TupleID: 5, LHSPos: 0, RHS: "F"})
+	l := newList("M", "M", "M", "F", "F", "F")
+	l.insert("John", 0, 0)
+	l.insert("John", 1, 0)
+	l.insert("John", 2, 0)
+	l.insert("John", 3, 0)
+	l.insert("Susan", 4, 0)
+	l.insert("Susan", 5, 0)
 	return l
 }
 
 func TestInsertAndPostings(t *testing.T) {
 	l := buildSample()
-	if l.Len() != 2 {
-		t.Fatalf("Len = %d", l.Len())
+	if n := len(l.Entries()); n != 2 {
+		t.Fatalf("%d keys", n)
 	}
-	if n := len(l.Postings("John")); n != 4 {
+	if n := len(entry(l, tok("John")).Postings); n != 4 {
 		t.Errorf("John postings = %d", n)
 	}
-	if l.Postings("missing") != nil {
-		t.Error("missing key should return nil")
+	if entry(l, tok("missing")).Postings != nil {
+		t.Error("missing key should have no postings")
 	}
-	keys := l.Keys()
-	if len(keys) != 2 || keys[0] != "John" || keys[1] != "Susan" {
-		t.Errorf("Keys = %v", keys)
+	if a, b := l.KeyID(tok("John")), l.KeyID(tok("Susan")); a != 0 || b != 1 || len(l.Entries()) != 2 {
+		t.Errorf("KeyID must return the dense first-sight IDs: John=%d Susan=%d", a, b)
 	}
+}
+
+func TestInsertOutOfTupleOrderPanics(t *testing.T) {
+	l := newList("x", "x")
+	l.insert("k", 1, 0)
+	defer func() {
+		if recover() == nil {
+			t.Error("inserting tuple 0 after tuple 1 must panic: the analysis relies on tuple order")
+		}
+	}()
+	l.insert("k", 0, 0)
 }
 
 func TestAnalyze(t *testing.T) {
 	l := buildSample()
-	e := l.Analyze("John")
+	e := entry(l, tok("John"))
 	if e.Support != 4 {
 		t.Errorf("Support = %d", e.Support)
 	}
@@ -52,25 +94,39 @@ func TestAnalyze(t *testing.T) {
 }
 
 func TestAnalyzeDedupByTuple(t *testing.T) {
-	l := NewList()
+	l := newList("x")
 	// Same tuple mentions the key twice (e.g. "aa aa"): support counts
 	// tuples, not postings.
-	l.Insert("aa", Posting{TupleID: 0, LHSPos: 0, RHS: "x"})
-	l.Insert("aa", Posting{TupleID: 0, LHSPos: 1, RHS: "x"})
-	e := l.Analyze("aa")
+	l.insert("aa", 0, 0)
+	l.insert("aa", 0, 1)
+	e := entry(l, tok("aa"))
 	if e.Support != 1 {
 		t.Errorf("Support = %d, want 1 (per-tuple)", e.Support)
 	}
-	if e.RHSCounts["x"] != 1 {
-		t.Errorf("RHSCounts[x] = %d, want 1", e.RHSCounts["x"])
+	if e.TopRHS != "x" || e.TopCount != 1 {
+		t.Errorf("TopRHS/TopCount = %q/%d, want x/1 (one vote per tuple)", e.TopRHS, e.TopCount)
+	}
+	if len(e.Postings) != 2 || e.PosPurity != 0.5 || e.DominantLHSPos != 0 {
+		t.Errorf("every mention counts towards positions: %d postings, pos %d purity %f",
+			len(e.Postings), e.DominantLHSPos, e.PosPurity)
+	}
+	if got := e.Tuples(nil); len(got) != 1 || got[0] != 0 {
+		t.Errorf("Tuples = %v, want [0]", got)
 	}
 }
 
 func TestAnalyzeEmptyKey(t *testing.T) {
-	l := NewList()
-	e := l.Analyze("missing")
+	l := newList()
+	e := entry(l, tok("missing"))
 	if e.Support != 0 || e.Confidence() != 0 {
 		t.Errorf("empty entry: support=%d conf=%f", e.Support, e.Confidence())
+	}
+	// A key that was interned but never received a posting is still an
+	// entry, with nothing in it.
+	l.KeyID(tok("unused"))
+	es := l.Entries()
+	if len(es) != 1 || es[0].Support != 0 || es[0].TopRHS != "" || es[0].PosPurity != 0 {
+		t.Errorf("posting-less key: %+v", es)
 	}
 }
 
@@ -80,31 +136,55 @@ func TestEntriesOrdering(t *testing.T) {
 	if len(es) != 2 {
 		t.Fatalf("Entries = %d", len(es))
 	}
-	if es[0].Key != "John" || es[1].Key != "Susan" {
-		t.Errorf("order: %s, %s (want John first, higher support)", es[0].Key, es[1].Key)
+	if es[0].Key.Text != "John" || es[1].Key.Text != "Susan" {
+		t.Errorf("order: %s, %s (want John first, higher support)", es[0].Key.Text, es[1].Key.Text)
 	}
 }
 
 func TestEntriesTieBreaksOnKey(t *testing.T) {
-	l := NewList()
-	l.Insert("b", Posting{TupleID: 0, RHS: "x"})
-	l.Insert("a", Posting{TupleID: 1, RHS: "x"})
+	l := newList("x", "x")
+	l.insert("b", 0, 0)
+	l.insert("a", 1, 0)
 	es := l.Entries()
-	if es[0].Key != "a" {
-		t.Errorf("tie should break lexicographically, got %q first", es[0].Key)
+	if es[0].Key.Text != "a" {
+		t.Errorf("tie should break lexicographically, got %q first", es[0].Key.Text)
 	}
 }
 
 func TestDominantPosition(t *testing.T) {
-	l := NewList()
-	l.Insert("k", Posting{TupleID: 0, LHSPos: 1, RHS: "x"})
-	l.Insert("k", Posting{TupleID: 1, LHSPos: 1, RHS: "x"})
-	l.Insert("k", Posting{TupleID: 2, LHSPos: 3, RHS: "x"})
-	e := l.Analyze("k")
+	l := newList("x", "x", "x")
+	l.insert("k", 0, 1)
+	l.insert("k", 1, 1)
+	l.insert("k", 2, 3)
+	e := entry(l, tok("k"))
 	if e.DominantLHSPos != 1 {
 		t.Errorf("DominantLHSPos = %d", e.DominantLHSPos)
 	}
 	if e.PosPurity < 0.6 || e.PosPurity > 0.7 {
 		t.Errorf("PosPurity = %f", e.PosPurity)
+	}
+}
+
+// Ties: the lexicographically smallest RHS wins whatever order the votes
+// arrive in, and the lowest position wins — including positions far past
+// anything a small fixed counter array would hold.
+func TestTopRHSAndPositionTies(t *testing.T) {
+	l := newList("b", "a", "c", "c", "a", "b")
+	for tuple, pos := range []int{70_000, 3, 70_000, 3, 9, 9} {
+		l.insert("k", tuple, pos)
+	}
+	e := entry(l, tok("k"))
+	if e.Support != 6 || e.TopRHS != "a" || e.TopCount != 2 {
+		t.Errorf("support %d top %q/%d, want 6 a/2", e.Support, e.TopRHS, e.TopCount)
+	}
+	if e.DominantLHSPos != 3 || e.PosPurity != 2.0/6.0 {
+		t.Errorf("pos %d purity %v, want 3 and 1/3", e.DominantLHSPos, e.PosPurity)
+	}
+	// The counters are reused across keys: a second key must not see the
+	// first one's votes.
+	l.insert("z", 5, 70_000)
+	z := entry(l, tok("z"))
+	if z.Support != 1 || z.TopRHS != "b" || z.TopCount != 1 || z.DominantLHSPos != 70_000 || z.PosPurity != 1 {
+		t.Errorf("second key polluted by the first: %+v", z)
 	}
 }

@@ -1,6 +1,8 @@
 package pattern
 
 import (
+	"strconv"
+
 	"github.com/anmat/anmat/internal/gentree"
 )
 
@@ -75,7 +77,40 @@ func classRuns(s string, open bool) Pattern {
 // the pattern index group cell values by signature: two values share a
 // signature iff their class-run generalizations coincide.
 func Signature(s string) string {
-	return classRuns(s, false).String()
+	return string(AppendSignature(nil, s))
+}
+
+// AppendSignature appends Signature(s) to dst without building the
+// pattern: it renders classRuns(s, false) directly, one class run at a
+// time. Profiling computes a signature per distinct cell value, so the
+// caller reuses one buffer and looks the bytes up without allocating.
+func AppendSignature(dst []byte, s string) []byte {
+	run, n := gentree.Class(0), 0
+	for _, r := range s {
+		c := gentree.ClassOf(r)
+		if n > 0 && c == run {
+			n++
+			continue
+		}
+		dst = appendClassRun(dst, run, n)
+		run, n = c, 1
+	}
+	return appendClassRun(dst, run, n)
+}
+
+// appendClassRun renders a run of n characters of class c: nothing for an
+// empty run, the class for one character, class{n} otherwise.
+func appendClassRun(dst []byte, c gentree.Class, n int) []byte {
+	if n == 0 {
+		return dst
+	}
+	dst = append(dst, c.String()...)
+	if n > 1 {
+		dst = append(dst, '{')
+		dst = strconv.AppendInt(dst, int64(n), 10)
+		dst = append(dst, '}')
+	}
+	return dst
 }
 
 // OpenSignature returns the LevelClassRunOpen pattern string for s,

@@ -1,6 +1,8 @@
 package pattern
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/anmat/anmat/internal/gentree"
@@ -383,5 +385,31 @@ func TestTokenAccessors(t *testing.T) {
 	}
 	if gentree.ClassOf('a') != gentree.Lower {
 		t.Error("sanity")
+	}
+}
+
+// AppendSignature renders the class-run signature without building the
+// pattern; it must spell exactly what the pattern's own String does, on
+// multi-byte and invalid UTF-8 input too.
+func TestAppendSignatureMatchesClassRunRendering(t *testing.T) {
+	values := []string{"", "a", "90001", "60603-6263", "F-9-107", "Holloway, Donald E.",
+		"héllo", "日本語", "\xff", "a\xffb", "aaaaaaaaaaaa", "  ", `a\b{c}`}
+	rng := rand.New(rand.NewSource(3))
+	alphabet := []string{"a", "B", "1", " ", "-", "é", "日", "\xff", "\\"}
+	for i := 0; i < 300; i++ {
+		var b strings.Builder
+		for n := rng.Intn(14); n > 0; n-- {
+			b.WriteString(alphabet[rng.Intn(len(alphabet))])
+		}
+		values = append(values, b.String())
+	}
+	for _, v := range values {
+		want := classRuns(v, false).String()
+		if got := string(AppendSignature(nil, v)); got != want {
+			t.Errorf("AppendSignature(%q) = %q, want %q", v, got, want)
+		}
+	}
+	if got := string(AppendSignature([]byte("x:"), "90001")); got != `x:\D{5}` {
+		t.Errorf("AppendSignature must append to dst, got %q", got)
 	}
 }

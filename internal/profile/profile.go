@@ -6,7 +6,9 @@ package profile
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"unicode/utf8"
 
 	"github.com/anmat/anmat/internal/pattern"
 	"github.com/anmat/anmat/internal/table"
@@ -79,10 +81,52 @@ type ValueCount struct {
 // categoryMaxDistinct is the distinct-count ceiling for Category columns.
 const categoryMaxDistinct = 64
 
+// Coded is a column in dictionary-coded form: the distinct cell values,
+// how many rows hold each, and every row's value ID. Profiling and
+// discovery compute per-value features (signature, tokens, n-grams,
+// pattern matches) once per distinct value and weight them by Counts
+// instead of recomputing them per row. A Coded column is a snapshot owned
+// by whoever built it: nothing registers it with the table, so no later
+// mutation maintains (or pays for) it.
+type Coded struct {
+	// Values lists the distinct values in first-occurrence order.
+	Values []string
+	// Counts[id] is the number of rows holding Values[id].
+	Counts []int
+	// IDs[r] is the ID of row r's value.
+	IDs []uint32
+}
+
+// Value returns the cell value of row r.
+func (c *Coded) Value(r int) string { return c.Values[c.IDs[r]] }
+
+// NewCoded dictionary-codes a column.
+func NewCoded(values []string) *Coded {
+	c := &Coded{IDs: make([]uint32, len(values))}
+	ids := make(map[string]uint32)
+	for r, v := range values {
+		id, ok := ids[v]
+		if !ok {
+			id = uint32(len(c.Values))
+			ids[v] = id
+			c.Values = append(c.Values, v)
+			c.Counts = append(c.Counts, 0)
+		}
+		c.Counts[id]++
+		c.IDs[r] = id
+	}
+	return c
+}
+
 // ProfileColumn computes the profile of a single column's values.
 func ProfileColumn(name string, values []string) ColumnProfile {
-	p := ColumnProfile{Name: name, Rows: len(values), Signatures: make(map[string]int)}
-	counts := make(map[string]int)
+	return ProfileCoded(name, NewCoded(values))
+}
+
+// ProfileCoded computes the profile of a coded column: every per-value
+// feature is computed once per distinct value and weighted by its count.
+func ProfileCoded(name string, c *Coded) ColumnProfile {
+	p := ColumnProfile{Name: name, Rows: len(c.IDs), Signatures: make(map[string]int)}
 	numeric := true
 	allDigits := true
 	leadingZero := false
@@ -90,13 +134,23 @@ func ProfileColumn(name string, values []string) ColumnProfile {
 	singleToken := true
 	minLen := -1
 	totalTokens, totalLen := 0, 0
-	for _, v := range values {
+	var sig []byte
+	var lastSig string
+	var toks []tokenize.Token
+	top := make([]ValueCount, 0, topValues+1)
+	for id, v := range c.Values {
 		if v == "" {
 			continue
 		}
-		p.NonEmpty++
-		counts[v]++
-		p.Signatures[pattern.Signature(v)]++
+		n := c.Counts[id]
+		p.NonEmpty += n
+		p.Distinct++
+		top = insertTop(top, ValueCount{v, n})
+		sig = pattern.AppendSignature(sig[:0], v)
+		if string(sig) != lastSig { // a run of like-shaped values shares one key string
+			lastSig = string(sig)
+		}
+		p.Signatures[lastSig] += n
 		if !isPlainNumber(v) {
 			numeric = false
 		}
@@ -108,13 +162,13 @@ func ProfileColumn(name string, values []string) ColumnProfile {
 		if hasDigit(v) && hasNonDigit(v) {
 			mixedShape = true
 		}
-		toks := tokenize.Tokenize(v)
-		totalTokens += len(toks)
+		toks = tokenize.AppendTokens(toks[:0], v, tokenize.DefaultDelims)
+		totalTokens += n * len(toks)
 		if len(toks) > 1 {
 			singleToken = false
 		}
-		rl := len([]rune(v))
-		totalLen += rl
+		rl := utf8.RuneCountInString(v)
+		totalLen += n * rl
 		if rl > p.MaxLen {
 			p.MaxLen = rl
 		}
@@ -122,7 +176,6 @@ func ProfileColumn(name string, values []string) ColumnProfile {
 			minLen = rl
 		}
 	}
-	p.Distinct = len(counts)
 	if p.NonEmpty > 0 {
 		p.AvgTokens = float64(totalTokens) / float64(p.NonEmpty)
 		p.AvgLen = float64(totalLen) / float64(p.NonEmpty)
@@ -150,25 +203,26 @@ func ProfileColumn(name string, values []string) ColumnProfile {
 	default:
 		p.Type = Text
 	}
-	p.TopValues = topK(counts, 10)
+	p.TopValues = top
 	return p
 }
 
-func topK(counts map[string]int, k int) []ValueCount {
-	out := make([]ValueCount, 0, len(counts))
-	for v, c := range counts {
-		out = append(out, ValueCount{v, c})
+// topValues is how many of the most frequent values a profile lists.
+const topValues = 10
+
+// insertTop inserts vc into top, which holds the best topValues entries
+// seen so far in order (descending count, then value), and drops the
+// entry that falls off the end.
+func insertTop(top []ValueCount, vc ValueCount) []ValueCount {
+	i := len(top)
+	for i > 0 && (vc.Count > top[i-1].Count || (vc.Count == top[i-1].Count && vc.Value < top[i-1].Value)) {
+		i--
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Value < out[j].Value
-	})
-	if len(out) > k {
-		out = out[:k]
+	if i < topValues {
+		top = slices.Insert(top, i, vc)
+		top = top[:min(len(top), topValues)]
 	}
-	return out
+	return top
 }
 
 func hasDigit(v string) bool {
@@ -192,17 +246,13 @@ func hasNonDigit(v string) bool {
 // isPlainNumber reports whether v is an optionally signed integer or
 // decimal numeral.
 func isPlainNumber(v string) bool {
-	rs := []rune(v)
-	i := 0
-	if i < len(rs) && (rs[i] == '+' || rs[i] == '-') {
-		i++
-	}
 	digits, dot := 0, false
-	for ; i < len(rs); i++ {
+	for i, r := range v {
 		switch {
-		case rs[i] >= '0' && rs[i] <= '9':
+		case i == 0 && (r == '+' || r == '-'):
+		case r >= '0' && r <= '9':
 			digits++
-		case rs[i] == '.' && !dot:
+		case r == '.' && !dot:
 			dot = true
 		default:
 			return false
@@ -220,11 +270,20 @@ type TableProfile struct {
 
 // Profile computes the profile of every column.
 func Profile(t *table.Table) TableProfile {
-	tp := TableProfile{Table: t.Name(), Rows: t.NumRows()}
-	for i, name := range t.Columns() {
-		tp.Columns = append(tp.Columns, ProfileColumn(name, t.ColumnByIndex(i)))
-	}
+	tp, _ := ProfileAndCode(t)
 	return tp
+}
+
+// ProfileAndCode is Profile for a caller that goes on to work on the same
+// columns (discovery): it also returns the coding of each column.
+func ProfileAndCode(t *table.Table) (TableProfile, []*Coded) {
+	tp := TableProfile{Table: t.Name(), Rows: t.NumRows()}
+	coded := make([]*Coded, t.NumCols())
+	for i, name := range t.Columns() {
+		coded[i] = NewCoded(t.ColumnByIndex(i))
+		tp.Columns = append(tp.Columns, ProfileCoded(name, coded[i]))
+	}
+	return tp, coded
 }
 
 // Candidate is a candidate dependency A → B (column names).

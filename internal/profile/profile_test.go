@@ -1,6 +1,8 @@
 package profile
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -178,5 +180,59 @@ func TestIsPlainNumber(t *testing.T) {
 		if isPlainNumber(s) {
 			t.Errorf("isPlainNumber(%q) = true", s)
 		}
+	}
+}
+
+// Per-value features are computed once per distinct value and weighted by
+// its count: the profile of a column with repeats is the profile a
+// row-by-row pass would compute.
+func TestProfileCodedWeightsByCount(t *testing.T) {
+	values := []string{"ab cd", "ab cd", "ab cd", "é", "", "xyz", "é", "q r s"}
+	c := NewCoded(values)
+	if len(c.Values) != 5 || c.Counts[c.IDs[0]] != 3 || c.Value(6) != "é" || len(c.IDs) != len(values) {
+		t.Fatalf("coding: %+v", c)
+	}
+	p := ProfileCoded("col", c)
+	if p.Rows != 8 || p.NonEmpty != 7 || p.Distinct != 4 {
+		t.Errorf("rows/nonEmpty/distinct = %d/%d/%d", p.Rows, p.NonEmpty, p.Distinct)
+	}
+	// Tokens: 3×2 + 2×1 + 1 + 3 = 12; rune lengths: 3×5 + 2×1 + 3 + 5 = 25.
+	if p.AvgTokens != 12.0/7.0 || p.AvgLen != 25.0/7.0 || p.MaxLen != 5 {
+		t.Errorf("avgTokens %v avgLen %v maxLen %d", p.AvgTokens, p.AvgLen, p.MaxLen)
+	}
+	if p.Signatures[`\LL{2}\S\LL{2}`] != 3 || p.Signatures[`\S`] != 2 || p.Signatures[`\LL{3}`] != 1 || len(p.Signatures) != 4 {
+		t.Errorf("signatures = %v", p.Signatures)
+	}
+	want := []ValueCount{{"ab cd", 3}, {"é", 2}, {"q r s", 1}, {"xyz", 1}}
+	if !reflect.DeepEqual(p.TopValues, want) {
+		t.Errorf("TopValues = %v, want %v", p.TopValues, want)
+	}
+	if p.Type != Text {
+		t.Errorf("type = %v", p.Type)
+	}
+}
+
+// TopValues keeps the ten most frequent values, ties by value, however
+// many distinct values stream past.
+func TestTopValuesBounded(t *testing.T) {
+	var values []string
+	for i := 0; i < 40; i++ {
+		v := fmt.Sprintf("v%02d", i)
+		for n := 0; n <= i%4; n++ {
+			values = append(values, v)
+		}
+	}
+	p := ProfileColumn("col", values)
+	if len(p.TopValues) != 10 {
+		t.Fatalf("TopValues has %d entries", len(p.TopValues))
+	}
+	// Count 4 for v03, v07, …, v39 (ten values), in value order.
+	for i, vc := range p.TopValues {
+		if want := fmt.Sprintf("v%02d", 4*i+3); vc.Value != want || vc.Count != 4 {
+			t.Errorf("TopValues[%d] = %v, want %s×4", i, vc, want)
+		}
+	}
+	if empty := ProfileColumn("col", []string{"", ""}); empty.TopValues == nil || len(empty.TopValues) != 0 {
+		t.Errorf("empty column TopValues = %#v, want empty non-nil", empty.TopValues)
 	}
 }

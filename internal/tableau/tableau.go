@@ -106,23 +106,36 @@ func (t *Tableau) String() string {
 // Section 4: records containing at least one of the patterns that appear
 // in the tuples of the tableau, over total records.
 func (t *Tableau) Coverage(values []string) float64 {
+	return t.CoverageCounted(values, nil)
+}
+
+// CoverageCounted is Coverage over a dictionary-coded column: values are
+// the distinct cell values and counts[i] the number of records holding
+// values[i] (nil counts mean one record each), so each distinct value is
+// matched once however often it occurs.
+func (t *Tableau) CoverageCounted(values []string, counts []int) float64 {
 	if len(values) == 0 || len(t.rows) == 0 {
 		return 0
 	}
-	covered := 0
 	embedded := make([]pattern.Pattern, len(t.rows))
 	for i, r := range t.rows {
 		embedded[i] = r.LHS.Embedded()
 	}
-	for _, v := range values {
+	covered, total := 0, 0
+	for i, v := range values {
+		n := 1
+		if counts != nil {
+			n = counts[i]
+		}
+		total += n
 		for _, p := range embedded {
 			if p.MatchesDFA(v) {
-				covered++
+				covered += n
 				break
 			}
 		}
 	}
-	return float64(covered) / float64(len(values))
+	return float64(covered) / float64(total)
 }
 
 // Sort orders rows by descending support, then LHS string, for stable

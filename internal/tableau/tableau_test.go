@@ -60,6 +60,29 @@ func TestCoverage(t *testing.T) {
 	}
 }
 
+// CoverageCounted over distinct values and their counts is Coverage over
+// the expanded column, to the last bit: both divide the same integers.
+func TestCoverageCounted(t *testing.T) {
+	tp := New(
+		row(`<900>\D{2}`, "LA", 0),
+		row(`<100>\D{2}`, "NY", 0),
+	)
+	values := []string{"90001", "10001", "55555", ""}
+	counts := []int{3, 1, 2, 1}
+	var expanded []string
+	for i, v := range values {
+		for n := 0; n < counts[i]; n++ {
+			expanded = append(expanded, v)
+		}
+	}
+	if got, want := tp.CoverageCounted(values, counts), tp.Coverage(expanded); got != want || got != 4.0/7.0 {
+		t.Errorf("CoverageCounted = %v, Coverage of the expanded column = %v, want 4/7", got, want)
+	}
+	if got := New().CoverageCounted(values, counts); got != 0 {
+		t.Error("empty tableau should cover nothing")
+	}
+}
+
 func TestCoverageMultipleRows(t *testing.T) {
 	tp := New(
 		row(`<900>\D{2}`, "LA", 0),
