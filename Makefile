@@ -43,11 +43,16 @@ cluster-e2e:
 # Hostile-traffic acceptance: multi-tenant concurrent load against
 # quotas + fsync-on group commit, crash, and byte-identical recovery —
 # plus the admission, body-cap, and backup/restore suites and the
-# snapshot path's own (crash points inside a checkpoint, one file per
-# checkpoint, concurrent restore), under -race.
+# snapshot path's own (crash points inside a checkpoint and inside the
+# rotation behind it, injected faults on the background write, everything
+# that must wait for a write in flight, one file per checkpoint,
+# concurrent restore), under -race. The mid-rotation crash test kills a
+# goroutine at a point other goroutines race past, so it runs ten times
+# more to shake out whatever depends on scheduling.
 hardening:
 	$(GO) test -race -v -run 'TestHardeningMultiTenantRecovery|TestAdmission|TestConfirmEmptyBodyAndCap|TestBackupRestore|TestRestore|TestGroupCommit|TestHTTPServerTimeouts|TestCrashRecoveryEquivalence|TestCheckpoint' \
 		./internal/server/ ./internal/persist/ ./cmd/anmat-server/
+	$(GO) test -race -count=10 -run 'TestCheckpointCrashMidRotation' ./internal/persist/
 
 fuzz:
 	$(GO) test ./internal/table -run '^$$' -fuzz FuzzReadCSV -fuzztime 30s

@@ -772,12 +772,13 @@ func (se *Session) ApplyDeltasCtx(ctx context.Context, batch stream.Batch) (*str
 	se.Violations = eng.Violations()
 	// Periodic snapshot compaction: once the journal has absorbed enough
 	// batches, fold them into a fresh checkpoint so recovery replays a
-	// short tail instead of the session's whole delta history. A failed
-	// compaction is not fatal to the batch — it was already journaled
-	// write-ahead, so recovery replays it from the WAL; the diff is
-	// returned alongside the (persistence-typed) error.
+	// short tail instead of the session's whole delta history. The
+	// persister writes it behind this call; what can still fail here is
+	// not fatal to the batch — it was already journaled write-ahead, so
+	// recovery replays it from the WAL; the diff is returned alongside
+	// the (persistence-typed) error.
 	if se.persist != nil && se.persist.CompactionDue(se.ID) {
-		if err := se.Checkpoint(); err != nil {
+		if err := se.checkpoint(true); err != nil {
 			return diff, fmt.Errorf("deltas applied but %w", err)
 		}
 	}

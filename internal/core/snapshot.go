@@ -26,14 +26,21 @@ import (
 
 // SessionSnapshot is the durable image of one session at a checkpoint.
 // The persistence layer and the backup tar both store it as a JSON
-// header without TableData, and the table bytes raw beside it.
+// header without the table, and the table bytes raw beside it. The table
+// travels one way per direction: a snapshot taken from a live session
+// (Session.Snapshot) carries Table, a frozen view whoever writes it out
+// encodes — possibly after the session has moved on; one read back from
+// a snapshot file or a backup carries TableData.
 type SessionSnapshot struct {
 	ID      string `json:"session"`
 	Project string `json:"project"`
 	Params  Params `json:"params"`
 	// TableName duplicates the encoded table's name for filterability.
 	TableName string `json:"table"`
-	// TableData is the binary table snapshot (table.EncodeBinaryBytes).
+	// Table is the session's table frozen at snapshot time (outbound).
+	Table *table.View `json:"-"`
+	// TableData is the binary table snapshot, table.EncodeBinaryBytes'
+	// format (inbound).
 	TableData []byte `json:"table_data"`
 	// Discovered and Confirmed are the session's rule sets. ConfirmedSet
 	// distinguishes "nothing explicitly confirmed" (nil — detection runs
@@ -52,6 +59,21 @@ type SessionSnapshot struct {
 	// (>= 1), so recovery rebuilds the same engine topology: a sharded
 	// session's coordinator is rebuilt shard by shard and re-merged.
 	Shards int `json:"shards,omitempty"`
+	// Compaction marks a checkpoint taken only to shorten the journal: the
+	// engine it images is the one the journal's records were applied to,
+	// so snapshot + journal on disk already describe this state and the
+	// persister may write the snapshot after Checkpoint has returned. Any
+	// other checkpoint is a new baseline and must be durable first.
+	Compaction bool `json:"-"`
+}
+
+// AppendTable appends the snapshot's table, in the binary snapshot
+// format, to dst — whichever way the snapshot carries it.
+func (s *SessionSnapshot) AppendTable(dst []byte) []byte {
+	if s.Table != nil {
+		return s.Table.AppendBinary(dst)
+	}
+	return append(dst, s.TableData...)
 }
 
 // PersistenceError marks a durability-layer failure — journaling or
@@ -72,8 +94,11 @@ type Persister interface {
 	// Journal durably appends one delta batch before the session applies
 	// it (write-ahead). An error aborts the batch.
 	Journal(ctx context.Context, sessionID string, seq int64, batch stream.Batch) error
-	// Checkpoint durably replaces the session's snapshot and resets its
-	// journal to empty.
+	// Checkpoint replaces the session's snapshot with snap and drops the
+	// journal records it folds in. It returns once the snapshot is
+	// durable — or, for a snap marked Compaction, possibly before: the
+	// journal then keeps every record until the snapshot has landed. snap
+	// is the persister's from here on (it releases the table view).
 	Checkpoint(snap *SessionSnapshot) error
 	// CompactionDue reports whether the session's journal has grown past
 	// the compaction threshold since its last checkpoint.
@@ -108,14 +133,16 @@ func (se *Session) journalSink() func(context.Context, int64, stream.Batch) erro
 
 // Snapshot captures the session's durable state. The caller must hold the
 // session's external lock (sessions are not safe for concurrent use), so
-// the table bytes and the engine cursor are mutually consistent.
+// the frozen table and the engine cursor are mutually consistent. The
+// only O(rows) work is the view's copy of the row headers; the table is
+// encoded by whoever writes the snapshot out.
 func (se *Session) Snapshot() *SessionSnapshot {
 	snap := &SessionSnapshot{
 		ID:           se.ID,
 		Project:      se.Project,
 		Params:       se.Params,
 		TableName:    se.Table.Name(),
-		TableData:    se.Table.EncodeBinaryBytes(),
+		Table:        se.Table.Freeze(),
 		Discovered:   se.Discovered,
 		Confirmed:    se.Confirmed,
 		ConfirmedSet: se.Confirmed != nil,
@@ -140,14 +167,21 @@ func (se *Session) Snapshot() *SessionSnapshot {
 	return snap
 }
 
-// Checkpoint snapshots the session into its persister. It is a no-op
-// without one, so callers can invoke it unconditionally at natural
-// checkpoints (pipeline completion, rule confirmation).
-func (se *Session) Checkpoint() error {
+// Checkpoint snapshots the session into its persister as a new baseline,
+// durable on return. It is a no-op without a persister, so callers can
+// invoke it unconditionally at natural checkpoints (pipeline completion,
+// rule confirmation).
+func (se *Session) Checkpoint() error { return se.checkpoint(false) }
+
+// checkpoint hands the persister a snapshot, marked as a compaction when
+// it only folds in batches the live engine journaled and applied.
+func (se *Session) checkpoint(compaction bool) error {
 	if se.persist == nil {
 		return nil
 	}
-	if err := se.persist.Checkpoint(se.Snapshot()); err != nil {
+	snap := se.Snapshot()
+	snap.Compaction = compaction
+	if err := se.persist.Checkpoint(snap); err != nil {
 		return &PersistenceError{Err: fmt.Errorf("session %s: checkpoint: %w", se.ID, err)}
 	}
 	return nil

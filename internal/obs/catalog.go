@@ -28,8 +28,11 @@ var SpanCatalog = []string{
 	"cluster.rpc",
 	"cluster.wal.append",
 	// Session durability: the write-ahead journal (group-commit or
-	// serial) a delta batch rides through before it is applied.
+	// serial) a delta batch rides through before it is applied, and the
+	// checkpoint write behind a request (a detached span: it belongs to no
+	// request's trace, but a slow one shows in the slow-span ring).
 	"persist.journal",
+	"persist.checkpoint.write",
 }
 
 // SpanNameRegistered reports whether the catalog covers the span name.

@@ -16,11 +16,11 @@
 // a batch whose caller was told the journal failed.
 //
 // Locking: the leader holds every queued session's walState.mu for the
-// whole round (so checkpoint truncation cannot interleave with the
-// round's appends). Only the single leader ever holds more than one
-// walState.mu, and nothing that holds a walState.mu waits on the
-// committer, so the multi-lock cannot deadlock. Followers wait holding
-// no locks.
+// whole round (so neither a checkpoint's segment switch nor its
+// truncation can interleave with the round's appends). Only the single
+// leader ever holds more than one walState.mu, and nothing that holds a
+// walState.mu waits on the committer, so the multi-lock cannot deadlock.
+// Followers wait holding no locks.
 package persist
 
 import (
@@ -93,6 +93,8 @@ func (m *Manager) commitRound(round []*commitReq) {
 			if roundErr = l.Mark(); roundErr != nil {
 				break
 			}
+			// Set before the append: bytes a failed rollback leaves count.
+			req.ws.dirty[req.ws.active] = true
 			logs[req.ws] = l
 		}
 		if err := l.Append(req.enc); err != nil {

@@ -45,7 +45,7 @@ func TestGroupCommitConcurrentJournal(t *testing.T) {
 	}
 	for s := 0; s < sessions; s++ {
 		id := string(rune('a' + s))
-		recs, _, tornAt, err := readWAL(m.walPath(id))
+		recs, _, tornAt, err := readWAL(m.segPath(id, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	ws.mu.Unlock()
 	done.Wait()
 
-	recs, _, tornAt, err := readWAL(m.walPath("s"))
+	recs, _, tornAt, err := readWAL(m.segPath("s", 0))
 	if err != nil || tornAt >= 0 {
 		t.Fatalf("read WAL: recs=%d tornAt=%d err=%v", len(recs), tornAt, err)
 	}
@@ -160,13 +160,13 @@ func TestGroupCommitRoundRollback(t *testing.T) {
 				if err := m.Journal(ctx, "b", 1, stream.Batch{stream.DeleteRows(1)}); err != nil {
 					t.Fatal(err)
 				}
-				wsB.log.Close()
-				defer func() { wsB.log = nil }() // m.Close must not close it twice
+				wsB.segs[0].Close()
+				defer func() { wsB.segs[0] = nil }() // m.Close must not close it twice
 			case "full device":
 				if _, err := os.Stat("/dev/full"); err != nil {
 					t.Skip("no /dev/full on this platform")
 				}
-				if err := os.Symlink("/dev/full", m.walPath("b")); err != nil {
+				if err := os.Symlink("/dev/full", m.segPath("b", 0)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -187,7 +187,7 @@ func TestGroupCommitRoundRollback(t *testing.T) {
 					t.Fatalf("session %s was acked in a failed round", req.id)
 				}
 			}
-			recs, _, tornAt, err := readWAL(m.walPath("a"))
+			recs, _, tornAt, err := readWAL(m.segPath("a", 0))
 			if err != nil || tornAt >= 0 {
 				t.Fatalf("recs=%d tornAt=%d err=%v", len(recs), tornAt, err)
 			}
@@ -206,7 +206,7 @@ func TestGroupCommitRoundRollback(t *testing.T) {
 			if err := m.Journal(ctx, "a", 2, stream.Batch{stream.DeleteRows(2)}); err != nil {
 				t.Fatal(err)
 			}
-			if recs, _, tornAt, _ := readWAL(m.walPath("a")); tornAt >= 0 || len(recs) != 2 || recs[1].Seq != 2 {
+			if recs, _, tornAt, _ := readWAL(m.segPath("a", 0)); tornAt >= 0 || len(recs) != 2 || recs[1].Seq != 2 {
 				t.Fatalf("after retry: recs=%d tornAt=%d", len(recs), tornAt)
 			}
 		})
@@ -216,7 +216,8 @@ func TestGroupCommitRoundRollback(t *testing.T) {
 // TestGroupCommitFileContents interleaves batches to two sessions (one
 // through the JournalSharded forwarder) and checks each session's WAL is
 // byte for byte the concatenation of its records' wal.Encode outputs, in
-// sequence order: one record per batch, nothing else.
+// sequence order: one record per batch, nothing else — all of it in the
+// first segment, no checkpoint having cut the journal.
 func TestGroupCommitFileContents(t *testing.T) {
 	m, err := Open(t.TempDir(), Options{Fsync: true, CompactEvery: -1})
 	if err != nil {
@@ -243,7 +244,7 @@ func TestGroupCommitFileContents(t *testing.T) {
 		}
 	}
 	for id, w := range want {
-		got, err := os.ReadFile(m.walPath(id))
+		got, err := os.ReadFile(m.segPath(id, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,8 +256,13 @@ func TestGroupCommitFileContents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != len(want) {
-		t.Fatalf("%d files under wal/, want one per session (%d)", len(entries), len(want))
+	if len(entries) != 2*len(want) {
+		t.Fatalf("%d files under wal/, want two segments per session (%d)", len(entries), 2*len(want))
+	}
+	for id := range want {
+		if size := fileSize(m.segPath(id, 1)); size != 0 {
+			t.Fatalf("session %s: %d bytes in the second segment before any checkpoint", id, size)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 // Durability-layer instrumentation: WAL append/fsync latency and byte
-// volume on the journaling hot path, checkpoint counts/sizes/latency on
-// the compaction path.
+// volume on the journaling hot path; for checkpoints, what the request
+// path pays (the cut) apart from counts/sizes/latency of the write behind
+// it, which are recorded when a write lands.
 package persist
 
 import "github.com/anmat/anmat/internal/obs"
@@ -15,8 +16,13 @@ var (
 		"Session snapshot checkpoints written.")
 	compactions = obs.Default.NewCounter("anmat_persist_compactions_total",
 		"Checkpoints that folded a non-empty WAL into the snapshot (compaction runs).")
+	checkpointFailures = obs.Default.NewCounter("anmat_persist_checkpoint_failures_total",
+		"Checkpoint writes that failed; the previous snapshot and the whole journal stay, and the session's next batch retries.")
+	checkpointCutDur = obs.Default.NewHistogram("anmat_persist_checkpoint_cut_duration_seconds",
+		"On-path part of a checkpoint inside the persister: waiting out the session's previous write and switching journal segments. A compaction's ack pays this plus the row-header copy of the table freeze before it, not the write.",
+		obs.DurationBuckets)
 	checkpointDur = obs.Default.NewHistogram("anmat_persist_checkpoint_duration_seconds",
-		"Checkpoint latency (snapshot rewrite + WAL truncation).",
+		"Checkpoint write latency, cut to landed (table encode, snapshot file replace, journal segment truncation); on a goroutine of its own, awaited only by baseline checkpoints.",
 		obs.DurationBuckets)
 	checkpointBytes = obs.Default.NewHistogram("anmat_persist_checkpoint_size_bytes",
 		"Serialized size of checkpointed session snapshots.",

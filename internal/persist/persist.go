@@ -15,25 +15,31 @@
 //
 // Layout under the data directory:
 //
-//	<dir>/snap/<id>.snap  <id>'s latest checkpoint (format: snapfile.go), replaced
-//	                      atomically and alone: a checkpoint costs O(own table)
-//	<dir>/wal/<id>.wal    delta batches journaled since that checkpoint
+//	<dir>/snap/<id>.snap   <id>'s latest checkpoint (format: snapfile.go), replaced
+//	                       atomically and alone: a checkpoint costs O(own table)
+//	<dir>/wal/<id>.wal     the journal: delta batches since that checkpoint, in two
+//	<dir>/wal/<id>.wal.1   alternating segment files (a missing one is an empty one)
 //
 // Every session, sharded or not, journals one record per batch into its
-// one WAL (a wal.Log), keyed by the session's global sequence number. A
-// record torn at the tail — the expected artifact of a crash
-// mid-journal, before the batch was ever acknowledged — is discarded by
-// recovery. Data directories written before this layout may still hold
-// <id>.shard<k>.wal files, or the store.json that held every session's
-// snapshot as one JSON document; Restore refuses either by name rather
-// than reading around it.
+// one WAL (two wal.Logs, one of them taking the appends), keyed by the
+// session's global sequence number. A record torn at the tail — the
+// expected artifact of a crash mid-journal, before the batch was ever
+// acknowledged — is discarded by recovery. Data directories written
+// before this layout may still hold <id>.shard<k>.wal files, or the
+// store.json that held every session's snapshot as one JSON document;
+// Restore refuses either by name rather than reading around it.
 //
 // Durability protocol: a delta batch is journaled write-ahead (the
 // session's engine calls Journal before mutating anything), so a batch is
-// either durable in the WAL or was never applied. Checkpoints write the
-// snapshot first and truncate the WAL after; a crash between the two
-// leaves stale WAL records at or below the snapshot's cursor, which
-// replay skips.
+// either durable in the WAL or was never applied. A checkpoint is a cut
+// and a write (checkpoint.go): the cut, on the caller's path, points the
+// journal at its empty segment and touches no file; the write, on a
+// goroutine of its own, encodes the frozen table, replaces the snapshot
+// file and only then empties the segments the snapshot made obsolete. A
+// compaction's caller does not wait for the write, a baseline's does. A
+// crash anywhere in between leaves the previous snapshot with every
+// record after it, or the new one with stale records at or below its
+// cursor, which replay skips.
 package persist
 
 import (
@@ -83,6 +89,13 @@ type Manager struct {
 	// gc is the group committer: concurrent Journal calls coalesce into
 	// shared write+fsync rounds (groupcommit.go).
 	gc groupCommitter
+
+	// writers counts the checkpoint-write goroutines (checkpoint.go), so
+	// Close returns only once every one of them has exited.
+	writers sync.WaitGroup
+	// crash, set by tests only, is asked at each crash point of a
+	// checkpoint write whether the process dies there.
+	crash func(crashPoint) bool
 }
 
 // walState is the per-session journal bookkeeping. Its lock serializes
@@ -90,10 +103,29 @@ type Manager struct {
 // ws.mu, never the reverse.
 type walState struct {
 	mu sync.Mutex
-	// log is the session's open journal, opened lazily on first append.
-	log *wal.Log
-	// Status is what the admin API reports; WALRecords triggers compaction.
+	// segs are the journal's two segment files, opened together on the
+	// first append; segs[active] takes the appends.
+	segs [2]*wal.Log
+	journal
+	// write is the checkpoint write in flight, nil when there is none; buf
+	// is the snapshot file buffer one write hands the next, so that a
+	// steady session's checkpoints allocate nothing of the table's size.
+	write *checkpointWrite
+	buf   []byte
+}
+
+// journal is what the manager knows of a session's durable state, kept
+// current by its own writes or, after a restart, found by recovery.
+type journal struct {
+	// Status is the last snapshot that landed and the records journaled
+	// since. It is what the admin API reports.
 	Status
+	// active is the segment that takes the next append.
+	active int
+	// dirty[i] is set while segment i's file may hold bytes. A state made
+	// for an ID this process has not recovered knows nothing of the disk,
+	// so it starts with both set.
+	dirty [2]bool
 }
 
 // Open creates (or reopens) the durability layer rooted at dir.
@@ -118,9 +150,12 @@ func Open(dir string, opts Options) (*Manager, error) {
 // Dir returns the data directory the manager persists into.
 func (m *Manager) Dir() string { return m.dir }
 
-// walPath maps a session ID to its journal file.
-func (m *Manager) walPath(id string) string {
-	return filepath.Join(m.dir, "wal", id+".wal")
+// segPath maps a session ID to its journal's segment file i.
+func (m *Manager) segPath(id string, i int) string {
+	if i == 0 {
+		return filepath.Join(m.dir, "wal", id+".wal")
+	}
+	return filepath.Join(m.dir, "wal", id+".wal.1")
 }
 
 // snapPath maps a session ID to its snapshot file.
@@ -148,44 +183,80 @@ func (m *Manager) state(id string) (*walState, error) {
 	if err := validID(id); err != nil {
 		return nil, err
 	}
-	ws = &walState{}
+	ws = &walState{journal: journal{dirty: [2]bool{true, true}}}
 	m.wals[id] = ws
 	return ws, nil
 }
 
-// openLog returns (opening if needed) the session's journal. The caller
-// holds ws.mu. In fsync mode the wal directory is synced so a freshly
-// created file's directory entry is durable too.
+// lookup returns the session's journal bookkeeping, nil when the manager
+// tracks none.
+func (m *Manager) lookup(id string) *walState {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.wals[id]
+}
+
+// openLog returns the segment that takes the session's appends, opening
+// the journal if needed. The caller holds ws.mu. Both segment files are
+// created here — and, in fsync mode, the wal directory synced once, so
+// their directory entries are durable too — which is why a checkpoint's
+// cut never creates a file or syncs a directory.
 func (m *Manager) openLog(ws *walState, id string) (*wal.Log, error) {
-	if ws.log == nil {
-		l, err := wal.Open(m.walPath(id), m.opts.Fsync)
+	if ws.segs[0] == nil {
+		first, err := wal.Open(m.segPath(id, 0), false)
 		if err != nil {
 			return nil, fmt.Errorf("persist: %w", err)
 		}
-		ws.log = l
+		second, err := wal.Open(m.segPath(id, 1), m.opts.Fsync)
+		if err != nil {
+			first.Close()
+			return nil, fmt.Errorf("persist: %w", err)
+		}
+		ws.segs = [2]*wal.Log{first, second}
 	}
-	return ws.log, nil
+	return ws.segs[ws.active], nil
+}
+
+// closeLog releases the session's segment handles. The caller holds ws.mu.
+func (ws *walState) closeLog() error {
+	var first error
+	for i, l := range ws.segs {
+		if l == nil {
+			continue
+		}
+		if err := l.Close(); err != nil && first == nil {
+			first = err
+		}
+		ws.segs[i] = nil
+	}
+	return first
 }
 
 // WALTail reads the raw bytes of the session's journal — the replay
-// input a backup carries alongside the snapshot; nil when the session
-// never journaled. The session's journal lock is held across the read so
-// no group-commit round interleaves; callers wanting a consistent
-// (snapshot, tail) pair must additionally hold the session's own lock,
-// which quiesces new journals and checkpoints entirely. The tail is
-// small by construction (bounded by the compaction threshold).
+// input a backup carries alongside the snapshot: the older segment, then
+// the one taking the appends; nil when the session never journaled. It
+// waits out a checkpoint write in flight and holds the session's journal
+// lock across the read, so no group-commit round interleaves; callers
+// wanting a consistent (snapshot, tail) pair must additionally hold the
+// session's own lock, which quiesces new journals and checkpoints
+// entirely. The tail is small by construction (bounded by the compaction
+// threshold).
 func (m *Manager) WALTail(id string) ([]byte, error) {
 	ws, err := m.state(id)
 	if err != nil {
 		return nil, err
 	}
-	ws.mu.Lock()
+	ws.settle()
 	defer ws.mu.Unlock()
-	data, err := os.ReadFile(m.walPath(id))
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("persist: backup wal %s: %w", id, err)
+	var tail []byte
+	for _, i := range [2]int{1 - ws.active, ws.active} {
+		data, err := os.ReadFile(m.segPath(id, i))
+		if err != nil && !os.IsNotExist(err) {
+			return nil, fmt.Errorf("persist: backup wal %s: %w", id, err)
+		}
+		tail = append(tail, data...)
 	}
-	return data, nil
+	return tail, nil
 }
 
 // Journal durably appends one delta batch to the session's WAL through
@@ -227,46 +298,26 @@ func (m *Manager) JournalSharded(ctx context.Context, sessionID string, _ int, s
 }
 
 // CompactionDue reports whether the session's journal has reached the
-// compaction threshold.
+// compaction threshold, counted from the last cut: the records a
+// checkpoint write in flight is folding in are already spoken for (and
+// count again should that write fail).
 func (m *Manager) CompactionDue(sessionID string) bool {
-	st, ok := m.Status(sessionID)
-	return ok && m.opts.CompactEvery >= 0 && st.WALRecords >= m.opts.CompactEvery
-}
-
-// Checkpoint durably replaces the session's snapshot file, then resets
-// its WAL (the package comment has the crash argument); a failed write
-// leaves the previous snapshot and the whole WAL.
-func (m *Manager) Checkpoint(snap *core.SessionSnapshot) error {
-	ws, err := m.state(snap.ID)
-	if err != nil {
-		return err
+	ws := m.lookup(sessionID)
+	if ws == nil || m.opts.CompactEvery < 0 {
+		return false
 	}
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	t0 := time.Now()
-	blob, err := encodeSnapFile(snap)
-	if err == nil {
-		err = wal.WriteFileAtomic(m.snapPath(snap.ID), blob, m.opts.Fsync)
+	n := ws.WALRecords
+	if ws.write != nil {
+		n -= ws.write.folded
 	}
-	if err != nil {
-		return fmt.Errorf("persist: write snapshot %s: %w", snap.ID, err)
-	}
-	// Truncate by path: the WAL may not be open yet, and an open O_APPEND
-	// handle keeps working — its next write lands at the new end of file.
-	if err := os.Truncate(m.walPath(snap.ID), 0); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("persist: reset wal %s: %w", snap.ID, err)
-	}
-	checkpoints.Inc()
-	if ws.WALRecords > 0 {
-		compactions.Inc()
-	}
-	ws.Status = Status{CheckpointSeq: snap.Seq}
-	checkpointBytes.Observe(float64(len(blob)))
-	checkpointDur.Observe(time.Since(t0).Seconds())
-	return nil
+	return n >= m.opts.CompactEvery
 }
 
-// Drop removes every trace of the session: snapshot file and WAL.
+// Drop removes every trace of the session: snapshot file and both journal
+// segments. It waits out a checkpoint write in flight, which would
+// otherwise publish its snapshot after the removal.
 func (m *Manager) Drop(sessionID string) error {
 	if err := validID(sessionID); err != nil {
 		return err
@@ -276,10 +327,8 @@ func (m *Manager) Drop(sessionID string) error {
 	delete(m.wals, sessionID)
 	m.mu.Unlock()
 	if ws != nil {
-		ws.mu.Lock()
-		if ws.log != nil {
-			ws.log.Close() // the file is removed below; nothing left to lose
-		}
+		ws.settle()
+		ws.closeLog() // the files are removed below; nothing left to lose
 		ws.mu.Unlock()
 	}
 	// Snapshot first, durably: without it no Restore reads the WAL.
@@ -287,8 +336,8 @@ func (m *Manager) Drop(sessionID string) error {
 	if err == nil && m.opts.Fsync {
 		err = wal.SyncDir(filepath.Join(m.dir, "snap"))
 	}
-	if err == nil || os.IsNotExist(err) {
-		err = os.Remove(m.walPath(sessionID))
+	for i := 0; i < 2 && (err == nil || os.IsNotExist(err)); i++ {
+		err = os.Remove(m.segPath(sessionID, i))
 	}
 	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("persist: drop %s: %w", sessionID, err)
@@ -296,17 +345,17 @@ func (m *Manager) Drop(sessionID string) error {
 	return nil
 }
 
-// Close releases the WAL file handles. The manager is unusable after.
+// Close waits for the checkpoint writes in flight and releases the WAL
+// file handles. The manager is unusable after.
 func (m *Manager) Close() error {
+	m.writers.Wait()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var first error
 	for id, ws := range m.wals {
 		ws.mu.Lock()
-		if ws.log != nil {
-			if err := ws.log.Close(); err != nil && first == nil {
-				first = err
-			}
+		if err := ws.closeLog(); err != nil && first == nil {
+			first = err
 		}
 		ws.mu.Unlock()
 		delete(m.wals, id)
@@ -324,15 +373,14 @@ type Status struct {
 	WALRecords int `json:"wal_records"`
 }
 
-// Status reports a tracked session's persistence state.
+// Status reports a tracked session's persistence state, once a checkpoint
+// write in flight has landed or failed.
 func (m *Manager) Status(sessionID string) (Status, bool) {
-	m.mu.Lock()
-	ws := m.wals[sessionID]
-	m.mu.Unlock()
+	ws := m.lookup(sessionID)
 	if ws == nil {
 		return Status{}, false
 	}
-	ws.mu.Lock()
+	ws.settle()
 	defer ws.mu.Unlock()
 	return ws.Status, true
 }
@@ -394,7 +442,7 @@ func (m *Manager) Restore(sys *core.System) ([]*core.Session, error) {
 	}
 	sort.Strings(ids)
 	sessions := make([]*core.Session, len(ids))
-	stats := make([]Status, len(ids))
+	journals := make([]journal, len(ids))
 	errs := make([]error, len(ids))
 	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
@@ -403,7 +451,7 @@ func (m *Manager) Restore(sys *core.System) ([]*core.Session, error) {
 		wg.Add(1)
 		go func() {
 			defer func() { <-slots; wg.Done() }()
-			sessions[i], stats[i], errs[i] = m.rehydrate(sys, id)
+			sessions[i], journals[i], errs[i] = m.rehydrate(sys, id)
 		}()
 	}
 	wg.Wait()
@@ -418,7 +466,7 @@ func (m *Manager) Restore(sys *core.System) ([]*core.Session, error) {
 			return nil, err
 		}
 		ws.mu.Lock()
-		ws.Status = stats[i]
+		ws.journal = journals[i]
 		ws.mu.Unlock()
 		se.SetPersist(m)
 	}
@@ -428,26 +476,74 @@ func (m *Manager) Restore(sys *core.System) ([]*core.Session, error) {
 // rehydrate rebuilds one session from its snapshot file and WAL tail and
 // reports where its journal bookkeeping starts. It touches no manager
 // state, so Restore can run it concurrently.
-func (m *Manager) rehydrate(sys *core.System, id string) (*core.Session, Status, error) {
+func (m *Manager) rehydrate(sys *core.System, id string) (*core.Session, journal, error) {
 	snap, ok, err := m.Snapshot(id)
 	if err == nil && !ok {
 		err = fmt.Errorf("persist: snapshot %s disappeared during restore", m.snapPath(id))
 	}
 	if err != nil {
-		return nil, Status{}, err
+		return nil, journal{}, err
 	}
 	se, err := sys.RestoreSession(snap)
 	if err != nil {
-		return nil, Status{}, fmt.Errorf("persist: %w", err)
+		return nil, journal{}, fmt.Errorf("persist: %w", err)
 	}
-	// The replayable suffix: the contiguous run of batches right after
-	// the snapshot's cursor; the file is trimmed to its clean prefix.
-	recs, err := wal.Replay(m.walPath(id), snap.Seq)
+	recs, j, err := m.replaySegments(id, snap.Seq)
 	if err != nil {
-		return nil, Status{}, fmt.Errorf("persist: wal %s: %w", id, err)
+		return nil, journal{}, fmt.Errorf("persist: wal %s: %w", id, err)
 	}
 	if err := se.ReplayJournal(snap.Seq, wal.Batches(recs)); err != nil {
-		return nil, Status{}, fmt.Errorf("persist: %w", err)
+		return nil, journal{}, fmt.Errorf("persist: %w", err)
 	}
-	return se, Status{CheckpointSeq: snap.Seq, WALRecords: len(recs)}, nil
+	return se, j, nil
+}
+
+// replaySegments reads the session's two journal segments as the one log
+// they are and returns the replayable suffix: the contiguous run of
+// batches right after the snapshot's cursor (wal.Run). Each segment holds
+// an ascending run of its own and one ends before the other begins, so
+// the segment whose first record is lower comes first. Both files are
+// then trimmed to their share of the log's clean prefix, as wal.Replay
+// trims a single file: torn or beyond-the-gap bytes left in place would
+// strand, or resurrect under a reused sequence number, records journaled
+// after recovery. The later segment with records left takes the appends.
+func (m *Manager) replaySegments(id string, afterSeq int64) ([]wal.Record, journal, error) {
+	var segs [2]struct {
+		recs []wal.Record
+		ends []int64
+		torn bool
+	}
+	for i := range segs {
+		b, err := os.ReadFile(m.segPath(id, i))
+		if err != nil && !os.IsNotExist(err) {
+			return nil, journal{}, err
+		}
+		recs, ends, tornAt := wal.Decode(b)
+		segs[i].recs, segs[i].ends, segs[i].torn = recs, ends, tornAt >= 0
+	}
+	order := [2]int{0, 1}
+	if len(segs[0].recs) > 0 && len(segs[1].recs) > 0 && segs[1].recs[0].Seq < segs[0].recs[0].Seq {
+		order = [2]int{1, 0}
+	}
+	all := append(append([]wal.Record(nil), segs[order[0]].recs...), segs[order[1]].recs...)
+	run, clean := wal.Run(all, afterSeq)
+	j := journal{Status: Status{CheckpointSeq: afterSeq, WALRecords: len(run)}}
+	for _, i := range order {
+		seg := &segs[i]
+		keep := min(clean, len(seg.recs))
+		clean -= keep
+		if seg.torn || keep < len(seg.recs) {
+			var size int64
+			if keep > 0 {
+				size = seg.ends[keep-1]
+			}
+			if err := os.Truncate(m.segPath(id, i), size); err != nil {
+				return nil, journal{}, fmt.Errorf("trim: %w", err)
+			}
+		}
+		if keep > 0 {
+			j.dirty[i], j.active = true, i
+		}
+	}
+	return run, j, nil
 }

@@ -66,9 +66,11 @@ var crashStyles = []crashStyle{crashClean, crashTorn, crashGarbage, crashCkptTmp
 // A failing script is dumped to testdata/failures/ so CI can upload it.
 //
 // The property runs both unsharded (one engine) and sharded (K=4: a
-// coordinator); either way the session journals into its one WAL, which
-// is the file the crash damages — or it dies inside a checkpoint, or
-// cannot write one at all (the ckpt-* styles).
+// coordinator); either way the session journals into its one WAL, and
+// the crash damages the segment file that holds the last record — or it
+// dies inside a checkpoint, or cannot write one at all (the ckpt-*
+// styles; TestCheckpointCrashMidRotation kills the background write
+// itself).
 func TestCrashRecoveryEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		for _, style := range crashStyles {
@@ -94,144 +96,122 @@ type recoveryScript struct {
 	CutBytes     int64          `json:"cut_bytes,omitempty"`
 }
 
-func crashRecoveryOnce(t *testing.T, style crashStyle, seed int64, shards int) {
-	rng := rand.New(rand.NewSource(seed))
-	dir := t.TempDir()
-	// Alternate between aggressive compaction (snapshot churn mid-script)
-	// and none (long WAL tails).
-	compactEvery := 1000
-	if seed%2 == 0 || style == crashCkptFailed {
-		compactEvery = 3
-	}
-	script := &recoveryScript{Seed: seed, Style: style, Shards: shards, CompactEvery: compactEvery}
-	defer func() {
-		if t.Failed() {
-			dumpFailure(t, script)
-		}
-	}()
+// recoveryRun is one session under a random delta script, with the
+// ground truth recovery is checked against: the table and the violation
+// set after every acknowledged batch (seq 0 = bootstrap).
+type recoveryRun struct {
+	t      *testing.T
+	rng    *rand.Rand
+	dir    string
+	script *recoveryScript
+	m      *Manager
+	se     *core.Session
 
-	m, err := Open(dir, Options{CompactEvery: compactEvery})
+	shadowTbl map[int64]*table.Table
+	vioAt     map[int64][]pfd.Violation
+	finalSeq  int64
+	// unsettled makes step return without waiting for a checkpoint write
+	// the batch started (a test is holding it).
+	unsettled bool
+	// lastSeg is the segment file the last acknowledged batch was
+	// journaled into, with its size before and after; after is taken once
+	// the checkpoint write the batch may have started has ended.
+	lastSeg                       string
+	sizeBeforeLast, sizeAfterLast int64
+}
+
+// startRecoveryRun builds a detected session over a random table,
+// attached to a manager at a fresh directory, with its baseline snapshot
+// written and its engine built.
+func startRecoveryRun(t *testing.T, style crashStyle, seed int64, shards, compactEvery int) *recoveryRun {
+	r := &recoveryRun{
+		t: t, rng: rand.New(rand.NewSource(seed)), dir: t.TempDir(),
+		script: &recoveryScript{Seed: seed, Style: style, Shards: shards, CompactEvery: compactEvery},
+	}
+	t.Cleanup(func() {
+		if t.Failed() {
+			dumpFailure(t, r.script)
+		}
+	})
+	m, err := Open(r.dir, Options{CompactEvery: compactEvery})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tbl := table.MustNew("T", []string{"code", "city", "phone", "state"})
-	for i := 0; i < 10+rng.Intn(8); i++ {
-		tbl.MustAppend(recoveryRow(rng)...)
+	for i := 0; i < 10+r.rng.Intn(8); i++ {
+		tbl.MustAppend(recoveryRow(r.rng)...)
 	}
 	var csvBuf bytes.Buffer
 	if err := tbl.WriteCSV(&csvBuf); err != nil {
 		t.Fatal(err)
 	}
-	script.InitialCSV = csvBuf.String()
+	r.script.InitialCSV = csvBuf.String()
 
 	sys := core.NewSystem(docstore.NewMem())
 	se := sys.NewSessionWith("proj", tbl, core.SessionConfig{Params: core.DefaultParams(), Shards: shards})
 	se.UseRules(testRules())
-	ctx := context.Background()
-	if _, err := se.RunDetection(ctx); err != nil {
+	if _, err := se.RunDetection(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	se.SetPersist(m)
 	if err := se.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Apply a random script, recording per-seq ground truth: the table
-	// and violation set after every applied batch (seq 0 = bootstrap).
-	shadowTbl := map[int64]*table.Table{0: tbl.Clone()}
-	vioAt := map[int64][]pfd.Violation{0: se.Violations}
-	walPath := m.walPath(se.ID)
-	if style == crashCkptFailed {
-		// Once the engine has its baseline snapshot (the first delta would
-		// build it), a directory where the temporary file goes fails every
-		// snapshot write, whoever runs the test (root ignores modes).
-		if _, err := se.Stream(); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Mkdir(m.snapPath(se.ID)+".tmp", 0o755); err != nil {
-			t.Fatal(err)
-		}
+	// Build the engine now (the first delta would): from here on every
+	// checkpoint is a compaction.
+	if _, err := se.Stream(); err != nil {
+		t.Fatal(err)
 	}
-	finalSeq := int64(0)
-	var sizeBeforeLast, sizeAfterLast int64
-	steps := 3 + rng.Intn(14)
-	for step := 0; step < steps; step++ {
-		batch := randBatch(rng, se.Table)
-		before := fileSize(walPath)
-		diff, err := se.ApplyDeltas(batch)
-		var perr *core.PersistenceError
-		if diff != nil && errors.As(err, &perr) && style == crashCkptFailed {
-			// The batch was journaled and applied; only the compaction
-			// after it failed, and must not have touched the bookkeeping.
-			if st, _ := m.Status(se.ID); st.WALRecords != len(script.Batches)+1 || st.CheckpointSeq != 0 {
-				t.Fatalf("status after a failed checkpoint = %+v, want %d journaled batches on the seq-0 snapshot", st, len(script.Batches)+1)
-			}
-			err = nil
-		}
-		if err != nil {
-			continue // validation rejected (e.g. delete+update race in one batch): no-op
-		}
-		script.Batches = append(script.Batches, batch)
-		finalSeq = diff.Seq
-		shadowTbl[finalSeq] = se.Table.Clone()
-		vioAt[finalSeq] = se.Violations
-		sizeBeforeLast, sizeAfterLast = before, fileSize(walPath)
-	}
+	r.m, r.se, r.lastSeg = m, se, m.segPath(se.ID, 0)
+	r.shadowTbl = map[int64]*table.Table{0: tbl.Clone()}
+	r.vioAt = map[int64][]pfd.Violation{0: se.Violations}
+	return r
+}
 
-	if style == crashCkptFailed {
-		err := se.Checkpoint()
-		if st, _ := m.Status(se.ID); !errors.As(err, new(*core.PersistenceError)) || st.WALRecords != len(script.Batches) {
-			t.Fatalf("checkpoint with snapshot writes failing: err = %v, status %+v; want a PersistenceError and all %d batches still journaled", err, st, len(script.Batches))
-		}
+// step applies one random batch and, when it was acknowledged (validation
+// may reject it, e.g. a delete racing an update inside the batch), records
+// the ground truth at its sequence number.
+func (r *recoveryRun) step() (acked bool) {
+	r.t.Helper()
+	batch := randBatch(r.rng, r.se.Table)
+	ws, err := r.m.state(r.se.ID)
+	if err != nil {
+		r.t.Fatal(err)
 	}
-
-	// Crash: abandon all in-memory state; optionally damage the WAL tail
-	// or leave a checkpoint half done.
-	m.Close()
-	expectSeq := finalSeq
-	switch style {
-	case crashCkptTmp, crashCkptRenamed:
-		snap := se.Snapshot()
-		blob, err := encodeSnapFile(snap)
-		if err != nil {
-			t.Fatal(err)
+	ws.mu.Lock()
+	seg := r.m.segPath(r.se.ID, ws.active)
+	ws.mu.Unlock()
+	before := fileSize(seg)
+	diff, err := r.se.ApplyDeltas(batch)
+	if err != nil {
+		if diff != nil {
+			r.t.Fatalf("batch applied (seq %d) but not acknowledged: %v", diff.Seq, err)
 		}
-		path := m.snapPath(se.ID)
-		if style == crashCkptTmp {
-			path, blob = path+".tmp", blob[:rng.Intn(len(blob)+1)]
-		}
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	case crashTorn:
-		// Cut the final record at a random byte. Only possible when the
-		// last applied batch actually left bytes in the WAL (a batch that
-		// triggered compaction emptied it — nothing to tear).
-		if sizeAfterLast > sizeBeforeLast {
-			cut := sizeBeforeLast + 1 + rng.Int63n(sizeAfterLast-sizeBeforeLast-1)
-			if err := os.Truncate(walPath, cut); err != nil {
-				t.Fatal(err)
-			}
-			script.CutBytes = sizeAfterLast - cut
-			expectSeq = finalSeq - 1
-		}
-	case crashGarbage:
-		f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		junk := make([]byte, 1+rng.Intn(40))
-		rng.Read(junk)
-		f.Write(junk)
-		f.Close()
+		return false
 	}
+	r.script.Batches = append(r.script.Batches, batch)
+	r.finalSeq = diff.Seq
+	r.shadowTbl[diff.Seq] = r.se.Table.Clone()
+	r.vioAt[diff.Seq] = r.se.Violations
+	if !r.unsettled {
+		r.m.Status(r.se.ID) // waits for the write this batch may have started
+	}
+	r.lastSeg, r.sizeBeforeLast, r.sizeAfterLast = seg, before, fileSize(seg)
+	return true
+}
 
-	// Recover into a fresh process image.
-	m2, err := Open(dir, Options{CompactEvery: compactEvery})
+// recoverAndCheck opens the directory in a fresh process image and holds
+// the recovered session to the three properties, expectSeq being the last
+// batch that must have survived. It returns the recovered pair so a test
+// can go on with it.
+func (r *recoveryRun) recoverAndCheck(expectSeq int64) (*core.Session, *Manager) {
+	t := r.t
+	t.Helper()
+	m2, err := Open(r.dir, Options{CompactEvery: r.script.CompactEvery})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m2.Close()
+	t.Cleanup(func() { m2.Close() })
 	sessions, err := m2.Restore(core.NewSystem(docstore.NewMem()))
 	if err != nil {
 		t.Fatal(err)
@@ -240,18 +220,19 @@ func crashRecoveryOnce(t *testing.T, style crashStyle, seed int64, shards int) {
 		t.Fatalf("restored %d sessions, want 1", len(sessions))
 	}
 	back := sessions[0]
-	if left, _ := filepath.Glob(filepath.Join(dir, "snap", "*.tmp")); len(left) > 0 {
+	if left, _ := filepath.Glob(filepath.Join(r.dir, "snap", "*.tmp")); len(left) > 0 {
 		t.Fatalf("restore left %v behind", left)
 	}
 
-	// (1) The recovered table is exactly the surviving prefix's table.
-	want := shadowTbl[expectSeq]
+	// (1) The recovered table is exactly the surviving prefix's table: no
+	// acknowledged batch lost, none applied twice.
+	want := r.shadowTbl[expectSeq]
 	if back.Table.NumRows() != want.NumRows() {
-		t.Fatalf("recovered %d rows, want %d (seq %d of %d)", back.Table.NumRows(), want.NumRows(), expectSeq, finalSeq)
+		t.Fatalf("recovered %d rows, want %d (seq %d of %d)", back.Table.NumRows(), want.NumRows(), expectSeq, r.finalSeq)
 	}
-	for r := 0; r < want.NumRows(); r++ {
-		if !reflect.DeepEqual(back.Table.Row(r), want.Row(r)) {
-			t.Fatalf("recovered row %d = %v, want %v", r, back.Table.Row(r), want.Row(r))
+	for i := 0; i < want.NumRows(); i++ {
+		if !reflect.DeepEqual(back.Table.Row(i), want.Row(i)) {
+			t.Fatalf("recovered row %d = %v, want %v", i, back.Table.Row(i), want.Row(i))
 		}
 	}
 
@@ -259,7 +240,7 @@ func crashRecoveryOnce(t *testing.T, style crashStyle, seed int64, shards int) {
 	// detection over the recovered table, at parallelism 1 and 4.
 	gotVio := mustJSON(t, back.Violations)
 	for _, par := range []int{1, 4} {
-		res, err := detect.New(back.Table, detect.Options{}).DetectAllContext(ctx, back.Confirmed, par)
+		res, err := detect.New(back.Table, detect.Options{}).DetectAllContext(context.Background(), back.Confirmed, par)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,16 +257,105 @@ func crashRecoveryOnce(t *testing.T, style crashStyle, seed int64, shards int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if eng.Seq() != expectSeq {
+		t.Fatalf("recovered engine at seq %d, want %d", eng.Seq(), expectSeq)
+	}
 	for c := int64(0); c <= expectSeq; c++ {
 		diff, err := eng.Since(c)
 		if err != nil {
 			t.Fatalf("cursor %d: %v", c, err)
 		}
-		folded := foldDiff(vioAt[c], diff)
+		folded := foldDiff(r.vioAt[c], diff)
 		if got := mustJSON(t, folded); got != gotVio {
 			t.Fatalf("cursor %d (reset=%v): folded state diverges:\n got %s\nwant %s", c, diff.Reset, got, gotVio)
 		}
 	}
+	return back, m2
+}
+
+func crashRecoveryOnce(t *testing.T, style crashStyle, seed int64, shards int) {
+	// Alternate between aggressive compaction (snapshot churn mid-script)
+	// and none (long WAL tails).
+	compactEvery := 1000
+	if seed%2 == 0 || style == crashCkptFailed {
+		compactEvery = 3
+	}
+	r := startRecoveryRun(t, style, seed, shards, compactEvery)
+	m, se, rng := r.m, r.se, r.rng
+	if style == crashCkptFailed {
+		// With the engine's baseline snapshot written, a directory where
+		// the temporary file goes fails every snapshot write, whoever runs
+		// the test (root ignores modes).
+		if err := os.Mkdir(m.snapPath(se.ID)+".tmp", 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	failures0 := checkpointFailures.Value()
+	steps := 3 + rng.Intn(14)
+	for step := 0; step < steps; step++ {
+		if !r.step() || style != crashCkptFailed {
+			continue
+		}
+		// The batch was journaled, applied and acknowledged; the
+		// compaction behind it fails (every batch from the third on starts
+		// one) and must not have touched the bookkeeping.
+		n := len(r.script.Batches)
+		if st, _ := m.Status(se.ID); st.WALRecords != n || st.CheckpointSeq != 0 {
+			t.Fatalf("status after a failed checkpoint = %+v, want %d journaled batches on the seq-0 snapshot", st, n)
+		}
+		if got, want := checkpointFailures.Value()-failures0, float64(max(0, n-compactEvery+1)); got != want {
+			t.Fatalf("%v failed checkpoint writes counted after %d batches, want %v", got, n, want)
+		}
+	}
+
+	if style == crashCkptFailed {
+		err := se.Checkpoint()
+		if st, _ := m.Status(se.ID); !errors.As(err, new(*core.PersistenceError)) || st.WALRecords != len(r.script.Batches) {
+			t.Fatalf("checkpoint with snapshot writes failing: err = %v, status %+v; want a PersistenceError and all %d batches still journaled", err, st, len(r.script.Batches))
+		}
+	}
+
+	// Crash: abandon all in-memory state; optionally damage the WAL tail
+	// or leave a checkpoint half done.
+	m.Close()
+	expectSeq := r.finalSeq
+	switch style {
+	case crashCkptTmp, crashCkptRenamed:
+		snap := se.Snapshot()
+		blob, err := encodeSnapFile(nil, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := m.snapPath(se.ID)
+		if style == crashCkptTmp {
+			path, blob = path+".tmp", blob[:rng.Intn(len(blob)+1)]
+		}
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	case crashTorn:
+		// Cut the final record at a random byte. Only possible when the
+		// last applied batch actually left bytes in the WAL (a batch whose
+		// compaction landed emptied its segment — nothing to tear).
+		if r.sizeAfterLast > r.sizeBeforeLast {
+			cut := r.sizeBeforeLast + 1 + rng.Int63n(r.sizeAfterLast-r.sizeBeforeLast-1)
+			if err := os.Truncate(r.lastSeg, cut); err != nil {
+				t.Fatal(err)
+			}
+			r.script.CutBytes = r.sizeAfterLast - cut
+			expectSeq = r.finalSeq - 1
+		}
+	case crashGarbage:
+		f, err := os.OpenFile(r.lastSeg, os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		junk := make([]byte, 1+rng.Intn(40))
+		rng.Read(junk)
+		f.Write(junk)
+		f.Close()
+	}
+	r.recoverAndCheck(expectSeq)
 }
 
 // foldDiff applies a violation diff to a base set, mirroring what a

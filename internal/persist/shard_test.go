@@ -50,8 +50,8 @@ func shardBatches(t *testing.T, se *core.Session) {
 }
 
 // TestShardedSessionJournalsOneWAL: a sharded session journals one
-// record per batch into the one session WAL — no per-shard file appears —
-// and checkpoint and drop treat that file like any session's.
+// record per batch into the one session WAL — its two segment files, no
+// per-shard file — and checkpoint and drop treat it like any session's.
 func TestShardedSessionJournalsOneWAL(t *testing.T) {
 	dir := t.TempDir()
 	se, m := newShardedSession(t, dir, 4)
@@ -69,10 +69,10 @@ func TestShardedSessionJournalsOneWAL(t *testing.T) {
 		}
 		return names
 	}
-	if got := walFiles(); len(got) != 1 || got[0] != se.ID+".wal" {
-		t.Fatalf("wal/ holds %v, want only %s.wal", got, se.ID)
+	if got := walFiles(); len(got) != 2 || got[0] != se.ID+".wal" || got[1] != se.ID+".wal.1" {
+		t.Fatalf("wal/ holds %v, want only %s.wal and %s.wal.1", got, se.ID, se.ID)
 	}
-	recs, _, tornAt, err := readWAL(m.walPath(se.ID))
+	recs, _, tornAt, err := readWAL(m.segPath(se.ID, 0))
 	if err != nil || tornAt >= 0 {
 		t.Fatalf("recs=%d tornAt=%d err=%v", len(recs), tornAt, err)
 	}
@@ -86,7 +86,7 @@ func TestShardedSessionJournalsOneWAL(t *testing.T) {
 	if err := se.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if size := fileSize(m.walPath(se.ID)); size != 0 {
+	if size := fileSize(m.segPath(se.ID, 0)); size != 0 {
 		t.Fatalf("WAL not reset by checkpoint (size %d)", size)
 	}
 	// Journaling continues cleanly after the reset.

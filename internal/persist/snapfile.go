@@ -25,20 +25,21 @@ const snapMagic = "ANMSNP\x01"
 // snapPrefix is the fixed part before the header: magic and length.
 const snapPrefix = len(snapMagic) + 4
 
-// encodeSnapFile renders the snapshot as one snapshot file; the table
-// bytes are copied once, verbatim.
-func encodeSnapFile(snap *core.SessionSnapshot) ([]byte, error) {
+// encodeSnapFile renders the snapshot as one snapshot file into buf's
+// storage (buf may be nil); the table is encoded in place when the
+// snapshot carries a view, and copied once, verbatim, when it carries
+// bytes.
+func encodeSnapFile(buf []byte, snap *core.SessionSnapshot) ([]byte, error) {
 	hdr := *snap
 	hdr.TableData = nil
 	hb, err := json.Marshal(&hdr)
 	if err != nil {
 		return nil, err
 	}
-	b := make([]byte, 0, snapPrefix+len(hb)+crc32.Size+len(snap.TableData))
-	b = binary.LittleEndian.AppendUint32(append(b, snapMagic...), uint32(len(hb)))
+	b := binary.LittleEndian.AppendUint32(append(buf[:0], snapMagic...), uint32(len(hb)))
 	b = append(b, hb...)
 	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
-	return append(b, snap.TableData...), nil
+	return snap.AppendTable(b), nil
 }
 
 // decodeSnapFile parses the snapshot file named <stem>.snap (stem already
@@ -71,11 +72,16 @@ func decodeSnapFile(stem string, b []byte) (*core.SessionSnapshot, error) {
 
 // Snapshot returns the session's checkpointed snapshot, or ok=false when
 // none was ever written. The returned snapshot (including its table
-// bytes) is read fresh from the snapshot file and owned by the caller;
-// no lock is needed, a checkpoint replaces the file atomically.
+// bytes) is read fresh from the snapshot file and owned by the caller. A
+// checkpoint write in flight is waited out first, so that the snapshot
+// pairs with the WALTail read after it (under the session's own lock).
 func (m *Manager) Snapshot(id string) (snap *core.SessionSnapshot, ok bool, err error) {
 	if err := validID(id); err != nil {
 		return nil, false, err
+	}
+	if ws := m.lookup(id); ws != nil {
+		ws.settle()
+		ws.mu.Unlock()
 	}
 	b, err := os.ReadFile(m.snapPath(id))
 	if os.IsNotExist(err) {

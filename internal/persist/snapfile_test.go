@@ -76,10 +76,11 @@ func TestCheckpointWritesOnlyOwnSession(t *testing.T) {
 	before := dirState(t, dir)
 	se := sessions[4]
 	snap := se.Snapshot()
+	payload := len(snap.AppendTable(nil)) + len(mustJSON(t, snap))
 	if err := m.Checkpoint(snap); err != nil {
 		t.Fatal(err)
 	}
-	own := map[string]bool{m.snapPath(se.ID): true, m.walPath(se.ID): true}
+	own := map[string]bool{m.snapPath(se.ID): true, m.segPath(se.ID, 0): true}
 	after := dirState(t, dir)
 	if len(after) != len(before) {
 		t.Errorf("checkpoint changed the file set: %d files, were %d", len(after), len(before))
@@ -89,9 +90,6 @@ func TestCheckpointWritesOnlyOwnSession(t *testing.T) {
 			t.Errorf("%s: changed=%v, want %v", path, changed, own[path])
 		}
 	}
-	hdr := *snap
-	hdr.TableData = nil
-	payload := len(snap.TableData) + len(mustJSON(t, hdr))
 	if size := fileSize(m.snapPath(se.ID)); size < int64(payload) || float64(size) > 1.02*float64(payload) {
 		t.Errorf("snapshot file is %d bytes for %d of table and header", size, payload)
 	}
@@ -211,7 +209,7 @@ func TestRestoreChecksSnapshotNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap.ID = "../outside"
-	escaping, err := encodeSnapFile(snap)
+	escaping, err := encodeSnapFile(nil, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +265,7 @@ func snapFileFixture(t testing.TB) (file []byte, tableAt int) {
 	data := testTable().EncodeBinaryBytes()
 	snap := &core.SessionSnapshot{ID: "s1", Project: "proj", Params: core.DefaultParams(),
 		TableName: "T", TableData: data, Discovered: testRules(), Detected: true, Seq: 7, Shards: 1}
-	file, err := encodeSnapFile(snap)
+	file, err := encodeSnapFile(nil, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +303,7 @@ func TestSnapFileRoundTripAndCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := encodeSnapFile(snap)
+	again, err := encodeSnapFile(nil, snap)
 	if err != nil || !bytes.Equal(again, good) {
 		t.Fatalf("decoded file re-encodes to %d bytes (err %v), was %d", len(again), err, len(good))
 	}
@@ -340,7 +338,7 @@ func FuzzDecodeSnapFile(f *testing.F) {
 		if snap.ID != "s1" || !bytes.HasSuffix(b, snap.TableData) {
 			t.Fatalf("accepted a file for session %q with %d table bytes of %d", snap.ID, len(snap.TableData), len(b))
 		}
-		again, err := encodeSnapFile(snap)
+		again, err := encodeSnapFile(nil, snap)
 		if err != nil {
 			t.Fatal(err)
 		}

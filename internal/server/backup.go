@@ -11,7 +11,9 @@
 //
 //	meta.json     backup format version + SessionSnapshot (sans table bytes)
 //	table.bin     the binary table snapshot (table.EncodeBinaryBytes)
-//	wal/<id>.wal  the raw journal, replayed on restore (absent when empty)
+//	wal/<id>.wal  the raw journal, replayed on restore (absent when empty):
+//	              one entry whichever segment files held it, the older
+//	              segment's records first
 //
 // Memory-only sessions (no -data directory) are backed up from a fresh
 // in-memory snapshot with an empty WAL tail; restore works identically.
@@ -46,9 +48,11 @@ type backupMeta struct {
 
 // apiBackup streams the session as a tar. The durable state (snapshot
 // file + WAL) is captured under the session's read lock — every
-// mutation path (deltas, confirm, delete) takes the write lock, so the
-// pair is consistent — and then streamed to the client with no locks
-// held, so a slow download never blocks the session's writers.
+// mutation path (deltas, confirm, delete) takes the write lock, and both
+// reads wait out a checkpoint write still in flight behind an earlier
+// batch, so the pair is consistent — and then encoded and streamed to the
+// client with no locks held, so a slow download never blocks the
+// session's writers.
 func (s *Server) apiBackup(w http.ResponseWriter, r *http.Request) {
 	h := s.requestHandle(w, r)
 	if h == nil {
@@ -68,7 +72,8 @@ func (s *Server) apiBackup(w http.ResponseWriter, r *http.Request) {
 	}
 	if err == nil && snap == nil {
 		// Memory-only (or never-checkpointed) session: snapshot it fresh.
-		// Everything is folded into the snapshot, so the tail is empty.
+		// Everything is folded into the snapshot, so the tail is empty; the
+		// frozen table is encoded below, after the lock is released.
 		snap = sess.Snapshot()
 	}
 	h.mu.RUnlock()
@@ -77,7 +82,7 @@ func (s *Server) apiBackup(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	table := snap.TableData
+	table := snap.AppendTable(nil)
 	meta := *snap
 	meta.TableData = nil
 	mb, err := json.MarshalIndent(backupMeta{Format: backupFormat, Snapshot: meta}, "", " ")

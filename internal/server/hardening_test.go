@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,6 +22,7 @@ import (
 // violations and `violations?since=` cursors included. Run under -race
 // in CI's hardening step.
 func TestHardeningMultiTenantRecovery(t *testing.T) {
+	base := runtime.NumGoroutine()
 	dir := t.TempDir()
 	m, err := persist.Open(dir, persist.Options{Fsync: true})
 	if err != nil {
@@ -137,4 +139,10 @@ func TestHardeningMultiTenantRecovery(t *testing.T) {
 			t.Errorf("after recovery %s:\n got %s\nwant %s", q, got, want[q])
 		}
 	}
+	// Neither manager's checkpoint writers (nor anything else the drill
+	// started) outlive their Close.
+	if err := m2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	goroutinesBackTo(t, base)
 }

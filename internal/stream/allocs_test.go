@@ -20,6 +20,17 @@ import (
 const (
 	maxPointAllocs = 40
 	maxPointGrowth = 1.25 // 50 000-row figure over the 5 000-row figure
+	// An update's bound is one higher per updated cell: table.SetCell
+	// replaces the row it touches with an updated copy instead of writing
+	// into it, so that a frozen table.View (the checkpoint a background
+	// goroutine is still encoding) can share rows with the live table.
+	maxUpdateAllocs = maxPointAllocs + 1
+	// A delete renumbers the rows behind it, and with them every
+	// maintained violation, which it renders again: this many allocations
+	// per violation on top of the point bound, on any table size. The
+	// term goes when tuples get stable IDs (ROADMAP, "deletes without
+	// renumbering"); until then the arm keeps it from growing.
+	maxDeleteAllocsPerViolation = 4
 )
 
 // TestPointDeltaAllocs is the allocation gate of the O(change) delta
@@ -27,13 +38,14 @@ const (
 // phone→state table (20 block keys, 0.5 % dirty rows), one constant
 // tableau row per area code beside the variable row, and single-op
 // batches — an appended clean row, which joins its block's majority
-// group, and an RHS update of a row alone in its block, which moves the
-// block's only group.
+// group, an RHS update of a row alone in its block, which moves the
+// block's only group, and the delete of the table's first row, which
+// renumbers every row and violation behind it.
 func TestPointDeltaAllocs(t *testing.T) {
 	if testing.Short() || race.Enabled {
 		t.Skip("50k-row table; the race detector's own allocations void the bound")
 	}
-	measure := func(rows int) (appendAllocs, updateAllocs float64) {
+	measure := func(rows int) (appendAllocs, updateAllocs, deleteAllocsPerViolation float64) {
 		tbl := datagen.PhoneState(rows, 0.005, 2019).Table
 		tbl.MustAppend("9995550000", "AK") // no other 999 number: a block of one
 		lone := tbl.NumRows() - 1
@@ -64,20 +76,31 @@ func TestPointDeltaAllocs(t *testing.T) {
 		appendAllocs = testing.AllocsPerRun(runs, func() { apply(batches[next]); next += 2 })
 		next = 1
 		updateAllocs = testing.AllocsPerRun(runs, func() { apply(batches[next]); next += 2 })
-		return appendAllocs, updateAllocs
+		deleteAllocs := testing.AllocsPerRun(runs/4, func() {
+			if _, err := eng.Apply(Batch{DeleteRows(0)}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return appendAllocs, updateAllocs, (deleteAllocs - maxPointAllocs) / float64(len(eng.Violations()))
 	}
-	smallAppend, smallUpdate := measure(5_000)
-	largeAppend, largeUpdate := measure(50_000)
-	t.Logf("allocs per batch: append %.0f → %.0f, update %.0f → %.0f (5k → 50k rows)", smallAppend, largeAppend, smallUpdate, largeUpdate)
+	smallAppend, smallUpdate, smallDelete := measure(5_000)
+	largeAppend, largeUpdate, largeDelete := measure(50_000)
+	t.Logf("allocs per batch: append %.0f → %.0f, update %.0f → %.0f, delete beyond %d per violation %.2f → %.2f (5k → 50k rows)",
+		smallAppend, largeAppend, smallUpdate, largeUpdate, maxPointAllocs, smallDelete, largeDelete)
 	for _, c := range []struct {
 		op           string
 		small, large float64
-	}{{"append", smallAppend, largeAppend}, {"update", smallUpdate, largeUpdate}} {
-		if c.large > maxPointAllocs {
-			t.Errorf("%s: %.0f allocs per batch on 50k rows, bound %d", c.op, c.large, maxPointAllocs)
+		bound        float64
+	}{
+		{"append", smallAppend, largeAppend, maxPointAllocs},
+		{"update", smallUpdate, largeUpdate, maxUpdateAllocs},
+		{"delete, per violation", smallDelete, largeDelete, maxDeleteAllocsPerViolation},
+	} {
+		if c.large > c.bound {
+			t.Errorf("%s: %.2f allocs per batch on 50k rows, bound %.0f", c.op, c.large, c.bound)
 		}
 		if c.large > maxPointGrowth*c.small {
-			t.Errorf("%s: %.0f allocs per batch on 50k rows against %.0f on 5k: the cost grows with the table", c.op, c.large, c.small)
+			t.Errorf("%s: %.2f allocs per batch on 50k rows against %.2f on 5k: the cost grows with the table", c.op, c.large, c.small)
 		}
 	}
 }

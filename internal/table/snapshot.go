@@ -22,33 +22,102 @@ import (
 // encoding version, the uvarint after "ANMTBL".
 const snapshotMagic = "ANMTBL\x01"
 
+// View is an immutable image of a table — name, schema and every row —
+// as it stood when Freeze was called. Encoding one needs no lock and may
+// run while the table it came from keeps changing.
+type View struct {
+	name    string
+	columns []string
+	rows    [][]string
+	// owner is the table Release hands the row headers back to.
+	owner *Table
+}
+
+// Freeze returns a View of the table as it is now. It copies the schema
+// and the row headers (24 bytes a row, into the slice the last released
+// view gave back when that is large enough) and shares the rows
+// themselves, which is safe because no mutation writes into a row: Append
+// adds new ones, DeleteRows compacts the table's own header slice,
+// SetCell swaps in an updated copy, and Derive's append can only reach
+// past the length the view holds. The caller must not mutate the table
+// concurrently with Freeze itself.
+func (t *Table) Freeze() *View {
+	t.spareMu.Lock()
+	rows := t.spare
+	t.spare = nil
+	t.spareMu.Unlock()
+	if cap(rows) < len(t.rows) {
+		// An eighth of slack, so that a growing table's next view fits too.
+		rows = make([][]string, 0, len(t.rows)+len(t.rows)/8)
+	}
+	rows = rows[:len(t.rows)]
+	copy(rows, t.rows)
+	return &View{name: t.name, columns: t.Columns(), rows: rows, owner: t}
+}
+
+// Release ends the view's life and hands its row headers back to the
+// table for the next Freeze, which then allocates nothing of the table's
+// size. The view must not be used afterwards. Unlike everything else on a
+// Table, Release may be called concurrently with the table's mutations.
+func (v *View) Release() {
+	rows := v.rows[:cap(v.rows)]
+	clear(rows) // the rows a delete or an update has since replaced are garbage
+	v.rows = nil
+	v.owner.spareMu.Lock()
+	v.owner.spare = rows[:0]
+	v.owner.spareMu.Unlock()
+}
+
 // EncodeBinaryBytes returns the table (name, schema, every row) in the
 // binary snapshot format: one exactly pre-sized buffer, checksummed once.
 // The mutation version is deliberately not encoded: a decoded table starts
 // a fresh version timeline, and holders rebuild their caches over it.
 func (t *Table) EncodeBinaryBytes() []byte {
-	size := len(snapshotMagic) + stringLen(t.name) +
-		uvarintLen(uint64(len(t.columns))) + uvarintLen(uint64(len(t.rows))) + crc32.Size
-	for _, c := range t.columns {
+	v := View{name: t.name, columns: t.columns, rows: t.rows}
+	return v.appendBinary(make([]byte, 0, v.binarySize()))
+}
+
+// AppendBinary appends the viewed table in the binary snapshot format to
+// dst. When dst is too small it is grown once, to the size needed and an
+// eighth: a caller that brings the buffer back for its next snapshot of a
+// growing table then allocates nothing.
+func (v *View) AppendBinary(dst []byte) []byte {
+	if size := v.binarySize(); cap(dst)-len(dst) < size {
+		dst = append(make([]byte, 0, len(dst)+size+size/8), dst...)
+	}
+	return v.appendBinary(dst)
+}
+
+// binarySize is the exact length of the view's encoding.
+func (v *View) binarySize() int {
+	size := len(snapshotMagic) + stringLen(v.name) +
+		uvarintLen(uint64(len(v.columns))) + uvarintLen(uint64(len(v.rows))) + crc32.Size
+	for _, c := range v.columns {
 		size += stringLen(c)
 	}
-	for _, row := range t.rows {
+	for _, row := range v.rows {
 		for _, cell := range row {
 			size += stringLen(cell)
 		}
 	}
-	b := appendString(append(make([]byte, 0, size), snapshotMagic...), t.name)
-	b = binary.AppendUvarint(b, uint64(len(t.columns)))
-	for _, c := range t.columns {
+	return size
+}
+
+// appendBinary appends the encoding to b, which the caller has sized.
+func (v *View) appendBinary(b []byte) []byte {
+	start := len(b)
+	b = appendString(append(b, snapshotMagic...), v.name)
+	b = binary.AppendUvarint(b, uint64(len(v.columns)))
+	for _, c := range v.columns {
 		b = appendString(b, c)
 	}
-	b = binary.AppendUvarint(b, uint64(len(t.rows)))
-	for _, row := range t.rows {
+	b = binary.AppendUvarint(b, uint64(len(v.rows)))
+	for _, row := range v.rows {
 		for _, cell := range row {
 			b = appendString(b, cell)
 		}
 	}
-	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
 }
 
 // uvarintLen and stringLen are the encoded sizes of v and s.

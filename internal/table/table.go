@@ -34,6 +34,12 @@ type Table struct {
 	// phase discipline as Version (mutate and detect separately).
 	internedMu sync.Mutex
 	interned   map[int]*Interned
+
+	// spare is the row-header slice the last released View handed back,
+	// for the next Freeze to copy into (see View.Release, the one call
+	// that may race with the table's own, hence the lock).
+	spareMu sync.Mutex
+	spare   [][]string
 }
 
 // Interned is one column's dictionary-coded view: IDs[r] is the dense
@@ -136,9 +142,14 @@ func (t *Table) CellByName(row int, col string) (string, error) {
 }
 
 // SetCell overwrites the value at (row, column index). It is used by the
-// repair engine and by error injection in the data generators.
+// repair engine and by error injection in the data generators. The row
+// is replaced by an updated copy, never written in place: a frozen View
+// may share it (see Freeze).
 func (t *Table) SetCell(row, col int, v string) {
-	t.rows[row][col] = v
+	cp := make([]string, len(t.rows[row]))
+	copy(cp, t.rows[row])
+	cp[col] = v
+	t.rows[row] = cp
 	if iv, ok := t.interned[col]; ok {
 		iv.IDs[row] = iv.Dict.Intern(v)
 	}

@@ -8,9 +8,9 @@ import (
 	"github.com/anmat/anmat/internal/stream"
 )
 
-// file is what a Log needs of its *os.File; the fault tests substitute a
-// handle whose Write or Sync fails.
-type file interface {
+// File is what a Log and WriteFileAtomic need of their *os.File; the
+// fault tests substitute a handle whose Write, Sync or Close fails.
+type File interface {
 	Write(b []byte) (int, error)
 	Sync() error
 	Truncate(size int64) error
@@ -29,7 +29,7 @@ type file interface {
 // whose sync failed would replay a batch the caller was told did not
 // happen. Commit is that protocol for a single record.
 type Log struct {
-	f    file
+	f    File
 	path string
 	mark int64
 }
@@ -192,9 +192,12 @@ func SyncDir(dir string) error {
 	return d.Close()
 }
 
-// createFile opens WriteFileAtomic's temporary file; the fault tests
-// substitute a handle whose Write, Sync or Close fails.
-var createFile = func(path string) (file, error) {
+// CreateFile opens WriteFileAtomic's temporary file. It is the fault
+// seam of every snapshot write: tests here and in the packages above
+// (persist's background checkpoint write, the server's backup) substitute
+// a handle whose Write, Sync or Close fails or blocks. Nothing else may
+// assign it.
+var CreateFile = func(path string) (File, error) {
 	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 }
 
@@ -205,7 +208,7 @@ var createFile = func(path string) (file, error) {
 // write, fsync, close or rename removes the temporary file again.
 func WriteFileAtomic(path string, data []byte, sync bool) error {
 	tmp := path + ".tmp"
-	f, err := createFile(tmp)
+	f, err := CreateFile(tmp)
 	if err != nil {
 		return err
 	}

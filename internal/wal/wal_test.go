@@ -372,17 +372,17 @@ func TestWriteFileAtomic(t *testing.T) {
 // way) — and requires the error back, the previous contents untouched,
 // and no <path>.tmp left for a later directory scan to trip over.
 func TestWriteFileAtomicFaults(t *testing.T) {
-	open := createFile
-	defer func() { createFile = open }()
+	open := CreateFile
+	defer func() { CreateFile = open }()
 	for _, fault := range []string{"write", "sync", "close", "rename"} {
 		t.Run(fault, func(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "s7.snap")
-			createFile = open
+			CreateFile = open
 			if err := WriteFileAtomic(path, []byte("previous"), true); err != nil {
 				t.Fatal(err)
 			}
-			createFile = func(p string) (file, error) {
+			CreateFile = func(p string) (File, error) {
 				f, err := open(p)
 				if err != nil {
 					return nil, err
