@@ -59,6 +59,8 @@ fuzz:
 	$(GO) test ./internal/table -run '^$$' -fuzz FuzzDecodeBinary -fuzztime 30s
 	$(GO) test ./internal/persist -run '^$$' -fuzz FuzzDecodeSnapFile -fuzztime 30s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecode -fuzztime 30s
+	$(GO) test ./internal/pattern -run '^$$' -fuzz FuzzMatch -fuzztime 30s
+	$(GO) test ./internal/pattern -run '^$$' -fuzz FuzzContains -fuzztime 30s
 
 # Requires network access to fetch the scanner and vuln DB; CI runs it.
 vulncheck:

@@ -182,13 +182,20 @@ func (s *System) Store() *docstore.Store { return s.store }
 // Defaults returns the system-wide default session parameters.
 func (s *System) Defaults() Params { return s.cfg.Params }
 
-// Collections used by the system.
+// Collections used by the system. Projects and PFDs belong to the system
+// (LoadPFDs serves PFD documents by table to later sessions); the other
+// three hold per-session documents, each tagged with its session's ID, and
+// live no longer than the session (see Session.Discard).
 const (
-	CollProjects   = "projects"
-	CollPFDs       = "pfds"
-	CollViolations = "violations"
-	CollProfiles   = "profiles"
+	CollProjects    = "projects"
+	CollPFDs        = "pfds"
+	CollViolations  = "violations"
+	CollProfiles    = "profiles"
+	CollDMVFindings = "dmv_findings"
 )
+
+// sessionField tags a per-session document with the owning session's ID.
+const sessionField = "session"
 
 // CreateProject registers a project ("new users can create their own
 // projects") and returns its id.
@@ -299,6 +306,11 @@ type Session struct {
 	// are journaled write-ahead through the engine sink, and engine
 	// rebuilds checkpoint a fresh baseline (see snapshot.go).
 	persist Persister
+
+	// discarded is set by Discard: a stage re-run by a caller that still
+	// held the session afterwards must not write documents nobody will
+	// ever remove.
+	discarded bool
 }
 
 // NewSession binds a table to a project with the given parameters
@@ -440,15 +452,40 @@ func (se *Session) RunStages(ctx context.Context, stages ...Stage) error {
 func (se *Session) RunProfile() profile.TableProfile {
 	se.Profile = profile.Profile(se.Table)
 	se.profiledTable, se.profiledVersion = se.Table, se.Table.Version()
-	doc := docstore.Doc{
-		"session": se.ID,
+	// A Doc of plain scalars always marshals.
+	_ = se.replaceDocs(CollProfiles, []any{docstore.Doc{
 		"project": se.Project,
 		"table":   se.Table.Name(),
 		"rows":    se.Profile.Rows,
 		"columns": len(se.Profile.Columns),
-	}
-	se.sys.store.Insert(CollProfiles, doc)
+	}})
 	return se.Profile
+}
+
+// replaceDocs makes docs, tagged with the session's ID, the session's only
+// documents in coll: what an earlier run of the same stage stored is
+// removed first, so the store holds one copy per live session however
+// often a stage re-runs.
+func (se *Session) replaceDocs(coll string, docs []any) error {
+	if se.discarded {
+		return nil
+	}
+	se.sys.store.Delete(coll, docstore.Filter{sessionField: se.ID})
+	_, err := se.sys.store.InsertJSONBatch(coll, docs, docstore.Doc{sessionField: se.ID})
+	return err
+}
+
+// Discard removes the session's documents — violations, profile, DMV
+// findings — from the store, and keeps later stage runs on this session
+// from writing new ones. Whoever drops a session (the HTTP DELETE, a
+// create that failed after its stages ran) calls it, so the store is
+// bounded by the live sessions rather than by every upload ever served.
+// PFD documents stay: they are addressed by table, not by session.
+func (se *Session) Discard() {
+	se.discarded = true
+	for _, coll := range []string{CollViolations, CollProfiles, CollDMVFindings} {
+		se.sys.store.Delete(coll, docstore.Filter{sessionField: se.ID})
+	}
 }
 
 // DMVFinding pairs a column with its suspected disguised missing values.
@@ -469,9 +506,11 @@ func (se *Session) RunDMV() []DMVFinding {
 		}
 		se.DMVs = append(se.DMVs, DMVFinding{Column: col, Suspects: suspects})
 	}
-	for _, f := range se.DMVs {
-		_, _ = se.sys.store.InsertJSON("dmv_findings", f)
+	docs := make([]any, len(se.DMVs))
+	for i, f := range se.DMVs {
+		docs[i] = f
 	}
+	_ = se.replaceDocs(CollDMVFindings, docs) // findings are plain structs: they always marshal
 	return se.DMVs
 }
 
@@ -555,7 +594,8 @@ func (se *Session) rules() []*pfd.PFD {
 
 // RunDetection evaluates the confirmed PFDs (all discovered ones when
 // none were explicitly confirmed) with the system's parallelism and
-// stores the violations. Per-rule timing lands in DetectStats.
+// stores the violations in place of an earlier run's. Per-rule timing
+// lands in DetectStats.
 // Cancelling ctx stops the engine between tableau-row batches.
 func (se *Session) RunDetection(ctx context.Context) ([]pfd.Violation, error) {
 	if err := ctx.Err(); err != nil {
@@ -570,11 +610,11 @@ func (se *Session) RunDetection(ctx context.Context) ([]pfd.Violation, error) {
 	se.detected = true
 	// One batched append for the whole run's violations: a single store
 	// lock acquisition instead of one per violation.
-	vals := make([]any, len(res.Violations))
+	docs := make([]any, len(res.Violations))
 	for i, v := range res.Violations {
-		vals[i] = v
+		docs[i] = v
 	}
-	if _, err := se.sys.store.InsertJSONBatch(CollViolations, vals); err != nil {
+	if err := se.replaceDocs(CollViolations, docs); err != nil {
 		return nil, err
 	}
 	return res.Violations, nil

@@ -55,6 +55,46 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSessionDocumentsFollowTheSession: a stage that re-runs replaces its
+// session's documents, and Discard removes one session's documents only.
+func TestSessionDocumentsFollowTheSession(t *testing.T) {
+	sys := NewSystem(docstore.NewMem())
+	ctx := context.Background()
+	a := sys.NewSession("demo", datagen.ZipCity(600, 0.01, 42).Table, DefaultParams())
+	b := sys.NewSession("demo", datagen.PhoneState(600, 0.01, 43).Table, DefaultParams())
+	for _, se := range []*Session{a, b} {
+		if err := se.Run(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if len(se.Violations) == 0 {
+			t.Fatal("fixture has no violations")
+		}
+	}
+	count := func(coll string, se *Session) int {
+		return sys.Store().Count(coll, docstore.Filter{"session": se.ID})
+	}
+	if err := a.RunStages(ctx, StageProfile, StageDetection); err != nil {
+		t.Fatal(err)
+	}
+	if got := count(CollViolations, a); got != len(a.Violations) {
+		t.Errorf("after a second detection run: %d violation documents for %d violations", got, len(a.Violations))
+	}
+	if got := count(CollProfiles, a); got != 1 {
+		t.Errorf("after a second profile run: %d profile documents", got)
+	}
+	pfds := sys.Store().Count(CollPFDs, nil)
+	a.Discard()
+	if count(CollViolations, a) != 0 || count(CollProfiles, a) != 0 {
+		t.Error("Discard left documents of its session")
+	}
+	if got := count(CollViolations, b); got != len(b.Violations) || count(CollProfiles, b) != 1 {
+		t.Errorf("Discard of %s touched %s: %d violation documents for %d violations", a.ID, b.ID, got, len(b.Violations))
+	}
+	if sys.Store().Count(CollPFDs, nil) != pfds {
+		t.Error("Discard removed PFD documents; LoadPFDs serves them by table")
+	}
+}
+
 func TestDetectionFindsInjectedErrors(t *testing.T) {
 	sys := NewSystem(docstore.NewMem())
 	d := datagen.PhoneState(3000, 0.005, 43)

@@ -273,10 +273,36 @@ type rule struct {
 // discoverCandidate mines one A → B candidate over the coded columns.
 func discoverCandidate(ctx context.Context, tableName string, cand profile.Candidate, lhs, rhs *profile.Coded, cfg Config, f DecisionFunc) (*pfd.PFD, CandidateStats, error) {
 	stats := CandidateStats{Candidate: cand}
+	tab, err := candidateTableau(ctx, cand, lhs, rhs, cfg, f, &stats)
+	if err != nil {
+		return nil, stats, err
+	}
+	tab.Minimize()
+	tab.Sort()
+	if tab.Empty() {
+		return nil, stats, nil
+	}
+	cov := tab.CoverageCounted(lhs.Values, lhs.Counts)
+	stats.Coverage = cov
+	if cov < cfg.MinCoverage {
+		return nil, stats, nil
+	}
+	stats.Kept = true
+	p := pfd.New(tableName, cand.LHS, cand.RHS, tab)
+	p.Coverage = cov
+	p.Source = "discovered"
+	return p, stats, nil
+}
+
+// candidateTableau builds the candidate's tableau as Figure 2 has it before
+// minimization: one constant row per accepted inverted-list entry left by
+// the extensional de-duplication, then the variable rows. It fills the
+// entry counts of stats.
+func candidateTableau(ctx context.Context, cand profile.Candidate, lhs, rhs *profile.Coded, cfg Config, f DecisionFunc, stats *CandidateStats) (*tableau.Tableau, error) {
 	useTokens := tokenModeFor(cand, cfg.Mode)
 	list, err := buildInvertedList(ctx, lhs, rhs, useTokens, cfg)
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
 	entries := list.Entries()
 	stats.Entries = len(entries)
@@ -288,7 +314,7 @@ func discoverCandidate(ctx context.Context, tableName string, cand profile.Candi
 		// must not scan them to completion.
 		if j&1023 == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, stats, err
+				return nil, err
 			}
 		}
 		if !f(e) {
@@ -362,22 +388,7 @@ func discoverCandidate(ctx context.Context, tableName string, cand profile.Candi
 			tab.Add(vr)
 		}
 	}
-
-	tab.Minimize()
-	tab.Sort()
-	if tab.Empty() {
-		return nil, stats, nil
-	}
-	cov := tab.CoverageCounted(lhs.Values, lhs.Counts)
-	stats.Coverage = cov
-	if cov < cfg.MinCoverage {
-		return nil, stats, nil
-	}
-	stats.Kept = true
-	p := pfd.New(tableName, cand.LHS, cand.RHS, tab)
-	p.Coverage = cov
-	p.Source = "discovered"
-	return p, stats, nil
+	return tab, nil
 }
 
 // tokenModeFor resolves ModeAuto per candidate.

@@ -1,6 +1,6 @@
 // Package docstore is the embedded document store standing in for the
 // demo's MongoDB backend (DESIGN.md §3): named collections of JSON
-// documents with insert/find/update, optional field filters, and
+// documents with insert/find/update/delete, optional field filters, and
 // durable single-file persistence. It is safe for concurrent use.
 package docstore
 
@@ -218,7 +218,21 @@ type Filter map[string]any
 func (f Filter) matches(d Doc) bool {
 	for k, want := range f {
 		got, ok := d[k]
-		if !ok || fmt.Sprint(got) != fmt.Sprint(want) {
+		if !ok {
+			return false
+		}
+		// Two strings compare as they are (what Sprint would print):
+		// filtering by a tag such as a session ID scans a collection
+		// without formatting every document.
+		if gs, ok := got.(string); ok {
+			if ws, ok := want.(string); ok {
+				if gs != ws {
+					return false
+				}
+				continue
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
 			return false
 		}
 	}
@@ -285,6 +299,25 @@ func (s *Store) Update(coll string, id int64, d Doc) bool {
 	return true
 }
 
+// Delete removes the matching documents from the collection and returns
+// how many it removed. A nil filter empties the collection.
+func (s *Store) Delete(coll string, f Filter) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c := s.colls[coll]
+	if c == nil {
+		return 0
+	}
+	n := 0
+	for id, d := range c.docs {
+		if f.matches(d) {
+			delete(c.docs, id)
+			n++
+		}
+	}
+	return n
+}
+
 // Collections lists the collection names in sorted order.
 func (s *Store) Collections() []string {
 	s.mu.RLock()
@@ -321,9 +354,11 @@ func (s *Store) InsertJSON(coll string, v any) (int64, error) {
 
 // InsertJSONBatch marshals every value and appends the resulting
 // documents with one InsertBatch call — the write path for bulk typed
-// records (e.g. a detection run's whole violation set). Nothing is stored
-// if any value fails to marshal.
-func (s *Store) InsertJSONBatch(coll string, vs []any) ([]int64, error) {
+// records (e.g. a detection run's whole violation set). The fields of tag
+// (nil for none) are set on every document, over a field of the same name:
+// what a later Find or Delete picks the batch out by. Nothing is stored if
+// any value fails to marshal.
+func (s *Store) InsertJSONBatch(coll string, vs []any, tag Doc) ([]int64, error) {
 	docs := make([]Doc, len(vs))
 	for i, v := range vs {
 		b, err := json.Marshal(v)
@@ -332,6 +367,9 @@ func (s *Store) InsertJSONBatch(coll string, vs []any) ([]int64, error) {
 		}
 		if err := json.Unmarshal(b, &docs[i]); err != nil {
 			return nil, fmt.Errorf("docstore: value %d must marshal to a JSON object: %w", i, err)
+		}
+		for k, v := range tag {
+			docs[i][k] = v
 		}
 	}
 	return s.InsertBatch(coll, docs), nil

@@ -88,6 +88,36 @@ func TestUpdate(t *testing.T) {
 	}
 }
 
+func TestDelete(t *testing.T) {
+	s := NewMem()
+	s.Insert("c", Doc{"session": "s1", "n": 1})
+	keep := s.Insert("c", Doc{"session": "s2", "n": 2})
+	s.Insert("c", Doc{"session": "s1", "n": 3})
+	s.Insert("other", Doc{"session": "s1"})
+	if n := s.Delete("c", Filter{"session": "s1"}); n != 2 {
+		t.Fatalf("Delete removed %d, want 2", n)
+	}
+	if got := s.Find("c", nil); len(got) != 1 || got[0][IDField] != keep {
+		t.Errorf("left in c: %v", got)
+	}
+	if s.Count("other", nil) != 1 {
+		t.Error("Delete reached into another collection")
+	}
+	if n := s.Delete("c", Filter{"session": "s1"}); n != 0 {
+		t.Errorf("second Delete removed %d", n)
+	}
+	if n := s.Delete("nope", nil); n != 0 {
+		t.Errorf("Delete on a missing collection removed %d", n)
+	}
+	if n := s.Delete("c", nil); n != 1 || s.Count("c", nil) != 0 {
+		t.Errorf("nil filter removed %d, %d left", n, s.Count("c", nil))
+	}
+	// Ids are never reused, so a cursor over ids stays unambiguous.
+	if id := s.Insert("c", Doc{}); id <= keep {
+		t.Errorf("id %d reused after delete (last was %d)", id, keep)
+	}
+}
+
 func TestCollections(t *testing.T) {
 	s := NewMem()
 	s.Insert("b", Doc{})
@@ -232,15 +262,18 @@ func TestInsertJSONBatch(t *testing.T) {
 	type rec struct {
 		Name string `json:"name"`
 	}
-	ids, err := s.InsertJSONBatch("c", []any{rec{"a"}, rec{"b"}})
+	ids, err := s.InsertJSONBatch("c", []any{rec{"a"}, rec{"b"}}, Doc{"session": "s1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ids) != 2 || s.Get("c", ids[1])["name"] != "b" {
 		t.Errorf("ids = %v, doc = %v", ids, s.Get("c", ids[1]))
 	}
+	if n := s.Count("c", Filter{"session": "s1"}); n != 2 {
+		t.Errorf("%d of 2 documents carry the batch's tag", n)
+	}
 	// One bad value stores nothing.
-	if _, err := s.InsertJSONBatch("c", []any{rec{"ok"}, []int{1}}); err == nil {
+	if _, err := s.InsertJSONBatch("c", []any{rec{"ok"}, []int{1}}, nil); err == nil {
 		t.Error("non-object value should fail the whole batch")
 	}
 	if s.Count("c", nil) != 2 {

@@ -19,8 +19,22 @@ type Segment struct {
 // Constrained is the constrained pattern Q of the paper: a concatenation
 // of segments of which at least one is constrained. The embedded pattern
 // Q̄ is the concatenation of the segment patterns with annotations dropped.
+//
+// Values built through the package constructors memoize Q̄, so every caller
+// asking a tableau row for its embedded pattern — minimization, coverage,
+// detection — shares one compiled automaton instead of compiling its own.
 type Constrained struct {
 	segs []Segment
+	emb  *embedded // shared by all copies; nil for the zero value
+}
+
+type embedded struct {
+	once sync.Once
+	pat  Pattern
+}
+
+func mkConstrained(segs []Segment) Constrained {
+	return Constrained{segs: segs, emb: &embedded{}}
 }
 
 // NewConstrained builds a constrained pattern from segments. It returns an
@@ -39,7 +53,7 @@ func NewConstrained(segs ...Segment) (Constrained, error) {
 	}
 	cp := make([]Segment, len(segs))
 	copy(cp, segs)
-	return Constrained{segs: cp}, nil
+	return mkConstrained(cp), nil
 }
 
 // MustConstrained is NewConstrained that panics on error.
@@ -108,6 +122,14 @@ func (q Constrained) Segments() []Segment {
 // Embedded returns the embedded pattern Q̄: the concatenation of all
 // segment patterns with constraints dropped.
 func (q Constrained) Embedded() Pattern {
+	if q.emb == nil {
+		return q.embed()
+	}
+	q.emb.once.Do(func() { q.emb.pat = q.embed() })
+	return q.emb.pat
+}
+
+func (q Constrained) embed() Pattern {
 	var p Pattern
 	for _, s := range q.segs {
 		p = p.Concat(s.Pat)
@@ -352,14 +374,14 @@ func (q Constrained) RestrictionOf(r Constrained) bool {
 // entire value is the key. It converts classical FD semantics into the
 // constrained-pattern framework.
 func WholeValue(p Pattern) Constrained {
-	return Constrained{segs: []Segment{{Pat: p, Constrained: true}}}
+	return mkConstrained([]Segment{{Pat: p, Constrained: true}})
 }
 
 // PrefixKey builds the common discovery shape: a constrained literal/fixed
 // prefix followed by a free tail.
 func PrefixKey(prefix, tail Pattern) Constrained {
-	return Constrained{segs: []Segment{
+	return mkConstrained([]Segment{
 		{Pat: prefix, Constrained: true},
 		{Pat: tail},
-	}}
+	})
 }

@@ -1,6 +1,8 @@
 package pattern
 
 import (
+	"slices"
+
 	"github.com/anmat/anmat/internal/gentree"
 )
 
@@ -30,52 +32,40 @@ func (p Pattern) EquivalentTo(q Pattern) bool {
 // plus a representative character for each base class chosen to avoid the
 // literals. Transitions only test literal equality or class membership, so
 // two characters of the same class that are not referenced literals are
-// indistinguishable to both automata.
+// indistinguishable to both automata. The literals come first, sorted, then
+// the representatives in class order.
 func symbolicAlphabet(p, q Pattern) []rune {
-	lits := map[rune]bool{}
-	for _, pat := range []Pattern{p, q} {
-		for _, t := range pat.toks {
+	alpha := make([]rune, 0, len(p.toks)+len(q.toks)+len(classMembers))
+	for _, toks := range [2][]Token{p.toks, q.toks} {
+		for _, t := range toks {
 			if !t.IsClass {
-				lits[t.Lit] = true
+				alpha = append(alpha, t.Lit)
 			}
 		}
 	}
-	alpha := make([]rune, 0, len(lits)+4)
-	for r := range lits {
-		alpha = append(alpha, r)
-	}
-	classRanges := []struct {
-		class    gentree.Class
-		lo, hi   rune
-		fallback []rune
-	}{
-		{gentree.Upper, 'A', 'Z', nil},
-		{gentree.Lower, 'a', 'z', nil},
-		{gentree.Digit, '0', '9', nil},
-		{gentree.Symbol, 0, 0, []rune{' ', '!', '#', '$', '%', '&', '(', ')', '-', '.', '/', ':', ';', '?', '@', '_', '~', '^', '|', '<', '>', '=', ','}},
-	}
-	for _, cr := range classRanges {
-		found := false
-		if cr.fallback != nil {
-			for _, r := range cr.fallback {
-				if !lits[r] {
-					alpha = append(alpha, r)
-					found = true
-					break
-				}
-			}
-		} else {
-			for r := cr.lo; r <= cr.hi; r++ {
-				if !lits[r] {
-					alpha = append(alpha, r)
-					found = true
-					break
-				}
+	slices.Sort(alpha)
+	alpha = slices.Compact(alpha)
+	lits := alpha
+	for _, members := range classMembers {
+		// If every listed member of the class is a literal, the literals
+		// already stand for it.
+		for _, r := range members {
+			if _, isLit := slices.BinarySearch(lits, r); !isLit {
+				alpha = append(alpha, r)
+				break
 			}
 		}
-		_ = found // if every member of the class is a literal, the literals already cover it
 	}
 	return alpha
+}
+
+// classMembers lists, per base class, the characters symbolicAlphabet tries
+// in order as the class's representative.
+var classMembers = [4]string{
+	gentree.Upper:  "ABCDEFGHIJKLMNOPQRSTUVWXYZ",
+	gentree.Lower:  "abcdefghijklmnopqrstuvwxyz",
+	gentree.Digit:  "0123456789",
+	gentree.Symbol: " !#$%&()-./:;?@_~^|<>=,",
 }
 
 // Intersects reports whether some string matches both p and q. The
@@ -84,6 +74,66 @@ func symbolicAlphabet(p, q Pattern) []rune {
 func (p Pattern) Intersects(q Pattern) bool {
 	a, b := compiled(p), compiled(q)
 	alpha := symbolicAlphabet(p, q)
+	if a.small && b.small {
+		return reachSmall(a, b, alpha, true)
+	}
+	return intersectsSets(a, b, alpha)
+}
+
+// included decides L(a) ⊆ L(b): no string may drive a to acceptance while
+// b rejects it. Patterns discovery emits on realistic cells compile to at
+// most 64 states, and their product runs on machine words; the stateSet
+// product decides everything larger.
+func included(a, b *nfa, alpha []rune) bool {
+	if a.small && b.small {
+		return !reachSmall(a, b, alpha, false)
+	}
+	return includedSets(a, b, alpha)
+}
+
+// reachSmall explores the reachable pairs (subset of a-states, subset of
+// b-states) of two small automata over the symbolic alphabet, each subset
+// one machine word, and reports whether in some pair a accepts while b's
+// acceptance equals bAccepts: true asks for a common string (Intersects),
+// false for a counterexample to L(a) ⊆ L(b).
+func reachSmall(a, b *nfa, alpha []rune, bAccepts bool) bool {
+	type pair struct{ sa, sb uint64 }
+	hit := func(p pair) bool {
+		return p.sa&a.accMask != 0 && (p.sb&b.accMask != 0) == bAccepts
+	}
+	start := pair{a.epsClo[0], b.epsClo[0]}
+	if hit(start) {
+		return true
+	}
+	var buf [32]pair
+	queue := append(buf[:0], start)
+	seen := map[pair]struct{}{start: {}}
+	for head := 0; head < len(queue); head++ {
+		f := queue[head]
+		for _, r := range alpha {
+			n := pair{sa: a.stepSmall(f.sa, r)}
+			if n.sa == 0 {
+				continue // a rejects every extension on r
+			}
+			n.sb = b.stepSmall(f.sb, r)
+			if bAccepts && n.sb == 0 {
+				continue // so does b, and a common string needs both
+			}
+			if hit(n) {
+				return true
+			}
+			if _, ok := seen[n]; !ok {
+				seen[n] = struct{}{}
+				queue = append(queue, n)
+			}
+		}
+	}
+	return false
+}
+
+// intersectsSets is Intersects over stateSets: the path for automata past
+// 64 states, and the oracle the word-sized product is fuzzed against.
+func intersectsSets(a, b *nfa, alpha []rune) bool {
 	type pair struct{ ka, kb string }
 	sa, sb := a.start(), b.start()
 	if a.accepts(sa) && b.accepts(sb) {
@@ -117,10 +167,10 @@ func (p Pattern) Intersects(q Pattern) bool {
 	return false
 }
 
-// included decides L(a) ⊆ L(b) by exploring reachable pairs
-// (subset of a-states, subset of b-states) over the symbolic alphabet and
-// looking for a pair where a accepts but b does not.
-func included(a, b *nfa, alpha []rune) bool {
+// includedSets is included over stateSets (see intersectsSets): it explores
+// reachable pairs (subset of a-states, subset of b-states) over the
+// symbolic alphabet, looking for a pair where a accepts but b does not.
+func includedSets(a, b *nfa, alpha []rune) bool {
 	type pair struct{ ka, kb string }
 	sa, sb := a.start(), b.start()
 	if a.accepts(sa) && !b.accepts(sb) {

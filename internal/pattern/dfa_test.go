@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -39,24 +40,76 @@ func TestDFAAgreesWithNFA(t *testing.T) {
 	}
 }
 
+// TestDFAConcurrent starts eight matchers on a cold automaton over values
+// that each force states no earlier value built, so under -race every way
+// a transition becomes visible is exercised: cells stored into the current
+// table, the table replaced by a larger generation mid-match, two matchers
+// asking for the same cell. Both builders run: words (≤ 64 NFA states) and
+// stateSets.
 func TestDFAConcurrent(t *testing.T) {
-	p := MustParse(`\LU\LL*\ \A*`)
-	values := []string{"John Charles", "Susan Boyle", "nope", "X y", "Holloway, Donald"}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				v := values[i%len(values)]
-				if p.MatchesDFA(v) != p.Matches(v) {
-					t.Error("divergence under concurrency")
-					return
+	for _, ps := range []string{`\LU\LL*\ \A*`, `\D{40}\LU*`, `\LL{3}\D{90}x*`} {
+		p := MustParse(ps) // a fresh pattern: nothing of its automaton is built
+		values := []string{"John Charles", "Susan Boyle", "nope", "X y", "Holloway, Donald"}
+		for n := 0; n <= 100; n += 3 {
+			digits := strings.Repeat("7", n)
+			values = append(values, digits, digits+"QRS", "abc"+digits, "abc"+digits+"xx", digits+"é", digits+"\xff")
+		}
+		want := make([]bool, len(values))
+		for i, v := range values {
+			want[i] = p.Matches(v)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for round := 0; round < 3; round++ {
+					for i := range values {
+						// Each matcher walks the values from its own offset,
+						// half of them backwards.
+						k := (i + w*len(values)/8) % len(values)
+						if w%2 == 1 {
+							k = len(values) - 1 - k
+						}
+						if p.MatchesDFA(values[k]) != want[k] {
+							t.Errorf("%s: divergence on %q under concurrency", ps, values[k])
+							return
+						}
+					}
 				}
-			}
-		}()
+			}(w)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+}
+
+// TestNecessaryLiteral pins what the prefilter derives from a token list:
+// the longest run of mandatory literals and where it is anchored.
+func TestNecessaryLiteral(t *testing.T) {
+	cases := []struct {
+		pat            string
+		lit            string
+		atStart, atEnd bool
+	}{
+		{`\A*,\ Tom\A*`, ", Tom", false, false},
+		{`615\D{7}`, "615", true, false},
+		{`\A*\ Angeles`, " Angeles", false, true},
+		{`a*bc`, "bc", false, true},
+		{`\D{3}`, "", false, false},
+		{`ab{2}c`, "abbc", true, true}, // {N} expands
+		{`xa+y`, "xa", true, false},    // a+ ends one run and starts the next; first of equals wins
+		{`a+`, "a", true, false},
+		{`ab\D+cde\LL`, "cde", false, false},
+		{`a�b`, "a", true, false}, // U+FFFD also stands for invalid bytes: never compared
+		{``, "", false, false},
+	}
+	for _, c := range cases {
+		lit, atStart, atEnd := necessaryLiteral(MustParse(c.pat).toks)
+		if lit != c.lit || atStart != c.atStart || atEnd != c.atEnd {
+			t.Errorf("necessaryLiteral(%s) = %q start=%v end=%v, want %q start=%v end=%v",
+				c.pat, lit, atStart, atEnd, c.lit, c.atStart, c.atEnd)
+		}
+	}
 }
 
 func TestDFAEmptyAndEdge(t *testing.T) {

@@ -75,8 +75,13 @@ func FuzzParsePattern(f *testing.F) {
 	})
 }
 
-// FuzzMatch checks that matching never panics and respects the MinLen
-// lower bound for arbitrary pattern/value pairs.
+// FuzzMatch checks that matching never panics, respects the MinLen lower
+// bound, and that MatchesDFA — prefilter, byte-indexed symbol table, rune
+// fallback — agrees with the NFA walk for arbitrary pattern/value pairs.
+// The committed corpus (testdata/fuzz/FuzzMatch) holds the inputs that
+// leave the ASCII fast path: non-ASCII literals, invalid UTF-8 values, a
+// pattern with more symbols than a byte indexes, and values carrying the
+// prefilter's literal at the wrong anchor.
 func FuzzMatch(f *testing.F) {
 	f.Add(`\D{5}`, "90001")
 	f.Add(`\LU\LL*\ \A*`, "John Charles")
@@ -93,6 +98,50 @@ func FuzzMatch(f *testing.F) {
 		}
 		if dfa := p.MatchesDFA(v); dfa != got {
 			t.Fatalf("DFA/NFA divergence on (%q, %q): %v vs %v", ps, v, dfa, got)
+		}
+	})
+}
+
+// FuzzContains is the differential test of containment on machine words:
+// for any two patterns whose automata are small, the word-sized product
+// must give the verdicts of the stateSet product, for inclusion in both
+// directions and for intersection; and Contains is reflexive whatever the
+// size.
+func FuzzContains(f *testing.F) {
+	f.Add(`\A*,\ Margaret\A*`, `\A*,\ Margaret`)
+	f.Add(`\D{5}`, `900\D{2}`)
+	f.Add(`\LU\LL*\ \A*`, `John\ \A*`)
+	f.Add(`a*`, `a+`)
+	f.Add(`\S`, `,`)
+	f.Add(``, `\A*`)
+	f.Fuzz(func(t *testing.T, ps, qs string) {
+		p, err := Parse(ps)
+		if err != nil {
+			return
+		}
+		q, err := Parse(qs)
+		if err != nil {
+			return
+		}
+		a, b := compiled(p), compiled(q)
+		if a.n > 512 || b.n > 512 {
+			return // a{65536}: the stateSet product would take minutes
+		}
+		if !p.Contains(p) {
+			t.Fatalf("Contains not reflexive on %q", ps)
+		}
+		if !a.small || !b.small {
+			return
+		}
+		alpha := symbolicAlphabet(p, q)
+		if got, want := !reachSmall(a, b, alpha, false), includedSets(a, b, alpha); got != want {
+			t.Fatalf("L(%q) ⊆ L(%q): words %v, stateSets %v", ps, qs, got, want)
+		}
+		if got, want := !reachSmall(b, a, alpha, false), includedSets(b, a, alpha); got != want {
+			t.Fatalf("L(%q) ⊆ L(%q): words %v, stateSets %v", qs, ps, got, want)
+		}
+		if got, want := reachSmall(a, b, alpha, true), intersectsSets(a, b, alpha); got != want {
+			t.Fatalf("L(%q) ∩ L(%q) ≠ ∅: words %v, stateSets %v", ps, qs, got, want)
 		}
 	})
 }

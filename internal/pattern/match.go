@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"strings"
 	"sync"
 	"unicode/utf8"
 )
@@ -83,4 +84,48 @@ func (p Pattern) AppendMatchPrefixLengths(dst []int, s string) []int {
 		}
 	}
 	return dst
+}
+
+// necessaryLiteral derives the prefilter of a token list: the longest run
+// of adjacent mandatory literal characters (unquantified literals and the
+// copies of a literal{N}; a literal+ contributes one character to the run
+// it ends and one to the run it starts), which every matching value must
+// contain. atStart and atEnd report that nothing can precede or follow the
+// run, so the value must begin or end with it. Of equally long runs the
+// first wins. lit is "" when the pattern has no mandatory literal. The
+// literal is compared bytewise, which is exact because every rune but
+// U+FFFD has one encoding a value can hold.
+func necessaryLiteral(toks []Token) (lit string, atStart, atEnd bool) {
+	var run strings.Builder
+	runStart := true // no token that can consume a character precedes the run
+	flush := func(end bool) {
+		if run.Len() > len(lit) {
+			lit, atStart, atEnd = run.String(), runStart, end
+		}
+		run.Reset()
+		runStart = false
+	}
+	for i, t := range toks {
+		last := i == len(toks)-1
+		switch {
+		case t.IsClass || t.Quant == Star || t.Lit == utf8.RuneError:
+			// U+FFFD also matches any invalid byte of a value, which no
+			// byte comparison would find.
+			flush(false)
+		case t.Quant == Plus:
+			run.WriteRune(t.Lit)
+			flush(false)
+			run.WriteRune(t.Lit)
+		case t.Quant == Exactly:
+			for n := 0; n < t.N; n++ {
+				run.WriteRune(t.Lit)
+			}
+		default:
+			run.WriteRune(t.Lit)
+		}
+		if last {
+			flush(true)
+		}
+	}
+	return lit, atStart, atEnd
 }

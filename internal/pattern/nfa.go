@@ -21,7 +21,8 @@ type nfa struct {
 	// word (n <= 64, true for every pattern the generalizer or parser
 	// produces on realistic cells), state sets are plain uint64 masks and
 	// epsClo[s] is the precomputed epsilon closure of {s} (including s).
-	// The matching loops then run with zero heap allocation.
+	// The matching loops then run with zero heap allocation, and the
+	// containment product (contain.go) runs on pairs of words.
 	small   bool
 	epsClo  []uint64
 	accMask uint64

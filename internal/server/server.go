@@ -180,9 +180,11 @@ func (s *Server) persistNew(sess *core.Session) error {
 func (s *Server) CreateSession(ctx context.Context, project string, t *table.Table, p core.Params) (*core.Session, error) {
 	sess := s.sys.NewSession(project, t, p)
 	if err := sess.Run(ctx); err != nil {
+		sess.Discard()
 		return nil, err
 	}
 	if err := s.persistNew(sess); err != nil {
+		sess.Discard()
 		return nil, err
 	}
 	s.register(sess)
@@ -583,14 +585,14 @@ func (s *Server) apiCreateSession(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	sess := s.sys.NewSession(project, t, params)
-	if err := sess.RunStages(r.Context(), stages...); err != nil {
-		if s.adm != nil {
-			s.adm.unreserveSession(tenant, t.NumRows())
-		}
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+	err = sess.RunStages(r.Context(), stages...)
+	if err == nil {
+		err = s.persistNew(sess)
 	}
-	if err := s.persistNew(sess); err != nil {
+	if err != nil {
+		// The session is never registered: take back what its stages
+		// already wrote to the store, and the reservation.
+		sess.Discard()
 		if s.adm != nil {
 			s.adm.unreserveSession(tenant, t.NumRows())
 		}
@@ -653,13 +655,15 @@ func (s *Server) apiDeleteSession(w http.ResponseWriter, r *http.Request) {
 	if s.adm != nil {
 		s.adm.release(id)
 	}
+	// Drain in-flight requests that resolved the handle before it left the
+	// registry, then take the session's documents out of the store and
+	// detach the persister, so nothing can store or journal for it again
+	// (recreating the WAL file) after the Drop below.
+	h.mu.Lock()
+	h.sess.Discard()
+	h.sess.SetPersist(nil)
+	h.mu.Unlock()
 	if s.pm != nil {
-		// Drain in-flight requests that resolved the handle before it
-		// left the registry, and detach the persister so nothing can
-		// re-journal (recreating the WAL file) after the Drop below.
-		h.mu.Lock()
-		h.sess.SetPersist(nil)
-		h.mu.Unlock()
 		if err := s.pm.Drop(id); err != nil {
 			writeError(w, http.StatusInternalServerError, "session deleted but persisted state not dropped: %v", err)
 			return

@@ -6,6 +6,7 @@ package tableau
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -155,34 +156,36 @@ func (t *Tableau) Sort() {
 // restriction of. Minimization shrinks the tableau without changing which
 // violations detection reports for constant rows; for variable rows the
 // subsuming row detects a superset.
+//
+// Rows are visited in tableau order and a row is dropped when a row still
+// kept at that moment subsumes it and is not subsumed back (rows of equal
+// language all stay). Only rows with the same RHS can subsume one another,
+// so the rows are grouped by RHS and each group is minimized on its own.
+// A row's embedded pattern is the one its LHS memoizes, compiled once
+// however many pairs the row takes part in.
 func (t *Tableau) Minimize() {
-	keep := make([]bool, len(t.rows))
+	rows := t.rows
+	order := make([]int, len(rows))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return strings.Compare(rows[a].RHS, rows[b].RHS) })
+	keep := make([]bool, len(rows))
 	for i := range keep {
 		keep[i] = true
 	}
-	for i, ri := range t.rows {
-		if !keep[i] {
-			continue
+	for lo, hi := 0, 0; lo < len(order); lo = hi {
+		for hi = lo + 1; hi < len(order) && rows[order[hi]].RHS == rows[order[lo]].RHS; hi++ {
 		}
-		for j, rj := range t.rows {
-			if i == j || !keep[j] || !keep[i] {
-				continue
-			}
-			if subsumes(rj, ri) && !subsumes(ri, rj) {
-				keep[i] = false
-			}
-		}
-	}
-	var out []Row
-	for i, r := range t.rows {
-		if keep[i] {
-			out = append(out, r)
-		}
+		minimizeGroup(rows, order[lo:hi], keep)
 	}
 	// Exact duplicates: keep first occurrence.
 	seen := map[string]bool{}
 	var dedup []Row
-	for _, r := range out {
+	for i, r := range rows {
+		if !keep[i] {
+			continue
+		}
 		k := r.String()
 		if !seen[k] {
 			seen[k] = true
@@ -190,6 +193,22 @@ func (t *Tableau) Minimize() {
 		}
 	}
 	t.rows = dedup
+}
+
+// minimizeGroup clears keep for the subsumed rows among rows[group[…]], a
+// run of same-RHS rows in tableau order.
+func minimizeGroup(rows []Row, group []int, keep []bool) {
+	for _, i := range group {
+		for _, j := range group {
+			if i == j || !keep[j] {
+				continue
+			}
+			if subsumes(rows[j], rows[i]) && !subsumes(rows[i], rows[j]) {
+				keep[i] = false
+				break
+			}
+		}
+	}
 }
 
 // subsumes reports whether row a subsumes row b (a is at least as general
