@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench-quick cluster-e2e hardening fuzz vulncheck lint-obs
+.PHONY: all build vet test race bench-quick cluster-e2e hardening fuzz vulncheck lint-obs loc
 
 all: vet lint-obs build test
 
@@ -41,8 +41,9 @@ cluster-e2e:
 		./cmd/anmat-server/ ./internal/cluster/
 
 # Hostile-traffic acceptance: multi-tenant concurrent load against
-# quotas + fsync-on group commit, crash, and byte-identical recovery —
-# plus the admission, body-cap, and backup/restore suites and the
+# quotas + fsync-on journal commits, crash, and byte-identical recovery —
+# plus the journal's own suite (sessions committing at once, one of them
+# failing), the admission, body-cap, and backup/restore suites and the
 # snapshot path's own (crash points inside a checkpoint and inside the
 # rotation behind it, injected faults on the background write, everything
 # that must wait for a write in flight, one file per checkpoint,
@@ -50,7 +51,7 @@ cluster-e2e:
 # goroutine at a point other goroutines race past, so it runs ten times
 # more to shake out whatever depends on scheduling.
 hardening:
-	$(GO) test -race -v -run 'TestHardeningMultiTenantRecovery|TestAdmission|TestConfirmEmptyBodyAndCap|TestBackupRestore|TestRestore|TestGroupCommit|TestHTTPServerTimeouts|TestCrashRecoveryEquivalence|TestCheckpoint' \
+	$(GO) test -race -v -run 'TestHardeningMultiTenantRecovery|TestAdmission|TestConfirmEmptyBodyAndCap|TestBackupRestore|TestRestore|TestJournal|TestHTTPServerTimeouts|TestCrashRecoveryEquivalence|TestCheckpoint' \
 		./internal/server/ ./internal/persist/ ./cmd/anmat-server/
 	$(GO) test -race -count=10 -run 'TestCheckpointCrashMidRotation' ./internal/persist/
 
@@ -61,6 +62,11 @@ fuzz:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/pattern -run '^$$' -fuzz FuzzMatch -fuzztime 30s
 	$(GO) test ./internal/pattern -run '^$$' -fuzz FuzzContains -fuzztime 30s
+
+# Non-test Go lines outside bench/ (frozen, a module of its own) and the
+# benchmark's build directory: the size ROADMAP.md and CHANGES.md quote.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -exec cat {} + | wc -l
 
 # Requires network access to fetch the scanner and vuln DB; CI runs it.
 vulncheck:

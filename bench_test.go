@@ -23,7 +23,6 @@ import (
 	"github.com/anmat/anmat/internal/fd"
 	"github.com/anmat/anmat/internal/pattern"
 	"github.com/anmat/anmat/internal/pfd"
-	"github.com/anmat/anmat/internal/pindex"
 	"github.com/anmat/anmat/internal/profile"
 	"github.com/anmat/anmat/internal/table"
 	"github.com/anmat/anmat/internal/tableau"
@@ -385,30 +384,6 @@ func BenchmarkPattern_ExtractKey(b *testing.B) {
 	}
 }
 
-func BenchmarkPIndex_Build(b *testing.B) {
-	ds := datagen.PhoneState(benchRows, 0, experiments.Seed)
-	vals, _ := ds.Table.Column("phone")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pindex.Build(vals)
-	}
-}
-
-func BenchmarkPIndex_Query(b *testing.B) {
-	ds := datagen.PhoneState(benchRows, 0, experiments.Seed)
-	vals, _ := ds.Table.Column("phone")
-	ix := pindex.Build(vals)
-	q := pattern.MustParse(`850\D{7}`)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(ix.Match(q)) == 0 {
-			b.Fatal("no matches")
-		}
-	}
-}
-
 func BenchmarkTokenize(b *testing.B) {
 	b.Run("Tokens", func(b *testing.B) {
 		b.ReportAllocs()
@@ -426,29 +401,6 @@ func BenchmarkTokenize(b *testing.B) {
 			}
 		}
 	})
-}
-
-func BenchmarkIncrementalIngest(b *testing.B) {
-	ds := datagen.ZipCity(benchRows, 0.01, experiments.Seed)
-	q := pattern.MustParseConstrained(`<\D{4}>\D`)
-	p := pfd.New(ds.Table.Name(), "zip", "city",
-		tableau.New(tableau.Row{LHS: q, RHS: tableau.Wildcard}))
-	rows := make([][]string, ds.Table.NumRows())
-	for r := range rows {
-		rows[r] = ds.Table.Row(r)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inc, err := detect.NewIncremental(ds.Table.Columns(), []*pfd.PFD{p})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range rows {
-			inc.Ingest(row)
-		}
-	}
-	b.ReportMetric(float64(benchRows), "rows/iter")
 }
 
 func BenchmarkDocstore(b *testing.B) {

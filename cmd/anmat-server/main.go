@@ -1,6 +1,6 @@
 // Command anmat-server runs the HTTP GUI substitute (Figures 3–5):
 //
-//	anmat-server [-addr :8080] [-data dir] [-store anmat.json] [-in data.csv] [-parallelism n] [-shards k]
+//	anmat-server [-addr :8080] [-data dir] [-in data.csv] [-parallelism n] [-shards k]
 //
 // With -in the dataset is loaded as a session and the pipeline run at
 // startup; otherwise POST a CSV to /api/v1/sessions. The server is
@@ -130,7 +130,6 @@ func runWorker(addr string, shardID, of int, accessLog *slog.Logger) {
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	storePath := flag.String("store", "", "document-store file (empty = in-memory)")
 	data := flag.String("data", "", "durability directory: checkpoint sessions + journal deltas here, rehydrate on startup (empty = memory-only sessions)")
 	fsync := flag.Bool("fsync", false, "with -data: fsync every WAL append and snapshot (power-loss durability)")
 	compactEvery := flag.Int("compact-every", persist.DefaultCompactEvery, "with -data: journaled batches before a session's WAL is folded into a fresh snapshot")
@@ -172,21 +171,13 @@ func main() {
 		return
 	}
 
-	var store *docstore.Store
-	var err error
-	if *storePath == "" {
-		store = docstore.NewMem()
-	} else if store, err = docstore.Open(*storePath); err != nil {
-		fmt.Fprintln(os.Stderr, "anmat-server:", err)
-		os.Exit(1)
-	}
 	cfg := core.DefaultSystemConfig()
 	cfg.Parallelism = *parallelism
 	cfg.Shards = *shards
 	cfg.Workers = splitList(*workers)
 	cfg.ClusterSpares = splitList(*spares)
 	cfg.ClusterDir = *clusterData
-	sys := core.NewSystemWith(store, cfg)
+	sys := core.NewSystemWith(docstore.NewMem(), cfg)
 	sys.CreateProject("default")
 	srv := server.New(sys)
 	srv.SetAccessLog(accessLog)

@@ -704,9 +704,12 @@ func cmdDMV(args []string) error {
 	return nil
 }
 
-// cmdStream mines PFDs from a trusted history CSV, seeds the incremental
-// detector with it, then validates the rows of the incoming CSV one by
-// one, printing an alert per suspect row.
+// cmdStream mines PFDs from a trusted history CSV, then appends the rows
+// of the incoming CSV to it one by one through the session's incremental
+// engine, printing an alert per violation an arrival adds — exactly the
+// ones a full detection over history and arrivals would report, those a
+// majority flip creates on older rows included. The row an alert names
+// is the arrival that raised it.
 func cmdStream(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("stream", flag.ContinueOnError)
 	history := fs.String("history", "", "trusted history CSV (required)")
@@ -743,13 +746,6 @@ func cmdStream(ctx context.Context, args []string) error {
 	}
 	fmt.Printf("mined %d PFD(s) from %d history rows\n", len(pfds), hist.NumRows())
 
-	inc, err := detect.NewIncremental(hist.Columns(), pfds)
-	if err != nil {
-		return err
-	}
-	for r := 0; r < hist.NumRows(); r++ {
-		inc.Seed(hist.Row(r))
-	}
 	alerts := 0
 	for r := 0; r < incoming.NumRows(); r++ {
 		if r&1023 == 0 {
@@ -757,11 +753,15 @@ func cmdStream(ctx context.Context, args []string) error {
 				return fmt.Errorf("stream cancelled at row %d: %w", r, err)
 			}
 		}
-		for _, a := range inc.Ingest(incoming.Row(r)) {
+		diff, err := se.ApplyDeltasCtx(ctx, stream.Batch{stream.AppendRows(incoming.Row(r))})
+		if err != nil {
+			return err
+		}
+		for _, v := range diff.Added {
 			alerts++
 			if alerts <= 100 {
 				fmt.Printf("ALERT row %d: observed %q, rule %s expects %q\n",
-					r, a.Observed, a.Rule, a.Expected)
+					r, v.Observed, v.Row, v.Expected)
 			}
 		}
 	}

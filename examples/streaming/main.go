@@ -1,8 +1,8 @@
 // Streaming shows ANMAT validating records on arrival: PFDs are mined
-// from a trusted history batch (ChEMBL-like compound registry), the
-// incremental detector is seeded with that history, and new records are
-// checked one by one as they stream in — wrong molecule types are flagged
-// at ingestion time instead of in a nightly batch.
+// from a trusted history batch (ChEMBL-like compound registry), and new
+// records are appended to it one by one through the session's
+// incremental engine — wrong molecule types are flagged at ingestion
+// time instead of in a nightly batch.
 package main
 
 import (
@@ -12,7 +12,6 @@ import (
 
 	anmat "github.com/anmat/anmat"
 	"github.com/anmat/anmat/internal/datagen"
-	"github.com/anmat/anmat/internal/detect"
 )
 
 func main() {
@@ -50,14 +49,9 @@ func main() {
 		fmt.Printf("  %s\n", row)
 	}
 
-	// Arm the streaming detector and seed it with history.
-	inc, err := detect.NewIncremental(history.Table.Columns(), []*anmat.PFD{idType})
-	if err != nil {
-		log.Fatal(err)
-	}
-	for r := 0; r < history.Table.NumRows(); r++ {
-		inc.Seed(history.Table.Row(r))
-	}
+	// Check arrivals against that one rule.
+	sess.UseRules([]*anmat.PFD{idType})
+	seen := history.Table.NumRows()
 
 	// Stream a dirty batch of new registrations.
 	batch := datagen.Compound(2000, 0.02, 77)
@@ -65,13 +59,19 @@ func main() {
 	alerts := 0
 	caught := map[int]bool{}
 	for r := 0; r < batch.Table.NumRows(); r++ {
-		for _, a := range inc.Ingest(batch.Table.Row(r)) {
+		diff, err := sess.ApplyDeltasCtx(ctx, anmat.DeltaBatch{anmat.AppendRows(batch.Table.Row(r))})
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, v := range diff.Added {
 			alerts++
-			caught[r] = true
+			// A violation reports its later tuple as the observed one.
+			tuple := v.Tuples[len(v.Tuples)-1]
+			caught[tuple-seen] = true
 			if alerts <= 5 {
-				id, _ := batch.Table.CellByName(r, "compound_id")
+				id, _ := sess.Table.CellByName(tuple, "compound_id")
 				fmt.Printf("  ALERT row %d: %s typed %q, rule says %q (%s)\n",
-					r, id, a.Observed, a.Expected, a.Rule)
+					tuple-seen, id, v.Observed, v.Expected, v.Row)
 			}
 		}
 	}

@@ -17,7 +17,7 @@ func benchTable(gen func(n int, errRate float64, seed int64) *datagen.Dataset, r
 }
 
 // runUpload is what one upload costs past CSV parsing: the full pipeline
-// on a new session, which is then discarded as the HTTP DELETE does.
+// on a new session.
 func runUpload(tb testing.TB, sys *System, tbl *table.Table) {
 	se := sys.NewSession("bench", tbl, DefaultParams())
 	if err := se.Run(context.Background()); err != nil {
@@ -26,7 +26,6 @@ func runUpload(tb testing.TB, sys *System, tbl *table.Table) {
 	if len(se.Discovered) == 0 || len(se.Violations) == 0 {
 		tb.Fatalf("fixture gave %d PFDs, %d violations", len(se.Discovered), len(se.Violations))
 	}
-	se.Discard()
 }
 
 func benchRun(b *testing.B, tbl *table.Table) {

@@ -182,20 +182,14 @@ func (s *System) Store() *docstore.Store { return s.store }
 // Defaults returns the system-wide default session parameters.
 func (s *System) Defaults() Params { return s.cfg.Params }
 
-// Collections used by the system. Projects and PFDs belong to the system
-// (LoadPFDs serves PFD documents by table to later sessions); the other
-// three hold per-session documents, each tagged with its session's ID, and
-// live no longer than the session (see Session.Discard).
+// Collections used by the system: the projects, and one PFD rule set per
+// table name (LoadPFDs serves it to later sessions). What a session
+// computes — profile, violations, DMV findings — lives on the Session,
+// which is what every reader is served from.
 const (
-	CollProjects    = "projects"
-	CollPFDs        = "pfds"
-	CollViolations  = "violations"
-	CollProfiles    = "profiles"
-	CollDMVFindings = "dmv_findings"
+	CollProjects = "projects"
+	CollPFDs     = "pfds"
 )
-
-// sessionField tags a per-session document with the owning session's ID.
-const sessionField = "session"
 
 // CreateProject registers a project ("new users can create their own
 // projects") and returns its id.
@@ -306,11 +300,6 @@ type Session struct {
 	// are journaled write-ahead through the engine sink, and engine
 	// rebuilds checkpoint a fresh baseline (see snapshot.go).
 	persist Persister
-
-	// discarded is set by Discard: a stage re-run by a caller that still
-	// held the session afterwards must not write documents nobody will
-	// ever remove.
-	discarded bool
 }
 
 // NewSession binds a table to a project with the given parameters
@@ -447,45 +436,12 @@ func (se *Session) RunStages(ctx context.Context, stages ...Stage) error {
 	return nil
 }
 
-// RunProfile computes and stores the table profile (the Figure 3 step:
-// "the system will automatically profile the dataset").
+// RunProfile computes the table profile (the Figure 3 step: "the system
+// will automatically profile the dataset").
 func (se *Session) RunProfile() profile.TableProfile {
 	se.Profile = profile.Profile(se.Table)
 	se.profiledTable, se.profiledVersion = se.Table, se.Table.Version()
-	// A Doc of plain scalars always marshals.
-	_ = se.replaceDocs(CollProfiles, []any{docstore.Doc{
-		"project": se.Project,
-		"table":   se.Table.Name(),
-		"rows":    se.Profile.Rows,
-		"columns": len(se.Profile.Columns),
-	}})
 	return se.Profile
-}
-
-// replaceDocs makes docs, tagged with the session's ID, the session's only
-// documents in coll: what an earlier run of the same stage stored is
-// removed first, so the store holds one copy per live session however
-// often a stage re-runs.
-func (se *Session) replaceDocs(coll string, docs []any) error {
-	if se.discarded {
-		return nil
-	}
-	se.sys.store.Delete(coll, docstore.Filter{sessionField: se.ID})
-	_, err := se.sys.store.InsertJSONBatch(coll, docs, docstore.Doc{sessionField: se.ID})
-	return err
-}
-
-// Discard removes the session's documents — violations, profile, DMV
-// findings — from the store, and keeps later stage runs on this session
-// from writing new ones. Whoever drops a session (the HTTP DELETE, a
-// create that failed after its stages ran) calls it, so the store is
-// bounded by the live sessions rather than by every upload ever served.
-// PFD documents stay: they are addressed by table, not by session.
-func (se *Session) Discard() {
-	se.discarded = true
-	for _, coll := range []string{CollViolations, CollProfiles, CollDMVFindings} {
-		se.sys.store.Delete(coll, docstore.Filter{sessionField: se.ID})
-	}
 }
 
 // DMVFinding pairs a column with its suspected disguised missing values.
@@ -495,7 +451,7 @@ type DMVFinding struct {
 }
 
 // RunDMV scans every column for disguised missing values; findings are
-// kept on the session and stored. It does not modify the table — use
+// kept on the session. It does not modify the table — use
 // discovery.Config.CleanDMVs to exclude them from mining.
 func (se *Session) RunDMV() []DMVFinding {
 	se.DMVs = se.DMVs[:0]
@@ -506,17 +462,14 @@ func (se *Session) RunDMV() []DMVFinding {
 		}
 		se.DMVs = append(se.DMVs, DMVFinding{Column: col, Suspects: suspects})
 	}
-	docs := make([]any, len(se.DMVs))
-	for i, f := range se.DMVs {
-		docs[i] = f
-	}
-	_ = se.replaceDocs(CollDMVFindings, docs) // findings are plain structs: they always marshal
 	return se.DMVs
 }
 
-// RunDiscovery mines PFDs with the session parameters and stores them.
-// Cancelling ctx aborts mining mid-candidate with an error wrapping
-// context.Canceled.
+// RunDiscovery mines PFDs with the session parameters and stores them as
+// the rule set of the table's name, in place of what an earlier run over
+// a table of that name stored: the store is bounded by the table names it
+// has seen, not by the runs. Cancelling ctx aborts mining mid-candidate
+// with an error wrapping context.Canceled.
 func (se *Session) RunDiscovery(ctx context.Context) ([]*pfd.PFD, error) {
 	var tp *profile.TableProfile // nil: discovery profiles the table itself
 	if se.profiledTable == se.Table && se.profiledVersion == se.Table.Version() {
@@ -528,6 +481,7 @@ func (se *Session) RunDiscovery(ctx context.Context) ([]*pfd.PFD, error) {
 	}
 	se.Discovered = res.PFDs
 	se.Stats = res.Stats
+	se.sys.store.Delete(CollPFDs, docstore.Filter{"table": se.Table.Name()})
 	for _, p := range res.PFDs {
 		if _, err := se.sys.store.InsertJSON(CollPFDs, p); err != nil {
 			return nil, fmt.Errorf("store pfd %s: %w", p.ID(), err)
@@ -593,9 +547,8 @@ func (se *Session) rules() []*pfd.PFD {
 }
 
 // RunDetection evaluates the confirmed PFDs (all discovered ones when
-// none were explicitly confirmed) with the system's parallelism and
-// stores the violations in place of an earlier run's. Per-rule timing
-// lands in DetectStats.
+// none were explicitly confirmed) with the system's parallelism. Per-rule
+// timing lands in DetectStats.
 // Cancelling ctx stops the engine between tableau-row batches.
 func (se *Session) RunDetection(ctx context.Context) ([]pfd.Violation, error) {
 	if err := ctx.Err(); err != nil {
@@ -608,15 +561,6 @@ func (se *Session) RunDetection(ctx context.Context) ([]pfd.Violation, error) {
 	se.Violations = res.Violations
 	se.DetectStats = res.Stats
 	se.detected = true
-	// One batched append for the whole run's violations: a single store
-	// lock acquisition instead of one per violation.
-	docs := make([]any, len(res.Violations))
-	for i, v := range res.Violations {
-		docs[i] = v
-	}
-	if err := se.replaceDocs(CollViolations, docs); err != nil {
-		return nil, err
-	}
 	return res.Violations, nil
 }
 

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -46,52 +48,6 @@ func TestPipelineEndToEnd(t *testing.T) {
 	// Results were persisted.
 	if sys.Store().Count(CollPFDs, nil) == 0 {
 		t.Error("PFDs not stored")
-	}
-	if sys.Store().Count(CollViolations, nil) == 0 {
-		t.Error("violations not stored")
-	}
-	if sys.Store().Count(CollProfiles, nil) != 1 {
-		t.Error("profile not stored")
-	}
-}
-
-// TestSessionDocumentsFollowTheSession: a stage that re-runs replaces its
-// session's documents, and Discard removes one session's documents only.
-func TestSessionDocumentsFollowTheSession(t *testing.T) {
-	sys := NewSystem(docstore.NewMem())
-	ctx := context.Background()
-	a := sys.NewSession("demo", datagen.ZipCity(600, 0.01, 42).Table, DefaultParams())
-	b := sys.NewSession("demo", datagen.PhoneState(600, 0.01, 43).Table, DefaultParams())
-	for _, se := range []*Session{a, b} {
-		if err := se.Run(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if len(se.Violations) == 0 {
-			t.Fatal("fixture has no violations")
-		}
-	}
-	count := func(coll string, se *Session) int {
-		return sys.Store().Count(coll, docstore.Filter{"session": se.ID})
-	}
-	if err := a.RunStages(ctx, StageProfile, StageDetection); err != nil {
-		t.Fatal(err)
-	}
-	if got := count(CollViolations, a); got != len(a.Violations) {
-		t.Errorf("after a second detection run: %d violation documents for %d violations", got, len(a.Violations))
-	}
-	if got := count(CollProfiles, a); got != 1 {
-		t.Errorf("after a second profile run: %d profile documents", got)
-	}
-	pfds := sys.Store().Count(CollPFDs, nil)
-	a.Discard()
-	if count(CollViolations, a) != 0 || count(CollProfiles, a) != 0 {
-		t.Error("Discard left documents of its session")
-	}
-	if got := count(CollViolations, b); got != len(b.Violations) || count(CollProfiles, b) != 1 {
-		t.Errorf("Discard of %s touched %s: %d violation documents for %d violations", a.ID, b.ID, got, len(b.Violations))
-	}
-	if sys.Store().Count(CollPFDs, nil) != pfds {
-		t.Error("Discard removed PFD documents; LoadPFDs serves them by table")
 	}
 }
 
@@ -188,9 +144,6 @@ func TestRunDMV(t *testing.T) {
 	if !found {
 		t.Errorf("N/A not flagged: %+v", findings)
 	}
-	if sys.Store().Count("dmv_findings", nil) == 0 {
-		t.Error("findings not stored")
-	}
 	// Re-running replaces, not duplicates, the in-session findings.
 	if got := se.RunDMV(); len(got) != len(findings) {
 		t.Errorf("re-run findings = %d, want %d", len(got), len(findings))
@@ -256,6 +209,41 @@ func TestLoadPFDsRoundTrip(t *testing.T) {
 	if err != nil || len(all) != len(loaded) {
 		t.Errorf("LoadPFDs(all) = %d, %v", len(all), err)
 	}
+
+	// A later discovery run over a table of the same name replaces the
+	// name's rule set; another table's stays as it is.
+	other := sys2.NewSession("p", datagen.PhoneState(600, 0.01, 43).Table, DefaultParams())
+	if _, err := other.RunDiscovery(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	again := datagen.ZipCity(400, 0.05, 47).Table
+	if again.Name() != d.Table.Name() || other.Table.Name() == again.Name() {
+		t.Fatalf("fixture tables are named %q, %q and %q", d.Table.Name(), again.Name(), other.Table.Name())
+	}
+	se3 := sys2.NewSession("p", again, DefaultParams())
+	if _, err := se3.RunDiscovery(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, se := range []*Session{se3, other} {
+		got, err := sys2.LoadPFDs(se.Table.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(se.Discovered) == 0 || !reflect.DeepEqual(pfdDocs(got), pfdDocs(se.Discovered)) {
+			t.Errorf("LoadPFDs(%q) = %v, want the rules of the name's last run %v", se.Table.Name(), pfdDocs(got), pfdDocs(se.Discovered))
+		}
+	}
+}
+
+// pfdDocs renders a rule set as its rules' JSON documents, sorted.
+func pfdDocs(ps []*pfd.PFD) []string {
+	out := make([]string, len(ps))
+	for i, p := range ps {
+		b, _ := json.Marshal(p)
+		out[i] = string(b)
+	}
+	sort.Strings(out)
+	return out
 }
 
 func TestLoadPFDsCorruptDoc(t *testing.T) {

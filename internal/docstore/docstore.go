@@ -169,33 +169,6 @@ func (s *Store) Insert(coll string, d Doc) int64 {
 	return id
 }
 
-// InsertBatch stores copies of all documents in the collection under one
-// lock acquisition and returns their assigned ids in order: one call, one
-// contiguous id reservation, no interleaving with concurrent writers. It
-// is the batched append path for bulk record writers — see InsertJSONBatch
-// for the typed variant the detection pipeline uses for violations.
-func (s *Store) InsertBatch(coll string, docs []Doc) []int64 {
-	if len(docs) == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := s.coll(coll)
-	ids := make([]int64, len(docs))
-	for i, d := range docs {
-		id := s.nextID
-		s.nextID++
-		cp := make(Doc, len(d)+1)
-		for k, v := range d {
-			cp[k] = v
-		}
-		cp[IDField] = id
-		c.docs[id] = cp
-		ids[i] = id
-	}
-	return ids
-}
-
 // Get returns the document with the id, or nil.
 func (s *Store) Get(coll string, id int64) Doc {
 	s.mu.RLock()
@@ -339,7 +312,7 @@ func cloneDoc(d Doc) Doc {
 }
 
 // InsertJSON marshals v to JSON and stores the resulting object document.
-// It is the bridge for typed records (PFDs, violations).
+// It is the bridge for typed records (PFDs).
 func (s *Store) InsertJSON(coll string, v any) (int64, error) {
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -350,27 +323,4 @@ func (s *Store) InsertJSON(coll string, v any) (int64, error) {
 		return 0, fmt.Errorf("docstore: value must marshal to a JSON object: %w", err)
 	}
 	return s.Insert(coll, d), nil
-}
-
-// InsertJSONBatch marshals every value and appends the resulting
-// documents with one InsertBatch call — the write path for bulk typed
-// records (e.g. a detection run's whole violation set). The fields of tag
-// (nil for none) are set on every document, over a field of the same name:
-// what a later Find or Delete picks the batch out by. Nothing is stored if
-// any value fails to marshal.
-func (s *Store) InsertJSONBatch(coll string, vs []any, tag Doc) ([]int64, error) {
-	docs := make([]Doc, len(vs))
-	for i, v := range vs {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return nil, err
-		}
-		if err := json.Unmarshal(b, &docs[i]); err != nil {
-			return nil, fmt.Errorf("docstore: value %d must marshal to a JSON object: %w", i, err)
-		}
-		for k, v := range tag {
-			docs[i][k] = v
-		}
-	}
-	return s.InsertBatch(coll, docs), nil
 }

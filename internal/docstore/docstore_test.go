@@ -231,56 +231,6 @@ func TestOpenDocWithoutIDReported(t *testing.T) {
 	}
 }
 
-func TestInsertBatch(t *testing.T) {
-	s := NewMem()
-	ids := s.InsertBatch("c", []Doc{{"n": 1}, {"n": 2}, {"n": 3}})
-	if len(ids) != 3 {
-		t.Fatalf("ids = %v", ids)
-	}
-	for i := 1; i < len(ids); i++ {
-		if ids[i] != ids[i-1]+1 {
-			t.Errorf("batch ids not contiguous: %v", ids)
-		}
-	}
-	if s.Count("c", nil) != 3 {
-		t.Errorf("count = %d", s.Count("c", nil))
-	}
-	if got := s.InsertBatch("c", nil); got != nil {
-		t.Errorf("empty batch = %v", got)
-	}
-	// Batch inserts copy like Insert does.
-	d := Doc{"k": "v"}
-	id := s.InsertBatch("c", []Doc{d})[0]
-	d["k"] = "mutated"
-	if s.Get("c", id)["k"] != "v" {
-		t.Error("InsertBatch should copy documents")
-	}
-}
-
-func TestInsertJSONBatch(t *testing.T) {
-	s := NewMem()
-	type rec struct {
-		Name string `json:"name"`
-	}
-	ids, err := s.InsertJSONBatch("c", []any{rec{"a"}, rec{"b"}}, Doc{"session": "s1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 2 || s.Get("c", ids[1])["name"] != "b" {
-		t.Errorf("ids = %v, doc = %v", ids, s.Get("c", ids[1]))
-	}
-	if n := s.Count("c", Filter{"session": "s1"}); n != 2 {
-		t.Errorf("%d of 2 documents carry the batch's tag", n)
-	}
-	// One bad value stores nothing.
-	if _, err := s.InsertJSONBatch("c", []any{rec{"ok"}, []int{1}}, nil); err == nil {
-		t.Error("non-object value should fail the whole batch")
-	}
-	if s.Count("c", nil) != 2 {
-		t.Errorf("failed batch stored documents: count = %d", s.Count("c", nil))
-	}
-}
-
 func TestFsyncFlushRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.json")
 	s, err := OpenWith(path, Options{Fsync: true})

@@ -27,10 +27,10 @@ var SpanCatalog = []string{
 	// attempt) and the coordinator's failover-store WAL append.
 	"cluster.rpc",
 	"cluster.wal.append",
-	// Session durability: the write-ahead journal (group-commit or
-	// serial) a delta batch rides through before it is applied, and the
-	// checkpoint write behind a request (a detached span: it belongs to no
-	// request's trace, but a slow one shows in the slow-span ring).
+	// Session durability: the write-ahead journal commit a delta batch
+	// waits for before it is applied, and the checkpoint write behind a
+	// request (a detached span: it belongs to no request's trace, but a
+	// slow one shows in the slow-span ring).
 	"persist.journal",
 	"persist.checkpoint.write",
 }

@@ -56,15 +56,6 @@ func NewConstrained(segs ...Segment) (Constrained, error) {
 	return mkConstrained(cp), nil
 }
 
-// MustConstrained is NewConstrained that panics on error.
-func MustConstrained(segs ...Segment) Constrained {
-	q, err := NewConstrained(segs...)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
-
 // ParseConstrained parses the syntax used throughout this repository for
 // constrained patterns: segments wrapped in angle brackets are
 // constrained, everything else is free. Example (λ4 of the paper):

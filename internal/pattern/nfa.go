@@ -179,15 +179,6 @@ func (s stateSet) empty() bool {
 	return true
 }
 
-func (s stateSet) equal(t stateSet) bool {
-	for i := range s {
-		if s[i] != t[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func (s stateSet) clone() stateSet {
 	c := make(stateSet, len(s))
 	copy(c, s)

@@ -2,7 +2,6 @@ package pattern
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/anmat/anmat/internal/gentree"
 )
@@ -127,18 +126,4 @@ func parseCount(rs []rune) (int, int, error) {
 		return 0, 0, fmt.Errorf("repetition count %d too large", n)
 	}
 	return n, j + 1, nil
-}
-
-// ParseAll parses a whitespace-free, comma-separated list of patterns.
-func ParseAll(list string) ([]Pattern, error) {
-	parts := strings.Split(list, ",")
-	out := make([]Pattern, 0, len(parts))
-	for _, part := range parts {
-		p, err := Parse(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }

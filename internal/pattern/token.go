@@ -63,14 +63,6 @@ func (t Token) WithCount(n int) Token {
 	return t
 }
 
-// MatchesRune reports whether a single occurrence of the token matches r.
-func (t Token) MatchesRune(r rune) bool {
-	if t.IsClass {
-		return t.Class.Matches(r)
-	}
-	return t.Lit == r
-}
-
 // MinLen returns the minimum number of characters the token can consume.
 func (t Token) MinLen() int {
 	switch t.Quant {

@@ -86,10 +86,6 @@ type Manager struct {
 	mu   sync.Mutex // guards wals (the map, not the states)
 	wals map[string]*walState
 
-	// gc is the group committer: concurrent Journal calls coalesce into
-	// shared write+fsync rounds (groupcommit.go).
-	gc groupCommitter
-
 	// writers counts the checkpoint-write goroutines (checkpoint.go), so
 	// Close returns only once every one of them has exited.
 	writers sync.WaitGroup
@@ -236,11 +232,10 @@ func (ws *walState) closeLog() error {
 // input a backup carries alongside the snapshot: the older segment, then
 // the one taking the appends; nil when the session never journaled. It
 // waits out a checkpoint write in flight and holds the session's journal
-// lock across the read, so no group-commit round interleaves; callers
-// wanting a consistent (snapshot, tail) pair must additionally hold the
-// session's own lock, which quiesces new journals and checkpoints
-// entirely. The tail is small by construction (bounded by the compaction
-// threshold).
+// lock across the read, so no commit interleaves; callers wanting a
+// consistent (snapshot, tail) pair must additionally hold the session's
+// own lock, which quiesces new journals and checkpoints entirely. The
+// tail is small by construction (bounded by the compaction threshold).
 func (m *Manager) WALTail(id string) ([]byte, error) {
 	ws, err := m.state(id)
 	if err != nil {
@@ -259,32 +254,45 @@ func (m *Manager) WALTail(id string) ([]byte, error) {
 	return tail, nil
 }
 
-// Journal durably appends one delta batch to the session's WAL through
-// the group committer (groupcommit.go). It is the write-ahead half of
+// Journal durably appends one delta batch to the session's WAL: one
+// wal.Log.Commit (mark, append, fsync, roll back to the mark on failure)
+// under the session's journal lock. It is the write-ahead half of
 // core.Persister: the session's engine calls it after validating a batch
-// and before applying it.
-func (m *Manager) Journal(ctx context.Context, sessionID string, seq int64, batch stream.Batch) error {
+// and before applying it. There is nothing to coalesce — a session has
+// one batch in flight (its engine's lock) and a file of its own — so two
+// sessions' commits overlap and fail independently.
+func (m *Manager) Journal(ctx context.Context, sessionID string, seq int64, batch stream.Batch) (err error) {
 	ctx, endSpan := obs.StartSpan(ctx, "persist.journal")
+	defer func() { endSpan(err) }()
 	ws, err := m.state(sessionID)
 	if err != nil {
-		endSpan(err)
 		return err
 	}
 	t0 := time.Now()
 	enc, err := wal.Encode(wal.Record{Seq: seq, Batch: batch})
 	if err != nil {
-		err = fmt.Errorf("persist: journal %s: %w", sessionID, err)
-		endSpan(err)
-		return err
+		return fmt.Errorf("persist: journal %s: %w", sessionID, err)
 	}
 	obs.SetSpanAttrs(ctx,
 		"session", sessionID,
 		"seq", strconv.FormatInt(seq, 10),
 		"wal_bytes", strconv.Itoa(len(enc)))
-	err = m.commit(&commitReq{ws: ws, id: sessionID, seq: seq, enc: enc, done: make(chan struct{})})
-	endSpan(err)
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	l, err := m.openLog(ws, sessionID)
 	if err != nil {
 		return err
+	}
+	// Set before the append: bytes a failed rollback leaves count.
+	ws.dirty[ws.active] = true
+	if err := l.Commit(enc, m.opts.Fsync); err != nil {
+		return fmt.Errorf("persist: journal %s seq %d: %w", sessionID, seq, err)
+	}
+	ws.WALRecords++
+	walBytes.Add(float64(len(enc)))
+	groupBatches.Inc()
+	if m.opts.Fsync {
+		groupFsyncs.Inc()
 	}
 	walAppendDur.Observe(time.Since(t0).Seconds())
 	return nil

@@ -1,6 +1,6 @@
 // Package profile implements data profiling (line 1 of Figure 2 and the
 // Figure 3 view): per-column statistics, column type inference, the
-// candidate-dependency generator CandidateDependencies, and per-column
+// candidate-dependency generator Candidates, and per-column
 // pattern summaries of the form "pattern::position, frequency".
 package profile
 
@@ -297,8 +297,8 @@ type Candidate struct {
 // String renders the candidate as "A -> B".
 func (c Candidate) String() string { return c.LHS + " -> " + c.RHS }
 
-// CandidateDependencies is line 1 of Figure 2: all ordered column pairs,
-// pruned. Pruning rules:
+// Candidates is line 1 of Figure 2: all ordered column pairs of a table
+// profile, pruned. Pruning rules:
 //
 //   - empty columns never participate;
 //   - pure numeric columns are dropped entirely ("we drop all columns
@@ -308,11 +308,6 @@ func (c Candidate) String() string { return c.LHS + " -> " + c.RHS }
 //     values;
 //   - trivially-keyed RHS (distinct == rows, i.e. a key column) is
 //     dropped: nothing can functionally determine a unique id usefully.
-type CandidateDependencies struct {
-	profile TableProfile
-}
-
-// Candidates computes the pruned candidate list for a table profile.
 func Candidates(tp TableProfile) []Candidate {
 	usable := make([]ColumnProfile, 0, len(tp.Columns))
 	for _, c := range tp.Columns {

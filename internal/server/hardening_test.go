@@ -16,8 +16,8 @@ import (
 
 // TestHardeningMultiTenantRecovery is the hostile-traffic drill this PR
 // exists for: several tenants hammer a quota-limited, fsync-on server
-// with concurrent delta batches (some deliberately over quota), the
-// concurrent journals ride the WAL group committer, and a simulated
+// with concurrent delta batches (some deliberately over quota), their
+// sessions commit to their journals at the same time, and a simulated
 // crash + restart must bring every session back byte-identical —
 // violations and `violations?since=` cursors included. Run under -race
 // in CI's hardening step.
@@ -49,8 +49,8 @@ func TestHardeningMultiTenantRecovery(t *testing.T) {
 		ids[i] = jsonField(t, rec, "session")
 	}
 
-	// Concurrent load: every tenant fires small in-quota appends (these
-	// journal through the group committer concurrently across sessions)
+	// Concurrent load: every tenant fires small in-quota appends (the
+	// sessions journal and fsync concurrently, each into its own file)
 	// interleaved with hostile 300-row appends that must always bounce
 	// off the row quota with a 429, never a partial apply.
 	const batches = 12

@@ -55,7 +55,6 @@ import (
 	"time"
 
 	"github.com/anmat/anmat/internal/core"
-	"github.com/anmat/anmat/internal/detect"
 	"github.com/anmat/anmat/internal/obs"
 	"github.com/anmat/anmat/internal/persist"
 	"github.com/anmat/anmat/internal/pfd"
@@ -180,11 +179,9 @@ func (s *Server) persistNew(sess *core.Session) error {
 func (s *Server) CreateSession(ctx context.Context, project string, t *table.Table, p core.Params) (*core.Session, error) {
 	sess := s.sys.NewSession(project, t, p)
 	if err := sess.Run(ctx); err != nil {
-		sess.Discard()
 		return nil, err
 	}
 	if err := s.persistNew(sess); err != nil {
-		sess.Discard()
 		return nil, err
 	}
 	s.register(sess)
@@ -590,9 +587,7 @@ func (s *Server) apiCreateSession(w http.ResponseWriter, r *http.Request) {
 		err = s.persistNew(sess)
 	}
 	if err != nil {
-		// The session is never registered: take back what its stages
-		// already wrote to the store, and the reservation.
-		sess.Discard()
+		// The session is never registered: take back the reservation.
 		if s.adm != nil {
 			s.adm.unreserveSession(tenant, t.NumRows())
 		}
@@ -656,11 +651,9 @@ func (s *Server) apiDeleteSession(w http.ResponseWriter, r *http.Request) {
 		s.adm.release(id)
 	}
 	// Drain in-flight requests that resolved the handle before it left the
-	// registry, then take the session's documents out of the store and
-	// detach the persister, so nothing can store or journal for it again
-	// (recreating the WAL file) after the Drop below.
+	// registry, then detach the persister, so nothing can journal for the
+	// session again (recreating the WAL file) after the Drop below.
 	h.mu.Lock()
-	h.sess.Discard()
 	h.sess.SetPersist(nil)
 	h.mu.Unlock()
 	if s.pm != nil {
@@ -1252,7 +1245,3 @@ func cellList(v pfd.Violation) string {
 	}
 	return out
 }
-
-// Repairs exposes detect.Repair in the server API surface for callers that
-// want to re-run repair after confirming rules.
-type Repairs = []detect.Repair

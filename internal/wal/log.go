@@ -21,13 +21,12 @@ type File interface {
 // Log is one open write-ahead log file. It is not safe for concurrent
 // use; the owner serializes calls.
 //
-// The commit protocol a caller runs per batch (or per group-commit
-// round) is Mark, Append one or more encoded records, Sync when the
-// acknowledgement must survive power loss, and on any failure Rollback:
-// a partial record left mid-file would strand every later acknowledged
-// record behind it at the next recovery, and a fully written record
-// whose sync failed would replay a batch the caller was told did not
-// happen. Commit is that protocol for a single record.
+// The commit protocol a caller runs per batch is Mark, Append the
+// encoded record, Sync when the acknowledgement must survive power loss,
+// and on any failure Rollback: a partial record left mid-file would
+// strand every later acknowledged record behind it at the next recovery,
+// and a fully written record whose sync failed would replay a batch the
+// caller was told did not happen. Commit is that protocol.
 type Log struct {
 	f    File
 	path string
