@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench-quick cluster-e2e hardening fuzz vulncheck lint-obs loc
+.PHONY: all build vet test race bench-quick pair cluster-e2e hardening fuzz vulncheck lint-obs loc
 
 all: vet lint-obs build test
 
@@ -32,6 +32,19 @@ race:
 # that breaks its build or its quick run (TestQuick, < 5 s) fails here.
 bench-quick:
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
+
+# The paired protocol a performance claim is judged by (scripts/pair.sh):
+# alternate the benchmark between a checkout of the parent commit and one
+# of the change, e.g.
+#   make pair PARENT=/root/scratch/parent WORKLOAD=upload_discover SEED=7919
+# PAIRS=0 prints the table header only (the CI dry run).
+PARENT ?= .
+CHANGE ?= .
+WORKLOAD ?= upload_discover
+SEED ?= 2019
+PAIRS ?= 10
+pair:
+	bash scripts/pair.sh $(PARENT) $(CHANGE) $(WORKLOAD) $(SEED) $(PAIRS)
 
 # Multi-process distributed-mode acceptance: real worker subprocesses on
 # loopback TCP, golden-corpus equivalence at N=1/2/4 plus kill-a-worker
@@ -62,6 +75,7 @@ fuzz:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/pattern -run '^$$' -fuzz FuzzMatch -fuzztime 30s
 	$(GO) test ./internal/pattern -run '^$$' -fuzz FuzzContains -fuzztime 30s
+	$(GO) test ./internal/discovery -run '^$$' -fuzz FuzzEntriesAgainstReference -fuzztime 30s
 
 # Non-test Go lines outside bench/ (frozen, a module of its own) and the
 # benchmark's build directory: the size ROADMAP.md and CHANGES.md quote.

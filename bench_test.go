@@ -93,7 +93,7 @@ func BenchmarkFigure3_Profiling(b *testing.B) {
 	ds := datagen.ZipCity(benchRows, 0.01, experiments.Seed)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tp := profile.Profile(ds.Table)
+		tp, _ := profile.ProfileAndCode(ds.Table)
 		if len(tp.Columns) != 3 {
 			b.Fatal("bad profile")
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"github.com/anmat/anmat/internal/datagen"
@@ -48,8 +49,9 @@ func BenchmarkRunAddresses10k(b *testing.B) {
 // the 10 000-row name table, the family whose tableau work (minimization
 // by containment, coverage, detection over 4 340 distinct names) is all
 // pattern matching. Containment on stateSets with string-keyed visited
-// maps measured 348 000.
-const maxRunAllocsName10k = 60_000
+// maps measured 348 000; it reads ≈ 13 900 since the profile stage's
+// codings reach discovery.
+const maxRunAllocsName10k = 16_000
 
 func TestRunAllocsName10k(t *testing.T) {
 	if testing.Short() || race.Enabled {
@@ -61,5 +63,39 @@ func TestRunAllocsName10k(t *testing.T) {
 	t.Logf("%.0f allocs per upload", allocs)
 	if allocs > maxRunAllocsName10k {
 		t.Fatalf("%.0f allocs per upload, bound %d", allocs, maxRunAllocsName10k)
+	}
+}
+
+// TestRunBytes10k bounds the heap bytes one whole upload allocates, next
+// to the allocation count above: the zip table, whose 10 000 rows hold 170
+// distinct zips, pays per distinct value (12.8 MB when the inverted list
+// held a posting per tuple, ≈ 5.7 now), and the addresses and phone
+// tables, whose values are all distinct and gain nothing from grouping,
+// stay at or under what they cost before it (8.6 and 27.9 MB).
+func TestRunBytes10k(t *testing.T) {
+	if testing.Short() || race.Enabled {
+		t.Skip("10k-row tables; the race detector's own allocations void the bound")
+	}
+	for _, c := range []struct {
+		name string
+		gen  func(n int, errRate float64, seed int64) *datagen.Dataset
+		max  uint64
+	}{
+		{"zip", datagen.ZipCity, 8 << 20},
+		{"addresses", datagen.Addresses, 8_600_000},
+		{"phone", datagen.PhoneState, 27_900_000},
+	} {
+		tbl := benchTable(c.gen, 10_000)
+		sys := NewSystemWith(docstore.NewMem(), SystemConfig{Params: DefaultParams(), Parallelism: 1})
+		runUpload(t, sys, tbl) // warm the process-wide pattern caches, as AllocsPerRun does
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		runUpload(t, sys, tbl)
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %.1f MB per upload", c.name, float64(got)/1e6)
+		if got > c.max {
+			t.Errorf("%s: %d bytes per upload, bound %d", c.name, got, c.max)
+		}
 	}
 }

@@ -11,8 +11,9 @@
 // to the rule's constant; variable violations repair to the block's
 // majority RHS value.
 //
-// A Detector is safe for concurrent use: its per-column pattern indexes
-// are built at most once each behind a singleflight-style cache, so any
+// A Detector is safe for concurrent use: its per-column indexes and
+// per-pattern passes are built at most once each behind a singleflight-
+// style cache, so any
 // number of goroutines (or the worker pool inside DetectAllContext) can
 // share one Detector and one set of indexes. Detection across rules fans
 // out per tableau row and merges through a single total order, so the
@@ -31,7 +32,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/anmat/anmat/internal/intern"
 	"github.com/anmat/anmat/internal/pattern"
 	"github.com/anmat/anmat/internal/pfd"
 	"github.com/anmat/anmat/internal/table"
@@ -53,18 +53,22 @@ type Options struct {
 // Detector evaluates PFDs against one table. The hot path runs over the
 // table's dictionary-coded column views (table.InternedColumn): pattern
 // automata run once per *distinct* value — over a column's dictionary,
-// not its rows — and the per-row loops compare uint32 dictionary IDs
-// instead of strings. Per-(column, pattern) passes are cached behind
-// singleflight slots, so the Detector is safe for concurrent use by any
+// not its rows — a constant row then visits only the rows of the values
+// its pattern matched, through the column's rows-by-ID index, and the
+// per-row loops compare uint32 dictionary IDs instead of strings. Every
+// per-column and per-(column, pattern) product is cached behind a
+// singleflight slot, so the Detector is safe for concurrent use by any
 // number of goroutines.
 type Detector struct {
 	t       *table.Table
 	opts    Options
 	version int64 // table.Version() at build time; see Stale
 
-	mu       sync.Mutex // guards the two cache maps (not their entries)
-	verdicts map[matchKey]*matchEntry
-	extracts map[matchKey]*extractEntry
+	mu       sync.Mutex                     // guards the cache maps (not their slots)
+	verdicts map[matchKey]*slot[[]bool]     // the DFA verdict of every dictionary ID
+	extracts map[matchKey]*slot[[][]string] // the block keys of every dictionary ID (nil: no match)
+	rowsOf   map[int]*slot[rowIndex]        // per LHS column
+	blocked  map[matchKey]*slot[[]iblock]   // shared by variable-row detection and repairs
 }
 
 // matchKey identifies one (column, pattern) pass.
@@ -73,22 +77,26 @@ type matchKey struct {
 	pat string // pattern.Pattern.Key() / pattern.Constrained.Key()
 }
 
-// matchEntry caches one (column, embedded pattern) match pass: the DFA
-// verdict for every dictionary ID of the column. The first goroutine to
-// need the pass builds it inside the Once; concurrent callers for the
-// same key block on that Once, callers for other keys proceed
-// independently.
-type matchEntry struct {
+// slot holds one cached product. The first goroutine to need it builds it
+// inside the Once; concurrent callers for the same key block on that
+// Once, callers for other keys proceed independently.
+type slot[T any] struct {
 	once sync.Once
-	verd []bool // indexed by dictionary ID
+	v    T
 }
 
-// extractEntry caches one (column, constrained pattern) extraction pass:
-// the block keys of every dictionary ID (nil for values the pattern does
-// not match). Shared by variable-row detection and repair suggestion.
-type extractEntry struct {
-	once sync.Once
-	keys [][]string // indexed by dictionary ID
+// cached returns the product under key k of one of the detector's cache
+// maps, building it on demand, exactly once even under concurrent calls.
+func cached[K comparable, T any](d *Detector, m map[K]*slot[T], k K, build func() T) T {
+	d.mu.Lock()
+	e := m[k]
+	if e == nil {
+		e = &slot[T]{}
+		m[k] = e
+	}
+	d.mu.Unlock()
+	e.once.Do(func() { e.v = build() })
+	return e.v
 }
 
 // New builds a detector for the table.
@@ -97,55 +105,41 @@ func New(t *table.Table, opts Options) *Detector {
 		t:        t,
 		opts:     opts,
 		version:  t.Version(),
-		verdicts: make(map[matchKey]*matchEntry),
-		extracts: make(map[matchKey]*extractEntry),
+		verdicts: make(map[matchKey]*slot[[]bool]),
+		extracts: make(map[matchKey]*slot[[][]string]),
+		rowsOf:   make(map[int]*slot[rowIndex]),
+		blocked:  make(map[matchKey]*slot[[]iblock]),
 	}
 }
 
 // Stale reports whether the table has been mutated since the detector
-// was built, invalidating its cached passes. Callers holding a detector
-// across table mutations (e.g. a session re-detecting after applying
-// repairs) should rebuild when Stale returns true.
+// was built, invalidating everything it cached: verdicts and block keys
+// are per dictionary ID, and a mutation can add IDs; the row index and
+// the blocks hold row numbers. Callers holding a detector across table
+// mutations (e.g. a session re-detecting after applying repairs) should
+// rebuild when Stale returns true.
 func (d *Detector) Stale() bool { return d.t.Version() != d.version }
 
 // column returns the dictionary-coded view of the column at index i.
 func (d *Detector) column(i int) *table.Interned { return d.t.InternedColumn(i) }
 
-// matchVerdicts returns (building on demand, exactly once even under
-// concurrent calls) the per-dictionary-ID match verdicts of running emb
-// over column col.
+// matchVerdicts returns the per-dictionary-ID match verdicts of running
+// emb over column col.
 func (d *Detector) matchVerdicts(col int, emb pattern.Pattern) []bool {
-	k := matchKey{col: col, pat: emb.Key()}
-	d.mu.Lock()
-	e := d.verdicts[k]
-	if e == nil {
-		e = &matchEntry{}
-		d.verdicts[k] = e
-	}
-	d.mu.Unlock()
-	e.once.Do(func() {
+	return cached(d, d.verdicts, matchKey{col, emb.Key()}, func() []bool {
 		vals := d.column(col).Dict.Values()
 		verd := make([]bool, len(vals))
 		for id, v := range vals {
 			verd[id] = emb.MatchesDFA(v)
 		}
-		e.verd = verd
+		return verd
 	})
-	return e.verd
 }
 
-// extractKeys returns (singleflight, like matchVerdicts) the block keys q
-// extracts from every dictionary ID of column col.
+// extractKeys returns the block keys q extracts from every dictionary ID
+// of column col.
 func (d *Detector) extractKeys(col int, q pattern.Constrained) [][]string {
-	k := matchKey{col: col, pat: q.Key()}
-	d.mu.Lock()
-	e := d.extracts[k]
-	if e == nil {
-		e = &extractEntry{}
-		d.extracts[k] = e
-	}
-	d.mu.Unlock()
-	e.once.Do(func() {
+	return cached(d, d.extracts, matchKey{col, q.Key()}, func() [][]string {
 		vals := d.column(col).Dict.Values()
 		keys := make([][]string, len(vals))
 		for id, v := range vals {
@@ -153,9 +147,34 @@ func (d *Detector) extractKeys(col int, q pattern.Constrained) [][]string {
 				keys[id] = ks
 			}
 		}
-		e.keys = keys
+		return keys
 	})
-	return e.keys
+}
+
+// rowIndex is a column's rows grouped by dictionary ID: the rows holding
+// ID id are rows[start[id]:start[id+1]], ascending. An ID no row holds any
+// more (the table never renumbers its dictionary) has an empty run.
+type rowIndex struct{ start, rows []int32 }
+
+// rowsByID returns the rows-by-ID index of column col.
+func (d *Detector) rowsByID(col int) rowIndex {
+	return cached(d, d.rowsOf, col, func() rowIndex {
+		iv := d.column(col)
+		start := make([]int32, iv.Dict.Len()+1)
+		for _, id := range iv.IDs {
+			start[id+1]++
+		}
+		for id := 1; id < len(start); id++ {
+			start[id] += start[id-1]
+		}
+		rows := make([]int32, len(iv.IDs))
+		next := slices.Clone(start)
+		for r, id := range iv.IDs {
+			rows[next[id]] = int32(r)
+			next[id]++
+		}
+		return rowIndex{start, rows}
+	})
 }
 
 // cols resolves the LHS/RHS column positions of a PFD.
@@ -365,36 +384,49 @@ func (d *Detector) DetectAllContext(ctx context.Context, ps []*pfd.PFD, parallel
 }
 
 func (d *Detector) detectConstant(p *pfd.PFD, row tableau.Row, li, ri int) ([]pfd.Violation, error) {
+	liv, riv := d.column(li), d.column(ri)
+	var out []pfd.Violation
+	for _, r := range d.constantHits(row, li, ri) {
+		out = append(out, pfd.ConstantViolation(p, row, r, liv.Value(r), riv.Value(r)))
+	}
+	return out, nil
+}
+
+// constantHits returns, ascending, the rows that violate a constant
+// tableau row: the LHS matches tp[A] and the RHS differs from tp[B].
+func (d *Detector) constantHits(row tableau.Row, li, ri int) []int {
 	emb := row.LHS.Embedded()
 	liv, riv := d.column(li), d.column(ri)
+	var hits []int
 	if d.opts.DisableIndex {
 		// Ablation: match every row individually, no dictionary memo.
-		var out []pfd.Violation
 		for r, id := range liv.IDs {
-			lv := liv.Dict.Value(id)
-			if !emb.MatchesDFA(lv) {
-				continue
-			}
-			if rv := riv.Value(r); rv != row.RHS {
-				out = append(out, pfd.ConstantViolation(p, row, r, lv, rv))
+			if emb.MatchesDFA(liv.Dict.Value(id)) && riv.Value(r) != row.RHS {
+				hits = append(hits, r)
 			}
 		}
-		return out, nil
+		return hits
 	}
-	verd := d.matchVerdicts(li, emb)
 	// The RHS constant compares as a dictionary ID: absent from the
 	// dictionary means no row holds it, so every matching row violates.
 	constID, haveConst := riv.Dict.Lookup(row.RHS)
-	var out []pfd.Violation
-	for r, id := range liv.IDs {
-		if !verd[id] {
+	idx := d.rowsByID(li)
+	runs := 0
+	for id, ok := range d.matchVerdicts(li, emb) {
+		if !ok {
 			continue
 		}
-		if rid := riv.IDs[r]; !haveConst || rid != constID {
-			out = append(out, pfd.ConstantViolation(p, row, r, liv.Dict.Value(id), riv.Dict.Value(rid)))
+		runs++
+		for _, r := range idx.rows[idx.start[id]:idx.start[id+1]] {
+			if !haveConst || riv.IDs[r] != constID {
+				hits = append(hits, int(r))
+			}
 		}
 	}
-	return out, nil
+	if runs > 1 {
+		sort.Ints(hits) // each run is ascending; several are not
+	}
+	return hits
 }
 
 func (d *Detector) detectVariable(p *pfd.PFD, row tableau.Row, li, ri int) ([]pfd.Violation, error) {
@@ -434,46 +466,45 @@ func (d *Detector) detectVariable(p *pfd.PFD, row tableau.Row, li, ri int) ([]pf
 		return out, nil
 	}
 	var out []pfd.Violation
-	for _, b := range d.blocks(li, ri, row.LHS) {
-		out = b.appendConflicts(out, p, row, riv.Dict, !d.opts.AllPairs)
+	for _, b := range d.blocks(li, row.LHS) {
+		out = b.appendConflicts(out, p, row, riv, !d.opts.AllPairs)
 	}
 	return out, nil
 }
 
-// iblock is one blocking bucket over the interned columns: the rows
-// sharing one constrained key, with their RHS dictionary IDs. Conflict
-// checks compare IDs; strings are decoded only when a violation is
-// rendered.
+// iblock is one blocking bucket over an interned LHS column: the rows
+// sharing one constrained key. Conflict checks compare the rows' RHS
+// dictionary IDs; strings are decoded only when a violation is rendered.
 type iblock struct {
 	key  string
-	rows []int    // ascending (built in row order)
-	rhs  []uint32 // parallel to rows
+	rows []int // ascending (built in row order)
 }
 
 // blocks partitions the rows matching q into buckets by constrained key,
 // sorted by key. Extraction runs once per distinct LHS value through the
-// extraction cache, no matter how many rows repeat the value.
-func (d *Detector) blocks(li, ri int, q pattern.Constrained) []iblock {
-	liv, riv := d.column(li), d.column(ri)
-	keys := d.extractKeys(li, q)
-	m := make(map[string]*iblock)
-	for r, id := range liv.IDs {
-		for _, k := range keys[id] {
-			b := m[k]
-			if b == nil {
-				b = &iblock{key: k}
-				m[k] = b
+// extraction cache, no matter how many rows repeat the value, and the
+// partition is cached: detection and repairs read the same one.
+func (d *Detector) blocks(li int, q pattern.Constrained) []iblock {
+	return cached(d, d.blocked, matchKey{li, q.Key()}, func() []iblock {
+		keys := d.extractKeys(li, q)
+		m := make(map[string]*iblock)
+		for r, id := range d.column(li).IDs {
+			for _, k := range keys[id] {
+				b := m[k]
+				if b == nil {
+					b = &iblock{key: k}
+					m[k] = b
+				}
+				b.rows = append(b.rows, r)
 			}
-			b.rows = append(b.rows, r)
-			b.rhs = append(b.rhs, riv.IDs[r])
 		}
-	}
-	out := make([]iblock, 0, len(m))
-	for _, b := range m {
-		out = append(out, *b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
-	return out
+		out := make([]iblock, 0, len(m))
+		for _, b := range m {
+			out = append(out, *b)
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+		return out
+	})
 }
 
 // rhsGroup is one RHS-agreement class inside a block.
@@ -485,16 +516,16 @@ type rhsGroup struct {
 // rhsGroups splits a block by RHS value, sorted by value — the order the
 // blocking reference iterates conflict groups in. Grouping compares
 // dictionary IDs; each distinct ID decodes to its string once.
-func (b *iblock) rhsGroups(dict *intern.Dict) []rhsGroup {
+func (b *iblock) rhsGroups(riv *table.Interned) []rhsGroup {
 	idx := make(map[uint32]int, 2)
 	var groups []rhsGroup
-	for k, r := range b.rows {
-		id := b.rhs[k]
+	for _, r := range b.rows {
+		id := riv.IDs[r]
 		gi, ok := idx[id]
 		if !ok {
 			gi = len(groups)
 			idx[id] = gi
-			groups = append(groups, rhsGroup{val: dict.Value(id)})
+			groups = append(groups, rhsGroup{val: riv.Dict.Value(id)})
 		}
 		groups[gi].rows = append(groups[gi].rows, r)
 	}
@@ -520,8 +551,8 @@ func majorityGroup(groups []rhsGroup) int {
 // output linear in the number of erroneous cells; otherwise the full
 // cross product is produced (the reference semantics the equivalence
 // tests compare against).
-func (b *iblock) appendConflicts(out []pfd.Violation, p *pfd.PFD, row tableau.Row, dict *intern.Dict, firstOnly bool) []pfd.Violation {
-	groups := b.rhsGroups(dict)
+func (b *iblock) appendConflicts(out []pfd.Violation, p *pfd.PFD, row tableau.Row, riv *table.Interned, firstOnly bool) []pfd.Violation {
+	groups := b.rhsGroups(riv)
 	if len(groups) < 2 {
 		return out
 	}
@@ -629,31 +660,24 @@ func (d *Detector) Repairs(p *pfd.PFD) ([]Repair, error) {
 	}
 	var out []Repair
 	seen := map[int]bool{}
+	var rule string // the tableau row at hand, rendered once
+	suggest := func(r int, current, suggested string, conf float64) {
+		if !seen[r] {
+			seen[r] = true
+			out = append(out, Repair{Cell: table.CellRef{Row: r, Column: p.RHS}, Current: current, Suggested: suggested, Rule: rule, Confidence: conf})
+		}
+	}
+	riv := d.column(ri)
 	for _, row := range p.Tableau.Rows() {
+		rule = row.String()
 		if !row.Variable() {
-			vs, err := d.detectConstant(p, row, li, ri)
-			if err != nil {
-				return nil, err
-			}
-			for _, v := range vs {
-				r := v.Tuples[0]
-				if seen[r] {
-					continue
-				}
-				seen[r] = true
-				out = append(out, Repair{
-					Cell:       table.CellRef{Row: r, Column: p.RHS},
-					Current:    v.Observed,
-					Suggested:  row.RHS,
-					Rule:       row.String(),
-					Confidence: 1,
-				})
+			for _, r := range d.constantHits(row, li, ri) {
+				suggest(r, riv.Value(r), row.RHS, 1)
 			}
 			continue
 		}
-		dict := d.column(ri).Dict
-		for _, b := range d.blocks(li, ri, row.LHS) {
-			groups := b.rhsGroups(dict)
+		for _, b := range d.blocks(li, row.LHS) {
+			groups := b.rhsGroups(riv)
 			if len(groups) < 2 {
 				continue // no disagreement
 			}
@@ -664,17 +688,7 @@ func (d *Detector) Repairs(p *pfd.PFD) ([]Repair, error) {
 					continue
 				}
 				for _, r := range groups[gi].rows {
-					if seen[r] {
-						continue
-					}
-					seen[r] = true
-					out = append(out, Repair{
-						Cell:       table.CellRef{Row: r, Column: p.RHS},
-						Current:    groups[gi].val,
-						Suggested:  groups[mi].val,
-						Rule:       row.String(),
-						Confidence: conf,
-					})
+					suggest(r, groups[gi].val, groups[mi].val, conf)
 				}
 			}
 		}

@@ -150,14 +150,16 @@ func Discover(t *table.Table, cfg Config) (*Result, error) {
 // inverted-list build and scan, so a cancelled mining run stops within a
 // bounded amount of work and returns an error wrapping ctx.Err().
 func DiscoverContext(ctx context.Context, t *table.Table, cfg Config) (*Result, error) {
-	return DiscoverProfiled(ctx, t, nil, cfg)
+	return DiscoverProfiled(ctx, t, nil, nil, cfg)
 }
 
 // DiscoverProfiled is DiscoverContext for a caller that may already hold
 // the profile of t as it is now (a session that ran its profile stage):
 // candidates come from tp, and discovery profiles t itself only when tp
-// is nil.
-func DiscoverProfiled(ctx context.Context, t *table.Table, tp *profile.TableProfile, cfg Config) (*Result, error) {
+// is nil. coded, when non-nil, holds the codings of t's columns that
+// profile was computed on (profile.ProfileAndCode); mining works on them
+// instead of coding the columns again.
+func DiscoverProfiled(ctx context.Context, t *table.Table, tp *profile.TableProfile, coded []*profile.Coded, cfg Config) (*Result, error) {
 	if cfg.NGramN <= 0 {
 		cfg.NGramN = 3
 	}
@@ -175,13 +177,13 @@ func DiscoverProfiled(ctx context.Context, t *table.Table, tp *profile.TableProf
 	// Every column the run touches is dictionary-coded once; profiling,
 	// every candidate's inverted list and every coverage count then work
 	// per distinct value. The codings live in this call only.
-	cols := make([]*profile.Coded, t.NumCols())
 	if tp == nil {
-		own, coded := profile.ProfileAndCode(t)
-		tp = &own
-		if !cfg.CleanDMVs { // else mining codes the cleaned columns below
-			cols = coded
-		}
+		own, ownCoded := profile.ProfileAndCode(t)
+		tp, coded = &own, ownCoded
+	}
+	cols := make([]*profile.Coded, t.NumCols())
+	if coded != nil && !cfg.CleanDMVs { // else mining codes the cleaned columns below
+		cols = coded
 	}
 	cands := profile.Candidates(*tp)
 	sides := make([][2]*profile.Coded, len(cands)) // each candidate's LHS and RHS column
@@ -263,11 +265,11 @@ feed:
 }
 
 // rule is an accepted inverted-list entry on its way to a tableau row,
-// with the sorted distinct ids of its supporting tuples — the extension
-// that de-duplication and subset pruning compare.
+// with the ascending numbers of its distinct LHS values: the extension
+// that de-duplication and subset pruning compare (see invlist).
 type rule struct {
 	e      invlist.Entry
-	tuples []int32
+	values []int32
 }
 
 // discoverCandidate mines one A → B candidate over the coded columns.
@@ -304,8 +306,15 @@ func candidateTableau(ctx context.Context, cand profile.Candidate, lhs, rhs *pro
 	if err != nil {
 		return nil, err
 	}
-	entries := list.Entries()
-	stats.Entries = len(entries)
+	// The default decision and the variable-row miner ignore keys below
+	// MinSupport, so those are not materialised; a custom decision is shown
+	// every entry.
+	floor := cfg.MinSupport
+	if cfg.Decision != nil {
+		floor = 0
+	}
+	entries := list.Entries(floor)
+	stats.Entries = list.Keys()
 
 	var accepted []rule
 	supporting := 0
@@ -324,13 +333,13 @@ func candidateTableau(ctx context.Context, cand profile.Candidate, lhs, rhs *pro
 		supporting += len(e.Postings)
 	}
 	stats.Accepted = len(accepted)
-	// One arena holds every accepted entry's tuple list; it is sized up
+	// One arena holds every accepted entry's value list; it is sized up
 	// front, so the sub-slices stay valid as it fills.
 	arena := make([]int32, 0, supporting)
 	for i := range accepted {
 		from := len(arena)
-		arena = accepted[i].e.Tuples(arena)
-		accepted[i].tuples = arena[from:len(arena):len(arena)]
+		arena = accepted[i].e.Values(arena)
+		accepted[i].values = arena[from:len(arena):len(arena)]
 	}
 
 	// Extensional dedup: several keys can support exactly the same tuple
@@ -353,9 +362,8 @@ func candidateTableau(ctx context.Context, cand profile.Candidate, lhs, rhs *pro
 		lhs string
 	}
 	rows := make([]sortedRow, 0, len(accepted))
-	seen := make([]bool, len(lhs.Values))
 	for _, r := range accepted {
-		q, ok := patternTupleFor(r.e, lhs, seen)
+		q, ok := patternTupleFor(r.e)
 		if !ok {
 			continue
 		}
@@ -384,7 +392,7 @@ func candidateTableau(ctx context.Context, cand profile.Candidate, lhs, rhs *pro
 	// Variable rows: if almost every key of a positional family is
 	// individually functional, the family generalizes to a wildcard rule.
 	if cfg.MineVariable {
-		for _, vr := range mineVariableRows(entries, lhs, useTokens, cfg) {
+		for _, vr := range mineVariableRows(entries, useTokens, cfg) {
 			tab.Add(vr)
 		}
 	}
@@ -409,64 +417,35 @@ func tokenModeFor(cand profile.Candidate, m Mode) bool {
 // whole of t[B]: Table 3's rules predict complete RHS values, and pairing
 // with whole values keeps multi-token constants like "Los Angeles" intact.
 //
-// Each distinct LHS value is decomposed once, on the first tuple that
-// holds it with a non-empty RHS; when other tuples hold it too, its (key,
-// position) pairs are kept so those insert without tokenizing or hashing
-// again.
+// Each distinct LHS value with an eligible tuple is decomposed once; the
+// list weights its postings by the tuples that hold it.
 func buildInvertedList(ctx context.Context, lhs, rhs *profile.Coded, useTokens bool, cfg Config) (*invlist.List, error) {
-	list := invlist.New(rhs.IDs, rhs.Values)
-	type ref struct {
-		key uint32
-		pos int32
-	}
-	// kept[span[d].from:span[d].to] are the pairs of a repeated LHS value
-	// d. Slot 0 is unused, so to == 0 means "not decomposed yet" even for
-	// a value that decomposes to nothing.
-	kept := make([]ref, 1)
-	span := make([]struct{ from, to int32 }, len(lhs.Values))
-	var cur []ref
+	list := invlist.New(lhs, rhs)
 	var toks []tokenize.Token
-	for tuple, d := range lhs.IDs {
-		if tuple&8191 == 0 {
+	for v := 0; v < list.NumValues(); v++ {
+		if v&8191 == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		v := lhs.Values[d]
-		// A missing RHS carries no evidence for or against any rule.
-		if v == "" || rhs.Values[rhs.IDs[tuple]] == "" {
+		val := list.Value(v)
+		if useTokens {
+			toks = tokenize.AppendTokens(toks[:0], val, tokenize.DefaultDelims)
+			for _, tok := range toks {
+				list.Insert(invlist.Key{Kind: invlist.Token, Text: tok.Text}, v, tok.Pos)
+			}
 			continue
 		}
-		refs := kept[span[d].from:span[d].to]
-		if span[d].to == 0 {
-			cur = cur[:0]
-			if useTokens {
-				toks = tokenize.AppendTokens(toks[:0], v, tokenize.DefaultDelims)
-				for _, tok := range toks {
-					cur = append(cur, ref{list.KeyID(invlist.Key{Kind: invlist.Token, Text: tok.Text}), int32(tok.Pos)})
-				}
-			} else {
-				toks = tokenize.AppendPrefixes(toks[:0], v, cfg.MaxPrefix)
-				for _, tok := range toks {
-					cur = append(cur, ref{list.KeyID(invlist.Key{Kind: invlist.Prefix, Text: tok.Text}), 0})
-				}
-				toks = tokenize.AppendNGrams(toks[:0], v, cfg.NGramN)
-				for _, tok := range toks {
-					if tok.Pos == 0 {
-						continue // prefix of same length already indexed
-					}
-					cur = append(cur, ref{list.KeyID(invlist.Key{Kind: invlist.Gram, Pos: int32(tok.Pos), Text: tok.Text}), int32(tok.Pos)})
-				}
-			}
-			refs = cur
-			if lhs.Counts[d] > 1 {
-				span[d].from = int32(len(kept))
-				kept = append(kept, cur...)
-				span[d].to = int32(len(kept))
-			}
+		toks = tokenize.AppendPrefixes(toks[:0], val, cfg.MaxPrefix)
+		for _, tok := range toks {
+			list.Insert(invlist.Key{Kind: invlist.Prefix, Text: tok.Text}, v, 0)
 		}
-		for _, r := range refs {
-			list.Insert(r.key, tuple, int(r.pos))
+		toks = tokenize.AppendNGrams(toks[:0], val, cfg.NGramN)
+		for _, tok := range toks {
+			if tok.Pos == 0 {
+				continue // prefix of same length already indexed
+			}
+			list.Insert(invlist.Key{Kind: invlist.Gram, Pos: int32(tok.Pos), Text: tok.Text}, v, tok.Pos)
 		}
 	}
 	return list, nil
@@ -482,13 +461,13 @@ func buildInvertedList(ctx context.Context, lhs, rhs *profile.Coded, useTokens b
 //   - prefix:                <pre>tail         (tail = LCG of supporting
 //     suffixes, e.g. <850>\D{7})
 //   - interior n-gram:       \A{pos}<gram>\A*
-func patternTupleFor(e invlist.Entry, lhs *profile.Coded, seen []bool) (pattern.Constrained, bool) {
+func patternTupleFor(e invlist.Entry) (pattern.Constrained, bool) {
 	text := e.Key.Text
 	switch e.Key.Kind {
 	case invlist.Token:
-		return tokenPatternTuple(e, text, lhs)
+		return tokenPatternTuple(e, text)
 	case invlist.Prefix:
-		return prefixPatternTuple(e, text, lhs, seen)
+		return prefixPatternTuple(e, text)
 	default:
 		if text == "" {
 			return pattern.Constrained{}, false
@@ -506,7 +485,7 @@ func patternTupleFor(e invlist.Entry, lhs *profile.Coded, seen []bool) (pattern.
 	}
 }
 
-func tokenPatternTuple(e invlist.Entry, tok string, lhs *profile.Coded) (pattern.Constrained, bool) {
+func tokenPatternTuple(e invlist.Entry, tok string) (pattern.Constrained, bool) {
 	if tok == "" {
 		return pattern.Constrained{}, false
 	}
@@ -517,14 +496,7 @@ func tokenPatternTuple(e invlist.Entry, tok string, lhs *profile.Coded) (pattern
 	if e.DominantLHSPos == 0 {
 		// First-token rule. If every supporting value is exactly the
 		// token, constrain the whole value; otherwise token + separator.
-		allWhole := true
-		for _, p := range e.Postings {
-			if p.Pos == 0 && lhs.Value(int(p.Tuple)) != tok {
-				allWhole = false
-				break
-			}
-		}
-		if allWhole {
+		if !slices.ContainsFunc(e.Postings, func(p invlist.Posting) bool { return p.Pos == 0 && e.LHS(p) != tok }) {
 			return pattern.WholeValue(pattern.Literal(tok)), true
 		}
 		q, err := pattern.NewConstrained(
@@ -541,14 +513,14 @@ func tokenPatternTuple(e invlist.Entry, tok string, lhs *profile.Coded) (pattern
 	// comma-terminated token, and drop the trailing \A* when the token is
 	// always value-final (Table 3's `\A*,\ David` row has no tail).
 	prefix := pattern.AnyString().Concat(pattern.Literal(" "))
-	if alwaysAfterComma(e, lhs, tok) {
+	if alwaysAfterComma(e, tok) {
 		prefix = pattern.AnyString().Concat(pattern.Literal(", "))
 	}
 	segs := []pattern.Segment{
 		{Pat: prefix},
 		{Pat: pattern.Literal(tok), Constrained: true},
 	}
-	if !alwaysValueFinal(e, lhs, tok) {
+	if !alwaysValueFinal(e, tok) {
 		segs = append(segs, pattern.Segment{Pat: pattern.AnyString()})
 	}
 	q, err := pattern.NewConstrained(segs...)
@@ -558,69 +530,51 @@ func tokenPatternTuple(e invlist.Entry, tok string, lhs *profile.Coded) (pattern
 	return q, true
 }
 
-// alwaysValueFinal reports whether the token ends every supporting value.
-func alwaysValueFinal(e invlist.Entry, lhs *profile.Coded, tok string) bool {
-	checked := 0
-	for _, p := range e.Postings {
-		if !strings.HasSuffix(lhs.Value(int(p.Tuple)), tok) {
-			return false
-		}
+// alwaysValueFinal reports whether the token ends every supporting value,
+// sampling the entry's first 64 mentions in tuple order.
+func alwaysValueFinal(e invlist.Entry, tok string) bool {
+	checked, final := 0, true
+	e.InTupleOrder(func(_ int32, p invlist.Posting) bool {
+		final = strings.HasSuffix(e.LHS(p), tok)
 		checked++
-		if checked >= 64 {
-			break
-		}
-	}
-	return checked > 0
+		return final && checked < 64
+	})
+	return final && checked > 0
 }
 
-// alwaysAfterComma samples supporting values and reports whether the
-// character immediately before the token's occurrences is always ", ".
-func alwaysAfterComma(e invlist.Entry, lhs *profile.Coded, tok string) bool {
-	checked := 0
+// alwaysAfterComma samples supporting values in tuple order and reports
+// whether the character immediately before the token's occurrences is
+// always ", ".
+func alwaysAfterComma(e invlist.Entry, tok string) bool {
+	checked, after := 0, true
 	var toks []tokenize.Token
-	for _, p := range e.Postings {
-		toks = tokenize.AppendTokens(toks[:0], lhs.Value(int(p.Tuple)), tokenize.DefaultDelims)
+	e.InTupleOrder(func(_ int32, p invlist.Posting) bool {
+		toks = tokenize.AppendTokens(toks[:0], e.LHS(p), tokenize.DefaultDelims)
 		pos := int(p.Pos)
 		if pos >= len(toks) || toks[pos].Text != tok {
-			continue
+			return true
 		}
-		if pos == 0 {
-			return false
-		}
-		if !strings.HasSuffix(toks[pos-1].Text, ",") {
-			return false
-		}
+		after = pos > 0 && strings.HasSuffix(toks[pos-1].Text, ",")
 		checked++
-		if checked >= 32 {
-			break
-		}
-	}
-	return checked > 0
+		return after && checked < 32
+	})
+	return after && checked > 0
 }
 
 // prefixPatternTuple builds <prefix>tail where tail generalizes the
-// suffixes of the supporting values. seen is scratch space indexed by LHS
-// value ID, all false on entry and on return: distinct values with the
-// prefix have distinct suffixes, so each value is looked at once.
-func prefixPatternTuple(e invlist.Entry, prefix string, lhs *profile.Coded, seen []bool) (pattern.Constrained, bool) {
+// suffixes of the supporting values: distinct values with the prefix have
+// distinct suffixes, so a repeated suffix is a value's repeated posting.
+func prefixPatternTuple(e invlist.Entry, prefix string) (pattern.Constrained, bool) {
 	if prefix == "" {
 		return pattern.Constrained{}, false
 	}
 	var suffixes []string
 	for _, p := range e.Postings {
-		d := lhs.IDs[p.Tuple]
-		if seen[d] {
-			continue
-		}
-		seen[d] = true
-		if v := lhs.Values[d]; strings.HasPrefix(v, prefix) {
+		if v := e.LHS(p); strings.HasPrefix(v, prefix) {
 			suffixes = append(suffixes, v[len(prefix):])
 		}
 	}
-	for _, p := range e.Postings {
-		seen[lhs.IDs[p.Tuple]] = false
-	}
-	sort.Strings(suffixes)
+	suffixes = dedupStrings(suffixes)
 	var tail pattern.Pattern
 	switch {
 	case len(suffixes) == 0:
@@ -639,11 +593,11 @@ func prefixPatternTuple(e invlist.Entry, prefix string, lhs *profile.Coded, seen
 	return pattern.PrefixKey(pattern.Literal(prefix), tail.Normalize()), true
 }
 
-// dedupeExtensional keeps one accepted entry per (supporting tuple set,
+// dedupeExtensional keeps one accepted entry per (supporting value set,
 // majority RHS). Interior n-grams implied by a prefix ("060" at position 1
 // inside every "6060…" zip) duplicate the prefix rule's extension and are
 // dropped in its favour. Extensions are found by hash and confirmed by
-// comparing the sorted tuple lists.
+// comparing the sorted value lists.
 func dedupeExtensional(rules []rule) []rule {
 	rankOf := func(k invlist.Key) int {
 		switch k.Kind {
@@ -665,7 +619,7 @@ func dedupeExtensional(rules []rule) []rule {
 		for i := 0; i < len(r.e.TopRHS); i++ {
 			h = (h ^ uint64(r.e.TopRHS[i])) * 1099511628211
 		}
-		for _, id := range r.tuples {
+		for _, id := range r.values {
 			h = (h ^ uint64(uint32(id))) * 1099511628211
 		}
 		for ; ; h++ { // a colliding, different extension probes the next hash
@@ -676,7 +630,7 @@ func dedupeExtensional(rules []rule) []rule {
 				break
 			}
 			b := &out[i]
-			if b.e.TopRHS != r.e.TopRHS || !slices.Equal(b.tuples, r.tuples) {
+			if b.e.TopRHS != r.e.TopRHS || !slices.Equal(b.values, r.values) {
 				continue
 			}
 			if rr, br := rankOf(r.e.Key), rankOf(b.e.Key); rr > br || (rr == br && invlist.Compare(r.e.Key, b.e.Key) < 0) {
@@ -688,24 +642,24 @@ func dedupeExtensional(rules []rule) []rule {
 	return out
 }
 
-// dropSubsumedEntries removes accepted entries whose distinct-tuple set
-// is a strict subset of another accepted entry with the same majority
-// RHS. Entries are processed largest-first so survivors are the most
-// general rules.
+// dropSubsumedEntries removes accepted entries whose supporting values
+// are a strict subset of another accepted entry's with the same majority
+// RHS. Entries are processed by descending support, a superset before its
+// subsets, so survivors are the most general rules.
 func dropSubsumedEntries(rules []rule) []rule {
 	slices.SortStableFunc(rules, func(a, b rule) int {
-		if len(a.tuples) != len(b.tuples) {
-			return len(b.tuples) - len(a.tuples)
+		if a.e.Support != b.e.Support {
+			return b.e.Support - a.e.Support
 		}
 		return invlist.Compare(a.e.Key, b.e.Key)
 	})
 	keptByRHS := make(map[string][][]int32)
 	out := rules[:0]
 	for _, r := range rules {
-		if slices.ContainsFunc(keptByRHS[r.e.TopRHS], func(big []int32) bool { return subset(r.tuples, big) }) {
+		if slices.ContainsFunc(keptByRHS[r.e.TopRHS], func(big []int32) bool { return subset(r.values, big) }) {
 			continue
 		}
-		keptByRHS[r.e.TopRHS] = append(keptByRHS[r.e.TopRHS], r.tuples)
+		keptByRHS[r.e.TopRHS] = append(keptByRHS[r.e.TopRHS], r.values)
 		out = append(out, r)
 	}
 	return out
@@ -738,12 +692,12 @@ func subset(a, b []int32) bool {
 //     <\LU\LL*\ >\A* → ⊥ (λ4) when they share that shape;
 //   - prefix families: all length-L prefixes whose entries are functional
 //     generalize to <\D{L}>tail → ⊥ (λ5).
-func mineVariableRows(entries []invlist.Entry, lhs *profile.Coded, useTokens bool, cfg Config) []tableau.Row {
+func mineVariableRows(entries []invlist.Entry, useTokens bool, cfg Config) []tableau.Row {
 	minConf := 1 - cfg.MaxViolationRatio
 	if useTokens {
 		return variableTokenRow(entries, cfg, minConf)
 	}
-	return variablePrefixRows(entries, lhs, cfg, minConf)
+	return variablePrefixRows(entries, cfg, minConf)
 }
 
 func variableTokenRow(entries []invlist.Entry, cfg Config, minConf float64) []tableau.Row {
@@ -775,7 +729,7 @@ func variableTokenRow(entries []invlist.Entry, cfg Config, minConf float64) []ta
 	return []tableau.Row{{LHS: q, RHS: tableau.Wildcard, Support: support}}
 }
 
-func variablePrefixRows(entries []invlist.Entry, lhs *profile.Coded, cfg Config, minConf float64) []tableau.Row {
+func variablePrefixRows(entries []invlist.Entry, cfg Config, minConf float64) []tableau.Row {
 	// Group prefix entries by length.
 	type fam struct {
 		good, total, support int
@@ -799,8 +753,10 @@ func variablePrefixRows(entries []invlist.Entry, lhs *profile.Coded, cfg Config,
 			f.good++
 			f.support += e.Support
 			f.prefixes = append(f.prefixes, text)
+			// The first such value in value order is also the first in tuple
+			// order: values are numbered by first tuple.
 			for _, p := range e.Postings {
-				if v := lhs.Value(int(p.Tuple)); strings.HasPrefix(v, text) {
+				if v := e.LHS(p); strings.HasPrefix(v, text) {
 					f.tails = append(f.tails, v[len(text):])
 					break
 				}

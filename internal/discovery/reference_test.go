@@ -118,7 +118,20 @@ func describeRef(e refEntry) string {
 }
 
 func describeEntry(e invlist.Entry) string {
-	return describe(e.Key.String(), e.Tuples(nil), e.Support, e.TopRHS, e.TopCount, e.DominantLHSPos, e.PosPurity, len(e.Postings))
+	return describe(e.Key.String(), tuplesOf(e), e.Support, e.TopRHS, e.TopCount, e.DominantLHSPos, e.PosPurity, e.Mentions)
+}
+
+// tuplesOf lists the entry's distinct tuple ids in the order the
+// tuple-order walk reaches them: ascending, if the walk is right.
+func tuplesOf(e invlist.Entry) []int32 {
+	var out []int32
+	e.InTupleOrder(func(t int32, _ invlist.Posting) bool {
+		if len(out) == 0 || out[len(out)-1] != t {
+			out = append(out, t)
+		}
+		return true
+	})
+	return out
 }
 
 // checkAgainstReference builds the flat list for one candidate and checks
@@ -130,7 +143,7 @@ func checkAgainstReference(t *testing.T, lhs, rhs []string, useTokens bool, cfg 
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, want := list.Entries(), refEntries(lhs, rhs, useTokens, cfg)
+	got, want := list.Entries(0), refEntries(lhs, rhs, useTokens, cfg)
 	if len(got) != len(want) {
 		t.Fatalf("%d entries, reference has %d", len(got), len(want))
 	}
@@ -159,7 +172,7 @@ func TestRepeatedTokenCountsOncePerTuple(t *testing.T) {
 	rhs := []string{"x", "x", "y", "x", "x"}
 	es := checkAgainstReference(t, lhs, rhs, true, Default())
 	aa, ok := find(es, invlist.Token, "aa", 0)
-	if !ok || aa.Support != 5 || len(aa.Postings) != 10 || aa.TopRHS != "x" || aa.TopCount != 4 {
+	if !ok || aa.Support != 5 || aa.Mentions != 10 || aa.TopRHS != "x" || aa.TopCount != 4 {
 		t.Errorf("aa: %s", describeEntry(aa))
 	}
 	// Positions 0 and 1 both hold "aa" four times: the lower one wins.
@@ -215,9 +228,9 @@ func TestEmptyCellsAreSkipped(t *testing.T) {
 			if strings.HasPrefix(e.Key.Text, "B") || e.Key.Text == "y" {
 				t.Errorf("tokens=%v: key %q comes only from rows without an RHS", useTokens, e.Key.Text)
 			}
-			for _, p := range e.Postings {
-				if p.Tuple != 1 && p.Tuple != 6 {
-					t.Errorf("tokens=%v: posting from skipped row %d under %q", useTokens, p.Tuple, e.Key.Text)
+			for _, tuple := range tuplesOf(e) {
+				if tuple != 1 && tuple != 6 {
+					t.Errorf("tokens=%v: posting from skipped row %d under %q", useTokens, tuple, e.Key.Text)
 				}
 			}
 		}
@@ -403,7 +416,7 @@ func TestSubset(t *testing.T) {
 // different extensions.
 func TestDedupeExtensional(t *testing.T) {
 	mk := func(kind invlist.Kind, text string, pos int32, rhs string, tuples ...int32) rule {
-		return rule{e: invlist.Entry{Key: invlist.Key{Kind: kind, Pos: pos, Text: text}, TopRHS: rhs, Support: len(tuples)}, tuples: tuples}
+		return rule{e: invlist.Entry{Key: invlist.Key{Kind: kind, Pos: pos, Text: text}, TopRHS: rhs, Support: len(tuples)}, values: tuples}
 	}
 	in := []rule{
 		mk(invlist.Gram, "060", 1, "Chicago", 1, 2, 3),
@@ -416,7 +429,7 @@ func TestDedupeExtensional(t *testing.T) {
 	}
 	var got []string
 	for _, r := range dedupeExtensional(in) {
-		got = append(got, fmt.Sprintf("%s→%s%v", r.e.Key.String(), r.e.TopRHS, r.tuples))
+		got = append(got, fmt.Sprintf("%s→%s%v", r.e.Key.String(), r.e.TopRHS, r.values))
 	}
 	want := []string{
 		"p\x00606→Chicago[1 2 3]",
@@ -427,4 +440,81 @@ func TestDedupeExtensional(t *testing.T) {
 	if strings.Join(got, " | ") != strings.Join(want, " | ") {
 		t.Errorf("dedupeExtensional:\n got  %q\n want %q", got, want)
 	}
+}
+
+// Repeated values dominate and rows without an RHS are interleaved, so a
+// value's number — its first eligible tuple — is not its dictionary ID
+// ("B2 y y" is coded first and numbered last), and a token repeats inside
+// a repeated value.
+func TestRepeatedValuesWithGaps(t *testing.T) {
+	lhs := []string{"B2 y y", "A1 x", "B2 y y", "A1 x", "C3 z", "B2 y y", "A1 x", "C3 z", "", "A1 q", "B2 y y"}
+	rhs := []string{"", "u", "", "u", "w", "v", "", "w", "u", "u", "w"}
+	for _, useTokens := range []bool{true, false} {
+		es := checkAgainstReference(t, lhs, rhs, useTokens, Default())
+		if !useTokens {
+			continue
+		}
+		y, ok := find(es, invlist.Token, "y", 0)
+		if !ok || y.Support != 2 || y.Mentions != 4 || len(y.Postings) != 2 || fmt.Sprint(tuplesOf(y)) != "[5 10]" {
+			t.Errorf("y: %s (%d postings)", describeEntry(y), len(y.Postings))
+		}
+		// "v" and "w" pair with y once each: the smaller wins; positions 1
+		// and 2 hold it twice each: the lower wins.
+		if y.TopRHS != "v" || y.TopCount != 1 || y.DominantLHSPos != 1 || y.PosPurity != 0.5 {
+			t.Errorf("y ties: %s", describeEntry(y))
+		}
+		a1, _ := find(es, invlist.Token, "A1", 0)
+		if a1.Support != 3 || len(a1.Postings) != 2 || fmt.Sprint(tuplesOf(a1)) != "[1 3 9]" {
+			t.Errorf("A1: %s (%d postings)", describeEntry(a1), len(a1.Postings))
+		}
+	}
+}
+
+// Ties in the majority RHS and in the dominant position come out the same
+// whichever value is numbered first: every rotation of the rows reaches
+// the tied counts in a different order.
+func TestTiesAreIndependentOfValueOrder(t *testing.T) {
+	lhs := []string{"k b", "k b", "m k", "m k", "k a", "k a", "n k", "n k", "o o k", "o o k"}
+	rhs := []string{"b", "b", "a", "a", "c", "c", "a", "b", "c", "c"}
+	n := len(lhs)
+	for shift := 0; shift < n; shift++ {
+		l := append(append([]string{}, lhs[shift:]...), lhs[:shift]...)
+		r := append(append([]string{}, rhs[shift:]...), rhs[:shift]...)
+		es := checkAgainstReference(t, l, r, true, Default())
+		k, _ := find(es, invlist.Token, "k", 0)
+		// a, b and c pair with k three, three and four times; positions 0
+		// and 1 hold it four times each.
+		if k.Support != 10 || k.TopRHS != "c" || k.TopCount != 4 || k.DominantLHSPos != 0 || k.PosPurity != 0.4 {
+			t.Errorf("shift %d: k: %s", shift, describeEntry(k))
+		}
+		o, _ := find(es, invlist.Token, "o", 0)
+		if o.Support != 2 || o.Mentions != 4 || o.DominantLHSPos != 0 || o.PosPurity != 0.5 {
+			t.Errorf("shift %d: o: %s", shift, describeEntry(o))
+		}
+		checkAgainstReference(t, l, r, false, Default())
+	}
+}
+
+// FuzzEntriesAgainstReference cuts two short columns out of the fuzz input
+// (one cell per line) and holds the weighted list to the per-tuple
+// reference in both modes. The seeds below and the committed corpus run
+// under plain `go test`.
+func FuzzEntriesAgainstReference(f *testing.F) {
+	f.Add("aa aa\naa bb\naa aa\nbb aa aa aa\naa aa", "x\nx\ny\nx\nx")
+	f.Add("60601\n60601\n60602\n\n60601\n10001", "Chicago\n\nChicago\nChicago\nEvanston\nNew York")
+	f.Add("h\xc3\xa9llo1\nh\xc3\xa9llo1\n\xffab\xfecd\n\xffab\xfecd\na\xc3", "u\nv\nw\nw\nw")
+	f.Fuzz(func(t *testing.T, a, b string) {
+		lhs, rhs := strings.Split(a, "\n"), strings.Split(b, "\n")
+		if len(lhs) > 48 || len(a) > 600 {
+			t.Skip("two short columns")
+		}
+		for i := 0; len(rhs) < len(lhs); i++ { // cycle the RHS column to the LHS's length
+			rhs = append(rhs, rhs[i])
+		}
+		cfg := Default()
+		checkAgainstReference(t, lhs, rhs[:len(lhs)], true, cfg)
+		checkAgainstReference(t, lhs, rhs[:len(lhs)], false, cfg)
+		cfg.NGramN, cfg.MaxPrefix = 2, 3
+		checkAgainstReference(t, lhs, rhs[:len(lhs)], false, cfg)
+	})
 }

@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"github.com/anmat/anmat/internal/pattern"
+	"github.com/anmat/anmat/internal/profile"
 )
 
 // Suspect is one flagged value with the rows containing it.
@@ -113,67 +114,68 @@ func IsPlaceholderSyntax(v string) bool {
 	return allPunct
 }
 
-// Detect flags suspected disguised missing values in a column.
+// Detect flags suspected disguised missing values in a column. It works
+// on the column's dictionary-coded form: every channel looks at each
+// distinct value once, weighted by its count, and only a flagged value's
+// rows are listed.
 func Detect(values []string, opts Options) []Suspect {
 	opts.defaults()
-	counts := make(map[string][]int)
+	c := profile.NewCoded(values)
+	sigs := make([]string, len(c.Values)) // per value ID; "" for the empty value
 	sigCounts := make(map[string]int)
-	nonEmpty := 0
-	for i, v := range values {
+	nonEmpty, distinct := 0, 0
+	for id, v := range c.Values {
 		if v == "" {
 			continue
 		}
-		nonEmpty++
-		counts[v] = append(counts[v], i)
-		sigCounts[pattern.Signature(v)]++
+		nonEmpty += c.Counts[id]
+		distinct++
+		sigs[id] = pattern.Signature(v)
+		sigCounts[sigs[id]] += c.Counts[id]
 	}
 	if nonEmpty == 0 {
 		return nil
 	}
 
-	suspects := make(map[string]*Suspect)
-	flag := func(v, reason string, score float64) {
-		if s, ok := suspects[v]; ok {
+	suspects := make(map[int]*Suspect) // by value ID
+	flag := func(id int, reason string, score float64) {
+		if s, ok := suspects[id]; ok {
 			if score > s.Score {
 				s.Score = score
 				s.Reason = reason
 			}
 			return
 		}
-		rows := make([]int, len(counts[v]))
-		copy(rows, counts[v])
-		suspects[v] = &Suspect{Value: v, Rows: rows, Reason: reason, Score: score}
+		suspects[id] = &Suspect{Value: c.Values[id], Rows: make([]int, 0, c.Counts[id]), Reason: reason, Score: score}
 	}
 
 	// Channel 1: placeholder syntax.
-	for v := range counts {
-		if IsPlaceholderSyntax(v) {
-			flag(v, "placeholder syntax", 0.95)
+	for id, v := range c.Values {
+		if v != "" && IsPlaceholderSyntax(v) {
+			flag(id, "placeholder syntax", 0.95)
 		}
 	}
 
-	// Channel 2: repeated-value spike. Rank values by frequency; a top
-	// value dwarfing the runner-up in a high-cardinality column is a
-	// default/sentinel (in a 3-value categorical column it is just the
-	// majority class, so require many distinct values).
-	if len(counts) >= 20 {
-		type vc struct {
-			v string
-			n int
+	// Channel 2: repeated-value spike. A top value dwarfing the runner-up
+	// in a high-cardinality column is a default/sentinel (in a 3-value
+	// categorical column it is just the majority class, so require many
+	// distinct values). Ties rank by value.
+	if distinct >= 20 {
+		top, second := -1, -1
+		before := func(a, b int) bool {
+			return b < 0 || c.Counts[a] > c.Counts[b] || (c.Counts[a] == c.Counts[b] && c.Values[a] < c.Values[b])
 		}
-		ranked := make([]vc, 0, len(counts))
-		for v, rows := range counts {
-			ranked = append(ranked, vc{v, len(rows)})
-		}
-		sort.Slice(ranked, func(i, j int) bool {
-			if ranked[i].n != ranked[j].n {
-				return ranked[i].n > ranked[j].n
+		for id, v := range c.Values {
+			switch {
+			case v == "":
+			case before(id, top):
+				top, second = id, top
+			case before(id, second):
+				second = id
 			}
-			return ranked[i].v < ranked[j].v
-		})
-		top, second := ranked[0], ranked[1]
-		if float64(top.n) >= opts.SpikeRatio*float64(second.n) && top.n >= 10 {
-			flag(top.v, "repeated-value spike", 0.7)
+		}
+		if n := c.Counts[top]; float64(n) >= opts.SpikeRatio*float64(c.Counts[second]) && n >= 10 {
+			flag(top, "repeated-value spike", 0.7)
 		}
 	}
 
@@ -185,18 +187,22 @@ func Detect(values []string, opts Options) []Suspect {
 		}
 	}
 	if float64(domN)/float64(nonEmpty) >= opts.DominantSignatureShare {
-		for v := range counts {
-			sig := pattern.Signature(v)
-			if sig == domSig {
+		for id, sig := range sigs {
+			if c.Values[id] == "" || sig == domSig {
 				continue
 			}
 			share := float64(sigCounts[sig]) / float64(nonEmpty)
 			if share <= opts.RareSignatureShare {
-				flag(v, "signature outlier ("+sig+" vs dominant "+domSig+")", 0.6)
+				flag(id, "signature outlier ("+sig+" vs dominant "+domSig+")", 0.6)
 			}
 		}
 	}
 
+	for r, id := range c.IDs {
+		if s := suspects[int(id)]; s != nil {
+			s.Rows = append(s.Rows, r)
+		}
+	}
 	out := make([]Suspect, 0, len(suspects))
 	for _, s := range suspects {
 		out = append(out, *s)

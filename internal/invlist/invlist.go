@@ -1,25 +1,30 @@
 // Package invlist implements the hash-based inverted list H of the
 // discovery algorithm (Figure 2, lines 4–8): a map from an LHS token,
-// prefix or n-gram to the postings that mention it. Each posting records
-// the tuple id, the position of the key inside the LHS value, and the
-// corresponding RHS value.
+// prefix or n-gram to the postings that mention it.
 //
-// The list is built for one candidate dependency A → B over dictionary-
-// coded columns, and its layout relies on two facts about that setting:
+// The paper inserts one posting per (key, tuple). Every consumer reads
+// only that bag's set with multiplicities — how many tuples mention a key,
+// with which RHS values, at which positions — so the list stores one
+// posting per (key, distinct LHS value, occurrence) and weights it by the
+// tuples that hold the value. It is built for one candidate dependency
+// A → B over dictionary-coded columns:
 //
-//   - every tuple has exactly one RHS value, fixed when the list is
-//     created (New takes the tuple → RHS-ID column), so a posting carries
-//     an RHS ID instead of a string and "distinct (tuple, RHS) pairs" are
-//     just distinct tuples;
-//   - postings arrive in tuple order (Insert enforces it), so each key's
-//     postings are sorted by tuple, a tuple's repeats under one key are
-//     adjacent, and the distinct-tuple list of an entry — what extensional
-//     de-duplication and subset pruning compare — is its posting list
-//     with adjacent repeats skipped.
+//   - New groups the eligible tuples (non-empty A and B) by distinct A
+//     value. Values are numbered by first eligible tuple, and each keeps
+//     its ascending tuple run and its histogram of B values;
+//   - Insert takes postings in value order (and enforces it), so a key's
+//     postings are sorted by value and the distinct values of an entry —
+//     what extensional de-duplication and subset pruning compare — are its
+//     postings with adjacent repeats skipped. Every numbered value has a
+//     tuple, so two entries' value sets are equal, or nested, exactly when
+//     their tuple sets are;
+//   - support is kept per key as postings arrive, so Entries groups, sorts
+//     and analyzes only the keys at or above the caller's support floor,
+//     each in one scan with reusable counters indexed by RHS ID and by
+//     position: no per-key maps, no per-key allocations.
 //
-// Together they make entry analysis one linear scan per key over flat
-// arrays with reusable counters indexed by RHS ID and by position: no
-// per-key maps, no per-key allocations.
+// The two questions that are about tuple order ("the first 64 mentions")
+// are answered by Entry.InTupleOrder, a lazy merge of the tuple runs.
 package invlist
 
 import (
@@ -27,6 +32,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+
+	"github.com/anmat/anmat/internal/profile"
 )
 
 // Kind says how a key was cut out of the LHS value.
@@ -99,27 +106,35 @@ func Compare(a, b Key) int {
 	return strings.Compare(a.String(), b.String())
 }
 
-// Posting is the value triple inserted at line 8 of Figure 2.
+// Posting is one mention of a key: the value triple inserted at line 8 of
+// Figure 2, held once for all the tuples that share the LHS value.
 type Posting struct {
-	// Tuple is id(t).
-	Tuple int32
-	// Pos is pos_s: where the key occurs inside t[A].
+	// Value is the number of the distinct LHS value (see List.Value).
+	Value int32
+	// Pos is pos_s: where the key occurs inside the value.
 	Pos int32
-	// RHS is the ID of u = t[B] in the list's RHS dictionary.
-	RHS uint32
 }
 
 // List is the inverted list of one candidate dependency.
 type List struct {
-	rhsOf   []uint32 // tuple → RHS value ID
-	rhsVals []string // RHS dictionary
+	lhsVals, rhsVals []string // the columns' dictionaries
+
+	// The eligible tuples grouped by LHS value, values numbered by first
+	// eligible tuple: value v is lhsVals[dictID[v]], held by the ascending
+	// tuples[runStart[v]:runStart[v+1]], whose RHS values are counted in
+	// hist[histStart[v]:histStart[v+1]].
+	dictID    []uint32
+	runStart  []int32
+	tuples    []int32
+	histStart []int32
+	hist      []rhsCount
 
 	// ids[kind][pos] maps a key's text to its dense ID: one string-keyed
 	// map per (kind, position) instead of one map over a struct key, so a
 	// lookup hashes the text alone.
 	ids  [3][]map[string]uint32
-	keys []Key
-	// raw holds the postings in arrival (= tuple) order, in fixed-size
+	keys []keyInfo
+	// raw holds the postings in arrival (= value) order, in fixed-size
 	// chunks so that growing never copies; Entries groups them by key with
 	// a counting sort, which keeps that order per key.
 	raw  [][]keyed
@@ -127,7 +142,20 @@ type List struct {
 	last int32
 }
 
-// rawChunk is the number of postings per chunk of List.raw (256 KB).
+type rhsCount struct {
+	rhs uint32
+	n   int32
+}
+
+// keyInfo is a key with what Insert has learnt about it.
+type keyInfo struct {
+	Key
+	support int32 // tuples holding a value that mentions the key
+	n       int32 // postings
+	last    int32 // number + 1 of the last value inserted under the key
+}
+
+// rawChunk is the number of postings per chunk of List.raw (192 KB).
 const rawChunk = 1 << 14
 
 type keyed struct {
@@ -135,66 +163,121 @@ type keyed struct {
 	Posting
 }
 
-// New returns an empty list for tuples whose RHS values are given by
-// rhsOf (tuple → ID) and rhsVals (ID → value).
-func New(rhsOf []uint32, rhsVals []string) *List {
-	return &List{rhsOf: rhsOf, rhsVals: rhsVals}
+// New returns the list of a candidate over its coded LHS and RHS columns,
+// with the eligible tuples grouped by LHS value and no key yet. A tuple
+// missing either side carries no evidence for or against any rule.
+func New(lhs, rhs *profile.Coded) *List {
+	l := &List{lhsVals: lhs.Values, rhsVals: rhs.Values, runStart: []int32{0}, histStart: []int32{0}}
+	eligible := func(t int, d uint32) bool { return lhs.Values[d] != "" && rhs.Values[rhs.IDs[t]] != "" }
+	num := make([]int32, len(lhs.Values)) // LHS dictionary ID → value number + 1
+	for t, d := range lhs.IDs {
+		if !eligible(t, d) {
+			continue
+		}
+		if num[d] == 0 {
+			l.dictID = append(l.dictID, d)
+			l.runStart = append(l.runStart, 0)
+			num[d] = int32(len(l.dictID))
+		}
+		l.runStart[num[d]]++
+	}
+	for v := range l.dictID {
+		l.runStart[v+1] += l.runStart[v]
+	}
+	l.tuples = make([]int32, l.runStart[len(l.dictID)])
+	next := slices.Clone(l.runStart)
+	for t, d := range lhs.IDs {
+		if eligible(t, d) {
+			l.tuples[next[num[d]-1]] = int32(t)
+			next[num[d]-1]++
+		}
+	}
+	l.hist = make([]rhsCount, 0, len(l.dictID))
+	count := make([]int32, len(rhs.Values))
+	for v := range l.dictID {
+		from := len(l.hist)
+		for _, t := range l.tuples[l.runStart[v]:l.runStart[v+1]] {
+			u := rhs.IDs[t]
+			if count[u] == 0 {
+				l.hist = append(l.hist, rhsCount{rhs: u})
+			}
+			count[u]++
+		}
+		for i := from; i < len(l.hist); i++ {
+			h := &l.hist[i]
+			h.n, count[h.rhs] = count[h.rhs], 0
+		}
+		l.histStart = append(l.histStart, int32(len(l.hist)))
+	}
+	return l
 }
 
-// KeyID returns the dense ID of a key, assigning the next one on first
-// sight. A caller that decomposes each distinct LHS value once keeps the
-// IDs and inserts a posting per tuple without hashing the key again.
-func (l *List) KeyID(k Key) uint32 {
-	byPos := l.ids[k.Kind]
-	if int(k.Pos) >= len(byPos) {
-		byPos = append(byPos, make([]map[string]uint32, int(k.Pos)+1-len(byPos))...)
-		l.ids[k.Kind] = byPos
+// NumValues returns the number of distinct LHS values with an eligible
+// tuple; they are numbered from 0 in order of their first such tuple.
+func (l *List) NumValues() int { return len(l.dictID) }
+
+// Value returns the LHS value numbered v.
+func (l *List) Value(v int) string { return l.lhsVals[l.dictID[v]] }
+
+// Keys returns the number of distinct keys inserted so far.
+func (l *List) Keys() int { return len(l.keys) }
+
+// Insert records that the key occurs at pos in the LHS value numbered
+// value (line 8 of Figure 2, once for every tuple holding the value).
+// Postings must arrive in non-decreasing value order — the analysis
+// depends on it — so an out-of-order insert is a caller bug and panics.
+func (l *List) Insert(key Key, value, pos int) {
+	v := int32(value)
+	if v < l.last {
+		panic("invlist: postings must be inserted in value order")
 	}
-	m := byPos[k.Pos]
+	l.last = v
+	byPos := l.ids[key.Kind]
+	if int(key.Pos) >= len(byPos) {
+		byPos = append(byPos, make([]map[string]uint32, int(key.Pos)+1-len(byPos))...)
+		l.ids[key.Kind] = byPos
+	}
+	m := byPos[key.Pos]
 	if m == nil {
 		m = make(map[string]uint32)
-		byPos[k.Pos] = m
+		byPos[key.Pos] = m
 	}
-	id, ok := m[k.Text]
+	id, ok := m[key.Text]
 	if !ok {
 		id = uint32(len(l.keys))
-		m[k.Text] = id
+		m[key.Text] = id
 		if len(l.keys) == cap(l.keys) {
 			// Double: the keys run to megabytes, where append's own 1.25×
 			// steps would copy them five times over instead of twice.
 			l.keys = slices.Grow(l.keys, max(len(l.keys), 256))
 		}
-		l.keys = append(l.keys, k)
+		l.keys = append(l.keys, keyInfo{Key: key})
 	}
-	return id
-}
-
-// Insert appends a posting under the key (line 8 of Figure 2); the RHS is
-// the tuple's. Postings must arrive in non-decreasing tuple order — the
-// analysis depends on it — so an out-of-order insert is a caller bug and
-// panics.
-func (l *List) Insert(key uint32, tuple, pos int) {
-	t := int32(tuple)
-	if t < l.last {
-		panic("invlist: postings must be inserted in tuple order")
+	k := &l.keys[id]
+	if k.last != v+1 {
+		k.last = v + 1
+		k.support += l.runStart[v+1] - l.runStart[v]
 	}
-	l.last = t
+	k.n++
 	if l.n%rawChunk == 0 {
 		l.raw = append(l.raw, make([]keyed, 0, rawChunk))
 	}
 	c := &l.raw[len(l.raw)-1]
-	*c = append(*c, keyed{key, Posting{Tuple: t, Pos: int32(pos), RHS: l.rhsOf[tuple]}})
+	*c = append(*c, keyed{id, Posting{Value: v, Pos: int32(pos)}})
 	l.n++
 }
 
 // Entry summarizes one inverted-list entry for the decision function f:
-// the key, its postings, the distinct tuples mentioning it, and the
-// majority of the RHS histogram.
+// the key, its postings, and what the tuples that mention it say.
 type Entry struct {
 	Key Key
-	// Postings are the key's postings in tuple order. The slice aliases
-	// the list's storage; callers must not modify it.
+	// Postings are the key's postings in value order, one per occurrence
+	// in each distinct LHS value. The slice aliases the list's storage;
+	// callers must not modify it.
 	Postings []Posting
+	// Mentions is the number of postings a per-tuple list would hold:
+	// each posting counted once per tuple holding its value.
+	Mentions int
 	// Support is the number of distinct tuples mentioning the key.
 	Support int
 	// TopRHS is the RHS value paired with the key by the most distinct
@@ -204,107 +287,164 @@ type Entry struct {
 	// TopRHS.
 	TopCount int
 	// DominantLHSPos is the most frequent LHS position of the key (the
-	// lowest on a tie), and PosPurity the fraction of postings at that
+	// lowest on a tie), and PosPurity the fraction of mentions at that
 	// position. Rules anchor on a position (Section 4:
 	// "pattern::position, frequency").
 	DominantLHSPos int
 	PosPurity      float64
+
+	l *List
 }
 
-// Tuples appends the entry's distinct tuple ids, ascending, to dst.
-func (e Entry) Tuples(dst []int32) []int32 {
+// LHS returns the LHS value a posting of the entry was cut from.
+func (e Entry) LHS(p Posting) string { return e.l.Value(int(p.Value)) }
+
+// Values appends the numbers of the entry's distinct LHS values,
+// ascending, to dst.
+func (e Entry) Values(dst []int32) []int32 {
 	prev := int32(-1)
 	for _, p := range e.Postings {
-		if p.Tuple != prev {
-			dst = append(dst, p.Tuple)
-			prev = p.Tuple
+		if p.Value != prev {
+			dst = append(dst, p.Value)
+			prev = p.Value
 		}
 	}
 	return dst
 }
 
-// Entries analyzes every key and returns the entries sorted by descending
-// support and then key, so discovery examines strong keys first. A tuple
-// contributes one support unit and one RHS vote per key however many
-// times it mentions the key; every mention counts towards the position
-// histogram.
-func (l *List) Entries() []Entry {
-	// Group the postings by key: count, prefix-sum, scatter.
-	start := make([]int32, len(l.keys)+1)
-	for _, chunk := range l.raw {
-		for _, p := range chunk {
-			start[p.key+1]++
+// InTupleOrder calls yield for the entry's mentions in the order a
+// per-tuple list holds them — by tuple, a tuple's repeats in order of
+// occurrence — until yield returns false. It merges the values' tuple
+// runs through a heap; values are numbered by first tuple, so a value
+// joins the merge only when the walk reaches that tuple, and a walk that
+// stops after k mentions has looked at no more than k values.
+func (e Entry) InTupleOrder(yield func(tuple int32, p Posting) bool) {
+	type run struct {
+		at, end int32 // the value's tuples still to come: l.tuples[at:end]
+		lo, hi  int   // its postings: e.Postings[lo:hi]
+	}
+	l := e.l
+	var heap []run // min-heap on l.tuples[at]
+	less := func(i, j int) bool { return l.tuples[heap[i].at] < l.tuples[heap[j].at] }
+	for next := 0; next < len(e.Postings) || len(heap) > 0; {
+		if next < len(e.Postings) {
+			v := e.Postings[next].Value
+			if len(heap) == 0 || l.tuples[l.runStart[v]] < l.tuples[heap[0].at] {
+				r := run{at: l.runStart[v], end: l.runStart[v+1], lo: next}
+				for next++; next < len(e.Postings) && e.Postings[next].Value == v; next++ {
+				}
+				r.hi = next
+				heap = append(heap, r)
+				for i := len(heap) - 1; i > 0 && less(i, (i-1)/2); i = (i - 1) / 2 {
+					heap[i], heap[(i-1)/2] = heap[(i-1)/2], heap[i]
+				}
+				continue
+			}
+		}
+		r := &heap[0]
+		for _, p := range e.Postings[r.lo:r.hi] {
+			if !yield(l.tuples[r.at], p) {
+				return
+			}
+		}
+		if r.at++; r.at == r.end {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		for i := 0; ; {
+			c := 2*i + 1
+			if c+1 < len(heap) && less(c+1, c) {
+				c++
+			}
+			if c >= len(heap) || !less(c, i) {
+				break
+			}
+			heap[i], heap[c] = heap[c], heap[i]
+			i = c
 		}
 	}
-	for k := range l.keys {
-		start[k+1] += start[k]
-	}
-	grouped := make([]Posting, l.n)
-	next := slices.Clone(start[:len(l.keys)])
-	for _, chunk := range l.raw {
-		for _, p := range chunk {
-			grouped[next[p.key]] = p.Posting
-			next[p.key]++
-		}
-	}
+}
 
-	// Order the keys before analyzing them, by sorting key IDs on a
-	// support column: a swap moves 4 bytes, a comparison touches a count
-	// and a key rather than whole entries, and each Entry is written once,
-	// in its final place.
-	support := make([]int32, len(l.keys))
-	order := make([]uint32, len(l.keys))
+// Entries analyzes the keys whose support reaches minSupport and returns
+// their entries sorted by descending support and then key, so discovery
+// examines strong keys first. A tuple contributes one support unit and
+// one RHS vote per key however many times it mentions the key; every
+// mention counts towards the position histogram. Both majorities break
+// ties independently of arrival order (the smallest RHS, the lowest
+// position), so the weighted counts are the per-tuple list's exactly.
+func (l *List) Entries(minSupport int) []Entry {
+	// Group the kept keys' postings by key: Insert counted them; prefix-sum
+	// and scatter. Afterwards next[k] is where key k's postings end.
+	next := make([]int32, len(l.keys))
+	var order []uint32
+	total := int32(0)
 	for k := range l.keys {
-		order[k] = uint32(k)
-		prev := int32(-1)
-		for _, p := range grouped[start[k]:start[k+1]] {
-			if p.Tuple != prev {
-				prev = p.Tuple
-				support[k]++
+		if int(l.keys[k].support) < minSupport {
+			next[k] = -1
+			continue
+		}
+		next[k] = total
+		total += l.keys[k].n
+		order = append(order, uint32(k))
+	}
+	grouped := make([]Posting, total)
+	for _, chunk := range l.raw {
+		for _, p := range chunk {
+			if i := next[p.key]; i >= 0 {
+				grouped[i] = p.Posting
+				next[p.key] = i + 1
 			}
 		}
 	}
+
+	// Order the keys before analyzing them, by sorting key IDs: a swap
+	// moves 4 bytes and each Entry is written once, in its final place.
 	slices.SortFunc(order, func(a, b uint32) int {
-		if support[a] != support[b] {
-			return int(support[b] - support[a])
+		if sa, sb := l.keys[a].support, l.keys[b].support; sa != sb {
+			return int(sb - sa)
 		}
-		return Compare(l.keys[a], l.keys[b])
+		return Compare(l.keys[a].Key, l.keys[b].Key)
 	})
 
 	out := make([]Entry, len(order))
 	rhsCount := make([]int32, len(l.rhsVals))
 	var posCount []int32
 	for i, k := range order {
-		ps := grouped[start[k]:start[k+1]]
-		e := Entry{Key: l.keys[k], Postings: ps, Support: int(support[k])}
+		ki := &l.keys[k]
+		ps := grouped[next[k]-ki.n : next[k]]
+		e := Entry{Key: ki.Key, Postings: ps, Support: int(ki.support), l: l}
 		topID, bestPos, bestN := uint32(0), 0, int32(0)
 		prev := int32(-1)
 		for _, p := range ps {
-			if p.Tuple != prev {
-				prev = p.Tuple
-				rhsCount[p.RHS]++
-				c := int(rhsCount[p.RHS])
-				if c > e.TopCount || (c == e.TopCount && p.RHS != topID && l.rhsVals[p.RHS] < l.rhsVals[topID]) {
-					topID, e.TopCount = p.RHS, c
+			if p.Value != prev {
+				prev = p.Value
+				for _, h := range l.hist[l.histStart[p.Value]:l.histStart[p.Value+1]] {
+					rhsCount[h.rhs] += h.n
+					c := int(rhsCount[h.rhs])
+					if c > e.TopCount || (c == e.TopCount && h.rhs != topID && l.rhsVals[h.rhs] < l.rhsVals[topID]) {
+						topID, e.TopCount = h.rhs, c
+					}
 				}
 			}
+			held := l.runStart[p.Value+1] - l.runStart[p.Value]
+			e.Mentions += int(held)
 			if int(p.Pos) >= len(posCount) {
 				posCount = append(posCount, make([]int32, int(p.Pos)+1-len(posCount))...)
 			}
-			posCount[p.Pos]++
+			posCount[p.Pos] += held
 			if n := posCount[p.Pos]; n > bestN || (n == bestN && int(p.Pos) < bestPos) {
 				bestPos, bestN = int(p.Pos), n
 			}
 		}
 		for _, p := range ps {
-			rhsCount[p.RHS] = 0
 			posCount[p.Pos] = 0
+			for _, h := range l.hist[l.histStart[p.Value]:l.histStart[p.Value+1]] {
+				rhsCount[h.rhs] = 0
+			}
 		}
-		if len(ps) > 0 {
-			e.TopRHS = l.rhsVals[topID]
-			e.DominantLHSPos = bestPos
-			e.PosPurity = float64(bestN) / float64(len(ps))
-		}
+		e.TopRHS = l.rhsVals[topID]
+		e.DominantLHSPos = bestPos
+		e.PosPurity = float64(bestN) / float64(e.Mentions)
 		out[i] = e
 	}
 	return out

@@ -1,34 +1,43 @@
 package invlist
 
 import (
+	"strconv"
 	"testing"
+
+	"github.com/anmat/anmat/internal/profile"
 )
 
-// newList returns an empty list over tuples with the given RHS values,
-// interning them in first-occurrence order.
+// newList returns an empty list over tuples with the given RHS values and
+// LHS values that are all distinct, so that value v is tuple v and the
+// list degenerates to the per-tuple one.
 func newList(rhs ...string) *List {
-	var rhsOf []uint32
-	var rhsVals []string
-	ids := map[string]uint32{}
-	for _, u := range rhs {
-		id, ok := ids[u]
-		if !ok {
-			id = uint32(len(rhsVals))
-			ids[u] = id
-			rhsVals = append(rhsVals, u)
-		}
-		rhsOf = append(rhsOf, id)
+	lhs := make([]string, len(rhs))
+	for i := range lhs {
+		lhs[i] = "v" + strconv.Itoa(i)
 	}
-	return New(rhsOf, rhsVals)
+	return New(profile.NewCoded(lhs), profile.NewCoded(rhs))
 }
 
 func tok(s string) Key { return Key{Kind: Token, Text: s} }
 
-func (l *List) insert(key string, tuple, pos int) { l.Insert(l.KeyID(tok(key)), tuple, pos) }
+func (l *List) insert(key string, value, pos int) { l.Insert(tok(key), value, pos) }
+
+// tuples lists the entry's distinct tuple ids in the order the tuple-order
+// walk reaches them.
+func (e Entry) tuples() []int32 {
+	var out []int32
+	e.InTupleOrder(func(t int32, _ Posting) bool {
+		if len(out) == 0 || out[len(out)-1] != t {
+			out = append(out, t)
+		}
+		return true
+	})
+	return out
+}
 
 // entry returns the analyzed entry of a key, or the zero Entry.
 func entry(l *List, k Key) Entry {
-	for _, e := range l.Entries() {
+	for _, e := range l.Entries(0) {
 		if e.Key == k {
 			return e
 		}
@@ -51,7 +60,7 @@ func buildSample() *List {
 
 func TestInsertAndPostings(t *testing.T) {
 	l := buildSample()
-	if n := len(l.Entries()); n != 2 {
+	if n := len(l.Entries(0)); n != 2 {
 		t.Fatalf("%d keys", n)
 	}
 	if n := len(entry(l, tok("John")).Postings); n != 4 {
@@ -60,17 +69,17 @@ func TestInsertAndPostings(t *testing.T) {
 	if entry(l, tok("missing")).Postings != nil {
 		t.Error("missing key should have no postings")
 	}
-	if a, b := l.KeyID(tok("John")), l.KeyID(tok("Susan")); a != 0 || b != 1 || len(l.Entries()) != 2 {
-		t.Errorf("KeyID must return the dense first-sight IDs: John=%d Susan=%d", a, b)
+	if l.Keys() != 2 {
+		t.Errorf("Keys = %d, want 2", l.Keys())
 	}
 }
 
-func TestInsertOutOfTupleOrderPanics(t *testing.T) {
+func TestInsertOutOfValueOrderPanics(t *testing.T) {
 	l := newList("x", "x")
 	l.insert("k", 1, 0)
 	defer func() {
 		if recover() == nil {
-			t.Error("inserting tuple 0 after tuple 1 must panic: the analysis relies on tuple order")
+			t.Error("inserting value 0 after value 1 must panic: the analysis relies on value order")
 		}
 	}()
 	l.insert("k", 0, 0)
@@ -106,12 +115,12 @@ func TestAnalyzeDedupByTuple(t *testing.T) {
 	if e.TopRHS != "x" || e.TopCount != 1 {
 		t.Errorf("TopRHS/TopCount = %q/%d, want x/1 (one vote per tuple)", e.TopRHS, e.TopCount)
 	}
-	if len(e.Postings) != 2 || e.PosPurity != 0.5 || e.DominantLHSPos != 0 {
-		t.Errorf("every mention counts towards positions: %d postings, pos %d purity %f",
-			len(e.Postings), e.DominantLHSPos, e.PosPurity)
+	if e.Mentions != 2 || e.PosPurity != 0.5 || e.DominantLHSPos != 0 {
+		t.Errorf("every mention counts towards positions: %d mentions, pos %d purity %f",
+			e.Mentions, e.DominantLHSPos, e.PosPurity)
 	}
-	if got := e.Tuples(nil); len(got) != 1 || got[0] != 0 {
-		t.Errorf("Tuples = %v, want [0]", got)
+	if got := e.tuples(); len(got) != 1 || got[0] != 0 {
+		t.Errorf("tuples = %v, want [0]", got)
 	}
 }
 
@@ -121,18 +130,11 @@ func TestAnalyzeEmptyKey(t *testing.T) {
 	if e.Support != 0 || e.Confidence() != 0 {
 		t.Errorf("empty entry: support=%d conf=%f", e.Support, e.Confidence())
 	}
-	// A key that was interned but never received a posting is still an
-	// entry, with nothing in it.
-	l.KeyID(tok("unused"))
-	es := l.Entries()
-	if len(es) != 1 || es[0].Support != 0 || es[0].TopRHS != "" || es[0].PosPurity != 0 {
-		t.Errorf("posting-less key: %+v", es)
-	}
 }
 
 func TestEntriesOrdering(t *testing.T) {
 	l := buildSample()
-	es := l.Entries()
+	es := l.Entries(0)
 	if len(es) != 2 {
 		t.Fatalf("Entries = %d", len(es))
 	}
@@ -145,7 +147,7 @@ func TestEntriesTieBreaksOnKey(t *testing.T) {
 	l := newList("x", "x")
 	l.insert("b", 0, 0)
 	l.insert("a", 1, 0)
-	es := l.Entries()
+	es := l.Entries(0)
 	if es[0].Key.Text != "a" {
 		t.Errorf("tie should break lexicographically, got %q first", es[0].Key.Text)
 	}

@@ -97,14 +97,36 @@ type Coded struct {
 	IDs []uint32
 }
 
-// Value returns the cell value of row r.
-func (c *Coded) Value(r int) string { return c.Values[c.IDs[r]] }
+// codeSample is how many leading rows NewCoded codes before it sizes its
+// dictionary for the rest.
+const codeSample = 512
 
-// NewCoded dictionary-codes a column.
+// NewCoded dictionary-codes a column. A long column's dictionary is sized
+// once, after a sample: growing a map to ten thousand strings step by step
+// costs as much as filling it, and sizing it for the row count would
+// charge a two-valued column for ten thousand slots. The estimate is
+// Good–Turing's: the share of sample rows whose value occurred once is
+// the chance that a later row brings a new value.
 func NewCoded(values []string) *Coded {
 	c := &Coded{IDs: make([]uint32, len(values))}
 	ids := make(map[string]uint32)
 	for r, v := range values {
+		if r == codeSample {
+			once := 0
+			for _, n := range c.Counts {
+				if n == 1 {
+					once++
+				}
+			}
+			distinct := len(c.Values) + (len(values)-codeSample)*once/codeSample
+			sized := make(map[string]uint32, distinct)
+			for id, v := range c.Values {
+				sized[v] = uint32(id)
+			}
+			ids = sized
+			c.Values = slices.Grow(c.Values, distinct-len(c.Values))
+			c.Counts = slices.Grow(c.Counts, distinct-len(c.Counts))
+		}
 		id, ok := ids[v]
 		if !ok {
 			id = uint32(len(c.Values))
@@ -268,14 +290,9 @@ type TableProfile struct {
 	Columns []ColumnProfile
 }
 
-// Profile computes the profile of every column.
-func Profile(t *table.Table) TableProfile {
-	tp, _ := ProfileAndCode(t)
-	return tp
-}
-
-// ProfileAndCode is Profile for a caller that goes on to work on the same
-// columns (discovery): it also returns the coding of each column.
+// ProfileAndCode computes the profile of every column and returns with it
+// the coding of each, for a caller that goes on to work on the same
+// columns (discovery).
 func ProfileAndCode(t *table.Table) (TableProfile, []*Coded) {
 	tp := TableProfile{Table: t.Name(), Rows: t.NumRows()}
 	coded := make([]*Coded, t.NumCols())

@@ -78,7 +78,7 @@ func TestCandidatesPruning(t *testing.T) {
 	for _, r := range rows {
 		tb.MustAppend(r...)
 	}
-	tp := Profile(tb)
+	tp, _ := ProfileAndCode(tb)
 	cands := Candidates(tp)
 	seen := map[string]bool{}
 	for _, c := range cands {
@@ -102,7 +102,7 @@ func TestCandidatesKeyRHSPruned(t *testing.T) {
 	tb.MustAppend("A-2", "x")
 	tb.MustAppend("B-3", "y")
 	tb.MustAppend("B-4", "y")
-	tp := Profile(tb)
+	tp, _ := ProfileAndCode(tb)
 	for _, c := range Candidates(tp) {
 		if c.RHS == "id" {
 			t.Errorf("key column as RHS should be pruned: %s", c)
@@ -113,7 +113,7 @@ func TestCandidatesKeyRHSPruned(t *testing.T) {
 func TestProfileTable(t *testing.T) {
 	tb := table.MustNew("t", []string{"a", "b"})
 	tb.MustAppend("1", "x")
-	tp := Profile(tb)
+	tp, _ := ProfileAndCode(tb)
 	if tp.Table != "t" || tp.Rows != 1 || len(tp.Columns) != 2 {
 		t.Errorf("Profile = %+v", tp)
 	}
@@ -189,7 +189,7 @@ func TestIsPlainNumber(t *testing.T) {
 func TestProfileCodedWeightsByCount(t *testing.T) {
 	values := []string{"ab cd", "ab cd", "ab cd", "é", "", "xyz", "é", "q r s"}
 	c := NewCoded(values)
-	if len(c.Values) != 5 || c.Counts[c.IDs[0]] != 3 || c.Value(6) != "é" || len(c.IDs) != len(values) {
+	if len(c.Values) != 5 || c.Counts[c.IDs[0]] != 3 || c.Values[c.IDs[6]] != "é" || len(c.IDs) != len(values) {
 		t.Fatalf("coding: %+v", c)
 	}
 	p := ProfileCoded("col", c)
