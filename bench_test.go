@@ -93,12 +93,12 @@ func BenchmarkFigure3_Profiling(b *testing.B) {
 	ds := datagen.ZipCity(benchRows, 0.01, experiments.Seed)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tp, _ := profile.ProfileAndCode(ds.Table)
+		tp := profile.ProfileTable(ds.Table)
 		if len(tp.Columns) != 3 {
 			b.Fatal("bad profile")
 		}
 		for j := range tp.Columns {
-			profile.ColumnPatterns(ds.Table.ColumnByIndex(j))
+			profile.ColumnPatterns(ds.Table.InternedColumn(j))
 		}
 	}
 }

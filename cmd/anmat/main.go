@@ -191,12 +191,12 @@ func cmdProfile(args []string) error {
 	for i, cp := range tp.Columns {
 		fmt.Printf("column %-20s type=%-8s distinct=%-6d avg_len=%.1f\n",
 			cp.Name, cp.Type, cp.Distinct, cp.AvgLen)
-		vals := se.Table.ColumnByIndex(i)
-		sums := profile.ColumnPatterns(vals)
+		col := se.Table.InternedColumn(i)
+		sums := profile.ColumnPatterns(col)
 		// Text columns additionally list per-token patterns, following
 		// the Figure 3 position convention (token number, first = 0).
 		if cp.Type == profile.Text {
-			sums = append(sums, profile.TokenPatterns(vals)...)
+			sums = append(sums, profile.TokenPatterns(col)...)
 		}
 		for j, ps := range sums {
 			if j >= 8 {
@@ -688,7 +688,7 @@ func cmdDMV(args []string) error {
 	}
 	total := 0
 	for i, col := range t.Columns() {
-		suspects := dmv.Detect(t.ColumnByIndex(i), dmv.Options{})
+		suspects := dmv.Detect(t.InternedColumn(i), dmv.Options{})
 		if len(suspects) == 0 {
 			continue
 		}

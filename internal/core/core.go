@@ -254,12 +254,9 @@ type Session struct {
 	Profile profile.TableProfile
 	// profiledTable and profiledVersion record which table, at which
 	// Version, RunProfile computed Profile from, so RunDiscovery can hand
-	// it — and coded, the column codings it was computed on — to discovery
-	// instead of coding and profiling the same rows again. The codings are
-	// as large as the table: they last until their stage list returns.
+	// it to discovery instead of profiling the same rows again.
 	profiledTable   *table.Table
 	profiledVersion int64
-	coded           []*profile.Coded
 
 	Discovered []*pfd.PFD
 	Confirmed  []*pfd.PFD
@@ -409,7 +406,6 @@ func FullPipeline() []Stage {
 // (StageProfile), discovery-only (StageProfile, StageDiscovery), or
 // detect-with-stored-rules (UseRules then StageDetection, StageRepairs).
 func (se *Session) RunStages(ctx context.Context, stages ...Stage) error {
-	defer func() { se.coded = nil }()
 	for _, st := range stages {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("session %s: stage %s: %w", se.ID, st, err)
@@ -443,7 +439,7 @@ func (se *Session) RunStages(ctx context.Context, stages ...Stage) error {
 // RunProfile computes the table profile (the Figure 3 step: "the system
 // will automatically profile the dataset").
 func (se *Session) RunProfile() profile.TableProfile {
-	se.Profile, se.coded = profile.ProfileAndCode(se.Table)
+	se.Profile = profile.ProfileTable(se.Table)
 	se.profiledTable, se.profiledVersion = se.Table, se.Table.Version()
 	return se.Profile
 }
@@ -460,7 +456,7 @@ type DMVFinding struct {
 func (se *Session) RunDMV() []DMVFinding {
 	se.DMVs = se.DMVs[:0]
 	for i, col := range se.Table.Columns() {
-		suspects := dmv.Detect(se.Table.ColumnByIndex(i), dmv.Options{})
+		suspects := dmv.Detect(se.Table.InternedColumn(i), dmv.Options{})
 		if len(suspects) == 0 {
 			continue
 		}
@@ -475,13 +471,11 @@ func (se *Session) RunDMV() []DMVFinding {
 // has seen, not by the runs. Cancelling ctx aborts mining mid-candidate
 // with an error wrapping context.Canceled.
 func (se *Session) RunDiscovery(ctx context.Context) ([]*pfd.PFD, error) {
-	var tp *profile.TableProfile // nil: discovery codes and profiles the table itself
-	var coded []*profile.Coded
+	var tp *profile.TableProfile // nil: discovery profiles the table itself
 	if se.profiledTable == se.Table && se.profiledVersion == se.Table.Version() {
-		tp, coded = &se.Profile, se.coded // the profile stage already did, on exactly these rows
+		tp = &se.Profile // the profile stage already did, on exactly these rows
 	}
-	se.coded = nil
-	res, err := discovery.DiscoverProfiled(ctx, se.Table, tp, coded, se.discoveryConfig())
+	res, err := discovery.DiscoverProfiled(ctx, se.Table, tp, se.discoveryConfig())
 	if err != nil {
 		return nil, fmt.Errorf("session %s: %w", se.ID, err)
 	}

@@ -51,7 +51,7 @@ type Options struct {
 }
 
 // Detector evaluates PFDs against one table. The hot path runs over the
-// table's dictionary-coded column views (table.InternedColumn): pattern
+// table's dictionary-coded columns (table.InternedColumn): pattern
 // automata run once per *distinct* value — over a column's dictionary,
 // not its rows — a constant row then visits only the rows of the values
 // its pattern matched, through the column's rows-by-ID index, and the
@@ -120,14 +120,11 @@ func New(t *table.Table, opts Options) *Detector {
 // rebuild when Stale returns true.
 func (d *Detector) Stale() bool { return d.t.Version() != d.version }
 
-// column returns the dictionary-coded view of the column at index i.
-func (d *Detector) column(i int) *table.Interned { return d.t.InternedColumn(i) }
-
 // matchVerdicts returns the per-dictionary-ID match verdicts of running
 // emb over column col.
 func (d *Detector) matchVerdicts(col int, emb pattern.Pattern) []bool {
 	return cached(d, d.verdicts, matchKey{col, emb.Key()}, func() []bool {
-		vals := d.column(col).Dict.Values()
+		vals := d.t.InternedColumn(col).Dict.Values()
 		verd := make([]bool, len(vals))
 		for id, v := range vals {
 			verd[id] = emb.MatchesDFA(v)
@@ -140,7 +137,7 @@ func (d *Detector) matchVerdicts(col int, emb pattern.Pattern) []bool {
 // of column col.
 func (d *Detector) extractKeys(col int, q pattern.Constrained) [][]string {
 	return cached(d, d.extracts, matchKey{col, q.Key()}, func() [][]string {
-		vals := d.column(col).Dict.Values()
+		vals := d.t.InternedColumn(col).Dict.Values()
 		keys := make([][]string, len(vals))
 		for id, v := range vals {
 			if ks := q.Extract(v); len(ks) > 0 {
@@ -159,7 +156,7 @@ type rowIndex struct{ start, rows []int32 }
 // rowsByID returns the rows-by-ID index of column col.
 func (d *Detector) rowsByID(col int) rowIndex {
 	return cached(d, d.rowsOf, col, func() rowIndex {
-		iv := d.column(col)
+		iv := d.t.InternedColumn(col)
 		start := make([]int32, iv.Dict.Len()+1)
 		for _, id := range iv.IDs {
 			start[id+1]++
@@ -384,7 +381,7 @@ func (d *Detector) DetectAllContext(ctx context.Context, ps []*pfd.PFD, parallel
 }
 
 func (d *Detector) detectConstant(p *pfd.PFD, row tableau.Row, li, ri int) ([]pfd.Violation, error) {
-	liv, riv := d.column(li), d.column(ri)
+	liv, riv := d.t.InternedColumn(li), d.t.InternedColumn(ri)
 	var out []pfd.Violation
 	for _, r := range d.constantHits(row, li, ri) {
 		out = append(out, pfd.ConstantViolation(p, row, r, liv.Value(r), riv.Value(r)))
@@ -396,7 +393,7 @@ func (d *Detector) detectConstant(p *pfd.PFD, row tableau.Row, li, ri int) ([]pf
 // tableau row: the LHS matches tp[A] and the RHS differs from tp[B].
 func (d *Detector) constantHits(row tableau.Row, li, ri int) []int {
 	emb := row.LHS.Embedded()
-	liv, riv := d.column(li), d.column(ri)
+	liv, riv := d.t.InternedColumn(li), d.t.InternedColumn(ri)
 	var hits []int
 	if d.opts.DisableIndex {
 		// Ablation: match every row individually, no dictionary memo.
@@ -430,7 +427,7 @@ func (d *Detector) constantHits(row tableau.Row, li, ri int) []int {
 }
 
 func (d *Detector) detectVariable(p *pfd.PFD, row tableau.Row, li, ri int) ([]pfd.Violation, error) {
-	liv, riv := d.column(li), d.column(ri)
+	liv, riv := d.t.InternedColumn(li), d.t.InternedColumn(ri)
 	if d.opts.DisableBlocking {
 		// Quadratic reference: restrict to rows matching the embedded
 		// pattern first (the paper's index optimization applies here too
@@ -488,7 +485,7 @@ func (d *Detector) blocks(li int, q pattern.Constrained) []iblock {
 	return cached(d, d.blocked, matchKey{li, q.Key()}, func() []iblock {
 		keys := d.extractKeys(li, q)
 		m := make(map[string]*iblock)
-		for r, id := range d.column(li).IDs {
+		for r, id := range d.t.InternedColumn(li).IDs {
 			for _, k := range keys[id] {
 				b := m[k]
 				if b == nil {
@@ -667,7 +664,7 @@ func (d *Detector) Repairs(p *pfd.PFD) ([]Repair, error) {
 			out = append(out, Repair{Cell: table.CellRef{Row: r, Column: p.RHS}, Current: current, Suggested: suggested, Rule: rule, Confidence: conf})
 		}
 	}
-	riv := d.column(ri)
+	riv := d.t.InternedColumn(ri)
 	for _, row := range p.Tableau.Rows() {
 		rule = row.String()
 		if !row.Variable() {

@@ -150,16 +150,14 @@ func Discover(t *table.Table, cfg Config) (*Result, error) {
 // inverted-list build and scan, so a cancelled mining run stops within a
 // bounded amount of work and returns an error wrapping ctx.Err().
 func DiscoverContext(ctx context.Context, t *table.Table, cfg Config) (*Result, error) {
-	return DiscoverProfiled(ctx, t, nil, nil, cfg)
+	return DiscoverProfiled(ctx, t, nil, cfg)
 }
 
 // DiscoverProfiled is DiscoverContext for a caller that may already hold
 // the profile of t as it is now (a session that ran its profile stage):
 // candidates come from tp, and discovery profiles t itself only when tp
-// is nil. coded, when non-nil, holds the codings of t's columns that
-// profile was computed on (profile.ProfileAndCode); mining works on them
-// instead of coding the columns again.
-func DiscoverProfiled(ctx context.Context, t *table.Table, tp *profile.TableProfile, coded []*profile.Coded, cfg Config) (*Result, error) {
+// is nil.
+func DiscoverProfiled(ctx context.Context, t *table.Table, tp *profile.TableProfile, cfg Config) (*Result, error) {
 	if cfg.NGramN <= 0 {
 		cfg.NGramN = 3
 	}
@@ -174,19 +172,16 @@ func DiscoverProfiled(ctx context.Context, t *table.Table, tp *profile.TableProf
 		f = cfg.defaultDecision()
 	}
 
-	// Every column the run touches is dictionary-coded once; profiling,
-	// every candidate's inverted list and every coverage count then work
-	// per distinct value. The codings live in this call only.
+	// The table's columns are dictionary-coded as they stand; profiling,
+	// every candidate's inverted list and every coverage count work per
+	// distinct value on them.
 	if tp == nil {
-		own, ownCoded := profile.ProfileAndCode(t)
-		tp, coded = &own, ownCoded
-	}
-	cols := make([]*profile.Coded, t.NumCols())
-	if coded != nil && !cfg.CleanDMVs { // else mining codes the cleaned columns below
-		cols = coded
+		own := profile.ProfileTable(t)
+		tp = &own
 	}
 	cands := profile.Candidates(*tp)
-	sides := make([][2]*profile.Coded, len(cands)) // each candidate's LHS and RHS column
+	cols := make([]*column, t.NumCols())
+	sides := make([][2]*column, len(cands)) // each candidate's LHS and RHS column
 	for c, cand := range cands {
 		for side, name := range [2]string{cand.LHS, cand.RHS} {
 			i, ok := t.ColIndex(name)
@@ -194,11 +189,7 @@ func DiscoverProfiled(ctx context.Context, t *table.Table, tp *profile.TableProf
 				return nil, fmt.Errorf("table %q: no column %q", t.Name(), name)
 			}
 			if cols[i] == nil {
-				vals := t.ColumnByIndex(i)
-				if cfg.CleanDMVs {
-					vals, _ = dmv.CleanColumn(vals, dmv.Options{})
-				}
-				cols[i] = profile.NewCoded(vals)
+				cols[i] = columnOf(t.InternedColumn(i), cfg.CleanDMVs)
 			}
 			sides[c][side] = cols[i]
 		}
@@ -264,6 +255,23 @@ feed:
 	return res, nil
 }
 
+// column is a table column as mining reads it: the table's IDs, the values
+// they stand for — the dictionary's, or under CleanDMVs a copy of that
+// list with the suspects blank — and the number of rows holding each. The
+// list can name values no row holds, and more than one blank.
+type column struct {
+	invlist.Column
+	counts []int
+}
+
+func columnOf(iv *table.Interned, cleanDMVs bool) *column {
+	c := &column{Column: invlist.Column{Values: iv.Dict.Values(), IDs: iv.IDs}, counts: iv.Counts()}
+	if cleanDMVs {
+		c.Values, _ = dmv.CleanColumn(iv, dmv.Options{})
+	}
+	return c
+}
+
 // rule is an accepted inverted-list entry on its way to a tableau row,
 // with the ascending numbers of its distinct LHS values: the extension
 // that de-duplication and subset pruning compare (see invlist).
@@ -273,7 +281,7 @@ type rule struct {
 }
 
 // discoverCandidate mines one A → B candidate over the coded columns.
-func discoverCandidate(ctx context.Context, tableName string, cand profile.Candidate, lhs, rhs *profile.Coded, cfg Config, f DecisionFunc) (*pfd.PFD, CandidateStats, error) {
+func discoverCandidate(ctx context.Context, tableName string, cand profile.Candidate, lhs, rhs *column, cfg Config, f DecisionFunc) (*pfd.PFD, CandidateStats, error) {
 	stats := CandidateStats{Candidate: cand}
 	tab, err := candidateTableau(ctx, cand, lhs, rhs, cfg, f, &stats)
 	if err != nil {
@@ -284,7 +292,7 @@ func discoverCandidate(ctx context.Context, tableName string, cand profile.Candi
 	if tab.Empty() {
 		return nil, stats, nil
 	}
-	cov := tab.CoverageCounted(lhs.Values, lhs.Counts)
+	cov := tab.CoverageCounted(lhs.Values, lhs.counts)
 	stats.Coverage = cov
 	if cov < cfg.MinCoverage {
 		return nil, stats, nil
@@ -300,7 +308,7 @@ func discoverCandidate(ctx context.Context, tableName string, cand profile.Candi
 // minimization: one constant row per accepted inverted-list entry left by
 // the extensional de-duplication, then the variable rows. It fills the
 // entry counts of stats.
-func candidateTableau(ctx context.Context, cand profile.Candidate, lhs, rhs *profile.Coded, cfg Config, f DecisionFunc, stats *CandidateStats) (*tableau.Tableau, error) {
+func candidateTableau(ctx context.Context, cand profile.Candidate, lhs, rhs *column, cfg Config, f DecisionFunc, stats *CandidateStats) (*tableau.Tableau, error) {
 	useTokens := tokenModeFor(cand, cfg.Mode)
 	list, err := buildInvertedList(ctx, lhs, rhs, useTokens, cfg)
 	if err != nil {
@@ -419,8 +427,8 @@ func tokenModeFor(cand profile.Candidate, m Mode) bool {
 //
 // Each distinct LHS value with an eligible tuple is decomposed once; the
 // list weights its postings by the tuples that hold it.
-func buildInvertedList(ctx context.Context, lhs, rhs *profile.Coded, useTokens bool, cfg Config) (*invlist.List, error) {
-	list := invlist.New(lhs, rhs)
+func buildInvertedList(ctx context.Context, lhs, rhs *column, useTokens bool, cfg Config) (*invlist.List, error) {
+	list := invlist.New(lhs.Column, rhs.Column)
 	var toks []tokenize.Token
 	for v := 0; v < list.NumValues(); v++ {
 		if v&8191 == 0 {

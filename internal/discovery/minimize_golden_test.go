@@ -24,7 +24,7 @@ func TestMinimizeMatchesPairwiseOnGoldenFamilies(t *testing.T) {
 	}
 	for _, fam := range families {
 		tbl := fam.gen(2000, 0.01, 2019).Table
-		tp, cols := profile.ProfileAndCode(tbl)
+		tp := profile.ProfileTable(tbl)
 		for _, mode := range []Mode{ModeAuto, ModeTokens, ModeNGrams} {
 			cfg := Default()
 			cfg.Mode = mode
@@ -33,7 +33,7 @@ func TestMinimizeMatchesPairwiseOnGoldenFamilies(t *testing.T) {
 				li, _ := tbl.ColIndex(cand.LHS)
 				ri, _ := tbl.ColIndex(cand.RHS)
 				var stats CandidateStats
-				tab, err := candidateTableau(context.Background(), cand, cols[li], cols[ri], cfg, cfg.defaultDecision(), &stats)
+				tab, err := candidateTableau(context.Background(), cand, columnOf(tbl.InternedColumn(li), false), columnOf(tbl.InternedColumn(ri), false), cfg, cfg.defaultDecision(), &stats)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -10,7 +10,6 @@ import (
 
 	"github.com/anmat/anmat/internal/datagen"
 	"github.com/anmat/anmat/internal/invlist"
-	"github.com/anmat/anmat/internal/profile"
 	"github.com/anmat/anmat/internal/table"
 	"github.com/anmat/anmat/internal/tokenize"
 )
@@ -139,7 +138,11 @@ func tuplesOf(e invlist.Entry) []int32 {
 // purity, tuple sets — are the reference's.
 func checkAgainstReference(t *testing.T, lhs, rhs []string, useTokens bool, cfg Config) []invlist.Entry {
 	t.Helper()
-	list, err := buildInvertedList(context.Background(), profile.NewCoded(lhs), profile.NewCoded(rhs), useTokens, cfg)
+	tbl := table.MustNew("t", []string{"lhs", "rhs"})
+	for i := range lhs {
+		tbl.MustAppend(lhs[i], rhs[i])
+	}
+	list, err := buildInvertedList(context.Background(), columnOf(tbl.InternedColumn(0), false), columnOf(tbl.InternedColumn(1), false), useTokens, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,11 +19,12 @@
 package dmv
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
 	"github.com/anmat/anmat/internal/pattern"
-	"github.com/anmat/anmat/internal/profile"
+	"github.com/anmat/anmat/internal/table"
 )
 
 // Suspect is one flagged value with the rows containing it.
@@ -114,24 +115,27 @@ func IsPlaceholderSyntax(v string) bool {
 	return allPunct
 }
 
-// Detect flags suspected disguised missing values in a column. It works
-// on the column's dictionary-coded form: every channel looks at each
-// distinct value once, weighted by its count, and only a flagged value's
-// rows are listed.
-func Detect(values []string, opts Options) []Suspect {
+// Detect flags suspected disguised missing values in a table column:
+// every channel looks at each distinct value once, weighted by its count,
+// and only a flagged value's rows are listed. A value the dictionary still
+// lists but no row holds is not in the column: it is never a suspect and
+// weighs on nothing, and ties are broken by value, never by dictionary
+// order.
+func Detect(c *table.Interned, opts Options) []Suspect {
 	opts.defaults()
-	c := profile.NewCoded(values)
-	sigs := make([]string, len(c.Values)) // per value ID; "" for the empty value
+	values, counts := c.Dict.Values(), c.Counts()
+	present := func(id int) bool { return values[id] != "" && counts[id] > 0 }
+	sigs := make([]string, len(values)) // per value ID; "" for a value not present
 	sigCounts := make(map[string]int)
 	nonEmpty, distinct := 0, 0
-	for id, v := range c.Values {
-		if v == "" {
+	for id, v := range values {
+		if !present(id) {
 			continue
 		}
-		nonEmpty += c.Counts[id]
+		nonEmpty += counts[id]
 		distinct++
 		sigs[id] = pattern.Signature(v)
-		sigCounts[sigs[id]] += c.Counts[id]
+		sigCounts[sigs[id]] += counts[id]
 	}
 	if nonEmpty == 0 {
 		return nil
@@ -146,12 +150,12 @@ func Detect(values []string, opts Options) []Suspect {
 			}
 			return
 		}
-		suspects[id] = &Suspect{Value: c.Values[id], Rows: make([]int, 0, c.Counts[id]), Reason: reason, Score: score}
+		suspects[id] = &Suspect{Value: values[id], Rows: make([]int, 0, counts[id]), Reason: reason, Score: score}
 	}
 
 	// Channel 1: placeholder syntax.
-	for id, v := range c.Values {
-		if v != "" && IsPlaceholderSyntax(v) {
+	for id, v := range values {
+		if present(id) && IsPlaceholderSyntax(v) {
 			flag(id, "placeholder syntax", 0.95)
 		}
 	}
@@ -163,18 +167,18 @@ func Detect(values []string, opts Options) []Suspect {
 	if distinct >= 20 {
 		top, second := -1, -1
 		before := func(a, b int) bool {
-			return b < 0 || c.Counts[a] > c.Counts[b] || (c.Counts[a] == c.Counts[b] && c.Values[a] < c.Values[b])
+			return b < 0 || counts[a] > counts[b] || (counts[a] == counts[b] && values[a] < values[b])
 		}
-		for id, v := range c.Values {
+		for id := range values {
 			switch {
-			case v == "":
+			case !present(id):
 			case before(id, top):
 				top, second = id, top
 			case before(id, second):
 				second = id
 			}
 		}
-		if n := c.Counts[top]; float64(n) >= opts.SpikeRatio*float64(c.Counts[second]) && n >= 10 {
+		if n := counts[top]; float64(n) >= opts.SpikeRatio*float64(counts[second]) && n >= 10 {
 			flag(top, "repeated-value spike", 0.7)
 		}
 	}
@@ -188,7 +192,7 @@ func Detect(values []string, opts Options) []Suspect {
 	}
 	if float64(domN)/float64(nonEmpty) >= opts.DominantSignatureShare {
 		for id, sig := range sigs {
-			if c.Values[id] == "" || sig == domSig {
+			if !present(id) || sig == domSig {
 				continue
 			}
 			share := float64(sigCounts[sig]) / float64(nonEmpty)
@@ -216,25 +220,20 @@ func Detect(values []string, opts Options) []Suspect {
 	return out
 }
 
-// CleanColumn returns a copy of values with suspected DMVs blanked (set
-// to ""), plus the suspects; discovery then ignores those cells, keeping
-// placeholder tokens out of mined rules.
-func CleanColumn(values []string, opts Options) ([]string, []Suspect) {
-	suspects := Detect(values, opts)
+// CleanColumn returns the column's value list — indexed by dictionary ID,
+// as c.Dict.Values() is — with the suspected DMVs blanked (set to ""),
+// plus the suspects; read through it, the column's IDs show discovery a
+// column without those cells, keeping placeholder tokens out of mined
+// rules. With no suspect the list is the dictionary's own.
+func CleanColumn(c *table.Interned, opts Options) ([]string, []Suspect) {
+	suspects := Detect(c, opts)
 	if len(suspects) == 0 {
-		return values, nil
+		return c.Dict.Values(), nil
 	}
-	bad := make(map[string]bool, len(suspects))
+	cleaned := slices.Clone(c.Dict.Values())
 	for _, s := range suspects {
-		bad[s.Value] = true
+		id, _ := c.Dict.Lookup(s.Value) // a suspect is a value of the column
+		cleaned[id] = ""
 	}
-	out := make([]string, len(values))
-	for i, v := range values {
-		if bad[v] {
-			out[i] = ""
-		} else {
-			out[i] = v
-		}
-	}
-	return out, suspects
+	return cleaned, suspects
 }

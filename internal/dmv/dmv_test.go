@@ -3,9 +3,21 @@ package dmv
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/anmat/anmat/internal/table"
 )
+
+// column is the one column of a table of the given values.
+func column(values []string) *table.Interned {
+	t := table.MustNew("t", []string{"c"})
+	for _, v := range values {
+		t.MustAppend(v)
+	}
+	return t.InternedColumn(0)
+}
 
 func TestIsPlaceholderSyntax(t *testing.T) {
 	yes := []string{
@@ -50,7 +62,7 @@ func zipColumnWithDMVs(n int, seed int64) ([]string, map[string]bool) {
 
 func TestDetectFindsClassicDMVs(t *testing.T) {
 	values, want := zipColumnWithDMVs(3000, 5)
-	suspects := Detect(values, Options{})
+	suspects := Detect(column(values), Options{})
 	found := map[string]bool{}
 	for _, s := range suspects {
 		found[s.Value] = true
@@ -76,7 +88,7 @@ func TestDetectNoFalsePositivesOnCleanCategorical(t *testing.T) {
 			values = append(values, "M")
 		}
 	}
-	if suspects := Detect(values, Options{}); len(suspects) != 0 {
+	if suspects := Detect(column(values), Options{}); len(suspects) != 0 {
 		t.Errorf("clean categorical column flagged: %v", suspects)
 	}
 }
@@ -90,7 +102,7 @@ func TestDetectSpike(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		values = append(values, fmt.Sprintf("City%02d", i))
 	}
-	suspects := Detect(values, Options{})
+	suspects := Detect(column(values), Options{})
 	found := false
 	for _, s := range suspects {
 		if s.Value == "DEFAULTCITY" && strings.Contains(s.Reason, "spike") {
@@ -115,7 +127,7 @@ func TestDetectSignatureOutlier(t *testing.T) {
 			values = append(values, fmt.Sprintf("%05d", 10000+rng.Intn(80000)))
 		}
 	}
-	suspects := Detect(values, Options{})
+	suspects := Detect(column(values), Options{})
 	sawOutlier := false
 	for _, s := range suspects {
 		if s.Value == "SINZIP" && strings.Contains(s.Reason, "signature outlier") {
@@ -128,21 +140,23 @@ func TestDetectSignatureOutlier(t *testing.T) {
 }
 
 func TestDetectEmpty(t *testing.T) {
-	if s := Detect(nil, Options{}); s != nil {
+	if s := Detect(column(nil), Options{}); s != nil {
 		t.Errorf("nil input suspects = %v", s)
 	}
-	if s := Detect([]string{"", "", ""}, Options{}); s != nil {
+	if s := Detect(column([]string{"", "", ""}), Options{}); s != nil {
 		t.Errorf("all-empty suspects = %v", s)
 	}
 }
 
 func TestCleanColumn(t *testing.T) {
 	values, want := zipColumnWithDMVs(2000, 7)
-	cleaned, suspects := CleanColumn(values, Options{})
+	c := column(values)
+	cleaned, suspects := CleanColumn(c, Options{})
 	if len(suspects) == 0 {
 		t.Fatal("no suspects")
 	}
-	for i, v := range cleaned {
+	for i, id := range c.IDs {
+		v := cleaned[id]
 		if want[values[i]] && v != "" {
 			t.Errorf("row %d: DMV %q not blanked", i, values[i])
 		}
@@ -150,17 +164,49 @@ func TestCleanColumn(t *testing.T) {
 			t.Errorf("row %d: clean value %q changed to %q", i, values[i], v)
 		}
 	}
-	// No suspects → same slice back.
-	clean := []string{"90001", "90002"}
+	if c.Value(0) != "N/A" {
+		t.Error("cleaning reached the column's own dictionary")
+	}
+	// No suspects → the dictionary's own list back.
+	clean := column([]string{"90001", "90002"})
 	got, s := CleanColumn(clean, Options{})
-	if len(s) != 0 || &got[0] != &clean[0] {
+	if len(s) != 0 || &got[0] != &clean.Dict.Values()[0] {
 		t.Error("clean column should pass through unchanged")
+	}
+}
+
+// TestRetiredValueIsNoSuspect: a value the dictionary lists but no row
+// holds any more is not in the column — not flagged by its syntax (it
+// would be a suspect with no rows), not counted towards a signature's
+// share, a spike's runner-up or the distinct-value floor.
+func TestRetiredValueIsNoSuspect(t *testing.T) {
+	rows := [][]string{{"N/A"}, {"UNKNOWN"}}
+	for i := 0; i < 40; i++ {
+		rows = append(rows, []string{fmt.Sprintf("%05d", 10000+i)})
+	}
+	live := table.MustFromRows("t", []string{"zip"}, rows)
+	live.SetCell(0, 0, "10000") // "N/A" retires
+	if _, err := live.DeleteRows(1); err != nil {
+		t.Fatal(err) // so does "UNKNOWN"
+	}
+	if got := Detect(live.InternedColumn(0), Options{}); len(got) != 0 {
+		t.Fatalf("suspects in a column of forty zips: %+v", got)
+	}
+	live.MustAppend("n/a")
+	live.MustAppend("UNKNOWN") // back, in a later row
+	fresh := table.MustFromRows("t", []string{"zip"}, [][]string{})
+	for r := 0; r < live.NumRows(); r++ {
+		fresh.MustAppend(live.Cell(r, 0))
+	}
+	got, want := Detect(live.InternedColumn(0), Options{}), Detect(fresh.InternedColumn(0), Options{})
+	if len(got) != 2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("long-lived column: %+v\nits rows: %+v", got, want)
 	}
 }
 
 func TestSuspectsSortedByScore(t *testing.T) {
 	values, _ := zipColumnWithDMVs(2000, 8)
-	suspects := Detect(values, Options{})
+	suspects := Detect(column(values), Options{})
 	for i := 1; i < len(suspects); i++ {
 		if suspects[i].Score > suspects[i-1].Score {
 			t.Fatal("suspects not sorted by score")

@@ -18,10 +18,15 @@ package intern
 
 import "unsafe"
 
-// arenaChunk is the allocation granularity of the value arena. Chunks are
+// arenaChunk is the allocation granularity of the value arena, which a
+// dictionary reaches by doubling from arenaFirst: every column of every
+// table has a dictionary, and most hold a few short values. Chunks are
 // never grown in place — a full chunk is retired and a new one started —
 // so unsafe.String views into a chunk stay valid forever.
-const arenaChunk = 64 << 10
+const (
+	arenaFirst = 256
+	arenaChunk = 64 << 10
+)
 
 // Dict is one column's value dictionary.
 type Dict struct {
@@ -47,10 +52,7 @@ func (d *Dict) Intern(s string) uint32 {
 		return id
 	}
 	if len(s) > cap(d.cur)-len(d.cur) {
-		size := arenaChunk
-		if len(s) > size {
-			size = len(s)
-		}
+		size := max(len(s), min(arenaChunk, max(arenaFirst, 2*cap(d.cur))))
 		d.cur = make([]byte, 0, size)
 	}
 	start := len(d.cur)

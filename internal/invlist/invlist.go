@@ -32,8 +32,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-
-	"github.com/anmat/anmat/internal/profile"
 )
 
 // Kind says how a key was cut out of the LHS value.
@@ -163,10 +161,20 @@ type keyed struct {
 	Posting
 }
 
+// Column is a dictionary-coded column as the list reads it: row r holds
+// Values[IDs[r]]. The IDs are a table column's; the values are its
+// dictionary's, or a copy in which the cells mining must not see are
+// blank. Values may list more than the rows hold, in any order: only
+// values with an eligible tuple are numbered, by first such tuple.
+type Column struct {
+	Values []string
+	IDs    []uint32
+}
+
 // New returns the list of a candidate over its coded LHS and RHS columns,
 // with the eligible tuples grouped by LHS value and no key yet. A tuple
 // missing either side carries no evidence for or against any rule.
-func New(lhs, rhs *profile.Coded) *List {
+func New(lhs, rhs Column) *List {
 	l := &List{lhsVals: lhs.Values, rhsVals: rhs.Values, runStart: []int32{0}, histStart: []int32{0}}
 	eligible := func(t int, d uint32) bool { return lhs.Values[d] != "" && rhs.Values[rhs.IDs[t]] != "" }
 	num := make([]int32, len(lhs.Values)) // LHS dictionary ID → value number + 1

@@ -4,7 +4,7 @@ import (
 	"strconv"
 	"testing"
 
-	"github.com/anmat/anmat/internal/profile"
+	"github.com/anmat/anmat/internal/table"
 )
 
 // newList returns an empty list over tuples with the given RHS values and
@@ -15,7 +15,17 @@ func newList(rhs ...string) *List {
 	for i := range lhs {
 		lhs[i] = "v" + strconv.Itoa(i)
 	}
-	return New(profile.NewCoded(lhs), profile.NewCoded(rhs))
+	return New(columns(lhs, rhs))
+}
+
+// columns codes two parallel value lists the way a table does.
+func columns(lhs, rhs []string) (Column, Column) {
+	t := table.MustNew("t", []string{"lhs", "rhs"})
+	for i := range lhs {
+		t.MustAppend(lhs[i], rhs[i])
+	}
+	l, r := t.InternedColumn(0), t.InternedColumn(1)
+	return Column{l.Dict.Values(), l.IDs}, Column{r.Dict.Values(), r.IDs}
 }
 
 func tok(s string) Key { return Key{Kind: Token, Text: s} }

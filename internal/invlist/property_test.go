@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-
-	"github.com/anmat/anmat/internal/profile"
 )
 
 // mention is one posting of the per-tuple list the weighted list stands
@@ -33,7 +31,7 @@ func randomList(rng *rand.Rand) (*List, map[string][]mention) {
 			rhs[i] = fmt.Sprintf("v%d", rng.Intn(4))
 		}
 	}
-	l := New(profile.NewCoded(lhs), profile.NewCoded(rhs))
+	l := New(columns(lhs, rhs))
 	type occ struct {
 		key string
 		pos int

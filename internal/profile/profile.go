@@ -81,73 +81,11 @@ type ValueCount struct {
 // categoryMaxDistinct is the distinct-count ceiling for Category columns.
 const categoryMaxDistinct = 64
 
-// Coded is a column in dictionary-coded form: the distinct cell values,
-// how many rows hold each, and every row's value ID. Profiling and
-// discovery compute per-value features (signature, tokens, n-grams,
-// pattern matches) once per distinct value and weight them by Counts
-// instead of recomputing them per row. A Coded column is a snapshot owned
-// by whoever built it: nothing registers it with the table, so no later
-// mutation maintains (or pays for) it.
-type Coded struct {
-	// Values lists the distinct values in first-occurrence order.
-	Values []string
-	// Counts[id] is the number of rows holding Values[id].
-	Counts []int
-	// IDs[r] is the ID of row r's value.
-	IDs []uint32
-}
-
-// codeSample is how many leading rows NewCoded codes before it sizes its
-// dictionary for the rest.
-const codeSample = 512
-
-// NewCoded dictionary-codes a column. A long column's dictionary is sized
-// once, after a sample: growing a map to ten thousand strings step by step
-// costs as much as filling it, and sizing it for the row count would
-// charge a two-valued column for ten thousand slots. The estimate is
-// Good–Turing's: the share of sample rows whose value occurred once is
-// the chance that a later row brings a new value.
-func NewCoded(values []string) *Coded {
-	c := &Coded{IDs: make([]uint32, len(values))}
-	ids := make(map[string]uint32)
-	for r, v := range values {
-		if r == codeSample {
-			once := 0
-			for _, n := range c.Counts {
-				if n == 1 {
-					once++
-				}
-			}
-			distinct := len(c.Values) + (len(values)-codeSample)*once/codeSample
-			sized := make(map[string]uint32, distinct)
-			for id, v := range c.Values {
-				sized[v] = uint32(id)
-			}
-			ids = sized
-			c.Values = slices.Grow(c.Values, distinct-len(c.Values))
-			c.Counts = slices.Grow(c.Counts, distinct-len(c.Counts))
-		}
-		id, ok := ids[v]
-		if !ok {
-			id = uint32(len(c.Values))
-			ids[v] = id
-			c.Values = append(c.Values, v)
-			c.Counts = append(c.Counts, 0)
-		}
-		c.Counts[id]++
-		c.IDs[r] = id
-	}
-	return c
-}
-
-// ProfileColumn computes the profile of a single column's values.
-func ProfileColumn(name string, values []string) ColumnProfile {
-	return ProfileCoded(name, NewCoded(values))
-}
-
-// ProfileCoded computes the profile of a coded column: every per-value
-// feature is computed once per distinct value and weighted by its count.
-func ProfileCoded(name string, c *Coded) ColumnProfile {
+// ProfileCoded computes the profile of a table column: every per-value
+// feature is computed once per distinct value and weighted by the rows
+// that hold it. Values no row holds any more are not part of the column.
+func ProfileCoded(name string, c *table.Interned) ColumnProfile {
+	counts := c.Counts()
 	p := ColumnProfile{Name: name, Rows: len(c.IDs), Signatures: make(map[string]int)}
 	numeric := true
 	allDigits := true
@@ -160,11 +98,11 @@ func ProfileCoded(name string, c *Coded) ColumnProfile {
 	var lastSig string
 	var toks []tokenize.Token
 	top := make([]ValueCount, 0, topValues+1)
-	for id, v := range c.Values {
-		if v == "" {
+	for id, v := range c.Dict.Values() {
+		n := counts[id]
+		if v == "" || n == 0 {
 			continue
 		}
-		n := c.Counts[id]
 		p.NonEmpty += n
 		p.Distinct++
 		top = insertTop(top, ValueCount{v, n})
@@ -290,17 +228,13 @@ type TableProfile struct {
 	Columns []ColumnProfile
 }
 
-// ProfileAndCode computes the profile of every column and returns with it
-// the coding of each, for a caller that goes on to work on the same
-// columns (discovery).
-func ProfileAndCode(t *table.Table) (TableProfile, []*Coded) {
+// ProfileTable computes the profile of every column.
+func ProfileTable(t *table.Table) TableProfile {
 	tp := TableProfile{Table: t.Name(), Rows: t.NumRows()}
-	coded := make([]*Coded, t.NumCols())
 	for i, name := range t.Columns() {
-		coded[i] = NewCoded(t.ColumnByIndex(i))
-		tp.Columns = append(tp.Columns, ProfileCoded(name, coded[i]))
+		tp.Columns = append(tp.Columns, ProfileCoded(name, t.InternedColumn(i)))
 	}
-	return tp, coded
+	return tp
 }
 
 // Candidate is a candidate dependency A → B (column names).
@@ -382,16 +316,16 @@ type PatternSummary struct {
 // ColumnPatterns lists the class-run signatures of a column as
 // "pattern::position, frequency" entries, sorted by descending frequency.
 // Signatures describe whole values, so the position is always 0; token-
-// level summaries come from TokenPatterns.
-func ColumnPatterns(values []string) []PatternSummary {
-	counts := make(map[string]int)
-	for _, v := range values {
-		if v == "" {
-			continue
+// level summaries come from TokenPatterns. Both take a signature once per
+// distinct value and weight it by the rows holding the value.
+func ColumnPatterns(c *table.Interned) []PatternSummary {
+	counts := make(map[patternAt]int)
+	for id, n := range c.Counts() {
+		if v := c.Dict.Value(uint32(id)); v != "" && n > 0 {
+			counts[patternAt{sig: pattern.Signature(v)}] += n
 		}
-		counts[pattern.Signature(v)]++
 	}
-	return sortSummaries(counts, func(string) int { return 0 })
+	return sortSummaries(counts)
 }
 
 // TokenPatterns lists per-token signature summaries: for every token
@@ -399,20 +333,31 @@ func ColumnPatterns(values []string) []PatternSummary {
 // their frequencies — the Figure 3 convention where "the position
 // represents the token number at which the combination of tokens that
 // form the pattern start" (first token = position 0).
-func TokenPatterns(values []string) []PatternSummary {
-	type key struct {
-		sig string
-		pos int
-	}
-	counts := make(map[key]int)
-	for _, v := range values {
-		for _, tok := range tokenize.Tokenize(v) {
-			counts[key{pattern.Signature(tok.Text), tok.Pos}]++
+func TokenPatterns(c *table.Interned) []PatternSummary {
+	counts := make(map[patternAt]int)
+	for id, n := range c.Counts() {
+		if n == 0 {
+			continue
+		}
+		for _, tok := range tokenize.Tokenize(c.Dict.Value(uint32(id))) {
+			counts[patternAt{pattern.Signature(tok.Text), tok.Pos}] += n
 		}
 	}
+	return sortSummaries(counts)
+}
+
+// patternAt is a signature at a token position.
+type patternAt struct {
+	sig string
+	pos int
+}
+
+// sortSummaries orders the counted patterns by descending frequency, then
+// position, then pattern.
+func sortSummaries(counts map[patternAt]int) []PatternSummary {
 	out := make([]PatternSummary, 0, len(counts))
-	for k, c := range counts {
-		out = append(out, PatternSummary{Pattern: k.sig, Position: k.pos, Frequency: c})
+	for k, n := range counts {
+		out = append(out, PatternSummary{Pattern: k.sig, Position: k.pos, Frequency: n})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Frequency != out[j].Frequency {
@@ -420,20 +365,6 @@ func TokenPatterns(values []string) []PatternSummary {
 		}
 		if out[i].Position != out[j].Position {
 			return out[i].Position < out[j].Position
-		}
-		return out[i].Pattern < out[j].Pattern
-	})
-	return out
-}
-
-func sortSummaries(counts map[string]int, posOf func(string) int) []PatternSummary {
-	out := make([]PatternSummary, 0, len(counts))
-	for sig, c := range counts {
-		out = append(out, PatternSummary{Pattern: sig, Position: posOf(sig), Frequency: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Frequency != out[j].Frequency {
-			return out[i].Frequency > out[j].Frequency
 		}
 		return out[i].Pattern < out[j].Pattern
 	})

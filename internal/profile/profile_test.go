@@ -9,6 +9,15 @@ import (
 	"github.com/anmat/anmat/internal/table"
 )
 
+// column is the one column of a table of the given values.
+func column(values ...string) *table.Interned {
+	t := table.MustNew("t", []string{"c"})
+	for _, v := range values {
+		t.MustAppend(v)
+	}
+	return t.InternedColumn(0)
+}
+
 func TestColumnTypeInference(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -26,7 +35,7 @@ func TestColumnTypeInference(t *testing.T) {
 		{"names", []string{"John Charles", "Susan Orlean", "John Bosco"}, Text},
 	}
 	for _, c := range cases {
-		p := ProfileColumn(c.name, c.values)
+		p := ProfileCoded(c.name, column(c.values...))
 		if p.Type != c.want {
 			t.Errorf("%s: type = %v, want %v", c.name, p.Type, c.want)
 		}
@@ -34,7 +43,7 @@ func TestColumnTypeInference(t *testing.T) {
 }
 
 func TestColumnProfileStats(t *testing.T) {
-	p := ProfileColumn("c", []string{"ab", "ab", "cdef", ""})
+	p := ProfileCoded("c", column("ab", "ab", "cdef", ""))
 	if p.Rows != 4 || p.NonEmpty != 3 || p.Distinct != 2 {
 		t.Errorf("stats: rows=%d nonempty=%d distinct=%d", p.Rows, p.NonEmpty, p.Distinct)
 	}
@@ -78,7 +87,7 @@ func TestCandidatesPruning(t *testing.T) {
 	for _, r := range rows {
 		tb.MustAppend(r...)
 	}
-	tp, _ := ProfileAndCode(tb)
+	tp := ProfileTable(tb)
 	cands := Candidates(tp)
 	seen := map[string]bool{}
 	for _, c := range cands {
@@ -102,7 +111,7 @@ func TestCandidatesKeyRHSPruned(t *testing.T) {
 	tb.MustAppend("A-2", "x")
 	tb.MustAppend("B-3", "y")
 	tb.MustAppend("B-4", "y")
-	tp, _ := ProfileAndCode(tb)
+	tp := ProfileTable(tb)
 	for _, c := range Candidates(tp) {
 		if c.RHS == "id" {
 			t.Errorf("key column as RHS should be pruned: %s", c)
@@ -113,7 +122,7 @@ func TestCandidatesKeyRHSPruned(t *testing.T) {
 func TestProfileTable(t *testing.T) {
 	tb := table.MustNew("t", []string{"a", "b"})
 	tb.MustAppend("1", "x")
-	tp, _ := ProfileAndCode(tb)
+	tp := ProfileTable(tb)
 	if tp.Table != "t" || tp.Rows != 1 || len(tp.Columns) != 2 {
 		t.Errorf("Profile = %+v", tp)
 	}
@@ -121,7 +130,7 @@ func TestProfileTable(t *testing.T) {
 
 func TestColumnPatterns(t *testing.T) {
 	values := []string{"90001", "90002", "60601", "60603-6263", ""}
-	ps := ColumnPatterns(values)
+	ps := ColumnPatterns(column(values...))
 	if len(ps) != 2 {
 		t.Fatalf("patterns = %v", ps)
 	}
@@ -139,7 +148,7 @@ func TestTokenPatterns(t *testing.T) {
 		"Jones, Stacey R.",
 		"Kimbell, David",
 	}
-	ps := TokenPatterns(values)
+	ps := TokenPatterns(column(values...))
 	if len(ps) == 0 {
 		t.Fatal("no token patterns")
 	}
@@ -188,11 +197,7 @@ func TestIsPlainNumber(t *testing.T) {
 // row-by-row pass would compute.
 func TestProfileCodedWeightsByCount(t *testing.T) {
 	values := []string{"ab cd", "ab cd", "ab cd", "é", "", "xyz", "é", "q r s"}
-	c := NewCoded(values)
-	if len(c.Values) != 5 || c.Counts[c.IDs[0]] != 3 || c.Values[c.IDs[6]] != "é" || len(c.IDs) != len(values) {
-		t.Fatalf("coding: %+v", c)
-	}
-	p := ProfileCoded("col", c)
+	p := ProfileCoded("col", column(values...))
 	if p.Rows != 8 || p.NonEmpty != 7 || p.Distinct != 4 {
 		t.Errorf("rows/nonEmpty/distinct = %d/%d/%d", p.Rows, p.NonEmpty, p.Distinct)
 	}
@@ -222,7 +227,7 @@ func TestTopValuesBounded(t *testing.T) {
 			values = append(values, v)
 		}
 	}
-	p := ProfileColumn("col", values)
+	p := ProfileCoded("col", column(values...))
 	if len(p.TopValues) != 10 {
 		t.Fatalf("TopValues has %d entries", len(p.TopValues))
 	}
@@ -232,7 +237,31 @@ func TestTopValuesBounded(t *testing.T) {
 			t.Errorf("TopValues[%d] = %v, want %s×4", i, vc, want)
 		}
 	}
-	if empty := ProfileColumn("col", []string{"", ""}); empty.TopValues == nil || len(empty.TopValues) != 0 {
+	if empty := ProfileCoded("col", column("", "")); empty.TopValues == nil || len(empty.TopValues) != 0 {
 		t.Errorf("empty column TopValues = %#v, want empty non-nil", empty.TopValues)
+	}
+}
+
+// TestRetiredValuesAreNotProfiled: the dictionary of a long-lived column
+// lists values no row holds any more, in the order the table first saw
+// them; the profile and the pattern summaries are those of the rows.
+func TestRetiredValuesAreNotProfiled(t *testing.T) {
+	live := table.MustFromRows("t", []string{"c"}, [][]string{{"zz top"}, {"N/A"}, {"12"}, {"ab cd"}, {"12"}})
+	live.SetCell(0, 0, "7")  // "zz top", the only two-token upper-less value, retires
+	live.SetCell(1, 0, "ab") // so does the placeholder
+	if _, err := live.DeleteRows(3); err != nil {
+		t.Fatal(err)
+	}
+	live.MustAppend("ab cd") // retired by the delete, back in a later row
+	fresh := table.MustFromRows("t", []string{"c"}, [][]string{{"7"}, {"ab"}, {"12"}, {"12"}, {"ab cd"}})
+	if got, want := ProfileTable(live), ProfileTable(fresh); !reflect.DeepEqual(got, want) {
+		t.Errorf("profile of the long-lived table\n %+v\nof its rows\n %+v", got, want)
+	}
+	lc, fc := live.InternedColumn(0), fresh.InternedColumn(0)
+	if got, want := ColumnPatterns(lc), ColumnPatterns(fc); !reflect.DeepEqual(got, want) {
+		t.Errorf("ColumnPatterns = %v, want %v", got, want)
+	}
+	if got, want := TokenPatterns(lc), TokenPatterns(fc); !reflect.DeepEqual(got, want) {
+		t.Errorf("TokenPatterns = %v, want %v", got, want)
 	}
 }

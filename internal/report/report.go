@@ -57,7 +57,7 @@ func Write(w io.Writer, se *core.Session, opts Options) error {
 	bw.printf("| column | type | distinct | top patterns (pattern::position, frequency) |\n")
 	bw.printf("|---|---|---|---|\n")
 	for i, cp := range se.Profile.Columns {
-		pats := profile.ColumnPatterns(se.Table.ColumnByIndex(i))
+		pats := profile.ColumnPatterns(se.Table.InternedColumn(i))
 		var cell []string
 		for j, ps := range pats {
 			if j >= opts.MaxPatternsPerColumn {

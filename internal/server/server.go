@@ -690,7 +690,7 @@ func (s *Server) apiProfile(w http.ResponseWriter, r *http.Request) {
 			Name:     cp.Name,
 			Type:     cp.Type.String(),
 			Distinct: cp.Distinct,
-			Patterns: profile.ColumnPatterns(sess.Table.ColumnByIndex(i)),
+			Patterns: profile.ColumnPatterns(sess.Table.InternedColumn(i)),
 		})
 	}
 	writeJSON(w, out)
@@ -1158,7 +1158,7 @@ func (s *Server) pageProfile(w http.ResponseWriter, r *http.Request) {
 	sess := h.sess
 	body := "<table><tr><th>Column</th><th>Type</th><th>Distinct</th><th>Patterns (pattern::position, frequency)</th></tr>"
 	for i, cp := range sess.Profile.Columns {
-		pats := profile.ColumnPatterns(sess.Table.ColumnByIndex(i))
+		pats := profile.ColumnPatterns(sess.Table.InternedColumn(i))
 		cell := ""
 		for j, ps := range pats {
 			if j >= 5 {

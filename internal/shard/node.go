@@ -62,11 +62,8 @@ type NodeBatch struct {
 
 // NodeBoot is the state a shard node bootstraps from: its sub-table (the
 // rows routed to it) and the local→global mapping, plus its position in
-// the shard topology (Shard of Of, fixing its KeyFilter).
-//
-// Rows are handed over: the node adopts them as its sub-table storage
-// without copying. Producers (Translator.Boot, the worker's JSON
-// decoder) render a fresh value per boot and must not reuse it.
+// the shard topology (Shard of Of, fixing its KeyFilter). The node
+// interns the rows into its sub-table and keeps none of them.
 type NodeBoot struct {
 	Name     string     `json:"name"`
 	Columns  []string   `json:"columns"`
@@ -119,7 +116,7 @@ func NewLocalNode(boot NodeBoot, rules []*pfd.PFD) (*LocalNode, error) {
 	if len(boot.Rows) != len(boot.GlobalOf) {
 		return nil, fmt.Errorf("shard node: %d rows but %d mapping entries", len(boot.Rows), len(boot.GlobalOf))
 	}
-	t, err := table.FromRowsOwned(boot.Name, boot.Columns, boot.Rows)
+	t, err := table.FromRows(boot.Name, boot.Columns, boot.Rows)
 	if err != nil {
 		return nil, fmt.Errorf("shard node: %w", err)
 	}

@@ -4,7 +4,7 @@
 //
 // An Engine is built once over a table and a fixed set of PFDs. Batched
 // deltas (AppendRows, UpdateCell, DeleteRows) flow through Apply, which
-// updates the table, its dictionary-coded column views (intern), the
+// updates the table (dictionary-coded columns, table.Interned), the
 // per-block majority state of every variable tableau row, and the
 // materialized violation set — touching only the constant-row tuples and
 // the block memberships a delta changes. The maintained invariant,
@@ -178,7 +178,7 @@ func (b *block) renumber(remap func(int) (int, bool)) bool {
 type ruleState struct {
 	p      *pfd.PFD
 	li, ri int
-	// liv/riv are the dictionary-coded views of the LHS and RHS columns.
+	// liv/riv are the table's LHS and RHS columns.
 	// The table maintains them through every delta; detection compares
 	// interned IDs and decodes strings only to render a violation.
 	liv, riv *table.Interned
@@ -230,9 +230,6 @@ type Engine struct {
 	seq int64
 	rs  []*ruleState
 	vio map[vioKey]*vioEntry
-	// icols are the dictionary-coded views of every column some rule
-	// reads (LHS and RHS), keyed by column position.
-	icols map[int]*table.Interned
 
 	// Per-batch scratch, safe to own because batches serialize on mu:
 	// extBuf backs extract, prior records the batch-start rendering (nil =
@@ -309,7 +306,6 @@ func NewEngineOpts(t *table.Table, rules []*pfd.PFD, opts EngineOptions) (*Engin
 		seq:       opts.BaseSeq,
 		vio:       make(map[vioKey]*vioEntry),
 		prior:     make(map[vioKey]*pfd.Violation),
-		icols:     make(map[int]*table.Interned),
 		keyFilter: opts.KeyFilter,
 		globalID:  opts.GlobalID,
 	}
@@ -348,7 +344,6 @@ func NewEngineOpts(t *table.Table, rules []*pfd.PFD, opts EngineOptions) (*Engin
 			}
 		}
 		e.rs = append(e.rs, rs)
-		e.icols[li], e.icols[ri] = rs.liv, rs.riv
 	}
 
 	// Bootstrap the maintained state over the coded columns. Constant
@@ -423,8 +418,8 @@ type Stats struct {
 	// Blocks is the total number of tracked pattern groups across all
 	// variable tableau rows.
 	Blocks int `json:"blocks"`
-	// IndexedColumns is the number of dictionary-coded column views the
-	// engine maintains (every LHS and RHS column of the rule set).
+	// IndexedColumns is the number of columns the rule set reads (every
+	// LHS and RHS column).
 	IndexedColumns int `json:"indexed_columns"`
 	// LogLen is the number of retained per-batch diffs (Since horizon).
 	LogLen int `json:"log_len"`
@@ -436,13 +431,16 @@ func (e *Engine) Stats() Stats {
 	defer e.mu.Unlock()
 	st := Stats{
 		Seq: e.seq, Rows: e.t.NumRows(), Rules: len(e.rules),
-		Violations: len(e.vio), IndexedColumns: len(e.icols), LogLen: e.log.Len(),
+		Violations: len(e.vio), LogLen: e.log.Len(),
 	}
+	read := make(map[int]bool)
 	for _, rs := range e.rs {
+		read[rs.li], read[rs.ri] = true, true
 		for _, blocks := range rs.blocks {
 			st.Blocks += len(blocks)
 		}
 	}
+	st.IndexedColumns = len(read)
 	return st
 }
 
@@ -590,10 +588,7 @@ func (e *Engine) applyUpdate(rowIdx int, column, value string) {
 	if old == value {
 		return
 	}
-	var oldID uint32
-	if iv := e.icols[ci]; iv != nil {
-		oldID = iv.IDs[rowIdx]
-	}
+	oldID := e.t.InternedColumn(ci).IDs[rowIdx]
 	e.t.SetCell(rowIdx, ci, value)
 	for _, rs := range e.rs {
 		if rs.li != ci && rs.ri != ci {
@@ -661,9 +656,8 @@ func (e *Engine) applyDelete(drop []int) {
 		}
 	}
 
-	// Compact the table (which compacts the coded column views in step)
-	// and renumber everything that survived. Dictionary IDs are never
-	// renumbered, so the per-ID verdict memos stay valid.
+	// Compact the table and renumber everything that survived. Dictionary
+	// IDs are never renumbered, so the per-ID verdict memos stay valid.
 	_, _ = e.t.DeleteRows(targets...) // validated in-range
 	remap := RemapFor(targets)
 	newVio := make(map[vioKey]*vioEntry, len(e.vio))

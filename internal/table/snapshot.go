@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/bits"
+	"strings"
 )
 
 // snapshotMagic identifies a binary table snapshot stream of the current
@@ -28,44 +29,59 @@ const snapshotMagic = "ANMTBL\x01"
 type View struct {
 	name    string
 	columns []string
-	rows    [][]string
-	// owner is the table Release hands the row headers back to.
+	cols    []frozen
+	// owner is the table Release hands the ID buffers back to.
 	owner *Table
 }
 
-// Freeze returns a View of the table as it is now. It copies the schema
-// and the row headers (24 bytes a row, into the slice the last released
-// view gave back when that is large enough) and shares the rows
-// themselves, which is safe because no mutation writes into a row: Append
-// adds new ones, DeleteRows compacts the table's own header slice,
-// SetCell swaps in an updated copy, and Derive's append can only reach
-// past the length the view holds. The caller must not mutate the table
-// concurrently with Freeze itself.
-func (t *Table) Freeze() *View {
-	t.spareMu.Lock()
-	rows := t.spare
-	t.spare = nil
-	t.spareMu.Unlock()
-	if cap(rows) < len(t.rows) {
-		// An eighth of slack, so that a growing table's next view fits too.
-		rows = make([][]string, 0, len(t.rows)+len(t.rows)/8)
-	}
-	rows = rows[:len(t.rows)]
-	copy(rows, t.rows)
-	return &View{name: t.name, columns: t.Columns(), rows: rows, owner: t}
+// frozen is one column of a View: the dictionary's value list as long as
+// it was at the freeze, and the rows' IDs.
+type frozen struct {
+	values []string
+	ids    []uint32
 }
 
-// Release ends the view's life and hands its row headers back to the
-// table for the next Freeze, which then allocates nothing of the table's
-// size. The view must not be used afterwards. Unlike everything else on a
+// Freeze returns a View of the table as it is now. It copies the schema
+// and every column's IDs (4 bytes a cell, into the buffers the last
+// released view gave back when those are large enough) and takes each
+// dictionary's value slice at its present length. Reading that prefix
+// races with nothing the table does afterwards: a dictionary only ever
+// appends — a new value lands past the prefix or in a reallocated slice,
+// its bytes in arena space no earlier value occupies — and SetCell and
+// DeleteRows write the table's IDs, not the copy. The caller must not
+// mutate the table concurrently with Freeze itself.
+func (t *Table) Freeze() *View {
+	t.spareMu.Lock()
+	cols := t.spare
+	t.spare = nil
+	t.spareMu.Unlock()
+	if len(cols) < len(t.cols) { // the first view, or a Derive since the last
+		cols = append(cols, make([]frozen, len(t.cols)-len(cols))...)
+	}
+	n := t.NumRows()
+	for i, c := range t.cols {
+		ids := cols[i].ids
+		if cap(ids) < n {
+			// An eighth of slack, so that a growing table's next view fits too.
+			ids = make([]uint32, 0, n+n/8)
+		}
+		cols[i] = frozen{values: c.Dict.Values(), ids: append(ids[:0], c.IDs...)}
+	}
+	return &View{name: t.name, columns: t.Columns(), cols: cols, owner: t}
+}
+
+// Release ends the view's life and hands its ID buffers back to the table
+// for the next Freeze, which then allocates nothing of the table's size.
+// The view must not be used afterwards. Unlike everything else on a
 // Table, Release may be called concurrently with the table's mutations.
 func (v *View) Release() {
-	rows := v.rows[:cap(v.rows)]
-	clear(rows) // the rows a delete or an update has since replaced are garbage
-	v.rows = nil
+	for i := range v.cols {
+		v.cols[i].values = nil // a slice the dictionary may have outgrown
+	}
 	v.owner.spareMu.Lock()
-	v.owner.spare = rows[:0]
+	v.owner.spare = v.cols
 	v.owner.spareMu.Unlock()
+	v.cols = nil
 }
 
 // EncodeBinaryBytes returns the table (name, schema, every row) in the
@@ -73,7 +89,10 @@ func (v *View) Release() {
 // The mutation version is deliberately not encoded: a decoded table starts
 // a fresh version timeline, and holders rebuild their caches over it.
 func (t *Table) EncodeBinaryBytes() []byte {
-	v := View{name: t.name, columns: t.columns, rows: t.rows}
+	v := View{name: t.name, columns: t.columns, cols: make([]frozen, len(t.cols))}
+	for i, c := range t.cols {
+		v.cols[i] = frozen{values: c.Dict.Values(), ids: c.IDs}
+	}
 	return v.appendBinary(make([]byte, 0, v.binarySize()))
 }
 
@@ -91,19 +110,20 @@ func (v *View) AppendBinary(dst []byte) []byte {
 // binarySize is the exact length of the view's encoding.
 func (v *View) binarySize() int {
 	size := len(snapshotMagic) + stringLen(v.name) +
-		uvarintLen(uint64(len(v.columns))) + uvarintLen(uint64(len(v.rows))) + crc32.Size
+		uvarintLen(uint64(len(v.columns))) + uvarintLen(uint64(len(v.cols[0].ids))) + crc32.Size
 	for _, c := range v.columns {
 		size += stringLen(c)
 	}
-	for _, row := range v.rows {
-		for _, cell := range row {
-			size += stringLen(cell)
+	for _, c := range v.cols {
+		for _, id := range c.ids {
+			size += stringLen(c.values[id])
 		}
 	}
 	return size
 }
 
-// appendBinary appends the encoding to b, which the caller has sized.
+// appendBinary appends the encoding to b, which the caller has sized. The
+// format is row-major, so the columns are walked side by side.
 func (v *View) appendBinary(b []byte) []byte {
 	start := len(b)
 	b = appendString(append(b, snapshotMagic...), v.name)
@@ -111,10 +131,11 @@ func (v *View) appendBinary(b []byte) []byte {
 	for _, c := range v.columns {
 		b = appendString(b, c)
 	}
-	b = binary.AppendUvarint(b, uint64(len(v.rows)))
-	for _, row := range v.rows {
-		for _, cell := range row {
-			b = appendString(b, cell)
+	b = binary.AppendUvarint(b, uint64(len(v.cols[0].ids)))
+	for r := range v.cols[0].ids {
+		for i := range v.cols {
+			c := &v.cols[i]
+			b = appendString(b, c.values[c.ids[r]])
 		}
 	}
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
@@ -130,10 +151,13 @@ func appendString(b []byte, s string) []byte {
 
 // DecodeBinaryBytes reads one binary table snapshot. Any structural damage
 // — truncation, a foreign stream, a flipped bit — yields an error naming
-// the defect. The body is copied into one string and the name, columns and
-// cells are cut out of it, rows being windows of one flat slice: a constant
-// number of allocations per table, none sized beyond the bytes left. The
-// decoded cells share that backing string, which lives as long as any does.
+// the defect. The body is copied into one string that lives for the call:
+// the name and the columns are cut out of it, the cells are interned from
+// it into the columns' dictionaries. Per column that allocates the ID
+// vector, sized by a row count already checked against the bytes left, and
+// what a dictionary of its distinct values costs — the value list and the
+// arena double, the map adds a table as it fills one — never an object per
+// cell.
 func DecodeBinaryBytes(b []byte) (*Table, error) {
 	if len(b) < len(snapshotMagic)+crc32.Size {
 		return nil, fmt.Errorf("table snapshot: truncated (%d bytes)", len(b))
@@ -167,6 +191,8 @@ func DecodeBinaryBytes(b []byte) (*Table, error) {
 		off += int(n)
 		return s[off-int(n) : off], nil
 	}
+	// The name and the columns are cloned out of s: the table keeps them,
+	// and a substring would keep the whole body with it.
 	name, err := str()
 	if err != nil {
 		return nil, fmt.Errorf("table snapshot: read name: %w", err)
@@ -185,8 +211,9 @@ func DecodeBinaryBytes(b []byte) (*Table, error) {
 		if cols[i], err = str(); err != nil {
 			return nil, fmt.Errorf("table snapshot: read column %d: %w", i, err)
 		}
+		cols[i] = strings.Clone(cols[i])
 	}
-	t, err := New(name, cols)
+	t, err := New(strings.Clone(name), cols)
 	if err != nil {
 		return nil, fmt.Errorf("table snapshot: %w", err)
 	}
@@ -197,21 +224,20 @@ func DecodeBinaryBytes(b []byte) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("table snapshot: read row count: %w", err)
 	}
-	nc := int(ncols)
-	cells := make([]string, int(nrows)*nc)
-	for i := range cells {
-		if cells[i], err = str(); err != nil {
-			return nil, fmt.Errorf("table snapshot: read row %d cell %d: %w", i/nc, i%nc, err)
+	for _, c := range t.cols {
+		c.IDs = make([]uint32, nrows)
+	}
+	for r := 0; r < int(nrows); r++ {
+		for i, c := range t.cols {
+			cell, err := str()
+			if err != nil {
+				return nil, fmt.Errorf("table snapshot: read row %d cell %d: %w", r, i, err)
+			}
+			c.IDs[r] = c.Dict.Intern(cell)
 		}
 	}
 	if off != len(s) {
 		return nil, fmt.Errorf("table snapshot: %d trailing bytes after %d rows", len(s)-off, nrows)
-	}
-	t.rows = make([][]string, nrows)
-	for i := range t.rows {
-		// Full slice expressions: Derive appends to a row, which must
-		// reallocate rather than run into the next row's cells.
-		t.rows[i] = cells[i*nc : (i+1)*nc : (i+1)*nc]
 	}
 	return t, nil
 }

@@ -153,13 +153,17 @@ func TestBinarySnapshotFormatPinned(t *testing.T) {
 	}
 }
 
-// TestBinarySnapshotDecodedRowsIndependent: decoded rows are windows of
-// one flat slice, so growing one (Derive) must not reach into the next.
-func TestBinarySnapshotDecodedRowsIndependent(t *testing.T) {
+// TestBinarySnapshotDecodedTakesDerive: a decoded table is a table like
+// any other — it re-encodes to the bytes it came from, takes a Derive, and
+// then encodes like a table that was built row by row and derived.
+func TestBinarySnapshotDecodedTakesDerive(t *testing.T) {
 	b := snapshotFixture().EncodeBinaryBytes()
 	back, err := DecodeBinaryBytes(b)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if again := back.EncodeBinaryBytes(); !bytes.Equal(again, b) {
+		t.Fatalf("decoded table re-encodes to %d bytes that are not the %d it was decoded from", len(again), len(b))
 	}
 	if _, err := back.Derive("zip_city", []string{"zip", "city"}, "|"); err != nil {
 		t.Fatal(err)
@@ -171,12 +175,24 @@ func TestBinarySnapshotDecodedRowsIndependent(t *testing.T) {
 			t.Errorf("row %d after Derive = %q", r, got)
 		}
 	}
+	if _, err := want.Derive("zip_city", []string{"zip", "city"}, "|"); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back.EncodeBinaryBytes(), want.EncodeBinaryBytes()) {
+		t.Error("derived after decoding and derived after building encode differently")
+	}
 }
 
-// TestBinarySnapshotAllocs is the codec's allocation gate: encoding is
-// one buffer, decoding a constant number of objects per table — the
-// string, the flat cell slice, the row windows, the schema — whatever the
-// number of cells.
+// TestBinarySnapshotAllocs is the codec's allocation gate. Encoding is
+// one buffer and the list of columns. Decoding fills each column's
+// dictionary and ID vector, which costs a constant (table, schema, body
+// string, per column the dictionary and the IDs) plus the dictionaries'
+// growth: the value list and the arena double (the arena up to 64 KB
+// chunks), and go1.24's map adds a table of 1 024 slots at a time — 42
+// objects at 100 rows, 198 at 20 000 all-distinct ones (it was 8 when the
+// cells were windows of the body string and no dictionary existed before
+// detection built one). The bound is that, with room: a constant and one
+// object per 80 rows, never one per cell.
 func TestBinarySnapshotAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's own allocations void the bound")
@@ -190,12 +206,13 @@ func TestBinarySnapshotAllocs(t *testing.T) {
 		if a := testing.AllocsPerRun(3, func() { enc = tbl.EncodeBinaryBytes() }); a > 2 {
 			t.Errorf("%d rows: EncodeBinaryBytes allocates %.0f objects, bound 2", rows, a)
 		}
+		bound := float64(48 + rows/80)
 		if a := testing.AllocsPerRun(3, func() {
 			if _, err := DecodeBinaryBytes(enc); err != nil {
 				t.Fatal(err)
 			}
-		}); a > 8 {
-			t.Errorf("%d rows: DecodeBinaryBytes allocates %.0f objects, bound 8", rows, a)
+		}); a > bound {
+			t.Errorf("%d rows: DecodeBinaryBytes allocates %.0f objects, bound %.0f", rows, a, bound)
 		}
 	}
 }

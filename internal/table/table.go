@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -15,46 +16,59 @@ import (
 	"github.com/anmat/anmat/internal/intern"
 )
 
-// Table is a relation instance: an ordered list of column names and rows
-// of cells. All cells are strings; type inference happens in the profiler.
+// Table is a relation instance: an ordered list of named columns, each
+// stored dictionary-coded — one append-only intern.Dict of the distinct
+// values the column has ever held and one ID per row. There is no other
+// cell storage: Cell, Row and WriteCSV decode it, mutations write IDs, and
+// InternedColumn hands the storage itself to the analyses. All cells are
+// strings; type inference happens in the profiler.
 type Table struct {
 	name    string
 	columns []string
 	colIdx  map[string]int
-	rows    [][]string
+	cols    []*Interned
 	// version counts mutations (SetCell, Append, Derive) so index caches
 	// built over the table can detect staleness. See Version.
 	version int64
 
-	// interned holds the dictionary-coded views of columns that some
-	// consumer asked for via InternedColumn. Views are built lazily and
-	// then maintained incrementally by every mutation, so the detection
-	// hot path reads stable coded columns instead of re-scanning strings.
-	// internedMu guards the lazy build; mutations follow the same
-	// phase discipline as Version (mutate and detect separately).
-	internedMu sync.Mutex
-	interned   map[int]*Interned
-
-	// spare is the row-header slice the last released View handed back,
-	// for the next Freeze to copy into (see View.Release, the one call
-	// that may race with the table's own, hence the lock).
+	// spare holds the ID buffers the last released View handed back, for
+	// the next Freeze to copy into (see View.Release, the one call that
+	// may race with the table's own, hence the lock).
 	spareMu sync.Mutex
-	spare   [][]string
+	spare   []frozen
 }
 
-// Interned is one column's dictionary-coded view: IDs[r] is the dense
-// dictionary ID of the cell at (r, column). Two cells of the column are
-// equal iff their IDs are equal. The view is owned by the table and
-// maintained under Append/SetCell/DeleteRows; deleting rows compacts IDs
-// in row order but never renumbers the dictionary, so per-ID caches
-// (DFA verdicts, extraction memos) survive deletes.
+// Interned is one column of a table: IDs[r] is the dense dictionary ID of
+// the cell at row r, and two cells of the column are equal iff their IDs
+// are. It is the table's own storage, shared with every caller of
+// InternedColumn: treat it as read-only and follow the table's
+// mutate/detect phase discipline.
+//
+// The dictionary outlives the rows. Deleting or overwriting rows compacts
+// or rewrites IDs but never renumbers the dictionary, so per-ID caches
+// (DFA verdicts, extraction memos) survive — and so a long-lived column's
+// dictionary lists values no row holds any more, in the order the table
+// first saw them. Whoever walks Dict.Values() must skip the entries whose
+// count (Counts) is zero and must not let dictionary order decide
+// anything a fresh table of the same rows would decide differently.
 type Interned struct {
 	Dict *intern.Dict
 	IDs  []uint32
 }
 
-// Value returns the cell string for row r through the coded view.
+// Value returns the cell string for row r.
 func (iv *Interned) Value(r int) string { return iv.Dict.Value(iv.IDs[r]) }
+
+// Counts returns, per dictionary ID, the number of rows holding the value
+// (zero for a value every row has lost): one pass over the IDs, so that
+// mutations keep nothing in step for it.
+func (iv *Interned) Counts() []int {
+	counts := make([]int, iv.Dict.Len())
+	for _, id := range iv.IDs {
+		counts[id]++
+	}
+	return counts
+}
 
 // New creates an empty table with the given column names.
 func New(name string, columns []string) (*Table, error) {
@@ -71,9 +85,11 @@ func New(name string, columns []string) (*Table, error) {
 		}
 		idx[c] = i
 	}
-	cols := make([]string, len(columns))
-	copy(cols, columns)
-	return &Table{name: name, columns: cols, colIdx: idx}, nil
+	t := &Table{name: name, columns: slices.Clone(columns), colIdx: idx, cols: make([]*Interned, len(columns))}
+	for i := range t.cols {
+		t.cols[i] = &Interned{Dict: intern.NewDict()}
+	}
+	return t, nil
 }
 
 // MustNew is New that panics on error.
@@ -99,7 +115,7 @@ func (t *Table) Columns() []string {
 func (t *Table) NumCols() int { return len(t.columns) }
 
 // NumRows returns the number of rows.
-func (t *Table) NumRows() int { return len(t.rows) }
+func (t *Table) NumRows() int { return len(t.cols[0].IDs) }
 
 // ColIndex returns the index of the named column and whether it exists.
 func (t *Table) ColIndex(name string) (int, bool) {
@@ -107,16 +123,14 @@ func (t *Table) ColIndex(name string) (int, bool) {
 	return i, ok
 }
 
-// Append adds a row. The row must have exactly one cell per column.
+// Append adds a row. The row must have exactly one cell per column; the
+// table keeps none of its strings.
 func (t *Table) Append(row []string) error {
 	if len(row) != len(t.columns) {
 		return fmt.Errorf("table %q: row has %d cells, want %d", t.name, len(row), len(t.columns))
 	}
-	cp := make([]string, len(row))
-	copy(cp, row)
-	t.rows = append(t.rows, cp)
-	for ci, iv := range t.interned {
-		iv.IDs = append(iv.IDs, iv.Dict.Intern(cp[ci]))
+	for i, c := range t.cols {
+		c.IDs = append(c.IDs, c.Dict.Intern(row[i]))
 	}
 	t.version++
 	return nil
@@ -130,7 +144,7 @@ func (t *Table) MustAppend(row ...string) {
 }
 
 // Cell returns the value at (row, column index).
-func (t *Table) Cell(row, col int) string { return t.rows[row][col] }
+func (t *Table) Cell(row, col int) string { return t.cols[col].Value(row) }
 
 // CellByName returns the value at (row, column name).
 func (t *Table) CellByName(row int, col string) (string, error) {
@@ -138,44 +152,19 @@ func (t *Table) CellByName(row int, col string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("table %q: no column %q", t.name, col)
 	}
-	return t.rows[row][i], nil
+	return t.cols[i].Value(row), nil
 }
 
 // SetCell overwrites the value at (row, column index). It is used by the
-// repair engine and by error injection in the data generators. The row
-// is replaced by an updated copy, never written in place: a frozen View
-// may share it (see Freeze).
+// repair engine and by error injection in the data generators.
 func (t *Table) SetCell(row, col int, v string) {
-	cp := make([]string, len(t.rows[row]))
-	copy(cp, t.rows[row])
-	cp[col] = v
-	t.rows[row] = cp
-	if iv, ok := t.interned[col]; ok {
-		iv.IDs[row] = iv.Dict.Intern(v)
-	}
+	c := t.cols[col]
+	c.IDs[row] = c.Dict.Intern(v)
 	t.version++
 }
 
-// InternedColumn returns the dictionary-coded view of the column at
-// index i, building it on first request and maintaining it through every
-// subsequent mutation. The returned view is shared: callers must treat
-// it as read-only and follow the table's mutate/detect phase discipline.
-func (t *Table) InternedColumn(i int) *Interned {
-	t.internedMu.Lock()
-	defer t.internedMu.Unlock()
-	if iv, ok := t.interned[i]; ok {
-		return iv
-	}
-	iv := &Interned{Dict: intern.NewDict(), IDs: make([]uint32, len(t.rows))}
-	for r := range t.rows {
-		iv.IDs[r] = iv.Dict.Intern(t.rows[r][i])
-	}
-	if t.interned == nil {
-		t.interned = make(map[int]*Interned)
-	}
-	t.interned[i] = iv
-	return iv
-}
+// InternedColumn returns the column at index i — the storage, not a copy.
+func (t *Table) InternedColumn(i int) *Interned { return t.cols[i] }
 
 // Version returns the mutation count of the table. Index caches record
 // it at build time and rebuild when it changes (it is not synchronized;
@@ -184,50 +173,48 @@ func (t *Table) Version() int64 { return t.version }
 
 // DeleteRows removes the given row indices (any order, duplicates
 // tolerated), compacting the remaining rows in order: surviving rows keep
-// their relative order and are renumbered downward. Returns the number of
-// rows removed. Out-of-range indices fail without modifying the table.
+// their relative order and are renumbered downward, and keep their IDs
+// (dictionaries are never renumbered). Returns the number of rows removed.
+// Out-of-range indices fail without modifying the table.
 func (t *Table) DeleteRows(rows ...int) (int, error) {
 	if len(rows) == 0 {
 		return 0, nil
 	}
-	drop := make(map[int]bool, len(rows))
+	n := t.NumRows()
 	for _, r := range rows {
-		if r < 0 || r >= len(t.rows) {
-			return 0, fmt.Errorf("table %q: delete row %d out of range [0,%d)", t.name, r, len(t.rows))
-		}
-		drop[r] = true
-	}
-	kept := t.rows[:0]
-	for i, row := range t.rows {
-		if !drop[i] {
-			kept = append(kept, row)
+		if r < 0 || r >= n {
+			return 0, fmt.Errorf("table %q: delete row %d out of range [0,%d)", t.name, r, n)
 		}
 	}
-	removed := len(t.rows) - len(kept)
-	for i := len(kept); i < len(t.rows); i++ {
-		t.rows[i] = nil
-	}
-	t.rows = kept
-	// Compact the coded views the same way: surviving rows keep their
-	// IDs (dictionaries are never renumbered), only row positions shift.
-	for _, iv := range t.interned {
-		keptIDs := iv.IDs[:0]
-		for i, id := range iv.IDs {
-			if !drop[i] {
-				keptIDs = append(keptIDs, id)
+	drop := slices.Clone(rows)
+	slices.Sort(drop)
+	drop = slices.Compact(drop)
+	for _, c := range t.cols {
+		// Close each gap by moving the run of survivors behind it.
+		w := drop[0]
+		for k, d := range drop {
+			end := n
+			if k+1 < len(drop) {
+				end = drop[k+1]
 			}
+			w += copy(c.IDs[w:], c.IDs[d+1:end])
 		}
-		iv.IDs = keptIDs
+		c.IDs = c.IDs[:w]
 	}
 	t.version++
-	return removed, nil
+	return len(drop), nil
 }
 
 // Row returns a copy of the row.
 func (t *Table) Row(i int) []string {
-	cp := make([]string, len(t.rows[i]))
-	copy(cp, t.rows[i])
-	return cp
+	return t.appendRow(make([]string, 0, len(t.cols)), i)
+}
+
+func (t *Table) appendRow(dst []string, i int) []string {
+	for _, c := range t.cols {
+		dst = append(dst, c.Value(i))
+	}
+	return dst
 }
 
 // Column returns a copy of the named column's values in row order.
@@ -236,30 +223,29 @@ func (t *Table) Column(name string) ([]string, error) {
 	if !ok {
 		return nil, fmt.Errorf("table %q: no column %q", t.name, name)
 	}
-	out := make([]string, len(t.rows))
-	for r := range t.rows {
-		out[r] = t.rows[r][i]
-	}
-	return out, nil
+	return t.ColumnByIndex(i), nil
 }
 
 // ColumnByIndex returns a copy of the column values at index i.
 func (t *Table) ColumnByIndex(i int) []string {
-	out := make([]string, len(t.rows))
-	for r := range t.rows {
-		out[r] = t.rows[r][i]
+	c := t.cols[i]
+	out := make([]string, len(c.IDs))
+	for r := range out {
+		out[r] = c.Value(r)
 	}
 	return out
 }
 
-// Clone returns a deep copy of the table.
+// Clone returns a deep copy of the table: the same rows under fresh
+// dictionaries, which hold the values in the rows and no others.
 func (t *Table) Clone() *Table {
 	c := MustNew(t.name, t.columns)
-	c.rows = make([][]string, len(t.rows))
-	for i, r := range t.rows {
-		row := make([]string, len(r))
-		copy(row, r)
-		c.rows[i] = row
+	for i, col := range t.cols {
+		cc := c.cols[i]
+		cc.IDs = make([]uint32, len(col.IDs))
+		for r := range col.IDs {
+			cc.IDs[r] = cc.Dict.Intern(col.Value(r))
+		}
 	}
 	return c
 }
@@ -319,6 +305,7 @@ func normalizeRecord(rec []string) {
 func ReadCSV(name string, r io.Reader) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
+	cr.ReuseRecord = true // Append interns the cells and keeps no record
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("read csv header: %w", err)
@@ -328,6 +315,7 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	width := len(header)
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -337,14 +325,10 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 			return nil, fmt.Errorf("read csv row %d: %w", t.NumRows()+2, err)
 		}
 		// Pad or truncate ragged rows to schema width.
-		switch {
-		case len(rec) < len(header):
-			padded := make([]string, len(header))
-			copy(padded, rec)
-			rec = padded
-		case len(rec) > len(header):
-			rec = rec[:len(header)]
+		for len(rec) < width {
+			rec = append(rec, "")
 		}
+		rec = rec[:width]
 		normalizeRecord(rec)
 		if err := t.Append(rec); err != nil {
 			return nil, err
@@ -392,7 +376,9 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	if err := cw.Write(t.columns); err != nil {
 		return err
 	}
-	for _, row := range t.rows {
+	row := make([]string, 0, len(t.cols))
+	for r := range t.cols[0].IDs {
+		row = t.appendRow(row[:0], r)
 		if err := cw.Write(row); err != nil {
 			return err
 		}
@@ -432,16 +418,18 @@ func (t *Table) Derive(name string, cols []string, sep string) (*Table, error) {
 		}
 		idxs[i] = j
 	}
+	derived := &Interned{Dict: intern.NewDict(), IDs: make([]uint32, t.NumRows())}
+	parts := make([]string, len(idxs))
+	for r := range derived.IDs {
+		for i, j := range idxs {
+			parts[i] = t.cols[j].Value(r)
+		}
+		derived.IDs[r] = derived.Dict.Intern(strings.Join(parts, sep))
+	}
 	t.colIdx[name] = len(t.columns)
 	t.columns = append(t.columns, name)
+	t.cols = append(t.cols, derived)
 	t.version++
-	parts := make([]string, len(idxs))
-	for r := range t.rows {
-		for i, j := range idxs {
-			parts[i] = t.rows[r][j]
-		}
-		t.rows[r] = append(t.rows[r], strings.Join(parts, sep))
-	}
 	return t, nil
 }
 
@@ -456,25 +444,6 @@ func FromRows(name string, columns []string, rows [][]string) (*Table, error) {
 			return nil, err
 		}
 	}
-	return t, nil
-}
-
-// FromRowsOwned builds a table that takes ownership of rows without
-// copying them: the caller must not retain or mutate rows (or any row
-// slice) after the call. It exists for boot paths that render fresh row
-// slices per shard — FromRows would immediately copy each one again.
-func FromRowsOwned(name string, columns []string, rows [][]string) (*Table, error) {
-	t, err := New(name, columns)
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range rows {
-		if len(r) != len(t.columns) {
-			return nil, fmt.Errorf("table %q: row %d has %d cells, want %d", name, i, len(r), len(t.columns))
-		}
-	}
-	t.rows = rows
-	t.version = int64(len(rows))
 	return t, nil
 }
 

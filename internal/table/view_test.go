@@ -63,9 +63,9 @@ func TestViewEncodesTheFreezeUnderMutation(t *testing.T) {
 }
 
 // TestViewLeavesDeriveCloneAndReleaseAlone: Derive widens the table's
-// rows and schema past what a view holds, a Clone shares nothing with
-// either, and a released view's headers are what the next Freeze copies
-// into — even when Release races the table's own mutations (-race).
+// schema past what a view holds, a Clone shares nothing with either, and
+// a released view's ID buffers are what the next Freeze copies into —
+// even when Release races the table's own mutations (-race).
 func TestViewLeavesDeriveCloneAndReleaseAlone(t *testing.T) {
 	tbl := snapshotFixture()
 	want := tbl.EncodeBinaryBytes()
@@ -90,7 +90,7 @@ func TestViewLeavesDeriveCloneAndReleaseAlone(t *testing.T) {
 
 	big := viewFixture(2000)
 	first := big.Freeze()
-	headers := &first.rows[0]
+	ids := &first.cols[1].ids[0]
 	released := make(chan struct{})
 	go func() { first.Release(); close(released) }()
 	for i := 0; i < 100; i++ {
@@ -99,16 +99,16 @@ func TestViewLeavesDeriveCloneAndReleaseAlone(t *testing.T) {
 	}
 	<-released
 	second := big.Freeze()
-	if &second.rows[0] != headers {
-		t.Error("Freeze after a Release did not reuse the released row headers")
+	if &second.cols[1].ids[0] != ids {
+		t.Error("Freeze after a Release did not reuse the released ID buffers")
 	}
 	if got, want := second.AppendBinary(nil), big.EncodeBinaryBytes(); !bytes.Equal(got, want) {
-		t.Error("a view over reused headers does not encode the table")
+		t.Error("a view over reused buffers does not encode the table")
 	}
 	if !race.Enabled {
 		second.Release()
 		if a := testing.AllocsPerRun(5, func() { big.Freeze().Release() }); a > 2 {
-			t.Errorf("Freeze over released headers allocates %.0f objects, want the view and its schema", a)
+			t.Errorf("Freeze over released buffers allocates %.0f objects, want the view and its schema", a)
 		}
 	}
 }

@@ -112,8 +112,9 @@ func (t *Tableau) Coverage(values []string) float64 {
 
 // CoverageCounted is Coverage over a dictionary-coded column: values are
 // the distinct cell values and counts[i] the number of records holding
-// values[i] (nil counts mean one record each), so each distinct value is
-// matched once however often it occurs.
+// values[i] (nil counts mean one record each, zero that the value is
+// listed but not in the column), so each distinct value is matched once
+// however often it occurs.
 func (t *Tableau) CoverageCounted(values []string, counts []int) float64 {
 	if len(values) == 0 || len(t.rows) == 0 {
 		return 0
@@ -127,6 +128,9 @@ func (t *Tableau) CoverageCounted(values []string, counts []int) float64 {
 		n := 1
 		if counts != nil {
 			n = counts[i]
+		}
+		if n == 0 {
+			continue
 		}
 		total += n
 		for _, p := range embedded {

@@ -21,16 +21,16 @@ type File interface {
 // Log is one open write-ahead log file. It is not safe for concurrent
 // use; the owner serializes calls.
 //
-// The commit protocol a caller runs per batch is Mark, Append the
-// encoded record, Sync when the acknowledgement must survive power loss,
-// and on any failure Rollback: a partial record left mid-file would
-// strand every later acknowledged record behind it at the next recovery,
-// and a fully written record whose sync failed would replay a batch the
-// caller was told did not happen. Commit is that protocol.
+// The commit protocol per batch is mark, append the encoded record, sync
+// when the acknowledgement must survive power loss, and on any failure
+// rollback: a partial record left mid-file would strand every later
+// acknowledged record behind it at the next recovery, and a fully written
+// record whose sync failed would replay a batch the caller was told did
+// not happen. Commit is that protocol, and the only way to write a record.
 type Log struct {
-	f    File
-	path string
-	mark int64
+	f      File
+	path   string
+	marked int64
 }
 
 // Open opens the log at path for appending, creating it when missing.
@@ -51,55 +51,54 @@ func Open(path string, syncDir bool) (*Log, error) {
 	return &Log{f: f, path: path}, nil
 }
 
-// Mark remembers the log's current length as the point Rollback returns
+// mark remembers the log's current length as the point rollback returns
 // to.
-func (l *Log) Mark() error {
+func (l *Log) mark() error {
 	fi, err := l.f.Stat()
 	if err != nil {
 		return fmt.Errorf("wal %s: %w", l.path, err)
 	}
-	l.mark = fi.Size()
+	l.marked = fi.Size()
 	return nil
 }
 
-// Append writes pre-encoded record bytes (from Encode) at the end of the
+// append writes pre-encoded record bytes (from Encode) at the end of the
 // log in a single write call.
-func (l *Log) Append(b []byte) error {
+func (l *Log) append(b []byte) error {
 	if _, err := l.f.Write(b); err != nil {
 		return fmt.Errorf("wal %s: append: %w", l.path, err)
 	}
 	return nil
 }
 
-// Sync fsyncs the log. After a failed Sync the appended data must be
-// treated as lost (Rollback), never re-synced and acknowledged.
-func (l *Log) Sync() error {
+// sync fsyncs the log. After a failed sync the appended data must be
+// treated as lost (rollback), never re-synced and acknowledged.
+func (l *Log) sync() error {
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal %s: fsync: %w", l.path, err)
 	}
 	return nil
 }
 
-// Rollback truncates the log back to the last Mark. Callers treat it as
-// best-effort: if the truncate fails too, Replay's clean-prefix trim is
-// the backstop.
-func (l *Log) Rollback() error {
-	return l.f.Truncate(l.mark)
+// rollback truncates the log back to the last mark. It is best-effort:
+// if the truncate fails too, Replay's clean-prefix trim is the backstop.
+func (l *Log) rollback() error {
+	return l.f.Truncate(l.marked)
 }
 
-// Commit runs the whole protocol for one record: Mark, Append, Sync when
-// sync is set, and Rollback (best-effort) if either failed. nil means the
-// caller may acknowledge the batch.
+// Commit runs the whole protocol for one record: mark, append, sync when
+// sync is set, and rollback (best-effort) if either failed. nil means
+// the caller may acknowledge the batch.
 func (l *Log) Commit(b []byte, sync bool) error {
-	if err := l.Mark(); err != nil {
+	if err := l.mark(); err != nil {
 		return err
 	}
-	err := l.Append(b)
+	err := l.append(b)
 	if err == nil && sync {
-		err = l.Sync()
+		err = l.sync()
 	}
 	if err != nil {
-		_ = l.Rollback() // Replay trims what a failed truncate leaves
+		_ = l.rollback() // Replay trims what a failed truncate leaves
 	}
 	return err
 }

@@ -180,7 +180,7 @@ func TestReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := l.Append(enc(t, next)); err != nil {
+			if err := l.append(enc(t, next)); err != nil {
 				t.Fatal(err)
 			}
 			if err := l.Close(); err != nil {
@@ -298,7 +298,7 @@ func TestLogRollbackReadOnlyHandle(t *testing.T) {
 	if commit(l, enc(t, 2)) {
 		t.Fatal("commit through a read-only handle was acked")
 	}
-	if err := l.Rollback(); err == nil {
+	if err := l.rollback(); err == nil {
 		t.Fatal("rollback through a read-only handle should report its failed truncate")
 	}
 	l.f = good
