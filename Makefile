@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench-quick pair cluster-e2e hardening fuzz vulncheck lint-obs loc loc-check
+.PHONY: all build vet test race examples bench-quick pair cluster-e2e hardening fuzz vulncheck lint-obs loc loc-check
 
 all: vet lint-obs build test
 
@@ -27,6 +27,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The examples/ programs check their own results and exit non-zero when a
+# check fails: build them once, then run each under a timeout.
+examples:
+	@mkdir -p .examples_build && $(GO) build -o .examples_build/ ./examples/...
+	@for ex in .examples_build/*; do \
+		echo "== $$ex"; timeout 60 $$ex > /dev/null || { echo "$$ex failed"; exit 1; }; \
+	done
 
 # The frozen benchmark compiles against this tree's packages; a change
 # that breaks its build or its quick run (TestQuick, < 5 s) fails here.
@@ -85,7 +93,7 @@ loc:
 # The size ratchet, beside CI's coverage ratchet: the tree may not grow
 # past the last reading. Lower LOC_CEILING when the tree shrinks; never
 # raise it without saying why in CHANGES.md.
-LOC_CEILING = 21618
+LOC_CEILING = 21557
 loc-check:
 	@loc=$$($(MAKE) -s loc); echo "non-test Go lines: $$loc (ceiling $(LOC_CEILING))"; [ $$loc -le $(LOC_CEILING) ]
 

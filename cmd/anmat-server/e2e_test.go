@@ -213,7 +213,7 @@ func TestE2EGoldenCorpusAcrossProcesses(t *testing.T) {
 			sess, tbl, rules := goldenSession(t, urls, nil)
 			assertByteIdentical(t, sess, tbl, rules, "baseline")
 			for bi, batch := range loadScript(t) {
-				if _, err := sess.ApplyDeltas(batch); err != nil {
+				if _, err := sess.ApplyDeltasCtx(context.Background(), batch); err != nil {
 					t.Fatalf("batch %d: %v", bi, err)
 				}
 				assertByteIdentical(t, sess, tbl, rules, fmt.Sprintf("batch %d", bi+1))
@@ -280,7 +280,7 @@ func TestE2EMetricsReconcile(t *testing.T) {
 	sess, _, _ := goldenSession(t, urls, nil)
 	script := loadScript(t)
 	for bi, batch := range script {
-		if _, err := sess.ApplyDeltas(batch); err != nil {
+		if _, err := sess.ApplyDeltasCtx(context.Background(), batch); err != nil {
 			t.Fatalf("batch %d: %v", bi, err)
 		}
 	}
@@ -337,7 +337,7 @@ func TestE2EFailoverMidScript(t *testing.T) {
 	mid := len(script) / 2
 
 	for bi, batch := range script[:mid] {
-		if _, err := sess.ApplyDeltas(batch); err != nil {
+		if _, err := sess.ApplyDeltasCtx(context.Background(), batch); err != nil {
 			t.Fatalf("pre-kill batch %d: %v", bi, err)
 		}
 		assertByteIdentical(t, sess, tbl, rules, fmt.Sprintf("pre-kill batch %d", bi+1))
@@ -358,7 +358,7 @@ func TestE2EFailoverMidScript(t *testing.T) {
 	workers[1].kill()
 
 	for bi, batch := range script[mid:] {
-		if _, err := sess.ApplyDeltas(batch); err != nil {
+		if _, err := sess.ApplyDeltasCtx(context.Background(), batch); err != nil {
 			t.Fatalf("post-kill batch %d: %v", bi, err)
 		}
 		assertByteIdentical(t, sess, tbl, rules, fmt.Sprintf("post-kill batch %d", bi+1))

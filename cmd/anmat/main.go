@@ -581,7 +581,8 @@ func followFile(ctx context.Context, w io.Writer, se *core.Session, path string,
 		if len(rows) == 0 {
 			continue
 		}
-		diff, err := se.ApplyDeltas(stream.Batch{stream.AppendRows(rows...)})
+		// A batch read from the file is applied whole, even past Ctrl-C.
+		diff, err := se.ApplyDeltasCtx(context.WithoutCancel(ctx), stream.Batch{stream.AppendRows(rows...)})
 		if err != nil {
 			return fmt.Errorf("follow %s: %w", path, err)
 		}

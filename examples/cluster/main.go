@@ -90,7 +90,7 @@ func main() {
 			fmt.Println("killing worker 1 — failing over to the spare")
 			kills[1]()
 		}
-		diff, err := sess.ApplyDeltas(batch)
+		diff, err := sess.ApplyDeltasCtx(ctx, batch)
 		if err != nil {
 			log.Fatal(err)
 		}

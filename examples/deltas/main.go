@@ -37,7 +37,7 @@ func main() {
 	clean := d.Table.Row(0)
 	dirty := append([]string(nil), clean...)
 	dirty[1] = "ZZ" // wrong state for the area code
-	diff, err := sess.ApplyDeltas(anmat.DeltaBatch{
+	diff, err := sess.ApplyDeltasCtx(ctx, anmat.DeltaBatch{
 		anmat.AppendRows(clean, dirty),
 		anmat.UpdateCell(1, "state", clean[1]),
 		anmat.DeleteRows(2),

@@ -59,13 +59,13 @@ func main() {
 	clean := d.Table.Row(0)
 	dirty := append([]string(nil), clean...)
 	dirty[1] = "ZZ" // wrong state for the area code
-	diff1, err := sess.ApplyDeltas(stream.Batch{stream.AppendRows(clean, dirty)})
+	diff1, err := sess.ApplyDeltasCtx(ctx, stream.Batch{stream.AppendRows(clean, dirty)})
 	if err != nil {
 		log.Fatal(err)
 	}
 	cursor := diff1.Seq // a client's polling cursor, issued pre-crash
 	preCrash := append([]json.RawMessage(nil), marshalAll(sess.Violations)...)
-	if _, err := sess.ApplyDeltas(stream.Batch{stream.UpdateCell(3, "state", "FL")}); err != nil {
+	if _, err := sess.ApplyDeltasCtx(ctx, stream.Batch{stream.UpdateCell(3, "state", "FL")}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("streamed 2 batches (journaled write-ahead), seq now %d, cursor held at %d\n",
@@ -117,7 +117,7 @@ func main() {
 		cursor, len(diff.Added), len(diff.Removed), diff.Reset, len(preCrash))
 
 	// And the timeline continues: the next batch gets the next seq.
-	diff3, err := back.ApplyDeltas(stream.Batch{stream.DeleteRows(0)})
+	diff3, err := back.ApplyDeltasCtx(ctx, stream.Batch{stream.DeleteRows(0)})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func main() {
 	// that changes a row's area code migrates the row across shards.
 	dirty := d.Table.Row(0)
 	dirty[1] = "ZZ"
-	diff, err := sess.ApplyDeltas(anmat.DeltaBatch{
+	diff, err := sess.ApplyDeltasCtx(ctx, anmat.DeltaBatch{
 		anmat.AppendRows(dirty),
 		anmat.UpdateCell(1, "phone", "2125550000"), // key move: 850… → 212…
 	})

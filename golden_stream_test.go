@@ -106,7 +106,7 @@ func goldenStreamReplay(t *testing.T, shards int) string {
 	fmt.Fprintf(&b, "# golden: phone_state delta replay (%d batch(es))\n", len(script))
 	fmt.Fprintf(&b, "baseline: %d row(s), %d violation(s)\n", tbl.NumRows(), len(sess.Violations))
 	for bi, batch := range script {
-		diff, err := sess.ApplyDeltas(batch)
+		diff, err := sess.ApplyDeltasCtx(context.Background(), batch)
 		if err != nil {
 			t.Fatalf("batch %d: %v", bi, err)
 		}

@@ -182,7 +182,7 @@ func TestClusterEquivalence(t *testing.T) {
 
 				for step := 0; step < 25; step++ {
 					batch := randBatch(rng, tbl)
-					diff, err := c.Apply(batch)
+					diff, err := c.ApplyCtx(context.Background(), batch)
 					if err != nil {
 						// Random scripts can produce out-of-range ops; a rejected
 						// batch must be a no-op everywhere.
@@ -191,11 +191,11 @@ func TestClusterEquivalence(t *testing.T) {
 						}
 						continue
 					}
-					rdiff, err := replica.Apply(batch)
+					rdiff, err := replica.ApplyCtx(context.Background(), batch)
 					if err != nil {
 						t.Fatalf("step %d: replica rejected a batch the cluster accepted: %v", step, err)
 					}
-					if _, err := inproc.Apply(batch); err != nil {
+					if _, err := inproc.ApplyCtx(context.Background(), batch); err != nil {
 						t.Fatalf("step %d: in-process coordinator rejected a batch the cluster accepted: %v", step, err)
 					}
 					got := mustJSON(t, c.Violations())
@@ -288,14 +288,14 @@ func TestSeqIdempotencyUnderFlakyTransport(t *testing.T) {
 	applied := 0
 	for step := 0; step < 30; step++ {
 		batch := randBatch(rng, tbl)
-		if _, err := c.Apply(batch); err != nil {
+		if _, err := c.ApplyCtx(context.Background(), batch); err != nil {
 			if got, want := mustJSON(t, c.Violations()), mustJSON(t, fullDetect(t, tbl, rules)); got != want {
 				t.Fatalf("step %d: rejected batch mutated state", step)
 			}
 			continue
 		}
 		applied++
-		if _, err := replica.Apply(batch); err != nil {
+		if _, err := replica.ApplyCtx(context.Background(), batch); err != nil {
 			t.Fatalf("step %d: replica rejected: %v", step, err)
 		}
 		if got, want := mustJSON(t, c.Violations()), mustJSON(t, replica.Violations()); got != want {
@@ -373,10 +373,10 @@ func TestFailoverRestoresFromWAL(t *testing.T) {
 		t.Helper()
 		for i := 0; i < steps; i++ {
 			batch := randBatch(rng, tbl)
-			if _, err := c.Apply(batch); err != nil {
+			if _, err := c.ApplyCtx(context.Background(), batch); err != nil {
 				continue
 			}
-			if _, err := replica.Apply(batch); err != nil {
+			if _, err := replica.ApplyCtx(context.Background(), batch); err != nil {
 				t.Fatalf("%s %d: replica rejected: %v", label, i, err)
 			}
 			if got, want := mustJSON(t, c.Violations()), mustJSON(t, replica.Violations()); got != want {

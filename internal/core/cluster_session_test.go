@@ -71,7 +71,7 @@ func TestDistributedSessionStream(t *testing.T) {
 		stream.UpdateCell(1, "state", "FL"),
 	}
 	for _, s := range []*Session{se, twin} {
-		if _, err := s.ApplyDeltas(batch); err != nil {
+		if _, err := s.ApplyDeltasCtx(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -268,9 +268,8 @@ type Session struct {
 	DetectStats []detect.RuleStats
 	DMVs        []DMVFinding
 
-	// det is the session's lazily built detection engine, shared between
-	// RunDetection and RunRepairs so each column index is built once per
-	// session rather than once per stage (see Session.engine).
+	// det is the session's lazily built detector, shared by detection and
+	// repairs; nil while an incremental engine is current (see engine).
 	det *detect.Detector
 
 	// detected records whether detection has run at least once, so API
@@ -523,14 +522,15 @@ func (se *Session) UseRules(ps []*pfd.PFD) {
 	se.Confirmed = ps
 }
 
-// engine returns the session's detection engine, built lazily and shared
-// between detection and repairs so column indexes are built once per
-// session rather than once per stage. A table mutated since the engine
-// was built (e.g. repairs applied in place via detect.Apply) bumps the
-// table version, so the engine is rebuilt here rather than serving stale
-// indexes. The table must still not be mutated concurrently with a
-// running detection.
+// engine returns the detector detection and repairs run on. A session
+// holds one detection state at a time: without a current incremental
+// engine (see streamCurrent) the detector is cached, rebuilt when the
+// table moved on, and the next engine boots from it and takes it over;
+// while an engine is current the detector is transient.
 func (se *Session) engine() *detect.Detector {
+	if se.streamCurrent() {
+		return detect.New(se.Table, detect.Options{})
+	}
 	if se.det == nil || se.det.Stale() {
 		se.det = detect.New(se.Table, detect.Options{})
 	}
@@ -602,17 +602,15 @@ func samePFDs(a, b []*pfd.PFD) bool {
 }
 
 // Streamer is the incremental-detection surface shared by the single
-// stream.Engine and the sharded shard.Coordinator: apply (or replay)
-// delta batches, read the maintained violation set, and resolve sequence
-// cursors. Session.Stream returns one or the other depending on the
-// session's shard count; everything downstream — the HTTP API, the CLI
+// stream.Engine and the sharded shard.Coordinator: apply delta batches,
+// read the maintained violation set, and resolve sequence cursors.
+// Session.Stream returns one or the other depending on the session's
+// shard count; everything downstream — the HTTP API, the CLI
 // follow mode, the durability layer — programs against this surface.
 type Streamer interface {
-	Apply(stream.Batch) (*stream.Diff, error)
-	// ApplyCtx is Apply carrying the caller's context so the engine's
-	// spans (apply, journal, fan-out, RPC) join the request's trace.
+	// ApplyCtx journals the batch through the sink (when one is set) and
+	// applies it; the engine's spans join the context's trace.
 	ApplyCtx(context.Context, stream.Batch) (*stream.Diff, error)
-	Replay(stream.Batch) (*stream.Diff, error)
 	// Violations is the engine's shared sorted snapshot: read-only.
 	Violations() []pfd.Violation
 	Since(int64) (*stream.Diff, error)
@@ -626,8 +624,11 @@ type Streamer interface {
 // rules at the given base sequence: a cluster coordinator when worker
 // endpoints are configured, a shard coordinator when the session is
 // sharded in-process, a single stream engine otherwise. Output is
-// byte-identical in all three modes.
+// byte-identical in all three modes. The engine takes over from the
+// session's detector: a single engine boots from it, warm after an upload.
 func (se *Session) newStreamer(rules []*pfd.PFD, base int64) (Streamer, error) {
+	det := se.engine()
+	se.det = nil
 	if w := se.Workers(); len(w) > 0 {
 		// A worker set serves one session: claim the endpoints (for the
 		// system's lifetime) so a second distributed session cannot boot
@@ -651,23 +652,30 @@ func (se *Session) newStreamer(rules []*pfd.PFD, base int64) (Streamer, error) {
 	if k := se.Shards(); k > 1 {
 		return shard.NewFrom(se.Table, rules, k, base)
 	}
-	return stream.NewEngineFrom(se.Table, rules, base)
+	return stream.NewEngineOpts(det, rules, stream.EngineOptions{BaseSeq: base})
+}
+
+// streamCurrent reports whether the session has a current incremental
+// engine: one that exists, is not stale, and was built for the active
+// rules.
+func (se *Session) streamCurrent() bool {
+	return se.str != nil && !se.str.Stale() && samePFDs(se.strRules, se.rules())
 }
 
 // Stream returns the session's incremental detection engine, building it
 // lazily over the active rule set and rebuilding when the table was
 // mutated outside the engine (e.g. a direct detect.Apply) or the rule set
-// changed (Confirm, UseRules). The bootstrap costs about one detection
-// pass (split across shards when the session is sharded). After that an
-// append or a cell update costs in proportion to what it changes, not to
-// the blocks it touches (stream.NewEngineFrom names the exceptions), so
-// the engine is the cheap path for continuously arriving data.
+// changed (Confirm, UseRules). After an upload the bootstrap reads what
+// detection cached (see newStreamer); after that an append or a cell
+// update costs in proportion to what it changes, not to the blocks it
+// touches (stream.NewEngineFrom names the exceptions), so the engine is
+// the cheap path for continuously arriving data.
 func (se *Session) Stream() (Streamer, error) {
 	rules := se.rules()
 	if len(rules) == 0 {
 		return nil, fmt.Errorf("session %s: no rules to stream against (run discovery or UseRules first)", se.ID)
 	}
-	if se.str == nil || se.str.Stale() || !samePFDs(se.strRules, rules) {
+	if !se.streamCurrent() {
 		// A replacement engine continues the old sequence timeline (one
 		// past the last issued seq), so cursors issued by the previous
 		// engine resolve to a reset snapshot rather than an error.
@@ -732,17 +740,12 @@ func (se *Session) EngineStats() EngineStats {
 	return out
 }
 
-// ApplyDeltas routes one delta batch through the session's incremental
+// ApplyDeltasCtx routes one delta batch through the session's incremental
 // engine and refreshes the session's violation set from the maintained
 // one (identical to what a full re-detection would produce, without
-// running it).
-func (se *Session) ApplyDeltas(batch stream.Batch) (*stream.Diff, error) {
-	return se.ApplyDeltasCtx(context.Background(), batch)
-}
-
-// ApplyDeltasCtx is ApplyDeltas carrying the caller's context: the
-// engine's spans — apply, journal, shard fan-out, worker RPCs — attach
-// to the context's active trace, so one server request yields one tree.
+// running it). The engine's spans — apply, journal, shard fan-out, worker
+// RPCs — attach to the context's active trace, so one server request
+// yields one tree.
 func (se *Session) ApplyDeltasCtx(ctx context.Context, batch stream.Batch) (*stream.Diff, error) {
 	eng, err := se.Stream()
 	if err != nil {
@@ -769,25 +772,14 @@ func (se *Session) ApplyDeltasCtx(ctx context.Context, batch stream.Batch) (*str
 	return diff, nil
 }
 
-// ApplyRepairs writes repair suggestions into the session's table. When
-// the session has a live incremental engine the repairs become cell
-// deltas routed through it — the engine is never discarded and the
-// violation diff of the repair falls out for free. Without one it falls
-// back to the in-place detect.Apply (which bumps the table version, so a
-// later Stream() rebuilds) — unless a persister is attached, in which
-// case the engine is (re)built first so the repairs are journaled: the
-// in-place path would mutate acknowledged state the durability layer
-// never sees. Returns the number of changed cells and the violation diff
-// (nil on the fallback path).
+// ApplyRepairs writes repair suggestions into the session's table as cell
+// deltas through the session's incremental engine (see Stream), so they
+// are journaled like any batch and their violation diff falls out for
+// free. Returns the number of changed cells and the diff, never nil.
 func (se *Session) ApplyRepairs(rs []detect.Repair) (int, *stream.Diff, error) {
-	if se.str == nil || se.str.Stale() || !samePFDs(se.strRules, se.rules()) {
-		if se.persist == nil {
-			n, err := detect.Apply(se.Table, rs)
-			return n, nil, err
-		}
-		if _, err := se.Stream(); err != nil {
-			return 0, nil, err
-		}
+	eng, err := se.Stream()
+	if err != nil {
+		return 0, nil, err
 	}
 	var batch stream.Batch
 	for _, r := range rs {
@@ -804,9 +796,9 @@ func (se *Session) ApplyRepairs(rs []detect.Repair) (int, *stream.Diff, error) {
 		}
 	}
 	if len(batch) == 0 {
-		return 0, &stream.Diff{Seq: se.str.Seq(), Rows: se.Table.NumRows()}, nil
+		return 0, &stream.Diff{Seq: eng.Seq(), Rows: se.Table.NumRows()}, nil
 	}
-	diff, err := se.ApplyDeltas(batch)
+	diff, err := se.ApplyDeltasCtx(context.TODO(), batch)
 	if err != nil {
 		return 0, nil, err
 	}

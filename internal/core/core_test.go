@@ -6,6 +6,7 @@ import (
 	"errors"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -17,6 +18,7 @@ import (
 	"github.com/anmat/anmat/internal/pattern"
 	"github.com/anmat/anmat/internal/pfd"
 	"github.com/anmat/anmat/internal/stream"
+	"github.com/anmat/anmat/internal/table"
 	"github.com/anmat/anmat/internal/tableau"
 )
 
@@ -551,7 +553,7 @@ func TestSessionStreamDeltas(t *testing.T) {
 	// A delta flows through and refreshes the session's violations.
 	row := se.Table.Row(0)
 	row[1] = "ZZ" // wrong state for the phone's area code
-	diff, err := se.ApplyDeltas(stream.Batch{stream.AppendRows(row)})
+	diff, err := se.ApplyDeltasCtx(context.Background(), stream.Batch{stream.AppendRows(row)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,31 +615,52 @@ func TestSessionStreamRequiresRules(t *testing.T) {
 	if _, err := se.Stream(); err == nil {
 		t.Error("Stream without rules should fail")
 	}
-	if _, err := se.ApplyDeltas(stream.Batch{stream.DeleteRows(0)}); err == nil {
+	if _, err := se.ApplyDeltasCtx(context.Background(), stream.Batch{stream.DeleteRows(0)}); err == nil {
 		t.Error("ApplyDeltas without rules should fail")
 	}
 }
 
-func TestApplyRepairsFallbackWithoutStream(t *testing.T) {
+// TestApplyRepairsWithoutEngine pins ApplyRepairs' one path: with no
+// engine yet it builds one and routes the repairs through it, so the diff
+// is never nil, and the table and violations come out as the in-place
+// detect.Apply plus a full re-detection on a copy would leave them.
+func TestApplyRepairsWithoutEngine(t *testing.T) {
 	sys := NewSystem(docstore.NewMem())
 	d := datagen.PhoneState(600, 0.01, 46)
 	se := sys.NewSession("p", d.Table, DefaultParams())
-	if err := se.Run(context.Background()); err != nil {
+	ctx := context.Background()
+	if err := se.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if len(se.Repairs) == 0 {
 		t.Fatal("no repairs on dirty data")
 	}
+	ref := se.Table.Clone()
+	wantChanged, err := detect.Apply(ref, se.Repairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := detect.New(ref, detect.Options{}).DetectAllContext(ctx, se.rules(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	changed, diff, err := se.ApplyRepairs(se.Repairs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if changed == 0 {
-		t.Error("fallback path should change cells")
+	if diff == nil || changed != wantChanged || changed == 0 {
+		t.Fatalf("ApplyRepairs: changed=%d diff=%v, want %d changes and a diff", changed, diff, wantChanged)
 	}
-	if diff != nil {
-		t.Error("fallback path reports no diff")
+	if got, want := csvOf(t, se.Table), csvOf(t, ref); got != want {
+		t.Error("repaired table differs from detect.Apply on a copy")
 	}
+	if got, want := mustJSONStr(t, se.Violations), mustJSONStr(t, want.Violations); got != want {
+		t.Errorf("violations after ApplyRepairs:\n got %s\nwant %s", got, want)
+	}
+	if _, diff, err := se.ApplyRepairs(nil); err != nil || diff == nil {
+		t.Errorf("ApplyRepairs(nil): diff=%v err=%v, want an empty diff", diff, err)
+	}
+
 	// Confirming the identical rule set keeps the cached engine; a real
 	// rule-set change (extra rule installed via UseRules) rebuilds it.
 	eng, err := se.Stream()
@@ -662,6 +685,120 @@ func TestApplyRepairsFallbackWithoutStream(t *testing.T) {
 	}
 }
 
+// TestSessionHoldsOneDetectionState pins the session's one-state rule: the
+// detector is cached only while no incremental engine is current, the
+// engine boots from it and takes it over, and detection and repairs
+// against a current engine leave no detector behind.
+func TestSessionHoldsOneDetectionState(t *testing.T) {
+	sys := NewSystem(docstore.NewMem())
+	d := datagen.ZipCity(800, 0.01, 48)
+	se := sys.NewSession("p", d.Table, DefaultParams())
+	ctx := context.Background()
+	if err := se.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if len(se.Discovered) < 2 {
+		t.Fatalf("need two rules to confirm a subset, mined %d", len(se.Discovered))
+	}
+	if se.det == nil || se.str != nil {
+		t.Fatalf("after Run: detector %v, engine %v; want a detector and no engine", se.det, se.str)
+	}
+	if _, err := se.Stream(); err != nil {
+		t.Fatal(err)
+	}
+	if se.det != nil {
+		t.Fatal("Stream() must take the detector over")
+	}
+	if _, err := se.RunDetection(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := se.RunRepairs(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if se.det != nil {
+		t.Fatal("detection and repairs against a current engine cached a detector")
+	}
+
+	// A rule-set change leaves the engine behind: detection and repairs
+	// share one detector again, and the next Stream() consumes it.
+	se.Confirm(se.Discovered[0].ID())
+	if _, err := se.RunDetection(ctx); err != nil {
+		t.Fatal(err)
+	}
+	det := se.det
+	if _, err := se.RunRepairs(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if det == nil || se.det != det {
+		t.Fatalf("after Confirm(subset): detection's detector %p, repairs' %p; want one shared", det, se.det)
+	}
+	eng, err := se.Stream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if se.det != nil || len(eng.Rules()) != 1 {
+		t.Fatalf("Stream() after Confirm(subset): detector %v, engine over %d rules", se.det, len(eng.Rules()))
+	}
+}
+
+// countingPersister records the seq of every journaled batch.
+type countingPersister struct{ journaled []int64 }
+
+func (p *countingPersister) Journal(_ context.Context, _ string, seq int64, _ stream.Batch) error {
+	p.journaled = append(p.journaled, seq)
+	return nil
+}
+func (p *countingPersister) Checkpoint(*SessionSnapshot) error { return nil }
+func (p *countingPersister) CompactionDue(string) bool         { return false }
+
+// TestReplayJournalWiresTheSink: a persister attached before recovery
+// sees none of the replayed batches, and journals the first batch after
+// them — the engine ReplayJournal installs journals like any other.
+func TestReplayJournalWiresTheSink(t *testing.T) {
+	sys := NewSystem(docstore.NewMem())
+	d := datagen.PhoneState(300, 0.01, 49)
+	se := sys.NewSession("p", d.Table, DefaultParams())
+	ctx := context.Background()
+	if err := se.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	snap := se.Snapshot()
+	snap.TableData = snap.AppendTable(nil)
+	const base = 5
+	batches := []stream.Batch{
+		{stream.AppendRows(se.Table.Row(0))},
+		{stream.UpdateCell(1, "state", "ZZ")},
+		{stream.DeleteRows(2)},
+	}
+	back, err := sys.RestoreSession(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &countingPersister{}
+	back.SetPersist(p)
+	if err := back.ReplayJournal(base, batches); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.journaled) != 0 {
+		t.Fatalf("replay journaled %v, want nothing", p.journaled)
+	}
+	if _, err := back.ApplyDeltasCtx(ctx, stream.Batch{stream.AppendRows(back.Table.Row(0))}); err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(base + len(batches) + 1); len(p.journaled) != 1 || p.journaled[0] != want {
+		t.Fatalf("journaled %v after the first live batch, want [%d]", p.journaled, want)
+	}
+}
+
+func csvOf(t *testing.T, tb *table.Table) string {
+	t.Helper()
+	var b strings.Builder
+	if err := tb.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 func TestStreamRebuildContinuesCursorTimeline(t *testing.T) {
 	sys := NewSystem(docstore.NewMem())
 	d := datagen.PhoneState(400, 0.01, 47)
@@ -669,7 +806,7 @@ func TestStreamRebuildContinuesCursorTimeline(t *testing.T) {
 	if err := se.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := se.ApplyDeltas(stream.Batch{stream.AppendRows(se.Table.Row(0))}); err != nil {
+	if _, err := se.ApplyDeltasCtx(context.Background(), stream.Batch{stream.AppendRows(se.Table.Row(0))}); err != nil {
 		t.Fatal(err)
 	}
 	old, _ := se.Stream()

@@ -91,7 +91,7 @@ func TestShardedSessionStreamAndRepairs(t *testing.T) {
 
 	batch := stream.Batch{stream.AppendRows([]string{"8509990000", "TX"})}
 	for _, s := range []*Session{se, twin} {
-		if _, err := s.ApplyDeltas(batch); err != nil {
+		if _, err := s.ApplyDeltasCtx(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -151,7 +151,7 @@ func (se *Session) Snapshot() *SessionSnapshot {
 	}
 	if se.str != nil {
 		snap.Seq = se.str.Seq()
-		if se.str.Stale() || !samePFDs(se.strRules, se.rules()) {
+		if !se.streamCurrent() {
 			// The engine no longer describes the session (rules changed,
 			// or the table was mutated outside it): a live rebuild would
 			// start one past its timeline, and the snapshot must agree —
@@ -252,13 +252,14 @@ func (s *System) adoptID(id string) {
 }
 
 // ReplayJournal finishes recovery: it bootstraps the incremental engine
-// over the restored table at the checkpoint's sequence cursor — the
-// shard coordinator, rebuilt shard by shard and re-merged, when the
-// snapshot was sharded — which recomputes the violation set,
-// byte-identical to a full detection — and replays the journaled delta
-// batches through it in order, restoring the sequence timeline so
-// pre-crash `since` cursors resolve. Sessions that never ran detection
-// skip the engine entirely and must have an empty journal.
+// over the restored table at the checkpoint's sequence cursor — from a
+// fresh detector, or the shard coordinator, rebuilt shard by shard and
+// re-merged, when the snapshot was sharded — which recomputes the
+// violation set, byte-identical to a full detection — and applies the
+// journaled delta batches through it in order, restoring the sequence
+// timeline so pre-crash `since` cursors resolve. The engine gets its sink
+// only afterwards, so no batch is journaled twice. Sessions that never
+// ran detection skip the engine entirely and must have an empty journal.
 func (se *Session) ReplayJournal(baseSeq int64, batches []stream.Batch) error {
 	rules := se.rules()
 	if !se.detected {
@@ -282,10 +283,11 @@ func (se *Session) ReplayJournal(baseSeq int64, batches []stream.Batch) error {
 		return fmt.Errorf("session %s: replay: %w", se.ID, err)
 	}
 	for i, b := range batches {
-		if _, err := eng.Replay(b); err != nil {
+		if _, err := eng.ApplyCtx(context.TODO(), b); err != nil {
 			return fmt.Errorf("session %s: replay batch %d (seq %d): %w", se.ID, i, baseSeq+int64(i)+1, err)
 		}
 	}
+	eng.SetSink(se.journalSink())
 	se.str, se.strRules = eng, rules
 	se.Violations = eng.Violations()
 	return nil

@@ -64,11 +64,10 @@ type Detector struct {
 	opts    Options
 	version int64 // table.Version() at build time; see Stale
 
-	mu       sync.Mutex                     // guards the cache maps (not their slots)
-	verdicts map[matchKey]*slot[[]bool]     // the DFA verdict of every dictionary ID
-	extracts map[matchKey]*slot[[][]string] // the block keys of every dictionary ID (nil: no match)
-	rowsOf   map[int]*slot[rowIndex]        // per LHS column
-	blocked  map[matchKey]*slot[[]iblock]   // shared by variable-row detection and repairs
+	mu       sync.Mutex                  // guards the cache maps (not their slots)
+	verdicts map[matchKey]*slot[[]bool]  // the DFA verdict of every dictionary ID
+	rowsOf   map[int]*slot[rowIndex]     // per LHS column
+	blocked  map[matchKey]*slot[[]Block] // shared by variable-row detection, repairs and engine bootstrap
 }
 
 // matchKey identifies one (column, pattern) pass.
@@ -106,23 +105,25 @@ func New(t *table.Table, opts Options) *Detector {
 		opts:     opts,
 		version:  t.Version(),
 		verdicts: make(map[matchKey]*slot[[]bool]),
-		extracts: make(map[matchKey]*slot[[][]string]),
 		rowsOf:   make(map[int]*slot[rowIndex]),
-		blocked:  make(map[matchKey]*slot[[]iblock]),
+		blocked:  make(map[matchKey]*slot[[]Block]),
 	}
 }
 
+// Table returns the table the detector evaluates.
+func (d *Detector) Table() *table.Table { return d.t }
+
 // Stale reports whether the table has been mutated since the detector
-// was built, invalidating everything it cached: verdicts and block keys
-// are per dictionary ID, and a mutation can add IDs; the row index and
-// the blocks hold row numbers. Callers holding a detector across table
+// was built, invalidating everything it cached: verdicts are per
+// dictionary ID, and a mutation can add IDs; the row index and the blocks
+// hold row numbers. Callers holding a detector across table
 // mutations (e.g. a session re-detecting after applying repairs) should
 // rebuild when Stale returns true.
 func (d *Detector) Stale() bool { return d.t.Version() != d.version }
 
-// matchVerdicts returns the per-dictionary-ID match verdicts of running
-// emb over column col.
-func (d *Detector) matchVerdicts(col int, emb pattern.Pattern) []bool {
+// MatchVerdicts returns the per-dictionary-ID match verdicts of running
+// emb over column col. The slice is cached and shared: read it only.
+func (d *Detector) MatchVerdicts(col int, emb pattern.Pattern) []bool {
 	return cached(d, d.verdicts, matchKey{col, emb.Key()}, func() []bool {
 		vals := d.t.InternedColumn(col).Dict.Values()
 		verd := make([]bool, len(vals))
@@ -130,21 +131,6 @@ func (d *Detector) matchVerdicts(col int, emb pattern.Pattern) []bool {
 			verd[id] = emb.MatchesDFA(v)
 		}
 		return verd
-	})
-}
-
-// extractKeys returns the block keys q extracts from every dictionary ID
-// of column col.
-func (d *Detector) extractKeys(col int, q pattern.Constrained) [][]string {
-	return cached(d, d.extracts, matchKey{col, q.Key()}, func() [][]string {
-		vals := d.t.InternedColumn(col).Dict.Values()
-		keys := make([][]string, len(vals))
-		for id, v := range vals {
-			if ks := q.Extract(v); len(ks) > 0 {
-				keys[id] = ks
-			}
-		}
-		return keys
 	})
 }
 
@@ -383,15 +369,15 @@ func (d *Detector) DetectAllContext(ctx context.Context, ps []*pfd.PFD, parallel
 func (d *Detector) detectConstant(p *pfd.PFD, row tableau.Row, li, ri int) ([]pfd.Violation, error) {
 	liv, riv := d.t.InternedColumn(li), d.t.InternedColumn(ri)
 	var out []pfd.Violation
-	for _, r := range d.constantHits(row, li, ri) {
+	for _, r := range d.ConstantHits(row, li, ri) {
 		out = append(out, pfd.ConstantViolation(p, row, r, liv.Value(r), riv.Value(r)))
 	}
 	return out, nil
 }
 
-// constantHits returns, ascending, the rows that violate a constant
+// ConstantHits returns, ascending, the rows that violate a constant
 // tableau row: the LHS matches tp[A] and the RHS differs from tp[B].
-func (d *Detector) constantHits(row tableau.Row, li, ri int) []int {
+func (d *Detector) ConstantHits(row tableau.Row, li, ri int) []int {
 	emb := row.LHS.Embedded()
 	liv, riv := d.t.InternedColumn(li), d.t.InternedColumn(ri)
 	var hits []int
@@ -409,7 +395,7 @@ func (d *Detector) constantHits(row tableau.Row, li, ri int) []int {
 	constID, haveConst := riv.Dict.Lookup(row.RHS)
 	idx := d.rowsByID(li)
 	runs := 0
-	for id, ok := range d.matchVerdicts(li, emb) {
+	for id, ok := range d.MatchVerdicts(li, emb) {
 		if !ok {
 			continue
 		}
@@ -435,7 +421,7 @@ func (d *Detector) detectVariable(p *pfd.PFD, row tableau.Row, li, ri int) ([]pf
 		emb := row.LHS.Embedded()
 		var cand []int
 		if !d.opts.DisableIndex {
-			verd := d.matchVerdicts(li, emb)
+			verd := d.MatchVerdicts(li, emb)
 			for r, id := range liv.IDs {
 				if verd[id] {
 					cand = append(cand, r)
@@ -463,43 +449,53 @@ func (d *Detector) detectVariable(p *pfd.PFD, row tableau.Row, li, ri int) ([]pf
 		return out, nil
 	}
 	var out []pfd.Violation
-	for _, b := range d.blocks(li, row.LHS) {
+	for _, b := range d.Blocks(li, row.LHS) {
 		out = b.appendConflicts(out, p, row, riv, !d.opts.AllPairs)
 	}
 	return out, nil
 }
 
-// iblock is one blocking bucket over an interned LHS column: the rows
+// Block is one blocking bucket over an interned LHS column: the rows
 // sharing one constrained key. Conflict checks compare the rows' RHS
 // dictionary IDs; strings are decoded only when a violation is rendered.
-type iblock struct {
-	key  string
-	rows []int // ascending (built in row order)
+type Block struct {
+	Key  string
+	Rows []int // ascending (built in row order)
 }
 
-// blocks partitions the rows matching q into buckets by constrained key,
-// sorted by key. Extraction runs once per distinct LHS value through the
-// extraction cache, no matter how many rows repeat the value, and the
-// partition is cached: detection and repairs read the same one.
-func (d *Detector) blocks(li int, q pattern.Constrained) []iblock {
-	return cached(d, d.blocked, matchKey{li, q.Key()}, func() []iblock {
-		keys := d.extractKeys(li, q)
-		m := make(map[string]*iblock)
-		for r, id := range d.t.InternedColumn(li).IDs {
-			for _, k := range keys[id] {
+// Blocks partitions the rows matching q into buckets by constrained key,
+// sorted by key. Keys are extracted once per distinct LHS value into one
+// slab — value id's keys are keys[off[id]:off[id+1]] — and rows are filed
+// from it, so extraction costs per distinct value however many rows
+// repeat it. The partition is cached and shared: detection, repairs and an
+// engine bootstrapped from the detector read the same one, and none of
+// them modifies it.
+func (d *Detector) Blocks(li int, q pattern.Constrained) []Block {
+	return cached(d, d.blocked, matchKey{li, q.Key()}, func() []Block {
+		iv := d.t.InternedColumn(li)
+		vals := iv.Dict.Values()
+		off := make([]int32, len(vals)+1)
+		keys := make([]string, 0, len(vals))
+		for id, v := range vals {
+			keys = q.AppendExtract(keys, v)
+			off[id+1] = int32(len(keys))
+		}
+		m := make(map[string]*Block)
+		for r, id := range iv.IDs {
+			for _, k := range keys[off[id]:off[id+1]] {
 				b := m[k]
 				if b == nil {
-					b = &iblock{key: k}
+					b = &Block{Key: k}
 					m[k] = b
 				}
-				b.rows = append(b.rows, r)
+				b.Rows = append(b.Rows, r)
 			}
 		}
-		out := make([]iblock, 0, len(m))
+		out := make([]Block, 0, len(m))
 		for _, b := range m {
 			out = append(out, *b)
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 		return out
 	})
 }
@@ -513,10 +509,10 @@ type rhsGroup struct {
 // rhsGroups splits a block by RHS value, sorted by value — the order the
 // blocking reference iterates conflict groups in. Grouping compares
 // dictionary IDs; each distinct ID decodes to its string once.
-func (b *iblock) rhsGroups(riv *table.Interned) []rhsGroup {
+func (b *Block) rhsGroups(riv *table.Interned) []rhsGroup {
 	idx := make(map[uint32]int, 2)
 	var groups []rhsGroup
-	for _, r := range b.rows {
+	for _, r := range b.Rows {
 		id := riv.IDs[r]
 		gi, ok := idx[id]
 		if !ok {
@@ -548,7 +544,7 @@ func majorityGroup(groups []rhsGroup) int {
 // output linear in the number of erroneous cells; otherwise the full
 // cross product is produced (the reference semantics the equivalence
 // tests compare against).
-func (b *iblock) appendConflicts(out []pfd.Violation, p *pfd.PFD, row tableau.Row, riv *table.Interned, firstOnly bool) []pfd.Violation {
+func (b *Block) appendConflicts(out []pfd.Violation, p *pfd.PFD, row tableau.Row, riv *table.Interned, firstOnly bool) []pfd.Violation {
 	groups := b.rhsGroups(riv)
 	if len(groups) < 2 {
 		return out
@@ -668,18 +664,18 @@ func (d *Detector) Repairs(p *pfd.PFD) ([]Repair, error) {
 	for _, row := range p.Tableau.Rows() {
 		rule = row.String()
 		if !row.Variable() {
-			for _, r := range d.constantHits(row, li, ri) {
+			for _, r := range d.ConstantHits(row, li, ri) {
 				suggest(r, riv.Value(r), row.RHS, 1)
 			}
 			continue
 		}
-		for _, b := range d.blocks(li, row.LHS) {
+		for _, b := range d.Blocks(li, row.LHS) {
 			groups := b.rhsGroups(riv)
 			if len(groups) < 2 {
 				continue // no disagreement
 			}
 			mi := majorityGroup(groups)
-			conf := float64(len(groups[mi].rows)) / float64(len(b.rows))
+			conf := float64(len(groups[mi].rows)) / float64(len(b.Rows))
 			for gi := range groups {
 				if gi == mi {
 					continue

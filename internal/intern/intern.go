@@ -81,16 +81,26 @@ func (d *Dict) Values() []string { return d.vals }
 
 // Verdicts memoizes one boolean predicate per dictionary ID — the "run
 // the compiled DFA once over the dictionary, not once per cell" cache.
-// The zero value is ready for use. Entries are evaluated lazily on first
-// request, so a pattern whose literal prefix rejects most of a column
-// never pays for the values it would skip.
+// The zero value is ready for use; Set records verdicts as they are
+// evaluated.
 type Verdicts struct {
 	seen []uint8 // 0 = unknown, 1 = false, 2 = true
 }
 
-// Known returns the memoized verdict for id and whether one exists. Use
-// with Set in loops where a closure passed to Get would be allocated per
-// iteration.
+// VerdictsOf returns a memo holding match[id] for every id in
+// [0, len(match)).
+func VerdictsOf(match []bool) *Verdicts {
+	v := &Verdicts{seen: make([]uint8, len(match))}
+	for id, ok := range match {
+		v.seen[id] = 1
+		if ok {
+			v.seen[id] = 2
+		}
+	}
+	return v
+}
+
+// Known returns the memoized verdict for id and whether one exists.
 func (v *Verdicts) Known(id uint32) (verdict, known bool) {
 	if int(id) >= len(v.seen) {
 		return false, false
@@ -111,27 +121,4 @@ func (v *Verdicts) Set(id uint32, verdict bool) {
 	} else {
 		v.seen[id] = 1
 	}
-}
-
-// Get returns the memoized verdict for id, calling eval at most once per
-// id over the lifetime of the cache.
-func (v *Verdicts) Get(id uint32, eval func() bool) bool {
-	if int(id) >= len(v.seen) {
-		grown := make([]uint8, int(id)+1+len(v.seen))
-		copy(grown, v.seen)
-		v.seen = grown
-	}
-	switch v.seen[id] {
-	case 1:
-		return false
-	case 2:
-		return true
-	}
-	ok := eval()
-	if ok {
-		v.seen[id] = 2
-	} else {
-		v.seen[id] = 1
-	}
-	return ok
 }

@@ -80,24 +80,29 @@ func TestDictArenaDoesNotAliasInput(t *testing.T) {
 }
 
 func TestVerdicts(t *testing.T) {
-	var v Verdicts
-	calls := 0
-	even := func(id uint32) bool {
-		return v.Get(id, func() bool { calls++; return id%2 == 0 })
+	match := make([]bool, 100)
+	for id := range match {
+		match[id] = id%2 == 0
 	}
-	for round := 0; round < 3; round++ {
-		for id := uint32(0); id < 100; id++ {
-			if got := even(id); got != (id%2 == 0) {
-				t.Fatalf("verdict(%d) = %v", id, got)
-			}
+	v := VerdictsOf(match)
+	for id := uint32(0); id < 100; id++ {
+		if got, known := v.Known(id); !known || got != (id%2 == 0) {
+			t.Fatalf("seeded verdict(%d) = %v, known %v", id, got, known)
 		}
 	}
-	if calls != 100 {
-		t.Fatalf("eval called %d times, want 100 (once per id)", calls)
+	if _, known := v.Known(100); known {
+		t.Fatal("an id past the seed is known")
 	}
-	// Sparse first access grows the table.
+	// A sparse Set grows the table and leaves the ids it skips unknown.
+	v.Set(1<<20, true)
+	if got, known := v.Known(1 << 20); !got || !known {
+		t.Fatal("sparse verdict lost")
+	}
+	if _, known := v.Known(1 << 19); known {
+		t.Fatal("an id between seed and sparse Set is known")
+	}
 	var w Verdicts
-	if !w.Get(1<<20, func() bool { return true }) {
-		t.Fatalf("sparse verdict lost")
+	if _, known := w.Known(0); known {
+		t.Fatal("the zero value knows a verdict")
 	}
 }

@@ -396,7 +396,7 @@ func TestCheckpointWriteFaults(t *testing.T) {
 
 			ack := func(n int) {
 				t.Helper()
-				if _, err := se.ApplyDeltas(stream.Batch{stream.AppendRows([]string{"9000" + fmt.Sprint(n%3), "LA", "8512" + fmt.Sprint(n%4), "CA"})}); err != nil {
+				if _, err := se.ApplyDeltasCtx(context.Background(), stream.Batch{stream.AppendRows([]string{"9000" + fmt.Sprint(n%3), "LA", "8512" + fmt.Sprint(n%4), "CA"})}); err != nil {
 					t.Fatalf("batch %d not acknowledged: %v", n, err)
 				}
 			}
@@ -494,7 +494,7 @@ func TestCheckpointCutDoesNoFileWork(t *testing.T) {
 	se.SetPersist(m)
 	batch := stream.Batch{stream.AppendRows([]string{"90001", "LA", "85123", "FL"})}
 	for n := 1; n < compactEvery; n++ {
-		if _, err := se.ApplyDeltas(batch); err != nil {
+		if _, err := se.ApplyDeltasCtx(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -508,7 +508,7 @@ func TestCheckpointCutDoesNoFileWork(t *testing.T) {
 	before := dirStateWithDirs(t, dir)
 	s.set(func(s *seam) { s.creates, s.writes, s.fsyncs = 0, 0, 0 })
 	fsyncs0, cuts0 := groupFsyncs.Value(), cutsTimed()
-	if _, err := se.ApplyDeltas(batch); err != nil { // the compacting batch
+	if _, err := se.ApplyDeltasCtx(context.Background(), batch); err != nil { // the compacting batch
 		t.Fatal(err)
 	}
 	w := inFlight(m, se.ID)
@@ -570,7 +570,7 @@ func TestCheckpointWaiters(t *testing.T) {
 		}
 		held, release := s.holdWrites()
 		for n := 1; n <= compactEvery+1; n++ { // the cut, and one batch behind it
-			if _, err := se.ApplyDeltas(batch); err != nil {
+			if _, err := se.ApplyDeltasCtx(context.Background(), batch); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -686,14 +686,14 @@ func TestCheckpointWaiters(t *testing.T) {
 		defer m.Close()
 		landed0 := checkpoints.Value()
 		for n := compactEvery + 2; n < 2*compactEvery; n++ {
-			if _, err := se.ApplyDeltas(batch); err != nil {
+			if _, err := se.ApplyDeltasCtx(context.Background(), batch); err != nil {
 				t.Fatal(err)
 			}
 		}
 		// Batch 2*compactEvery brings the next compaction due while the
 		// first is still being written.
 		wait := blocked(t, "the second cut", func() {
-			if _, err := se.ApplyDeltas(batch); err != nil {
+			if _, err := se.ApplyDeltasCtx(context.Background(), batch); err != nil {
 				t.Error(err)
 			}
 		})
@@ -813,7 +813,7 @@ func TestCheckpointAlternatesSegments(t *testing.T) {
 			}
 			se = back[0]
 		}
-		if _, err := se.ApplyDeltas(batch); err != nil {
+		if _, err := se.ApplyDeltasCtx(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
 		st, _ := m.Status(se.ID)

@@ -123,10 +123,10 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 func TestJournalReplay(t *testing.T) {
 	dir := t.TempDir()
 	se, m := newDetectedSession(t, dir)
-	if _, err := se.ApplyDeltas(stream.Batch{stream.AppendRows([]string{"90002", "SD", "85125", "CA"})}); err != nil {
+	if _, err := se.ApplyDeltasCtx(context.Background(), stream.Batch{stream.AppendRows([]string{"90002", "SD", "85125", "CA"})}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := se.ApplyDeltas(stream.Batch{stream.UpdateCell(0, "city", "SF")}); err != nil {
+	if _, err := se.ApplyDeltasCtx(context.Background(), stream.Batch{stream.UpdateCell(0, "city", "SF")}); err != nil {
 		t.Fatal(err)
 	}
 	wantVio := mustJSON(t, se.Violations)
@@ -146,7 +146,7 @@ func TestJournalReplay(t *testing.T) {
 		t.Errorf("status = %+v ok=%v, want 2 replayed records", st, ok)
 	}
 	// The sequence timeline survived: the next batch continues it.
-	diff, err := back.ApplyDeltas(stream.Batch{stream.AppendRows([]string{"10002", "NY", "21112", "NY"})})
+	diff, err := back.ApplyDeltasCtx(context.Background(), stream.Batch{stream.AppendRows([]string{"10002", "NY", "21112", "NY"})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestCompactionResetsWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := se.ApplyDeltas(stream.Batch{stream.AppendRows([]string{"90001", "LA", "85123", "FL"})}); err != nil {
+		if _, err := se.ApplyDeltasCtx(context.Background(), stream.Batch{stream.AppendRows([]string{"90001", "LA", "85123", "FL"})}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -199,7 +199,7 @@ func TestCompactionResetsWAL(t *testing.T) {
 func TestDropRemovesState(t *testing.T) {
 	dir := t.TempDir()
 	se, m := newDetectedSession(t, dir)
-	if _, err := se.ApplyDeltas(stream.Batch{stream.AppendRows([]string{"90001", "LA", "85123", "FL"})}); err != nil {
+	if _, err := se.ApplyDeltasCtx(context.Background(), stream.Batch{stream.AppendRows([]string{"90001", "LA", "85123", "FL"})}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Drop(se.ID); err != nil {
@@ -358,7 +358,7 @@ func TestRestoreTrimsTornTail(t *testing.T) {
 	// the garbage and are silently lost on the NEXT restart.
 	dir := t.TempDir()
 	se, m := newDetectedSession(t, dir)
-	if _, err := se.ApplyDeltas(stream.Batch{stream.AppendRows([]string{"90002", "SD", "85125", "CA"})}); err != nil {
+	if _, err := se.ApplyDeltasCtx(context.Background(), stream.Batch{stream.AppendRows([]string{"90002", "SD", "85125", "CA"})}); err != nil {
 		t.Fatal(err)
 	}
 	walPath := filepath.Join(dir, "wal", se.ID+".wal")
@@ -376,7 +376,7 @@ func TestRestoreTrimsTornTail(t *testing.T) {
 
 	// First recovery discards the tail and keeps journaling.
 	back, m2 := restoreOne(t, dir)
-	if _, err := back.ApplyDeltas(stream.Batch{stream.AppendRows([]string{"10002", "NY", "21112", "NY"})}); err != nil {
+	if _, err := back.ApplyDeltasCtx(context.Background(), stream.Batch{stream.AppendRows([]string{"10002", "NY", "21112", "NY"})}); err != nil {
 		t.Fatal(err)
 	}
 	wantRows := back.Table.NumRows()
@@ -433,7 +433,7 @@ func TestBackupAccessors(t *testing.T) {
 	if tail, err := m.WALTail(se.ID); err != nil || tail != nil {
 		t.Fatalf("tail before any journal: %d bytes, err %v", len(tail), err)
 	}
-	if _, err := se.ApplyDeltas(stream.Batch{stream.AppendRows([]string{"90002", "SD", "85125", "CA"})}); err != nil {
+	if _, err := se.ApplyDeltasCtx(context.Background(), stream.Batch{stream.AppendRows([]string{"90002", "SD", "85125", "CA"})}); err != nil {
 		t.Fatal(err)
 	}
 	snap, ok, err := m.Snapshot(se.ID)

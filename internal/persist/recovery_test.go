@@ -182,7 +182,7 @@ func (r *recoveryRun) step() (acked bool) {
 	seg := r.m.segPath(r.se.ID, ws.active)
 	ws.mu.Unlock()
 	before := fileSize(seg)
-	diff, err := r.se.ApplyDeltas(batch)
+	diff, err := r.se.ApplyDeltasCtx(context.Background(), batch)
 	if err != nil {
 		if diff != nil {
 			r.t.Fatalf("batch applied (seq %d) but not acknowledged: %v", diff.Seq, err)

@@ -43,7 +43,7 @@ func shardBatches(t *testing.T, se *core.Session) {
 		{stream.AppendRows([]string{"85777", "LA", "21112", "NY"}), stream.DeleteRows(1)},
 	}
 	for i, b := range batches {
-		if _, err := se.ApplyDeltas(b); err != nil {
+		if _, err := se.ApplyDeltasCtx(context.Background(), b); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 	}
@@ -90,7 +90,7 @@ func TestShardedSessionJournalsOneWAL(t *testing.T) {
 		t.Fatalf("WAL not reset by checkpoint (size %d)", size)
 	}
 	// Journaling continues cleanly after the reset.
-	if _, err := se.ApplyDeltas(stream.Batch{stream.UpdateCell(0, "state", "NV")}); err != nil {
+	if _, err := se.ApplyDeltasCtx(context.Background(), stream.Batch{stream.UpdateCell(0, "state", "NV")}); err != nil {
 		t.Fatal(err)
 	}
 	if st, _ := m.Status(se.ID); st.WALRecords != 1 || st.CheckpointSeq != 3 {
@@ -138,7 +138,7 @@ func TestShardedCrashRecoveryRoundTrip(t *testing.T) {
 			if st := back.EngineStats(); st.Kind != "sharded" || st.Sharded == nil || st.Sharded.Shards != k {
 				t.Fatalf("restored engine stats = %+v", st)
 			}
-			if _, err := back.ApplyDeltas(stream.Batch{stream.UpdateCell(0, "state", "FL")}); err != nil {
+			if _, err := back.ApplyDeltasCtx(context.Background(), stream.Batch{stream.UpdateCell(0, "state", "FL")}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -199,7 +199,7 @@ func TestShardedJournalFsync(t *testing.T) {
 	if err := se.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := se.ApplyDeltas(stream.Batch{stream.AppendRows([]string{"90001", "SF", "85125", "CA"})}); err != nil {
+	if _, err := se.ApplyDeltasCtx(context.Background(), stream.Batch{stream.AppendRows([]string{"90001", "SF", "85125", "CA"})}); err != nil {
 		t.Fatal(err)
 	}
 	wantVio := mustJSON(t, se.Violations)

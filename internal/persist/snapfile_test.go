@@ -69,7 +69,7 @@ func TestCheckpointWritesOnlyOwnSession(t *testing.T) {
 	sessions, m := newSessions(t, dir, 8)
 	defer m.Close()
 	for _, se := range sessions {
-		if _, err := se.ApplyDeltas(stream.Batch{stream.AppendRows([]string{"90002", "SD", "85125", "CA"})}); err != nil {
+		if _, err := se.ApplyDeltasCtx(context.Background(), stream.Batch{stream.AppendRows([]string{"90002", "SD", "85125", "CA"})}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -110,7 +110,7 @@ func TestRestoreConcurrent(t *testing.T) {
 	sessions, m := newSessions(t, dir, 8)
 	want := map[string]string{}
 	for _, se := range sessions {
-		if _, err := se.ApplyDeltas(stream.Batch{stream.UpdateCell(0, "city", "SF")}); err != nil {
+		if _, err := se.ApplyDeltasCtx(context.Background(), stream.Batch{stream.UpdateCell(0, "city", "SF")}); err != nil {
 			t.Fatal(err)
 		}
 		want[se.ID] = mustJSON(t, se.Violations)

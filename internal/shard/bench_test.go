@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strconv"
@@ -108,7 +109,7 @@ func BenchmarkShardApply(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				row := []string{fmt.Sprintf("850%07d", i), "FL"}
-				if _, err := c.Apply(stream.Batch{stream.AppendRows(row)}); err != nil {
+				if _, err := c.ApplyCtx(context.Background(), stream.Batch{stream.AppendRows(row)}); err != nil {
 					b.Fatal(err)
 				}
 			}

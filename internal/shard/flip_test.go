@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -53,12 +54,12 @@ func TestFlipHeavyReplayEquivalenceAcrossShards(t *testing.T) {
 					vs := c.Violations()
 					handed = append(handed, held{vs, mustJSON(t, vs)})
 					batch := stream.Batch{flipOp(rng, tbl.NumRows())}
-					diff, err := c.Apply(batch)
+					diff, err := c.ApplyCtx(context.Background(), batch)
 					if err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}
 					assertMerged(t, c, tbl, rules)
-					rdiff, err := replica.Apply(batch)
+					rdiff, err := replica.ApplyCtx(context.Background(), batch)
 					if err != nil {
 						t.Fatalf("step %d: replica: %v", step, err)
 					}

@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 
+	"github.com/anmat/anmat/internal/detect"
 	"github.com/anmat/anmat/internal/pfd"
 	"github.com/anmat/anmat/internal/stream"
 	"github.com/anmat/anmat/internal/table"
@@ -110,8 +111,9 @@ type LocalNode struct {
 	globalOf []int
 }
 
-// NewLocalNode bootstraps an in-process shard node from its boot state.
-// The bootstrap costs one detection pass over the sub-table.
+// NewLocalNode bootstraps an in-process shard node from its boot state:
+// its engine boots from a fresh detector over the sub-table, so the cost
+// follows the sub-table's distinct values.
 func NewLocalNode(boot NodeBoot, rules []*pfd.PFD) (*LocalNode, error) {
 	if len(boot.Rows) != len(boot.GlobalOf) {
 		return nil, fmt.Errorf("shard node: %d rows but %d mapping entries", len(boot.Rows), len(boot.GlobalOf))
@@ -122,7 +124,7 @@ func NewLocalNode(boot NodeBoot, rules []*pfd.PFD) (*LocalNode, error) {
 	}
 	n := &LocalNode{t: t, globalOf: append([]int(nil), boot.GlobalOf...)}
 	shardID, of := boot.Shard, boot.Of
-	eng, err := stream.NewEngineOpts(t, rules, stream.EngineOptions{
+	eng, err := stream.NewEngineOpts(detect.New(t, detect.Options{}), rules, stream.EngineOptions{
 		LogCap:    1, // the coordinator keeps the Since log; shard logs are unused
 		KeyFilter: func(key string) bool { return Owner(key, of) == shardID },
 		GlobalID:  func(local int) int { return n.globalOf[local] },

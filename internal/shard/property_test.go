@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -128,7 +129,7 @@ func replayOnce(t *testing.T, k int, rng *rand.Rand) {
 				}
 			}
 		}
-		diff, err := c.Apply(batch)
+		diff, err := c.ApplyCtx(context.Background(), batch)
 		if err != nil {
 			// Random scripts can produce out-of-range ops when a delete
 			// precedes an update in the same batch; a rejected batch must
@@ -140,7 +141,7 @@ func replayOnce(t *testing.T, k int, rng *rand.Rand) {
 
 		// The single-engine replica must accept the batch too, and land on
 		// the same bytes.
-		rdiff, err := replica.Apply(batch)
+		rdiff, err := replica.ApplyCtx(context.Background(), batch)
 		if err != nil {
 			t.Fatalf("step %d: replica rejected a batch the coordinator accepted: %v", step, err)
 		}

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -23,7 +24,7 @@ func TestCoordinatorConcurrency(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				_, err := c.Apply(stream.Batch{stream.AppendRows(
+				_, err := c.ApplyCtx(context.Background(), stream.Batch{stream.AppendRows(
 					[]string{fmt.Sprintf("850%07d", w*1000+i), "FL", "r"},
 				)})
 				if err != nil {

@@ -510,16 +510,15 @@ type Config struct {
 	// the transport's own retries); see RecoverFunc. nil poisons the
 	// coordinator on the first node failure.
 	Recover RecoverFunc
-	// Journal, when set, receives every batch — Apply and Replay alike —
-	// after validation (and after the write-ahead sink on Apply), before
-	// translation. It is the coordinator's own failover journal, distinct
+	// Journal, when set, receives every batch after validation (and after
+	// the write-ahead sink), before translation. It is the coordinator's own failover journal, distinct
 	// from the session-durability sink installed via SetSink.
 	Journal func(ctx context.Context, seq int64, batch stream.Batch) error
 }
 
 // Coordinator fans one table's delta stream out over K shard nodes and
 // maintains the merged global violation set. It implements the same
-// incremental-detection surface as stream.Engine (Apply/Replay/
+// incremental-detection surface as stream.Engine (ApplyCtx/
 // Violations/Since/Seq/Stale/SetSink) and is safe for concurrent use;
 // batches serialize on an internal lock.
 type Coordinator struct {
@@ -553,9 +552,8 @@ type Coordinator struct {
 
 // NewFrom builds a coordinator with K in-process shards over the table's
 // current contents, starting at sequence number baseSeq (see
-// stream.NewEngineFrom for the cursor-continuity contract). Like a
-// single engine's, the bootstrap costs about one full detection pass —
-// but split across the shards, which bootstrap their engines in parallel.
+// stream.NewEngineFrom for the cursor-continuity contract). The shards
+// bootstrap their engines in parallel, each over its own sub-table.
 func NewFrom(t *table.Table, rules []*pfd.PFD, k int, baseSeq int64) (*Coordinator, error) {
 	return NewWith(t, rules, k, Config{BaseSeq: baseSeq})
 }
@@ -673,7 +671,7 @@ func (c *Coordinator) Stale() bool {
 // SetSink installs the write-ahead journal hook, called with the global
 // batch and the sequence number it is about to receive — after
 // validation, before any shard is touched. A sink error aborts the batch
-// with nothing applied anywhere. Replay bypasses it. Pass nil to detach.
+// with nothing applied anywhere. Pass nil to detach.
 func (c *Coordinator) SetSink(fn func(ctx context.Context, seq int64, batch stream.Batch) error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -698,36 +696,19 @@ func (c *Coordinator) Since(seq int64) (*stream.Diff, error) {
 	return c.log.Merge(seq, c.seq, c.t.NumRows())
 }
 
-// Apply validates the batch against the global table, journals it through
-// the sink (when one is set), fans it out to the owning shards, and
-// returns the merged global violation diff. On a validation or journaling
-// error nothing is applied.
-func (c *Coordinator) Apply(batch stream.Batch) (*stream.Diff, error) {
-	return c.apply(context.Background(), batch, true)
-}
-
-// ApplyCtx is Apply carrying the caller's context: the fan-out and
-// per-shard apply spans (and, for remote nodes, the RPC spans) join the
-// context's active trace.
-func (c *Coordinator) ApplyCtx(ctx context.Context, batch stream.Batch) (*stream.Diff, error) {
-	return c.apply(ctx, batch, true)
-}
-
-// Replay is Apply without the session-durability sink — the recovery
-// path, replaying batches read back from the write-ahead log. The
-// coordinator's own Journal hook still runs: replayed batches are part of
-// its failover timeline.
-func (c *Coordinator) Replay(batch stream.Batch) (*stream.Diff, error) {
-	return c.apply(context.Background(), batch, false)
-}
-
 // shardDiffs is one shard's globalized per-op diffs for one batch.
 type shardDiffs struct {
 	shard int
 	diffs []*stream.Diff
 }
 
-func (c *Coordinator) apply(ctx context.Context, batch stream.Batch, journal bool) (*stream.Diff, error) {
+// ApplyCtx validates the batch against the global table, journals it
+// through the sink (when one is set), fans it out to the owning shards,
+// and returns the merged global violation diff. On a validation or
+// journaling error nothing is applied. The fan-out and per-shard apply
+// spans (and, for remote nodes, the RPC spans) join the context's active
+// trace.
+func (c *Coordinator) ApplyCtx(ctx context.Context, batch stream.Batch) (*stream.Diff, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.broken {
@@ -740,7 +721,7 @@ func (c *Coordinator) apply(ctx context.Context, batch stream.Batch, journal boo
 		return nil, fmt.Errorf("shard: invalid batch: %w", err)
 	}
 	seq := c.seq + 1
-	if journal && c.sink != nil {
+	if c.sink != nil {
 		if err := c.sink(ctx, seq, batch); err != nil {
 			return nil, fmt.Errorf("shard: journal batch %d: %w", seq, err)
 		}

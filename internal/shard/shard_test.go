@@ -110,7 +110,7 @@ func TestDeltasMatchFullDetection(t *testing.T) {
 				{stream.AppendRows([]string{"8501111111", "FL", "j"}), stream.UpdateCell(0, "state", "AL"), stream.DeleteRows(3)},
 			}
 			for i, b := range batches {
-				if _, err := c.Apply(b); err != nil {
+				if _, err := c.ApplyCtx(context.Background(), b); err != nil {
 					t.Fatalf("batch %d: %v", i, err)
 				}
 				assertMerged(t, c, tbl, rules)
@@ -134,7 +134,7 @@ func TestKeyMoveAcrossShards(t *testing.T) {
 	}
 	before := fmt.Sprint(c.tr.rows[0].locals)
 	// 850… → 212…: the variable row's key moves from block "850" to "212".
-	if _, err := c.Apply(stream.Batch{stream.UpdateCell(0, "phone", "2120007777")}); err != nil {
+	if _, err := c.ApplyCtx(context.Background(), stream.Batch{stream.UpdateCell(0, "phone", "2120007777")}); err != nil {
 		t.Fatal(err)
 	}
 	assertMerged(t, c, tbl, rules)
@@ -148,7 +148,7 @@ func TestKeyMoveAcrossShards(t *testing.T) {
 		}
 	}
 	// And back, plus a conflicting value, to exercise re-migration.
-	if _, err := c.Apply(stream.Batch{stream.UpdateCell(0, "phone", "8500007777"), stream.UpdateCell(0, "state", "NV")}); err != nil {
+	if _, err := c.ApplyCtx(context.Background(), stream.Batch{stream.UpdateCell(0, "phone", "8500007777"), stream.UpdateCell(0, "state", "NV")}); err != nil {
 		t.Fatal(err)
 	}
 	assertMerged(t, c, tbl, rules)
@@ -165,7 +165,7 @@ func TestDeleteSpanningShards(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.Apply(stream.Batch{stream.DeleteRows(0, 3, 6)}); err != nil {
+			if _, err := c.ApplyCtx(context.Background(), stream.Batch{stream.DeleteRows(0, 3, 6)}); err != nil {
 				t.Fatal(err)
 			}
 			assertMerged(t, c, tbl, rules)
@@ -211,7 +211,7 @@ func TestCoordinatorSinceAndDiffs(t *testing.T) {
 		{stream.DeleteRows(2)},
 	}
 	for i, b := range batches {
-		diff, err := c.Apply(b)
+		diff, err := c.ApplyCtx(context.Background(), b)
 		if err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
@@ -255,7 +255,7 @@ func TestCoordinatorStaleAndBadBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Apply(stream.Batch{stream.UpdateCell(99, "state", "FL")}); err == nil {
+	if _, err := c.ApplyCtx(context.Background(), stream.Batch{stream.UpdateCell(99, "state", "FL")}); err == nil {
 		t.Fatal("out-of-range update must be rejected")
 	}
 	// A rejected batch changes nothing.
@@ -264,7 +264,7 @@ func TestCoordinatorStaleAndBadBatch(t *testing.T) {
 	if !c.Stale() {
 		t.Fatal("externally mutated table must mark the coordinator stale")
 	}
-	if _, err := c.Apply(stream.Batch{stream.UpdateCell(0, "state", "FL")}); err == nil {
+	if _, err := c.ApplyCtx(context.Background(), stream.Batch{stream.UpdateCell(0, "state", "FL")}); err == nil {
 		t.Fatal("stale coordinator must refuse batches")
 	}
 }
@@ -323,8 +323,8 @@ func TestOwnerDeterministicAndInRange(t *testing.T) {
 // TestCoordinatorSinkWriteAhead pins the coordinator's two journal hooks
 // (the stream.Engine contract, see stream's TestSinkWriteAhead): the
 // session sink sees every applied batch with its seq before anything
-// mutates and its error aborts the batch untouched; Replay bypasses the
-// sink; the coordinator's own Journal hook sees Apply and Replay alike.
+// mutates and its error aborts the batch untouched; a detached sink is
+// bypassed; the coordinator's own Journal hook sees every applied batch.
 func TestCoordinatorSinkWriteAhead(t *testing.T) {
 	tbl, rules := testTable(), testRules()
 	var journaled []int64
@@ -363,18 +363,19 @@ func TestCoordinatorSinkWriteAhead(t *testing.T) {
 		t.Fatalf("sink calls = %+v, want one at seq 11 seeing %d rows (write-ahead)", calls, rows)
 	}
 	fail = true
-	if _, err := c.Apply(stream.Batch{stream.AppendRows([]string{"8503334444", "TX", "i"})}); err == nil {
-		t.Fatal("Apply should surface the sink error")
+	if _, err := c.ApplyCtx(context.Background(), stream.Batch{stream.AppendRows([]string{"8503334444", "TX", "i"})}); err == nil {
+		t.Fatal("ApplyCtx should surface the sink error")
 	}
 	if tbl.NumRows() != rows+1 || c.Seq() != 11 {
 		t.Fatalf("failed journal mutated state: %d rows, seq %d", tbl.NumRows(), c.Seq())
 	}
-	// Replay bypasses the (still failing) sink but advances like Apply.
-	if _, err := c.Replay(stream.Batch{stream.AppendRows([]string{"8503334444", "TX", "i"})}); err != nil {
+	// A detached sink is bypassed: the batch advances like any other.
+	c.SetSink(nil)
+	if _, err := c.ApplyCtx(context.Background(), stream.Batch{stream.AppendRows([]string{"8503334444", "TX", "i"})}); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.NumRows() != rows+2 || c.Seq() != 12 {
-		t.Fatalf("replay: %d rows, seq %d", tbl.NumRows(), c.Seq())
+	if len(calls) != 1 || tbl.NumRows() != rows+2 || c.Seq() != 12 {
+		t.Fatalf("detached sink: calls %+v, %d rows, seq %d", calls, tbl.NumRows(), c.Seq())
 	}
 	if mustJSON(t, journaled) != "[11,12]" {
 		t.Fatalf("coordinator journal saw seqs %v, want [11 12] (the sink-refused batch never reached it)", journaled)

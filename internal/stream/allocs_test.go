@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -61,7 +62,7 @@ func TestPointDeltaAllocs(t *testing.T) {
 				Batch{UpdateCell(lone, "state", []string{"AL", "AK"}[i%2])})
 		}
 		apply := func(b Batch) {
-			diff, err := eng.Apply(b)
+			diff, err := eng.ApplyCtx(context.Background(), b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +78,7 @@ func TestPointDeltaAllocs(t *testing.T) {
 		next = 1
 		updateAllocs = testing.AllocsPerRun(runs, func() { apply(batches[next]); next += 2 })
 		deleteAllocs := testing.AllocsPerRun(runs/4, func() {
-			if _, err := eng.Apply(Batch{DeleteRows(0)}); err != nil {
+			if _, err := eng.ApplyCtx(context.Background(), Batch{DeleteRows(0)}); err != nil {
 				t.Fatal(err)
 			}
 		})

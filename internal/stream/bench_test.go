@@ -72,7 +72,7 @@ func BenchmarkStreamAppend(b *testing.B) {
 					rows[j] = benchRow(next)
 					next++
 				}
-				if _, err := eng.Apply(Batch{AppendRows(rows...)}); err != nil {
+				if _, err := eng.ApplyCtx(context.Background(), Batch{AppendRows(rows...)}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -112,7 +112,7 @@ func BenchmarkStreamRepair(b *testing.B) {
 			if i%2 == 1 {
 				state = benchAreas[0].state
 			}
-			if _, err := eng.Apply(Batch{UpdateCell(0, "state", state)}); err != nil {
+			if _, err := eng.ApplyCtx(context.Background(), Batch{UpdateCell(0, "state", state)}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -134,4 +134,29 @@ func BenchmarkStreamRepair(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkEngineBootstrap measures a cold engine bootstrap
+// (NewEngineFrom: a fresh detector, then the engine) over 50k rows whose
+// phone column holds 50k distinct values against one that holds 50: the
+// bootstrap works per distinct value, so the second should be far cheaper.
+func BenchmarkEngineBootstrap(b *testing.B) {
+	for _, c := range []struct {
+		name     string
+		distinct int
+	}{{"distinct50k", 50000}, {"distinct50", 50}} {
+		b.Run(c.name, func(b *testing.B) {
+			tbl := table.MustNew("Phone", []string{"phone", "state"})
+			for i := 0; i < 50000; i++ {
+				tbl.MustAppend(benchRow(i % c.distinct)...)
+			}
+			rules := benchRules()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewEngineFrom(tbl, rules, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

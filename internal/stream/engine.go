@@ -2,10 +2,11 @@
 // engine that maintains the violation set of a rule set over a mutating
 // table without re-running full detection.
 //
-// An Engine is built once over a table and a fixed set of PFDs. Batched
-// deltas (AppendRows, UpdateCell, DeleteRows) flow through Apply, which
-// updates the table (dictionary-coded columns, table.Interned), the
-// per-block majority state of every variable tableau row, and the
+// An Engine is built once over a table and a fixed set of PFDs, booting
+// from a detect.Detector's per-distinct-value products — the ones a
+// session's upload already computed. Batched deltas (AppendRows,
+// UpdateCell, DeleteRows) flow through ApplyCtx, which updates the table
+// (dictionary-coded columns, table.Interned), the per-block majority state of every variable tableau row, and the
 // materialized violation set — touching only the constant-row tuples and
 // the block memberships a delta changes. The maintained invariant,
 // property-tested by replaying random delta scripts against full
@@ -33,7 +34,7 @@
 // Each applied batch advances a sequence number and appends its Diff to a
 // bounded log, so clients can poll "what changed since seq s" (Since)
 // without re-reading the full set; the log also carries the sorted full
-// set, patched by each diff. An Engine is safe for concurrent use; Apply
+// set, patched by each diff. An Engine is safe for concurrent use;
 // batches serialize on an internal lock.
 package stream
 
@@ -243,10 +244,10 @@ type Engine struct {
 	keyFilter func(key string) bool
 	globalID  func(local int) int
 
-	// sink, when set, is the write-ahead journal hook: Apply calls it with
-	// the batch and the sequence number the batch will receive, after
+	// sink, when set, is the write-ahead journal hook: ApplyCtx calls it
+	// with the batch and the sequence number the batch will receive, after
 	// validation but before any mutation. A sink error aborts the batch
-	// untouched. Replay never calls it.
+	// untouched.
 	sink func(ctx context.Context, seq int64, batch Batch) error
 }
 
@@ -272,16 +273,16 @@ type EngineOptions struct {
 	// disagrees with the global one (rows migrate in at the end of the
 	// local table) must evaluate in global order to report exactly the
 	// pairs a whole-table detection would. The mapping is consulted
-	// during Apply for the rows it touches and must reflect the table
+	// during ApplyCtx for the rows it touches and must reflect the table
 	// state the current operation leads to; two live rows never swap
 	// order. nil means local order.
 	GlobalID func(local int) int
 }
 
 // NewEngineFrom bootstraps an engine over the table's current contents,
-// starting at sequence number baseSeq. The rule set is fixed for the
-// engine's lifetime; build a new engine to change it. The bootstrap costs
-// about one full detection pass. After it an append or a cell update
+// starting at sequence number baseSeq: NewEngineOpts over a fresh
+// detector. The rule set is fixed for the engine's lifetime; build a new
+// engine to change it. After the bootstrap an append or a cell update
 // costs in proportion to the memberships and violations it changes (plus
 // one copy of the sorted set when it changes any), not to the blocks it
 // touches — unless it moves a block's majority or witness, which
@@ -292,14 +293,23 @@ type EngineOptions struct {
 // fresh (empty) diff log and resolve to a reset snapshot instead of an
 // out-of-range error.
 func NewEngineFrom(t *table.Table, rules []*pfd.PFD, baseSeq int64) (*Engine, error) {
-	return NewEngineOpts(t, rules, EngineOptions{BaseSeq: baseSeq})
+	return NewEngineOpts(detect.New(t, detect.Options{}), rules, EngineOptions{BaseSeq: baseSeq})
 }
 
-// NewEngineOpts is NewEngineFrom with the full option set.
-func NewEngineOpts(t *table.Table, rules []*pfd.PFD, opts EngineOptions) (*Engine, error) {
-	// One span per bootstrap — the detection-pass-equivalent cost every
-	// later delta amortizes; per-row work stays uninstrumented.
+// NewEngineOpts bootstraps an engine over the detector's table with the
+// full option set. Its initial state is the detector's per-distinct-value
+// products: constant tableau rows seed their verdict memo from
+// MatchVerdicts and reference each ConstantHits row; variable rows file
+// the rows of every Block the KeyFilter accepts and derive each block
+// once. The engine keeps nothing of the detector, which must not be stale.
+func NewEngineOpts(d *detect.Detector, rules []*pfd.PFD, opts EngineOptions) (*Engine, error) {
+	// One span per bootstrap — the cost every later delta amortizes;
+	// per-row work stays uninstrumented.
 	defer obs.Span(context.Background(), "stream.bootstrap")()
+	if d.Stale() {
+		return nil, fmt.Errorf("stream: detector predates the table's last mutation")
+	}
+	t := d.Table()
 	e := &Engine{
 		t:         t,
 		rules:     rules,
@@ -337,41 +347,26 @@ func NewEngineOpts(t *table.Table, rules []*pfd.PFD, opts EngineOptions) (*Engin
 				srcs[ident] = int32(len(srcs))
 			}
 			rs.src[tri] = srcs[ident]
-			if row.Variable() {
-				rs.blocks[tri] = make(map[string]*block)
-			} else {
-				rs.verd[tri] = &intern.Verdicts{}
-			}
-		}
-		e.rs = append(e.rs, rs)
-	}
-
-	// Bootstrap the maintained state over the coded columns. Constant
-	// rows compare RHS IDs against the interned constant wherever the LHS
-	// matches; variable rows file each tuple under its RHS group in every
-	// block its LHS extracts, then derive each block once.
-	for _, rs := range e.rs {
-		liv, riv := rs.liv, rs.riv
-		for tri, row := range rs.rows {
 			if !row.Variable() {
-				constID, haveConst := riv.Dict.Lookup(row.RHS)
-				for r, id := range liv.IDs {
-					if rs.matches(tri, id) && (!haveConst || riv.IDs[r] != constID) {
-						e.refConst(rs, tri, r)
-					}
+				rs.verd[tri] = intern.VerdictsOf(d.MatchVerdicts(li, rs.emb[tri]))
+				for _, r := range d.ConstantHits(row, li, ri) {
+					e.refConst(rs, tri, r)
 				}
 				continue
 			}
-			for r, id := range liv.IDs {
-				for _, key := range e.extract(row, liv.Dict.Value(id)) {
-					b := rs.block(tri, key)
-					e.insert(b, b.groupFor(riv.IDs[r]), r)
+			rs.blocks[tri] = make(map[string]*block)
+			for _, db := range d.Blocks(li, row.LHS) {
+				if e.keyFilter != nil && !e.keyFilter(db.Key) {
+					continue
 				}
-			}
-			for _, b := range rs.blocks[tri] {
+				b := rs.block(tri, db.Key)
+				for _, r := range db.Rows {
+					e.insert(b, b.groupFor(rs.riv.IDs[r]), r)
+				}
 				e.rebuild(rs, tri, b)
 			}
 		}
+		e.rs = append(e.rs, rs)
 	}
 	// Bootstrap's own "diff" adds the whole set, sorted: the log's base.
 	e.log = NewDiffLog(opts.LogCap, e.finalize().Added)
@@ -444,12 +439,12 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// SetSink installs the write-ahead journal hook: a function Apply calls —
-// under the engine lock, after validating the batch, before mutating
-// anything — with the batch and the sequence number it is about to
-// receive. A sink error aborts the batch with nothing applied, so a batch
-// is never in memory without being durably journaled first. Replay
-// bypasses the sink (replayed batches are already in the journal).
+// SetSink installs the write-ahead journal hook: a function ApplyCtx
+// calls — under the engine lock, after validating the batch, before
+// mutating anything — with the batch and the sequence number it is about
+// to receive. A sink error aborts the batch with nothing applied, so a
+// batch is never in memory without being durably journaled first. A
+// recovery replaying the journal applies before it installs a sink.
 // Pass nil to detach.
 func (e *Engine) SetSink(fn func(ctx context.Context, seq int64, batch Batch) error) {
 	e.mu.Lock()
@@ -457,30 +452,13 @@ func (e *Engine) SetSink(fn func(ctx context.Context, seq int64, batch Batch) er
 	e.sink = fn
 }
 
-// Apply validates the batch, journals it through the sink (when one is
+// ApplyCtx validates the batch, journals it through the sink (when one is
 // set), applies it atomically, and returns the violation diff. On a
 // validation or journaling error nothing is applied. Applying to a stale
-// engine (table mutated externally) fails.
-func (e *Engine) Apply(batch Batch) (*Diff, error) {
-	return e.apply(context.Background(), batch, true)
-}
-
-// ApplyCtx is Apply carrying the caller's context: the apply span (and
-// the journal sink's spans under it) join the context's active trace,
-// so a server request's trace shows where the batch spent its time.
+// engine (table mutated externally) fails. The apply span (and the
+// journal sink's spans under it) join the context's active trace, so a
+// server request's trace shows where the batch spent its time.
 func (e *Engine) ApplyCtx(ctx context.Context, batch Batch) (*Diff, error) {
-	return e.apply(ctx, batch, true)
-}
-
-// Replay is Apply without the journal hook: the recovery path uses it to
-// re-apply batches read back from the write-ahead log, which must not be
-// journaled a second time. Diffs still land in the Since log, so cursors
-// spanning replayed batches resolve exactly.
-func (e *Engine) Replay(batch Batch) (*Diff, error) {
-	return e.apply(context.Background(), batch, false)
-}
-
-func (e *Engine) apply(ctx context.Context, batch Batch, journal bool) (*Diff, error) {
 	ctx, endSpan := obs.StartSpan(ctx, "stream.apply")
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -494,7 +472,7 @@ func (e *Engine) apply(ctx context.Context, batch Batch, journal bool) (*Diff, e
 		return nil, err
 	}
 	obs.SetSpanAttrs(ctx, "seq", strconv.FormatInt(e.seq+1, 10), "ops", strconv.Itoa(len(batch)))
-	if journal && e.sink != nil {
+	if e.sink != nil {
 		if err := e.sink(ctx, e.seq+1, batch); err != nil {
 			err = fmt.Errorf("stream: journal batch %d: %w", e.seq+1, err)
 			endSpan(err)

@@ -88,7 +88,7 @@ func TestEngineAppendUpdateDelete(t *testing.T) {
 
 	// Append a dirty row: violates the constant rule and conflicts with
 	// the 850 block of the variable rule.
-	diff, err := e.Apply(Batch{AppendRows([]string{"8509999999", "GA", "x"})})
+	diff, err := e.ApplyCtx(context.Background(), Batch{AppendRows([]string{"8509999999", "GA", "x"})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestEngineAppendUpdateDelete(t *testing.T) {
 	assertMaintained(t, e, tbl, rules)
 
 	// Repair the dirty cell: the violations disappear.
-	diff, err = e.Apply(Batch{UpdateCell(5, "state", "FL")})
+	diff, err = e.ApplyCtx(context.Background(), Batch{UpdateCell(5, "state", "FL")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestEngineAppendUpdateDelete(t *testing.T) {
 	assertMaintained(t, e, tbl, rules)
 
 	// A no-op update produces an empty diff but still advances the seq.
-	diff, err = e.Apply(Batch{UpdateCell(5, "state", "FL")})
+	diff, err = e.ApplyCtx(context.Background(), Batch{UpdateCell(5, "state", "FL")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +121,11 @@ func TestEngineAppendUpdateDelete(t *testing.T) {
 
 	// Make row 2 dirty, then delete it: the delete removes its violations
 	// and renumbers the survivors.
-	if _, err := e.Apply(Batch{UpdateCell(2, "state", "NJ")}); err != nil {
+	if _, err := e.ApplyCtx(context.Background(), Batch{UpdateCell(2, "state", "NJ")}); err != nil {
 		t.Fatal(err)
 	}
 	assertMaintained(t, e, tbl, rules)
-	diff, err = e.Apply(Batch{DeleteRows(2)})
+	diff, err = e.ApplyCtx(context.Background(), Batch{DeleteRows(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestEngineAppendUpdateDelete(t *testing.T) {
 	_ = diff
 
 	// Mixed batch: append, update, and delete in one atomic unit.
-	_, err = e.Apply(Batch{
+	_, err = e.ApplyCtx(context.Background(), Batch{
 		AppendRows([]string{"2120000000", "CT", "y"}, []string{"8500000001", "FL", "z"}),
 		UpdateCell(0, "phone", "2125550000"),
 		DeleteRows(1, 3),
@@ -165,7 +165,7 @@ func TestEngineValidation(t *testing.T) {
 		{DeleteRows(0, 1, 2, 3, 4), UpdateCell(0, "state", "FL")}, // update after full delete
 	}
 	for i, b := range cases {
-		if _, err := e.Apply(b); err == nil {
+		if _, err := e.ApplyCtx(context.Background(), b); err == nil {
 			t.Errorf("case %d: batch should be rejected: %+v", i, b)
 		}
 	}
@@ -190,7 +190,7 @@ func TestEngineStale(t *testing.T) {
 	if !e.Stale() {
 		t.Fatal("external mutation must mark the engine stale")
 	}
-	if _, err := e.Apply(Batch{UpdateCell(0, "state", "FL")}); err == nil {
+	if _, err := e.ApplyCtx(context.Background(), Batch{UpdateCell(0, "state", "FL")}); err == nil {
 		t.Error("stale engine must refuse deltas")
 	}
 }
@@ -203,13 +203,13 @@ func TestEngineSince(t *testing.T) {
 		t.Fatal(err)
 	}
 	// seq 1: add a dirty row. seq 2: fix it. seq 3: add another.
-	if _, err := e.Apply(Batch{AppendRows([]string{"8509999999", "GA", "x"})}); err != nil {
+	if _, err := e.ApplyCtx(context.Background(), Batch{AppendRows([]string{"8509999999", "GA", "x"})}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Apply(Batch{UpdateCell(5, "state", "FL")}); err != nil {
+	if _, err := e.ApplyCtx(context.Background(), Batch{UpdateCell(5, "state", "FL")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Apply(Batch{AppendRows([]string{"2129999999", "MA", "y"})}); err != nil {
+	if _, err := e.ApplyCtx(context.Background(), Batch{AppendRows([]string{"2129999999", "MA", "y"})}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -270,12 +270,12 @@ func TestEngineSince(t *testing.T) {
 
 func TestEngineSinceReset(t *testing.T) {
 	tbl := streamTable()
-	e, err := NewEngineOpts(tbl, streamRules(), EngineOptions{LogCap: 2})
+	e, err := NewEngineOpts(detect.New(tbl, detect.Options{}), streamRules(), EngineOptions{LogCap: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := e.Apply(Batch{AppendRows([]string{"2125550000", "NY", "n"})}); err != nil {
+		if _, err := e.ApplyCtx(context.Background(), Batch{AppendRows([]string{"2125550000", "NY", "n"})}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -323,7 +323,7 @@ func TestEngineNormalizesCRLFCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Apply(Batch{
+	if _, err := e.ApplyCtx(context.Background(), Batch{
 		AppendRows([]string{"8501112222", "FL", "a\r\r\nb"}),
 		UpdateCell(0, "note", "x\r\ny"),
 	}); err != nil {

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -45,7 +46,7 @@ func TestFlipHeavyReplayEquivalence(t *testing.T) {
 			for step := 0; step < 250; step++ {
 				vs := e.Violations()
 				handed = append(handed, held{vs, mustJSON(t, vs)})
-				if _, err := e.Apply(Batch{flipOp(rng, tbl.NumRows())}); err != nil {
+				if _, err := e.ApplyCtx(context.Background(), Batch{flipOp(rng, tbl.NumRows())}); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
 				assertMaintained(t, e, tbl, rules)

@@ -10,7 +10,7 @@ import "github.com/anmat/anmat/internal/obs"
 
 var (
 	applyDur = obs.Default.NewHistogram("anmat_stream_apply_duration_seconds",
-		"Engine.Apply batch latency (validation, mutation, diff maintenance).",
+		"Engine.ApplyCtx batch latency (validation, mutation, diff maintenance).",
 		obs.DurationBuckets)
 	opsAppend = obs.Default.NewCounterVec("anmat_stream_delta_ops_total",
 		"Delta operations applied, by kind.", "op").WithLabelValues("append")

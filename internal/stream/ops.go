@@ -75,7 +75,7 @@ type Diff struct {
 }
 
 // ValidateBatch checks a batch against a table without applying it — the
-// same validation Engine.Apply performs before mutating anything. The
+// same validation Engine.ApplyCtx performs before mutating anything. The
 // sharding coordinator validates incoming batches against the global
 // table with it before translating them into per-shard operations.
 func ValidateBatch(t *table.Table, batch Batch) error {

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -119,7 +120,7 @@ func replayOnce(t *testing.T, rng *rand.Rand) {
 		// Note: ops inside the batch see the running row count; updates and
 		// deletes generated above use the pre-batch count, so clamp the
 		// batch through validation — regenerate on rejection.
-		diff, err := e.Apply(batch)
+		diff, err := e.ApplyCtx(context.Background(), batch)
 		if err != nil {
 			// The random generator can produce out-of-range ops when a
 			// delete precedes an update in the same batch; a rejected

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -28,7 +29,7 @@ func TestConcurrentApply(t *testing.T) {
 			for i := 0; i < batches; i++ {
 				phone := fmt.Sprintf("85%02d%03d", w, i)
 				state := []string{"FL", "GA", "NY"}[i%3]
-				if _, err := e.Apply(Batch{AppendRows([]string{phone, state, "r"})}); err != nil {
+				if _, err := e.ApplyCtx(context.Background(), Batch{AppendRows([]string{phone, state, "r"})}); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}

@@ -10,7 +10,7 @@ import (
 
 // TestSinkWriteAhead pins the journal hook contract: the sink sees every
 // applied batch with the seq it receives, before mutation; a sink error
-// aborts the batch untouched; Replay bypasses the sink.
+// aborts the batch untouched; a detached sink is bypassed.
 func TestSinkWriteAhead(t *testing.T) {
 	tbl := table.MustFromRows("T", []string{"code", "city", "phone", "state"}, [][]string{
 		{"90001", "LA", "85123", "FL"},
@@ -26,15 +26,16 @@ func TestSinkWriteAhead(t *testing.T) {
 	}
 	var calls []call
 	var fail bool
-	e.SetSink(func(_ context.Context, seq int64, batch Batch) error {
+	sink := func(_ context.Context, seq int64, batch Batch) error {
 		if fail {
 			return fmt.Errorf("disk full")
 		}
 		calls = append(calls, call{seq, tbl.NumRows()})
 		return nil
-	})
+	}
+	e.SetSink(sink)
 
-	if _, err := e.Apply(Batch{AppendRows([]string{"90003", "SF", "85125", "CA"})}); err != nil {
+	if _, err := e.ApplyCtx(context.Background(), Batch{AppendRows([]string{"90003", "SF", "85125", "CA"})}); err != nil {
 		t.Fatal(err)
 	}
 	if len(calls) != 1 || calls[0].seq != 1 {
@@ -46,28 +47,30 @@ func TestSinkWriteAhead(t *testing.T) {
 
 	// A failing sink aborts the batch with nothing applied.
 	fail = true
-	if _, err := e.Apply(Batch{AppendRows([]string{"90004", "SD", "85126", "CA"})}); err == nil {
-		t.Fatal("Apply should surface the sink error")
+	if _, err := e.ApplyCtx(context.Background(), Batch{AppendRows([]string{"90004", "SD", "85126", "CA"})}); err == nil {
+		t.Fatal("ApplyCtx should surface the sink error")
 	}
 	if tbl.NumRows() != 3 || e.Seq() != 1 {
 		t.Errorf("failed journal mutated state: %d rows, seq %d", tbl.NumRows(), e.Seq())
 	}
 
-	// Replay bypasses the sink entirely (still failing — must not be hit)
-	// but advances the seq and the Since log like Apply.
-	if _, err := e.Replay(Batch{AppendRows([]string{"90004", "SD", "85126", "CA"})}); err != nil {
+	// A detached sink is bypassed entirely: the batch advances the seq and
+	// the Since log like any other.
+	e.SetSink(nil)
+	if _, err := e.ApplyCtx(context.Background(), Batch{AppendRows([]string{"90004", "SD", "85126", "CA"})}); err != nil {
 		t.Fatal(err)
 	}
 	if len(calls) != 1 {
-		t.Errorf("Replay invoked the sink: %+v", calls)
+		t.Errorf("a detached sink was invoked: %+v", calls)
 	}
 	if e.Seq() != 2 || tbl.NumRows() != 4 {
-		t.Errorf("replay state: seq %d rows %d, want 2/4", e.Seq(), tbl.NumRows())
+		t.Errorf("detached sink: seq %d rows %d, want 2/4", e.Seq(), tbl.NumRows())
 	}
 
 	// An invalid batch is rejected before it reaches the sink.
 	fail = false
-	if _, err := e.Apply(Batch{AppendRows([]string{"too", "short"})}); err == nil {
+	e.SetSink(sink)
+	if _, err := e.ApplyCtx(context.Background(), Batch{AppendRows([]string{"too", "short"})}); err == nil {
 		t.Fatal("invalid batch should fail")
 	}
 	if len(calls) != 1 {
