@@ -64,7 +64,8 @@ cluster-e2e:
 # Hostile-traffic acceptance: multi-tenant concurrent load against
 # quotas + fsync-on journal commits, crash, and byte-identical recovery —
 # plus the journal's own suite (sessions committing at once, one of them
-# failing), the admission, body-cap, and backup/restore suites and the
+# failing), invented HTTP methods against every server and worker route
+# (no new metric series), the admission, body-cap, and backup/restore suites and the
 # snapshot path's own (crash points inside a checkpoint and inside the
 # rotation behind it, injected faults on the background write, everything
 # that must wait for a write in flight, one file per checkpoint,
@@ -72,8 +73,8 @@ cluster-e2e:
 # goroutine at a point other goroutines race past, so it runs ten times
 # more to shake out whatever depends on scheduling.
 hardening:
-	$(GO) test -race -v -run 'TestHardeningMultiTenantRecovery|TestAdmission|TestConfirmEmptyBodyAndCap|TestBackupRestore|TestRestore|TestJournal|TestHTTPServerTimeouts|TestCrashRecoveryEquivalence|TestCheckpoint' \
-		./internal/server/ ./internal/persist/ ./cmd/anmat-server/
+	$(GO) test -race -v -run 'TestHardeningMultiTenantRecovery|TestAdmission|TestConfirmEmptyBodyAndCap|TestBackupRestore|TestRestore|TestJournal|TestHTTPServerTimeouts|TestCrashRecoveryEquivalence|TestCheckpoint|TestUnknownMethodsAddNoSeries' \
+		./internal/server/ ./internal/persist/ ./cmd/anmat-server/ ./internal/cluster/
 	$(GO) test -race -count=10 -run 'TestCheckpointCrashMidRotation' ./internal/persist/
 
 fuzz:
@@ -93,7 +94,7 @@ loc:
 # The size ratchet, beside CI's coverage ratchet: the tree may not grow
 # past the last reading. Lower LOC_CEILING when the tree shrinks; never
 # raise it without saying why in CHANGES.md.
-LOC_CEILING = 21557
+LOC_CEILING = 21312
 loc-check:
 	@loc=$$($(MAKE) -s loc); echo "non-test Go lines: $$loc (ceiling $(LOC_CEILING))"; [ $$loc -le $(LOC_CEILING) ]
 

@@ -84,9 +84,6 @@ type (
 	// returns: a single StreamEngine, or a sharded coordinator when the
 	// session runs with WithShards(k > 1) — byte-identical either way.
 	Streamer = core.Streamer
-	// SessionConfig is the full per-session configuration accepted by
-	// System.NewSessionWith (params, shard count, discovery override).
-	SessionConfig = core.SessionConfig
 	// ShardStats summarizes a sharded session's coordinator: the merged
 	// global state plus per-shard row/violation counts.
 	ShardStats = shard.Stats
@@ -157,12 +154,11 @@ func WithParallelism(n int) Option {
 	return func(o *options) error { o.parallelism = &n; return nil }
 }
 
-// WithShards sets the default shard count of every session's incremental
+// WithShards sets the shard count of every session's incremental
 // detection engine. With k > 1 a session's table is hash-partitioned on
 // the rule set's block keys across k per-shard engines that ingest
 // deltas independently; the merged violation set is byte-identical to
 // the single-engine one at every k. 0 or 1 keeps the single engine.
-// Override per session with SessionConfig.Shards.
 func WithShards(k int) Option {
 	return func(o *options) error {
 		if k < 0 {

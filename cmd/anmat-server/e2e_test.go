@@ -131,7 +131,7 @@ func goldenSession(t *testing.T, urls, spares []string) (*anmat.Session, *anmat.
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := sys.NewSessionWith("e2e", tbl, anmat.SessionConfig{Params: params})
+	sess := sys.NewSession("e2e", tbl, params)
 	ctx := context.Background()
 	if err := sess.RunStages(ctx, anmat.StageProfile, anmat.StageDiscovery); err != nil {
 		t.Fatal(err)

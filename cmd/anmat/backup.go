@@ -17,7 +17,7 @@ import (
 	"os"
 	"strings"
 
-	"github.com/anmat/anmat/internal/server"
+	"github.com/anmat/anmat/internal/obs"
 )
 
 // httpFail turns a non-2xx API response into an error carrying the
@@ -73,7 +73,7 @@ func cmdRestore(args []string) error {
 	fs := flag.NewFlagSet("restore", flag.ContinueOnError)
 	srv := fs.String("server", "http://localhost:8080", "anmat-server base URL")
 	in := fs.String("in", "", "backup tar to upload (required, '-' for stdin)")
-	tenant := fs.String("tenant", "", "tenant to restore as (sets "+server.TenantHeader+")")
+	tenant := fs.String("tenant", "", "tenant to restore as (sets "+obs.TenantHeader+")")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -95,7 +95,7 @@ func cmdRestore(args []string) error {
 	}
 	req.Header.Set("Content-Type", "application/x-tar")
 	if *tenant != "" {
-		req.Header.Set(server.TenantHeader, *tenant)
+		req.Header.Set(obs.TenantHeader, *tenant)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {

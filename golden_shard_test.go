@@ -1,8 +1,8 @@
 package anmat_test
 
 // Sharded-detection acceptance on the static golden corpus: every golden
-// scenario's mined headline rule set is evaluated by sharded sessions at
-// K ∈ {1,2,4,8}, and the merged violation set must be byte-identical to
+// scenario's mined headline rule set is evaluated by sessions of one
+// system per K ∈ {1,2,4,8}, and the merged violation set must be byte-identical to
 // the single-engine DetectContext output at parallelism 1, 4, and 8 —
 // the same bytes the pinned golden files render.
 
@@ -58,7 +58,11 @@ func TestGoldenCorpusShardEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sess := sys.NewSessionWith("golden-shard", tbl, anmat.SessionConfig{Params: sc.params, Shards: k})
+					shardSys, err := anmat.New(anmat.WithParams(sc.params), anmat.WithShards(k))
+					if err != nil {
+						t.Fatal(err)
+					}
+					sess := shardSys.NewSession("golden-shard", tbl, sc.params)
 					sess.UseRules(rules)
 					if _, err := sess.RunDetection(ctx); err != nil {
 						t.Fatal(err)
@@ -122,7 +126,11 @@ func TestSkewedFixtureShardEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess := sys.NewSessionWith("skewed", tbl, anmat.SessionConfig{Params: params, Shards: k})
+			shardSys, err := anmat.New(anmat.WithParams(params), anmat.WithShards(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess := shardSys.NewSession("skewed", tbl, params)
 			sess.UseRules(rules)
 			if _, err := sess.RunDetection(ctx); err != nil {
 				t.Fatal(err)

@@ -40,7 +40,7 @@ func TestGoldenStreamDeltas(t *testing.T) {
 }
 
 // TestGoldenStreamDeltasSharded replays the same committed delta script
-// through sharded sessions at K ∈ {2,4,8} and requires the rendered
+// through sessions of one system per K ∈ {2,4,8} and requires the rendered
 // per-batch diffs — every violation line, every count — to be
 // byte-identical to the single-engine golden file. This is the corpus
 // half of the sharding acceptance criterion.
@@ -61,7 +61,7 @@ func TestGoldenStreamDeltasSharded(t *testing.T) {
 }
 
 // goldenStreamReplay runs the committed delta script through a session
-// with the given shard count and returns the rendered replay, asserting
+// of a system with the given shard count and returns the rendered replay, asserting
 // the maintained-set invariant after every batch.
 func goldenStreamReplay(t *testing.T, shards int) string {
 	t.Helper()
@@ -70,11 +70,11 @@ func goldenStreamReplay(t *testing.T, shards int) string {
 		t.Fatal(err)
 	}
 	params := anmat.Params{MinCoverage: 0.05, AllowedViolations: 0.2}
-	sys, err := anmat.New(anmat.WithParams(params))
+	sys, err := anmat.New(anmat.WithParams(params), anmat.WithShards(shards))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := sys.NewSessionWith("golden-stream", tbl, anmat.SessionConfig{Params: params, Shards: shards})
+	sess := sys.NewSession("golden-stream", tbl, params)
 	ctx := context.Background()
 	if err := sess.RunStages(ctx, anmat.StageProfile, anmat.StageDiscovery); err != nil {
 		t.Fatal(err)

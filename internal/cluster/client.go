@@ -64,7 +64,7 @@ type RemoteNode struct {
 }
 
 // NewRemoteNode returns a client for the worker at base URL. It performs
-// no I/O; pair with Init (or Healthz) to reach the worker.
+// no I/O; Init boots the worker.
 func NewRemoteNode(base string, opts ClientOptions) *RemoteNode {
 	return &RemoteNode{base: base, opts: opts.withDefaults()}
 }
@@ -145,23 +145,11 @@ func (n *RemoteNode) call(callCtx context.Context, method, path string, body, ou
 	})
 }
 
-// Init pushes boot state to the worker over /init.
+// Init pushes boot state to the worker over /init, replacing whatever
+// state it held: a coordinator's boot, or failover onto a spare.
 func (n *RemoteNode) Init(boot shard.NodeBoot, rules []*pfd.PFD, seq int64) error {
 	var st StateResponse
 	return n.call(context.Background(), http.MethodPost, APIPrefix+"/init", BootRequest{Boot: boot, Rules: rules, Seq: seq, Epoch: n.opts.Epoch}, &st)
-}
-
-// Restore pushes replacement state over /restore (failover semantics).
-func (n *RemoteNode) Restore(boot shard.NodeBoot, rules []*pfd.PFD, seq int64) error {
-	var st StateResponse
-	return n.call(context.Background(), http.MethodPost, APIPrefix+"/restore", BootRequest{Boot: boot, Rules: rules, Seq: seq, Epoch: n.opts.Epoch}, &st)
-}
-
-// Healthz probes the worker.
-func (n *RemoteNode) Healthz() (StateResponse, error) {
-	var st StateResponse
-	err := n.call(context.Background(), http.MethodGet, "/healthz", nil, &st)
-	return st, err
 }
 
 // Apply sends one translated batch; redelivered batches come back from
@@ -193,7 +181,8 @@ func (n *RemoteNode) Trace(id string) (obs.Trace, error) {
 	return tr, err
 }
 
-// Stats fetches the worker's state summary.
+// Stats fetches the worker's state summary, with its applied-batch and
+// redelivery counts.
 func (n *RemoteNode) Stats() (shard.NodeStats, error) {
 	var st shard.NodeStats
 	err := n.call(context.Background(), http.MethodGet, APIPrefix+"/stats", nil, &st)

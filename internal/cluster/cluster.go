@@ -13,7 +13,7 @@
 // worker sees it. When a worker stops answering (request timeouts, then
 // the bounded retry budget, exhausted), the coordinator rehydrates the
 // dead shard's state — snapshot + WAL replayed through a fresh placement
-// translator — and pushes it to a spare worker over /restore. The coordinator's own
+// translator — and pushes it to a spare worker over /init. The coordinator's own
 // diff log is untouched by the swap, so violations?since= cursors issued
 // before the failure keep resolving exactly.
 //
@@ -32,7 +32,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
-	"sync"
 
 	"github.com/anmat/anmat/internal/pfd"
 	"github.com/anmat/anmat/internal/shard"
@@ -40,9 +39,9 @@ import (
 )
 
 // Options tunes New. The zero value journals to a temporary directory,
-// uses default client timeouts/retry, and has no spare workers (a dead
-// worker then poisons the coordinator, exactly like the in-process
-// sharded engine after an unrecoverable failure).
+// uses default client timeouts/retry, and has no failover (a dead worker
+// then poisons the coordinator, exactly like the in-process sharded
+// engine after an unrecoverable failure).
 type Options struct {
 	// BaseSeq is the starting sequence number (cursor continuity; see
 	// stream.NewEngineFrom).
@@ -50,19 +49,10 @@ type Options struct {
 	// Dir is the failover store directory. "" creates a fresh temporary
 	// directory (removed on Close).
 	Dir string
-	// Fsync makes the store durable against power loss — every WAL append
-	// is fsynced, and the snapshot file and the store directory's entries
-	// are synced at creation — matching the session store's -fsync
-	// semantics.
-	Fsync bool
-	// Spares are standby worker base URLs used for failover, consumed in
-	// order. A dead primary with no spare left (and no Respawn) poisons
-	// the coordinator.
-	Spares []string
-	// Respawn, when set, is asked for a fresh worker base URL once the
-	// spare list is exhausted — the hook for harnesses that can start
-	// processes (the e2e tests respawn killed workers with it). Return ""
-	// to decline.
+	// Respawn, when set, is asked for a worker base URL to take over shard
+	// s once its worker stopped answering: a standby from a pool, or a
+	// process the caller starts. Return "" to decline, which poisons the
+	// coordinator.
 	Respawn func(s int) string
 	// Client tunes every worker call's timeout and retry policy.
 	Client ClientOptions
@@ -76,11 +66,7 @@ type Coordinator struct {
 	*shard.Coordinator
 	store  *Store
 	ownDir bool // Dir was auto-created; Close removes it
-
-	mu     sync.Mutex
-	spares []string
 	opts   Options
-	rules  []*pfd.PFD
 }
 
 // New builds a coordinator over the table's current contents with one
@@ -108,20 +94,16 @@ func New(t *table.Table, rules []*pfd.PFD, workers []string, opts Options) (*Coo
 		}
 		ownDir = true
 	}
-	store, err := CreateStore(dir, t, rules, k, opts.BaseSeq, opts.Fsync)
+	// Nothing reads the store after this process dies, so it is never
+	// fsynced (see store.go).
+	store, err := CreateStore(dir, t, rules, k, opts.BaseSeq, false)
 	if err != nil {
 		if ownDir {
 			_ = os.RemoveAll(dir)
 		}
 		return nil, err
 	}
-	c := &Coordinator{
-		store:  store,
-		ownDir: ownDir,
-		spares: append([]string(nil), opts.Spares...),
-		opts:   opts,
-		rules:  rules,
-	}
+	c := &Coordinator{store: store, ownDir: ownDir, opts: opts}
 	sc, err := shard.NewWith(t, rules, k, shard.Config{
 		BaseSeq: opts.BaseSeq,
 		Journal: store.Append,
@@ -147,10 +129,10 @@ func New(t *table.Table, rules []*pfd.PFD, workers []string, opts Options) (*Coo
 
 // recoverShard is the failover hook the sharded coordinator invokes once
 // a worker's retry budget is exhausted: rehydrate the shard's state from
-// snapshot + WAL, claim a replacement endpoint, and push the state
-// over /restore. The boot the coordinator hands us (its live translator's
-// view) and the WAL replay must agree; the store is the durable source of
-// truth, so it is what the replacement receives.
+// snapshot + WAL, ask Respawn for a replacement endpoint, and push the
+// state over /init. The boot the coordinator hands us (its live
+// translator's view) and the WAL replay must agree; the store is the
+// durable source of truth, so it is what the replacement receives.
 func (c *Coordinator) recoverShard(s int, boot shard.NodeBoot, seq int64) (shard.Node, error) {
 	rboot, rules, rseq, err := c.store.RehydrateBoot(s)
 	if err != nil {
@@ -159,33 +141,18 @@ func (c *Coordinator) recoverShard(s int, boot shard.NodeBoot, seq int64) (shard
 	if rseq != seq {
 		return nil, fmt.Errorf("rehydrate: WAL replays to seq %d, coordinator at %d", rseq, seq)
 	}
-	endpoint, err := c.claimSpare(s)
-	if err != nil {
-		return nil, err
+	endpoint := ""
+	if c.opts.Respawn != nil {
+		endpoint = c.opts.Respawn(s)
+	}
+	if endpoint == "" {
+		return nil, fmt.Errorf("no spare worker for shard %d", s)
 	}
 	node := NewRemoteNode(endpoint, c.opts.Client)
-	if err := node.Restore(rboot, rules, rseq); err != nil {
-		return nil, fmt.Errorf("restore to %s: %w", endpoint, err)
+	if err := node.Init(rboot, rules, rseq); err != nil {
+		return nil, fmt.Errorf("init %s: %w", endpoint, err)
 	}
 	return node, nil
-}
-
-// claimSpare pops the next standby endpoint, falling back to the Respawn
-// hook when the list is empty.
-func (c *Coordinator) claimSpare(s int) (string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.spares) > 0 {
-		endpoint := c.spares[0]
-		c.spares = c.spares[1:]
-		return endpoint, nil
-	}
-	if c.opts.Respawn != nil {
-		if endpoint := c.opts.Respawn(s); endpoint != "" {
-			return endpoint, nil
-		}
-	}
-	return "", fmt.Errorf("no spare worker for shard %d", s)
 }
 
 // newEpoch returns a fresh coordinator epoch: 8 random bytes, hex.

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"github.com/anmat/anmat/internal/detect"
+	"github.com/anmat/anmat/internal/obs"
 	"github.com/anmat/anmat/internal/pattern"
 	"github.com/anmat/anmat/internal/pfd"
 	"github.com/anmat/anmat/internal/shard"
@@ -166,7 +167,7 @@ func TestClusterEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				inprocTbl := tbl.Clone()
-				inproc, err := shard.NewFrom(inprocTbl, rules, k, 0)
+				inproc, err := shard.NewWith(inprocTbl, rules, k, shard.Config{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -349,10 +350,19 @@ func TestFailoverRestoresFromWAL(t *testing.T) {
 	spare := httptest.NewServer(spareW.Handler())
 	defer spare.Close()
 
+	// The spare is handed out once, the way a pool of standbys would.
+	spares := []string{spare.URL}
 	dir := t.TempDir()
 	c, err := New(tbl, rules, urls, Options{
-		Dir:    dir,
-		Spares: []string{spare.URL},
+		Dir: dir,
+		Respawn: func(int) string {
+			if len(spares) == 0 {
+				return ""
+			}
+			ep := spares[0]
+			spares = spares[1:]
+			return ep
+		},
 		Client: fastClient(),
 	})
 	if err != nil {
@@ -396,9 +406,10 @@ func TestFailoverRestoresFromWAL(t *testing.T) {
 	if c.Stale() {
 		t.Fatal("coordinator poisoned despite spare being available")
 	}
-	// The spare must have been claimed and hold worker 1's state.
-	st, err := spareW.node.Stats()
-	if err != nil || st.Rows == 0 {
+	// The spare must have been claimed, booted through /init, and hold
+	// worker 1's state.
+	st, err := NewRemoteNode(spare.URL, fastClient()).Stats()
+	if err != nil || st.Rows == 0 || len(spares) != 0 {
 		t.Fatalf("spare worker not serving shard state (stats %+v, err %v)", st, err)
 	}
 
@@ -689,11 +700,22 @@ func TestWorkerApplyFailurePoisons(t *testing.T) {
 	}
 
 	// Poisoned: even a clean batch (and the redelivery a retrying
-	// coordinator would send) must fail permanently, not re-apply.
+	// coordinator would send) must fail permanently, not re-apply, and the
+	// stats read fails with the reason — a coordinator's per-shard stats
+	// show it as that shard's error.
 	if _, err := node.Apply(context.Background(), shard.NodeBatch{Seq: 2}); err == nil {
 		t.Fatal("poisoned worker accepted a batch")
 	}
-	st, err := node.Healthz()
+	if _, err := node.Stats(); err == nil || !strings.Contains(err.Error(), "poisoned") {
+		t.Fatalf("stats of a poisoned worker: err = %v, want the poisoning named", err)
+	}
+	resp, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st StateResponse
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -709,8 +731,8 @@ func TestWorkerApplyFailurePoisons(t *testing.T) {
 		t.Fatalf("poisoned healthz reports slot %d/%d, want 0/1", st.Shard, st.Of)
 	}
 
-	// A restore (the coordinator's WAL failover path) revives it.
-	if err := node.Restore(tr.Boot(0), rules, 5); err != nil {
+	// An init (the coordinator's WAL failover path) revives it.
+	if err := node.Init(tr.Boot(0), rules, 5); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := node.Apply(context.Background(), shard.NodeBatch{Seq: 6}); err != nil {
@@ -762,6 +784,9 @@ func TestWorkerSeqConflicts(t *testing.T) {
 	if mustJSON(t, first) != mustJSON(t, redelivered) {
 		t.Fatal("redelivery returned different diffs than the original application")
 	}
+	if st, err := node.Stats(); err != nil || st.BatchesApplied != 1 || st.Redeliveries != 1 {
+		t.Fatalf("stats after one batch and its redelivery = %+v, %v; want 1 applied, 1 redelivered", st, err)
+	}
 	vios, err := node.Violations()
 	if err != nil {
 		t.Fatal(err)
@@ -778,5 +803,39 @@ func TestWorkerSeqConflicts(t *testing.T) {
 	// that touch this shard, so the worker's sequence is sparse.
 	if _, err := node.Apply(context.Background(), shard.NodeBatch{Seq: 5}); err != nil {
 		t.Fatalf("sparse sequence rejected: %v", err)
+	}
+}
+
+// TestUnknownMethodsAddNoSeries sends invented HTTP methods to every
+// worker route: each is a 405 from the mux, so anmat_http_requests_total
+// (labelled by method) gains no series however many a caller makes up.
+func TestUnknownMethodsAddNoSeries(t *testing.T) {
+	h := NewWorker(-1, -1).Handler()
+	series := func() int {
+		samples, _, err := obs.ParseText(obs.Default.Text())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, s := range samples {
+			if s.Name == "anmat_http_requests_total" {
+				n++
+			}
+		}
+		return n
+	}
+	before := series()
+	for _, path := range []string{"/shard/v1/init", "/shard/v1/apply", "/shard/v1/violations",
+		"/shard/v1/stats", "/shard/v1/trace/x", "/healthz", "/metrics"} {
+		for i := 0; i < 5; i++ {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(fmt.Sprintf("BREW%d", i), path, nil))
+			if rec.Code != http.StatusMethodNotAllowed {
+				t.Fatalf("BREW%d %s = %d, want 405", i, path, rec.Code)
+			}
+		}
+	}
+	if after := series(); after != before {
+		t.Fatalf("invented methods grew anmat_http_requests_total from %d to %d series", before, after)
 	}
 }

@@ -27,7 +27,7 @@ var (
 	workerRedeliveries = obs.Default.NewCounterVec("anmat_worker_redeliveries_total",
 		"Redelivered batches answered from the worker's idempotency cache, by shard.", "shard")
 	workerPoisoned = obs.Default.NewGaugeVec("anmat_worker_poisoned",
-		"1 while a worker's shard state is poisoned pending /restore, by shard.", "shard")
-	workerBoots = obs.Default.NewCounterVec("anmat_worker_boots_total",
-		"Worker state boots, by path (init or restore).", "path")
+		"1 while a worker's shard state is poisoned pending its next /init, by shard.", "shard")
+	workerBoots = obs.Default.NewCounter("anmat_worker_boots_total",
+		"Worker state boots (an /init from a coordinator, at start or on failover).")
 )

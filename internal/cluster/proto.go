@@ -5,13 +5,16 @@
 // the coordinator's routing, merge, and failover logic stays identical
 // whether a shard runs in-process or across the network.
 //
-//	POST /shard/v1/init        BootRequest        → StateResponse
-//	POST /shard/v1/restore     BootRequest        → StateResponse   (alias: replace state)
+//	POST /shard/v1/init        BootRequest        → StateResponse   (boot or replace state)
 //	POST /shard/v1/apply       shard.NodeBatch    → ApplyResponse   (idempotent by seq)
-//	GET  /shard/v1/violations[?since=S]           → ViolationsResponse
-//	GET  /shard/v1/stats                          → shard.NodeStats
-//	GET  /shard/v1/snapshot                       → BootRequest     (current state, re-bootable)
+//	GET  /shard/v1/violations                     → ViolationsResponse
+//	GET  /shard/v1/stats                          → shard.NodeStats (with applied/redelivered counts)
+//	GET  /shard/v1/trace/{id}                     → obs.Trace
 //	GET  /healthz                                 → StateResponse
+//	GET  /metrics                                 → Prometheus text
+//
+// These are exactly the calls RemoteNode makes, plus the probes. Every
+// route names its method: any other method is a 405.
 //
 // Errors are {"error": "..."} with a 4xx/5xx status; 409 marks sequence
 // and epoch conflicts (gap, stale replay, fenced-out coordinator) and
@@ -28,7 +31,7 @@
 // applies fail with 409 instead of silently mutating the new owner's
 // state. Applies require a matching header once an epoch is set; reads
 // reject only a *mismatched* header, so header-less operator requests
-// (curl against /stats, /snapshot) still work.
+// (curl against /stats, /violations) still work.
 package cluster
 
 import (
@@ -44,8 +47,7 @@ const APIPrefix = "/shard/v1"
 // RemoteNode call; see the epoch-fencing section of the package comment.
 const EpochHeader = "X-Anmat-Epoch"
 
-// BootRequest initializes (or replaces, via /restore) a worker's shard
-// state: the boot sub-table and mapping, the rule set, the sequence
+// BootRequest initializes (or replaces) a worker's shard state: the boot sub-table and mapping, the rule set, the sequence
 // number the state corresponds to, and the booting coordinator's epoch
 // (the worker fences later requests against it).
 type BootRequest struct {
@@ -55,8 +57,8 @@ type BootRequest struct {
 	Epoch string         `json:"epoch,omitempty"`
 }
 
-// StateResponse describes a worker's current state (init/restore reply
-// and health probe body). Epoch and Poisoned make the probe diagnostic:
+// StateResponse describes a worker's current state (init reply and
+// health probe body). Epoch and Poisoned make the probe diagnostic:
 // a worker that discarded its state after a failed apply reports the
 // slot it was serving and Poisoned=true instead of looking like a
 // fresh spare.
@@ -79,14 +81,11 @@ type ApplyResponse struct {
 }
 
 // ViolationsResponse returns the worker's maintained violation set,
-// globalized, at the given sequence number. When the request carried
-// ?since= the Diff field holds the cursor-resolved change instead (a
-// reset snapshot unless the cursor is current — workers retain no diff
-// history; the coordinator owns the merged cursor log).
+// globalized, at the given sequence number. Workers keep no diff
+// history: the coordinator owns the merged cursor log.
 type ViolationsResponse struct {
 	Seq        int64           `json:"seq"`
 	Violations []pfd.Violation `json:"violations,omitempty"`
-	Diff       *stream.Diff    `json:"diff,omitempty"`
 }
 
 // errorResponse is the uniform error envelope.

@@ -7,8 +7,8 @@
 // The store serves worker failover within one coordinator's lifetime,
 // not coordinator restarts: CreateStore replaces it at every coordinator
 // construction, and a restarted session is rebuilt from the session
-// store (internal/persist) instead. That is why internal/core never asks
-// it to fsync — nothing reads it after the process that wrote it died.
+// store (internal/persist) instead. That is why New never asks it to
+// fsync — nothing reads it after the process that wrote it died.
 //
 // Rehydrating a shard is a replay, not a re-route: a row's home shard is
 // its global index mod K *at insertion time*, so current cell values

@@ -1,10 +1,10 @@
 // The shard worker: one shard.LocalNode behind the /shard/v1 HTTP API.
 // A worker boots empty and inert; the coordinator pushes its state over
-// /init (or /restore after a failover), then drives it with translated
-// batches. Batches are idempotent by sequence number — the worker caches
-// the last applied batch's response and replays it on redelivery, so a
-// coordinator whose request timed out after the worker applied it can
-// retry blindly without double-applying.
+// /init (at start, or to a spare on failover), then drives it with
+// translated batches. Batches are idempotent by sequence number — the
+// worker caches the last applied batch's response and replays it on
+// redelivery, so a coordinator whose request timed out after the worker
+// applied it can retry blindly without double-applying.
 package cluster
 
 import (
@@ -15,19 +15,16 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"github.com/anmat/anmat/internal/obs"
-	"github.com/anmat/anmat/internal/pfd"
 	"github.com/anmat/anmat/internal/shard"
-	"github.com/anmat/anmat/internal/stream"
 	"github.com/anmat/anmat/internal/wal"
 )
 
-// maxBootBody caps an /init or /restore body: a full shard snapshot
-// plus its WAL tail, bounded at 4x the single-record limit.
+// maxBootBody caps an /init body: a full shard snapshot plus its WAL
+// tail, bounded at 4x the single-record limit.
 const maxBootBody = 4 * wal.MaxRecord
 
 // bodyStatus maps a request-body decode error to 413 when the
@@ -49,7 +46,6 @@ type Worker struct {
 	// for a different slot is refused, catching miswired coordinators.
 	shardID, of int
 	node        *shard.LocalNode
-	rules       []*pfd.PFD
 	// curShard/curOf record the slot the live node was booted for (equal
 	// to shardID/of when pinned).
 	curShard, curOf int
@@ -60,10 +56,12 @@ type Worker struct {
 	// last is the cached response of the batch that advanced the worker
 	// to seq, replayed on idempotent redelivery.
 	last *ApplyResponse
+	// applied and redelivered count, since the live state was booted, the
+	// batches the engine applied and the redeliveries answered from last;
+	// /shard/v1/stats reports them.
+	applied, redelivered int64
 	// poisoned marks a booted state discarded after a failed apply: the
-	// worker answers 412 until a /restore, and /healthz says so — before
-	// this flag, a poisoned worker was indistinguishable from a healthy
-	// one on the health probe until the next apply's 412.
+	// worker answers 412 until the next /init, and /healthz says so.
 	poisoned bool
 	logf     func(format string, args ...any)
 	// access, when set, instruments the HTTP handler with request
@@ -91,26 +89,27 @@ func (w *Worker) SetLogf(fn func(format string, args ...any)) {
 func (w *Worker) SetAccessLog(l *slog.Logger) { w.access = l }
 
 // Handler returns the worker's HTTP handler: the /shard/v1 API plus the
-// top-level /healthz probe and the worker's own /metrics endpoint.
-// Every route is instrumented with request counters and latency
-// histograms (and request logging when SetAccessLog was called).
+// top-level /healthz probe and the worker's own /metrics endpoint. Every
+// route names its method, so a request with any other method is a 405
+// from the mux and never reaches the instrumentation; every route is
+// instrumented with request counters and latency histograms (and request
+// logging when SetAccessLog was called).
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
-	handle := func(route string, h http.HandlerFunc) {
-		mux.Handle(route, obs.Instrument(route, h, w.access))
+	handle := func(pattern string, h http.HandlerFunc) {
+		mux.Handle(pattern, obs.Instrument(pattern, h, w.access))
 	}
-	handle(APIPrefix+"/init", w.handleBoot)
-	handle(APIPrefix+"/restore", w.handleBoot)
-	handle(APIPrefix+"/apply", w.handleApply)
-	handle(APIPrefix+"/violations", w.handleViolations)
-	handle(APIPrefix+"/stats", w.handleStats)
-	handle(APIPrefix+"/snapshot", w.handleSnapshot)
+	handle("POST "+APIPrefix+"/init", w.handleInit)
+	handle("POST "+APIPrefix+"/apply", w.handleApply)
+	handle("GET "+APIPrefix+"/violations", w.handleViolations)
+	handle("GET "+APIPrefix+"/stats", w.handleStats)
 	// Observability routes stay passive: probes and trace reads must not
 	// mint traces of their own (steady polling would churn the store).
-	mux.Handle("GET "+APIPrefix+"/trace/{id}",
-		obs.InstrumentPassive(APIPrefix+"/trace/{id}", http.HandlerFunc(w.handleTrace), w.access))
-	mux.Handle("/healthz",
-		obs.InstrumentPassive("/healthz", http.HandlerFunc(w.handleHealthz), w.access))
+	passive := func(pattern string, h http.HandlerFunc) {
+		mux.Handle(pattern, obs.InstrumentPassive(pattern, h, w.access))
+	}
+	passive("GET "+APIPrefix+"/trace/{id}", w.handleTrace)
+	passive("GET /healthz", w.handleHealthz)
 	mux.Handle("GET /metrics", obs.Default.Handler())
 	return mux
 }
@@ -138,14 +137,10 @@ func writeError(rw http.ResponseWriter, status int, format string, args ...any) 
 	writeJSON(rw, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// handleBoot initializes or replaces the worker's shard state. /init and
-// /restore share semantics — restore exists so failover reads naturally
-// in coordinator code and logs.
-func (w *Worker) handleBoot(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(rw, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
+// handleInit initializes or replaces the worker's shard state: a
+// coordinator booting its shards, or failing a dead one over to this
+// spare.
+func (w *Worker) handleInit(rw http.ResponseWriter, r *http.Request) {
 	var req BootRequest
 	// A boot body carries a full shard snapshot, so it gets a generous
 	// cap — but still a cap: an unbounded hostile body must 413, not OOM
@@ -173,13 +168,13 @@ func (w *Worker) handleBoot(rw http.ResponseWriter, r *http.Request) {
 		// here on instead of silently mutating the new owner's state).
 		w.logf("worker shard %d/%d: epoch %q takes over from %q", req.Boot.Shard, req.Boot.Of, req.Epoch, w.epoch)
 	}
-	w.node, w.rules, w.seq, w.last = node, req.Rules, req.Seq, nil
+	w.node, w.seq, w.last = node, req.Seq, nil
 	w.curShard, w.curOf, w.epoch = req.Boot.Shard, req.Boot.Of, req.Epoch
-	w.poisoned = false
+	w.applied, w.redelivered, w.poisoned = 0, 0, false
 	workerPoisoned.WithLabelValues(strconv.Itoa(w.curShard)).Set(0)
-	workerBoots.WithLabelValues(strings.TrimPrefix(r.URL.Path, APIPrefix+"/")).Inc()
-	w.logf("worker shard %d/%d: booted %d rows at seq %d (%s)",
-		req.Boot.Shard, req.Boot.Of, len(req.Boot.Rows), req.Seq, r.URL.Path)
+	workerBoots.Inc()
+	w.logf("worker shard %d/%d: booted %d rows at seq %d",
+		req.Boot.Shard, req.Boot.Of, len(req.Boot.Rows), req.Seq)
 	writeJSON(rw, http.StatusOK, w.stateLocked())
 }
 
@@ -203,10 +198,6 @@ func (w *Worker) checkEpochLocked(rw http.ResponseWriter, r *http.Request, stric
 // response without touching the engine; anything else out of order is a
 // 409 the coordinator must not retry.
 func (w *Worker) handleApply(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(rw, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	var nb shard.NodeBatch
 	// One translated batch can never legitimately exceed the WAL record
 	// bound the coordinator journals it under.
@@ -217,15 +208,7 @@ func (w *Worker) handleApply(rw http.ResponseWriter, r *http.Request) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if !w.checkEpochLocked(rw, r, true) {
-		return
-	}
-	if w.node == nil {
-		if w.poisoned {
-			writeError(rw, http.StatusPreconditionFailed, "worker shard %d/%d poisoned by a failed apply; awaiting /restore", w.curShard, w.curOf)
-			return
-		}
-		writeError(rw, http.StatusPreconditionFailed, "worker not initialized")
+	if !w.checkEpochLocked(rw, r, true) || !w.readyLocked(rw) {
 		return
 	}
 	// The coordinator only sends batches that touch this shard, so the
@@ -235,6 +218,7 @@ func (w *Worker) handleApply(rw http.ResponseWriter, r *http.Request) {
 	// response), anything older is a conflict the client must not retry.
 	switch {
 	case nb.Seq == w.seq && w.last != nil:
+		w.redelivered++
 		workerRedeliveries.WithLabelValues(strconv.Itoa(w.curShard)).Inc()
 		w.logf("worker shard %d/%d: redelivery of batch %d, replaying cached response", w.curShard, w.curOf, nb.Seq)
 		writeJSON(rw, http.StatusOK, w.last)
@@ -255,7 +239,7 @@ func (w *Worker) handleApply(rw http.ResponseWriter, r *http.Request) {
 		// 0..i-1 applied — and the 500 below is retryable at the client, so
 		// a blind redelivery would re-apply the whole batch onto that
 		// half-mutated state. Poison the node: every later call answers 412
-		// (permanent) until a /restore re-boots, sending the coordinator
+		// (permanent) until an /init re-boots it, sending the coordinator
 		// straight to the WAL-backed failover path.
 		w.node, w.last, w.poisoned = nil, nil, true
 		workerPoisoned.WithLabelValues(shardLbl).Set(1)
@@ -266,23 +250,31 @@ func (w *Worker) handleApply(rw http.ResponseWriter, r *http.Request) {
 	}
 	w.seq = nb.Seq
 	w.last = &ApplyResponse{Seq: nb.Seq, Diffs: diffs}
+	w.applied++
 	workerApplied.WithLabelValues(shardLbl).Inc()
 	writeJSON(rw, http.StatusOK, w.last)
 }
 
-// handleViolations returns the maintained set (globalized). With ?since=
-// it answers in cursor form: an empty diff when the cursor is current, a
-// reset snapshot otherwise — workers keep no diff history (the
-// coordinator owns the merged cursor log), so any stale cursor resolves
-// to a full resync, which is always correct.
+// readyLocked writes the 412 for a worker with no live state — never
+// booted, or poisoned by a failed apply — and reports whether it has one.
+// Callers hold w.mu.
+func (w *Worker) readyLocked(rw http.ResponseWriter) bool {
+	switch {
+	case w.node != nil:
+		return true
+	case w.poisoned:
+		writeError(rw, http.StatusPreconditionFailed, "worker shard %d/%d poisoned by a failed apply; awaiting /init", w.curShard, w.curOf)
+	default:
+		writeError(rw, http.StatusPreconditionFailed, "worker not initialized")
+	}
+	return false
+}
+
+// handleViolations returns the maintained set, globalized.
 func (w *Worker) handleViolations(rw http.ResponseWriter, r *http.Request) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if !w.checkEpochLocked(rw, r, false) {
-		return
-	}
-	if w.node == nil {
-		writeError(rw, http.StatusPreconditionFailed, "worker not initialized")
+	if !w.checkEpochLocked(rw, r, false) || !w.readyLocked(rw) {
 		return
 	}
 	vios, err := w.node.Violations()
@@ -290,34 +282,15 @@ func (w *Worker) handleViolations(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusInternalServerError, "violations: %v", err)
 		return
 	}
-	resp := ViolationsResponse{Seq: w.seq}
-	if s := r.URL.Query().Get("since"); s != "" {
-		cursor, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			writeError(rw, http.StatusBadRequest, "since: %v", err)
-			return
-		}
-		st, _ := w.node.Stats()
-		d := &stream.Diff{Seq: w.seq, Rows: st.Rows}
-		if cursor != w.seq {
-			d.Reset = true
-			d.Added = vios
-		}
-		resp.Diff = d
-	} else {
-		resp.Violations = vios
-	}
-	writeJSON(rw, http.StatusOK, resp)
+	writeJSON(rw, http.StatusOK, ViolationsResponse{Seq: w.seq, Violations: vios})
 }
 
+// handleStats returns the node's state summary with the worker's
+// applied-batch and redelivery counts.
 func (w *Worker) handleStats(rw http.ResponseWriter, r *http.Request) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if !w.checkEpochLocked(rw, r, false) {
-		return
-	}
-	if w.node == nil {
-		writeError(rw, http.StatusPreconditionFailed, "worker not initialized")
+	if !w.checkEpochLocked(rw, r, false) || !w.readyLocked(rw) {
 		return
 	}
 	st, err := w.node.Stats()
@@ -325,35 +298,8 @@ func (w *Worker) handleStats(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusInternalServerError, "stats: %v", err)
 		return
 	}
+	st.BatchesApplied, st.Redeliveries = w.applied, w.redelivered
 	writeJSON(rw, http.StatusOK, st)
-}
-
-// handleSnapshot dumps the worker's current state as a BootRequest —
-// re-bootable on another worker, and the operator's window into what a
-// shard holds.
-func (w *Worker) handleSnapshot(rw http.ResponseWriter, r *http.Request) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if !w.checkEpochLocked(rw, r, false) {
-		return
-	}
-	if w.node == nil {
-		writeError(rw, http.StatusPreconditionFailed, "worker not initialized")
-		return
-	}
-	t := w.node.Table()
-	boot := shard.NodeBoot{
-		Name:     t.Name(),
-		Columns:  t.Columns(),
-		Rows:     make([][]string, t.NumRows()),
-		GlobalOf: w.node.GlobalOf(),
-		Shard:    w.curShard,
-		Of:       w.curOf,
-	}
-	for i := 0; i < t.NumRows(); i++ {
-		boot.Rows[i] = t.Row(i)
-	}
-	writeJSON(rw, http.StatusOK, BootRequest{Boot: boot, Rules: w.rules, Seq: w.seq, Epoch: w.epoch})
 }
 
 func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
@@ -364,7 +310,7 @@ func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
 
 // stateLocked renders the worker's StateResponse; callers hold w.mu.
 // A poisoned worker still reports the slot and epoch it was booted for
-// — the probe must say *which* shard needs a /restore, not regress to
+// — the probe must say *which* shard needs an /init, not regress to
 // looking like a never-initialized spare.
 func (w *Worker) stateLocked() StateResponse {
 	st := StateResponse{OK: true, Shard: w.shardID, Of: w.of, Seq: w.seq,

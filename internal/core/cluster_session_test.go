@@ -78,19 +78,12 @@ func TestDistributedSessionStream(t *testing.T) {
 	if mustJSONStr(t, se.Violations) != mustJSONStr(t, twin.Violations) {
 		t.Fatal("distributed deltas diverged")
 	}
-
-	// Per-session override beats the system default worker list.
-	solo := sys.NewSessionWith("p", shardTestTable(), SessionConfig{Workers: urls[:2]})
-	if got := solo.Shards(); got != 2 {
-		t.Fatalf("session worker override Shards() = %d, want 2", got)
-	}
 }
 
 // TestDistributedSessionWorkerClaims pins the one-session-per-worker-set
-// constraint: the first distributed session claims its endpoints, a
-// second session over any of them is refused (its engine would silently
-// replace the first session's shard state), and the same session may
-// rebuild its engine over its own claim.
+// constraint: the first distributed session owns the workers, a second
+// session is refused (its engine would silently replace the first
+// session's shard state), and the owner may rebuild its engine.
 func TestDistributedSessionWorkerClaims(t *testing.T) {
 	urls := startClusterWorkers(t, 2)
 	sys := NewSystemWith(docstore.NewMem(), SystemConfig{
@@ -109,12 +102,6 @@ func TestDistributedSessionWorkerClaims(t *testing.T) {
 	if _, err := other.Stream(); err == nil {
 		t.Fatal("second distributed session built an engine over claimed workers")
 	}
-	// Overlap through a per-session override is refused too.
-	overlap := sys.NewSessionWith("p", shardTestTable(), SessionConfig{Workers: urls[:1]})
-	overlap.UseRules(shardTestRules())
-	if _, err := overlap.Stream(); err == nil {
-		t.Fatal("overlapping worker override built an engine over claimed workers")
-	}
 
 	// The claiming session itself can rebuild (rule change → new engine).
 	se.UseRules(shardTestRules())
@@ -123,32 +110,33 @@ func TestDistributedSessionWorkerClaims(t *testing.T) {
 	}
 }
 
-// TestClusterSparePoolClaimOnce pins the shared failover pool: each
-// spare endpoint is handed to exactly one session, and a spare that
-// doubles as a claimed primary is skipped.
+// TestClusterSparePoolClaimOnce pins the failover pool: each spare
+// endpoint is handed out exactly once, and a spare that doubles as a
+// primary is never handed out.
 func TestClusterSparePoolClaimOnce(t *testing.T) {
 	sys := NewSystemWith(docstore.NewMem(), SystemConfig{
 		ClusterSpares: []string{"http://spare-a", "http://spare-b"},
 	})
-	if got := sys.claimSpare("s1"); got != "http://spare-a" {
+	if got := sys.claimSpare(0); got != "http://spare-a" {
 		t.Fatalf("first claim = %q", got)
 	}
-	if got := sys.claimSpare("s2"); got != "http://spare-b" {
+	if got := sys.claimSpare(1); got != "http://spare-b" {
 		t.Fatalf("second claim = %q", got)
 	}
-	if got := sys.claimSpare("s3"); got != "" {
+	if got := sys.claimSpare(0); got != "" {
 		t.Fatalf("exhausted pool handed out %q", got)
 	}
 
-	// An endpoint listed both as a primary (claimed by s1) and as a spare
-	// must never be handed to another session as a spare.
+	// An endpoint listed both as a primary and as a spare already serves
+	// a shard: handing it out on failover would overwrite that shard.
 	sys2 := NewSystemWith(docstore.NewMem(), SystemConfig{
+		Workers:       []string{"http://dual"},
 		ClusterSpares: []string{"http://dual", "http://free"},
 	})
-	if err := sys2.claimWorkers("s1", []string{"http://dual"}); err != nil {
+	if err := sys2.claimWorkers("s1"); err != nil {
 		t.Fatal(err)
 	}
-	if got := sys2.claimSpare("s2"); got != "http://free" {
-		t.Fatalf("spare claim = %q, want the unclaimed endpoint", got)
+	if got := sys2.claimSpare(0); got != "http://free" {
+		t.Fatalf("spare claim = %q, want the endpoint that is not a primary", got)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -59,29 +60,28 @@ type SystemConfig struct {
 	// set explicitly) and the detection/repair engine (0 = GOMAXPROCS).
 	// Output is identical at every setting; see detect.DetectAllContext.
 	Parallelism int
-	// Shards is the default shard count of every session's incremental
-	// detection engine (0 or 1 = one engine, no sharding). With K > 1 the
-	// session's table is hash-partitioned on block keys across K
-	// per-shard engines (see internal/shard); results are byte-identical
-	// at every K. Per-session SessionConfig.Shards overrides it.
+	// Shards is the shard count of every session's incremental detection
+	// engine (0 or 1 = one engine, no sharding). With K > 1 the session's
+	// table is hash-partitioned on block keys across K per-shard engines
+	// (see internal/shard); results are byte-identical at every K. Where
+	// engines run is a property of the deployment: there is no
+	// per-session override, and a restored session takes this system's
+	// topology, not the one its snapshot was written under.
 	Shards int
 	// Workers, when non-empty, runs every session's incremental engine in
 	// distributed mode: one shard per worker base URL, driven over the
 	// /shard/v1 HTTP API (see internal/cluster). Takes precedence over
 	// Shards; results stay byte-identical at any worker count.
-	// Per-session SessionConfig.Workers overrides it.
 	//
-	// A worker holds exactly one shard state, so a worker set serves
+	// A worker holds exactly one shard state, so the worker set serves
 	// exactly one distributed session: the first session to build its
-	// engine claims the endpoints for the system's lifetime, and any
-	// other session configured over a claimed endpoint fails to build its
-	// engine with a clear error. To run several distributed sessions,
-	// give each (via SessionConfig.Workers) a disjoint worker set.
+	// engine owns the workers for the system's lifetime, and any other
+	// session fails to build its engine with a clear error.
 	Workers []string
-	// ClusterSpares are standby worker base URLs distributed sessions
-	// fail over to when a primary stops answering. They form one shared
-	// system-level pool with claim-once semantics: a spare consumed by
-	// one session's failover is never handed to another.
+	// ClusterSpares are standby worker base URLs the distributed session
+	// fails over to when a primary stops answering, each handed out at
+	// most once. An endpoint also listed in Workers is a primary, never a
+	// spare.
 	ClusterSpares []string
 	// ClusterDir is the directory of distributed sessions' failover
 	// stores (snapshot + K-way replicated WAL); each session uses a
@@ -101,18 +101,16 @@ type System struct {
 	cfg   SystemConfig
 	seq   atomic.Int64 // session ID sequence
 
-	// cmu guards the cluster endpoint bookkeeping below.
+	// cmu guards the cluster bookkeeping below.
 	cmu sync.Mutex
-	// workerClaims maps each claimed worker endpoint to the session
-	// holding it. A worker carries exactly one shard state, so two
-	// sessions sharing an endpoint would silently clobber each other;
-	// claims are taken when a distributed session builds its engine and
-	// last for the system's lifetime.
-	workerClaims map[string]string
-	// clusterSpares is the shared failover pool seeded from
-	// SystemConfig.ClusterSpares; each endpoint is handed out at most
-	// once across all sessions.
-	clusterSpares []string
+	// workerOwner is the session whose engine the workers serve, "" until
+	// a distributed session builds one. A worker carries exactly one shard
+	// state, so a second session booting them would silently clobber the
+	// first; ownership lasts for the system's lifetime.
+	workerOwner string
+	// spares is the failover pool seeded from SystemConfig.ClusterSpares,
+	// primaries removed; each endpoint is handed out at most once.
+	spares []string
 }
 
 // NewSystem builds a system over the store with default configuration
@@ -130,50 +128,45 @@ func NewSystemWith(store *docstore.Store, cfg SystemConfig) *System {
 	}
 	// Params are taken verbatim — zero values are a legitimate request
 	// for no coverage floor / zero tolerated violations.
-	return &System{
-		store:         store,
-		cfg:           cfg,
-		workerClaims:  make(map[string]string),
-		clusterSpares: append([]string(nil), cfg.ClusterSpares...),
-	}
-}
-
-// claimWorkers reserves the worker endpoints for one session, erroring
-// when any is already held by another: a worker holds exactly one shard
-// state, so sharing it across sessions would silently replace the first
-// session's state (see SystemConfig.Workers). Re-claiming by the same
-// session (an engine rebuild) is a no-op.
-func (s *System) claimWorkers(sessionID string, endpoints []string) error {
-	s.cmu.Lock()
-	defer s.cmu.Unlock()
-	for _, ep := range endpoints {
-		if owner, ok := s.workerClaims[ep]; ok && owner != sessionID {
-			return fmt.Errorf("worker %s already serves session %s's shards; distributed sessions need disjoint worker sets", ep, owner)
+	s := &System{store: store, cfg: cfg}
+	for _, ep := range cfg.ClusterSpares {
+		// Handing a primary out on failover would overwrite the shard it
+		// already serves.
+		if !slices.Contains(cfg.Workers, ep) {
+			s.spares = append(s.spares, ep)
 		}
 	}
-	for _, ep := range endpoints {
-		s.workerClaims[ep] = sessionID
+	return s
+}
+
+// claimWorkers makes the session the workers' owner, erroring when
+// another session already is: a worker holds exactly one shard state, so
+// a second session's engine would silently replace the first one's (see
+// SystemConfig.Workers). Re-claiming by the owner (an engine rebuild) is
+// a no-op.
+func (s *System) claimWorkers(sessionID string) error {
+	s.cmu.Lock()
+	defer s.cmu.Unlock()
+	if s.workerOwner != "" && s.workerOwner != sessionID {
+		return fmt.Errorf("the workers already serve session %s's shards; a worker set serves one distributed session", s.workerOwner)
 	}
+	s.workerOwner = sessionID
 	return nil
 }
 
-// claimSpare hands one standby endpoint from the shared failover pool to
-// the session, or "" when none is left. Each spare is claimed at most
-// once across all sessions, so two failing-over sessions can never
-// restore conflicting shard states onto the same endpoint.
-func (s *System) claimSpare(sessionID string) string {
+// claimSpare is the distributed engine's failover hook (cluster.Options
+// Respawn): it hands out the next standby endpoint for the dead shard,
+// or "" when none is left. A spare is handed out at most once, so two
+// failovers never restore conflicting shard states onto one endpoint.
+func (s *System) claimSpare(int) string {
 	s.cmu.Lock()
 	defer s.cmu.Unlock()
-	for len(s.clusterSpares) > 0 {
-		ep := s.clusterSpares[0]
-		s.clusterSpares = s.clusterSpares[1:]
-		if owner, ok := s.workerClaims[ep]; ok && owner != sessionID {
-			continue // listed both as a primary and a spare; already taken
-		}
-		s.workerClaims[ep] = sessionID
-		return ep
+	if len(s.spares) == 0 {
+		return ""
 	}
-	return ""
+	ep := s.spares[0]
+	s.spares = s.spares[1:]
+	return ep
 }
 
 // Store exposes the underlying document store.
@@ -246,10 +239,6 @@ type Session struct {
 	Project string
 	Table   *table.Table
 	Params  Params
-	// Discovery, when non-nil, overrides the system's base discovery
-	// configuration for this session (Params still overlay coverage and
-	// violation ratio).
-	Discovery *discovery.Config
 
 	Profile profile.TableProfile
 	// profiledTable and profiledVersion record which table, at which
@@ -276,13 +265,11 @@ type Session struct {
 	// layers can distinguish "zero violations" from "never detected".
 	detected bool
 
-	// shards, when > 0, overrides the system's default shard count for
-	// this session's incremental engine (see SessionConfig.Shards).
-	shards int
-
-	// workers, when non-empty, overrides the system's default worker list
-	// for this session's incremental engine (see SessionConfig.Workers).
-	workers []string
+	// repairedTable and repairedVersion record which table, at which
+	// Version, RunRepairs computed Repairs for, so CurrentRepairs can tell
+	// when a delta has moved the table on since.
+	repairedTable   *table.Table
+	repairedVersion int64
 
 	// str is the session's lazily built incremental detection engine —
 	// a single stream.Engine, or a shard.Coordinator when the session is
@@ -309,70 +296,26 @@ func (s *System) NewSession(project string, t *table.Table, p Params) *Session {
 	return &Session{sys: s, ID: id, Project: project, Table: t, Params: p}
 }
 
-// SessionConfig is the full per-session configuration of NewSessionWith.
-type SessionConfig struct {
-	// Params are the session's user parameters (see Params).
-	Params Params
-	// Shards overrides the system default shard count for this session's
-	// incremental detection engine: 0 inherits SystemConfig.Shards, 1
-	// forces a single engine, K > 1 partitions the table across K
-	// per-shard engines with byte-identical results.
-	Shards int
-	// Workers overrides the system default worker list for this session's
-	// incremental detection engine: nil inherits SystemConfig.Workers, a
-	// non-empty list runs one shard per worker over HTTP (internal/cluster)
-	// with byte-identical results.
-	Workers []string
-	// Discovery, when non-nil, overrides the system's base discovery
-	// configuration for this session.
-	Discovery *discovery.Config
-}
-
-// NewSessionWith is NewSession with the full per-session configuration.
-func (s *System) NewSessionWith(project string, t *table.Table, cfg SessionConfig) *Session {
-	se := s.NewSession(project, t, cfg.Params)
-	se.shards = cfg.Shards
-	se.workers = cfg.Workers
-	se.Discovery = cfg.Discovery
-	return se
-}
-
-// Shards resolves the session's effective shard count: the worker count
-// in distributed mode, else the per-session override when set, else the
-// system default, and never below 1.
+// Shards is the shard count of the session's incremental engine: the
+// worker count in distributed mode, else the system's Shards, and never
+// below 1.
 func (se *Session) Shards() int {
 	if w := se.Workers(); len(w) > 0 {
 		return len(w)
 	}
-	k := se.shards
-	if k == 0 {
-		k = se.sys.cfg.Shards
-	}
-	if k < 1 {
-		k = 1
-	}
-	return k
+	return max(se.sys.cfg.Shards, 1)
 }
 
-// Workers resolves the session's effective worker list: the per-session
-// override when set, the system default otherwise. Empty means the
-// engine runs in-process.
-func (se *Session) Workers() []string {
-	if len(se.workers) > 0 {
-		return se.workers
-	}
-	return se.sys.cfg.Workers
-}
+// Workers is the system's worker list; empty means the session's engine
+// runs in-process.
+func (se *Session) Workers() []string { return se.sys.cfg.Workers }
 
 // discoveryConfig resolves the effective discovery configuration: the
-// session override (or the system base) with the session Params overlaid.
-// SystemConfig.Parallelism is the one pipeline-wide worker knob, so
-// discovery inherits it unless the discovery config sets its own.
+// system base with the session Params overlaid. SystemConfig.Parallelism
+// is the one pipeline-wide worker knob, so discovery inherits it unless
+// the discovery config sets its own.
 func (se *Session) discoveryConfig() discovery.Config {
 	cfg := se.sys.cfg.Discovery
-	if se.Discovery != nil {
-		cfg = *se.Discovery
-	}
 	cfg.MinCoverage = se.Params.MinCoverage
 	cfg.MaxViolationRatio = se.Params.AllowedViolations
 	if cfg.Parallelism == 0 {
@@ -572,7 +515,20 @@ func (se *Session) RunRepairs(ctx context.Context) ([]detect.Repair, error) {
 		return nil, fmt.Errorf("session %s: %w", se.ID, err)
 	}
 	se.Repairs = out
+	se.repairedTable, se.repairedVersion = se.Table, se.Table.Version()
 	return out, nil
+}
+
+// CurrentRepairs returns repair suggestions for the table as it is now:
+// Repairs, re-derived first when a delta has changed the table since
+// RunRepairs computed them (a delete renumbers rows, so old suggestions
+// would name other tuples). A session whose repairs stage never ran
+// returns Repairs as it is.
+func (se *Session) CurrentRepairs(ctx context.Context) ([]detect.Repair, error) {
+	if se.repairedTable == nil || (se.repairedTable == se.Table && se.repairedVersion == se.Table.Version()) {
+		return se.Repairs, nil
+	}
+	return se.RunRepairs(ctx)
 }
 
 // Run executes the whole pipeline: profile, discovery, detection, repair
@@ -630,10 +586,10 @@ func (se *Session) newStreamer(rules []*pfd.PFD, base int64) (Streamer, error) {
 	det := se.engine()
 	se.det = nil
 	if w := se.Workers(); len(w) > 0 {
-		// A worker set serves one session: claim the endpoints (for the
-		// system's lifetime) so a second distributed session cannot boot
-		// over them and clobber this one's shard state.
-		if err := se.sys.claimWorkers(se.ID, w); err != nil {
+		// The workers serve one session: claim them (for the system's
+		// lifetime) so a second distributed session cannot boot over them
+		// and clobber this one's shard state.
+		if err := se.sys.claimWorkers(se.ID); err != nil {
 			return nil, err
 		}
 		dir := ""
@@ -643,14 +599,11 @@ func (se *Session) newStreamer(rules []*pfd.PFD, base int64) (Streamer, error) {
 		return cluster.New(se.Table, rules, w, cluster.Options{
 			BaseSeq: base,
 			Dir:     dir,
-			// Spares come from the system's shared claim-once pool rather
-			// than a per-coordinator copy, so two failing-over sessions can
-			// never restore conflicting states onto the same spare.
-			Respawn: func(int) string { return se.sys.claimSpare(se.ID) },
+			Respawn: se.sys.claimSpare,
 		})
 	}
 	if k := se.Shards(); k > 1 {
-		return shard.NewFrom(se.Table, rules, k, base)
+		return shard.NewWith(se.Table, rules, k, shard.Config{BaseSeq: base})
 	}
 	return stream.NewEngineOpts(det, rules, stream.EngineOptions{BaseSeq: base})
 }

@@ -271,10 +271,7 @@ func TestDefaultParams(t *testing.T) {
 // the context while discovery is mining aborts Session.Run with an error
 // wrapping context.Canceled.
 func TestRunCancelledMidDiscovery(t *testing.T) {
-	sys := NewSystem(docstore.NewMem())
 	d := datagen.ZipCity(2000, 0.005, 48)
-	se := sys.NewSession("p", d.Table, DefaultParams())
-
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	started := make(chan struct{})
@@ -288,7 +285,7 @@ func TestRunCancelledMidDiscovery(t *testing.T) {
 		<-ctx.Done()
 		return false
 	}
-	se.Discovery = &cfg
+	se := NewSystemWith(docstore.NewMem(), SystemConfig{Discovery: cfg}).NewSession("p", d.Table, DefaultParams())
 
 	errc := make(chan error, 1)
 	go func() { errc <- se.Run(ctx) }()

@@ -41,20 +41,21 @@ func mustJSONStr(t *testing.T, v any) string {
 	return string(b)
 }
 
-// TestSessionShardsResolution pins the override chain: session value
-// beats system default beats the floor of 1.
+// TestSessionShardsResolution pins where a session's topology comes
+// from: the system alone — its worker count, else its Shards, never
+// below 1.
 func TestSessionShardsResolution(t *testing.T) {
 	sys := NewSystemWith(docstore.NewMem(), SystemConfig{Shards: 4})
 	if got := sys.NewSession("p", shardTestTable(), DefaultParams()).Shards(); got != 4 {
-		t.Fatalf("system default: %d", got)
-	}
-	se := sys.NewSessionWith("p", shardTestTable(), SessionConfig{Shards: 2})
-	if got := se.Shards(); got != 2 {
-		t.Fatalf("session override: %d", got)
+		t.Fatalf("system shards: %d", got)
 	}
 	plain := NewSystem(docstore.NewMem()).NewSession("p", shardTestTable(), DefaultParams())
 	if got := plain.Shards(); got != 1 {
 		t.Fatalf("floor: %d", got)
+	}
+	remote := NewSystemWith(docstore.NewMem(), SystemConfig{Shards: 4, Workers: []string{"http://a", "http://b"}})
+	if got := remote.NewSession("p", shardTestTable(), DefaultParams()).Shards(); got != 2 {
+		t.Fatalf("workers: %d", got)
 	}
 }
 
@@ -64,10 +65,9 @@ func TestSessionShardsResolution(t *testing.T) {
 // against an unsharded twin session at every step.
 func TestShardedSessionStreamAndRepairs(t *testing.T) {
 	ctx := context.Background()
-	sys := NewSystem(docstore.NewMem())
-	se := sys.NewSessionWith("p", shardTestTable(), SessionConfig{Shards: 4})
+	se := NewSystemWith(docstore.NewMem(), SystemConfig{Shards: 4}).NewSession("p", shardTestTable(), DefaultParams())
 	se.UseRules(shardTestRules())
-	twin := sys.NewSession("p", shardTestTable(), DefaultParams())
+	twin := NewSystem(docstore.NewMem()).NewSession("p", shardTestTable(), DefaultParams())
 	twin.UseRules(shardTestRules())
 	for _, s := range []*Session{se, twin} {
 		if _, err := s.RunDetection(ctx); err != nil {
@@ -123,12 +123,6 @@ func TestShardedSessionStreamAndRepairs(t *testing.T) {
 	}
 	if mustJSONStr(t, se.Violations) != mustJSONStr(t, twin.Violations) {
 		t.Fatal("sharded repairs diverged")
-	}
-
-	// Snapshot carries the shard count.
-	snap := se.Snapshot()
-	if snap.Shards != 4 {
-		t.Fatalf("snapshot shards = %d", snap.Shards)
 	}
 
 	// A rule-set change rebuilds the coordinator on the continued

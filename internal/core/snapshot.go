@@ -55,10 +55,6 @@ type SessionSnapshot struct {
 	// when no engine exists). WAL records at or below it are already
 	// folded into TableData and are skipped on replay.
 	Seq int64 `json:"seq"`
-	// Shards is the session's resolved shard count at checkpoint time
-	// (>= 1), so recovery rebuilds the same engine topology: a sharded
-	// session's coordinator is rebuilt shard by shard and re-merged.
-	Shards int `json:"shards,omitempty"`
 	// Compaction marks a checkpoint taken only to shorten the journal: the
 	// engine it images is the one the journal's records were applied to,
 	// so snapshot + journal on disk already describe this state and the
@@ -147,7 +143,6 @@ func (se *Session) Snapshot() *SessionSnapshot {
 		Confirmed:    se.Confirmed,
 		ConfirmedSet: se.Confirmed != nil,
 		Detected:     se.detected,
-		Shards:       se.Shards(),
 	}
 	if se.str != nil {
 		snap.Seq = se.str.Seq()
@@ -204,7 +199,6 @@ func (s *System) RestoreSession(snap *SessionSnapshot) (*Session, error) {
 		Table:    t,
 		Params:   snap.Params,
 		detected: snap.Detected,
-		shards:   snap.Shards,
 	}
 	se.Discovered = snap.Discovered
 	if snap.ConfirmedSet {
@@ -252,14 +246,15 @@ func (s *System) adoptID(id string) {
 }
 
 // ReplayJournal finishes recovery: it bootstraps the incremental engine
-// over the restored table at the checkpoint's sequence cursor — from a
-// fresh detector, or the shard coordinator, rebuilt shard by shard and
-// re-merged, when the snapshot was sharded — which recomputes the
-// violation set, byte-identical to a full detection — and applies the
-// journaled delta batches through it in order, restoring the sequence
-// timeline so pre-crash `since` cursors resolve. The engine gets its sink
-// only afterwards, so no batch is journaled twice. Sessions that never
-// ran detection skip the engine entirely and must have an empty journal.
+// over the restored table at the checkpoint's sequence cursor, which
+// recomputes the violation set, byte-identical to a full detection, and
+// applies the journaled delta batches through it in order, restoring the
+// sequence timeline so pre-crash `since` cursors resolve. The engine takes
+// the restoring system's topology, whatever K wrote the snapshot: results
+// are byte-identical at every K, and every session journals one WAL
+// whatever its K. The engine gets its sink only afterwards, so no batch
+// is journaled twice. Sessions that never ran detection skip the engine
+// entirely and must have an empty journal.
 func (se *Session) ReplayJournal(baseSeq int64, batches []stream.Batch) error {
 	rules := se.rules()
 	if !se.detected {

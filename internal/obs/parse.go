@@ -1,8 +1,7 @@
 // A minimal parser for the Prometheus text exposition format — enough
 // to round-trip what Render emits. It backs the rendering tests (every
 // exposed line must parse back to the value that produced it) and the
-// coordinator's scrape-aggregated cluster view, which reads worker
-// /metrics endpoints over HTTP.
+// benchmark client, which reads each process's /metrics over HTTP.
 package obs
 
 import (

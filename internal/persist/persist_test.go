@@ -85,11 +85,17 @@ func newDetectedSession(t *testing.T, dir string) (*core.Session, *Manager) {
 
 func restoreOne(t *testing.T, dir string) (*core.Session, *Manager) {
 	t.Helper()
+	return restoreInto(t, dir, core.NewSystem(docstore.NewMem()))
+}
+
+// restoreInto is restoreOne into the given system.
+func restoreInto(t *testing.T, dir string, sys *core.System) (*core.Session, *Manager) {
+	t.Helper()
 	m, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sessions, err := m.Restore(core.NewSystem(docstore.NewMem()))
+	sessions, err := m.Restore(sys)
 	if err != nil {
 		t.Fatal(err)
 	}

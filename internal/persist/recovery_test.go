@@ -14,7 +14,6 @@ import (
 
 	"github.com/anmat/anmat/internal/core"
 	"github.com/anmat/anmat/internal/detect"
-	"github.com/anmat/anmat/internal/docstore"
 	"github.com/anmat/anmat/internal/pfd"
 	"github.com/anmat/anmat/internal/stream"
 	"github.com/anmat/anmat/internal/table"
@@ -66,7 +65,8 @@ var crashStyles = []crashStyle{crashClean, crashTorn, crashGarbage, crashCkptTmp
 // A failing script is dumped to testdata/failures/ so CI can upload it.
 //
 // The property runs both unsharded (one engine) and sharded (K=4: a
-// coordinator); either way the session journals into its one WAL, and
+// coordinator), writer and recovery in systems of the same K; either way
+// the session journals into its one WAL, and
 // the crash damages the segment file that holds the last record — or it
 // dies inside a checkpoint, or cannot write one at all (the ckpt-*
 // styles; TestCheckpointCrashMidRotation kills the background write
@@ -147,8 +147,7 @@ func startRecoveryRun(t *testing.T, style crashStyle, seed int64, shards, compac
 	}
 	r.script.InitialCSV = csvBuf.String()
 
-	sys := core.NewSystem(docstore.NewMem())
-	se := sys.NewSessionWith("proj", tbl, core.SessionConfig{Params: core.DefaultParams(), Shards: shards})
+	se := shardedSystem(shards).NewSession("proj", tbl, core.DefaultParams())
 	se.UseRules(testRules())
 	if _, err := se.RunDetection(context.Background()); err != nil {
 		t.Fatal(err)
@@ -212,7 +211,7 @@ func (r *recoveryRun) recoverAndCheck(expectSeq int64) (*core.Session, *Manager)
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { m2.Close() })
-	sessions, err := m2.Restore(core.NewSystem(docstore.NewMem()))
+	sessions, err := m2.Restore(shardedSystem(r.script.Shards))
 	if err != nil {
 		t.Fatal(err)
 	}

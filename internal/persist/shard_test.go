@@ -2,7 +2,9 @@ package persist
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,16 +15,22 @@ import (
 	"github.com/anmat/anmat/internal/stream"
 )
 
-// newShardedSession builds a K-sharded session with rules installed and
-// detection run, attached to a fresh manager at dir.
+// shardedSystem is a system whose sessions run K-shard engines.
+func shardedSystem(k int) *core.System {
+	cfg := core.DefaultSystemConfig()
+	cfg.Shards = k
+	return core.NewSystemWith(docstore.NewMem(), cfg)
+}
+
+// newShardedSession builds a session of a K-shard system with rules
+// installed and detection run, attached to a fresh manager at dir.
 func newShardedSession(t *testing.T, dir string, k int) (*core.Session, *Manager) {
 	t.Helper()
 	m, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := core.NewSystem(docstore.NewMem())
-	se := sys.NewSessionWith("proj", testTable(), core.SessionConfig{Params: core.DefaultParams(), Shards: k})
+	se := shardedSystem(k).NewSession("proj", testTable(), core.DefaultParams())
 	se.UseRules(testRules())
 	if _, err := se.RunDetection(context.Background()); err != nil {
 		t.Fatal(err)
@@ -115,7 +123,7 @@ func TestShardedCrashRecoveryRoundTrip(t *testing.T) {
 			wantRows := se.Table.NumRows()
 			m.Close() // crash: no final checkpoint
 
-			back, m2 := restoreOne(t, dir)
+			back, m2 := restoreInto(t, dir, shardedSystem(k))
 			defer m2.Close()
 			if back.Table.NumRows() != wantRows {
 				t.Fatalf("restored rows = %d, want %d", back.Table.NumRows(), wantRows)
@@ -172,7 +180,7 @@ func TestRestoreRefusesLegacyShardWALs(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "wal", leftover)); err != nil {
 		t.Fatal(err)
 	}
-	sessions, err := m2.Restore(core.NewSystem(docstore.NewMem()))
+	sessions, err := m2.Restore(shardedSystem(2))
 	if err != nil || len(sessions) != 1 {
 		t.Fatalf("restore after removing the leftover: %d sessions, err %v", len(sessions), err)
 	}
@@ -189,8 +197,7 @@ func TestShardedJournalFsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := core.NewSystem(docstore.NewMem())
-	se := sys.NewSessionWith("proj", testTable(), core.SessionConfig{Params: core.DefaultParams(), Shards: 2})
+	se := shardedSystem(2).NewSession("proj", testTable(), core.DefaultParams())
 	se.UseRules(testRules())
 	if _, err := se.RunDetection(context.Background()); err != nil {
 		t.Fatal(err)
@@ -204,9 +211,74 @@ func TestShardedJournalFsync(t *testing.T) {
 	}
 	wantVio := mustJSON(t, se.Violations)
 	m.Close()
-	back, m2 := restoreOne(t, dir)
+	back, m2 := restoreInto(t, dir, shardedSystem(2))
 	defer m2.Close()
 	if got := mustJSON(t, back.Violations); got != wantVio {
 		t.Fatalf("fsync recovery diverged:\n got %s\nwant %s", got, wantVio)
+	}
+}
+
+// TestRestoreTakesTheRestoringTopology: a data directory written by a
+// K=4 system restores into K=1 and K=2 systems with byte-identical
+// violations and since-cursor answers, each running the restoring
+// system's topology — where engines run is the deployment's choice, not
+// the snapshot's.
+func TestRestoreTakesTheRestoringTopology(t *testing.T) {
+	dir := t.TempDir()
+	se, m := newShardedSession(t, dir, 4)
+	shardBatches(t, se)
+	eng, err := se.Stream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantVio := mustJSON(t, se.Violations)
+	var wantSince []string
+	for c := int64(0); c <= eng.Seq(); c++ {
+		d, err := eng.Since(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSince = append(wantSince, mustJSON(t, d))
+	}
+	m.Close()
+	// Write the header the way an older release did, recording the
+	// writer's K: the field still decodes, and decides nothing.
+	path := m.snapPath(se.ID)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := snapPrefix + int(binary.LittleEndian.Uint32(b[len(snapMagic):]))
+	old := binary.LittleEndian.AppendUint32([]byte(snapMagic), uint32(end-snapPrefix+len(`"shards":4,`)))
+	old = append(append(old, `{"shards":4,`...), b[snapPrefix+1:end]...)
+	old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
+	if err := os.WriteFile(path, append(old, b[end+crc32.Size:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, k := range []int{1, 2} {
+		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
+			back, m2 := restoreInto(t, dir, shardedSystem(k))
+			defer m2.Close()
+			if got := mustJSON(t, back.Violations); got != wantVio {
+				t.Fatalf("violations diverged:\n got %s\nwant %s", got, wantVio)
+			}
+			beng, err := back.Stream()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c, want := range wantSince {
+				d, err := beng.Since(int64(c))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := mustJSON(t, d); got != want {
+					t.Fatalf("since=%d diverged:\n got %s\nwant %s", c, got, want)
+				}
+			}
+			if st := back.EngineStats(); st.Shards != k {
+				t.Fatalf("restored engine runs %d shard(s), want the restoring system's %d", st.Shards, k)
+			}
+		})
 	}
 }

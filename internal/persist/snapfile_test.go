@@ -264,7 +264,7 @@ func snapFileFixture(t testing.TB) (file []byte, tableAt int) {
 	t.Helper()
 	data := testTable().EncodeBinaryBytes()
 	snap := &core.SessionSnapshot{ID: "s1", Project: "proj", Params: core.DefaultParams(),
-		TableName: "T", TableData: data, Discovered: testRules(), Detected: true, Seq: 7, Shards: 1}
+		TableName: "T", TableData: data, Discovered: testRules(), Detected: true, Seq: 7}
 	file, err := encodeSnapFile(nil, snap)
 	if err != nil {
 		t.Fatal(err)

@@ -37,10 +37,6 @@ import (
 	"github.com/anmat/anmat/internal/stream"
 )
 
-// TenantHeader is the request header naming the tenant a request acts
-// as. Absent means DefaultTenant.
-const TenantHeader = "X-Anmat-Tenant"
-
 // DefaultTenant is the tenant of unlabeled requests, restored sessions,
 // and datasets loaded from the command line.
 const DefaultTenant = "default"
@@ -112,7 +108,7 @@ func newAdmission(l Limits) *admission {
 
 // requestTenant resolves the tenant a request acts as.
 func requestTenant(r *http.Request) string {
-	if t := r.Header.Get(TenantHeader); t != "" {
+	if t := r.Header.Get(obs.TenantHeader); t != "" {
 		return t
 	}
 	return DefaultTenant

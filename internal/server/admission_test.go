@@ -11,6 +11,7 @@ import (
 	"github.com/anmat/anmat/internal/core"
 	"github.com/anmat/anmat/internal/datagen"
 	"github.com/anmat/anmat/internal/docstore"
+	"github.com/anmat/anmat/internal/obs"
 )
 
 // postAs posts a body as the given tenant.
@@ -18,7 +19,7 @@ func postAs(t *testing.T, h http.Handler, tenant, path, body string) *httptest.R
 	t.Helper()
 	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
 	if tenant != "" {
-		req.Header.Set(TenantHeader, tenant)
+		req.Header.Set(obs.TenantHeader, tenant)
 	}
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)

@@ -13,6 +13,7 @@ import (
 	"github.com/anmat/anmat/internal/core"
 	"github.com/anmat/anmat/internal/datagen"
 	"github.com/anmat/anmat/internal/docstore"
+	"github.com/anmat/anmat/internal/obs"
 )
 
 // takeBackup downloads the session's backup tar.
@@ -246,7 +247,7 @@ func TestRestoreCountsAgainstAdmission(t *testing.T) {
 	dstSrv.SetLimits(Limits{MaxRows: 100}) // dataset has 400 rows
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodPost, "/api/v1/sessions/restore", bytes.NewReader(tarBytes))
-	req.Header.Set(TenantHeader, "acme")
+	req.Header.Set(obs.TenantHeader, "acme")
 	dstSrv.Handler().ServeHTTP(rec, req)
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("over-quota restore: %d, want 429 (%s)", rec.Code, rec.Body.String())

@@ -1,16 +1,12 @@
 // Server-level observability: registry gauges computed at scrape time,
-// the /metrics + /debug/pprof mounts, structured access logging, and the
-// scrape-aggregated cluster view embedded in /api/v1/stats.
+// the /metrics + /debug/pprof mounts, and structured access logging.
 package server
 
 import (
-	"context"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"sync"
-	"time"
 
 	"github.com/anmat/anmat/internal/obs"
 )
@@ -87,83 +83,4 @@ func (s *Server) mountObs(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// clusterView is the scrape-aggregated distributed picture of one sharded
-// session, embedded in /api/v1/stats: per-worker applied-batch counters
-// and poisoned flags read from each worker's own /metrics endpoint, so a
-// single coordinator scrape answers "are the workers keeping up".
-type clusterView struct {
-	Workers []workerView `json:"workers"`
-	// BatchesApplied sums the per-worker applied counters (redeliveries
-	// excluded) — comparable against the coordinator's own
-	// anmat_shard_node_batches_total{outcome="ok"}.
-	BatchesApplied float64 `json:"batches_applied"`
-}
-
-// workerView is one worker's scraped contribution.
-type workerView struct {
-	URL string `json:"url"`
-	// Err reports a scrape failure; the other fields are zero then.
-	Err            string  `json:"error,omitempty"`
-	BatchesApplied float64 `json:"batches_applied"`
-	Redeliveries   float64 `json:"redeliveries"`
-	Poisoned       bool    `json:"poisoned"`
-}
-
-// scrapeTimeout bounds each worker /metrics fetch inside a stats request;
-// a hung worker should cost the operator one short wait, not a stuck
-// stats page.
-const scrapeTimeout = 2 * time.Second
-
-// scrapeWorkers fetches and parses every worker's /metrics concurrently
-// and folds the per-shard counters into a clusterView. Scrape errors are
-// reported per worker, never failing the stats request.
-func scrapeWorkers(ctx context.Context, urls []string) clusterView {
-	views := make([]workerView, len(urls))
-	var wg sync.WaitGroup
-	for i, u := range urls {
-		wg.Add(1)
-		go func(i int, u string) {
-			defer wg.Done()
-			views[i] = scrapeWorker(ctx, u)
-		}(i, u)
-	}
-	wg.Wait()
-	cv := clusterView{Workers: views}
-	for _, v := range views {
-		cv.BatchesApplied += v.BatchesApplied
-	}
-	return cv
-}
-
-func scrapeWorker(ctx context.Context, url string) workerView {
-	view := workerView{URL: url}
-	ctx, cancel := context.WithTimeout(ctx, scrapeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/metrics", nil)
-	if err != nil {
-		view.Err = err.Error()
-		return view
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		view.Err = err.Error()
-		return view
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	if err != nil {
-		view.Err = err.Error()
-		return view
-	}
-	samples, _, err := obs.ParseText(string(body))
-	if err != nil {
-		view.Err = err.Error()
-		return view
-	}
-	view.BatchesApplied = obs.SumSamples(samples, "anmat_worker_batches_applied_total", nil)
-	view.Redeliveries = obs.SumSamples(samples, "anmat_worker_redeliveries_total", nil)
-	view.Poisoned = obs.SumSamples(samples, "anmat_worker_poisoned", nil) > 0
-	return view
 }

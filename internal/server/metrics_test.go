@@ -1,7 +1,9 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -73,4 +75,42 @@ func scrapeSum(t *testing.T, h http.Handler, name string, match map[string]strin
 		t.Fatal(err)
 	}
 	return obs.SumSamples(samples, name, match)
+}
+
+// TestUnknownMethodsAddNoSeries sends invented HTTP methods to every
+// route: each is a 405 from the mux, so anmat_http_requests_total
+// (labelled by method) gains no series however many a caller makes up.
+func TestUnknownMethodsAddNoSeries(t *testing.T) {
+	h := newLoadedServer(t).Handler()
+	series := func() int {
+		samples, _, err := obs.ParseText(obs.Default.Text())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, s := range samples {
+			if s.Name == "anmat_http_requests_total" {
+				n++
+			}
+		}
+		return n
+	}
+	before := series()
+	for _, path := range []string{"/api/v1/sessions", "/api/v1/sessions/s1", "/api/v1/sessions/s1/profile",
+		"/api/v1/sessions/s1/pfds", "/api/v1/sessions/s1/detection", "/api/v1/sessions/s1/violations",
+		"/api/v1/sessions/s1/violations/0", "/api/v1/sessions/s1/repairs", "/api/v1/sessions/s1/repairs/apply",
+		"/api/v1/sessions/s1/deltas", "/api/v1/sessions/s1/dmv", "/api/v1/sessions/s1/confirm",
+		"/api/v1/sessions/s1/backup", "/api/v1/sessions/restore", "/api/v1/projects", "/api/v1/stats",
+		"/api/v1/traces", "/api/v1/traces/x", "/healthz", "/metrics", "/profile", "/pfds", "/violations", "/"} {
+		for i := 0; i < 5; i++ {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(fmt.Sprintf("BREW%d", i), path, nil))
+			if rec.Code != http.StatusMethodNotAllowed {
+				t.Fatalf("BREW%d %s = %d, want 405", i, path, rec.Code)
+			}
+		}
+	}
+	if after := series(); after != before {
+		t.Fatalf("invented methods grew anmat_http_requests_total from %d to %d series", before, after)
+	}
 }

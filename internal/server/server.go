@@ -416,13 +416,14 @@ func sessionIDBefore(a, b string) bool {
 	}
 }
 
-// paginate slices one page out of the violations, clamping offset to the
-// total (limit 0 = no bound). Returns the page and the clamped offset.
-func paginate(vs []pfd.Violation, limit, offset int) ([]pfd.Violation, int) {
-	if offset > len(vs) {
-		offset = len(vs)
+// paginate slices one page out of a list — violations or diff changes —
+// clamping offset to the total (limit 0 = no bound). Returns the page and
+// the clamped offset.
+func paginate[T any](xs []T, limit, offset int) ([]T, int) {
+	if offset > len(xs) {
+		offset = len(xs)
 	}
-	page := vs[offset:]
+	page := xs[offset:]
 	if limit > 0 && len(page) > limit {
 		page = page[:limit]
 	}
@@ -443,10 +444,17 @@ type sessionSummary struct {
 	Persistence *persist.Status `json:"persistence,omitempty"`
 }
 
-func (s *Server) summarize(h *sessionHandle) sessionSummary {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
+// summarize reports one session. Its repair count describes the current
+// table, so a session that took deltas since its repairs were derived
+// re-derives them first (hence the write lock).
+func (s *Server) summarize(ctx context.Context, h *sessionHandle) (sessionSummary, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	se := h.sess
+	repairs, err := se.CurrentRepairs(ctx)
+	if err != nil {
+		return sessionSummary{}, err
+	}
 	sum := sessionSummary{
 		Session:    se.ID,
 		Project:    se.Project,
@@ -454,14 +462,14 @@ func (s *Server) summarize(h *sessionHandle) sessionSummary {
 		Rows:       se.Table.NumRows(),
 		PFDs:       len(se.Discovered),
 		Violations: len(se.Violations),
-		Repairs:    len(se.Repairs),
+		Repairs:    len(repairs),
 	}
 	if s.pm != nil {
 		if st, ok := s.pm.Status(se.ID); ok {
 			sum.Persistence = &st
 		}
 	}
-	return sum
+	return sum, nil
 }
 
 func (s *Server) apiProjects(w http.ResponseWriter, r *http.Request) {
@@ -491,15 +499,13 @@ type sessionStats struct {
 	Violations int              `json:"violations"`
 	Detected   bool             `json:"detected"`
 	Engine     core.EngineStats `json:"engine"`
-	// Cluster, present only for distributed sessions, aggregates the
-	// session's worker /metrics endpoints into one view (scraped live
-	// during the stats request; per-worker scrape errors are inlined).
-	Cluster *clusterView `json:"cluster,omitempty"`
 }
 
 // apiStats reports server totals plus per-session incremental-engine
 // state — including per-shard row/violation/block counts for sharded
-// sessions, so operators can watch hot-shard imbalance. Engines are
+// sessions, so operators can watch hot-shard imbalance, and for
+// distributed ones each worker's applied-batch and redelivery counts (an
+// unreachable or poisoned worker shows as its shard's error). Engines are
 // reported as they are; a session whose engine is not built yet shows
 // kind "none" (stats never force an expensive bootstrap).
 func (s *Server) apiStats(w http.ResponseWriter, r *http.Request) {
@@ -510,7 +516,6 @@ func (s *Server) apiStats(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.RUnlock()
 	out := make([]sessionStats, 0, len(handles))
-	workerURLs := make([][]string, 0, len(handles))
 	for _, h := range handles {
 		h.mu.RLock()
 		se := h.sess
@@ -522,17 +527,7 @@ func (s *Server) apiStats(w http.ResponseWriter, r *http.Request) {
 			Detected:   se.DetectionRan(),
 			Engine:     se.EngineStats(),
 		})
-		workerURLs = append(workerURLs, se.Workers())
 		h.mu.RUnlock()
-	}
-	// Scrape distributed sessions' worker /metrics outside the session
-	// locks: a slow worker must not block the session it serves.
-	for i, urls := range workerURLs {
-		if len(urls) == 0 {
-			continue
-		}
-		cv := scrapeWorkers(r.Context(), urls)
-		out[i].Cluster = &cv
 	}
 	sort.Slice(out, func(i, j int) bool { return sessionIDBefore(out[i].Session, out[j].Session) })
 	writeJSON(w, map[string]any{
@@ -616,7 +611,12 @@ func (s *Server) apiListSessions(w http.ResponseWriter, r *http.Request) {
 	s.mu.RUnlock()
 	out := make([]sessionSummary, 0, len(handles))
 	for _, h := range handles {
-		out = append(out, s.summarize(h))
+		sum, err := s.summarize(r.Context(), h)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		out = append(out, sum)
 	}
 	sort.Slice(out, func(i, j int) bool { return sessionIDBefore(out[i].Session, out[j].Session) })
 	// "default" is the session the HTML pages show without ?session=.
@@ -632,7 +632,12 @@ func (s *Server) apiSessionSummary(w http.ResponseWriter, r *http.Request) {
 	if h == nil {
 		return
 	}
-	writeJSON(w, s.summarize(h))
+	sum, err := s.summarize(r.Context(), h)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	writeJSON(w, sum)
 }
 
 func (s *Server) apiDeleteSession(w http.ResponseWriter, r *http.Request) {
@@ -811,22 +816,10 @@ func diffChanges(d *stream.Diff) []change {
 	return out
 }
 
-// paginateChanges slices one page out of a change list (limit 0 = all).
-func paginateChanges(cs []change, limit, offset int) ([]change, int) {
-	if offset > len(cs) {
-		offset = len(cs)
-	}
-	page := cs[offset:]
-	if limit > 0 && len(page) > limit {
-		page = page[:limit]
-	}
-	return page, offset
-}
-
 // writeDiff renders a stream diff with pagination metadata.
 func writeDiff(w http.ResponseWriter, sessionID string, d *stream.Diff, limit, offset int) {
 	changes := diffChanges(d)
-	page, offset := paginateChanges(changes, limit, offset)
+	page, offset := paginate(changes, limit, offset)
 	writeJSON(w, map[string]any{
 		"session":  sessionID,
 		"seq":      d.Seq,
@@ -980,14 +973,22 @@ func (s *Server) apiApplyRepairs(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// apiRepairs serves the repair suggestions for the session's current
+// table, re-deriving them first when deltas changed it since they were
+// computed (hence the write lock).
 func (s *Server) apiRepairs(w http.ResponseWriter, r *http.Request) {
 	h := s.requestHandle(w, r)
 	if h == nil {
 		return
 	}
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	writeJSON(w, map[string]any{"session": h.sess.ID, "repairs": h.sess.Repairs})
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	repairs, err := h.sess.CurrentRepairs(r.Context())
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	writeJSON(w, map[string]any{"session": h.sess.ID, "repairs": repairs})
 }
 
 // apiConfirm marks a subset of discovered PFDs as user-validated and
@@ -1137,7 +1138,11 @@ func (s *Server) pageIndex(w http.ResponseWriter, r *http.Request) {
 	h := s.pageSession(r)
 	body := "<p>No dataset loaded. POST a CSV to /api/v1/sessions.</p>"
 	if h != nil {
-		sum := s.summarize(h)
+		sum, err := s.summarize(r.Context(), h)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 		body = fmt.Sprintf("<p>Session <b>%s</b>, project <b>%s</b>, dataset <b>%s</b>: %d rows, %d PFDs, %d violations.</p>",
 			template.HTMLEscapeString(sum.Session),
 			template.HTMLEscapeString(sum.Project),

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
+	"github.com/anmat/anmat/internal/cluster"
 	"github.com/anmat/anmat/internal/core"
 	"github.com/anmat/anmat/internal/datagen"
 	"github.com/anmat/anmat/internal/docstore"
@@ -138,5 +140,88 @@ func TestDetectionEndpointShardStats(t *testing.T) {
 	}
 	if out["seq"].(float64) != 1 {
 		t.Fatalf("since seq = %v", out["seq"])
+	}
+}
+
+// TestStatsCarriesWorkerCounters: a distributed session's stats show,
+// under each shard, the worker's applied-batch and redelivery counts as
+// its /shard/v1/stats answers them, and a poisoned worker as that shard's
+// error.
+func TestStatsCarriesWorkerCounters(t *testing.T) {
+	cfg := core.DefaultSystemConfig()
+	for s := 0; s < 2; s++ {
+		w := cluster.NewWorker(s, 2)
+		w.SetLogf(nil)
+		ws := httptest.NewServer(w.Handler())
+		t.Cleanup(ws.Close)
+		cfg.Workers = append(cfg.Workers, ws.URL)
+	}
+	srv := New(core.NewSystemWith(docstore.NewMem(), cfg))
+	h := srv.Handler()
+	rec, out := postCSV(t, h, "/api/v1/sessions?name=phones", csvBody(t, datagen.PhoneState(400, 0.01, 31)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("upload: %d %s", rec.Code, rec.Body.String())
+	}
+	id := out["session"].(string)
+	for _, body := range []string{
+		`{"deltas":[{"op":"append","rows":[["8509990000","GA"]]}]}`,
+		`{"deltas":[{"op":"update","row":0,"column":"state","value":"ZZ"}]}`,
+	} {
+		if rec, _ := postJSON(t, h, "/api/v1/sessions/"+id+"/deltas", body); rec.Code != http.StatusOK {
+			t.Fatalf("deltas: %d %s", rec.Code, rec.Body.String())
+		}
+	}
+	perShard := func() []map[string]any {
+		t.Helper()
+		_, out := getJSON(t, h, "/api/v1/stats")
+		se := out["per_session"].([]any)[0].(map[string]any)
+		if _, ok := se["cluster"]; ok {
+			t.Fatal("stats still carry a scraped cluster view")
+		}
+		eng := se["engine"].(map[string]any)
+		if eng["kind"] != "cluster" {
+			t.Fatalf("engine kind = %v", eng["kind"])
+		}
+		var entries []map[string]any
+		for _, e := range eng["sharded"].(map[string]any)["per_shard"].([]any) {
+			entries = append(entries, e.(map[string]any))
+		}
+		return entries
+	}
+	applied := 0.0
+	for _, e := range perShard() {
+		if e["error"] != nil {
+			t.Fatalf("shard %v: %v", e["shard"], e["error"])
+		}
+		n, _ := e["batches_applied"].(float64)
+		applied += n
+	}
+	if applied < 2 {
+		t.Fatalf("workers applied %v batches in all, want at least one per delta", applied)
+	}
+
+	// Poison worker 1 with a batch that fails mid-apply, sent under the
+	// coordinator's epoch.
+	eng, err := srv.handle(id).sess.Stream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, _ := http.NewRequest(http.MethodPost, cfg.Workers[1]+cluster.APIPrefix+"/apply",
+		strings.NewReader(`{"seq":1000,"ops":[{"op":{"op":"delete","drop":[99999]}}]}`))
+	req.Header.Set(cluster.EpochHeader, eng.(*cluster.Coordinator).Epoch())
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("poisoning apply answered %s", resp.Status)
+	}
+	entries := perShard()
+	if msg, _ := entries[1]["error"].(string); !strings.Contains(msg, "poisoned") {
+		t.Fatalf("poisoned shard's stats entry = %v, want its error", entries[1])
+	}
+	if entries[0]["error"] != nil {
+		t.Fatalf("healthy shard reports %v", entries[0]["error"])
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 
 	"github.com/anmat/anmat/internal/core"
 	"github.com/anmat/anmat/internal/datagen"
+	"github.com/anmat/anmat/internal/detect"
 	"github.com/anmat/anmat/internal/docstore"
 )
 
@@ -268,5 +270,42 @@ func TestAPIConcurrentDeltas(t *testing.T) {
 	}
 	if out.Seq != writers*perWriter {
 		t.Errorf("seq = %d, want %d", out.Seq, writers*perWriter)
+	}
+}
+
+// TestRepairsDescribeTheCurrentTable: after a delete renumbers the rows,
+// GET repairs serves the suggestions for the table as it is now — not
+// the upload's, which would name other tuples — and the session summary
+// counts the same ones.
+func TestRepairsDescribeTheCurrentTable(t *testing.T) {
+	srv := New(core.NewSystem(docstore.NewMem()))
+	h := srv.Handler()
+	rec, out := postCSV(t, h, "/api/v1/sessions?name=phones", csvBody(t, datagen.PhoneState(400, 0.01, 31)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("upload: %d %s", rec.Code, rec.Body.String())
+	}
+	id := out["session"].(string)
+	before := get(t, h, "/api/v1/sessions/"+id+"/repairs").Body.String()
+	if rec, _ := postJSON(t, h, "/api/v1/sessions/"+id+"/deltas",
+		`{"deltas":[{"op":"delete","drop":[0,1,2,3,4,5,6,7,8,9]}]}`); rec.Code != http.StatusOK {
+		t.Fatalf("deltas: %d %s", rec.Code, rec.Body.String())
+	}
+
+	sess := srv.handle(id).sess
+	want, err := detect.New(sess.Table, detect.Options{}).RepairsAllContext(context.Background(), sess.Confirmed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRec := httptest.NewRecorder()
+	writeJSON(wantRec, map[string]any{"session": id, "repairs": want})
+	got := get(t, h, "/api/v1/sessions/"+id+"/repairs").Body.String()
+	if got != wantRec.Body.String() {
+		t.Fatalf("repairs after the delete are not the current table's:\n got %s\nwant %s", got, wantRec.Body.String())
+	}
+	if got == before {
+		t.Fatal("fixture: the delete left the suggestions unchanged")
+	}
+	if _, sum := getJSON(t, h, "/api/v1/sessions/"+id); sum["repairs"].(float64) != float64(len(want)) {
+		t.Fatalf("summary counts %v repairs, the current table has %d", sum["repairs"], len(want))
 	}
 }

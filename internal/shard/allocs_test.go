@@ -27,7 +27,7 @@ func TestShardDetectAllocsPerRow(t *testing.T) {
 	for _, k := range []int{1, 4} {
 		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
 			allocs := testing.AllocsPerRun(1, func() {
-				if _, err := NewFrom(tbl, rules, k, 0); err != nil {
+				if _, err := NewWith(tbl, rules, k, Config{}); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -72,7 +72,7 @@ func BenchmarkShardDetect(b *testing.B) {
 			before, _, beforeN := span.Snapshot()
 			var violations int
 			for i := 0; i < b.N; i++ {
-				c, err := NewFrom(tbl, rules, k, 0)
+				c, err := NewWith(tbl, rules, k, Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -102,7 +102,7 @@ func BenchmarkShardApply(b *testing.B) {
 	for _, k := range []int{1, 4} {
 		b.Run(fmt.Sprintf("append1/k%d", k), func(b *testing.B) {
 			ds := datagen.PhoneState(20_000, 0.005, 7)
-			c, err := NewFrom(ds.Table, rules, k, 0)
+			c, err := NewWith(ds.Table, rules, k, Config{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -39,7 +39,7 @@ func TestFlipHeavyReplayEquivalenceAcrossShards(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				c, err := NewFrom(tbl, rules, k, 0)
+				c, err := NewWith(tbl, rules, k, Config{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -103,7 +103,7 @@ func TestInterningEquivalenceProperty(t *testing.T) {
 		}
 
 		for _, k := range []int{1, 4} {
-			c, err := NewFrom(tbl, rules, k, 0)
+			c, err := NewWith(tbl, rules, k, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +151,7 @@ func TestWarmBootEqualsColdBoot(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, k := range []int{1, 4} {
-			c, err := NewFrom(tbl.Clone(), rules, k, 0)
+			c, err := NewWith(tbl.Clone(), rules, k, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -82,6 +82,12 @@ type NodeStats struct {
 	// Engine is the shard engine's own maintained-state summary. Its
 	// violation count is pre-merge (local, before global deduplication).
 	Engine stream.Stats `json:"engine"`
+	// BatchesApplied and Redeliveries are a worker's counts since its
+	// shard state was booted: batches its engine applied, and redelivered
+	// ones it answered from its idempotency cache. An in-process node
+	// leaves them zero.
+	BatchesApplied int64 `json:"batches_applied,omitempty"`
+	Redeliveries   int64 `json:"redeliveries,omitempty"`
 }
 
 // Node is one shard as the coordinator sees it. Implementations must
@@ -227,12 +233,9 @@ func (n *LocalNode) Stats() (NodeStats, error) {
 // Close is a no-op for in-process nodes.
 func (n *LocalNode) Close() error { return nil }
 
-// Table exposes the node's sub-table for white-box tests and the worker
-// snapshot endpoint.
+// Table exposes the node's sub-table for the worker's health probe and
+// white-box tests.
 func (n *LocalNode) Table() *table.Table { return n.t }
-
-// GlobalOf returns a copy of the node's local→global mapping.
-func (n *LocalNode) GlobalOf() []int { return append([]int(nil), n.globalOf...) }
 
 // globalizeDiff renumbers one shard diff into global row space.
 func globalizeDiff(d *stream.Diff, globalOf []int) *stream.Diff {

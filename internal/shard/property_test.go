@@ -80,7 +80,7 @@ func replayOnce(t *testing.T, k int, rng *rand.Rand) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewFrom(tbl, rules, k, 0)
+	c, err := NewWith(tbl, rules, k, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

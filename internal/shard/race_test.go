@@ -14,7 +14,7 @@ import (
 // consistent merged set. Run under -race in CI.
 func TestCoordinatorConcurrency(t *testing.T) {
 	tbl := testTable()
-	c, err := NewFrom(tbl, testRules(), 4, 0)
+	c, err := NewWith(tbl, testRules(), 4, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -498,7 +498,8 @@ func (tr *Translator) translateDelete(drop []int, ops [][]NodeOp) error {
 // coordinator.
 type RecoverFunc func(s int, boot NodeBoot, seq int64) (Node, error)
 
-// Config tunes NewWith. The zero value reproduces NewFrom at sequence 0.
+// Config tunes NewWith. The zero value builds in-process LocalNodes at
+// sequence 0, with no failover and no journal of its own.
 type Config struct {
 	// BaseSeq is the starting sequence number (see stream.NewEngineFrom
 	// for the cursor-continuity contract).
@@ -550,16 +551,10 @@ type Coordinator struct {
 	sink   func(ctx context.Context, seq int64, batch stream.Batch) error
 }
 
-// NewFrom builds a coordinator with K in-process shards over the table's
-// current contents, starting at sequence number baseSeq (see
-// stream.NewEngineFrom for the cursor-continuity contract). The shards
-// bootstrap their engines in parallel, each over its own sub-table.
-func NewFrom(t *table.Table, rules []*pfd.PFD, k int, baseSeq int64) (*Coordinator, error) {
-	return NewWith(t, rules, k, Config{BaseSeq: baseSeq})
-}
-
-// NewWith is NewFrom with the full configuration: custom node transports,
-// failover recovery, and the coordinator's own journal hook.
+// NewWith builds a coordinator with K shards over the table's current
+// contents; the zero Config gives in-process shards at sequence 0. The
+// shards bootstrap their engines in parallel, each over its own
+// sub-table.
 func NewWith(t *table.Table, rules []*pfd.PFD, k int, cfg Config) (*Coordinator, error) {
 	tr, err := NewTranslator(t, rules, k)
 	if err != nil {
@@ -963,14 +958,9 @@ func diffSets(prev, cur map[string]pfd.Violation, seq int64, rows int) *stream.D
 // ShardStat is one shard's slice of the coordinator's state.
 type ShardStat struct {
 	Shard int `json:"shard"`
-	// Rows is the shard's local row count — home rows plus replicas
-	// hosted for the block keys it owns.
-	Rows int `json:"rows"`
-	// Engine is the shard engine's own maintained-state summary. Its
-	// violation count is pre-merge (local, before global deduplication).
-	Engine stream.Stats `json:"engine"`
-	// Error reports a node whose stats read failed (an unreachable
-	// worker); Rows/Engine are zero then.
+	NodeStats
+	// Error reports a node whose stats read failed (an unreachable or a
+	// poisoned worker); NodeStats is zero then.
 	Error string `json:"error,omitempty"`
 }
 
@@ -1006,7 +996,7 @@ func (c *Coordinator) Stats() Stats {
 			continue
 		}
 		local += ns.Rows
-		st.PerShard = append(st.PerShard, ShardStat{Shard: s, Rows: ns.Rows, Engine: ns.Engine})
+		st.PerShard = append(st.PerShard, ShardStat{Shard: s, NodeStats: ns})
 	}
 	if st.Rows > 0 {
 		st.Replication = float64(local) / float64(st.Rows)

@@ -78,7 +78,7 @@ func TestBootstrapMatchesFullDetection(t *testing.T) {
 		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
 			tbl := testTable()
 			rules := testRules()
-			c, err := NewFrom(tbl, rules, k, 0)
+			c, err := NewWith(tbl, rules, k, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +98,7 @@ func TestDeltasMatchFullDetection(t *testing.T) {
 		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
 			tbl := testTable()
 			rules := testRules()
-			c, err := NewFrom(tbl, rules, k, 0)
+			c, err := NewWith(tbl, rules, k, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +128,7 @@ func TestDeltasMatchFullDetection(t *testing.T) {
 func TestKeyMoveAcrossShards(t *testing.T) {
 	tbl := testTable()
 	rules := testRules()
-	c, err := NewFrom(tbl, rules, 4, 0)
+	c, err := NewWith(tbl, rules, 4, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestDeleteSpanningShards(t *testing.T) {
 		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
 			tbl := testTable()
 			rules := testRules()
-			c, err := NewFrom(tbl, rules, k, 0)
+			c, err := NewWith(tbl, rules, k, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,7 +181,7 @@ func TestDeleteSpanningShards(t *testing.T) {
 						t.Fatalf("row %d: shard %d local %d maps to global %d", g, s, local, got)
 					}
 					node := c.nodes[s].(*LocalNode)
-					if got := node.GlobalOf()[local]; got != g {
+					if got := node.globalOf[local]; got != g {
 						t.Fatalf("row %d: shard %d node local %d maps to global %d", g, s, local, got)
 					}
 					if mustJSON(t, node.Table().Row(local)) != mustJSON(t, tbl.Row(g)) {
@@ -196,7 +196,7 @@ func TestDeleteSpanningShards(t *testing.T) {
 func TestCoordinatorSinceAndDiffs(t *testing.T) {
 	tbl := testTable()
 	rules := testRules()
-	c, err := NewFrom(tbl, rules, 4, 0)
+	c, err := NewWith(tbl, rules, 4, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestCoordinatorSinceAndDiffs(t *testing.T) {
 
 func TestCoordinatorStaleAndBadBatch(t *testing.T) {
 	tbl := testTable()
-	c, err := NewFrom(tbl, testRules(), 2, 0)
+	c, err := NewWith(tbl, testRules(), 2, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestCoordinatorStaleAndBadBatch(t *testing.T) {
 
 func TestCoordinatorStats(t *testing.T) {
 	tbl := testTable()
-	c, err := NewFrom(tbl, testRules(), 4, 0)
+	c, err := NewWith(tbl, testRules(), 4, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
