@@ -183,13 +183,6 @@ func WithWorkers(workers []string, spares ...string) Option {
 	}
 }
 
-// WithClusterDir sets the directory distributed sessions persist their
-// worker-failover stores under (snapshot + WAL, one
-// subdirectory per session). "" keeps per-session temporary directories.
-func WithClusterDir(dir string) Option {
-	return func(o *options) error { o.cfg.ClusterDir = dir; return nil }
-}
-
 // New builds a System from functional options. With no options the store
 // is memory-only and all parameters take their demo defaults.
 func New(opts ...Option) (*System, error) {

@@ -29,10 +29,11 @@
 // Prometheus text metrics on GET /metrics; -log-format json|text turns
 // on structured request logging with request IDs; -pprof mounts
 // net/http/pprof on the coordinator under /debug/pprof/. Every API
-// response carries an X-Anmat-Trace-Id; the retained (tail-sampled;
-// -trace-sample, -trace-cap) traces are served on GET /api/v1/traces
-// and rendered by `anmat trace <id>` — including worker-side spans,
-// which propagate via W3C traceparent headers on coordinator RPCs.
+// response carries an X-Anmat-Trace-Id; the retained traces (the last
+// 512, plus the last 64 slow or errored ones) are served on GET
+// /api/v1/traces and rendered by `anmat trace <id>` — including
+// worker-side spans, which propagate via W3C traceparent headers on
+// coordinator RPCs.
 //
 // Hardening (see README "Operations"): -max-sessions, -max-rows, and
 // -delta-rate enforce per-tenant admission quotas (X-Anmat-Tenant
@@ -149,12 +150,7 @@ func main() {
 	deltaRate := flag.Float64("delta-rate", 0, "per-tenant admission: sustained delta batches/sec through a token bucket (0 = unlimited)")
 	logFormat := flag.String("log-format", "", "structured request logging to stderr: 'json' or 'text' (empty = off); every request line carries a request ID")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (exposes stacks and heap contents; opt-in)")
-	traceSample := flag.Float64("trace-sample", 1.0, "tail-sampling keep rate in [0,1] for unremarkable traces; errored and slow traces are always retained")
-	traceCap := flag.Int("trace-cap", obs.DefaultTraceCap, "max retained traces in memory (oldest evicted first)")
 	flag.Parse()
-
-	obs.Traces.SetSampleRate(*traceSample)
-	obs.Traces.SetCap(*traceCap)
 
 	var accessLog *slog.Logger
 	switch *logFormat {

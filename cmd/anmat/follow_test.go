@@ -18,11 +18,12 @@ import (
 )
 
 // followSession builds a detected session over a phone_state CSV at path
-// and returns it plus the file's current size (the tail offset).
-func followSession(t *testing.T, path string) (*core.Session, int64) {
+// (extra: more detect flags) and returns it plus the file's current size
+// (the tail offset).
+func followSession(t *testing.T, path string, extra ...string) (*core.Session, int64) {
 	t.Helper()
-	pf := newPipelineFlags("detect")
-	if err := pf.fs.Parse([]string{"-in", path, "-coverage", "0.05", "-violations", "0.2"}); err != nil {
+	pf := newDetectFlags()
+	if err := pf.fs.Parse(append([]string{"-in", path, "-coverage", "0.05", "-violations", "0.2"}, extra...)); err != nil {
 		t.Fatal(err)
 	}
 	tbl, err := table.ReadCSVFile(path)
@@ -405,7 +406,7 @@ func TestCmdDetectDataResumeFollow(t *testing.T) {
 	// command for real with a context we can cancel via a deadline; the
 	// follow loop exits cleanly on ctx cancellation, so drive followFile
 	// directly after restoring through the exported flow.
-	pf := newPipelineFlags("detect")
+	pf := newDetectFlags()
 	if err := pf.fs.Parse([]string{"-in", path}); err != nil {
 		t.Fatal(err)
 	}
@@ -458,5 +459,64 @@ func TestCmdDetectDataResumeFollow(t *testing.T) {
 	}
 	if got := fmt.Sprint(se.Table.Row(300)); !strings.Contains(got, "9990004444") {
 		t.Errorf("resumed ingestion picked up the wrong record: %s", got)
+	}
+}
+
+// TestDetectFollowShardsByteIdentical: for the same appended rows,
+// `detect -follow -shards 2` prints byte-identical diffs to K=1; the
+// subcommands that build no engine do not take the engine flags.
+func TestDetectFollowShardsByteIdentical(t *testing.T) {
+	batches := []string{"9990001111,ZZ\n", "4155550000,CA\n8505550009,GA\n", "9990002222,QQ\n9990001111,Z"}
+	follow := func(shards int) string {
+		path := writePhoneCSV(t, t.TempDir(), 300, 66)
+		se, offset := followSession(t, path, "-shards", fmt.Sprint(shards))
+		if se.Shards() != shards {
+			t.Fatalf("-shards %d: session runs %d shard(s)", shards, se.Shards())
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var mu sync.Mutex
+		var buf bytes.Buffer
+		done := make(chan error, 1)
+		go func() { done <- followFile(ctx, lockedWriter{&mu, &buf}, se, path, offset, 5*time.Millisecond) }()
+		for i, b := range batches {
+			appendFile(t, path, b)
+			marker := fmt.Sprintf("seq %d:", i+1)
+			deadline := time.After(10 * time.Second)
+			for {
+				mu.Lock()
+				out := buf.String()
+				mu.Unlock()
+				if strings.Contains(out, marker) {
+					break
+				}
+				select {
+				case err := <-done:
+					t.Fatalf("-shards %d: follow exited early: %v\n%s", shards, err, out)
+				case <-deadline:
+					t.Fatalf("-shards %d: %q never printed:\n%s", shards, marker, out)
+				case <-time.After(time.Millisecond):
+				}
+			}
+		}
+		cancel()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		return strings.ReplaceAll(buf.String(), path, "<in>")
+	}
+	one, two := follow(1), follow(2)
+	if one != two {
+		t.Fatalf("diffs differ between K=1 and K=2:\n--- K=1\n%s\n--- K=2\n%s", one, two)
+	}
+	if !strings.Contains(one, "seq 3:") || !strings.Contains(one, "  + ") {
+		t.Fatalf("follow output lacks the expected diffs:\n%s", one)
+	}
+
+	in := writePhoneCSV(t, t.TempDir(), 50, 66)
+	for _, sub := range []string{"profile", "discover", "repair", "report"} {
+		if _, err := capture(t, []string{sub, "-in", in, "-shards", "2"}); err == nil || !strings.Contains(err.Error(), "-shards") {
+			t.Errorf("%s -shards 2: err = %v, want an undefined-flag error", sub, err)
+		}
 	}
 }

@@ -81,7 +81,7 @@ func run(args []string) error {
 	case "restore":
 		return cmdRestore(args[1:])
 	case "trace":
-		return cmdTrace(args[1:])
+		return cmdTrace(ctx, args[1:])
 	case "experiments":
 		return cmdExperiments(args[1:])
 	case "help", "-h", "--help":
@@ -102,9 +102,9 @@ func usage() {
               -follow tails -in for appended rows, printing violation diffs
               -data dir makes the session durable: a restart restores rules,
               violations, and ingested rows, and -follow resumes the tail
-              -shards K partitions incremental detection across K engines
-              (byte-identical results; per-shard WALs under -data)
-              -workers http://...,... runs the shards on remote workers
+              -shards K partitions -follow's incremental detection across
+              K engines (byte-identical results)
+              -workers http://...,... runs those shards on remote workers
               (anmat-server -worker) over the /shard/v1 API
   repair      -in data.csv -out fixed.csv          mine + detect + apply repairs
   report      -in data.csv [-out report.md]        full pipeline as Markdown
@@ -123,8 +123,8 @@ type pipelineFlags struct {
 	coverage    *float64
 	violations  *float64
 	parallelism *int
-	shards      *int
-	workers     *string
+	shards      *int    // detect only (newDetectFlags)
+	workers     *string // detect only
 }
 
 func newPipelineFlags(name string) pipelineFlags {
@@ -136,9 +136,16 @@ func newPipelineFlags(name string) pipelineFlags {
 		coverage:    fs.Float64("coverage", d.MinCoverage, "minimum coverage γ"),
 		violations:  fs.Float64("violations", d.AllowedViolations, "allowed violation ratio"),
 		parallelism: fs.Int("parallelism", 0, "pipeline workers: discovery candidates and detection/repair fan-out (0 = GOMAXPROCS)"),
-		shards:      fs.Int("shards", 1, "incremental-detection shards: hash-partition the table on block keys across K independent engines (results byte-identical at any K; speeds up -follow ingestion on multicore)"),
-		workers:     fs.String("workers", "", "comma-separated shard worker base URLs (anmat-server -worker): run incremental detection distributed over them, one shard per worker (overrides -shards; results byte-identical)"),
 	}
+}
+
+// newDetectFlags is newPipelineFlags plus the engine topology: detect's
+// -follow tail is the only subcommand that builds an incremental engine.
+func newDetectFlags() pipelineFlags {
+	p := newPipelineFlags("detect")
+	p.shards = p.fs.Int("shards", 1, "with -follow: incremental-detection shards, hash-partitioning the table on block keys across K independent engines (results byte-identical at any K)")
+	p.workers = p.fs.String("workers", "", "with -follow: comma-separated shard worker base URLs (anmat-server -worker) to run incremental detection on, one shard per worker (overrides -shards; results byte-identical)")
+	return p
 }
 
 func (p pipelineFlags) session(args []string) (*core.Session, error) {
@@ -160,10 +167,12 @@ func (p pipelineFlags) session(args []string) (*core.Session, error) {
 func (p pipelineFlags) system() *core.System {
 	cfg := core.DefaultSystemConfig()
 	cfg.Parallelism = *p.parallelism
-	cfg.Shards = *p.shards
-	for _, w := range strings.Split(*p.workers, ",") {
-		if w = strings.TrimSpace(w); w != "" {
-			cfg.Workers = append(cfg.Workers, w)
+	if p.shards != nil {
+		cfg.Shards = *p.shards
+		for _, w := range strings.Split(*p.workers, ",") {
+			if w = strings.TrimSpace(w); w != "" {
+				cfg.Workers = append(cfg.Workers, w)
+			}
 		}
 	}
 	return core.NewSystemWith(docstore.NewMem(), cfg)
@@ -234,7 +243,7 @@ func cmdDiscover(ctx context.Context, args []string) error {
 }
 
 func cmdDetect(ctx context.Context, args []string) error {
-	pf := newPipelineFlags("detect")
+	pf := newDetectFlags()
 	stats := pf.fs.Bool("stats", false, "print per-rule detection timing")
 	follow := pf.fs.Bool("follow", false, "after detecting, tail the CSV for appended rows and print incremental violation diffs (Ctrl-C to stop)")
 	poll := pf.fs.Duration("poll", 500*time.Millisecond, "polling interval of -follow")

@@ -266,7 +266,7 @@ func TestCmdDetectFollow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pf := newPipelineFlags("detect")
+	pf := newDetectFlags()
 	if err := pf.fs.Parse([]string{"-in", path, "-coverage", "0.05", "-violations", "0.2"}); err != nil {
 		t.Fatal(err)
 	}

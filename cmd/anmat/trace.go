@@ -12,9 +12,11 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"os"
@@ -26,7 +28,7 @@ import (
 	"github.com/anmat/anmat/internal/obs"
 )
 
-func cmdTrace(args []string) error {
+func cmdTrace(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
 	srv := fs.String("server", "http://localhost:8080", "anmat-server base URL")
 	slow := fs.Bool("slow", false, "tail mode: poll for newly retained slow/errored traces until interrupted")
@@ -41,7 +43,7 @@ func cmdTrace(args []string) error {
 	base := strings.TrimRight(*srv, "/")
 	switch {
 	case *slow:
-		return traceTail(base, *route, *minMS, *interval)
+		return traceTail(ctx, os.Stdout, base, *route, *minMS, *interval)
 	case *list:
 		return traceList(base, *route, *minMS, *limit)
 	default:
@@ -52,9 +54,13 @@ func cmdTrace(args []string) error {
 	}
 }
 
-// fetchTraces GETs /api/v1/traces with the given filters.
-func fetchTraces(base, route string, minMS, limit int) ([]obs.Trace, error) {
+// fetchTraces GETs /api/v1/traces with the given filters; slow asks for
+// the slow-or-errored queue only.
+func fetchTraces(base, route string, minMS, limit int, slow bool) ([]obs.Trace, error) {
 	q := url.Values{}
+	if slow {
+		q.Set("slow", "1")
+	}
 	if route != "" {
 		q.Set("route", route)
 	}
@@ -82,12 +88,12 @@ func fetchTraces(base, route string, minMS, limit int) ([]obs.Trace, error) {
 }
 
 func traceList(base, route string, minMS, limit int) error {
-	traces, err := fetchTraces(base, route, minMS, limit)
+	traces, err := fetchTraces(base, route, minMS, limit, false)
 	if err != nil {
 		return err
 	}
 	if len(traces) == 0 {
-		fmt.Println("no traces retained (errored and slow traces are always kept; the rest are sampled)")
+		fmt.Println("no traces retained")
 		return nil
 	}
 	for _, tr := range traces {
@@ -108,14 +114,14 @@ func traceSummaryLine(tr obs.Trace) string {
 	return fmt.Sprintf("%s  %-28s %10s%s", tr.ID, tr.Name, time.Duration(tr.Duration), flags)
 }
 
-// traceTail polls the list endpoint and prints traces it has not shown
-// yet — a follow mode for "what is slow right now". Runs until the
-// process is interrupted.
-func traceTail(base, route string, minMS int, interval time.Duration) error {
+// traceTail polls the server's slow-or-errored queue and prints traces
+// it has not shown yet — a follow mode for "what is slow right now".
+// Runs until ctx is cancelled (Ctrl-C).
+func traceTail(ctx context.Context, w io.Writer, base, route string, minMS int, interval time.Duration) error {
 	seen := make(map[string]bool)
-	fmt.Fprintf(os.Stderr, "tailing traces from %s every %s (ctrl-c to stop)\n", base, interval)
+	fmt.Fprintf(os.Stderr, "tailing slow/errored traces from %s every %s (ctrl-c to stop)\n", base, interval)
 	for first := true; ; first = false {
-		traces, err := fetchTraces(base, route, minMS, 100)
+		traces, err := fetchTraces(base, route, minMS, 100, true)
 		if err != nil {
 			if first {
 				return err // server unreachable at startup: fail loudly
@@ -132,10 +138,14 @@ func traceTail(base, route string, minMS int, interval time.Duration) error {
 			// On the first poll, mark history seen without printing it:
 			// a tail shows what happens from now on.
 			if !first {
-				fmt.Println(traceSummaryLine(tr))
+				fmt.Fprintln(w, traceSummaryLine(tr))
 			}
 		}
-		time.Sleep(interval)
+		select {
+		case <-ctx.Done():
+			return nil
+		case <-time.After(interval):
+		}
 	}
 }
 

@@ -69,9 +69,6 @@ func NewRemoteNode(base string, opts ClientOptions) *RemoteNode {
 	return &RemoteNode{base: base, opts: opts.withDefaults()}
 }
 
-// Base returns the worker's base URL.
-func (n *RemoteNode) Base() string { return n.base }
-
 // call performs one retried request-scoped round trip: POST body (or GET
 // when body is nil) to path, decoding a 200 into out. Non-2xx responses
 // surface the worker's error envelope; 4xx ones are permanent. The
@@ -171,14 +168,6 @@ func (n *RemoteNode) Violations() ([]pfd.Violation, error) {
 		return nil, err
 	}
 	return resp.Violations, nil
-}
-
-// Trace fetches the worker-side span records of one trace — the segment
-// the worker retained when a coordinator RPC carried that traceparent.
-func (n *RemoteNode) Trace(id string) (obs.Trace, error) {
-	var tr obs.Trace
-	err := n.call(context.Background(), http.MethodGet, APIPrefix+"/trace/"+id, nil, &tr)
-	return tr, err
 }
 
 // Stats fetches the worker's state summary, with its applied-batch and

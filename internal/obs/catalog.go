@@ -30,7 +30,7 @@ var SpanCatalog = []string{
 	// Session durability: the write-ahead journal commit a delta batch
 	// waits for before it is applied, and the checkpoint write behind a
 	// request (a detached span: it belongs to no request's trace, but a
-	// slow one shows in the slow-span ring).
+	// slow one becomes a one-span trace in the slow queue).
 	"persist.journal",
 	"persist.checkpoint.write",
 }

@@ -1,9 +1,10 @@
 // Package obs is the zero-dependency observability substrate: a
 // concurrent metrics registry (counters, gauges, histograms, labeled
-// families) that renders the Prometheus text exposition format, plus
-// lightweight span timing feeding stage-latency histograms and a ring
-// of recent slow spans (span.go), and HTTP instrumentation middleware
-// with request-ID structured logging (http.go).
+// families, each bounded in series) that renders the Prometheus text
+// exposition format, plus lightweight span timing feeding stage-latency
+// histograms (span.go), the trace store (trace.go), and HTTP
+// instrumentation middleware with request-ID structured logging
+// (http.go).
 //
 // Registration is idempotent by metric name: asking for an existing
 // family returns the same handles, so independently constructed
@@ -243,6 +244,12 @@ func equalFloats(a, b []float64) bool {
 // text, so the join is unambiguous.
 const sep = "\xff"
 
+// maxSeries bounds one family's series, so label values a caller picks
+// (a tenant header) cannot grow the registry without bound: once a
+// family is full, new label values share one overflow series whose
+// every label reads "other".
+const maxSeries = 1000
+
 // get resolves (creating if needed) the series for the label values.
 func (f *family) get(vals []string) *series {
 	if len(vals) != len(f.labels) {
@@ -259,6 +266,16 @@ func (f *family) get(vals []string) *series {
 	defer f.mu.Unlock()
 	if s = f.series[key]; s != nil {
 		return s
+	}
+	if len(f.series) >= maxSeries-1 {
+		vals = make([]string, len(vals))
+		for i := range vals {
+			vals[i] = "other"
+		}
+		key = strings.Join(vals, sep)
+		if s = f.series[key]; s != nil {
+			return s
+		}
 	}
 	s = &series{labelVals: append([]string(nil), vals...)}
 	if f.typ == "histogram" {

@@ -261,21 +261,41 @@ func TestDurationBucketsResolveMicroseconds(t *testing.T) {
 	}
 }
 
-// TestSpan pins the histogram feed and the slow ring.
+// TestSeriesCap: a family holds at most maxSeries series; label values
+// past the cap share one overflow series labelled "other", while values
+// that already own a series keep it.
+func TestSeriesCap(t *testing.T) {
+	v := NewRegistry().NewCounterVec("anmat_test_total", "", "tenant", "reason")
+	for i := 0; i < 1500; i++ {
+		v.WithLabelValues(fmt.Sprint("t", i), "rows").Inc()
+	}
+	if n := len(v.f.series); n != maxSeries {
+		t.Fatalf("family holds %d series, want the cap %d", n, maxSeries)
+	}
+	if got := v.WithLabelValues("other", "other").Value(); got != 1500-(maxSeries-1) {
+		t.Fatalf("overflow series = %v, want %d", got, 1500-(maxSeries-1))
+	}
+	v.WithLabelValues("t0", "rows").Inc()
+	if got := v.WithLabelValues("t0", "rows").Value(); got != 2 {
+		t.Fatalf("pre-cap series t0 = %v, want 2", got)
+	}
+}
+
+// TestSpan pins the histogram feed and the slow queue.
 func TestSpan(t *testing.T) {
-	SetSlowThreshold(0) // keep everything
-	defer SetSlowThreshold(250 * time.Millisecond)
+	resetTracing(t)
+	SetSlowThreshold(0) // everything is slow
 	end := Span(context.Background(), "test.stage")
 	time.Sleep(time.Millisecond)
 	end()
 	found := false
-	for _, s := range SlowSpans() {
-		if s.Name == "test.stage" && s.Duration > 0 {
+	for _, tr := range Traces.List(TraceFilter{Slow: true}) {
+		if tr.Name == "test.stage" && tr.Duration > 0 {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatal("span not retained in slow ring at threshold 0")
+		t.Fatal("span not in the slow queue at threshold 0")
 	}
 	samples, _, err := ParseText(Default.Text())
 	if err != nil {

@@ -2,17 +2,15 @@
 // named stage and the returned func records its duration into the
 // anmat_span_duration_seconds{span=...} histogram. When the context
 // carries an active trace (see trace.go) the span joins it as a child
-// of the context's span. Spans slower than the threshold are
-// additionally kept in a bounded in-memory ring — a view over the same
-// span records the trace store collects — the "what was slow recently"
-// window an operator reads when a latency histogram moves but the cause
-// is gone.
+// of the context's span. A trace whose root runs over the slow
+// threshold — or a detached span that does — is also kept in the trace
+// store's slow queue: the "what was slow recently" window an operator
+// reads when a latency histogram moves but the cause is gone.
 package obs
 
 import (
 	"context"
-	"crypto/rand"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -21,68 +19,26 @@ var spanDur = Default.NewHistogramVec("anmat_span_duration_seconds",
 	"Duration of named internal stages (pipeline stages, engine bootstrap, batch apply).",
 	DurationBuckets, "span")
 
-// slowRingSize bounds the retained slow-span window.
-const slowRingSize = 64
+// slowThreshold is the duration (ns) at or above which a trace, or a
+// detached span, counts as slow.
+var slowThreshold atomic.Int64
 
-// SlowSpan is one retained slow-span record: the span's timing plus the
-// trace it belonged to (empty for detached spans), so an operator can
-// jump from "something was slow" to `anmat trace <id>`.
-type SlowSpan struct {
-	Name     string        `json:"name"`
-	Start    time.Time     `json:"start"`
-	Duration time.Duration `json:"duration"`
-	TraceID  string        `json:"trace_id,omitempty"`
-}
+func init() { SetSlowThreshold(250 * time.Millisecond) }
 
-var (
-	slowMu        sync.Mutex
-	slowRing      [slowRingSize]SlowSpan
-	slowLen       int
-	slowNext      int
-	slowThreshold int64 = int64(250 * time.Millisecond)
-)
+// SetSlowThreshold sets the duration at or above which a trace (or a
+// detached span) is slow and enters the trace store's slow queue
+// (default 250ms; 0 makes everything slow).
+func SetSlowThreshold(d time.Duration) { slowThreshold.Store(int64(d)) }
 
-// SetSlowThreshold sets the duration above which a span is kept in the
-// slow-span ring — and above which a whole trace is always retained by
-// the tail sampler (default 250ms; 0 or negative keeps every span).
-func SetSlowThreshold(d time.Duration) {
-	slowMu.Lock()
-	slowThreshold = int64(d)
-	slowMu.Unlock()
-}
-
-func currentSlowThreshold() int64 {
-	slowMu.Lock()
-	defer slowMu.Unlock()
-	return slowThreshold
-}
+func isSlow(d time.Duration) bool { return int64(d) >= slowThreshold.Load() }
 
 // Span starts a named span as a child of the context's active span (a
 // detached timing-only span when the context carries none). Call the
 // returned func when the stage ends; it observes the duration into the
-// span histogram, records the span into its trace, and retains it in
-// the slow ring when it exceeds the threshold.
+// span histogram and records the span into its trace.
 func Span(ctx context.Context, name string) func() {
 	_, end := StartSpan(ctx, name)
 	return func() { end(nil) }
-}
-
-// observeSpan feeds one finished span record into the duration
-// histogram and, over the threshold, the slow ring. Every span ending —
-// traced or detached — passes through here, which is what makes the
-// ring a view over the trace layer's records rather than a separate
-// collector.
-func observeSpan(rec SpanRecord) {
-	spanDur.WithLabelValues(rec.Name).Observe(rec.Duration.Seconds())
-	slowMu.Lock()
-	if int64(rec.Duration) >= slowThreshold {
-		slowRing[slowNext] = SlowSpan{Name: rec.Name, Start: rec.Start, Duration: rec.Duration, TraceID: rec.TraceID}
-		slowNext = (slowNext + 1) % slowRingSize
-		if slowLen < slowRingSize {
-			slowLen++
-		}
-	}
-	slowMu.Unlock()
 }
 
 // SpanHistogram resolves the duration histogram series of one span name
@@ -90,29 +46,4 @@ func observeSpan(rec SpanRecord) {
 // Snapshot deltas (see Quantile).
 func SpanHistogram(name string) *Histogram {
 	return spanDur.WithLabelValues(name)
-}
-
-// SlowSpans returns the retained slow spans, most recent first.
-func SlowSpans() []SlowSpan {
-	slowMu.Lock()
-	defer slowMu.Unlock()
-	out := make([]SlowSpan, 0, slowLen)
-	for i := 1; i <= slowLen; i++ {
-		out = append(out, slowRing[(slowNext-i+slowRingSize)%slowRingSize])
-	}
-	return out
-}
-
-// ResetSlowSpans empties the slow-span ring — the test-isolation hook
-// (thresholds are left as configured).
-func ResetSlowSpans() {
-	slowMu.Lock()
-	slowLen, slowNext = 0, 0
-	slowMu.Unlock()
-}
-
-// fillRand fills b with crypto/rand bytes, reporting success.
-func fillRand(b []byte) bool {
-	_, err := rand.Read(b)
-	return err == nil
 }

@@ -2,26 +2,24 @@
 // through context so the existing obs.Span(ctx, name) call sites join
 // the active trace without a signature change, propagated across
 // process boundaries as a W3C traceparent header, and collected into a
-// bounded in-memory store with tail sampling — errored and
-// slow-over-threshold traces are always kept, the rest probabilistically
-// (deterministic in the trace ID, so every process agrees).
+// bounded in-memory store: the most recent traces, plus the most recent
+// slow or errored ones however many plain traces came after them.
 //
 // The flow: obs.Instrument starts a trace per request (adopting an
 // inbound traceparent as a remote parent, minting a fresh trace
 // otherwise) and stamps the trace ID on the response. StartSpan opens a
 // child of the context's active span; Span is StartSpan for leaf stages.
-// When the request's root span ends the trace is finalized: spans
-// recorded along the way are folded into one Trace and the tail sampler
-// decides retention. Remote-parented segments (a worker serving one
-// coordinator RPC) are always retained — the sampling decision belongs
-// to the process that owns the root — and served back over the worker's
-// trace endpoint so the coordinator can merge the full tree.
+// A child that ends buffers on its trace's root span; when the root ends
+// the buffer and the root become one Trace in the store. Remote-parented
+// segments (a worker serving one coordinator RPC) are kept the same way
+// and served back over the worker's trace endpoint so the coordinator
+// can merge the full tree.
 package obs
 
 import (
 	"context"
+	"crypto/rand"
 	"encoding/hex"
-	"hash/fnv"
 	"sort"
 	"strings"
 	"sync"
@@ -67,8 +65,8 @@ func validHexID(s string, width int) bool {
 }
 
 // Traceparent renders the W3C header value for this span context,
-// version 00 with the sampled flag set (retention is decided by the
-// tail sampler, not up front, so every span is worth recording).
+// version 00 with the sampled flag set (every span is recorded; the
+// trace store decides retention).
 func (sc SpanContext) Traceparent() string {
 	return "00-" + sc.TraceID + "-" + sc.SpanID + "-01"
 }
@@ -136,192 +134,122 @@ type Trace struct {
 	Errored  bool          `json:"errored,omitempty"`
 	Slow     bool          `json:"slow,omitempty"`
 	// Remote marks a segment collected under a remote parent (worker
-	// side); such segments bypass tail sampling — retention is the
-	// root-owning process's call.
+	// side) — the root lives in the process that sent the traceparent.
 	Remote bool         `json:"remote,omitempty"`
 	Spans  []SpanRecord `json:"spans"`
+
+	inOrder, inSlow bool // which of the store's FIFOs hold the trace
 }
 
-// Bounds on the trace store. Pending traces (started, root not yet
-// ended) and spans per trace are capped so a caller that never ends its
-// root cannot grow the store without bound.
+// Retention bounds. Every finished trace enters a FIFO of DefaultTraceCap
+// traces; a slow or errored one also enters a FIFO of slowTraceCap that
+// only a newer slow or errored trace can push it out of. Spans per trace
+// are capped so one runaway request cannot grow its trace without bound.
 const (
 	DefaultTraceCap  = 512
-	maxPendingTraces = 1024
+	slowTraceCap     = 64
 	maxSpansPerTrace = 512
 )
 
-// TraceStore is a bounded in-memory trace collector with tail sampling.
-// One process-global instance (Traces) backs every span in the process.
+// TraceStore is a bounded in-memory collector of finished traces. One
+// process-global instance (Traces) backs every span in the process.
 type TraceStore struct {
-	mu      sync.Mutex
-	cap     int
-	rate    float64 // probability of keeping an unremarkable trace
-	pending map[string][]SpanRecord
-	pendOrd []string // pending insertion order, for overflow eviction
-	traces  map[string]*Trace
-	order   []string // retained insertion order, FIFO eviction
+	mu     sync.Mutex
+	cap    int
+	traces map[string]*Trace
+	order  []string // every retained trace, oldest first
+	slow   []string // the slow or errored ones, oldest first
 }
 
 // Traces is the process-global trace store.
 var Traces = NewTraceStore(DefaultTraceCap)
 
-// NewTraceStore returns an empty store retaining at most cap traces,
-// keeping every trace the tail sampler offers (rate 1.0).
+// NewTraceStore returns an empty store whose plain FIFO holds cap traces
+// (minimum 1).
 func NewTraceStore(cap int) *TraceStore {
-	if cap < 1 {
-		cap = 1
-	}
-	return &TraceStore{
-		cap:     cap,
-		rate:    1.0,
-		pending: make(map[string][]SpanRecord),
-		traces:  make(map[string]*Trace),
-	}
+	return &TraceStore{cap: max(cap, 1), traces: make(map[string]*Trace)}
 }
 
-// SetCap bounds the number of retained traces (minimum 1), evicting
-// oldest-first if the store is already over the new bound.
-func (ts *TraceStore) SetCap(n int) {
-	if n < 1 {
-		n = 1
-	}
-	ts.mu.Lock()
-	ts.cap = n
-	ts.evictLocked()
-	ts.mu.Unlock()
-}
-
-// SetSampleRate sets the probability (clamped to [0,1]) that a trace
-// which neither errored nor ran slow is retained at finalization.
-// Errored and slow traces are always retained regardless of the rate.
-func (ts *TraceStore) SetSampleRate(p float64) {
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	ts.mu.Lock()
-	ts.rate = p
-	ts.mu.Unlock()
-}
-
-// Reset drops every retained and pending trace — the test-isolation
-// hook.
+// Reset drops every retained trace — the test-isolation hook.
 func (ts *TraceStore) Reset() {
 	ts.mu.Lock()
-	ts.pending = make(map[string][]SpanRecord)
-	ts.pendOrd = nil
 	ts.traces = make(map[string]*Trace)
-	ts.order = nil
+	ts.order, ts.slow = nil, nil
 	ts.mu.Unlock()
 }
 
-// record buffers one finished non-root span under its trace ID. If the
-// trace was already finalized (a second segment of a merged worker
-// trace), the span lands directly on the retained entry.
+// record appends a span that ended after its root to the retained trace,
+// if the store still holds it; otherwise the span is dropped.
 func (ts *TraceStore) record(rec SpanRecord) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	if tr, ok := ts.traces[rec.TraceID]; ok && len(tr.Spans) < maxSpansPerTrace {
 		tr.Spans = append(tr.Spans, rec)
-		return
-	}
-	buf, ok := ts.pending[rec.TraceID]
-	if !ok {
-		if len(ts.pendOrd) >= maxPendingTraces {
-			// A pending trace whose root never ends must not pin the
-			// store: evict the oldest pending buffer.
-			delete(ts.pending, ts.pendOrd[0])
-			ts.pendOrd = ts.pendOrd[1:]
-		}
-		ts.pendOrd = append(ts.pendOrd, rec.TraceID)
-	}
-	if len(buf) < maxSpansPerTrace {
-		ts.pending[rec.TraceID] = append(buf, rec)
 	}
 }
 
-// finish finalizes one trace (or remote segment): the buffered spans
-// plus the root record become a Trace, and the tail sampler decides
-// retention — errored and slow always kept, remote segments always kept
-// (the far root owns the decision), the rest kept with probability
-// rate, deterministically in the trace ID.
-func (ts *TraceStore) finish(root SpanRecord, remote bool) {
-	slow := int64(root.Duration) >= currentSlowThreshold()
+// finish retains one trace (or remote segment): the root's record plus
+// the spans that ended under it. A later segment of a trace already
+// retained (another worker request under the same trace) merges into it.
+func (ts *TraceStore) finish(spans []SpanRecord, root SpanRecord, remote bool) {
+	slow, errored := isSlow(root.Duration), false
+	spans = append(spans, root)
+	for _, s := range spans {
+		errored = errored || s.Err != ""
+	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	spans := ts.pending[root.TraceID]
-	delete(ts.pending, root.TraceID)
-	for i, id := range ts.pendOrd {
-		if id == root.TraceID {
-			ts.pendOrd = append(ts.pendOrd[:i], ts.pendOrd[i+1:]...)
-			break
-		}
-	}
-	errored := root.Err != ""
-	for _, s := range spans {
-		if s.Err != "" {
-			errored = true
-		}
-	}
-	if tr, ok := ts.traces[root.TraceID]; ok {
-		// A later segment of an already-retained trace (another worker
-		// request under the same trace): merge.
-		tr.Spans = append(tr.Spans, spans...)
-		if len(tr.Spans) < maxSpansPerTrace {
-			tr.Spans = append(tr.Spans, root)
+	tr, ok := ts.traces[root.TraceID]
+	if ok {
+		if room := maxSpansPerTrace - len(tr.Spans); room > 0 {
+			tr.Spans = append(tr.Spans, spans[:min(room, len(spans))]...)
 		}
 		tr.Errored = tr.Errored || errored
 		tr.Slow = tr.Slow || slow
-		return
+	} else {
+		name := root.Name
+		if route, ok := root.Attrs["route"]; ok && route != "" {
+			// HTTP roots are all named "http.request" (span names stay a
+			// bounded catalog); the route attribute is the useful display
+			// name and the one the trace list filters on.
+			name = route
+		}
+		tr = &Trace{
+			ID: root.TraceID, Name: name, Start: root.Start,
+			Duration: root.Duration, Errored: errored, Slow: slow, Remote: remote,
+			Spans: spans, inOrder: true,
+		}
+		if !remote {
+			tr.Root = root.SpanID
+		}
+		ts.traces[root.TraceID] = tr
+		ts.order = append(ts.order, root.TraceID)
+		if len(ts.order) > ts.cap {
+			ts.order = ts.pop(ts.order, false)
+		}
 	}
-	if !remote && !errored && !slow && !sampleKeep(root.TraceID, ts.rate) {
-		return
-	}
-	name := root.Name
-	if route, ok := root.Attrs["route"]; ok && route != "" {
-		// HTTP roots are all named "http.request" (span names stay a
-		// bounded catalog); the route attribute is the useful display
-		// name and the one the trace list filters on.
-		name = route
-	}
-	tr := &Trace{
-		ID: root.TraceID, Name: name, Start: root.Start,
-		Duration: root.Duration, Errored: errored, Slow: slow, Remote: remote,
-		Spans: append(spans, root),
-	}
-	if !remote {
-		tr.Root = root.SpanID
-	}
-	ts.traces[root.TraceID] = tr
-	ts.order = append(ts.order, root.TraceID)
-	ts.evictLocked()
-}
-
-// evictLocked drops oldest retained traces until the store is within
-// its bound. Callers hold ts.mu.
-func (ts *TraceStore) evictLocked() {
-	for len(ts.order) > ts.cap {
-		delete(ts.traces, ts.order[0])
-		ts.order = ts.order[1:]
+	if (tr.Slow || tr.Errored) && !tr.inSlow {
+		tr.inSlow = true
+		ts.slow = append(ts.slow, root.TraceID)
+		if len(ts.slow) > slowTraceCap {
+			ts.slow = ts.pop(ts.slow, true)
+		}
 	}
 }
 
-// sampleKeep is the deterministic tail-sampling coin: a trace ID is
-// kept iff its hash falls under the rate, so concurrent processes (and
-// re-runs) agree without coordination.
-func sampleKeep(traceID string, rate float64) bool {
-	if rate >= 1 {
-		return true
+// pop removes the oldest ID from one of the two FIFOs and forgets its
+// trace once neither holds it. Callers hold ts.mu.
+func (ts *TraceStore) pop(q []string, slowQ bool) []string {
+	tr := ts.traces[q[0]]
+	if slowQ {
+		tr.inSlow = false
+	} else {
+		tr.inOrder = false
 	}
-	if rate <= 0 {
-		return false
+	if !tr.inSlow && !tr.inOrder {
+		delete(ts.traces, q[0])
 	}
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(traceID))
-	return float64(h.Sum64()%1_000_000) < rate*1_000_000
+	return q[1:]
 }
 
 // Get returns a copy of one retained trace, with its spans sorted by
@@ -348,6 +276,8 @@ type TraceFilter struct {
 	MinDuration time.Duration
 	// Limit caps the result count (0 = no cap). Most recent first.
 	Limit int
+	// Slow lists the slow-or-errored queue instead of every trace.
+	Slow bool
 }
 
 // List returns retained traces matching the filter, most recent first,
@@ -355,9 +285,13 @@ type TraceFilter struct {
 func (ts *TraceStore) List(f TraceFilter) []Trace {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	out := make([]Trace, 0, len(ts.order))
-	for i := len(ts.order) - 1; i >= 0; i-- {
-		tr := ts.traces[ts.order[i]]
+	ids := ts.order
+	if f.Slow {
+		ids = ts.slow
+	}
+	out := make([]Trace, 0, len(ids))
+	for i := len(ids) - 1; i >= 0; i-- {
+		tr := ts.traces[ids[i]]
 		if f.Route != "" && !strings.Contains(tr.Name, f.Route) {
 			continue
 		}
@@ -389,12 +323,13 @@ type activeSpan struct {
 	parent string
 	name   string
 	start  time.Time
-	root   bool // ends the trace (or remote segment) when it ends
-	remote bool // trace is rooted in another process
+	root   *activeSpan // the span that ends this process's part of the trace
+	remote bool        // trace is rooted in another process
 
-	mu    sync.Mutex
+	mu    sync.Mutex // guards the fields below
 	attrs map[string]string
 	done  bool
+	spans []SpanRecord // on a root: the children that ended before it
 }
 
 type spanCtxKey struct{}
@@ -466,10 +401,11 @@ func SetSpanAttrs(ctx context.Context, kv ...string) {
 // carries a remote parent (ContextWithRemote), the root of a local
 // segment of that remote trace. The returned context carries the span
 // for StartSpan/Span call sites below it; the returned func ends the
-// span, finalizes the trace, and runs the tail sampler. Pass a non-nil
-// error to mark the trace errored (always retained).
+// span and hands the trace to the store. Pass a non-nil error to mark
+// the trace errored.
 func StartTrace(ctx context.Context, name string) (context.Context, func(err error)) {
-	as := &activeSpan{name: name, start: time.Now(), root: true}
+	as := &activeSpan{name: name, start: time.Now()}
+	as.root = as
 	if rsc, ok := ctx.Value(remoteCtxKey{}).(SpanContext); ok {
 		as.sc = SpanContext{TraceID: rsc.TraceID, SpanID: NewSpanID()}
 		as.parent = rsc.SpanID
@@ -479,45 +415,62 @@ func StartTrace(ctx context.Context, name string) (context.Context, func(err err
 	}
 	ctx = context.WithValue(ctx, spanCtxKey{}, as)
 	return ctx, func(err error) {
-		rec, first := as.finishRecord(err)
-		if !first {
-			return
+		// The root's lock is held into the store, so a child ending now
+		// either joins the buffer or finds the trace already stored.
+		as.mu.Lock()
+		defer as.mu.Unlock()
+		if rec, first := as.endLocked(err); first {
+			Traces.finish(as.spans, rec, as.remote)
+			as.spans = nil
 		}
-		observeSpan(rec)
-		Traces.finish(rec, as.remote)
 	}
 }
 
 // StartSpan opens a child of the context's active span. Without one the
-// span is detached: it still feeds the duration histogram and the slow
-// ring, but no trace records it. The returned context carries the new
-// span; the returned func ends it (non-nil error marks it, and its
-// trace, errored).
+// span is detached: it feeds the duration histogram, and only when it
+// runs over the slow threshold does it become a one-span trace of its
+// own. The returned context carries the new span; the returned func
+// ends it (non-nil error marks it, and its trace, errored).
 func StartSpan(ctx context.Context, name string) (context.Context, func(err error)) {
 	parent, traced := ctx.Value(spanCtxKey{}).(*activeSpan)
 	as := &activeSpan{name: name, start: time.Now()}
 	if traced {
 		as.sc = SpanContext{TraceID: parent.sc.TraceID, SpanID: NewSpanID()}
 		as.parent = parent.sc.SpanID
+		as.root = parent.root
 		ctx = context.WithValue(ctx, spanCtxKey{}, as)
 	}
 	return ctx, func(err error) {
-		rec, first := as.finishRecord(err)
-		if !first {
-			return
-		}
-		observeSpan(rec)
-		if traced {
-			Traces.record(rec)
+		as.mu.Lock()
+		rec, first := as.endLocked(err)
+		as.mu.Unlock()
+		switch {
+		case !first:
+		case traced:
+			as.root.add(rec)
+		case isSlow(rec.Duration):
+			rec.TraceID, rec.SpanID = NewTraceID(), NewSpanID()
+			Traces.finish(nil, rec, false)
 		}
 	}
 }
 
-// finishRecord renders the span's record exactly once; later calls
-// report first=false and change nothing.
-func (as *activeSpan) finishRecord(err error) (SpanRecord, bool) {
-	as.mu.Lock()
-	defer as.mu.Unlock()
+// add buffers one finished child on its root. A child that ends after
+// its root goes to the retained trace, if the store still holds it.
+func (root *activeSpan) add(rec SpanRecord) {
+	root.mu.Lock()
+	defer root.mu.Unlock()
+	if root.done {
+		Traces.record(rec)
+	} else if len(root.spans) < maxSpansPerTrace {
+		root.spans = append(root.spans, rec)
+	}
+}
+
+// endLocked renders the span's record and observes its duration exactly
+// once; later calls report first=false and change nothing. Callers hold
+// as.mu.
+func (as *activeSpan) endLocked(err error) (SpanRecord, bool) {
 	if as.done {
 		return SpanRecord{}, false
 	}
@@ -530,12 +483,13 @@ func (as *activeSpan) finishRecord(err error) (SpanRecord, bool) {
 	if err != nil {
 		rec.Err = err.Error()
 	}
+	spanDur.WithLabelValues(rec.Name).Observe(rec.Duration.Seconds())
 	return rec, true
 }
 
 func randHex(n int) string {
 	b := make([]byte, n)
-	if !fillRand(b) {
+	if _, err := rand.Read(b); err != nil {
 		return strings.Repeat("0", 2*n-1) + "1" // never all-zero
 	}
 	return hex.EncodeToString(b)

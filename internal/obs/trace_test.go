@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -13,16 +15,10 @@ import (
 func resetTracing(t *testing.T) {
 	t.Helper()
 	Traces.Reset()
-	Traces.SetSampleRate(1.0)
-	Traces.SetCap(DefaultTraceCap)
 	SetSlowThreshold(250 * time.Millisecond)
-	ResetSlowSpans()
 	t.Cleanup(func() {
 		Traces.Reset()
-		Traces.SetSampleRate(1.0)
-		Traces.SetCap(DefaultTraceCap)
 		SetSlowThreshold(250 * time.Millisecond)
-		ResetSlowSpans()
 	})
 }
 
@@ -102,7 +98,7 @@ func TestTraceParentLinks(t *testing.T) {
 
 	tr, ok := Traces.Get(rootID)
 	if !ok {
-		t.Fatalf("trace %s not retained (rate 1.0)", rootID)
+		t.Fatalf("trace %s not retained", rootID)
 	}
 	if tr.Name != "POST /api/v1/sessions/{id}/deltas" {
 		t.Errorf("trace name = %q, want the route attribute", tr.Name)
@@ -136,11 +132,10 @@ func TestTraceParentLinks(t *testing.T) {
 }
 
 // TestRemoteSegmentAlwaysKept pins the worker-side contract: a trace
-// rooted in another process (inbound traceparent) is retained regardless
-// of the sample rate — the root-owning process makes the call.
+// rooted in another process (inbound traceparent) is retained as a
+// remote segment that links back to the remote parent span.
 func TestRemoteSegmentAlwaysKept(t *testing.T) {
 	resetTracing(t)
-	Traces.SetSampleRate(0)
 	parent := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID()}
 	ctx := ContextWithRemote(context.Background(), parent)
 	ctx, endTrace := StartTrace(ctx, "http.request")
@@ -152,7 +147,7 @@ func TestRemoteSegmentAlwaysKept(t *testing.T) {
 	endTrace(nil)
 	tr, ok := Traces.Get(parent.TraceID)
 	if !ok {
-		t.Fatal("remote segment dropped by the sampler; must always be kept")
+		t.Fatal("remote segment not retained")
 	}
 	if !tr.Remote || tr.Root != "" {
 		t.Errorf("remote=%v root=%q, want remote=true with no local root", tr.Remote, tr.Root)
@@ -169,21 +164,20 @@ func TestRemoteSegmentAlwaysKept(t *testing.T) {
 	}
 }
 
-// TestTailSamplingProperty drives many randomized traces through the
-// finalizer and checks the sampler's invariants: every errored trace and
-// every slow-over-threshold trace is retained regardless of the rate;
-// unremarkable traces are dropped at rate 0 and kept at rate 1; and the
-// store never exceeds its configured bound.
+// TestTailSamplingProperty drives 10 000 randomized traces through the
+// store and checks its retention against a model of the two FIFOs: the
+// last DefaultTraceCap traces and the last slowTraceCap slow-or-errored
+// ones can always be fetched, nothing else can, and the store never
+// holds more than the two bounds together. Stretches where slow traces
+// are rare make the slow queue outlive the plain FIFO.
 func TestTailSamplingProperty(t *testing.T) {
 	resetTracing(t)
-	const bound = 32
-	Traces.SetCap(bound)
 	rng := rand.New(rand.NewSource(1))
 
 	finishOne := func(errored, slow bool) string {
 		ctx, endTrace := StartTrace(context.Background(), "http.request")
 		id := TraceIDFrom(ctx)
-		// The threshold is read at finalization, so flipping it between
+		// The threshold is read when the trace ends, so flipping it between
 		// start and end deterministically makes this trace slow (0 =
 		// everything is slow) or not (1h).
 		if slow {
@@ -198,74 +192,120 @@ func TestTailSamplingProperty(t *testing.T) {
 		endTrace(err)
 		return id
 	}
+	kept := func(id string) bool { _, ok := Traces.Get(id); return ok }
 
-	for i := 0; i < 400; i++ {
-		rate := []float64{0, 0.5, 1}[rng.Intn(3)]
-		Traces.SetSampleRate(rate)
-		errored, slow := rng.Intn(2) == 0, rng.Intn(2) == 0
+	var all, marked []string
+	var pMarked float64
+	for i := 0; i < 10_000; i++ {
+		if i%500 == 0 {
+			pMarked = []float64{0.002, 0.05, 0.5}[rng.Intn(3)]
+		}
+		errored, slow := false, false
+		if rng.Float64() < pMarked {
+			errored, slow = rng.Intn(2) == 0, rng.Intn(2) == 0
+			slow = slow || !errored
+		}
 		id := finishOne(errored, slow)
-		_, kept := Traces.Get(id)
-		switch {
-		case errored || slow:
-			if !kept {
-				t.Fatalf("iter %d: errored=%v slow=%v rate=%v dropped; must always be retained", i, errored, slow, rate)
+		all = append(all, id)
+		if errored || slow {
+			marked = append(marked, id)
+		}
+		// The model: the last DefaultTraceCap of all, plus the last
+		// slowTraceCap marked ones the plain window no longer covers.
+		inPlain := make(map[string]bool, DefaultTraceCap)
+		for _, id := range all[max(0, len(all)-DefaultTraceCap):] {
+			inPlain[id] = true
+		}
+		want := len(inPlain)
+		for _, id := range marked[max(0, len(marked)-slowTraceCap):] {
+			if !inPlain[id] {
+				want++
 			}
-		case rate == 0:
-			if kept {
-				t.Fatalf("iter %d: unremarkable trace kept at rate 0", i)
-			}
-		case rate == 1:
-			if !kept {
-				t.Fatalf("iter %d: unremarkable trace dropped at rate 1", i)
+			if !kept(id) {
+				t.Fatalf("iter %d: slow/errored trace %s evicted while among the last %d", i, id, slowTraceCap)
 			}
 		}
-		if n := Traces.Len(); n > bound {
-			t.Fatalf("iter %d: store holds %d traces, bound is %d", i, n, bound)
+		if n := Traces.Len(); n != want || n > DefaultTraceCap+slowTraceCap {
+			t.Fatalf("iter %d: store holds %d traces, model says %d (bound %d)", i, n, want, DefaultTraceCap+slowTraceCap)
+		}
+		if len(all) > DefaultTraceCap {
+			gone := all[len(all)-DefaultTraceCap-1]
+			if kept(gone) != slices.Contains(marked[max(0, len(marked)-slowTraceCap):], gone) {
+				t.Fatalf("iter %d: trace %s past the plain FIFO: kept=%v", i, gone, kept(gone))
+			}
 		}
 	}
-
-	// Determinism: the keep decision is a pure function of the trace ID,
-	// so distinct processes (and re-runs) agree.
-	for i := 0; i < 100; i++ {
-		id := NewTraceID()
-		if sampleKeep(id, 0.3) != sampleKeep(id, 0.3) {
-			t.Fatal("sampleKeep not deterministic in the trace ID")
+	// The slow list is exactly the marked window, most recent first.
+	slow := Traces.List(TraceFilter{Slow: true})
+	if len(slow) != slowTraceCap {
+		t.Fatalf("slow list holds %d traces, want %d", len(slow), slowTraceCap)
+	}
+	for k, tr := range slow {
+		if want := marked[len(marked)-1-k]; tr.ID != want {
+			t.Fatalf("slow list[%d] = %s, want %s", k, tr.ID, want)
 		}
 	}
 }
 
-// TestSlowRingIsTraceView checks the slow ring records carry the trace
-// ID of the trace that produced them, and that the reset hook empties
-// the ring for test isolation.
-func TestSlowRingIsTraceView(t *testing.T) {
+// TestConcurrentChildrenJoinOnce ends eight children of one root from
+// eight goroutines while the root itself ends: whichever side of the
+// root's end a child lands on, the trace holds every span exactly once.
+func TestConcurrentChildrenJoinOnce(t *testing.T) {
 	resetTracing(t)
-	SetSlowThreshold(1)
-	ctx, endTrace := StartTrace(context.Background(), "http.request")
-	id := TraceIDFrom(ctx)
-	time.Sleep(time.Millisecond)
-	endTrace(nil)
-	spans := SlowSpans()
-	if len(spans) == 0 {
-		t.Fatal("no slow spans retained under a 1ns threshold")
-	}
-	if spans[0].TraceID != id {
-		t.Errorf("slow span trace ID = %q, want %q", spans[0].TraceID, id)
-	}
-	ResetSlowSpans()
-	if got := SlowSpans(); len(got) != 0 {
-		t.Errorf("ring not empty after reset: %d spans", len(got))
+	for round := 0; round < 50; round++ {
+		ctx, endTrace := StartTrace(context.Background(), "http.request")
+		id := TraceIDFrom(ctx)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			_, end := StartSpan(ctx, "shard.node.apply")
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				end(nil)
+				end(nil) // a second end changes nothing
+			}()
+		}
+		close(start)
+		endTrace(nil)
+		wg.Wait()
+		tr, ok := Traces.Get(id)
+		if !ok {
+			t.Fatalf("round %d: trace not retained", round)
+		}
+		seen := make(map[string]bool)
+		for _, sp := range tr.Spans {
+			if seen[sp.SpanID] {
+				t.Fatalf("round %d: span %s recorded twice", round, sp.SpanID)
+			}
+			seen[sp.SpanID] = true
+		}
+		if len(seen) != 9 {
+			t.Fatalf("round %d: trace holds %d spans, want 9", round, len(seen))
+		}
 	}
 }
 
-// TestDetachedSpanStaysOut: a span started without an active trace feeds
-// metrics only — the trace store must not accumulate orphan buffers for
-// it beyond the pending bound (which Reset clears anyway).
+// TestDetachedSpanStaysOut: a fast span started without an active trace
+// feeds metrics only — it creates no trace — while a slow one becomes a
+// one-span trace in the slow queue.
 func TestDetachedSpanStaysOut(t *testing.T) {
 	resetTracing(t)
 	_, end := StartSpan(context.Background(), "stage.profile")
 	end(nil)
 	if n := Traces.Len(); n != 0 {
 		t.Fatalf("detached span retained a trace: %d", n)
+	}
+	SetSlowThreshold(0)
+	_, end = StartSpan(context.Background(), "stream.bootstrap")
+	end(nil)
+	slow := Traces.List(TraceFilter{Slow: true})
+	if len(slow) != 1 || slow[0].Name != "stream.bootstrap" || !slow[0].Slow {
+		t.Fatalf("slow detached span: slow list %+v, want one stream.bootstrap trace", slow)
+	}
+	if tr, ok := Traces.Get(slow[0].ID); !ok || len(tr.Spans) != 1 || tr.Root != tr.Spans[0].SpanID {
+		t.Fatalf("slow detached span's trace = %+v, want its one span as the root", tr)
 	}
 }
 

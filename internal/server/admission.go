@@ -129,19 +129,29 @@ func (a *admission) burst() float64 {
 	return math.Max(1, a.limits.DeltaRate)
 }
 
-func (a *admission) gauges(name string, ts *tenantState) {
+// account publishes a tenant's gauges and forgets a tenant that holds
+// neither a session nor rows, so a header value that owns nothing leaves
+// no state behind.
+func (a *admission) account(name string, ts *tenantState) {
 	tenantSessions.WithLabelValues(name).Set(float64(ts.sessions))
 	tenantRows.WithLabelValues(name).Set(float64(ts.rows))
+	if ts.sessions == 0 && ts.rows == 0 {
+		delete(a.tenants, name)
+	}
 }
 
 // reserveSession charges one session and rows rows to the tenant,
-// rejecting if either quota would be exceeded. A successful reservation
-// must be followed by bindReserved (the session exists) or
-// unreserveSession (creating it failed).
+// rejecting if either quota would be exceeded. Only a successful
+// reservation creates the tenant's state; it must be followed by
+// bindReserved (the session exists) or unreserveSession (creating it
+// failed).
 func (a *admission) reserveSession(tenant string, rows int) *rejection {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	ts := a.tenant(tenant)
+	ts := a.tenants[tenant]
+	if ts == nil {
+		ts = &tenantState{} // checked against, not stored
+	}
 	if a.limits.MaxSessions > 0 && ts.sessions+1 > a.limits.MaxSessions {
 		return &rejection{reason: "sessions", retryAfter: 1,
 			detail: "session quota exhausted (" + strconv.Itoa(a.limits.MaxSessions) + " open); delete a session first"}
@@ -151,9 +161,10 @@ func (a *admission) reserveSession(tenant string, rows int) *rejection {
 			detail: "row quota exhausted (" + strconv.Itoa(ts.rows) + "+" + strconv.Itoa(rows) +
 				" of " + strconv.Itoa(a.limits.MaxRows) + ")"}
 	}
+	ts = a.tenant(tenant)
 	ts.sessions++
 	ts.rows += rows
-	a.gauges(tenant, ts)
+	a.account(tenant, ts)
 	return nil
 }
 
@@ -164,7 +175,7 @@ func (a *admission) unreserveSession(tenant string, rows int) {
 	ts := a.tenant(tenant)
 	ts.sessions--
 	ts.rows -= rows
-	a.gauges(tenant, ts)
+	a.account(tenant, ts)
 }
 
 // bindReserved records which session a reservation became, so later
@@ -188,7 +199,7 @@ func (a *admission) bindSession(tenant, id string, rows int) {
 	ts.rows += rows
 	a.owner[id] = tenant
 	a.sessRows[id] = rows
-	a.gauges(tenant, ts)
+	a.account(tenant, ts)
 }
 
 // release settles a deleted session: its rows and session slot return to
@@ -205,7 +216,7 @@ func (a *admission) release(id string) {
 	ts.rows -= a.sessRows[id]
 	delete(a.owner, id)
 	delete(a.sessRows, id)
-	a.gauges(tenant, ts)
+	a.account(tenant, ts)
 }
 
 // admitDeltas gates one delta batch against the owning tenant's token
@@ -223,7 +234,7 @@ func (a *admission) admitDeltas(id string, growth int) (string, *rejection) {
 		tenant = DefaultTenant
 		a.owner[id] = tenant
 		a.tenant(tenant).sessions++
-		a.gauges(tenant, a.tenants[tenant])
+		a.account(tenant, a.tenants[tenant])
 	}
 	ts := a.tenant(tenant)
 	if a.limits.DeltaRate > 0 {
@@ -245,7 +256,7 @@ func (a *admission) admitDeltas(id string, growth int) (string, *rejection) {
 	if growth > 0 {
 		ts.rows += growth
 		a.sessRows[id] += growth
-		a.gauges(tenant, ts)
+		a.account(tenant, ts)
 	}
 	return tenant, nil
 }
@@ -263,7 +274,7 @@ func (a *admission) settleRows(id string, actual int) {
 	ts := a.tenant(tenant)
 	ts.rows += actual - a.sessRows[id]
 	a.sessRows[id] = actual
-	a.gauges(tenant, ts)
+	a.account(tenant, ts)
 }
 
 // rowGrowth is the worst-case net row growth of a batch: appended rows

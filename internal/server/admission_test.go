@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -72,6 +73,72 @@ func TestAdmissionSessionQuota(t *testing.T) {
 	}
 	if n := admissionRejects.WithLabelValues("acme", "sessions").Value(); n < 1 {
 		t.Fatalf("anmat_admission_rejects_total{acme,sessions} = %v, want >= 1", n)
+	}
+}
+
+// TestAdmissionHostileTenants: 500 rejected uploads, each under a new
+// X-Anmat-Tenant value, leave no tenant state behind, a tenant is
+// forgotten once its last session is deleted, and no metric family holds
+// more series than the registry's cap.
+func TestAdmissionHostileTenants(t *testing.T) {
+	srv := New(core.NewSystem(docstore.NewMem()))
+	srv.SetLimits(Limits{MaxRows: 30})
+	h := srv.Handler()
+	tenants := func() int {
+		srv.adm.mu.Lock()
+		defer srv.adm.mu.Unlock()
+		return len(srv.adm.tenants)
+	}
+	big := csvBody(t, datagen.PhoneState(40, 0.01, 43))
+	for i := 0; i < 500; i++ {
+		wantReject(t, postAs(t, h, fmt.Sprintf("hostile-%d", i), "/api/v1/sessions?name=d", big), "row quota")
+	}
+	if n := tenants(); n != 0 {
+		t.Fatalf("500 rejected tenants left %d tenant entries, want 0", n)
+	}
+	rec := postAs(t, h, "acme", "/api/v1/sessions?name=d", csvBody(t, datagen.PhoneState(20, 0.01, 43)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("upload: %d %s", rec.Code, rec.Body.String())
+	}
+	if n := tenants(); n != 1 {
+		t.Fatalf("a tenant holding a session: %d entries, want 1", n)
+	}
+	del := httptest.NewRecorder()
+	h.ServeHTTP(del, httptest.NewRequest(http.MethodDelete, "/api/v1/sessions/"+jsonField(t, rec, "session"), nil))
+	if del.Code != http.StatusOK {
+		t.Fatalf("delete: %d", del.Code)
+	}
+	if n := tenants(); n != 0 {
+		t.Fatalf("after deleting the tenant's last session: %d entries, want 0", n)
+	}
+
+	samples, fams, err := obs.ParseText(obs.Default.Text())
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := make(map[string]map[string]bool)
+	for _, s := range samples {
+		name := s.Name
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if base, ok := strings.CutSuffix(name, suffix); ok && fams[base] == "histogram" {
+				name = base
+			}
+		}
+		labels := make(map[string]string, len(s.Labels))
+		for k, v := range s.Labels {
+			if k != "le" {
+				labels[k] = v
+			}
+		}
+		if series[name] == nil {
+			series[name] = make(map[string]bool)
+		}
+		series[name][fmt.Sprint(labels)] = true
+	}
+	for name, set := range series {
+		if len(set) > 1000 {
+			t.Errorf("family %s holds %d series, over the cap of 1000", name, len(set))
+		}
 	}
 }
 

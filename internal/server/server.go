@@ -536,7 +536,7 @@ func (s *Server) apiStats(w http.ResponseWriter, r *http.Request) {
 		"max_procs":   runtime.GOMAXPROCS(0),
 		"num_cpu":     runtime.NumCPU(),
 		"per_session": out,
-		"slow_spans":  obs.SlowSpans(),
+		"slow_traces": obs.Traces.List(obs.TraceFilter{Slow: true}),
 	})
 }
 

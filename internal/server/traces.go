@@ -23,16 +23,18 @@ const traceFetchTimeout = 2 * time.Second
 
 // apiTraces lists retained trace summaries, most recent first.
 // Filters: ?route= (substring of the root route), ?min_ms= (at least
-// this slow), ?limit= (cap the count, default 100).
+// this slow), ?limit= (cap the count, default 100), ?slow=1 (only the
+// slow-or-errored queue).
 func (s *Server) apiTraces(w http.ResponseWriter, r *http.Request) {
-	limit, minMS := 100, 0
-	if !intParam(w, r, "limit", &limit) || !intParam(w, r, "min_ms", &minMS) {
+	limit, minMS, slow := 100, 0, 0
+	if !intParam(w, r, "limit", &limit) || !intParam(w, r, "min_ms", &minMS) || !intParam(w, r, "slow", &slow) {
 		return
 	}
 	list := obs.Traces.List(obs.TraceFilter{
 		Route:       r.URL.Query().Get("route"),
 		MinDuration: time.Duration(minMS) * time.Millisecond,
 		Limit:       limit,
+		Slow:        slow > 0,
 	})
 	writeJSON(w, map[string]any{"count": len(list), "traces": list})
 }
@@ -46,7 +48,7 @@ func (s *Server) apiTraceDetail(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	tr, ok := obs.Traces.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "trace %s not found (evicted, sampled out, or never seen)", id)
+		writeError(w, http.StatusNotFound, "trace %s not found (evicted or never seen)", id)
 		return
 	}
 	seen := make(map[string]bool, len(tr.Spans))
