@@ -760,7 +760,7 @@ func TestReplayJournalWiresTheSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := se.Snapshot()
-	snap.TableData = snap.AppendTable(nil)
+	snap.TableData = snap.Table.AppendBinary(nil)
 	const base = 5
 	batches := []stream.Batch{
 		{stream.AppendRows(se.Table.Row(0))},

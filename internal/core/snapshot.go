@@ -25,12 +25,11 @@ import (
 )
 
 // SessionSnapshot is the durable image of one session at a checkpoint.
-// The persistence layer and the backup tar both store it as a JSON
-// header without the table, and the table bytes raw beside it. The table
-// travels one way per direction: a snapshot taken from a live session
-// (Session.Snapshot) carries Table, a frozen view whoever writes it out
-// encodes — possibly after the session has moved on; one read back from
-// a snapshot file or a backup carries TableData.
+// The persistence layer stores it as a snapshot file: a JSON header
+// without the table, and the table bytes raw beside it. A snapshot taken
+// from a live session (Session.Snapshot) carries Table, a frozen view the
+// persister encodes — possibly after the session has moved on; one read
+// back from a snapshot file carries TableData.
 type SessionSnapshot struct {
 	ID      string `json:"session"`
 	Project string `json:"project"`
@@ -61,15 +60,6 @@ type SessionSnapshot struct {
 	// persister may write the snapshot after Checkpoint has returned. Any
 	// other checkpoint is a new baseline and must be durable first.
 	Compaction bool `json:"-"`
-}
-
-// AppendTable appends the snapshot's table, in the binary snapshot
-// format, to dst — whichever way the snapshot carries it.
-func (s *SessionSnapshot) AppendTable(dst []byte) []byte {
-	if s.Table != nil {
-		return s.Table.AppendBinary(dst)
-	}
-	return append(dst, s.TableData...)
 }
 
 // PersistenceError marks a durability-layer failure — journaling or

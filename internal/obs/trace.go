@@ -47,21 +47,12 @@ func (sc SpanContext) Valid() bool {
 	return validHexID(sc.TraceID, 32) && validHexID(sc.SpanID, 16)
 }
 
-func validHexID(s string, width int) bool {
-	if len(s) != width {
-		return false
-	}
-	zero := true
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
-			return false
-		}
-		if c != '0' {
-			zero = false
-		}
-	}
-	return !zero
+func validHexID(s string, width int) bool { return lowerHex(s, width) && strings.Trim(s, "0") != "" }
+
+// lowerHex reports whether s is width lowercase hex digits, the only
+// hex W3C trace-context allows.
+func lowerHex(s string, width int) bool {
+	return len(s) == width && strings.Trim(s, "0123456789abcdef") == ""
 }
 
 // Traceparent renders the W3C header value for this span context,
@@ -71,31 +62,20 @@ func (sc SpanContext) Traceparent() string {
 	return "00-" + sc.TraceID + "-" + sc.SpanID + "-01"
 }
 
-// ParseTraceparent parses a W3C traceparent header value. It accepts
-// version 00 exactly (four dash-separated fields, fixed widths) and
-// rejects the reserved version ff, malformed widths, non-hex digits,
-// and all-zero IDs — a malformed header means "no parent", never an
-// error, per the spec's restart semantics.
+// ParseTraceparent parses a W3C traceparent header value: exactly four
+// dash-separated fields — a version of two lowercase hex digits other
+// than the reserved ff, a 32-digit trace ID, a 16-digit span ID and two
+// digits of flags, all lowercase hex, neither ID all zeros — with
+// surrounding whitespace trimmed. Anything else means "no parent", never
+// an error, per the spec's restart semantics.
 func ParseTraceparent(s string) (SpanContext, bool) {
 	parts := strings.Split(strings.TrimSpace(s), "-")
 	if len(parts) != 4 {
 		return SpanContext{}, false
 	}
-	ver, tid, sid, flags := parts[0], parts[1], parts[2], parts[3]
-	if len(ver) != 2 || ver == "ff" {
-		return SpanContext{}, false
-	}
-	if _, err := hex.DecodeString(ver); err != nil {
-		return SpanContext{}, false
-	}
-	if len(flags) != 2 {
-		return SpanContext{}, false
-	}
-	if _, err := hex.DecodeString(flags); err != nil {
-		return SpanContext{}, false
-	}
-	sc := SpanContext{TraceID: tid, SpanID: sid}
-	if !sc.Valid() {
+	ver, flags := parts[0], parts[3]
+	sc := SpanContext{TraceID: parts[1], SpanID: parts[2]}
+	if !lowerHex(ver, 2) || ver == "ff" || !lowerHex(flags, 2) || !sc.Valid() {
 		return SpanContext{}, false
 	}
 	return sc, true

@@ -48,6 +48,9 @@ func TestTraceparentRoundTrip(t *testing.T) {
 		{"five fields", "00-" + tid + "-" + sid + "-01-extra"},
 		{"reserved version ff", "ff-" + tid + "-" + sid + "-01"},
 		{"non-hex version", "zz-" + tid + "-" + sid + "-01"},
+		{"reserved version FF", "FF-" + tid + "-" + sid + "-01"},
+		{"uppercase version", "0A-" + tid + "-" + sid + "-01"},
+		{"uppercase flags", "00-" + tid + "-" + sid + "-0A"},
 		{"short trace id", "00-" + tid[:31] + "-" + sid + "-01"},
 		{"long trace id", "00-" + tid + "0-" + sid + "-01"},
 		{"short span id", "00-" + tid + "-" + sid[:15] + "-01"},
@@ -73,6 +76,43 @@ func TestTraceparentRoundTrip(t *testing.T) {
 			t.Errorf("ParseTraceparent(%q) = %+v ok=%v, want accept with same IDs", in, got, ok)
 		}
 	}
+}
+
+// FuzzParseTraceparent: whatever the parser accepts is a valid span
+// context that survives a render/parse round trip, and came from a
+// header whose version and flags are lowercase hex, the version not ff.
+func FuzzParseTraceparent(f *testing.F) {
+	tid, sid := strings.Repeat("4b", 16), strings.Repeat("a3", 8)
+	for _, seed := range []string{
+		"00-" + tid + "-" + sid + "-01",
+		"00-" + tid + "-" + sid + "-00",
+		"  00-" + tid + "-" + sid + "-01  ",
+		"ff-" + tid + "-" + sid + "-01",
+		"FF-" + tid + "-" + sid + "-01",
+		"00-" + tid + "-" + sid + "-0A",
+		"00-" + strings.ToUpper(tid) + "-" + sid + "-01",
+		"00-" + strings.Repeat("0", 32) + "-" + sid + "-01",
+		"00-" + tid + "-" + sid + "-01-extra",
+		"not-a-traceparent",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		sc, ok := ParseTraceparent(in)
+		if !ok {
+			return
+		}
+		if !sc.Valid() {
+			t.Fatalf("accepted %q as the invalid %+v", in, sc)
+		}
+		if back, ok := ParseTraceparent(sc.Traceparent()); !ok || back != sc {
+			t.Fatalf("%q: round trip gives %+v ok=%v, want %+v", in, back, ok, sc)
+		}
+		parts := strings.Split(strings.TrimSpace(in), "-")
+		if ver, flags := parts[0], parts[3]; !lowerHex(ver, 2) || ver == "ff" || !lowerHex(flags, 2) {
+			t.Fatalf("accepted %q: version %q, flags %q", in, ver, flags)
+		}
+	})
 }
 
 // TestTraceParentLinks builds one trace through the public API and

@@ -128,9 +128,6 @@ func (m *Manager) write(ws *walState, w *checkpointWrite) {
 	blob, err := encodeSnapFile(ws.buf, w.snap)
 	if err == nil {
 		ws.buf = blob
-		if w.snap.Table != nil {
-			w.snap.Table.Release()
-		}
 		err = wal.WriteFileAtomic(m.snapPath(id), blob, m.opts.Fsync)
 	}
 	if err != nil {

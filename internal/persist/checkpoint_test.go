@@ -638,43 +638,51 @@ func TestCheckpointWaiters(t *testing.T) {
 	t.Run("backup", func(t *testing.T) {
 		m, se, _, release := start(t)
 		defer m.Close()
-		var snap *core.SessionSnapshot
-		var tail []byte
+		var files []File
 		var err error
-		wait := blocked(t, "Snapshot", func() {
-			if snap, _, err = m.Snapshot(se.ID); err == nil {
-				tail, err = m.WALTail(se.ID)
-			}
-		})
+		wait := blocked(t, "Files", func() { files, err = m.Files(se.ID) })
 		release()
 		wait()
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs, _, tornAt := wal.Decode(tail)
-		if snap.Seq != compactEvery || tornAt >= 0 || len(recs) != 1 || recs[0].Seq != compactEvery+1 {
-			t.Fatalf("backup pair: snapshot at seq %d with %d journal records (tornAt %d), want the landed snapshot and the batch behind it", snap.Seq, len(recs), tornAt)
+		img, err := ParseImage(files)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := decodeSnapFile(se.ID, img.files[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, _, _ := replaySegments([2][]byte{img.files[1], img.files[2]}, snap.Seq, nil)
+		if snap.Seq != compactEvery || len(files) != 2 || len(run) != 1 || run[0].Seq != compactEvery+1 {
+			t.Fatalf("backup: snapshot at seq %d, %d files, run %v; want the landed snapshot and one segment with the batch behind it", snap.Seq, len(files), run)
 		}
 	})
 
 	t.Run("tail order", func(t *testing.T) {
-		// A write that fails leaves both segments in use: the tail is the
-		// older one, then the one taking the appends.
+		// A write that fails leaves both segments in use: the image holds
+		// both, and reads back as the older one, then the one taking the
+		// appends.
 		m, se, _, release := start(t)
 		defer m.Close()
 		os.Remove(m.snapPath(se.ID) + ".tmp") // the held write's rename will fail
 		release()
-		tail, err := m.WALTail(se.ID)
+		files, err := m.Files(se.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs, _, tornAt := wal.Decode(tail)
+		img, err := ParseImage(files)
+		if err != nil || len(files) != 3 {
+			t.Fatalf("%d files, err %v; want the snapshot and both segments", len(files), err)
+		}
 		var seqs []int64
-		for _, r := range recs {
+		run, _, _ := replaySegments([2][]byte{img.files[1], img.files[2]}, 0, nil)
+		for _, r := range run {
 			seqs = append(seqs, r.Seq)
 		}
-		if want := []int64{1, 2, 3, 4, 5}; tornAt >= 0 || !reflect.DeepEqual(seqs, want) {
-			t.Fatalf("tail over two segments decodes to seqs %v (tornAt %d), want %v", seqs, tornAt, want)
+		if want := []int64{1, 2, 3, 4, 5}; !reflect.DeepEqual(seqs, want) {
+			t.Fatalf("the image's two segments read as seqs %v, want %v", seqs, want)
 		}
 		if segs := journalSeqs(t, m, se.ID); len(segs[0]) != compactEvery || len(segs[1]) != 1 {
 			t.Fatalf("segments hold %v", segs)
@@ -757,7 +765,9 @@ func TestCheckpointSegmentsReplay(t *testing.T) {
 					}
 				}
 			}
-			run, j, err := m.replaySegments("s1", c.after)
+			run, j, err := replaySegments([2][]byte{c.first, c.sec}, c.after, func(i int, size int64) error {
+				return os.Truncate(m.segPath("s1", i), size)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}

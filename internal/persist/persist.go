@@ -20,6 +20,8 @@
 //	<dir>/wal/<id>.wal     the journal: delta batches since that checkpoint, in two
 //	<dir>/wal/<id>.wal.1   alternating segment files (a missing one is an empty one)
 //
+// A session's files are its image (image.go): a backup is one image.
+//
 // Every session, sharded or not, journals one record per batch into its
 // one WAL (two wal.Logs, one of them taking the appends), keyed by the
 // session's global sequence number. A record torn at the tail — the
@@ -146,18 +148,14 @@ func Open(dir string, opts Options) (*Manager, error) {
 // Dir returns the data directory the manager persists into.
 func (m *Manager) Dir() string { return m.dir }
 
+// path maps a file of the layout (imageNames) into the data directory.
+func (m *Manager) path(name string) string { return filepath.Join(m.dir, filepath.FromSlash(name)) }
+
 // segPath maps a session ID to its journal's segment file i.
-func (m *Manager) segPath(id string, i int) string {
-	if i == 0 {
-		return filepath.Join(m.dir, "wal", id+".wal")
-	}
-	return filepath.Join(m.dir, "wal", id+".wal.1")
-}
+func (m *Manager) segPath(id string, i int) string { return m.path(imageNames(id)[1+i]) }
 
 // snapPath maps a session ID to its snapshot file.
-func (m *Manager) snapPath(id string) string {
-	return filepath.Join(m.dir, "snap", id+snapExt)
-}
+func (m *Manager) snapPath(id string) string { return m.path(imageNames(id)[0]) }
 
 // validID rejects session IDs that would escape the data directory.
 func validID(id string) error {
@@ -226,32 +224,6 @@ func (ws *walState) closeLog() error {
 		ws.segs[i] = nil
 	}
 	return first
-}
-
-// WALTail reads the raw bytes of the session's journal — the replay
-// input a backup carries alongside the snapshot: the older segment, then
-// the one taking the appends; nil when the session never journaled. It
-// waits out a checkpoint write in flight and holds the session's journal
-// lock across the read, so no commit interleaves; callers wanting a
-// consistent (snapshot, tail) pair must additionally hold the session's
-// own lock, which quiesces new journals and checkpoints entirely. The
-// tail is small by construction (bounded by the compaction threshold).
-func (m *Manager) WALTail(id string) ([]byte, error) {
-	ws, err := m.state(id)
-	if err != nil {
-		return nil, err
-	}
-	ws.settle()
-	defer ws.mu.Unlock()
-	var tail []byte
-	for _, i := range [2]int{1 - ws.active, ws.active} {
-		data, err := os.ReadFile(m.segPath(id, i))
-		if err != nil && !os.IsNotExist(err) {
-			return nil, fmt.Errorf("persist: backup wal %s: %w", id, err)
-		}
-		tail = append(tail, data...)
-	}
-	return tail, nil
 }
 
 // Journal durably appends one delta batch to the session's WAL: one
@@ -393,31 +365,26 @@ func (m *Manager) Status(sessionID string) (Status, bool) {
 	return ws.Status, true
 }
 
+// legacyShardWAL matches the per-shard journal files (<id>.shard<k>.wal)
+// of an older layout, which a data directory or a backup is refused for.
 var legacyShardWAL = regexp.MustCompile(`\.shard[0-9]+\.wal$`)
-
-// LegacyShardWAL reports whether name is a per-shard journal file
-// (<id>.shard<k>.wal) of the kind sharded sessions wrote before every
-// session journaled into its one <id>.wal. Recovery no longer merges
-// them, so a data directory or backup that still carries one is refused
-// by name.
-func LegacyShardWAL(name string) bool { return legacyShardWAL.MatchString(name) }
 
 // snapExt is the snapshot file extension; a crash mid-checkpoint can
 // leave <id>.snap.tmp (wal.WriteFileAtomic's temporary) beside it.
 const snapExt = ".snap"
 
-// Restore rehydrates every persisted session into the system: for each
-// snapshot file it rebuilds the session, replays the WAL tail through
+// Restore rehydrates every persisted session into the system: it rebuilds
+// each session from its image (image.go), replaying the WAL tail through
 // the incremental engine (recomputing the violation set, byte-identical
 // to a full detection), reattaches the journal, and returns the sessions
 // sorted by ID. Torn WAL tails — the expected artifact of a crash mid
-// append — are discarded; structurally damaged snapshots are an error.
+// append — are trimmed off; structurally damaged snapshots are an error.
 // Sessions rehydrate independently on up to GOMAXPROCS goroutines; the
 // first failing ID's error wins, and none is attached unless all came back.
 func (m *Manager) Restore(sys *core.System) ([]*core.Session, error) {
 	old := filepath.Join(m.dir, "store.json") // every session's snapshot as one JSON document
 	if _, err := os.Stat(old); err == nil {
-		return nil, fmt.Errorf("persist: %s holds the sessions of an older layout, which this release does not read: move them with `anmat backup` from the release that wrote it and `anmat restore` into this one, or delete the file to drop them", old)
+		return nil, fmt.Errorf("persist: %s holds the sessions of an older layout, which this release does not read: move them with `anmat backup` from the release that wrote it and `anmat restore` into a release that reads format-1 backups, running with -data, then start this release on that data directory; or delete the file to drop them", old)
 	}
 	entries, err := os.ReadDir(filepath.Join(m.dir, "wal"))
 	if err != nil {
@@ -425,7 +392,7 @@ func (m *Manager) Restore(sys *core.System) ([]*core.Session, error) {
 	}
 	var legacy []string
 	for _, e := range entries {
-		if LegacyShardWAL(e.Name()) {
+		if legacyShardWAL.MatchString(e.Name()) {
 			legacy = append(legacy, e.Name())
 		}
 	}
@@ -457,9 +424,16 @@ func (m *Manager) Restore(sys *core.System) ([]*core.Session, error) {
 	for i, id := range ids {
 		slots <- struct{}{}
 		wg.Add(1)
-		go func() {
+		go func() { // rebuild touches no manager state
 			defer func() { <-slots; wg.Done() }()
-			sessions[i], journals[i], errs[i] = m.rehydrate(sys, id)
+			img, err := m.readImage(id)
+			if err == nil {
+				trim := func(seg int, size int64) error { return os.Truncate(m.segPath(id, seg), size) }
+				if sessions[i], journals[i], err = img.rebuild(sys, nil, trim); err != nil {
+					err = fmt.Errorf("persist: %s: %w", m.dir, err)
+				}
+			}
+			errs[i] = err
 		}()
 	}
 	wg.Wait()
@@ -479,79 +453,4 @@ func (m *Manager) Restore(sys *core.System) ([]*core.Session, error) {
 		se.SetPersist(m)
 	}
 	return sessions, nil
-}
-
-// rehydrate rebuilds one session from its snapshot file and WAL tail and
-// reports where its journal bookkeeping starts. It touches no manager
-// state, so Restore can run it concurrently.
-func (m *Manager) rehydrate(sys *core.System, id string) (*core.Session, journal, error) {
-	snap, ok, err := m.Snapshot(id)
-	if err == nil && !ok {
-		err = fmt.Errorf("persist: snapshot %s disappeared during restore", m.snapPath(id))
-	}
-	if err != nil {
-		return nil, journal{}, err
-	}
-	se, err := sys.RestoreSession(snap)
-	if err != nil {
-		return nil, journal{}, fmt.Errorf("persist: %w", err)
-	}
-	recs, j, err := m.replaySegments(id, snap.Seq)
-	if err != nil {
-		return nil, journal{}, fmt.Errorf("persist: wal %s: %w", id, err)
-	}
-	if err := se.ReplayJournal(snap.Seq, wal.Batches(recs)); err != nil {
-		return nil, journal{}, fmt.Errorf("persist: %w", err)
-	}
-	return se, j, nil
-}
-
-// replaySegments reads the session's two journal segments as the one log
-// they are and returns the replayable suffix: the contiguous run of
-// batches right after the snapshot's cursor (wal.Run). Each segment holds
-// an ascending run of its own and one ends before the other begins, so
-// the segment whose first record is lower comes first. Both files are
-// then trimmed to their share of the log's clean prefix, as wal.Replay
-// trims a single file: torn or beyond-the-gap bytes left in place would
-// strand, or resurrect under a reused sequence number, records journaled
-// after recovery. The later segment with records left takes the appends.
-func (m *Manager) replaySegments(id string, afterSeq int64) ([]wal.Record, journal, error) {
-	var segs [2]struct {
-		recs []wal.Record
-		ends []int64
-		torn bool
-	}
-	for i := range segs {
-		b, err := os.ReadFile(m.segPath(id, i))
-		if err != nil && !os.IsNotExist(err) {
-			return nil, journal{}, err
-		}
-		recs, ends, tornAt := wal.Decode(b)
-		segs[i].recs, segs[i].ends, segs[i].torn = recs, ends, tornAt >= 0
-	}
-	order := [2]int{0, 1}
-	if len(segs[0].recs) > 0 && len(segs[1].recs) > 0 && segs[1].recs[0].Seq < segs[0].recs[0].Seq {
-		order = [2]int{1, 0}
-	}
-	all := append(append([]wal.Record(nil), segs[order[0]].recs...), segs[order[1]].recs...)
-	run, clean := wal.Run(all, afterSeq)
-	j := journal{Status: Status{CheckpointSeq: afterSeq, WALRecords: len(run)}}
-	for _, i := range order {
-		seg := &segs[i]
-		keep := min(clean, len(seg.recs))
-		clean -= keep
-		if seg.torn || keep < len(seg.recs) {
-			var size int64
-			if keep > 0 {
-				size = seg.ends[keep-1]
-			}
-			if err := os.Truncate(m.segPath(id, i), size); err != nil {
-				return nil, journal{}, fmt.Errorf("trim: %w", err)
-			}
-		}
-		if keep > 0 {
-			j.dirty[i], j.active = true, i
-		}
-	}
-	return run, j, nil
 }

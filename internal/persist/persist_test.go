@@ -1,10 +1,12 @@
 package persist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -414,53 +416,58 @@ func TestInvalidSessionID(t *testing.T) {
 	}
 }
 
-// TestBackupAccessors: Snapshot and WALTail hand the backup endpoint
-// exactly what crash recovery would read — the checkpointed document and
-// the journal's raw bytes.
+// TestBackupAccessors: Files hands the backup endpoint the session's
+// files byte for byte as crash recovery reads them — the snapshot file,
+// and each journal segment that holds bytes — and ParseImage + Restore
+// bring the session back from them.
 func TestBackupAccessors(t *testing.T) {
 	dir := t.TempDir()
 	m, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := m.Snapshot("s1"); ok || err != nil {
-		t.Fatalf("snapshot of an unknown session: ok=%v err=%v", ok, err)
+	if files, err := m.Files("s1"); files != nil || err != nil {
+		t.Fatalf("files of an unknown session: %d, err %v", len(files), err)
 	}
-	if _, _, err := m.Snapshot("../escape"); err == nil {
-		t.Error("path-escaping id should be rejected")
-	}
-	if _, err := m.WALTail("../escape"); err == nil {
+	if _, err := m.Files("../escape"); err == nil {
 		t.Error("path-escaping id should be rejected")
 	}
 	m.Close()
 
 	se, m := newDetectedSession(t, dir)
 	defer m.Close()
-	if tail, err := m.WALTail(se.ID); err != nil || tail != nil {
-		t.Fatalf("tail before any journal: %d bytes, err %v", len(tail), err)
+	sameAsDisk := func(want ...string) []File {
+		t.Helper()
+		files, err := m.Files(se.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, f := range files {
+			names = append(names, f.Name)
+			if onDisk, err := os.ReadFile(filepath.Join(dir, f.Name)); err != nil || !bytes.Equal(onDisk, f.Data) {
+				t.Errorf("%s: %d bytes, the file %d (err %v)", f.Name, len(f.Data), len(onDisk), err)
+			}
+		}
+		if !reflect.DeepEqual(names, want) {
+			t.Fatalf("files %v, want %v", names, want)
+		}
+		return files
 	}
+	sameAsDisk("snap/" + se.ID + ".snap")
 	if _, err := se.ApplyDeltasCtx(context.Background(), stream.Batch{stream.AppendRows([]string{"90002", "SD", "85125", "CA"})}); err != nil {
 		t.Fatal(err)
 	}
-	snap, ok, err := m.Snapshot(se.ID)
-	if err != nil || !ok {
-		t.Fatalf("snapshot: ok=%v err=%v", ok, err)
+	files := sameAsDisk("snap/"+se.ID+".snap", "wal/"+se.ID+".wal")
+	img, err := ParseImage(files)
+	if err != nil || img.ID != se.ID {
+		t.Fatalf("image of %s: %+v, err %v", se.ID, img, err)
 	}
-	if snap.ID != se.ID || snap.Seq != 0 || len(snap.TableData) == 0 {
-		t.Fatalf("snapshot = id %q seq %d, %d table bytes; want the seq-0 checkpoint", snap.ID, snap.Seq, len(snap.TableData))
+	back, seq, err := img.Restore(core.NewSystem(docstore.NewMem()), nil)
+	if err != nil || seq != 1 {
+		t.Fatalf("restore: seq %d, err %v; want seq 1", seq, err)
 	}
-	tail, err := m.WALTail(se.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	onDisk, err := os.ReadFile(filepath.Join(dir, "wal", se.ID+".wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tail) == 0 || string(tail) != string(onDisk) {
-		t.Fatalf("tail is %d bytes, the WAL file %d", len(tail), len(onDisk))
-	}
-	if recs, _, tornAt := wal.Decode(tail); tornAt >= 0 || len(recs) != 1 || recs[0].Seq != 1 {
-		t.Fatalf("tail decodes to %d records (tornAt %d), want seq 1", len(recs), tornAt)
+	if got, want := mustJSON(t, back.Violations), mustJSON(t, se.Violations); got != want {
+		t.Fatalf("restored violations:\n got %s\nwant %s", got, want)
 	}
 }

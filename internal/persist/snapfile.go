@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"os"
 
 	"github.com/anmat/anmat/internal/core"
 )
@@ -26,12 +25,12 @@ const snapMagic = "ANMSNP\x01"
 const snapPrefix = len(snapMagic) + 4
 
 // encodeSnapFile renders the snapshot as one snapshot file into buf's
-// storage (buf may be nil); the table is encoded in place when the
-// snapshot carries a view, and copied once, verbatim, when it carries
-// bytes.
+// storage (buf may be nil), encoding the table from the frozen view,
+// which it then releases.
 func encodeSnapFile(buf []byte, snap *core.SessionSnapshot) ([]byte, error) {
+	defer snap.Table.Release()
 	hdr := *snap
-	hdr.TableData = nil
+	hdr.TableData = nil // the header never carries table bytes
 	hb, err := json.Marshal(&hdr)
 	if err != nil {
 		return nil, err
@@ -39,7 +38,7 @@ func encodeSnapFile(buf []byte, snap *core.SessionSnapshot) ([]byte, error) {
 	b := binary.LittleEndian.AppendUint32(append(buf[:0], snapMagic...), uint32(len(hb)))
 	b = append(b, hb...)
 	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
-	return snap.AppendTable(b), nil
+	return snap.Table.AppendBinary(b), nil
 }
 
 // decodeSnapFile parses the snapshot file named <stem>.snap (stem already
@@ -68,30 +67,4 @@ func decodeSnapFile(stem string, b []byte) (*core.SessionSnapshot, error) {
 	}
 	snap.TableData = b[end+crc32.Size:]
 	return &snap, nil
-}
-
-// Snapshot returns the session's checkpointed snapshot, or ok=false when
-// none was ever written. The returned snapshot (including its table
-// bytes) is read fresh from the snapshot file and owned by the caller. A
-// checkpoint write in flight is waited out first, so that the snapshot
-// pairs with the WALTail read after it (under the session's own lock).
-func (m *Manager) Snapshot(id string) (snap *core.SessionSnapshot, ok bool, err error) {
-	if err := validID(id); err != nil {
-		return nil, false, err
-	}
-	if ws := m.lookup(id); ws != nil {
-		ws.settle()
-		ws.mu.Unlock()
-	}
-	b, err := os.ReadFile(m.snapPath(id))
-	if os.IsNotExist(err) {
-		return nil, false, nil
-	}
-	if err == nil {
-		snap, err = decodeSnapFile(id, b)
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("persist: snapshot %s: %w", m.snapPath(id), err)
-	}
-	return snap, true, nil
 }

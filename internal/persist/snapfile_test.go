@@ -76,7 +76,7 @@ func TestCheckpointWritesOnlyOwnSession(t *testing.T) {
 	before := dirState(t, dir)
 	se := sessions[4]
 	snap := se.Snapshot()
-	payload := len(snap.AppendTable(nil)) + len(mustJSON(t, snap))
+	payload := len(snap.Table.AppendBinary(nil)) + len(mustJSON(t, snap))
 	if err := m.Checkpoint(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -204,10 +204,7 @@ func TestRestoreChecksSnapshotNames(t *testing.T) {
 	if err := os.WriteFile(outside, []byte("not a log: Replay would trim this to nothing"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	snap, _, err := m.Snapshot(se.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := se.Snapshot()
 	snap.ID = "../outside"
 	escaping, err := encodeSnapFile(nil, snap)
 	if err != nil {
@@ -247,14 +244,18 @@ func TestRestoreChecksSnapshotNames(t *testing.T) {
 
 // readBack is the read side as Restore runs it: the file decoder, then
 // the table decoder over the section the file decoder does not check.
+// The snapshot comes back carrying its table as a view too, ready to be
+// encoded again.
 func readBack(stem string, b []byte) (*core.SessionSnapshot, error) {
 	snap, err := decodeSnapFile(stem, b)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := table.DecodeBinaryBytes(snap.TableData); err != nil {
+	tbl, err := table.DecodeBinaryBytes(snap.TableData)
+	if err != nil {
 		return nil, err
 	}
+	snap.Table = tbl.Freeze()
 	return snap, nil
 }
 
@@ -262,14 +263,14 @@ func readBack(stem string, b []byte) (*core.SessionSnapshot, error) {
 // section starts at.
 func snapFileFixture(t testing.TB) (file []byte, tableAt int) {
 	t.Helper()
-	data := testTable().EncodeBinaryBytes()
+	tbl := testTable()
 	snap := &core.SessionSnapshot{ID: "s1", Project: "proj", Params: core.DefaultParams(),
-		TableName: "T", TableData: data, Discovered: testRules(), Detected: true, Seq: 7}
+		TableName: "T", Table: tbl.Freeze(), Discovered: testRules(), Detected: true, Seq: 7}
 	file, err := encodeSnapFile(nil, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return file, len(file) - len(data)
+	return file, len(file) - len(tbl.EncodeBinaryBytes())
 }
 
 // damagedSnapFiles are the ways a snapshot file goes bad, each of which

@@ -1,117 +1,62 @@
-// Streaming session backup/restore:
+// Session backup/restore:
 //
 //	GET  /api/v1/sessions/{id}/backup   download the session as a tar
 //	POST /api/v1/sessions/restore       import such a tar as a new session
 //
-// The tar carries exactly what crash recovery would read from the data
-// directory — the latest checkpoint snapshot plus the WAL tail — so a
-// restore on another node replays through the same property-tested
-// path as a restart: violations and `violations?since=` sequence
-// cursors come back byte-identical. The tar layout:
-//
-//	meta.json     backup format version + SessionSnapshot (sans table bytes)
-//	table.bin     the binary table snapshot (table.EncodeBinaryBytes)
-//	wal/<id>.wal  the raw journal, replayed on restore (absent when empty):
-//	              one entry whichever segment files held it, the older
-//	              segment's records first
-//
-// Memory-only sessions (no -data directory) are backed up from a fresh
-// in-memory snapshot with an empty WAL tail; restore works identically.
+// A backup is a data directory holding one session (persist.Files): `tar
+// -x` it and `anmat-server -data` restores it, as a restore runs persist's
+// recovery over its entries. The names are persist's; this file only
+// moves (name, bytes) pairs between a tar and persist.
 package server
 
 import (
 	"archive/tar"
-	"encoding/json"
 	"io"
 	"net/http"
-	"strings"
 
 	"github.com/anmat/anmat/internal/core"
 	"github.com/anmat/anmat/internal/persist"
-	"github.com/anmat/anmat/internal/wal"
 )
 
-// backupFormat versions the tar layout; bump on incompatible change.
-const backupFormat = 1
-
-// maxRestoreBody caps a restore upload. The table snapshot dominates;
-// 1 GiB is far beyond any session this server would admit as a CSV.
+// maxRestoreBody caps a restore upload: far beyond any session admitted.
 const maxRestoreBody = 1 << 30
 
-// backupMeta is the meta.json entry of a session backup tar. The
-// snapshot's table bytes live in the separate table.bin entry so the
-// metadata stays human-readable (no megabytes of base64).
-type backupMeta struct {
-	Format   int                  `json:"format"`
-	Snapshot core.SessionSnapshot `json:"snapshot"`
-}
-
-// apiBackup streams the session as a tar. The durable state (snapshot
-// file + WAL) is captured under the session's read lock — every
-// mutation path (deltas, confirm, delete) takes the write lock, and both
-// reads wait out a checkpoint write still in flight behind an earlier
-// batch, so the pair is consistent — and then encoded and streamed to the
-// client with no locks held, so a slow download never blocks the
-// session's writers.
+// apiBackup sends the session as a tar. Its files are read under the
+// session's read lock, after any checkpoint write in flight, so they image
+// one state; they are sent with no lock held, blocking no writer.
 func (s *Server) apiBackup(w http.ResponseWriter, r *http.Request) {
 	h := s.requestHandle(w, r)
 	if h == nil {
 		return
 	}
-	h.mu.RLock()
-	sess := h.sess
-	id := sess.ID
+	var files []persist.File
 	var snap *core.SessionSnapshot
-	var walTail []byte
 	var err error
+	h.mu.RLock()
 	if s.pm != nil {
-		var ok bool
-		if snap, ok, err = s.pm.Snapshot(id); err == nil && ok {
-			walTail, err = s.pm.WALTail(id)
-		}
+		files, err = s.pm.Files(h.sess.ID)
 	}
-	if err == nil && snap == nil {
-		// Memory-only (or never-checkpointed) session: snapshot it fresh.
-		// Everything is folded into the snapshot, so the tail is empty; the
-		// frozen table is encoded below, after the lock is released.
-		snap = sess.Snapshot()
+	if err == nil && files == nil {
+		snap = h.sess.Snapshot() // encoded below, after the lock is released
 	}
 	h.mu.RUnlock()
+	if snap != nil {
+		files, err = persist.SnapshotFiles(snap)
+	}
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "backup %s: %v", id, err)
+		writeError(w, http.StatusInternalServerError, "backup %s: %v", h.sess.ID, err)
 		return
 	}
-
-	table := snap.AppendTable(nil)
-	meta := *snap
-	meta.TableData = nil
-	mb, err := json.MarshalIndent(backupMeta{Format: backupFormat, Snapshot: meta}, "", " ")
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "backup %s: %v", id, err)
-		return
-	}
-
 	w.Header().Set("Content-Type", "application/x-tar")
-	w.Header().Set("Content-Disposition", `attachment; filename="`+id+`.anmat.tar"`)
+	w.Header().Set("Content-Disposition", `attachment; filename="`+h.sess.ID+`.anmat.tar"`)
 	tw := tar.NewWriter(w)
-	entry := func(name string, b []byte) error {
-		if err := tw.WriteHeader(&tar.Header{Name: name, Mode: 0o644, Size: int64(len(b))}); err != nil {
-			return err
+	for _, f := range files {
+		// Past the first write the status line is on the wire: on an error
+		// (client gone, usually) stop, leaving a tar no reader accepts.
+		if tw.WriteHeader(&tar.Header{Name: f.Name, Mode: 0o644, Size: int64(len(f.Data))}) != nil {
+			return
 		}
-		_, err := tw.Write(b)
-		return err
-	}
-	// Past this point the status line is already on the wire; on a write
-	// error (client gone, usually) all we can do is stop — the client
-	// sees a truncated tar, which no tar reader accepts silently.
-	if err := entry("meta.json", mb); err != nil {
-		return
-	}
-	if err := entry("table.bin", table); err != nil {
-		return
-	}
-	if len(walTail) > 0 {
-		if err := entry("wal/"+id+".wal", walTail); err != nil {
+		if _, err := tw.Write(f.Data); err != nil {
 			return
 		}
 	}
@@ -124,103 +69,74 @@ func (s *Server) apiBackup(w http.ResponseWriter, r *http.Request) {
 func (s *Server) apiRestore(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxRestoreBody)
 	tr := tar.NewReader(r.Body)
-	var meta *backupMeta
-	var tableBin []byte
-	var walTail []byte
+	var files []persist.File
+	// Entries share the body's cap: a sparse one outsizes its wire bytes.
+	room := int64(maxRestoreBody)
 	for {
 		hdr, err := tr.Next()
 		if err == io.EOF {
 			break
 		}
+		var b []byte
+		if err == nil {
+			if room -= hdr.Size; room < 0 {
+				writeError(w, http.StatusRequestEntityTooLarge, "backup entries exceed %d bytes", maxRestoreBody)
+				return
+			}
+			b, err = io.ReadAll(tr)
+		}
 		if err != nil {
 			writeError(w, bodyStatus(err), "malformed backup tar: %v", err)
 			return
 		}
-		b, err := io.ReadAll(tr)
-		if err != nil {
-			writeError(w, bodyStatus(err), "backup entry %s: %v", hdr.Name, err)
-			return
-		}
-		switch {
-		case hdr.Name == "meta.json":
-			meta = new(backupMeta)
-			if err := json.Unmarshal(b, meta); err != nil {
-				writeError(w, http.StatusBadRequest, "backup meta.json: %v", err)
-				return
-			}
-		case hdr.Name == "table.bin":
-			tableBin = b
-		case persist.LegacyShardWAL(hdr.Name):
-			writeError(w, http.StatusBadRequest, "backup carries per-shard WAL %s of an older layout that this release does not read; take the backup again from a server running this release", hdr.Name)
-			return
-		case strings.HasPrefix(hdr.Name, "wal/"):
-			if walTail != nil {
-				writeError(w, http.StatusBadRequest, "backup carries more than one WAL (%s)", hdr.Name)
-				return
-			}
-			walTail = b
-		default:
-			// Unknown entries are skipped, so a newer writer may add
-			// entries without breaking older readers.
-		}
+		files = append(files, persist.File{Name: hdr.Name, Data: b})
 	}
-	switch {
-	case meta == nil:
-		writeError(w, http.StatusBadRequest, "backup tar has no meta.json")
-		return
-	case meta.Format != backupFormat:
-		writeError(w, http.StatusBadRequest, "unsupported backup format %d (this server reads format %d)", meta.Format, backupFormat)
-		return
-	case tableBin == nil:
-		writeError(w, http.StatusBadRequest, "backup tar has no table.bin")
-		return
-	case meta.Snapshot.ID == "":
-		writeError(w, http.StatusBadRequest, "backup snapshot has no session id")
-		return
-	}
-	snap := meta.Snapshot
-	snap.TableData = tableBin
-	if s.handle(snap.ID) != nil {
-		writeError(w, http.StatusConflict, "session %s already exists on this server", snap.ID)
-		return
-	}
-
-	tenant := requestTenant(r)
-	sess, err := s.sys.RestoreSession(&snap)
+	img, err := persist.ParseImage(files)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "restore: %v", err)
 		return
 	}
-	rows := sess.Table.NumRows()
-	if s.adm != nil {
-		if rej := s.adm.reserveSession(tenant, rows); rej != nil {
-			writeAdmissionReject(w, tenant, rej)
-			return
-		}
+	// Claimed before anything under the ID is decoded or written (see claim).
+	if !s.claim(img.ID) {
+		writeError(w, http.StatusConflict, "session %s already exists on this server", img.ID)
+		return
 	}
-	fail := func(status int, format string, args ...any) {
+	// Admission is asked before the replay, so a refused restore boots no
+	// engine (nor claims the workers). Until the session is registered,
+	// returning gives up the claim and any reservation.
+	tenant, rows, live := requestTenant(r), -1, false // rows: those reserved
+	defer func() {
+		if !live {
+			s.unclaim(img.ID)
+			if rows >= 0 {
+				s.adm.unreserveSession(tenant, rows)
+			}
+		}
+	}()
+	var rej *rejection
+	sess, seq, err := img.Restore(s.sys, func(n int) bool {
 		if s.adm != nil {
-			s.adm.unreserveSession(tenant, rows)
+			if rej = s.adm.reserveSession(tenant, n); rej != nil {
+				return false
+			}
+			rows = n
 		}
-		writeError(w, status, format, args...)
-	}
-	// The same run extraction crash recovery applies to the file: a torn
-	// final record is dropped by Decode, the run stops at the first gap.
-	recs, _, _ := wal.Decode(walTail)
-	run, _ := wal.Run(recs, snap.Seq)
-	if err := sess.ReplayJournal(snap.Seq, wal.Batches(run)); err != nil {
-		fail(http.StatusBadRequest, "restore %s: replay: %v", snap.ID, err)
+		return true
+	})
+	switch {
+	case rej != nil:
+		writeAdmissionReject(w, tenant, rej)
+		return
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "restore: %v", err)
 		return
 	}
 	if err := s.persistNew(sess); err != nil {
-		fail(http.StatusInternalServerError, "restore %s: checkpoint: %v", snap.ID, err)
+		writeError(w, http.StatusInternalServerError, "restore %s: checkpoint: %v", img.ID, err)
 		return
 	}
-	if !s.registerNew(sess) {
-		// A concurrent restore of the same backup won the race.
-		fail(http.StatusConflict, "session %s already exists on this server", snap.ID)
-		return
-	}
+	live = true
+	s.register(sess.ID, sess)
 	if s.adm != nil {
 		s.adm.bindReserved(tenant, sess.ID, rows)
 	}
@@ -229,19 +145,6 @@ func (s *Server) apiRestore(w http.ResponseWriter, r *http.Request) {
 		"table":      sess.Table.Name(),
 		"rows":       sess.Table.NumRows(),
 		"violations": len(sess.Violations),
-		"seq":        snap.Seq + int64(len(run)),
+		"seq":        seq,
 	})
-}
-
-// registerNew registers a session only if its ID is free, reporting
-// whether it won — the restore path must not silently replace a live
-// session that appeared between the early conflict check and here.
-func (s *Server) registerNew(sess *core.Session) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.sessions[sess.ID]; ok {
-		return false
-	}
-	s.sessions[sess.ID] = &sessionHandle{sess: sess}
-	return true
 }

@@ -82,8 +82,9 @@ type Server struct {
 	// sessions are dropped from it. Set via AttachPersist before serving.
 	pm *persist.Manager
 
-	mu       sync.RWMutex // guards sessions only
+	mu       sync.RWMutex // guards sessions and claims only
 	sessions map[string]*sessionHandle
+	claims   map[string]bool // IDs of sessions being built (see claim)
 
 	// start anchors the /healthz and /api/v1/stats uptime reports.
 	start time.Time
@@ -103,7 +104,7 @@ type Server struct {
 // New builds a server over a system and (re)binds the process-wide
 // session gauges to it.
 func New(sys *core.System) *Server {
-	s := &Server{sys: sys, sessions: make(map[string]*sessionHandle), start: time.Now()}
+	s := &Server{sys: sys, sessions: make(map[string]*sessionHandle), claims: make(map[string]bool), start: time.Now()}
 	registerGauges(s)
 	return s
 }
@@ -133,7 +134,7 @@ func (s *Server) RestoreSessions(m *persist.Manager) (int, error) {
 		return 0, err
 	}
 	for _, sess := range sessions {
-		s.register(sess)
+		s.register(sess.ID, sess)
 		if s.adm != nil {
 			// Tenancy is not persisted; restored sessions belong to the
 			// default tenant and must never be refused by their own
@@ -177,24 +178,59 @@ func (s *Server) persistNew(sess *core.Session) error {
 
 // CreateSession runs the full pipeline on a new session and registers it.
 func (s *Server) CreateSession(ctx context.Context, project string, t *table.Table, p core.Params) (*core.Session, error) {
-	sess := s.sys.NewSession(project, t, p)
-	if err := sess.Run(ctx); err != nil {
-		return nil, err
-	}
-	if err := s.persistNew(sess); err != nil {
-		return nil, err
-	}
-	s.register(sess)
-	if s.adm != nil {
+	sess, err := s.create(ctx, project, t, p, core.FullPipeline())
+	if err == nil && s.adm != nil {
 		s.adm.bindSession(DefaultTenant, sess.ID, t.NumRows())
 	}
+	return sess, err
+}
+
+// create runs pipeline stages on a new session under a fresh ID it has
+// claimed, checkpoints the session and registers it.
+func (s *Server) create(ctx context.Context, project string, t *table.Table, p core.Params, stages []core.Stage) (*core.Session, error) {
+	sess := s.sys.NewSession(project, t, p)
+	for !s.claim(sess.ID) { // a restore claimed it since the system drew it
+		sess = s.sys.NewSession(project, t, p)
+	}
+	err := sess.RunStages(ctx, stages...)
+	if err == nil {
+		err = s.persistNew(sess)
+	}
+	if err != nil {
+		s.unclaim(sess.ID)
+		return nil, err
+	}
+	s.register(sess.ID, sess)
 	return sess, nil
 }
 
-func (s *Server) register(sess *core.Session) {
+// claim reserves a session ID before anything is decoded, written or
+// dropped under it: false when the ID is live or claimed. The claimer
+// then registers the session under the ID, or unclaims it.
+func (s *Server) claim(id string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sessions[sess.ID] = &sessionHandle{sess: sess}
+	if _, live := s.sessions[id]; live || s.claims[id] {
+		return false
+	}
+	s.claims[id] = true
+	return true
+}
+
+// unclaim gives up a claim on id.
+func (s *Server) unclaim(id string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.claims, id)
+}
+
+// register makes sess live under id, ending the claim on it — or, at
+// startup, takes a session the data directory held.
+func (s *Server) register(id string, sess *core.Session) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.claims, id)
+	s.sessions[id] = &sessionHandle{sess: sess}
 }
 
 // Handler returns the HTTP handler with all routes mounted. Every route
@@ -576,11 +612,7 @@ func (s *Server) apiCreateSession(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	sess := s.sys.NewSession(project, t, params)
-	err = sess.RunStages(r.Context(), stages...)
-	if err == nil {
-		err = s.persistNew(sess)
-	}
+	sess, err := s.create(r.Context(), project, t, params, stages)
 	if err != nil {
 		// The session is never registered: take back the reservation.
 		if s.adm != nil {
@@ -589,7 +621,6 @@ func (s *Server) apiCreateSession(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.register(sess)
 	if s.adm != nil {
 		s.adm.bindReserved(tenant, sess.ID, t.NumRows())
 	}
@@ -645,13 +676,17 @@ func (s *Server) apiDeleteSession(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	h, ok := s.sessions[id]
 	if ok {
+		// Claimed until its files are dropped: a restore of the ID in the
+		// meantime is a 409, not a checkpoint the drop deletes.
 		delete(s.sessions, id)
+		s.claims[id] = true
 	}
 	s.mu.Unlock()
 	if !ok {
 		http.Error(w, "no such session "+id, http.StatusNotFound)
 		return
 	}
+	defer s.unclaim(id)
 	if s.adm != nil {
 		s.adm.release(id)
 	}
