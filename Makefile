@@ -89,6 +89,7 @@ fuzz:
 	# A restore runs a whole session; minimizing one of its 15 KB inputs
 	# at the default 60 s would take the run's whole budget.
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzRestoreBackup -fuzztime 30s -fuzzminimizetime 3s
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzViolationBodies -fuzztime 30s
 
 # Non-test Go lines outside bench/ (frozen, a module of its own) and the
 # benchmark's build directory: the size ROADMAP.md and CHANGES.md quote.
@@ -98,7 +99,7 @@ loc:
 # The size ratchet, beside CI's coverage ratchet: the tree may not grow
 # past the last reading. Lower LOC_CEILING when the tree shrinks; never
 # raise it without saying why in CHANGES.md.
-LOC_CEILING = 21208
+LOC_CEILING = 21407
 loc-check:
 	@loc=$$($(MAKE) -s loc); echo "non-test Go lines: $$loc (ceiling $(LOC_CEILING))"; [ $$loc -le $(LOC_CEILING) ]
 

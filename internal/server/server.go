@@ -310,7 +310,7 @@ func (s *Server) requestHandle(w http.ResponseWriter, r *http.Request) *sessionH
 	id := r.PathValue("id")
 	h := s.handle(id)
 	if h == nil {
-		http.Error(w, "no such session "+id, http.StatusNotFound)
+		writeError(w, http.StatusNotFound, "no such session %s", id)
 	}
 	return h
 }
@@ -410,7 +410,7 @@ func floatParam(w http.ResponseWriter, r *http.Request, name string, into *float
 	}
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
-		http.Error(w, fmt.Sprintf("malformed %s=%q: %v", name, v, err), http.StatusBadRequest)
+		writeError(w, http.StatusBadRequest, "malformed %s=%q: %v", name, v, err)
 		return false
 	}
 	*into = f
@@ -426,7 +426,7 @@ func intParam(w http.ResponseWriter, r *http.Request, name string, into *int) bo
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil || n < 0 {
-		http.Error(w, fmt.Sprintf("malformed %s=%q: want a non-negative integer", name, v), http.StatusBadRequest)
+		writeError(w, http.StatusBadRequest, "malformed %s=%q: want a non-negative integer", name, v)
 		return false
 	}
 	*into = n
@@ -452,10 +452,9 @@ func sessionIDBefore(a, b string) bool {
 	}
 }
 
-// paginate slices one page out of a list — violations or diff changes —
-// clamping offset to the total (limit 0 = no bound). Returns the page and
-// the clamped offset.
-func paginate[T any](xs []T, limit, offset int) ([]T, int) {
+// paginate slices one page out of a violation list, clamping offset to
+// the total (limit 0 = no bound). Returns the page and the clamped offset.
+func paginate(xs []pfd.Violation, limit, offset int) ([]pfd.Violation, int) {
 	if offset > len(xs) {
 		offset = len(xs)
 	}
@@ -599,7 +598,7 @@ func (s *Server) apiCreateSession(w http.ResponseWriter, r *http.Request) {
 	}
 	t, err := table.ReadCSV(name, r.Body)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	tenant := requestTenant(r)
@@ -618,7 +617,7 @@ func (s *Server) apiCreateSession(w http.ResponseWriter, r *http.Request) {
 		if s.adm != nil {
 			s.adm.unreserveSession(tenant, t.NumRows())
 		}
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	if s.adm != nil {
@@ -644,7 +643,7 @@ func (s *Server) apiListSessions(w http.ResponseWriter, r *http.Request) {
 	for _, h := range handles {
 		sum, err := s.summarize(r.Context(), h)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+			writeError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		out = append(out, sum)
@@ -665,7 +664,7 @@ func (s *Server) apiSessionSummary(w http.ResponseWriter, r *http.Request) {
 	}
 	sum, err := s.summarize(r.Context(), h)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	writeJSON(w, sum)
@@ -683,7 +682,7 @@ func (s *Server) apiDeleteSession(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if !ok {
-		http.Error(w, "no such session "+id, http.StatusNotFound)
+		writeError(w, http.StatusNotFound, "no such session %s", id)
 		return
 	}
 	defer s.unclaim(id)
@@ -821,52 +820,7 @@ func (s *Server) apiViolations(w http.ResponseWriter, r *http.Request) {
 	}
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	total := len(h.sess.Violations)
-	page, offset := paginate(h.sess.Violations, limit, offset)
-	writeJSON(w, map[string]any{
-		"session":    h.sess.ID,
-		"count":      total,
-		"offset":     offset,
-		"returned":   len(page),
-		"violations": page,
-	})
-}
-
-// change is one entry of a paginated violation diff.
-type change struct {
-	Kind      string        `json:"kind"` // "added" or "removed"
-	Violation pfd.Violation `json:"violation"`
-}
-
-// diffChanges flattens a stream diff into one paginated change list,
-// additions first, both halves in the engine's violation order.
-func diffChanges(d *stream.Diff) []change {
-	out := make([]change, 0, len(d.Added)+len(d.Removed))
-	for _, v := range d.Added {
-		out = append(out, change{Kind: "added", Violation: v})
-	}
-	for _, v := range d.Removed {
-		out = append(out, change{Kind: "removed", Violation: v})
-	}
-	return out
-}
-
-// writeDiff renders a stream diff with pagination metadata.
-func writeDiff(w http.ResponseWriter, sessionID string, d *stream.Diff, limit, offset int) {
-	changes := diffChanges(d)
-	page, offset := paginate(changes, limit, offset)
-	writeJSON(w, map[string]any{
-		"session":  sessionID,
-		"seq":      d.Seq,
-		"rows":     d.Rows,
-		"reset":    d.Reset,
-		"added":    len(d.Added),
-		"removed":  len(d.Removed),
-		"count":    len(changes),
-		"offset":   offset,
-		"returned": len(page),
-		"changes":  page,
-	})
+	writeViolationPage(w, h.sess.ID, h.sess.Violations, limit, offset)
 }
 
 // violationDiff serves GET violations?since=<seq>: the net violation
@@ -985,16 +939,16 @@ func (s *Server) apiApplyRepairs(w http.ResponseWriter, r *http.Request) {
 	}
 	fresh, err := sess.RunRepairs(r.Context())
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	changed, diff, err := sess.ApplyRepairs(fresh)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	if _, err := sess.RunRepairs(r.Context()); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	writeJSON(w, map[string]any{
@@ -1020,7 +974,7 @@ func (s *Server) apiRepairs(w http.ResponseWriter, r *http.Request) {
 	defer h.mu.Unlock()
 	repairs, err := h.sess.CurrentRepairs(r.Context())
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	writeJSON(w, map[string]any{"session": h.sess.ID, "repairs": repairs})
@@ -1061,19 +1015,19 @@ func (s *Server) apiConfirm(w http.ResponseWriter, r *http.Request) {
 	confirmed := sess.Confirm(body.IDs...)
 	if len(body.IDs) > 0 && len(confirmed) == 0 {
 		sess.Confirmed = prevConfirmed
-		http.Error(w, "no discovered PFD matches the given ids", http.StatusBadRequest)
+		writeError(w, http.StatusBadRequest, "no discovered PFD matches the given ids")
 		return
 	}
 	if err := sess.RunStages(r.Context(), core.StageDetection, core.StageRepairs); err != nil {
 		sess.Confirmed, sess.Violations, sess.Repairs = prevConfirmed, prevViolations, prevRepairs
 		sess.DetectStats = prevStats
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	// The durable snapshot must see the new rule set; the stream engine
 	// (and its WAL baseline) rebuilds lazily on the next delta.
 	if err := sess.Checkpoint(); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	ids := make([]string, len(confirmed))
@@ -1106,7 +1060,7 @@ func (s *Server) apiDMV(w http.ResponseWriter, r *http.Request) {
 func (s *Server) apiViolationDetail(w http.ResponseWriter, r *http.Request) {
 	idx, err := strconv.Atoi(r.PathValue("i"))
 	if err != nil {
-		http.Error(w, fmt.Sprintf("malformed violation index %q", r.PathValue("i")), http.StatusBadRequest)
+		writeError(w, http.StatusBadRequest, "malformed violation index %q", r.PathValue("i"))
 		return
 	}
 	h := s.requestHandle(w, r)
@@ -1117,7 +1071,7 @@ func (s *Server) apiViolationDetail(w http.ResponseWriter, r *http.Request) {
 	defer h.mu.RUnlock()
 	sess := h.sess
 	if idx < 0 || idx >= len(sess.Violations) {
-		http.Error(w, "violation index out of range", http.StatusNotFound)
+		writeError(w, http.StatusNotFound, "violation index out of range")
 		return
 	}
 	v := sess.Violations[idx]
@@ -1175,7 +1129,7 @@ func (s *Server) pageIndex(w http.ResponseWriter, r *http.Request) {
 	if h != nil {
 		sum, err := s.summarize(r.Context(), h)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+			writeError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		body = fmt.Sprintf("<p>Session <b>%s</b>, project <b>%s</b>, dataset <b>%s</b>: %d rows, %d PFDs, %d violations.</p>",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"github.com/anmat/anmat/internal/core"
 	"github.com/anmat/anmat/internal/datagen"
 	"github.com/anmat/anmat/internal/docstore"
+	"github.com/anmat/anmat/internal/stream"
 )
 
 // s1 is the route prefix of the first session a fresh system creates.
@@ -626,5 +628,100 @@ func TestV1ParallelDetectionByteIdentical(t *testing.T) {
 				t.Errorf("parallelism %d session %s: repairs differ from sequential", par, id)
 			}
 		}
+	}
+}
+
+// stubPersister journals and checkpoints nothing. A journal or checkpoint
+// error, when set, is returned instead; onJournal, when set, runs first.
+type stubPersister struct {
+	journal, checkpoint error
+	onJournal           func()
+}
+
+func (p stubPersister) Journal(context.Context, string, int64, stream.Batch) error {
+	if p.onJournal != nil {
+		p.onJournal()
+	}
+	return p.journal
+}
+
+func (p stubPersister) Checkpoint(snap *core.SessionSnapshot) error {
+	if snap.Table != nil {
+		snap.Table.Release()
+	}
+	return p.checkpoint
+}
+
+func (stubPersister) CompactionDue(string) bool { return false }
+
+// TestErrorsAreJSON: every error the API answers — a missing session, a
+// malformed parameter or body, a pipeline or durability failure — is the
+// structured {"error": …} body writeError writes, one request per site.
+func TestErrorsAreJSON(t *testing.T) {
+	const delta = `{"deltas":[{"op":"update","row":1,"column":"state","value":"FL"}]}`
+	refused := errors.New("refused")
+	// stale makes the session's repairs describe an older table, so the
+	// next read that reports them must re-derive them.
+	stale := func(t *testing.T, h http.Handler, _ *core.Session, _ context.CancelFunc) {
+		if rec, _ := postJSON(t, h, "/api/v1/sessions/s1/deltas", delta); rec.Code != http.StatusOK {
+			t.Fatalf("delta: %d %s", rec.Code, rec.Body.String())
+		}
+	}
+	persister := func(p stubPersister) func(*testing.T, http.Handler, *core.Session, context.CancelFunc) {
+		return func(_ *testing.T, _ http.Handler, se *core.Session, _ context.CancelFunc) { se.SetPersist(p) }
+	}
+	for _, c := range []struct {
+		name, method, path, body string
+		status                   int
+		cancel                   bool // the request's context is cancelled before it is served
+		prep                     func(*testing.T, http.Handler, *core.Session, context.CancelFunc)
+	}{
+		{"no such session", "GET", "/api/v1/sessions/s9/pfds", "", 404, false, nil},
+		{"delete no such session", "DELETE", "/api/v1/sessions/s9", "", 404, false, nil},
+		{"malformed coverage", "POST", "/api/v1/sessions?coverage=x", "a,b\n1,2\n", 400, false, nil},
+		{"malformed limit beside since", "GET", s1 + "/violations?since=0&limit=x", "", 400, false, nil},
+		{"malformed csv", "POST", "/api/v1/sessions", "a,b\n1,\"2\n", 400, false, nil},
+		{"upload cancelled", "POST", "/api/v1/sessions", "a,b\n1,2\n", 500, true, nil},
+		{"list re-derives repairs", "GET", "/api/v1/sessions", "", 500, true, stale},
+		{"summary re-derives repairs", "GET", s1, "", 500, true, stale},
+		{"index page re-derives repairs", "GET", "/?session=s1", "", 500, true, stale},
+		{"repairs re-derived", "GET", s1 + "/repairs", "", 500, true, stale},
+		{"apply repairs derives", "POST", s1 + "/repairs/apply", "", 500, true, nil},
+		{"apply repairs journal fails", "POST", s1 + "/repairs/apply", "", 500, false, persister(stubPersister{journal: refused})},
+		{"apply repairs re-derives after", "POST", s1 + "/repairs/apply", "", 500, false,
+			func(_ *testing.T, _ http.Handler, se *core.Session, cancel context.CancelFunc) {
+				se.SetPersist(stubPersister{onJournal: cancel})
+			}},
+		{"confirm matches nothing", "POST", s1 + "/confirm", `{"ids":["nope"]}`, 400, false, nil},
+		{"confirm detection cancelled", "POST", s1 + "/confirm", `{}`, 500, true, nil},
+		{"confirm checkpoint fails", "POST", s1 + "/confirm", `{}`, 500, false, persister(stubPersister{checkpoint: refused})},
+		{"malformed violation index", "GET", s1 + "/violations/x", "", 400, false, nil},
+		{"violation index out of range", "GET", s1 + "/violations/99999", "", 404, false, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv := New(core.NewSystem(docstore.NewMem()))
+			h := srv.Handler()
+			if rec, _ := postCSV(t, h, "/api/v1/sessions", csvBody(t, datagen.PhoneState(400, 0.01, 31))); rec.Code != http.StatusOK {
+				t.Fatalf("upload: %d %s", rec.Code, rec.Body.String())
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if c.prep != nil {
+				c.prep(t, h, srv.handle("s1").sess, cancel)
+			}
+			if c.cancel {
+				cancel()
+			}
+			req := httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)).WithContext(ctx)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			var body struct {
+				Error *string `json:"error"`
+			}
+			if rec.Code != c.status || rec.Header().Get("Content-Type") != "application/json" ||
+				json.Unmarshal(rec.Body.Bytes(), &body) != nil || body.Error == nil || *body.Error == "" {
+				t.Fatalf("%s %s: %d %q %q, want %d and a JSON error", c.method, c.path, rec.Code, rec.Header().Get("Content-Type"), rec.Body.String(), c.status)
+			}
+		})
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"github.com/anmat/anmat/internal/datagen"
 	"github.com/anmat/anmat/internal/detect"
 	"github.com/anmat/anmat/internal/docstore"
+	"github.com/anmat/anmat/internal/pfd"
 )
 
 // postJSON posts a JSON body and decodes the JSON response (when any).
@@ -86,6 +87,10 @@ func TestAPIStagesPartialRunAnd409(t *testing.T) {
 }
 
 func TestAPIDeltasRoundTrip(t *testing.T) {
+	type change struct {
+		Kind      string        `json:"kind"` // "added" or "removed"
+		Violation pfd.Violation `json:"violation"`
+	}
 	h, id := newStreamServer(t)
 	base := "/api/v1/sessions/" + id
 

@@ -160,3 +160,16 @@ func BenchmarkEngineBootstrap(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSince folds 4 retained diffs of 200 changes each into one net
+// diff, as a ?since= poll spanning them does.
+func BenchmarkSince(b *testing.B) {
+	log := sinceLog()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := log.Merge(0, 4, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -7,6 +7,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/anmat/anmat/internal/detect"
@@ -104,6 +105,11 @@ func (l *DiffLog) Snapshot() []pfd.Violation { return l.snap }
 // the cursor predates the retained log the change cannot be expressed as
 // a diff and the full snapshot is returned with Reset set. A cursor ahead
 // of curSeq is an error.
+//
+// Every diff's lists are already in the total order, so the fold is one
+// k-way merge over them: the heap yields each key's events together, in
+// log order with a diff's removal before its addition, and the net lists
+// come out sorted.
 func (l *DiffLog) Merge(cursor, curSeq int64, rows int) (*Diff, error) {
 	if cursor > curSeq || cursor < 0 {
 		return nil, fmt.Errorf("stream: cursor %d out of range [0,%d]", cursor, curSeq)
@@ -117,50 +123,87 @@ func (l *DiffLog) Merge(cursor, curSeq int64, rows int) (*Diff, error) {
 		out.Added = l.snap
 		return out, nil
 	}
-	type pend struct {
-		removed, added *pfd.Violation
-	}
-	net := make(map[string]*pend)
-	at := func(k string) *pend {
-		p := net[k]
-		if p == nil {
-			p = &pend{}
-			net[k] = p
+	h := make(runs, 0, 2*len(l.entries))
+	nAdded, nRemoved := 0, 0
+	for i, dl := range l.entries {
+		if dl.Seq > cursor {
+			h = append(h, run{dl.Removed, 2 * i}, run{dl.Added, 2*i + 1})
+			nAdded, nRemoved = nAdded+len(dl.Added), nRemoved+len(dl.Removed)
 		}
-		return p
 	}
-	for _, dl := range l.entries {
-		if dl.Seq <= cursor {
-			continue
-		}
-		for i := range dl.Removed {
-			v := dl.Removed[i]
-			p := at(v.Key())
-			if p.added != nil {
-				p.added = nil // added then removed within the span: net nothing
-			} else if p.removed == nil {
-				p.removed = &v // keep the earliest removal rendering
+	h = slices.DeleteFunc(h, func(r run) bool { return len(r.vs) == 0 })
+	slices.SortFunc(h, compareRuns) // sorted is a heap
+	// Net additions are all in the current set; net removals mostly fit
+	// a set of its size too. Sizing both lists once spares their growth.
+	nAdded, nRemoved = min(nAdded, len(l.snap)), min(nRemoved, len(l.snap))
+	for len(h) > 0 {
+		var removed, added *pfd.Violation
+		for key := &h[0].vs[0]; len(h) > 0 && detect.CompareViolations(&h[0].vs[0], key) == 0; {
+			v := &h[0].vs[0]
+			switch {
+			case h[0].rank%2 == 1:
+				added = v // keep the latest addition
+			case added != nil:
+				added = nil // added then removed within the span: net nothing
+			case removed == nil:
+				removed = v // keep the earliest removal rendering
 			}
+			h = h.next()
 		}
-		for i := range dl.Added {
-			v := dl.Added[i]
-			at(v.Key()).added = &v
+		if added != nil && (removed == nil || !SameRendering(*added, *removed)) {
+			out.Added = appendSized(out.Added, *added, nAdded)
 		}
-	}
-	for _, p := range net {
-		switch {
-		case p.added != nil && p.removed == nil:
-			out.Added = append(out.Added, *p.added)
-		case p.removed != nil && p.added == nil:
-			out.Removed = append(out.Removed, *p.removed)
-		case p.added != nil && p.removed != nil:
-			if !SameRendering(*p.added, *p.removed) {
-				out.Added = append(out.Added, *p.added)
-				out.Removed = append(out.Removed, *p.removed)
-			}
+		if removed != nil && (added == nil || !SameRendering(*added, *removed)) {
+			out.Removed = appendSized(out.Removed, *removed, nRemoved)
 		}
 	}
-	detect.SortViolations(out.Added)
-	detect.SortViolations(out.Removed)
 	return out, nil
+}
+
+// appendSized appends v to vs, giving a nil vs room for n first: an
+// empty net list stays nil.
+func appendSized(vs []pfd.Violation, v pfd.Violation, n int) []pfd.Violation {
+	if vs == nil {
+		vs = make([]pfd.Violation, 0, max(n, 1))
+	}
+	return append(vs, v)
+}
+
+// run is the unmerged rest of one diff list; rank orders runs holding the
+// same key: log order, and within a diff its removals first.
+type run struct {
+	vs   []pfd.Violation
+	rank int
+}
+
+// runs is a binary min-heap of non-empty runs in compareRuns order.
+type runs []run
+
+// compareRuns orders runs by head violation, then rank.
+func compareRuns(a, b run) int {
+	if c := detect.CompareViolations(&a.vs[0], &b.vs[0]); c != 0 {
+		return c
+	}
+	return a.rank - b.rank
+}
+
+// next consumes the least head, dropping its run once it is empty.
+func (h runs) next() runs {
+	if h[0].vs = h[0].vs[1:]; len(h[0].vs) == 0 {
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+	}
+	for i := 0; ; {
+		m := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
+			if compareRuns(h[c], h[m]) < 0 {
+				m = c
+			}
+		}
+		if m == i {
+			return h
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
