@@ -60,7 +60,7 @@ func main() {
 	if _, err := sess.RunRepairs(ctx); err != nil {
 		log.Fatal(err)
 	}
-	changed, rdiff, err := sess.ApplyRepairs(sess.Repairs)
+	changed, rdiff, err := sess.ApplyRepairs(ctx, sess.Repairs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	n, rdiff, err := sess.ApplyRepairs(repairs)
+	n, rdiff, err := sess.ApplyRepairs(ctx, repairs)
 	if err != nil {
 		log.Fatal(err)
 	}

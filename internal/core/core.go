@@ -728,8 +728,9 @@ func (se *Session) ApplyDeltasCtx(ctx context.Context, batch stream.Batch) (*str
 // ApplyRepairs writes repair suggestions into the session's table as cell
 // deltas through the session's incremental engine (see Stream), so they
 // are journaled like any batch and their violation diff falls out for
-// free. Returns the number of changed cells and the diff, never nil.
-func (se *Session) ApplyRepairs(rs []detect.Repair) (int, *stream.Diff, error) {
+// free. The batch's spans join ctx's trace. Returns the number of changed
+// cells and the diff, never nil.
+func (se *Session) ApplyRepairs(ctx context.Context, rs []detect.Repair) (int, *stream.Diff, error) {
 	eng, err := se.Stream()
 	if err != nil {
 		return 0, nil, err
@@ -751,7 +752,7 @@ func (se *Session) ApplyRepairs(rs []detect.Repair) (int, *stream.Diff, error) {
 	if len(batch) == 0 {
 		return 0, &stream.Diff{Seq: eng.Seq(), Rows: se.Table.NumRows()}, nil
 	}
-	diff, err := se.ApplyDeltasCtx(context.TODO(), batch)
+	diff, err := se.ApplyDeltasCtx(ctx, batch)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -576,7 +576,7 @@ func TestSessionStreamDeltas(t *testing.T) {
 	if _, err := se.RunRepairs(ctx); err != nil {
 		t.Fatal(err)
 	}
-	changed, rdiff, err := se.ApplyRepairs(se.Repairs)
+	changed, rdiff, err := se.ApplyRepairs(context.Background(), se.Repairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,7 +641,7 @@ func TestApplyRepairsWithoutEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	changed, diff, err := se.ApplyRepairs(se.Repairs)
+	changed, diff, err := se.ApplyRepairs(context.Background(), se.Repairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -654,7 +654,7 @@ func TestApplyRepairsWithoutEngine(t *testing.T) {
 	if got, want := mustJSONStr(t, se.Violations), mustJSONStr(t, want.Violations); got != want {
 		t.Errorf("violations after ApplyRepairs:\n got %s\nwant %s", got, want)
 	}
-	if _, diff, err := se.ApplyRepairs(nil); err != nil || diff == nil {
+	if _, diff, err := se.ApplyRepairs(context.Background(), nil); err != nil || diff == nil {
 		t.Errorf("ApplyRepairs(nil): diff=%v err=%v, want an empty diff", diff, err)
 	}
 

@@ -111,14 +111,14 @@ func TestShardedSessionStreamAndRepairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, diff, err := se.ApplyRepairs(rs)
+	n, diff, err := se.ApplyRepairs(context.Background(), rs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if diff == nil || n == 0 {
 		t.Fatalf("ApplyRepairs = %d changed, diff %v", n, diff)
 	}
-	if _, _, err := twin.ApplyRepairs(twinRs); err != nil {
+	if _, _, err := twin.ApplyRepairs(context.Background(), twinRs); err != nil {
 		t.Fatal(err)
 	}
 	if mustJSONStr(t, se.Violations) != mustJSONStr(t, twin.Violations) {

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -239,6 +240,51 @@ func jsonField(t *testing.T, rec *httptest.ResponseRecorder, key string) string 
 		t.Fatalf("response %q missing %q", rec.Body.String(), key)
 	}
 	return v
+}
+
+// TestAdmissionUploadCap: an upload declaring more bytes than the cap is a 413
+// answered before the body is read, and leaves no session and no
+// admission reservation behind.
+func TestAdmissionUploadCap(t *testing.T) {
+	srv := New(core.NewSystem(docstore.NewMem()))
+	srv.SetLimits(Limits{MaxSessions: 1})
+	h := srv.Handler()
+	body := &readCounter{r: strings.NewReader(csvBody(t, datagen.PhoneState(20, 0.01, 44)))}
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/sessions?name=d", body)
+	req.ContentLength = maxUploadBody + 1
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("upload declaring %d bytes: %d %s, want 413", req.ContentLength, rec.Code, rec.Body.String())
+	}
+	if body.n != 0 {
+		t.Errorf("the 413 read %d body bytes first", body.n)
+	}
+	srv.mu.RLock()
+	sessions := len(srv.sessions)
+	srv.mu.RUnlock()
+	srv.adm.mu.Lock()
+	tenants := len(srv.adm.tenants)
+	srv.adm.mu.Unlock()
+	if sessions != 0 || tenants != 0 {
+		t.Fatalf("after the 413: %d session(s), %d tenant reservation(s), want none", sessions, tenants)
+	}
+	// The one session slot is still free.
+	if rec := postAs(t, h, "", "/api/v1/sessions?name=d", csvBody(t, datagen.PhoneState(20, 0.01, 44))); rec.Code != http.StatusOK {
+		t.Fatalf("upload after the 413: %d %s", rec.Code, rec.Body.String())
+	}
+}
+
+// readCounter counts the bytes read through it.
+type readCounter struct {
+	r io.Reader
+	n int
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
 }
 
 // TestConfirmEmptyBodyAndCap covers the two confirm-body fixes: an empty

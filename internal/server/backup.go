@@ -18,9 +18,6 @@ import (
 	"github.com/anmat/anmat/internal/persist"
 )
 
-// maxRestoreBody caps a restore upload: far beyond any session admitted.
-const maxRestoreBody = 1 << 30
-
 // apiBackup sends the session as a tar. Its files are read under the
 // session's read lock, after any checkpoint write in flight, so they image
 // one state; they are sent with no lock held, blocking no writer.
@@ -67,11 +64,11 @@ func (s *Server) apiBackup(w http.ResponseWriter, r *http.Request) {
 // the other half of node moves and disaster recovery. The session
 // keeps its ID (cursors reference it), so a clashing ID is a 409.
 func (s *Server) apiRestore(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxRestoreBody)
+	r.Body = http.MaxBytesReader(w, r.Body, maxUploadBody)
 	tr := tar.NewReader(r.Body)
 	var files []persist.File
 	// Entries share the body's cap: a sparse one outsizes its wire bytes.
-	room := int64(maxRestoreBody)
+	room := int64(maxUploadBody)
 	for {
 		hdr, err := tr.Next()
 		if err == io.EOF {
@@ -80,7 +77,7 @@ func (s *Server) apiRestore(w http.ResponseWriter, r *http.Request) {
 		var b []byte
 		if err == nil {
 			if room -= hdr.Size; room < 0 {
-				writeError(w, http.StatusRequestEntityTooLarge, "backup entries exceed %d bytes", maxRestoreBody)
+				writeError(w, http.StatusRequestEntityTooLarge, "backup entries exceed %d bytes", maxUploadBody)
 				return
 			}
 			b, err = io.ReadAll(tr)

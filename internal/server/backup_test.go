@@ -748,7 +748,7 @@ func sparseTar(name string, size int64) []byte {
 // refused before it is read.
 func TestRestoreCapsExpandingEntries(t *testing.T) {
 	h := New(core.NewSystem(docstore.NewMem())).Handler()
-	if rec := postRestore(t, h, sparseTar("s1.snap", 2*maxRestoreBody)); rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("a sparse entry of %d bytes: %d %s, want 413", 2*maxRestoreBody, rec.Code, rec.Body.String())
+	if rec := postRestore(t, h, sparseTar("s1.snap", 2*maxUploadBody)); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("a sparse entry of %d bytes: %d %s, want 413", 2*maxUploadBody, rec.Code, rec.Body.String())
 	}
 }

@@ -334,10 +334,13 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // Request-body caps: a hostile Content-Length must 413, not OOM. Delta
 // bodies get the WAL record bound (a bigger batch could never journal);
-// confirm bodies are a list of rule IDs and get a conservative 1 MiB.
+// confirm bodies are a list of rule IDs and get a conservative 1 MiB; a
+// CSV upload or a backup restore gets 1 GiB, far beyond any session
+// admitted.
 const (
 	maxDeltaBody   = wal.MaxRecord
 	maxConfirmBody = 1 << 20
+	maxUploadBody  = 1 << 30
 )
 
 // bodyStatus maps a request-body decode error to its status: 413 when
@@ -596,9 +599,14 @@ func (s *Server) apiCreateSession(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	if r.ContentLength > maxUploadBody {
+		writeError(w, http.StatusRequestEntityTooLarge, "upload of %d bytes exceeds %d", r.ContentLength, maxUploadBody)
+		return
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxUploadBody)
 	t, err := table.ReadCSV(name, r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, bodyStatus(err), "%v", err)
 		return
 	}
 	tenant := requestTenant(r)
@@ -942,7 +950,7 @@ func (s *Server) apiApplyRepairs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	changed, diff, err := sess.ApplyRepairs(fresh)
+	changed, diff, err := sess.ApplyRepairs(r.Context(), fresh)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"github.com/anmat/anmat/internal/datagen"
 	"github.com/anmat/anmat/internal/detect"
 	"github.com/anmat/anmat/internal/docstore"
+	"github.com/anmat/anmat/internal/obs"
 	"github.com/anmat/anmat/internal/pfd"
 )
 
@@ -221,6 +223,16 @@ func TestAPIApplyRepairs(t *testing.T) {
 	}
 	if int(out["removed"].(float64)) == 0 {
 		t.Error("applying repairs should remove violations")
+	}
+	// The repair batch is applied under the request's trace, so the trace
+	// the response names shows the engine's apply span.
+	tid := rec.Header().Get(obs.TraceIDHeader)
+	tr, ok := obs.Traces.Get(tid)
+	if !ok {
+		t.Fatalf("trace %q of the apply request is not retained", tid)
+	}
+	if !slices.ContainsFunc(tr.Spans, func(sp obs.SpanRecord) bool { return sp.Name == "stream.apply" }) {
+		t.Errorf("trace %s of the apply request holds no stream.apply span: %+v", tid, tr.Spans)
 	}
 	// Applying again is idempotent: nothing left to change.
 	rec, out = postJSON(t, h, base+"/repairs/apply", "")

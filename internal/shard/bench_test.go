@@ -95,24 +95,55 @@ func BenchmarkShardDetect(b *testing.B) {
 }
 
 // BenchmarkShardApply measures the incremental hot path on an already
-// bootstrapped K-shard coordinator: single-row append batches routed to
-// their owning shards. The coordinator build is outside the timed loop.
+// bootstrapped K-shard coordinator, one single-op batch per iteration:
+// append1 routes a row to its owning shards and folds their diffs;
+// migrate1 rewrites row 0's phone between two prefixes whose blocks two
+// different shards own (at k1 the row stays put), and delete1 drops row 0
+// — both renumber, so the coordinator re-merges every shard's set. The
+// coordinator build is outside the timed loop.
 func BenchmarkShardApply(b *testing.B) {
 	rules := benchRules()
-	for _, k := range []int{1, 4} {
-		b.Run(fmt.Sprintf("append1/k%d", k), func(b *testing.B) {
-			ds := datagen.PhoneState(20_000, 0.005, 7)
-			c, err := NewWith(ds.Table, rules, k, Config{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				row := []string{fmt.Sprintf("850%07d", i), "FL"}
-				if _, err := c.ApplyCtx(context.Background(), stream.Batch{stream.AppendRows(row)}); err != nil {
-					b.Fatal(err)
+	// Two prefixes owned by different shards at K=4, neither by row 0's
+	// home shard 0, so every migrate1 update moves the row.
+	var prefixes []string
+	for p := 100; len(prefixes) < 2; p++ {
+		key := strconv.Itoa(p)
+		if o := Owner(key, 4); o != 0 && (len(prefixes) == 0 || o != Owner(prefixes[0], 4)) {
+			prefixes = append(prefixes, key)
+		}
+	}
+	arms := []struct {
+		name string
+		op   func(i int) stream.Op
+	}{
+		{"append1", func(i int) stream.Op { return stream.AppendRows([]string{fmt.Sprintf("850%07d", i), "FL"}) }},
+		{"migrate1", func(i int) stream.Op { return stream.UpdateCell(0, "phone", prefixes[i%2]+"5550000") }},
+		{"delete1", func(int) stream.Op { return stream.DeleteRows(0) }},
+	}
+	for _, arm := range arms {
+		for _, k := range []int{1, 4} {
+			b.Run(fmt.Sprintf("%s/k%d", arm.name, k), func(b *testing.B) {
+				var c *Coordinator
+				build := func() {
+					ds := datagen.PhoneState(20_000, 0.005, 7)
+					var err error
+					if c, err = NewWith(ds.Table, rules, k, Config{}); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+				build()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if c.t.NumRows() < 2 { // delete1 ran the table down
+						b.StopTimer()
+						build()
+						b.StartTimer()
+					}
+					if _, err := c.ApplyCtx(context.Background(), stream.Batch{arm.op(i)}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -55,7 +55,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/anmat/anmat/internal/detect"
 	"github.com/anmat/anmat/internal/obs"
 	"github.com/anmat/anmat/internal/pattern"
 	"github.com/anmat/anmat/internal/pfd"
@@ -539,16 +538,15 @@ type Coordinator struct {
 	journal func(ctx context.Context, seq int64, batch stream.Batch) error
 
 	seq int64
-	// vio is the merged, deduplicated global violation set after the last
-	// applied batch (key → globally-renumbered rendering); owners counts
-	// how many shards currently report each key (a pair whose ambiguous
-	// extraction spans keys owned by two shards is reported by both), so
-	// batches that renumber nothing can fold the shards' own diffs
-	// incrementally instead of re-merging every shard's full set.
-	vio    map[string]pfd.Violation
-	owners map[string]int
-	log    *stream.DiffLog
-	sink   func(ctx context.Context, seq int64, batch stream.Batch) error
+	// vio is the merged global violation set after the last applied batch,
+	// keyed by Violation.Key() and holding one reference per shard that
+	// reports the violation (a pair whose ambiguous extraction spans keys
+	// owned by two shards is reported by both), so batches that renumber
+	// nothing fold the shards' own diffs into it instead of re-merging
+	// every shard's full set.
+	vio  *stream.Set[string]
+	log  *stream.DiffLog
+	sink func(ctx context.Context, seq int64, batch stream.Batch) error
 }
 
 // NewWith builds a coordinator with K shards over the table's current
@@ -568,6 +566,7 @@ func NewWith(t *table.Table, rules []*pfd.PFD, k int, cfg Config) (*Coordinator,
 		seq:     cfg.BaseSeq,
 		recover: cfg.Recover,
 		journal: cfg.Journal,
+		vio:     stream.NewSet[string](),
 	}
 	newNode := cfg.NewNode
 	if newNode == nil {
@@ -604,13 +603,13 @@ func NewWith(t *table.Table, rules []*pfd.PFD, k int, cfg Config) (*Coordinator,
 			return nil, fmt.Errorf("shard: %w", err)
 		}
 	}
-	vio, owners, err := c.mergeNodes()
+	lists, err := c.mergeNodes()
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
-	c.vio, c.owners = vio, owners
+	c.vio.Replace(pfd.Violation.Key, lists...)
 	// The diff from nothing adds the whole merged set, sorted: the log's base.
-	c.log = stream.NewDiffLog(0, diffSets(nil, vio, c.seq, t.NumRows()).Added)
+	c.log = stream.NewDiffLog(0, c.vio.Diff(c.seq, t.NumRows()).Added)
 	c.version = t.Version()
 	return c, nil
 }
@@ -691,12 +690,6 @@ func (c *Coordinator) Since(seq int64) (*stream.Diff, error) {
 	return c.log.Merge(seq, c.seq, c.t.NumRows())
 }
 
-// shardDiffs is one shard's globalized per-op diffs for one batch.
-type shardDiffs struct {
-	shard int
-	diffs []*stream.Diff
-}
-
 // ApplyCtx validates the batch against the global table, journals it
 // through the sink (when one is set), fans it out to the owning shards,
 // and returns the merged global violation diff. On a validation or
@@ -743,7 +736,7 @@ func (c *Coordinator) ApplyCtx(ctx context.Context, batch stream.Batch) (*stream
 	var (
 		wg      sync.WaitGroup
 		resMu   sync.Mutex
-		results []shardDiffs
+		results = make([][]*stream.Diff, c.k) // per shard: its globalized per-op diffs
 		failed  []int
 		errsBy  = make([]error, c.k)
 	)
@@ -770,7 +763,7 @@ func (c *Coordinator) ApplyCtx(ctx context.Context, batch stream.Batch) (*stream
 				return
 			}
 			nodeBatches.WithLabelValues(shardLbl, "ok").Inc()
-			results = append(results, shardDiffs{s, diffs})
+			results[s] = diffs
 		}(s)
 	}
 	wg.Wait()
@@ -805,92 +798,43 @@ func (c *Coordinator) ApplyCtx(ctx context.Context, batch stream.Batch) (*stream
 
 	c.version = c.t.Version()
 	c.seq = seq
-	var diff *stream.Diff
 	if renumbered {
 		// Row spaces moved (delete or cross-shard migration) or a node
 		// failed over: the per-op diffs mix pre- and post-renumbering
 		// coordinates (or are missing), so rebuild the merged set from the
 		// nodes' current state.
-		cur, owners, merr := c.mergeNodes()
+		lists, merr := c.mergeNodes()
 		if merr != nil {
 			c.broken = true
 			return nil, fmt.Errorf("shard: re-merge: %w (coordinator state inconsistent; rebuild it)", merr)
 		}
-		diff = diffSets(c.vio, cur, c.seq, c.t.NumRows())
-		c.vio, c.owners = cur, owners
+		c.vio.Replace(pfd.Violation.Key, lists...)
 	} else {
-		// Nothing renumbered: fold the per-shard diffs the nodes already
-		// computed, keeping each batch proportional to what it touched
-		// instead of O(total violations).
-		sort.Slice(results, func(i, j int) bool { return results[i].shard < results[j].shard })
-		diff = c.fold(results)
+		// Nothing renumbered, so every diff's global coordinates are final:
+		// fold the per-shard diffs the nodes already computed, keeping each
+		// batch proportional to what it touched, not to the whole set.
+		for _, diffs := range results {
+			for _, d := range diffs {
+				for _, gv := range d.Removed {
+					c.vio.Unref(gv.Key())
+				}
+				for _, gv := range d.Added {
+					c.vio.Ref(gv.Key(), gv)
+				}
+			}
+		}
 	}
+	diff := c.vio.Diff(c.seq, c.t.NumRows())
 	c.log.Append(diff)
 	coordBatches.Inc()
 	return diff, nil
 }
 
-// fold applies the shards' own per-op diffs to the merged set with owner
-// counting: a violation disappears globally only when its last reporting
-// shard drops it. Valid only when no row space renumbered this batch, so
-// every diff's global coordinates are final (appends only ever extend
-// the mappings).
-func (c *Coordinator) fold(results []shardDiffs) *stream.Diff {
-	prior := make(map[string]*pfd.Violation)
-	touch := func(k string) {
-		if _, done := prior[k]; done {
-			return
-		}
-		if v, ok := c.vio[k]; ok {
-			vv := v
-			prior[k] = &vv
-		} else {
-			prior[k] = nil
-		}
-	}
-	for _, sd := range results {
-		for _, d := range sd.diffs {
-			for _, gv := range d.Removed {
-				k := gv.Key()
-				touch(k)
-				if c.owners[k]--; c.owners[k] <= 0 {
-					delete(c.owners, k)
-					delete(c.vio, k)
-				}
-			}
-			for _, gv := range d.Added {
-				k := gv.Key()
-				touch(k)
-				c.owners[k]++
-				c.vio[k] = gv
-			}
-		}
-	}
-	out := &stream.Diff{Seq: c.seq, Rows: c.t.NumRows()}
-	for k, pv := range prior {
-		cur, ok := c.vio[k]
-		switch {
-		case pv == nil && ok:
-			out.Added = append(out.Added, cur)
-		case pv != nil && !ok:
-			out.Removed = append(out.Removed, *pv)
-		case pv != nil && ok && !stream.SameRendering(*pv, cur):
-			out.Removed = append(out.Removed, *pv)
-			out.Added = append(out.Added, cur)
-		}
-	}
-	detect.SortViolations(out.Added)
-	detect.SortViolations(out.Removed)
-	return out
-}
-
-// mergeNodes collects every node's globalized violations concurrently and
-// deduplicates by violation key, counting per key how many shards report
-// it (a pair whose ambiguous extraction spans keys owned by two shards is
-// reported by both; the renderings agree because both shards see the same
-// global cells). A node that fails the read is recovered once (when a
-// recovery hook is set) and re-read.
-func (c *Coordinator) mergeNodes() (map[string]pfd.Violation, map[string]int, error) {
+// mergeNodes collects every node's globalized violations concurrently, one
+// list per shard (a pair reported by two shards renders the same on both,
+// because both see the same global cells). A node that fails the read is
+// recovered once (when a recovery hook is set) and re-read.
+func (c *Coordinator) mergeNodes() ([][]pfd.Violation, error) {
 	lists := make([][]pfd.Violation, c.k)
 	errs := make([]error, c.k)
 	var wg sync.WaitGroup
@@ -907,52 +851,19 @@ func (c *Coordinator) mergeNodes() (map[string]pfd.Violation, map[string]int, er
 			continue
 		}
 		if c.recover == nil {
-			return nil, nil, fmt.Errorf("shard %d: %w", s, err)
+			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
 		node, rerr := c.recover(s, c.tr.Boot(s), c.seq)
 		if rerr != nil {
-			return nil, nil, fmt.Errorf("shard %d: %v; recovery failed: %w", s, err, rerr)
+			return nil, fmt.Errorf("shard %d: %v; recovery failed: %w", s, err, rerr)
 		}
 		_ = c.nodes[s].Close()
 		c.nodes[s] = node
 		if lists[s], err = node.Violations(); err != nil {
-			return nil, nil, fmt.Errorf("shard %d: %w", s, err)
+			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
 	}
-	out := make(map[string]pfd.Violation, len(c.vio))
-	owners := make(map[string]int, len(c.vio))
-	for _, list := range lists {
-		for _, gv := range list {
-			k := gv.Key()
-			out[k] = gv
-			owners[k]++
-		}
-	}
-	return out, owners, nil
-}
-
-// diffSets renders the net change between two merged violation maps in
-// the engines' violation order.
-func diffSets(prev, cur map[string]pfd.Violation, seq int64, rows int) *stream.Diff {
-	d := &stream.Diff{Seq: seq, Rows: rows}
-	for k, pv := range prev {
-		cv, ok := cur[k]
-		switch {
-		case !ok:
-			d.Removed = append(d.Removed, pv)
-		case !stream.SameRendering(pv, cv):
-			d.Removed = append(d.Removed, pv)
-			d.Added = append(d.Added, cv)
-		}
-	}
-	for k, cv := range cur {
-		if _, ok := prev[k]; !ok {
-			d.Added = append(d.Added, cv)
-		}
-	}
-	detect.SortViolations(d.Added)
-	detect.SortViolations(d.Removed)
-	return d
+	return lists, nil
 }
 
 // ShardStat is one shard's slice of the coordinator's state.
@@ -986,7 +897,7 @@ func (c *Coordinator) Stats() Stats {
 		Shards:     c.k,
 		Seq:        c.seq,
 		Rows:       c.t.NumRows(),
-		Violations: len(c.vio),
+		Violations: c.vio.Len(),
 	}
 	local := 0
 	for s, node := range c.nodes {

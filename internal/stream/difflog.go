@@ -150,10 +150,10 @@ func (l *DiffLog) Merge(cursor, curSeq int64, rows int) (*Diff, error) {
 			}
 			h = h.next()
 		}
-		if added != nil && (removed == nil || !SameRendering(*added, *removed)) {
+		if added != nil && (removed == nil || !sameRendering(*added, *removed)) {
 			out.Added = appendSized(out.Added, *added, nAdded)
 		}
-		if removed != nil && (added == nil || !SameRendering(*added, *removed)) {
+		if removed != nil && (added == nil || !sameRendering(*added, *removed)) {
 			out.Removed = appendSized(out.Removed, *removed, nRemoved)
 		}
 	}

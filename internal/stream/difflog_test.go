@@ -156,7 +156,7 @@ func referenceMerge(l *DiffLog, cursor, curSeq int64, rows int) *Diff {
 		case p.removed != nil && p.added == nil:
 			out.Removed = append(out.Removed, *p.removed)
 		case p.added != nil && p.removed != nil:
-			if !SameRendering(*p.added, *p.removed) {
+			if !sameRendering(*p.added, *p.removed) {
 				out.Added = append(out.Added, *p.added)
 				out.Removed = append(out.Removed, *p.removed)
 			}

@@ -23,13 +23,14 @@
 //
 // Bookkeeping is source-based: every violation is owed to one or more
 // sources — a (rule, constant tableau row, tuple) triple or a (rule,
-// variable tableau row, block key) triple — and carries a reference
-// count, since ambiguous pattern extractions can make two blocks report
-// the same pair. What a block owes follows from its state — every member
-// outside the majority RHS group, paired with that group's first member —
-// so a delta references and unreferences the pairs its membership change
-// adds or removes, and re-derives a block only when its majority or
-// witness moves. The 0↔1 reference transitions form the batch's diff.
+// variable tableau row, block key) triple — and the maintained Set counts
+// its references, since ambiguous pattern extractions can make two
+// blocks report the same pair. What a block owes follows from its state —
+// every member outside the majority RHS group, paired with that group's
+// first member — so a delta references and unreferences the pairs its
+// membership change adds or removes, and re-derives a block only when its
+// majority or witness moves. The 0↔1 reference transitions form the
+// batch's diff.
 //
 // Each applied batch advances a sequence number and appends its Diff to a
 // bounded log, so clients can poll "what changed since seq s" (Since)
@@ -77,13 +78,6 @@ func pairKey(src int32, a, b int) vioKey {
 		a, b = b, a
 	}
 	return vioKey{src: src, lo: int32(a), hi: int32(b)}
-}
-
-// vioEntry is one maintained violation with the number of sources
-// currently reporting it.
-type vioEntry struct {
-	v    pfd.Violation
-	refs int
 }
 
 // group is one RHS-agreement class of a block.
@@ -230,13 +224,11 @@ type Engine struct {
 
 	seq int64
 	rs  []*ruleState
-	vio map[vioKey]*vioEntry
+	vio *Set[vioKey]
 
-	// Per-batch scratch, safe to own because batches serialize on mu:
-	// extBuf backs extract, prior records the batch-start rendering (nil =
-	// absent) of every violation key the running batch has modified.
+	// extBuf backs extract: per-batch scratch, safe to own because batches
+	// serialize on mu.
 	extBuf []string
-	prior  map[vioKey]*pfd.Violation
 
 	log *DiffLog
 
@@ -314,8 +306,7 @@ func NewEngineOpts(d *detect.Detector, rules []*pfd.PFD, opts EngineOptions) (*E
 		t:         t,
 		rules:     rules,
 		seq:       opts.BaseSeq,
-		vio:       make(map[vioKey]*vioEntry),
-		prior:     make(map[vioKey]*pfd.Violation),
+		vio:       NewSet[vioKey](),
 		keyFilter: opts.KeyFilter,
 		globalID:  opts.GlobalID,
 	}
@@ -369,7 +360,7 @@ func NewEngineOpts(d *detect.Detector, rules []*pfd.PFD, opts EngineOptions) (*E
 		e.rs = append(e.rs, rs)
 	}
 	// Bootstrap's own "diff" adds the whole set, sorted: the log's base.
-	e.log = NewDiffLog(opts.LogCap, e.finalize().Added)
+	e.log = NewDiffLog(opts.LogCap, e.vio.Diff(e.seq, t.NumRows()).Added)
 	e.version = t.Version()
 	return e, nil
 }
@@ -426,7 +417,7 @@ func (e *Engine) Stats() Stats {
 	defer e.mu.Unlock()
 	st := Stats{
 		Seq: e.seq, Rows: e.t.NumRows(), Rules: len(e.rules),
-		Violations: len(e.vio), LogLen: e.log.Len(),
+		Violations: e.vio.Len(), LogLen: e.log.Len(),
 	}
 	read := make(map[int]bool)
 	for _, rs := range e.rs {
@@ -496,12 +487,12 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch Batch) (*Diff, error) {
 		e.version = e.t.Version()
 	}
 	e.seq++
-	diff := e.finalize()
+	diff := e.vio.Diff(e.seq, e.t.NumRows())
 	e.log.Append(diff)
 	applyDur.Observe(time.Since(start).Seconds())
 	batchesApplied.Inc()
 	difflogDepth.Set(float64(e.log.Len()))
-	violationSize.Set(float64(len(e.vio)))
+	violationSize.Set(float64(e.vio.Len()))
 	return diff, nil
 }
 
@@ -609,8 +600,8 @@ func (e *Engine) applyDelete(drop []int) {
 	// A delete renumbers every surviving row, so every maintained
 	// violation may change its rendering: snapshot them all into the
 	// batch diff before touching anything.
-	for k, ent := range e.vio {
-		e.touch(k, ent)
+	for k, ent := range e.vio.m {
+		e.vio.touch(k, ent)
 	}
 
 	// Drop what the deleted tuples' own constant sources owe and release
@@ -621,7 +612,7 @@ func (e *Engine) applyDelete(drop []int) {
 		for tri, row := range rs.rows {
 			for _, r := range targets {
 				if !row.Variable() {
-					e.unref(constKey(rs.src[tri], r))
+					e.vio.Unref(constKey(rs.src[tri], r))
 					continue
 				}
 				for _, key := range e.extract(row, rs.liv.Value(r)) {
@@ -638,8 +629,8 @@ func (e *Engine) applyDelete(drop []int) {
 	// IDs are never renumbered, so the per-ID verdict memos stay valid.
 	_, _ = e.t.DeleteRows(targets...) // validated in-range
 	remap := RemapFor(targets)
-	newVio := make(map[vioKey]*vioEntry, len(e.vio))
-	for k, ent := range e.vio {
+	newVio := make(map[vioKey]*setEntry, len(e.vio.m))
+	for k, ent := range e.vio.m {
 		lo, _ := remap(int(k.lo)) // no surviving violation mentions a deleted row
 		nk := constKey(k.src, lo)
 		if k.hi >= 0 {
@@ -652,9 +643,9 @@ func (e *Engine) applyDelete(drop []int) {
 		// batch start so the diff reports the re-addition. (A key live at
 		// batch start is already recorded — every key live at delete time
 		// was, and keys removed earlier were touched when removed.)
-		e.touch(nk, nil)
+		e.vio.touch(nk, nil)
 	}
-	e.vio = newVio
+	e.vio.m = newVio
 	// Renumber every block, and re-derive the ones that lost members.
 	for _, rs := range e.rs {
 		for tri, blocks := range rs.blocks {
@@ -711,7 +702,7 @@ func renumberViolation(v pfd.Violation, remap func(int) (int, bool)) pfd.Violati
 // key are copies of one rule, agree on every tuple, and are all visited
 // by every operation, so the key stays held exactly while it is owed.
 func (e *Engine) recomputeConst(rs *ruleState, tri, tuple int) {
-	e.unref(constKey(rs.src[tri], tuple))
+	e.vio.Unref(constKey(rs.src[tri], tuple))
 	if !rs.matches(tri, rs.liv.IDs[tuple]) {
 		return
 	}
@@ -724,7 +715,7 @@ func (e *Engine) recomputeConst(rs *ruleState, tri, tuple int) {
 // refConst records that the tuple violates the constant tableau row.
 func (e *Engine) refConst(rs *ruleState, tri, tuple int) {
 	v := pfd.ConstantViolation(rs.p, rs.rows[tri], tuple, rs.liv.Value(tuple), rs.riv.Value(tuple))
-	e.ref(constKey(rs.src[tri], tuple), v)
+	e.vio.Ref(constKey(rs.src[tri], tuple), v)
 }
 
 // before reports whether row a precedes row b in evaluation order: global
@@ -792,7 +783,7 @@ func (e *Engine) leave(rs *ruleState, tri int, key string, r int, rhs uint32) {
 	g := b.groupFor(rhs)
 	if b.leader(rs.riv.Dict, g, -1) == b.maj && (g != b.maj || r != b.witness()) {
 		if g != b.maj {
-			e.unref(pairKey(rs.src[tri], b.witness(), r))
+			e.vio.Unref(pairKey(rs.src[tri], b.witness(), r))
 		}
 		e.remove(b, g, r)
 		return
@@ -809,7 +800,7 @@ func (e *Engine) leave(rs *ruleState, tri int, key string, r int, rhs uint32) {
 // release unreferences every pair the block owes, ahead of a membership
 // change that invalidates them.
 func (e *Engine) release(rs *ruleState, tri int, b *block) {
-	b.owed(func(w, r int) { e.unref(pairKey(rs.src[tri], w, r)) })
+	b.owed(func(w, r int) { e.vio.Unref(pairKey(rs.src[tri], w, r)) })
 }
 
 // rebuild derives a block from its membership: it elects the majority
@@ -825,91 +816,5 @@ func (e *Engine) rebuild(rs *ruleState, tri int, b *block) {
 // rendered from the current table.
 func (e *Engine) refPair(rs *ruleState, tri, w, r int) {
 	v := pfd.VariableViolation(rs.p, rs.rows[tri], w, r, rs.riv.Value(w), rs.riv.Value(r))
-	e.ref(pairKey(rs.src[tri], w, r), v)
-}
-
-// ---- violation reference counting and batch diffs ----
-
-// ref adds one source reference to the violation. When the key is already
-// tracked the stored rendering is refreshed: the caller just rendered v
-// from the current table, while the entry may hold bytes from before
-// this delta (two sources can owe the same violation — ambiguous
-// extractions put a pair in several blocks — and sequential maintenance
-// then never passes through zero references).
-func (e *Engine) ref(k vioKey, v pfd.Violation) {
-	ent := e.vio[k]
-	e.touch(k, ent)
-	if ent == nil {
-		e.vio[k] = &vioEntry{v: v, refs: 1}
-	} else {
-		ent.refs++
-		ent.v = v
-	}
-}
-
-// unref drops one source reference, deleting the violation when no source
-// reports it any more.
-func (e *Engine) unref(k vioKey) {
-	ent := e.vio[k]
-	if ent == nil {
-		return
-	}
-	e.touch(k, ent)
-	ent.refs--
-	if ent.refs <= 0 {
-		delete(e.vio, k)
-	}
-}
-
-// touch records the batch-start state of a key (nil = absent) the first
-// time the key is modified within the batch, so the batch's net diff
-// falls out of comparing that record with the final state.
-func (e *Engine) touch(k vioKey, ent *vioEntry) {
-	if _, done := e.prior[k]; done {
-		return
-	}
-	if ent == nil {
-		e.prior[k] = nil
-		return
-	}
-	v := ent.v
-	e.prior[k] = &v
-}
-
-// finalize compares every touched key's batch-start state with the final
-// state, renders the net diff in the engine's violation order, and
-// clears the record for the next batch.
-func (e *Engine) finalize() *Diff {
-	out := &Diff{Seq: e.seq, Rows: e.t.NumRows()}
-	for k, prior := range e.prior {
-		cur := e.vio[k]
-		switch {
-		case prior == nil && cur != nil:
-			out.Added = append(out.Added, cur.v)
-		case prior != nil && cur == nil:
-			out.Removed = append(out.Removed, *prior)
-		case prior != nil && cur != nil:
-			if !SameRendering(*prior, cur.v) {
-				out.Removed = append(out.Removed, *prior)
-				out.Added = append(out.Added, cur.v)
-			}
-		}
-	}
-	if len(e.prior) > 64 {
-		// A delete records every violation, and clearing a map costs its
-		// capacity on every later batch: let a large one go.
-		e.prior = make(map[vioKey]*pfd.Violation)
-	}
-	clear(e.prior)
-	detect.SortViolations(out.Added)
-	detect.SortViolations(out.Removed)
-	return out
-}
-
-// SameRendering reports whether two violations with the same key (same
-// rule, tableau row, and cells) also agree on the value fields, i.e. are
-// byte-identical. Exported for the sharding coordinator, which diffs
-// merged violation maps with the same equality.
-func SameRendering(a, b pfd.Violation) bool {
-	return a.Observed == b.Observed && a.Expected == b.Expected && a.Variable == b.Variable
+	e.vio.Ref(pairKey(rs.src[tri], w, r), v)
 }

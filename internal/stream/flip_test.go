@@ -51,8 +51,8 @@ func TestFlipHeavyReplayEquivalence(t *testing.T) {
 				}
 				assertMaintained(t, e, tbl, rules)
 
-				fromMap := make([]pfd.Violation, 0, len(e.vio))
-				for _, ent := range e.vio {
+				fromMap := make([]pfd.Violation, 0, e.vio.Len())
+				for _, ent := range e.vio.m {
 					fromMap = append(fromMap, ent.v)
 				}
 				detect.SortViolations(fromMap)
