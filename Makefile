@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race examples bench-quick pair cluster-e2e hardening fuzz vulncheck lint-obs loc loc-check
+.PHONY: all build vet test race bench-quick pair cluster-e2e hardening fuzz vulncheck lint-obs loc loc-check
 
 all: vet lint-obs build test
 
@@ -27,14 +27,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# The examples/ programs check their own results and exit non-zero when a
-# check fails: build them once, then run each under a timeout.
-examples:
-	@mkdir -p .examples_build && $(GO) build -o .examples_build/ ./examples/...
-	@for ex in .examples_build/*; do \
-		echo "== $$ex"; timeout 60 $$ex > /dev/null || { echo "$$ex failed"; exit 1; }; \
-	done
 
 # The frozen benchmark compiles against this tree's packages; a change
 # that breaks its build or its quick run (TestQuick, < 5 s) fails here.
@@ -65,15 +57,16 @@ cluster-e2e:
 # quotas + fsync-on journal commits, crash, and byte-identical recovery —
 # plus the journal's own suite (sessions committing at once, one of them
 # failing), invented HTTP methods against every server and worker route
-# (no new metric series), the admission, body-cap, and backup/restore suites and the
-# snapshot path's own (crash points inside a checkpoint and inside the
-# rotation behind it, injected faults on the background write, everything
-# that must wait for a write in flight, one file per checkpoint,
-# concurrent restore), under -race. The mid-rotation crash test kills a
+# (no new metric series), the admission suite (its upload byte and width
+# caps included), out-of-range upload parameters, the body-cap and
+# backup/restore suites and the snapshot path's own (crash points inside
+# a checkpoint and inside the rotation behind it, injected faults on the
+# background write, everything that must wait for a write in flight, one
+# file per checkpoint, concurrent restore), under -race. The mid-rotation crash test kills a
 # goroutine at a point other goroutines race past, so it runs ten times
 # more to shake out whatever depends on scheduling.
 hardening:
-	$(GO) test -race -v -run 'TestHardeningMultiTenantRecovery|TestAdmission|TestConfirmEmptyBodyAndCap|TestBackupRestore|TestRestore|TestJournal|TestHTTPServerTimeouts|TestCrashRecoveryEquivalence|TestCheckpoint|TestUnknownMethodsAddNoSeries' \
+	$(GO) test -race -v -run 'TestHardeningMultiTenantRecovery|TestAdmission|TestUploadParamsRejected|TestConfirmEmptyBodyAndCap|TestBackupRestore|TestRestore|TestJournal|TestHTTPServerTimeouts|TestCrashRecoveryEquivalence|TestCheckpoint|TestUnknownMethodsAddNoSeries' \
 		./internal/server/ ./internal/persist/ ./cmd/anmat-server/ ./internal/cluster/
 	$(GO) test -race -count=10 -run 'TestCheckpointCrashMidRotation' ./internal/persist/
 
@@ -99,7 +92,7 @@ loc:
 # The size ratchet, beside CI's coverage ratchet: the tree may not grow
 # past the last reading. Lower LOC_CEILING when the tree shrinks; never
 # raise it without saying why in CHANGES.md.
-LOC_CEILING = 21361
+LOC_CEILING = 20302
 loc-check:
 	@loc=$$($(MAKE) -s loc); echo "non-test Go lines: $$loc (ceiling $(LOC_CEILING))"; [ $$loc -le $(LOC_CEILING) ]
 

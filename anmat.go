@@ -21,7 +21,7 @@
 //	_ = sess.RunStages(ctx, anmat.StageDetection, anmat.StageRepairs) // no mining
 //
 // The facade re-exports the pipeline types from the internal packages so
-// example programs, the CLI, and the HTTP server share one entry point.
+// the examples, the CLI, and the HTTP server share one entry point.
 package anmat
 
 import (
@@ -68,7 +68,7 @@ type (
 	DetectionResult = detect.Result
 	// StreamEngine is the incremental detection engine behind
 	// Session.Stream: it maintains the violation set across row deltas
-	// without re-running full detection, byte-identical to DetectContext
+	// without re-running full detection, byte-identical to Detect
 	// at any point.
 	StreamEngine = stream.Engine
 	// Delta is one streaming operation (append / update / delete).
@@ -199,7 +199,7 @@ func New(opts ...Option) (*System, error) {
 	store := docstore.NewMem()
 	if o.storePath != "" {
 		var err error
-		if store, err = docstore.Open(o.storePath); err != nil {
+		if store, err = docstore.OpenWith(o.storePath, docstore.Options{}); err != nil {
 			return nil, err
 		}
 	}
@@ -216,14 +216,10 @@ func ReadCSV(name string, r io.Reader) (*Table, error) { return table.ReadCSV(na
 func NewTable(name string, columns []string) (*Table, error) { return table.New(name, columns) }
 
 // Discover runs only the discovery stage with a full configuration,
-// bypassing the session pipeline.
-func Discover(t *Table, cfg DiscoveryConfig) ([]*PFD, error) {
-	return DiscoverContext(context.Background(), t, cfg)
-}
-
-// DiscoverContext is Discover with cancellation.
-func DiscoverContext(ctx context.Context, t *Table, cfg DiscoveryConfig) ([]*PFD, error) {
-	res, err := discovery.DiscoverContext(ctx, t, cfg)
+// bypassing the session pipeline. Cancelling ctx aborts mining with an
+// error wrapping ctx.Err().
+func Discover(ctx context.Context, t *Table, cfg DiscoveryConfig) ([]*PFD, error) {
+	res, err := discovery.Discover(ctx, t, nil, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -231,29 +227,18 @@ func DiscoverContext(ctx context.Context, t *Table, cfg DiscoveryConfig) ([]*PFD
 }
 
 // Detect evaluates the given PFDs against a table with all optimizations
-// enabled.
-func Detect(t *Table, ps []*PFD) ([]Violation, error) {
-	return detect.New(t, detect.Options{}).DetectAll(ps)
-}
-
-// DetectContext is Detect with cancellation, a worker-pool fan-out, and
-// per-rule timing stats. parallelism bounds the worker count (0 =
-// GOMAXPROCS); the violation list is byte-identical at every setting.
-func DetectContext(ctx context.Context, t *Table, ps []*PFD, parallelism int) (*DetectionResult, error) {
+// enabled, fanning out over a worker pool of parallelism workers (0 =
+// GOMAXPROCS) and reporting per-rule timing stats; the violation list is
+// byte-identical at every setting.
+func Detect(ctx context.Context, t *Table, ps []*PFD, parallelism int) (*DetectionResult, error) {
 	return detect.New(t, detect.Options{}).DetectAllContext(ctx, ps, parallelism)
 }
 
-// SuggestRepairs derives repair suggestions for the PFDs' violations,
-// sorted by cell; a cell suggested by several rules keeps the earliest
-// rule's suggestion.
-func SuggestRepairs(t *Table, ps []*PFD) ([]Repair, error) {
-	return SuggestRepairsContext(context.Background(), t, ps, 1)
-}
-
-// SuggestRepairsContext is SuggestRepairs with cancellation and a
-// per-rule worker pool (0 = GOMAXPROCS); output is identical at every
-// parallelism level.
-func SuggestRepairsContext(ctx context.Context, t *Table, ps []*PFD, parallelism int) ([]Repair, error) {
+// SuggestRepairs derives repair suggestions for the PFDs' violations with
+// a per-rule worker pool (0 = GOMAXPROCS), sorted by cell; a cell
+// suggested by several rules keeps the earliest rule's suggestion. Output
+// is identical at every parallelism level.
+func SuggestRepairs(ctx context.Context, t *Table, ps []*PFD, parallelism int) ([]Repair, error) {
 	return detect.New(t, detect.Options{}).RepairsAllContext(ctx, ps, parallelism)
 }
 

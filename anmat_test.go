@@ -45,15 +45,17 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	// Standalone Discover/Detect/Repair path.
-	pfds, err := Discover(tbl, DefaultDiscoveryConfig())
+	ctx := context.Background()
+	pfds, err := Discover(ctx, tbl, DefaultDiscoveryConfig())
 	if err != nil || len(pfds) == 0 {
 		t.Fatalf("Discover: %d, %v", len(pfds), err)
 	}
-	vs, err := Detect(tbl, pfds)
-	if err != nil || len(vs) == 0 {
-		t.Fatalf("Detect: %d, %v", len(vs), err)
+	res, err := Detect(ctx, tbl, pfds, 1)
+	if err != nil || len(res.Violations) == 0 {
+		t.Fatalf("Detect: %v, %v", res, err)
 	}
-	rs, err := SuggestRepairs(tbl, pfds)
+	vs := res.Violations
+	rs, err := SuggestRepairs(ctx, tbl, pfds, 1)
 	if err != nil || len(rs) == 0 {
 		t.Fatalf("SuggestRepairs: %d, %v", len(rs), err)
 	}
@@ -61,12 +63,12 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil || n == 0 {
 		t.Fatalf("ApplyRepairs: %d, %v", n, err)
 	}
-	post, err := Detect(tbl, pfds)
+	post, err := Detect(ctx, tbl, pfds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(post) >= len(vs) {
-		t.Errorf("repair did not reduce violations: %d → %d", len(vs), len(post))
+	if len(post.Violations) >= len(vs) {
+		t.Errorf("repair did not reduce violations: %d → %d", len(vs), len(post.Violations))
 	}
 }
 
@@ -144,12 +146,12 @@ func TestNewWithOptions(t *testing.T) {
 	}
 }
 
-// TestDiscoverContextCancelled checks facade-level cancellation.
-func TestDiscoverContextCancelled(t *testing.T) {
+// TestDiscoverCancelled checks facade-level cancellation.
+func TestDiscoverCancelled(t *testing.T) {
 	ds := datagen.ZipCity(500, 0, 98)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := DiscoverContext(ctx, ds.Table, DefaultDiscoveryConfig()); !errors.Is(err, context.Canceled) {
-		t.Errorf("DiscoverContext = %v, want context.Canceled", err)
+	if _, err := Discover(ctx, ds.Table, DefaultDiscoveryConfig()); !errors.Is(err, context.Canceled) {
+		t.Errorf("Discover = %v, want context.Canceled", err)
 	}
 }

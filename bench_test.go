@@ -79,7 +79,7 @@ func BenchmarkFigure2_Discovery(b *testing.B) {
 			b.Run(mode.name+"/"+itoa(n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := discovery.Discover(ds.Table, cfg); err != nil {
+					if _, err := discovery.Discover(context.Background(), ds.Table, nil, cfg); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -107,7 +107,7 @@ func BenchmarkFigure3_Profiling(b *testing.B) {
 // view: discovery plus tableau rendering.
 func BenchmarkFigure4_TableauRender(b *testing.B) {
 	ds := datagen.ZipCity(benchRows, 0.01, experiments.Seed)
-	res, err := discovery.Discover(ds.Table, discovery.Default())
+	res, err := discovery.Discover(context.Background(), ds.Table, nil, discovery.Default())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func BenchmarkFigure4_TableauRender(b *testing.B) {
 // over confirmed PFDs.
 func BenchmarkFigure5_ViolationListing(b *testing.B) {
 	ds := datagen.NameGender(benchRows, 0.005, experiments.Seed)
-	res, err := discovery.Discover(ds.Table, discovery.Default())
+	res, err := discovery.Discover(context.Background(), ds.Table, nil, discovery.Default())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -137,11 +137,11 @@ func BenchmarkFigure5_ViolationListing(b *testing.B) {
 	b.ResetTimer()
 	var count int
 	for i := 0; i < b.N; i++ {
-		vs, err := detect.New(ds.Table, detect.Options{}).DetectAll(res.PFDs)
+		vs, err := detect.New(ds.Table, detect.Options{}).DetectAllContext(context.Background(), res.PFDs, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		count = len(vs)
+		count = len(vs.Violations)
 	}
 	b.ReportMetric(float64(count), "violations")
 }
@@ -153,7 +153,7 @@ func BenchmarkFigure5_ViolationListing(b *testing.B) {
 // the bench isolates the tableau-row fan-out rather than index builds.
 func BenchmarkParallelDetection(b *testing.B) {
 	ds := datagen.NameGender(benchRows, 0.005, experiments.Seed)
-	res, err := discovery.Discover(ds.Table, discovery.Default())
+	res, err := discovery.Discover(context.Background(), ds.Table, nil, discovery.Default())
 	if err != nil || len(res.PFDs) == 0 {
 		b.Fatalf("discover: %v (%d rules)", err, len(res.PFDs))
 	}
@@ -226,7 +226,7 @@ func BenchmarkParamSweep(b *testing.B) {
 // phonePFD mines the phone→state PFD once for the ablation benches.
 func phonePFD(b *testing.B, t *table.Table) *pfd.PFD {
 	b.Helper()
-	res, err := discovery.Discover(t, discovery.Default())
+	res, err := discovery.Discover(context.Background(), t, nil, discovery.Default())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func BenchmarkAblation_VariableDetection(b *testing.B) {
 func BenchmarkAblation_TableauMinimize(b *testing.B) {
 	ds := datagen.ZipCity(benchRows, 0.01, experiments.Seed)
 	cfg := discovery.Default()
-	res, err := discovery.Discover(ds.Table, cfg)
+	res, err := discovery.Discover(context.Background(), ds.Table, nil, cfg)
 	if err != nil || len(res.PFDs) == 0 {
 		b.Fatalf("discover: %v", err)
 	}

@@ -180,7 +180,7 @@ func assertByteIdentical(t *testing.T, sess *anmat.Session, tbl *anmat.Table, ru
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 4} {
-		res, err := anmat.DetectContext(context.Background(), tbl, rules, par)
+		res, err := anmat.Detect(context.Background(), tbl, rules, par)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}

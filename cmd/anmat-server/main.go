@@ -45,6 +45,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -165,6 +166,10 @@ func main() {
 	if *worker {
 		runWorker(*addr, *shardID, *of, accessLog)
 		return
+	}
+	if err := errors.Join(core.CheckRatio("-coverage", *coverage), core.CheckRatio("-violations", *violations)); err != nil {
+		fmt.Fprintln(os.Stderr, "anmat-server:", err)
+		os.Exit(1)
 	}
 
 	cfg := core.DefaultSystemConfig()

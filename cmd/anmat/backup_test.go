@@ -17,7 +17,7 @@ import (
 // the backup/restore subcommands.
 func TestCLIBackupRestore(t *testing.T) {
 	newServer := func() (*httptest.Server, *server.Server) {
-		srv := server.New(core.NewSystem(docstore.NewMem()))
+		srv := server.New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
 		return ts, srv

@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/csv"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -148,8 +149,21 @@ func newDetectFlags() pipelineFlags {
 	return p
 }
 
-func (p pipelineFlags) session(args []string) (*core.Session, error) {
+// parse parses the flags and range-checks the two pipeline parameters.
+func (p pipelineFlags) parse(args []string) error {
 	if err := p.fs.Parse(args); err != nil {
+		return err
+	}
+	return checkParams(*p.coverage, *p.violations)
+}
+
+// checkParams rejects a -coverage or -violations outside [0, 1].
+func checkParams(coverage, violations float64) error {
+	return errors.Join(core.CheckRatio("-coverage", coverage), core.CheckRatio("-violations", violations))
+}
+
+func (p pipelineFlags) session(args []string) (*core.Session, error) {
+	if err := p.parse(args); err != nil {
 		return nil, err
 	}
 	if *p.in == "" {
@@ -248,7 +262,7 @@ func cmdDetect(ctx context.Context, args []string) error {
 	follow := pf.fs.Bool("follow", false, "after detecting, tail the CSV for appended rows and print incremental violation diffs (Ctrl-C to stop)")
 	poll := pf.fs.Duration("poll", 500*time.Millisecond, "polling interval of -follow")
 	dataDir := pf.fs.String("data", "", "durability directory: checkpoint the session and journal -follow deltas there; a restart restores mined rules, violations, and ingested rows instead of redoing the work")
-	if err := pf.fs.Parse(args); err != nil {
+	if err := pf.parse(args); err != nil {
 		return err
 	}
 	if *pf.in == "" {
@@ -678,7 +692,7 @@ func cmdReport(ctx context.Context, args []string) error {
 		defer f.Close()
 		w = f
 	}
-	return report.Write(w, se, report.Options{})
+	return report.Write(w, se)
 }
 
 // cmdDMV scans every column for disguised missing values (placeholders,
@@ -698,7 +712,7 @@ func cmdDMV(args []string) error {
 	}
 	total := 0
 	for i, col := range t.Columns() {
-		suspects := dmv.Detect(t.InternedColumn(i), dmv.Options{})
+		suspects := dmv.Detect(t.InternedColumn(i))
 		if len(suspects) == 0 {
 			continue
 		}
@@ -730,6 +744,9 @@ func cmdStream(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkParams(*coverage, *violations); err != nil {
+		return err
+	}
 	if *history == "" || *in == "" {
 		return fmt.Errorf("-history and -in are required")
 	}
@@ -741,7 +758,7 @@ func cmdStream(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	sys := core.NewSystem(docstore.NewMem())
+	sys := core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig())
 	se := sys.NewSession("stream", hist, core.Params{
 		MinCoverage:       *coverage,
 		AllowedViolations: *violations,

@@ -204,6 +204,18 @@ func TestCmdErrors(t *testing.T) {
 	if err := run([]string{"help"}); err != nil {
 		t.Error("help should succeed")
 	}
+	// -coverage and -violations outside [0, 1], NaN and ±Inf included,
+	// are refused before any input is read.
+	for _, args := range [][]string{
+		{"discover", "-in", "x.csv", "-coverage", "NaN"},
+		{"detect", "-in", "x.csv", "-coverage", "-1"},
+		{"repair", "-in", "x.csv", "-out", "y.csv", "-violations", "Inf"},
+		{"stream", "-history", "x.csv", "-in", "y.csv", "-violations", "7"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "want a number in [0, 1]") {
+			t.Errorf("%v: err = %v, want a range error", args, err)
+		}
+	}
 }
 
 func TestCSVTailFeed(t *testing.T) {

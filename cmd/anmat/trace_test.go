@@ -34,7 +34,7 @@ func TestTraceTailPrintsOnlySlow(t *testing.T) {
 		end(nil)
 		return obs.TraceIDFrom(ctx)
 	}
-	h := server.New(core.NewSystem(docstore.NewMem())).Handler()
+	h := server.New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig())).Handler()
 	var mu sync.Mutex
 	polls := 0
 	var fast, slow string

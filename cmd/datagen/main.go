@@ -6,11 +6,10 @@
 // With -truth the injected-error ground truth (row, column, clean, dirty)
 // is written alongside, so external tools can score detection.
 //
-// -rows is a scale alias for -n (it wins when both are set), sized for
-// the shard benchmarks' ≥1M-row tables. -skew s (s > 1, phone family
-// only) draws area codes — the variable rule's block keys — from a Zipf
-// distribution, producing the hot-block workload that exercises
-// hash-partitioned detection under shard imbalance.
+// -skew s (s > 1, phone family only) draws area codes — the variable
+// rule's block keys — from a Zipf distribution, producing the hot-block
+// workload that exercises hash-partitioned detection under shard
+// imbalance.
 package main
 
 import (
@@ -26,7 +25,6 @@ import (
 func main() {
 	family := flag.String("family", "phone", "dataset family: phone, name, zip, employee, compound, addresses")
 	n := flag.Int("n", 20000, "number of rows")
-	rows := flag.Int("rows", 0, "number of rows (scale alias for -n; wins when set)")
 	errRate := flag.Float64("err", 0.005, "error-injection rate")
 	seed := flag.Int64("seed", 2019, "PRNG seed")
 	skew := flag.Float64("skew", 0, "Zipf skew (> 1) of the block-key distribution; phone family only, 0 = uniform")
@@ -37,9 +35,6 @@ func main() {
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "datagen: -out is required")
 		os.Exit(1)
-	}
-	if *rows > 0 {
-		*n = *rows
 	}
 	if *skew != 0 && *family != "phone" {
 		fmt.Fprintf(os.Stderr, "datagen: -skew is only supported by the phone family (got -family %s)\n", *family)

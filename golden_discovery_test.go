@@ -11,6 +11,7 @@ package anmat_test
 //	go test -run TestGoldenDiscovery -update
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -60,7 +61,7 @@ func TestGoldenDiscovery(t *testing.T) {
 						cfg := discovery.Default()
 						cfg.Mode = m.mode
 						cfg.CleanDMVs = clean
-						res, err := discovery.Discover(ds.Table, cfg)
+						res, err := discovery.Discover(context.Background(), ds.Table, nil, cfg)
 						if err != nil {
 							t.Fatalf("mode %s clean %v: %v", m.name, clean, err)
 						}

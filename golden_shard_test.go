@@ -3,7 +3,7 @@ package anmat_test
 // Sharded-detection acceptance on the static golden corpus: every golden
 // scenario's mined headline rule set is evaluated by sessions of one
 // system per K ∈ {1,2,4,8}, and the merged violation set must be byte-identical to
-// the single-engine DetectContext output at parallelism 1, 4, and 8 —
+// the single-engine Detect output at parallelism 1, 4, and 8 —
 // the same bytes the pinned golden files render.
 
 import (
@@ -44,7 +44,7 @@ func TestGoldenCorpusShardEquivalence(t *testing.T) {
 				t.Fatalf("discovery found no %s→%s rule", sc.lhs, sc.rhs)
 			}
 
-			res, err := anmat.DetectContext(ctx, mineTbl, rules, 1)
+			res, err := anmat.Detect(ctx, mineTbl, rules, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +112,7 @@ func TestSkewedFixtureShardEquivalence(t *testing.T) {
 	if len(rules) == 0 {
 		t.Fatal("discovery found no phone→state rule on the skewed fixture")
 	}
-	res, err := anmat.DetectContext(ctx, mineTbl, rules, 1)
+	res, err := anmat.Detect(ctx, mineTbl, rules, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,7 +130,7 @@ func goldenStreamReplay(t *testing.T, shards int) string {
 			t.Fatal(err)
 		}
 		for _, par := range []int{1, 4} {
-			res, err := anmat.DetectContext(ctx, tbl, rules, par)
+			res, err := anmat.Detect(ctx, tbl, rules, par)
 			if err != nil {
 				t.Fatalf("batch %d parallelism %d: %v", bi, par, err)
 			}

@@ -9,7 +9,7 @@ package anmat_test
 //	go test -run TestGoldenCorpus -update
 //
 // The test also asserts the acceptance criterion of the parallel engine:
-// DetectContext output is byte-identical to the sequential path at
+// Detect output is byte-identical to the sequential path at
 // parallelism 1, 4, and 8.
 
 import (
@@ -74,7 +74,7 @@ func TestGoldenCorpus(t *testing.T) {
 			}
 
 			// Parallel engine byte-identity on the corpus.
-			res1, err := anmat.DetectContext(ctx, tbl, rules, 1)
+			res1, err := anmat.Detect(ctx, tbl, rules, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,7 +83,7 @@ func TestGoldenCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, par := range []int{4, 8} {
-				res, err := anmat.DetectContext(ctx, tbl, rules, par)
+				res, err := anmat.Detect(ctx, tbl, rules, par)
 				if err != nil {
 					t.Fatalf("parallelism %d: %v", par, err)
 				}
@@ -96,7 +96,7 @@ func TestGoldenCorpus(t *testing.T) {
 				}
 			}
 
-			repairs, err := anmat.SuggestRepairs(tbl, rules)
+			repairs, err := anmat.SuggestRepairs(ctx, tbl, rules, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

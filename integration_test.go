@@ -113,10 +113,11 @@ func TestFDAsPFDSpecialCase(t *testing.T) {
 		LHS: pattern.WholeValue(pattern.AnyString()),
 		RHS: tableau.Wildcard,
 	}))
-	vs, err := Detect(tbl, []*pfd.PFD{asPFD})
+	res, err := Detect(context.Background(), tbl, []*pfd.PFD{asPFD}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	vs := res.Violations
 	if len(vs) != 1 {
 		t.Fatalf("FD-as-PFD violations = %d, want 1", len(vs))
 	}

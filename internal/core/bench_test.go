@@ -42,7 +42,7 @@ func runUpload(tb testing.TB, sys *System, csv []byte) {
 
 func benchRun(b *testing.B, gen func(n int, errRate float64, seed int64) *datagen.Dataset) {
 	csv := benchCSV(b, gen, 10_000)
-	sys := NewSystem(docstore.NewMem())
+	sys := NewSystemWith(docstore.NewMem(), DefaultSystemConfig())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -38,7 +38,7 @@ func TestDistributedSessionStream(t *testing.T) {
 	})
 	se := sys.NewSession("p", shardTestTable(), DefaultParams())
 	se.UseRules(shardTestRules())
-	twinSys := NewSystem(docstore.NewMem())
+	twinSys := NewSystemWith(docstore.NewMem(), DefaultSystemConfig())
 	twin := twinSys.NewSession("p", shardTestTable(), DefaultParams())
 	twin.UseRules(shardTestRules())
 	for _, s := range []*Session{se, twin} {

@@ -41,6 +41,16 @@ type Params struct {
 	AllowedViolations float64 `json:"allowed_violations"`
 }
 
+// CheckRatio reports an error unless v, the parameter named name, is a
+// number in [0, 1] — both Params fields are ratios, and NaN or ±Inf is
+// not one.
+func CheckRatio(name string, v float64) error {
+	if !(v >= 0 && v <= 1) { // NaN fails both comparisons
+		return fmt.Errorf("%s=%v: want a number in [0, 1]", name, v)
+	}
+	return nil
+}
+
 // DefaultParams mirrors discovery.Default.
 func DefaultParams() Params {
 	d := discovery.Default()
@@ -113,15 +123,10 @@ type System struct {
 	spares []string
 }
 
-// NewSystem builds a system over the store with default configuration
-// (use docstore.NewMem for ephemeral sessions).
-func NewSystem(store *docstore.Store) *System {
-	return NewSystemWith(store, DefaultSystemConfig())
-}
-
-// NewSystemWith builds a system with explicit defaults. A zero-value
-// Discovery config is replaced by discovery.Default(); a config with any
-// field set is taken verbatim.
+// NewSystemWith builds a system over the store (docstore.NewMem for
+// ephemeral sessions) with explicit defaults; DefaultSystemConfig gives
+// the demo's. A zero-value Discovery config is replaced by
+// discovery.Default(); a config with any field set is taken verbatim.
 func NewSystemWith(store *docstore.Store, cfg SystemConfig) *System {
 	if cfg.Discovery.IsZero() {
 		cfg.Discovery = discovery.Default()
@@ -398,7 +403,7 @@ type DMVFinding struct {
 func (se *Session) RunDMV() []DMVFinding {
 	se.DMVs = se.DMVs[:0]
 	for i, col := range se.Table.Columns() {
-		suspects := dmv.Detect(se.Table.InternedColumn(i), dmv.Options{})
+		suspects := dmv.Detect(se.Table.InternedColumn(i))
 		if len(suspects) == 0 {
 			continue
 		}
@@ -417,7 +422,7 @@ func (se *Session) RunDiscovery(ctx context.Context) ([]*pfd.PFD, error) {
 	if se.profiledTable == se.Table && se.profiledVersion == se.Table.Version() {
 		tp = &se.Profile // the profile stage already did, on exactly these rows
 	}
-	res, err := discovery.DiscoverProfiled(ctx, se.Table, tp, se.discoveryConfig())
+	res, err := discovery.Discover(ctx, se.Table, tp, se.discoveryConfig())
 	if err != nil {
 		return nil, fmt.Errorf("session %s: %w", se.ID, err)
 	}

@@ -23,7 +23,7 @@ import (
 )
 
 func TestPipelineEndToEnd(t *testing.T) {
-	sys := NewSystem(docstore.NewMem())
+	sys := NewSystemWith(docstore.NewMem(), DefaultSystemConfig())
 	sys.CreateProject("demo")
 	if ps := sys.Projects(); len(ps) != 1 || ps[0] != "demo" {
 		t.Fatalf("Projects = %v", ps)
@@ -54,7 +54,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 }
 
 func TestDetectionFindsInjectedErrors(t *testing.T) {
-	sys := NewSystem(docstore.NewMem())
+	sys := NewSystemWith(docstore.NewMem(), DefaultSystemConfig())
 	d := datagen.PhoneState(3000, 0.005, 43)
 	se := sys.NewSession("p", d.Table, DefaultParams())
 	if err := se.Run(context.Background()); err != nil {
@@ -83,7 +83,7 @@ func TestDetectionFindsInjectedErrors(t *testing.T) {
 }
 
 func TestConfirmSubset(t *testing.T) {
-	sys := NewSystem(docstore.NewMem())
+	sys := NewSystemWith(docstore.NewMem(), DefaultSystemConfig())
 	d := datagen.ZipCity(1200, 0.005, 44)
 	se := sys.NewSession("p", d.Table, DefaultParams())
 	se.RunProfile()
@@ -110,7 +110,7 @@ func TestConfirmSubset(t *testing.T) {
 }
 
 func TestConfirmAllByDefault(t *testing.T) {
-	sys := NewSystem(docstore.NewMem())
+	sys := NewSystemWith(docstore.NewMem(), DefaultSystemConfig())
 	d := datagen.ZipCity(800, 0, 45)
 	se := sys.NewSession("p", d.Table, DefaultParams())
 	if _, err := se.RunDiscovery(context.Background()); err != nil {
@@ -122,7 +122,7 @@ func TestConfirmAllByDefault(t *testing.T) {
 }
 
 func TestRunDMV(t *testing.T) {
-	sys := NewSystem(docstore.NewMem())
+	sys := NewSystemWith(docstore.NewMem(), DefaultSystemConfig())
 	d := datagen.ZipCity(600, 0, 47)
 	zi, _ := d.Table.ColIndex("zip")
 	for r := 0; r < d.Table.NumRows(); r += 60 {
@@ -155,11 +155,11 @@ func TestRunDMV(t *testing.T) {
 func TestLoadPFDsRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/store.json"
-	store, err := docstore.Open(path)
+	store, err := docstore.OpenWith(path, docstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := NewSystem(store)
+	sys := NewSystemWith(store, DefaultSystemConfig())
 	d := datagen.ZipCity(1000, 0.01, 46)
 
 	// Session 1: discover and persist.
@@ -180,11 +180,11 @@ func TestLoadPFDsRoundTrip(t *testing.T) {
 
 	// Session 2 (fresh store handle): reload rules and re-detect without
 	// discovery.
-	store2, err := docstore.Open(path)
+	store2, err := docstore.OpenWith(path, docstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys2 := NewSystem(store2)
+	sys2 := NewSystemWith(store2, DefaultSystemConfig())
 	loaded, err := sys2.LoadPFDs(d.Table.Name())
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +251,7 @@ func pfdDocs(ps []*pfd.PFD) []string {
 func TestLoadPFDsCorruptDoc(t *testing.T) {
 	store := docstore.NewMem()
 	store.Insert(CollPFDs, docstore.Doc{"table": "t", "tableau": []any{map[string]any{"lhs": "<\\L", "rhs": "x"}}})
-	sys := NewSystem(store)
+	sys := NewSystemWith(store, DefaultSystemConfig())
 	if _, err := sys.LoadPFDs("t"); err == nil {
 		t.Error("corrupt stored PFD should error")
 	}
@@ -304,12 +304,12 @@ func TestRunCancelledMidDiscovery(t *testing.T) {
 // and only while it still describes the table: any mutation since makes
 // discovery profile for itself.
 func TestRunDiscoveryUsesCurrentProfileOnly(t *testing.T) {
-	sys := NewSystem(docstore.NewMem())
+	sys := NewSystemWith(docstore.NewMem(), DefaultSystemConfig())
 	d := datagen.PhoneState(800, 0.005, 52)
 	se := sys.NewSession("p", d.Table, DefaultParams())
 	ctx := context.Background()
 
-	want, err := discovery.Discover(d.Table, se.discoveryConfig())
+	want, err := discovery.Discover(context.Background(), d.Table, nil, se.discoveryConfig())
 	if err != nil || len(want.PFDs) == 0 {
 		t.Fatalf("fixture: %d PFDs, err %v", len(want.PFDs), err)
 	}
@@ -345,7 +345,7 @@ func tableaux(ps []*pfd.PFD) []string {
 
 // TestRunStagesCancelledBetweenStages checks the stage-boundary ctx check.
 func TestRunStagesCancelledBetweenStages(t *testing.T) {
-	sys := NewSystem(docstore.NewMem())
+	sys := NewSystemWith(docstore.NewMem(), DefaultSystemConfig())
 	d := datagen.ZipCity(300, 0, 49)
 	se := sys.NewSession("p", d.Table, DefaultParams())
 	ctx, cancel := context.WithCancel(context.Background())
@@ -362,7 +362,7 @@ func TestRunStagesCancelledBetweenStages(t *testing.T) {
 // for: profile-only, discovery-only, and detect-with-installed-rules.
 func TestRunStagesComposition(t *testing.T) {
 	ctx := context.Background()
-	sys := NewSystem(docstore.NewMem())
+	sys := NewSystemWith(docstore.NewMem(), DefaultSystemConfig())
 	d := datagen.ZipCity(1000, 0.01, 50)
 
 	profOnly := sys.NewSession("p", d.Table, DefaultParams())
@@ -397,7 +397,7 @@ func TestRunStagesComposition(t *testing.T) {
 
 // TestSessionIDsStableAndUnique checks the registry prerequisite.
 func TestSessionIDsStableAndUnique(t *testing.T) {
-	sys := NewSystem(docstore.NewMem())
+	sys := NewSystemWith(docstore.NewMem(), DefaultSystemConfig())
 	d := datagen.ZipCity(50, 0, 51)
 	seen := map[string]bool{}
 	for i := 0; i < 10; i++ {
@@ -413,7 +413,7 @@ func TestSessionIDsStableAndUnique(t *testing.T) {
 // a full run Confirmed aliases Discovered, and a selective Confirm must
 // not overwrite Discovered's backing array.
 func TestConfirmSubsetPreservesDiscovered(t *testing.T) {
-	sys := NewSystem(docstore.NewMem())
+	sys := NewSystemWith(docstore.NewMem(), DefaultSystemConfig())
 	d := datagen.ZipCity(1200, 0.005, 52)
 	se := sys.NewSession("p", d.Table, DefaultParams())
 	if err := se.Run(context.Background()); err != nil {
@@ -481,7 +481,7 @@ func TestRunDetectionStatsAndParallelism(t *testing.T) {
 // flow) — no manual reset required.
 func TestSessionEngineReuseAndStaleness(t *testing.T) {
 	d := datagen.ZipCity(400, 0.02, 62)
-	sys := NewSystem(docstore.NewMem())
+	sys := NewSystemWith(docstore.NewMem(), DefaultSystemConfig())
 	se := sys.NewSession("p", d.Table, DefaultParams())
 	if err := se.Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -516,7 +516,7 @@ func TestSessionEngineReuseAndStaleness(t *testing.T) {
 }
 
 func TestSessionStreamDeltas(t *testing.T) {
-	sys := NewSystem(docstore.NewMem())
+	sys := NewSystemWith(docstore.NewMem(), DefaultSystemConfig())
 	d := datagen.PhoneState(600, 0.01, 44)
 	se := sys.NewSession("p", d.Table, DefaultParams())
 	ctx := context.Background()
@@ -606,7 +606,7 @@ func TestSessionStreamDeltas(t *testing.T) {
 }
 
 func TestSessionStreamRequiresRules(t *testing.T) {
-	sys := NewSystem(docstore.NewMem())
+	sys := NewSystemWith(docstore.NewMem(), DefaultSystemConfig())
 	d := datagen.PhoneState(100, 0, 45)
 	se := sys.NewSession("p", d.Table, DefaultParams())
 	if _, err := se.Stream(); err == nil {
@@ -622,7 +622,7 @@ func TestSessionStreamRequiresRules(t *testing.T) {
 // is never nil, and the table and violations come out as the in-place
 // detect.Apply plus a full re-detection on a copy would leave them.
 func TestApplyRepairsWithoutEngine(t *testing.T) {
-	sys := NewSystem(docstore.NewMem())
+	sys := NewSystemWith(docstore.NewMem(), DefaultSystemConfig())
 	d := datagen.PhoneState(600, 0.01, 46)
 	se := sys.NewSession("p", d.Table, DefaultParams())
 	ctx := context.Background()
@@ -687,7 +687,7 @@ func TestApplyRepairsWithoutEngine(t *testing.T) {
 // engine boots from it and takes it over, and detection and repairs
 // against a current engine leave no detector behind.
 func TestSessionHoldsOneDetectionState(t *testing.T) {
-	sys := NewSystem(docstore.NewMem())
+	sys := NewSystemWith(docstore.NewMem(), DefaultSystemConfig())
 	d := datagen.ZipCity(800, 0.01, 48)
 	se := sys.NewSession("p", d.Table, DefaultParams())
 	ctx := context.Background()
@@ -752,7 +752,7 @@ func (p *countingPersister) CompactionDue(string) bool         { return false }
 // sees none of the replayed batches, and journals the first batch after
 // them — the engine ReplayJournal installs journals like any other.
 func TestReplayJournalWiresTheSink(t *testing.T) {
-	sys := NewSystem(docstore.NewMem())
+	sys := NewSystemWith(docstore.NewMem(), DefaultSystemConfig())
 	d := datagen.PhoneState(300, 0.01, 49)
 	se := sys.NewSession("p", d.Table, DefaultParams())
 	ctx := context.Background()
@@ -797,7 +797,7 @@ func csvOf(t *testing.T, tb *table.Table) string {
 }
 
 func TestStreamRebuildContinuesCursorTimeline(t *testing.T) {
-	sys := NewSystem(docstore.NewMem())
+	sys := NewSystemWith(docstore.NewMem(), DefaultSystemConfig())
 	d := datagen.PhoneState(400, 0.01, 47)
 	se := sys.NewSession("p", d.Table, DefaultParams())
 	if err := se.Run(context.Background()); err != nil {

@@ -49,7 +49,7 @@ func TestSessionShardsResolution(t *testing.T) {
 	if got := sys.NewSession("p", shardTestTable(), DefaultParams()).Shards(); got != 4 {
 		t.Fatalf("system shards: %d", got)
 	}
-	plain := NewSystem(docstore.NewMem()).NewSession("p", shardTestTable(), DefaultParams())
+	plain := NewSystemWith(docstore.NewMem(), DefaultSystemConfig()).NewSession("p", shardTestTable(), DefaultParams())
 	if got := plain.Shards(); got != 1 {
 		t.Fatalf("floor: %d", got)
 	}
@@ -67,7 +67,7 @@ func TestShardedSessionStreamAndRepairs(t *testing.T) {
 	ctx := context.Background()
 	se := NewSystemWith(docstore.NewMem(), SystemConfig{Shards: 4}).NewSession("p", shardTestTable(), DefaultParams())
 	se.UseRules(shardTestRules())
-	twin := NewSystem(docstore.NewMem()).NewSession("p", shardTestTable(), DefaultParams())
+	twin := NewSystemWith(docstore.NewMem(), DefaultSystemConfig()).NewSession("p", shardTestTable(), DefaultParams())
 	twin.UseRules(shardTestRules())
 	for _, s := range []*Session{se, twin} {
 		if _, err := s.RunDetection(ctx); err != nil {

@@ -9,7 +9,7 @@ import (
 
 // TestPhoneStateSkewedPinnedFixture regenerates the committed skewed
 // fixture (testdata/phone_state_skewed.csv at the repo root, produced by
-// `datagen -family phone -rows 48 -skew 1.3 -seed 7 -err 0.05`) and
+// `datagen -family phone -n 48 -skew 1.3 -seed 7 -err 0.05`) and
 // asserts byte-identity — the generator is deterministic under its seed,
 // so shard tests consuming the fixture exercise exactly the pinned
 // hot-block shape.

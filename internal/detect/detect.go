@@ -19,8 +19,7 @@
 // out per tableau row and merges through a single total order, so the
 // output is byte-identical at every parallelism level. The one
 // requirement is that the table is not mutated while a Detector built on
-// it is in use — build a fresh Detector after applying repairs (as
-// RepairToFixpoint does each pass).
+// it is in use — build a fresh Detector after applying repairs.
 package detect
 
 import (
@@ -182,7 +181,7 @@ func (d *Detector) detectRow(p *pfd.PFD, row tableau.Row, li, ri int) ([]pfd.Vio
 }
 
 // detectRaw evaluates every tableau row of one PFD without de-duplicating,
-// so DetectAll-style callers can dedupe once at their merge point.
+// so DetectAllContext callers can dedupe once at their merge point.
 func (d *Detector) detectRaw(p *pfd.PFD) ([]pfd.Violation, error) {
 	li, ri, err := d.cols("detect", p)
 	if err != nil {
@@ -209,16 +208,6 @@ func (d *Detector) Detect(p *pfd.PFD) ([]pfd.Violation, error) {
 	return dedupe(vs), nil
 }
 
-// DetectAll evaluates several PFDs and merges their violations through
-// one final dedupe. It is the sequential form of DetectAllContext.
-func (d *Detector) DetectAll(ps []*pfd.PFD) ([]pfd.Violation, error) {
-	res, err := d.DetectAllContext(context.Background(), ps, 1)
-	if err != nil {
-		return nil, err
-	}
-	return res.Violations, nil
-}
-
 // RuleStats records the detection cost of one PFD: how many tableau rows
 // were evaluated, how many violations it contributed (before the
 // cross-rule dedupe), and the cumulative wall time of its row tasks.
@@ -229,11 +218,6 @@ type RuleStats struct {
 	Rows       int           `json:"rows"`
 	Violations int           `json:"violations"`
 	Duration   time.Duration `json:"duration_ns"`
-	// DroppedAlternatives counts repair suggestions from this rule that
-	// were discarded because another rule won the same cell with a
-	// *different* suggested value (see RepairsAllStats). Zero outside
-	// repair derivation.
-	DroppedAlternatives int `json:"dropped_alternatives,omitempty"`
 }
 
 // Result pairs the merged violations of a DetectAllContext run with
@@ -690,25 +674,14 @@ func (d *Detector) Repairs(p *pfd.PFD) ([]Repair, error) {
 	return out, nil
 }
 
-// RepairsAllContext derives repair suggestions for several PFDs; it is
-// RepairsAllStats without the per-rule stats.
-func (d *Detector) RepairsAllContext(ctx context.Context, ps []*pfd.PFD, parallelism int) ([]Repair, error) {
-	out, _, err := d.RepairsAllStats(ctx, ps, parallelism)
-	return out, err
-}
-
-// RepairsAllStats derives repair suggestions for several PFDs with a
+// RepairsAllContext derives repair suggestions for several PFDs with a
 // worker pool that fans out per rule (0 = GOMAXPROCS workers). When more
-// than one rule suggests a repair for the same cell, the winner is picked
-// deterministically — lowest rule index, ties broken by the
-// lexicographically smallest suggested value — and every losing
-// suggestion that proposed a *different* value is counted in its rule's
-// DroppedAlternatives stat instead of being dropped silently. Cells are
-// compared structurally (row plus column name), never through a rendered
-// string a hostile column name could collide. The merged list is sorted
-// by cell, so output is identical at every parallelism level. Cancelling
-// ctx stops the pool between rules.
-func (d *Detector) RepairsAllStats(ctx context.Context, ps []*pfd.PFD, parallelism int) ([]Repair, []RuleStats, error) {
+// than one rule suggests a repair for the same cell, the lowest-indexed
+// rule wins. Cells are compared structurally (row plus column name),
+// never through a rendered string a hostile column name could collide.
+// The merged list is sorted by cell, so output is identical at every
+// parallelism level. Cancelling ctx stops the pool between rules.
+func (d *Detector) RepairsAllContext(ctx context.Context, ps []*pfd.PFD, parallelism int) ([]Repair, error) {
 	type ruleResult struct {
 		rs  []Repair
 		err error
@@ -723,90 +696,31 @@ func (d *Detector) RepairsAllStats(ctx context.Context, ps []*pfd.PFD, paralleli
 		results[i] = ruleResult{rs: rs, err: err}
 	})
 	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("repairs cancelled: %w", err)
+		return nil, fmt.Errorf("repairs cancelled: %w", err)
 	}
 
 	total := 0
 	for i := range results {
 		if err := results[i].err; err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		total += len(results[i].rs)
 	}
-	stats := make([]RuleStats, len(ps))
-	for i, p := range ps {
-		stats[i] = RuleStats{PFDID: p.ID(), Rows: p.Tableau.Len()}
-	}
-	type winner struct {
-		at   int // index into out
-		rule int
-	}
+	// Rules are visited in ascending index order, and one rule suggests
+	// at most one repair per cell, so the first suggestion for a cell is
+	// the lowest-indexed rule's.
 	out := make([]Repair, 0, total)
-	byCell := make(map[table.CellRef]winner, total)
+	taken := make(map[table.CellRef]bool, total)
 	for i := range results {
 		for _, r := range results[i].rs {
-			w, taken := byCell[r.Cell]
-			if !taken {
-				byCell[r.Cell] = winner{at: len(out), rule: i}
+			if !taken[r.Cell] {
+				taken[r.Cell] = true
 				out = append(out, r)
-				continue
-			}
-			cur := &out[w.at]
-			// Rules are visited in ascending index order, so the holder
-			// normally wins outright; the value tie-break only fires when
-			// the same rule appears twice in ps.
-			if i < w.rule || (i == w.rule && r.Suggested < cur.Suggested) {
-				if r.Suggested != cur.Suggested {
-					stats[w.rule].DroppedAlternatives++
-				}
-				*cur = r
-				byCell[r.Cell] = winner{at: w.at, rule: i}
-			} else if r.Suggested != cur.Suggested {
-				stats[i].DroppedAlternatives++
 			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Cell.Less(out[j].Cell) })
-	return out, stats, nil
-}
-
-// RepairToFixpoint alternates detection and repair until no suggestions
-// remain or maxIters passes complete, returning the total cells changed
-// and the violations left at the end. Repairing one rule can surface new
-// block majorities for another, so a single pass is not always enough.
-func RepairToFixpoint(t *table.Table, ps []*pfd.PFD, maxIters int) (changed int, remaining []pfd.Violation, err error) {
-	return RepairToFixpointContext(context.Background(), t, ps, maxIters, 1)
-}
-
-// RepairToFixpointContext is RepairToFixpoint with cancellation and a
-// parallel repair/detect engine. Each pass builds a fresh Detector: the
-// pass mutates the table, so the previous pass's indexes are stale.
-func RepairToFixpointContext(ctx context.Context, t *table.Table, ps []*pfd.PFD, maxIters, parallelism int) (changed int, remaining []pfd.Violation, err error) {
-	if maxIters <= 0 {
-		maxIters = 5
-	}
-	for iter := 0; iter < maxIters; iter++ {
-		all, err := New(t, Options{}).RepairsAllContext(ctx, ps, parallelism)
-		if err != nil {
-			return changed, nil, err
-		}
-		if len(all) == 0 {
-			break
-		}
-		n, err := Apply(t, all)
-		if err != nil {
-			return changed, nil, err
-		}
-		changed += n
-		if n == 0 {
-			break // suggestions exist but change nothing; avoid looping
-		}
-	}
-	res, err := New(t, Options{}).DetectAllContext(ctx, ps, parallelism)
-	if err != nil {
-		return changed, nil, err
-	}
-	return changed, res.Violations, nil
+	return out, nil
 }
 
 // Apply writes the repairs into the table (in place) and returns how many

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"context"
 	"reflect"
 	"sort"
 	"testing"
@@ -113,12 +114,12 @@ func TestDetectAllDedupes(t *testing.T) {
 	tbl := zipTable()
 	// The same PFD twice: violations must not double.
 	p := constantPFD()
-	vs, err := New(tbl, Options{}).DetectAll([]*pfd.PFD{p, p})
+	res, err := New(tbl, Options{}).DetectAllContext(context.Background(), []*pfd.PFD{p, p}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(vs) != 1 {
-		t.Errorf("DetectAll should dedupe, got %d", len(vs))
+	if len(res.Violations) != 1 {
+		t.Errorf("DetectAllContext should dedupe, got %d", len(res.Violations))
 	}
 }
 

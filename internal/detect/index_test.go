@@ -48,7 +48,7 @@ func randomRow(rng *rand.Rand) []string {
 
 // Property: on random tables and tableaux the indexed engine — rows-by-ID
 // index under constant rows, one cached blocking under detection and
-// repairs — answers DetectAllContext and RepairsAllStats byte for byte as
+// repairs — answers DetectAllContext and RepairsAllContext byte for byte as
 // the paper's baseline does (every row matched on its own, every pair
 // compared), at parallelism 1, 2 and 8 on one detector shared by
 // concurrent callers (run with -race: the index and the blocks are built
@@ -75,11 +75,11 @@ func TestIndexedEngineEqualsBaseline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantRepairs, wantStats, err := base.RepairsAllStats(ctx, ps, 1)
+			wantRepairs, err := base.RepairsAllContext(ctx, ps, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantV, wantR := marshal(t, want.Violations), marshal(t, []any{wantRepairs, wantStats})
+			wantV, wantR := marshal(t, want.Violations), marshal(t, wantRepairs)
 			violations, repairs = violations+len(want.Violations), repairs+len(wantRepairs)
 
 			indexed, pairs := New(tbl, Options{}), New(tbl, Options{AllPairs: true})
@@ -96,12 +96,12 @@ func TestIndexedEngineEqualsBaseline(t *testing.T) {
 					if gotV := marshal(t, got.Violations); !bytes.Equal(gotV, wantV) {
 						t.Errorf("trial %d round %d parallelism %d: violations\n got  %s\n want %s", trial, round, par, gotV, wantV)
 					}
-					rs, st, err := indexed.RepairsAllStats(ctx, ps, par)
+					rs, err := indexed.RepairsAllContext(ctx, ps, par)
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					if gotR := marshal(t, []any{rs, st}); !bytes.Equal(gotR, wantR) {
+					if gotR := marshal(t, rs); !bytes.Equal(gotR, wantR) {
 						t.Errorf("trial %d round %d parallelism %d: repairs\n got  %s\n want %s", trial, round, par, gotR, wantR)
 					}
 				}(par)

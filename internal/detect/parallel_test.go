@@ -41,14 +41,14 @@ func marshal(t *testing.T, v any) []byte {
 // parallelism 1, 4, and 8.
 func TestDetectAllContextByteIdentical(t *testing.T) {
 	ds, ps := parallelFixture()
-	seq, err := New(ds.Table, Options{}).DetectAll(ps)
+	seq, err := New(ds.Table, Options{}).DetectAllContext(context.Background(), ps, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq) == 0 {
+	if len(seq.Violations) == 0 {
 		t.Fatal("fixture produced no violations")
 	}
-	want := marshal(t, seq)
+	want := marshal(t, seq.Violations)
 	for _, par := range []int{1, 4, 8} {
 		res, err := New(ds.Table, Options{}).DetectAllContext(context.Background(), ps, par)
 		if err != nil {
@@ -219,9 +219,6 @@ func TestDetectAllContextCancel(t *testing.T) {
 	if _, err := New(ds.Table, Options{}).RepairsAllContext(ctx, ps, 4); !errors.Is(err, context.Canceled) {
 		t.Errorf("repairs err = %v, want context.Canceled", err)
 	}
-	if _, _, err := RepairToFixpointContext(ctx, ds.Table.Clone(), ps, 3, 4); !errors.Is(err, context.Canceled) {
-		t.Errorf("fixpoint err = %v, want context.Canceled", err)
-	}
 }
 
 // TestDetectAllContextMissingColumn checks schema errors surface before
@@ -231,29 +228,5 @@ func TestDetectAllContextMissingColumn(t *testing.T) {
 	bad := pfd.New(ds.Table.Name(), "nope", "state", tableauFromAreaCodes())
 	if _, err := New(ds.Table, Options{}).DetectAllContext(context.Background(), append(ps, bad), 4); err == nil {
 		t.Error("missing column should error")
-	}
-}
-
-// TestRepairToFixpointContextParallelMatchesSequential runs the fixpoint
-// loop at parallelism 1 and 8 on clones of the same dirty table and
-// expects identical repaired tables.
-func TestRepairToFixpointContextParallelMatchesSequential(t *testing.T) {
-	ds, ps := parallelFixture()
-	t1, t8 := ds.Table.Clone(), ds.Table.Clone()
-	c1, r1, err := RepairToFixpointContext(context.Background(), t1, ps, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c8, r8, err := RepairToFixpointContext(context.Background(), t8, ps, 5, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 != c8 || len(r1) != len(r8) {
-		t.Fatalf("fixpoint diverged: changed %d vs %d, remaining %d vs %d", c1, c8, len(r1), len(r8))
-	}
-	for r := 0; r < t1.NumRows(); r++ {
-		if !reflect.DeepEqual(t1.Row(r), t8.Row(r)) {
-			t.Fatalf("row %d differs after fixpoint: %v vs %v", r, t1.Row(r), t8.Row(r))
-		}
 	}
 }

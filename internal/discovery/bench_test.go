@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"context"
 	"testing"
 
 	"github.com/anmat/anmat/internal/datagen"
@@ -20,7 +21,7 @@ func benchDiscover(b *testing.B, tbl *table.Table) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Discover(tbl, Default())
+		res, err := Discover(context.Background(), tbl, nil, Default())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,7 +63,7 @@ func TestDiscoverAllocsPerRow(t *testing.T) {
 	cfg.Parallelism = 1
 	var pfds int
 	allocs := testing.AllocsPerRun(1, func() {
-		res, err := Discover(tbl, cfg)
+		res, err := Discover(context.Background(), tbl, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -57,7 +58,7 @@ func buildShipping(n int, dirty int, seed int64) (*table.Table, []int) {
 
 func TestCompositeDependencyViaDerivedColumn(t *testing.T) {
 	tbl, injected := buildShipping(3000, 10, 31)
-	res, err := Discover(tbl, Default())
+	res, err := Discover(context.Background(), tbl, nil, Default())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -62,13 +63,13 @@ func TestWilsonSuppressesOverfitRules(t *testing.T) {
 	ds := datagen.PhoneState(3000, 0.02, 41)
 	raw := Default()
 	raw.MaxViolationRatio = 0 // raw confidence 1.0 required
-	resRaw, err := Discover(ds.Table, raw)
+	resRaw, err := Discover(context.Background(), ds.Table, nil, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wil := Default()
 	wil.Decision = WilsonDecision(wil.MinSupport, 0.95, 1.96)
-	resWil, err := Discover(ds.Table, wil)
+	resWil, err := Discover(context.Background(), ds.Table, nil, wil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,13 +65,6 @@ type Config struct {
 	// MineVariable enables mining wildcard (variable) rows in addition
 	// to constant rows.
 	MineVariable bool
-	// VariableKeyFraction is the fraction of keys of a family that must
-	// individually look functional for a variable row to be emitted
-	// (default 0.9).
-	VariableKeyFraction float64
-	// MaxTableauRows caps the constant rows kept per PFD, favouring
-	// high-support rows (0 = unlimited).
-	MaxTableauRows int
 	// Parallelism bounds the number of candidate dependencies mined
 	// concurrently (0 = GOMAXPROCS). Candidates are independent, so the
 	// result is identical to the serial run.
@@ -88,24 +81,26 @@ type Config struct {
 func (c Config) IsZero() bool {
 	return c.MinCoverage == 0 && c.MaxViolationRatio == 0 && c.MinSupport == 0 &&
 		c.Mode == ModeAuto && c.NGramN == 0 && c.MaxPrefix == 0 &&
-		c.Decision == nil && !c.MineVariable && c.VariableKeyFraction == 0 &&
-		c.MaxTableauRows == 0 && c.Parallelism == 0 && !c.CleanDMVs
+		c.Decision == nil && !c.MineVariable && c.Parallelism == 0 && !c.CleanDMVs
 }
 
 // Default returns the configuration used by the demo scenarios: γ = 5%,
 // 2% tolerated violations, support ≥ 4.
 func Default() Config {
 	return Config{
-		MinCoverage:         0.05,
-		MaxViolationRatio:   0.02,
-		MinSupport:          4,
-		Mode:                ModeAuto,
-		NGramN:              3,
-		MaxPrefix:           8,
-		MineVariable:        true,
-		VariableKeyFraction: 0.9,
+		MinCoverage:       0.05,
+		MaxViolationRatio: 0.02,
+		MinSupport:        4,
+		Mode:              ModeAuto,
+		NGramN:            3,
+		MaxPrefix:         8,
+		MineVariable:      true,
 	}
 }
+
+// variableKeyFraction is the fraction of keys of a family that must
+// individually look functional for a variable row to be emitted.
+const variableKeyFraction = 0.9
 
 // DecisionFunc is the function f of Figure 2: it inspects one inverted-
 // list entry and decides whether the entry forms a pattern tuple.
@@ -140,32 +135,18 @@ type CandidateStats struct {
 }
 
 // Discover runs the full Figure 2 algorithm over every candidate
-// dependency of the table.
-func Discover(t *table.Table, cfg Config) (*Result, error) {
-	return DiscoverContext(context.Background(), t, cfg)
-}
-
-// DiscoverContext is Discover with cancellation: ctx is checked before
-// each candidate dependency and periodically inside each candidate's
+// dependency of the table. A caller that already holds the profile of t
+// as it is now (a session that ran its profile stage) passes it as tp;
+// with tp nil, discovery profiles t itself. ctx is checked before each
+// candidate dependency and periodically inside each candidate's
 // inverted-list build and scan, so a cancelled mining run stops within a
 // bounded amount of work and returns an error wrapping ctx.Err().
-func DiscoverContext(ctx context.Context, t *table.Table, cfg Config) (*Result, error) {
-	return DiscoverProfiled(ctx, t, nil, cfg)
-}
-
-// DiscoverProfiled is DiscoverContext for a caller that may already hold
-// the profile of t as it is now (a session that ran its profile stage):
-// candidates come from tp, and discovery profiles t itself only when tp
-// is nil.
-func DiscoverProfiled(ctx context.Context, t *table.Table, tp *profile.TableProfile, cfg Config) (*Result, error) {
+func Discover(ctx context.Context, t *table.Table, tp *profile.TableProfile, cfg Config) (*Result, error) {
 	if cfg.NGramN <= 0 {
 		cfg.NGramN = 3
 	}
 	if cfg.MaxPrefix <= 0 {
 		cfg.MaxPrefix = 8
-	}
-	if cfg.VariableKeyFraction <= 0 {
-		cfg.VariableKeyFraction = 0.9
 	}
 	f := cfg.Decision
 	if f == nil {
@@ -267,7 +248,7 @@ type column struct {
 func columnOf(iv *table.Interned, cleanDMVs bool) *column {
 	c := &column{Column: invlist.Column{Values: iv.Dict.Values(), IDs: iv.IDs}, counts: iv.Counts()}
 	if cleanDMVs {
-		c.Values, _ = dmv.CleanColumn(iv, dmv.Options{})
+		c.Values, _ = dmv.CleanColumn(iv)
 	}
 	return c
 }
@@ -388,10 +369,6 @@ func candidateTableau(ctx context.Context, cand profile.Candidate, lhs, rhs *col
 		}
 		return strings.Compare(a.lhs, b.lhs)
 	})
-	// Keep the highest-support rows when capped.
-	if cfg.MaxTableauRows > 0 && len(rows) > cfg.MaxTableauRows {
-		rows = rows[:cfg.MaxTableauRows]
-	}
 	tab := tableau.New()
 	for _, r := range rows {
 		tab.Add(r.row)
@@ -722,7 +699,7 @@ func variableTokenRow(entries []invlist.Entry, cfg Config, minConf float64) []ta
 			keys = append(keys, e.Key.Text)
 		}
 	}
-	if total == 0 || float64(good)/float64(total) < cfg.VariableKeyFraction || len(keys) < 2 {
+	if total == 0 || float64(good)/float64(total) < variableKeyFraction || len(keys) < 2 {
 		return nil
 	}
 	gen := pattern.LCGAll(keys)
@@ -779,7 +756,7 @@ func variablePrefixRows(entries []invlist.Entry, cfg Config, minConf float64) []
 	var out []tableau.Row
 	for _, L := range lens {
 		f := fams[L]
-		if f.total < 2 || float64(f.good)/float64(f.total) < cfg.VariableKeyFraction || len(f.prefixes) < 2 {
+		if f.total < 2 || float64(f.good)/float64(f.total) < variableKeyFraction || len(f.prefixes) < 2 {
 			continue
 		}
 		keyPat := pattern.LCGAll(f.prefixes).Normalize()

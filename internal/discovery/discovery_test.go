@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -42,7 +43,7 @@ func hasRuleContaining(p *pfd.PFD, subs ...string) bool {
 func TestDiscoverPhoneState(t *testing.T) {
 	d := datagen.PhoneState(2000, 0.005, 1)
 	cfg := Default()
-	res, err := Discover(d.Table, cfg)
+	res, err := Discover(context.Background(), d.Table, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestDiscoverPhoneState(t *testing.T) {
 
 func TestDiscoverNameGender(t *testing.T) {
 	d := datagen.NameGender(2000, 0.005, 2)
-	res, err := Discover(d.Table, Default())
+	res, err := Discover(context.Background(), d.Table, nil, Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestDiscoverNameGender(t *testing.T) {
 
 func TestDiscoverZipCity(t *testing.T) {
 	d := datagen.ZipCity(2000, 0.005, 3)
-	res, err := Discover(d.Table, Default())
+	res, err := Discover(context.Background(), d.Table, nil, Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestDiscoverZipCity(t *testing.T) {
 
 func TestDiscoverEmployeeIDs(t *testing.T) {
 	d := datagen.EmployeeID(2000, 0.002, 4)
-	res, err := Discover(d.Table, Default())
+	res, err := Discover(context.Background(), d.Table, nil, Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestDiscoverAddresses(t *testing.T) {
 	// Interior-token rules: the city token after the comma determines the
 	// state, like the D2 rules of Table 3.
 	d := datagen.Addresses(2000, 0.005, 26)
-	res, err := Discover(d.Table, Default())
+	res, err := Discover(context.Background(), d.Table, nil, Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestDiscoverAddresses(t *testing.T) {
 func TestDiscoverVariableRows(t *testing.T) {
 	d := datagen.PhoneState(2000, 0, 5)
 	cfg := Default()
-	res, err := Discover(d.Table, cfg)
+	res, err := Discover(context.Background(), d.Table, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestDiscoveryRespectsCoverage(t *testing.T) {
 	d := datagen.PhoneState(500, 0, 6)
 	cfg := Default()
 	cfg.MinCoverage = 1.1 // impossible
-	res, err := Discover(d.Table, cfg)
+	res, err := Discover(context.Background(), d.Table, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,13 +185,13 @@ func TestDiscoveryRespectsViolationRatio(t *testing.T) {
 	d := datagen.PhoneState(1500, 0.20, 7)
 	strict := Default()
 	strict.MinSupport = 8
-	resStrict, err := Discover(d.Table, strict)
+	resStrict, err := Discover(context.Background(), d.Table, nil, strict)
 	if err != nil {
 		t.Fatal(err)
 	}
 	loose := strict
 	loose.MaxViolationRatio = 0.30
-	resLoose, err := Discover(d.Table, loose)
+	resLoose, err := Discover(context.Background(), d.Table, nil, loose)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestDiscoverOnPaperNameTable(t *testing.T) {
 	}
 	cfg := Default()
 	cfg.MinSupport = 3
-	res, err := Discover(tbl, cfg)
+	res, err := Discover(context.Background(), tbl, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestDecisionFunctionOverride(t *testing.T) {
 	d := datagen.PhoneState(800, 0, 8)
 	cfg := Default()
 	cfg.Decision = func(e invlist.Entry) bool { return false }
-	res, err := Discover(d.Table, cfg)
+	res, err := Discover(context.Background(), d.Table, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestDecisionFunctionOverride(t *testing.T) {
 
 func TestTableauRowsOrderedBySupport(t *testing.T) {
 	d := datagen.ZipCity(1500, 0, 9)
-	res, err := Discover(d.Table, Default())
+	res, err := Discover(context.Background(), d.Table, nil, Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,22 +261,6 @@ func TestTableauRowsOrderedBySupport(t *testing.T) {
 	for i := 1; i < len(rows); i++ {
 		if rows[i].Support > rows[i-1].Support {
 			t.Errorf("rows not sorted by support: %d before %d", rows[i-1].Support, rows[i].Support)
-		}
-	}
-}
-
-func TestMaxTableauRowsCap(t *testing.T) {
-	d := datagen.ZipCity(1500, 0, 10)
-	cfg := Default()
-	cfg.MaxTableauRows = 2
-	cfg.MineVariable = false
-	res, err := Discover(d.Table, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range res.PFDs {
-		if n := len(p.Tableau.ConstantRows()); n > 2 {
-			t.Errorf("%s has %d constant rows, cap is 2", p.ID(), n)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -24,13 +25,13 @@ func TestCleanDMVsKeepsPlaceholdersOutOfRules(t *testing.T) {
 	}
 
 	dirty := Default()
-	resDirty, err := Discover(tbl, dirty)
+	resDirty, err := Discover(context.Background(), tbl, nil, dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clean := Default()
 	clean.CleanDMVs = true
-	resClean, err := Discover(tbl, clean)
+	resClean, err := Discover(context.Background(), tbl, nil, clean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestEmptyRHSGivesNoEvidence(t *testing.T) {
 	}
 	cfg := Default()
 	cfg.MinSupport = 4
-	res, err := Discover(tbl, cfg)
+	res, err := Discover(context.Background(), tbl, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

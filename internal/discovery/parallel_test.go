@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -22,13 +23,13 @@ func TestParallelDiscoveryMatchesSerial(t *testing.T) {
 	ds := datagen.ZipCity(1500, 0.01, 23)
 	serial := Default()
 	serial.Parallelism = 1
-	resS, err := Discover(ds.Table, serial)
+	resS, err := Discover(context.Background(), ds.Table, nil, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := Default()
 	par.Parallelism = 8
-	resP, err := Discover(ds.Table, par)
+	resP, err := Discover(context.Background(), ds.Table, nil, par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,18 +51,18 @@ func TestParallelDiscoveryRace(t *testing.T) {
 	ds := datagen.EmployeeID(800, 0.005, 24)
 	cfg := Default()
 	cfg.Parallelism = 16
-	if _, err := Discover(ds.Table, cfg); err != nil {
+	if _, err := Discover(context.Background(), ds.Table, nil, cfg); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestDiscoveryDeterministic(t *testing.T) {
 	ds := datagen.NameGender(1000, 0.01, 25)
-	a, err := Discover(ds.Table, Default())
+	a, err := Discover(context.Background(), ds.Table, nil, Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Discover(ds.Table, Default())
+	b, err := Discover(context.Background(), ds.Table, nil, Default())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -318,7 +318,7 @@ func TestCustomDecisionSeesEveryEntry(t *testing.T) {
 				}
 				return ok
 			}
-			res, err := Discover(tbl, cfg)
+			res, err := Discover(context.Background(), tbl, nil, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -341,53 +341,6 @@ func TestCustomDecisionSeesEveryEntry(t *testing.T) {
 				t.Errorf("accepted %d, stats say %d", accepted, res.Stats[0].Accepted)
 			}
 		})
-	}
-}
-
-// MaxTableauRows keeps the highest-support constant rows: no row the cap
-// dropped is stronger than a row it kept.
-func TestMaxTableauRowsKeepsStrongestRows(t *testing.T) {
-	tbl := datagen.ZipCity(1500, 0, 10).Table
-	cfg := Default()
-	cfg.MineVariable = false
-	full, err := Discover(tbl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.MaxTableauRows = 3
-	capped, err := Discover(tbl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dropped := 0
-	for _, p := range capped.PFDs {
-		all := findPFD(full.PFDs, p.LHS, p.RHS)
-		if all == nil {
-			t.Fatalf("%s kept only when capped", p.ID())
-		}
-		kept := map[string]bool{}
-		weakest := -1
-		for _, r := range p.Tableau.ConstantRows() {
-			kept[r.String()] = true
-			if weakest < 0 || r.Support < weakest {
-				weakest = r.Support
-			}
-		}
-		if len(kept) == 0 || len(kept) > 3 {
-			t.Errorf("%s: %d constant rows, cap is 3", p.ID(), len(kept))
-		}
-		for _, r := range all.Tableau.ConstantRows() {
-			if kept[r.String()] {
-				continue
-			}
-			dropped++
-			if r.Support > weakest {
-				t.Errorf("%s: dropped %s [support %d] but kept a row with support %d", p.ID(), r, r.Support, weakest)
-			}
-		}
-	}
-	if dropped == 0 {
-		t.Fatal("no tableau was long enough to be capped")
 	}
 }
 

@@ -35,31 +35,19 @@ type Suspect struct {
 	Score  float64 `json:"score"` // 0–1, higher = more likely a DMV
 }
 
-// Options tunes the detector; zero values select the defaults.
-type Options struct {
-	// SpikeRatio is how many times more frequent than the runner-up a
-	// value must be to count as a repeated-value spike (default 10).
-	SpikeRatio float64
-	// RareSignatureShare is the signature-frequency share below which a
-	// value's signature counts as an outlier (default 0.01), provided the
-	// dominant signature covers most of the column.
-	RareSignatureShare float64
-	// DominantSignatureShare is how much of the column the top signature
-	// must cover before outlier detection applies (default 0.9).
-	DominantSignatureShare float64
-}
-
-func (o *Options) defaults() {
-	if o.SpikeRatio <= 0 {
-		o.SpikeRatio = 10
-	}
-	if o.RareSignatureShare <= 0 {
-		o.RareSignatureShare = 0.01
-	}
-	if o.DominantSignatureShare <= 0 {
-		o.DominantSignatureShare = 0.9
-	}
-}
+// The detector's thresholds.
+const (
+	// spikeRatio is how many times more frequent than the runner-up a
+	// value must be to count as a repeated-value spike.
+	spikeRatio = 10
+	// rareSignatureShare is the signature-frequency share below which a
+	// value's signature counts as an outlier, provided the dominant
+	// signature covers most of the column.
+	rareSignatureShare = 0.01
+	// dominantSignatureShare is how much of the column the top signature
+	// must cover before outlier detection applies.
+	dominantSignatureShare = 0.9
+)
 
 // placeholders is the curated list of tokens (lower-cased) that encode
 // missing data in the wild.
@@ -121,8 +109,7 @@ func IsPlaceholderSyntax(v string) bool {
 // lists but no row holds is not in the column: it is never a suspect and
 // weighs on nothing, and ties are broken by value, never by dictionary
 // order.
-func Detect(c *table.Interned, opts Options) []Suspect {
-	opts.defaults()
+func Detect(c *table.Interned) []Suspect {
 	values, counts := c.Dict.Values(), c.Counts()
 	present := func(id int) bool { return values[id] != "" && counts[id] > 0 }
 	sigs := make([]string, len(values)) // per value ID; "" for a value not present
@@ -178,7 +165,7 @@ func Detect(c *table.Interned, opts Options) []Suspect {
 				second = id
 			}
 		}
-		if n := counts[top]; float64(n) >= opts.SpikeRatio*float64(counts[second]) && n >= 10 {
+		if n := counts[top]; float64(n) >= spikeRatio*float64(counts[second]) && n >= 10 {
 			flag(top, "repeated-value spike", 0.7)
 		}
 	}
@@ -190,13 +177,13 @@ func Detect(c *table.Interned, opts Options) []Suspect {
 			domSig, domN = s, n
 		}
 	}
-	if float64(domN)/float64(nonEmpty) >= opts.DominantSignatureShare {
+	if float64(domN)/float64(nonEmpty) >= dominantSignatureShare {
 		for id, sig := range sigs {
 			if !present(id) || sig == domSig {
 				continue
 			}
 			share := float64(sigCounts[sig]) / float64(nonEmpty)
-			if share <= opts.RareSignatureShare {
+			if share <= rareSignatureShare {
 				flag(id, "signature outlier ("+sig+" vs dominant "+domSig+")", 0.6)
 			}
 		}
@@ -225,8 +212,8 @@ func Detect(c *table.Interned, opts Options) []Suspect {
 // plus the suspects; read through it, the column's IDs show discovery a
 // column without those cells, keeping placeholder tokens out of mined
 // rules. With no suspect the list is the dictionary's own.
-func CleanColumn(c *table.Interned, opts Options) ([]string, []Suspect) {
-	suspects := Detect(c, opts)
+func CleanColumn(c *table.Interned) ([]string, []Suspect) {
+	suspects := Detect(c)
 	if len(suspects) == 0 {
 		return c.Dict.Values(), nil
 	}

@@ -62,7 +62,7 @@ func zipColumnWithDMVs(n int, seed int64) ([]string, map[string]bool) {
 
 func TestDetectFindsClassicDMVs(t *testing.T) {
 	values, want := zipColumnWithDMVs(3000, 5)
-	suspects := Detect(column(values), Options{})
+	suspects := Detect(column(values))
 	found := map[string]bool{}
 	for _, s := range suspects {
 		found[s.Value] = true
@@ -88,7 +88,7 @@ func TestDetectNoFalsePositivesOnCleanCategorical(t *testing.T) {
 			values = append(values, "M")
 		}
 	}
-	if suspects := Detect(column(values), Options{}); len(suspects) != 0 {
+	if suspects := Detect(column(values)); len(suspects) != 0 {
 		t.Errorf("clean categorical column flagged: %v", suspects)
 	}
 }
@@ -102,7 +102,7 @@ func TestDetectSpike(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		values = append(values, fmt.Sprintf("City%02d", i))
 	}
-	suspects := Detect(column(values), Options{})
+	suspects := Detect(column(values))
 	found := false
 	for _, s := range suspects {
 		if s.Value == "DEFAULTCITY" && strings.Contains(s.Reason, "spike") {
@@ -127,7 +127,7 @@ func TestDetectSignatureOutlier(t *testing.T) {
 			values = append(values, fmt.Sprintf("%05d", 10000+rng.Intn(80000)))
 		}
 	}
-	suspects := Detect(column(values), Options{})
+	suspects := Detect(column(values))
 	sawOutlier := false
 	for _, s := range suspects {
 		if s.Value == "SINZIP" && strings.Contains(s.Reason, "signature outlier") {
@@ -140,10 +140,10 @@ func TestDetectSignatureOutlier(t *testing.T) {
 }
 
 func TestDetectEmpty(t *testing.T) {
-	if s := Detect(column(nil), Options{}); s != nil {
+	if s := Detect(column(nil)); s != nil {
 		t.Errorf("nil input suspects = %v", s)
 	}
-	if s := Detect(column([]string{"", "", ""}), Options{}); s != nil {
+	if s := Detect(column([]string{"", "", ""})); s != nil {
 		t.Errorf("all-empty suspects = %v", s)
 	}
 }
@@ -151,7 +151,7 @@ func TestDetectEmpty(t *testing.T) {
 func TestCleanColumn(t *testing.T) {
 	values, want := zipColumnWithDMVs(2000, 7)
 	c := column(values)
-	cleaned, suspects := CleanColumn(c, Options{})
+	cleaned, suspects := CleanColumn(c)
 	if len(suspects) == 0 {
 		t.Fatal("no suspects")
 	}
@@ -169,7 +169,7 @@ func TestCleanColumn(t *testing.T) {
 	}
 	// No suspects → the dictionary's own list back.
 	clean := column([]string{"90001", "90002"})
-	got, s := CleanColumn(clean, Options{})
+	got, s := CleanColumn(clean)
 	if len(s) != 0 || &got[0] != &clean.Dict.Values()[0] {
 		t.Error("clean column should pass through unchanged")
 	}
@@ -189,7 +189,7 @@ func TestRetiredValueIsNoSuspect(t *testing.T) {
 	if _, err := live.DeleteRows(1); err != nil {
 		t.Fatal(err) // so does "UNKNOWN"
 	}
-	if got := Detect(live.InternedColumn(0), Options{}); len(got) != 0 {
+	if got := Detect(live.InternedColumn(0)); len(got) != 0 {
 		t.Fatalf("suspects in a column of forty zips: %+v", got)
 	}
 	live.MustAppend("n/a")
@@ -198,7 +198,7 @@ func TestRetiredValueIsNoSuspect(t *testing.T) {
 	for r := 0; r < live.NumRows(); r++ {
 		fresh.MustAppend(live.Cell(r, 0))
 	}
-	got, want := Detect(live.InternedColumn(0), Options{}), Detect(fresh.InternedColumn(0), Options{})
+	got, want := Detect(live.InternedColumn(0)), Detect(fresh.InternedColumn(0))
 	if len(got) != 2 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("long-lived column: %+v\nits rows: %+v", got, want)
 	}
@@ -206,7 +206,7 @@ func TestRetiredValueIsNoSuspect(t *testing.T) {
 
 func TestSuspectsSortedByScore(t *testing.T) {
 	values, _ := zipColumnWithDMVs(2000, 8)
-	suspects := Detect(column(values), Options{})
+	suspects := Detect(column(values))
 	for i := 1; i < len(suspects); i++ {
 		if suspects[i].Score > suspects[i-1].Score {
 			t.Fatal("suspects not sorted by score")

@@ -22,7 +22,7 @@ type Doc map[string]any
 const IDField = "_id"
 
 // Store is a set of named collections. The zero value is not usable; use
-// Open or NewMem.
+// OpenWith or NewMem.
 type Store struct {
 	mu     sync.RWMutex
 	path   string // "" = memory-only
@@ -48,15 +48,11 @@ func NewMem() *Store {
 	return &Store{colls: make(map[string]*collection), nextID: 1}
 }
 
-// Open loads (or creates) a store persisted at path.
-func Open(path string) (*Store, error) {
-	return OpenWith(path, Options{})
-}
-
-// OpenWith is Open with explicit options. A corrupt persistence file —
-// unparseable JSON (including a truncated write), or a document without a
-// valid "_id" — is reported as an error rather than silently dropped, so
-// callers never mistake a damaged store for a partially empty one.
+// OpenWith loads (or creates) a store persisted at path. A corrupt
+// persistence file — unparseable JSON (including a truncated write), or a
+// document without a valid "_id" — is reported as an error rather than
+// silently dropped, so callers never mistake a damaged store for a
+// partially empty one.
 func OpenWith(path string, opts Options) (*Store, error) {
 	s := NewMem()
 	s.path = path

@@ -130,7 +130,7 @@ func TestCollections(t *testing.T) {
 
 func TestPersistenceRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.json")
-	s, err := Open(path)
+	s, err := OpenWith(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Open(path)
+	back, err := OpenWith(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 }
 
 func TestOpenMissingFileIsEmpty(t *testing.T) {
-	s, err := Open(filepath.Join(t.TempDir(), "absent.json"))
+	s, err := OpenWith(filepath.Join(t.TempDir(), "absent.json"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestOpenCorruptFile(t *testing.T) {
 	if err := writeFile(path, "{not json"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path); err == nil {
+	if _, err := OpenWith(path, Options{}); err == nil {
 		t.Error("corrupt file should error")
 	}
 }
@@ -178,7 +178,7 @@ func TestOpenTruncatedFile(t *testing.T) {
 	// A store file cut off mid-write (crash during a non-atomic copy,
 	// disk-full tail loss) must be reported, not loaded as partial data.
 	path := filepath.Join(t.TempDir(), "store.json")
-	s, err := Open(path)
+	s, err := OpenWith(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +199,8 @@ func TestOpenTruncatedFile(t *testing.T) {
 		if err := os.WriteFile(path, b[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Open(path); err == nil {
-			t.Errorf("truncated to %d/%d bytes: Open should error", cut, len(b))
+		if _, err := OpenWith(path, Options{}); err == nil {
+			t.Errorf("truncated to %d/%d bytes: OpenWith should error", cut, len(b))
 		}
 	}
 }
@@ -210,7 +210,7 @@ func TestOpenGarbageFile(t *testing.T) {
 	if err := writeFile(path, "\x00\x91\x7f binary junk \xfe\xff"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path); err == nil {
+	if _, err := OpenWith(path, Options{}); err == nil {
 		t.Error("garbage file should error")
 	}
 }
@@ -222,7 +222,7 @@ func TestOpenDocWithoutIDReported(t *testing.T) {
 	if err := writeFile(path, `{"next_id":5,"collections":{"pfds":[{"table":"zip"}]}}`); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Open(path)
+	_, err := OpenWith(path, Options{})
 	if err == nil {
 		t.Fatal("doc without _id should error")
 	}

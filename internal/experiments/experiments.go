@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -60,7 +61,7 @@ func (r Table3Report) Fprint(w io.Writer) {
 func runTable3(name string, ds *datagen.Dataset, lhs, rhs string, wantRules []string) (Table3Report, error) {
 	rep := Table3Report{Name: name, Injected: 0}
 	cfg := discovery.Default()
-	res, err := discovery.Discover(ds.Table, cfg)
+	res, err := discovery.Discover(context.TODO(), ds.Table, nil, cfg)
 	if err != nil {
 		return rep, err
 	}
@@ -197,7 +198,7 @@ func (r SweepReport) Fprint(w io.Writer) {
 
 func sweepEval(ds *datagen.Dataset, cfg discovery.Config, rhsCols map[string]bool) (SweepPoint, error) {
 	var pt SweepPoint
-	res, err := discovery.Discover(ds.Table, cfg)
+	res, err := discovery.Discover(context.TODO(), ds.Table, nil, cfg)
 	if err != nil {
 		return pt, err
 	}
@@ -294,7 +295,7 @@ func (r AblationReport) Fprint(w io.Writer) {
 
 // groundTruthPhonePFD builds the constant tableau the generator implies.
 func groundTruthPhonePFD(t *table.Table) *pfd.PFD {
-	res, err := discovery.Discover(t, discovery.Default())
+	res, err := discovery.Discover(context.TODO(), t, nil, discovery.Default())
 	if err != nil {
 		return nil
 	}
@@ -503,7 +504,7 @@ func DecisionAblation(n int) (DecisionReport, error) {
 		cfg := discovery.Default()
 		cfg.MaxViolationRatio = 0.05
 		cfg.Decision = v.f
-		res, err := discovery.Discover(ds.Table, cfg)
+		res, err := discovery.Discover(context.TODO(), ds.Table, nil, cfg)
 		if err != nil {
 			return rep, err
 		}
@@ -562,7 +563,7 @@ func ScaleDiscovery(sizes []int) (ScaleReport, error) {
 		cfgT := discovery.Default()
 		cfgT.Mode = discovery.ModeTokens
 		start := time.Now()
-		resT, err := discovery.Discover(ds.Table, cfgT)
+		resT, err := discovery.Discover(context.TODO(), ds.Table, nil, cfgT)
 		if err != nil {
 			return rep, err
 		}
@@ -570,7 +571,7 @@ func ScaleDiscovery(sizes []int) (ScaleReport, error) {
 		cfgN := discovery.Default()
 		cfgN.Mode = discovery.ModeNGrams
 		start = time.Now()
-		if _, err := discovery.Discover(ds.Table, cfgN); err != nil {
+		if _, err := discovery.Discover(context.TODO(), ds.Table, nil, cfgN); err != nil {
 			return rep, err
 		}
 		dN := time.Since(start)

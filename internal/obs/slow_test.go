@@ -25,7 +25,7 @@ func TestSlowRingIsTraceView(t *testing.T) {
 		obs.Traces.Reset()
 		obs.SetSlowThreshold(250 * time.Millisecond)
 	})
-	h := server.New(core.NewSystem(docstore.NewMem())).Handler()
+	h := server.New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig())).Handler()
 	get := func(path string, out any) string {
 		t.Helper()
 		rec := httptest.NewRecorder()

@@ -381,7 +381,7 @@ func TestCheckpointWriteFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sys := core.NewSystem(docstore.NewMem())
+			sys := core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig())
 			se := sys.NewSession("proj", testTable(), core.DefaultParams())
 			se.UseRules(testRules())
 			if _, err := se.RunDetection(context.Background()); err != nil {
@@ -485,7 +485,7 @@ func TestCheckpointCutDoesNoFileWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	sys := core.NewSystem(docstore.NewMem())
+	sys := core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig())
 	se := sys.NewSession("proj", testTable(), core.DefaultParams())
 	se.UseRules(testRules())
 	if _, err := se.RunDetection(context.Background()); err != nil {
@@ -558,7 +558,7 @@ func TestCheckpointWaiters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys := core.NewSystem(docstore.NewMem())
+		sys := core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig())
 		se = sys.NewSession("proj", testTable(), core.DefaultParams())
 		se.UseRules(testRules())
 		if _, err := se.RunDetection(context.Background()); err != nil {
@@ -630,7 +630,7 @@ func TestCheckpointWaiters(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer m2.Close()
-		if back, err := m2.Restore(core.NewSystem(docstore.NewMem())); err != nil || len(back) != 0 {
+		if back, err := m2.Restore(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig())); err != nil || len(back) != 0 {
 			t.Fatalf("the dropped session came back: %d sessions, err %v", len(back), err)
 		}
 	})
@@ -802,7 +802,7 @@ func TestCheckpointAlternatesSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := core.NewSystem(docstore.NewMem())
+	sys := core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig())
 	se := sys.NewSession("proj", testTable(), core.DefaultParams())
 	se.UseRules(testRules())
 	if _, err := se.RunDetection(context.Background()); err != nil {
@@ -817,7 +817,7 @@ func TestCheckpointAlternatesSegments(t *testing.T) {
 			if m, err = Open(dir, Options{CompactEvery: compactEvery}); err != nil {
 				t.Fatal(err)
 			}
-			back, err := m.Restore(core.NewSystem(docstore.NewMem()))
+			back, err := m.Restore(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 			if err != nil || len(back) != 1 {
 				t.Fatalf("restore: %d sessions, err %v", len(back), err)
 			}

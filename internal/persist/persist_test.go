@@ -72,7 +72,7 @@ func newDetectedSession(t *testing.T, dir string) (*core.Session, *Manager) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := core.NewSystem(docstore.NewMem())
+	sys := core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig())
 	se := sys.NewSession("proj", testTable(), core.DefaultParams())
 	se.UseRules(testRules())
 	if _, err := se.RunDetection(context.Background()); err != nil {
@@ -87,7 +87,7 @@ func newDetectedSession(t *testing.T, dir string) (*core.Session, *Manager) {
 
 func restoreOne(t *testing.T, dir string) (*core.Session, *Manager) {
 	t.Helper()
-	return restoreInto(t, dir, core.NewSystem(docstore.NewMem()))
+	return restoreInto(t, dir, core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 }
 
 // restoreInto is restoreOne into the given system.
@@ -169,7 +169,7 @@ func TestCompactionResetsWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := core.NewSystem(docstore.NewMem())
+	sys := core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig())
 	se := sys.NewSession("proj", testTable(), core.DefaultParams())
 	se.UseRules(testRules())
 	if _, err := se.RunDetection(context.Background()); err != nil {
@@ -222,7 +222,7 @@ func TestDropRemovesState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	sessions, err := m2.Restore(core.NewSystem(docstore.NewMem()))
+	sessions, err := m2.Restore(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestRestoreUndetectedSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := core.NewSystem(docstore.NewMem())
+	sys := core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig())
 	se := sys.NewSession("proj", testTable(), core.DefaultParams())
 	se.UseRules(testRules())
 	se.SetPersist(m)
@@ -269,7 +269,7 @@ func TestRestoreZeroRuleDetectedSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := core.NewSystem(docstore.NewMem())
+	sys := core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig())
 	se := sys.NewSession("proj", testTable(), core.DefaultParams())
 	se.UseRules(nil)
 	if _, err := se.RunDetection(context.Background()); err != nil {
@@ -299,7 +299,7 @@ func TestRestoredIDsDoNotCollide(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	sys := core.NewSystem(docstore.NewMem())
+	sys := core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig())
 	if _, err := m2.Restore(sys); err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestBackupAccessors(t *testing.T) {
 	if err != nil || img.ID != se.ID {
 		t.Fatalf("image of %s: %+v, err %v", se.ID, img, err)
 	}
-	back, seq, err := img.Restore(core.NewSystem(docstore.NewMem()), nil)
+	back, seq, err := img.Restore(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()), nil)
 	if err != nil || seq != 1 {
 		t.Fatalf("restore: seq %d, err %v; want seq 1", seq, err)
 	}

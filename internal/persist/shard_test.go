@@ -171,7 +171,7 @@ func TestRestoreRefusesLegacyShardWALs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	_, err = m2.Restore(core.NewSystem(docstore.NewMem()))
+	_, err = m2.Restore(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 	if err == nil || !strings.Contains(err.Error(), leftover) {
 		t.Fatalf("Restore over a leftover %s: err = %v, want a refusal naming it", leftover, err)
 	}

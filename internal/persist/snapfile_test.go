@@ -23,7 +23,7 @@ func newSessions(t *testing.T, dir string, n int) ([]*core.Session, *Manager) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := core.NewSystem(docstore.NewMem())
+	sys := core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig())
 	out := make([]*core.Session, n)
 	for i := range out {
 		tbl := testTable()
@@ -132,7 +132,7 @@ func TestRestoreConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	if _, err := m2.Restore(core.NewSystem(docstore.NewMem())); err == nil || !strings.Contains(err.Error(), "s5") {
+	if _, err := m2.Restore(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig())); err == nil || !strings.Contains(err.Error(), "s5") {
 		t.Fatalf("restore over a corrupt s5.snap: err = %v, want one naming it", err)
 	}
 	for id := range want {
@@ -144,7 +144,7 @@ func TestRestoreConcurrent(t *testing.T) {
 	if err := os.WriteFile(victim, good, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	back, err := m2.Restore(core.NewSystem(docstore.NewMem()))
+	back, err := m2.Restore(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 	if err != nil || len(back) != len(want) {
 		t.Fatalf("restore: %d sessions, err %v", len(back), err)
 	}
@@ -172,7 +172,7 @@ func TestRestoreRefuseslegacyStore(t *testing.T) {
 	if err := os.WriteFile(legacy, []byte(`{"next_id":1,"collections":{}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := m.Restore(core.NewSystem(docstore.NewMem()))
+	_, err := m.Restore(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 	if err == nil {
 		t.Fatal("restore over a store.json succeeded")
 	}
@@ -184,7 +184,7 @@ func TestRestoreRefuseslegacyStore(t *testing.T) {
 	if err := os.Remove(legacy); err != nil {
 		t.Fatal(err)
 	}
-	if back, err := m.Restore(core.NewSystem(docstore.NewMem())); err != nil || len(back) != 1 {
+	if back, err := m.Restore(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig())); err != nil || len(back) != 1 {
 		t.Fatalf("restore after removing it: %d sessions, err %v", len(back), err)
 	}
 }
@@ -222,7 +222,7 @@ func TestRestoreChecksSnapshotNames(t *testing.T) {
 		if err := os.WriteFile(path, c.content, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Restore(core.NewSystem(docstore.NewMem())); err == nil || !strings.Contains(err.Error(), c.want) {
+		if _, err := m.Restore(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig())); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want a refusal naming %s", c.name, err, c.want)
 		}
 		os.Remove(path)
@@ -234,7 +234,7 @@ func TestRestoreChecksSnapshotNames(t *testing.T) {
 	if err := os.WriteFile(tmp, own[:len(own)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if back, err := m.Restore(core.NewSystem(docstore.NewMem())); err != nil || len(back) != 1 {
+	if back, err := m.Restore(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig())); err != nil || len(back) != 1 {
 		t.Fatalf("restore beside a stale temporary: %d sessions, err %v", len(back), err)
 	}
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {

@@ -14,37 +14,17 @@ import (
 	"github.com/anmat/anmat/internal/profile"
 )
 
-// Options trims the report.
-type Options struct {
-	// MaxPatternsPerColumn caps the Figure 3 listing (default 5).
-	MaxPatternsPerColumn int
-	// MaxRowsPerTableau caps tableau rows shown per PFD (default 15).
-	MaxRowsPerTableau int
-	// MaxViolations caps the violation listing (default 50).
-	MaxViolations int
-	// MaxRepairs caps the repair listing (default 50).
-	MaxRepairs int
-}
-
-func (o *Options) defaults() {
-	if o.MaxPatternsPerColumn <= 0 {
-		o.MaxPatternsPerColumn = 5
-	}
-	if o.MaxRowsPerTableau <= 0 {
-		o.MaxRowsPerTableau = 15
-	}
-	if o.MaxViolations <= 0 {
-		o.MaxViolations = 50
-	}
-	if o.MaxRepairs <= 0 {
-		o.MaxRepairs = 50
-	}
-}
+// The report's listing caps.
+const (
+	maxPatternsPerColumn = 5  // the Figure 3 listing
+	maxRowsPerTableau    = 15 // tableau rows shown per PFD
+	maxViolations        = 50
+	maxRepairs           = 50
+)
 
 // Write renders the session to w. The session should have been Run (or
 // have had the individual stages executed).
-func Write(w io.Writer, se *core.Session, opts Options) error {
-	opts.defaults()
+func Write(w io.Writer, se *core.Session) error {
 	bw := &errWriter{w: w}
 
 	bw.printf("# ANMAT report — %s\n\n", se.Table.Name())
@@ -60,7 +40,7 @@ func Write(w io.Writer, se *core.Session, opts Options) error {
 		pats := profile.ColumnPatterns(se.Table.InternedColumn(i))
 		var cell []string
 		for j, ps := range pats {
-			if j >= opts.MaxPatternsPerColumn {
+			if j >= maxPatternsPerColumn {
 				cell = append(cell, "…")
 				break
 			}
@@ -78,7 +58,7 @@ func Write(w io.Writer, se *core.Session, opts Options) error {
 		bw.printf("### %s → %s (coverage %.1f%%)\n\n", p.LHS, p.RHS, p.Coverage*100)
 		bw.printf("| pattern | RHS | support |\n|---|---|---|\n")
 		for i, row := range p.Tableau.Rows() {
-			if i >= opts.MaxRowsPerTableau {
+			if i >= maxRowsPerTableau {
 				bw.printf("| … | | |\n")
 				break
 			}
@@ -91,8 +71,8 @@ func Write(w io.Writer, se *core.Session, opts Options) error {
 	if len(se.Violations) > 0 {
 		bw.printf("| rule | cells | observed | expected |\n|---|---|---|---|\n")
 		for i, v := range se.Violations {
-			if i >= opts.MaxViolations {
-				bw.printf("| … %d more | | | |\n", len(se.Violations)-opts.MaxViolations)
+			if i >= maxViolations {
+				bw.printf("| … %d more | | | |\n", len(se.Violations)-maxViolations)
 				break
 			}
 			cells := make([]string, len(v.Cells))
@@ -130,8 +110,8 @@ func Write(w io.Writer, se *core.Session, opts Options) error {
 
 		bw.printf("| cell | current | suggested | kind | confidence | rule |\n|---|---|---|---|---|---|\n")
 		for i, r := range se.Repairs {
-			if i >= opts.MaxRepairs {
-				bw.printf("| … %d more | | | | | |\n", len(se.Repairs)-opts.MaxRepairs)
+			if i >= maxRepairs {
+				bw.printf("| … %d more | | | | | |\n", len(se.Repairs)-maxRepairs)
 				break
 			}
 			bw.printf("| %s | %s | %s | %s | %.2f | `%s` |\n",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 
 func runSession(t *testing.T) *core.Session {
 	t.Helper()
-	sys := core.NewSystem(docstore.NewMem())
+	sys := core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig())
 	d := datagen.ZipCity(1000, 0.01, 77)
 	se := sys.NewSession("rpt", d.Table, core.DefaultParams())
 	if err := se.Run(context.Background()); err != nil {
@@ -26,7 +27,7 @@ func runSession(t *testing.T) *core.Session {
 func TestWriteSections(t *testing.T) {
 	se := runSession(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, se, Options{}); err != nil {
+	if err := Write(&buf, se); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -55,23 +56,30 @@ func TestWriteSections(t *testing.T) {
 	}
 }
 
+// Listings are capped: a session with more violations and repairs than
+// the report shows ends each listing in a "… N more" row.
 func TestWriteTruncation(t *testing.T) {
-	se := runSession(t)
+	sys := core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig())
+	d := datagen.ZipCity(5000, 0.02, 77)
+	se := sys.NewSession("rpt", d.Table, core.DefaultParams())
+	if err := se.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(se.Violations) <= maxViolations || len(se.Repairs) <= maxRepairs {
+		t.Fatalf("fixture too clean to truncate: %d violations, %d repairs", len(se.Violations), len(se.Repairs))
+	}
 	var buf bytes.Buffer
-	if err := Write(&buf, se, Options{MaxViolations: 1, MaxRowsPerTableau: 1, MaxRepairs: 1}); err != nil {
+	if err := Write(&buf, se); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "…") {
-		t.Error("expected truncation markers")
-	}
-	// Far smaller than the full report.
-	var full bytes.Buffer
-	if err := Write(&full, se, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() >= full.Len() {
-		t.Errorf("truncated report (%d) not smaller than full (%d)", buf.Len(), full.Len())
+	for _, want := range []string{
+		fmt.Sprintf("| … %d more | | | |\n", len(se.Violations)-maxViolations),
+		fmt.Sprintf("| … %d more | | | | | |\n", len(se.Repairs)-maxRepairs),
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing truncation row %q", want)
+		}
 	}
 }
 
@@ -87,20 +95,20 @@ func (f *failWriter) Write(p []byte) (int, error) {
 
 func TestWritePropagatesErrors(t *testing.T) {
 	se := runSession(t)
-	if err := Write(&failWriter{after: 2}, se, Options{}); err == nil {
+	if err := Write(&failWriter{after: 2}, se); err == nil {
 		t.Error("write error should propagate")
 	}
 }
 
 func TestWriteEmptySession(t *testing.T) {
-	sys := core.NewSystem(docstore.NewMem())
+	sys := core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig())
 	d := datagen.ZipCity(50, 0, 78)
 	se := sys.NewSession("rpt", d.Table, core.Params{MinCoverage: 1.1, AllowedViolations: 0})
 	if err := se.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, se, Options{}); err != nil {
+	if err := Write(&buf, se); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "No PFDs met the thresholds") {

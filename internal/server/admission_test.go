@@ -14,6 +14,7 @@ import (
 	"github.com/anmat/anmat/internal/datagen"
 	"github.com/anmat/anmat/internal/docstore"
 	"github.com/anmat/anmat/internal/obs"
+	"github.com/anmat/anmat/internal/table"
 )
 
 // postAs posts a body as the given tenant.
@@ -43,7 +44,7 @@ func wantReject(t *testing.T, rec *httptest.ResponseRecorder, wantReason string)
 }
 
 func TestAdmissionSessionQuota(t *testing.T) {
-	srv := New(core.NewSystem(docstore.NewMem()))
+	srv := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 	srv.SetLimits(Limits{MaxSessions: 2})
 	h := srv.Handler()
 	csv := csvBody(t, datagen.PhoneState(100, 0.01, 41))
@@ -82,7 +83,7 @@ func TestAdmissionSessionQuota(t *testing.T) {
 // forgotten once its last session is deleted, and no metric family holds
 // more series than the registry's cap.
 func TestAdmissionHostileTenants(t *testing.T) {
-	srv := New(core.NewSystem(docstore.NewMem()))
+	srv := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 	srv.SetLimits(Limits{MaxRows: 30})
 	h := srv.Handler()
 	tenants := func() int {
@@ -144,7 +145,7 @@ func TestAdmissionHostileTenants(t *testing.T) {
 }
 
 func TestAdmissionRowQuota(t *testing.T) {
-	srv := New(core.NewSystem(docstore.NewMem()))
+	srv := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 	srv.SetLimits(Limits{MaxRows: 250})
 	h := srv.Handler()
 
@@ -184,7 +185,7 @@ func TestAdmissionRowQuota(t *testing.T) {
 }
 
 func TestAdmissionDeltaRate(t *testing.T) {
-	srv := New(core.NewSystem(docstore.NewMem()))
+	srv := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 	srv.SetLimits(Limits{DeltaRate: 2}) // burst 2, refill 2/sec
 	h := srv.Handler()
 
@@ -246,7 +247,7 @@ func jsonField(t *testing.T, rec *httptest.ResponseRecorder, key string) string 
 // answered before the body is read, and leaves no session and no
 // admission reservation behind.
 func TestAdmissionUploadCap(t *testing.T) {
-	srv := New(core.NewSystem(docstore.NewMem()))
+	srv := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 	srv.SetLimits(Limits{MaxSessions: 1})
 	h := srv.Handler()
 	body := &readCounter{r: strings.NewReader(csvBody(t, datagen.PhoneState(20, 0.01, 44)))}
@@ -260,6 +261,80 @@ func TestAdmissionUploadCap(t *testing.T) {
 	if body.n != 0 {
 		t.Errorf("the 413 read %d body bytes first", body.n)
 	}
+	wantNothingLeft(t, srv, "the 413")
+	// The one session slot is still free.
+	if rec := postAs(t, h, "", "/api/v1/sessions?name=d", csvBody(t, datagen.PhoneState(20, 0.01, 44))); rec.Code != http.StatusOK {
+		t.Fatalf("upload after the 413: %d %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestAdmissionUploadWidthCap: an upload whose CSV header is wider than
+// table.MaxColumns is refused from the header alone — its rows are never
+// read — and leaves no session, session ID or admission reservation
+// behind.
+func TestAdmissionUploadWidthCap(t *testing.T) {
+	srv := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
+	srv.SetLimits(Limits{MaxSessions: 1})
+	h := srv.Handler()
+	cols := make([]string, table.MaxColumns+1)
+	for i := range cols {
+		cols[i] = fmt.Sprintf("c%d", i)
+	}
+	header := strings.Join(cols, ",") + "\n"
+	row := strings.Repeat("x,", table.MaxColumns) + "x\n"
+	body := &readCounter{r: strings.NewReader(header + strings.Repeat(row, 1000))}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/sessions?name=wide", body))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("upload %d columns wide: %d %s, want 400", len(cols), rec.Code, rec.Body.String())
+	}
+	// The CSV reader buffers 4 KiB at a time: the header and at most one
+	// buffer past it.
+	if body.n > len(header)+4096 {
+		t.Errorf("the 400 read %d body bytes; the header is %d", body.n, len(header))
+	}
+	wantNothingLeft(t, srv, "the 400")
+	// The one session slot is still free, and no session ID was spent.
+	rec = postAs(t, h, "", "/api/v1/sessions?name=d", csvBody(t, datagen.PhoneState(20, 0.01, 44)))
+	var created struct{ Session string }
+	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &created) != nil || created.Session != "s1" {
+		t.Fatalf("upload after the 400: %d %s, want 200 as s1", rec.Code, rec.Body.String())
+	}
+}
+
+// TestUploadParamsRejected: a coverage= or violations= that is not a
+// number in [0, 1] — NaN and ±Inf included — is a 400 answered before the
+// body is read, and leaves no session and no admission reservation
+// behind; the bounds themselves are accepted.
+func TestUploadParamsRejected(t *testing.T) {
+	srv := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
+	srv.SetLimits(Limits{MaxSessions: 1})
+	h := srv.Handler()
+	csv := csvBody(t, datagen.PhoneState(20, 0.01, 44))
+	for _, q := range []string{
+		"coverage=NaN", "coverage=Inf", "coverage=-Inf", "coverage=-1", "coverage=1.5",
+		"violations=NaN", "violations=7", "violations=-0.1",
+	} {
+		body := &readCounter{r: strings.NewReader(csv)}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/sessions?name=d&"+q, body))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: %d %s, want 400", q, rec.Code, rec.Body.String())
+		}
+		if body.n != 0 {
+			t.Errorf("%s: the 400 read %d body bytes first", q, body.n)
+		}
+	}
+	wantNothingLeft(t, srv, "the 400s")
+	if rec := postAs(t, h, "", "/api/v1/sessions?name=d&coverage=0&violations=1", csv); rec.Code != http.StatusOK {
+		t.Fatalf("coverage=0&violations=1: %d %s, want 200", rec.Code, rec.Body.String())
+	}
+}
+
+// wantNothingLeft asserts that a refused upload left no session and no
+// admission reservation behind.
+func wantNothingLeft(t *testing.T, srv *Server, after string) {
+	t.Helper()
 	srv.mu.RLock()
 	sessions := len(srv.sessions)
 	srv.mu.RUnlock()
@@ -267,11 +342,7 @@ func TestAdmissionUploadCap(t *testing.T) {
 	tenants := len(srv.adm.tenants)
 	srv.adm.mu.Unlock()
 	if sessions != 0 || tenants != 0 {
-		t.Fatalf("after the 413: %d session(s), %d tenant reservation(s), want none", sessions, tenants)
-	}
-	// The one session slot is still free.
-	if rec := postAs(t, h, "", "/api/v1/sessions?name=d", csvBody(t, datagen.PhoneState(20, 0.01, 44))); rec.Code != http.StatusOK {
-		t.Fatalf("upload after the 413: %d %s", rec.Code, rec.Body.String())
+		t.Fatalf("after %s: %d session(s), %d tenant reservation(s), want none", after, sessions, tenants)
 	}
 }
 

@@ -146,7 +146,7 @@ func TestBackupRestoreMemoryServer(t *testing.T) {
 	tarBytes := takeBackup(t, src, id)
 	wantViolations := mustJSON(t, src, "/api/v1/sessions/"+id+"/violations")
 
-	dstSrv := New(core.NewSystem(docstore.NewMem()))
+	dstSrv := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 	dst := dstSrv.Handler()
 	rec := postRestore(t, dst, tarBytes)
 	if rec.Code != http.StatusOK {
@@ -167,7 +167,7 @@ func TestBackupRestoreMemoryServer(t *testing.T) {
 
 // TestRestoreRejectsGarbage exercises the malformed-upload guards.
 func TestRestoreRejectsGarbage(t *testing.T) {
-	srv := New(core.NewSystem(docstore.NewMem()))
+	srv := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 	h := srv.Handler()
 	if rec := postRestore(t, h, []byte("not a tar at all")); rec.Code != http.StatusBadRequest {
 		t.Fatalf("garbage body: %d, want 400", rec.Code)
@@ -225,7 +225,7 @@ func TestRestoreRefusesLegacyShardWAL(t *testing.T) {
 	add(leftover, nil)
 	tw.Close()
 
-	dst := New(core.NewSystem(docstore.NewMem())).Handler()
+	dst := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig())).Handler()
 	rec := postRestore(t, dst, buf.Bytes())
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), leftover) {
 		t.Fatalf("restore with %s: %d %s, want 400 naming it", leftover, rec.Code, rec.Body.String())
@@ -245,7 +245,7 @@ func TestRestoreCountsAgainstAdmission(t *testing.T) {
 	src, id := newStreamServer(t)
 	tarBytes := takeBackup(t, src, id)
 
-	dstSrv := New(core.NewSystem(docstore.NewMem()))
+	dstSrv := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 	dstSrv.SetLimits(Limits{MaxRows: 100}) // dataset has 400 rows
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodPost, "/api/v1/sessions/restore", bytes.NewReader(tarBytes))
@@ -558,7 +558,7 @@ func durableBackup(t *testing.T) []byte {
 func TestRestoreRefusesMalformedImages(t *testing.T) {
 	for name, c := range badBackups(t, durableBackup(t)) {
 		t.Run(name, func(t *testing.T) {
-			h := New(core.NewSystem(docstore.NewMem())).Handler()
+			h := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig())).Handler()
 			rec := postRestore(t, h, c.tar)
 			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), c.says) {
 				t.Fatalf("%d %s, want a 400 saying %q", rec.Code, rec.Body.String(), c.says)
@@ -588,7 +588,7 @@ func serve(h http.Handler, method, target string, body []byte) *httptest.Respons
 // the order the writes began.
 func TestRestoreNeverSharesAnID(t *testing.T) {
 	backupOf := func(d *datagen.Dataset) []byte {
-		h := New(core.NewSystem(docstore.NewMem())).Handler()
+		h := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig())).Handler()
 		if rec, _ := postCSV(t, h, "/api/v1/sessions?name=phones", csvBody(t, d)); rec.Code != http.StatusOK {
 			t.Fatalf("upload: %d %s", rec.Code, rec.Body.String())
 		}
@@ -659,7 +659,7 @@ func TestRestoreNeverSharesAnID(t *testing.T) {
 // TestRestoreClaimPassesUploadsOver: an upload whose fresh ID a restore
 // has claimed takes the next one.
 func TestRestoreClaimPassesUploadsOver(t *testing.T) {
-	srv := New(core.NewSystem(docstore.NewMem()))
+	srv := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 	if !srv.claim("s1") {
 		t.Fatal("claim of a free ID refused")
 	}
@@ -685,7 +685,7 @@ func TestRestoreClaimPassesUploadsOver(t *testing.T) {
 // first format.
 func FuzzRestoreBackup(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
-		srv := New(core.NewSystem(docstore.NewMem()))
+		srv := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 		h := srv.Handler()
 		rec := postRestore(t, h, body)
 		if rec.Code >= 500 {
@@ -747,7 +747,7 @@ func sparseTar(name string, size int64) []byte {
 // cap — a sparse file holds more than its bytes on the wire — is a 413,
 // refused before it is read.
 func TestRestoreCapsExpandingEntries(t *testing.T) {
-	h := New(core.NewSystem(docstore.NewMem())).Handler()
+	h := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig())).Handler()
 	if rec := postRestore(t, h, sparseTar("s1.snap", 2*maxUploadBody)); rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("a sparse entry of %d bytes: %d %s, want 413", 2*maxUploadBody, rec.Code, rec.Body.String())
 	}

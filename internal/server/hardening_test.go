@@ -28,7 +28,7 @@ func TestHardeningMultiTenantRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(core.NewSystem(docstore.NewMem()))
+	srv := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 	if _, err := srv.RestoreSessions(m); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestHardeningMultiTenantRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	srv2 := New(core.NewSystem(docstore.NewMem()))
+	srv2 := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 	n, err := srv2.RestoreSessions(m2)
 	if err != nil {
 		t.Fatal(err)

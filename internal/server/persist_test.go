@@ -25,7 +25,7 @@ func durableServer(t *testing.T, dir string) (*Server, http.Handler, *persist.Ma
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { m.Close() })
-	srv := New(core.NewSystem(docstore.NewMem()))
+	srv := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 	if _, err := srv.RestoreSessions(m); err != nil {
 		t.Fatal(err)
 	}

@@ -404,8 +404,8 @@ func parseStages(w http.ResponseWriter, r *http.Request) ([]core.Stage, bool) {
 	return out, true
 }
 
-// floatParam parses an optional float query parameter, writing a 400 on
-// malformed input (second return false).
+// floatParam parses an optional ratio query parameter, writing a 400 on
+// malformed input or a value outside [0, 1] (second return false).
 func floatParam(w http.ResponseWriter, r *http.Request, name string, into *float64) bool {
 	v := r.URL.Query().Get(name)
 	if v == "" {
@@ -414,6 +414,10 @@ func floatParam(w http.ResponseWriter, r *http.Request, name string, into *float
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "malformed %s=%q: %v", name, v, err)
+		return false
+	}
+	if err := core.CheckRatio(name, f); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return false
 	}
 	*into = f

@@ -23,7 +23,7 @@ const s1 = "/api/v1/sessions/s1"
 // newLoadedServer serves one 800-row session, s1.
 func newLoadedServer(t *testing.T) *Server {
 	t.Helper()
-	sys := core.NewSystem(docstore.NewMem())
+	sys := core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig())
 	sys.CreateProject("demo")
 	srv := New(sys)
 	d := datagen.ZipCity(800, 0.01, 21)
@@ -101,7 +101,7 @@ func TestAPIProjects(t *testing.T) {
 }
 
 func TestAPIEmptySession(t *testing.T) {
-	srv := New(core.NewSystem(docstore.NewMem()))
+	srv := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 	h := srv.Handler()
 	for _, path := range []string{s1 + "/profile", s1 + "/pfds", s1 + "/violations", s1 + "/repairs"} {
 		if rec := get(t, h, path); rec.Code != http.StatusNotFound {
@@ -111,7 +111,7 @@ func TestAPIEmptySession(t *testing.T) {
 }
 
 func TestAPIUpload(t *testing.T) {
-	srv := New(core.NewSystem(docstore.NewMem()))
+	srv := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 	h := srv.Handler()
 	csv := "zip,city\n90001,Los Angeles\n90002,Los Angeles\n90003,Los Angeles\n90004,Los Angeles\n90005,New York\n"
 	req := httptest.NewRequest(http.MethodPost, "/api/v1/sessions?name=zips&coverage=0.5&violations=0.4", strings.NewReader(csv))
@@ -137,7 +137,7 @@ func TestAPIUpload(t *testing.T) {
 }
 
 func TestAPIUploadBadCSV(t *testing.T) {
-	srv := New(core.NewSystem(docstore.NewMem()))
+	srv := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 	h := srv.Handler()
 	req := httptest.NewRequest(http.MethodPost, "/api/v1/sessions", strings.NewReader(""))
 	rec := httptest.NewRecorder()
@@ -230,7 +230,7 @@ func TestAPIViolationDetail(t *testing.T) {
 }
 
 func TestAPIDMV(t *testing.T) {
-	sys := core.NewSystem(docstore.NewMem())
+	sys := core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig())
 	srv := New(sys)
 	d := datagen.ZipCity(600, 0, 22)
 	zi, _ := d.Table.ColIndex("zip")
@@ -247,7 +247,7 @@ func TestAPIDMV(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), "99999") {
 		t.Errorf("dmv response lacks sentinel: %s", rec.Body.String())
 	}
-	empty := New(core.NewSystem(docstore.NewMem()))
+	empty := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 	if rec := get(t, empty.Handler(), s1+"/dmv"); rec.Code != http.StatusNotFound {
 		t.Errorf("empty-session dmv status = %d", rec.Code)
 	}
@@ -270,7 +270,7 @@ func TestHTMLPages(t *testing.T) {
 }
 
 func TestHTMLPagesEmptySession(t *testing.T) {
-	srv := New(core.NewSystem(docstore.NewMem()))
+	srv := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 	h := srv.Handler()
 	for _, path := range []string{"/", "/profile", "/pfds", "/violations"} {
 		rec := get(t, h, path)
@@ -308,7 +308,7 @@ func postCSV(t *testing.T, h http.Handler, path, body string) (*httptest.Respons
 // separate sessions and asserts the registry keeps them isolated. Run
 // under -race, this is the registry's data-race regression net.
 func TestV1ConcurrentSessionIsolation(t *testing.T) {
-	srv := New(core.NewSystem(docstore.NewMem()))
+	srv := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 	h := srv.Handler()
 	uploads := []struct {
 		name string
@@ -449,7 +449,7 @@ func TestAPIBadParams(t *testing.T) {
 // TestV1SessionLifecycle covers summary, versioned detail, confirm, and
 // delete on an addressed session.
 func TestV1SessionLifecycle(t *testing.T) {
-	srv := New(core.NewSystem(docstore.NewMem()))
+	srv := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 	h := srv.Handler()
 	rec, out := postCSV(t, h, "/api/v1/sessions?name=zips", csvBody(t, datagen.ZipCity(600, 0.01, 25)))
 	if rec.Code != http.StatusOK {
@@ -500,7 +500,7 @@ func TestV1SessionLifecycle(t *testing.T) {
 // to the lowest session ID at lookup, so deleting that session hands
 // both to the lowest survivor.
 func TestDeleteDefaultPromotesSurvivor(t *testing.T) {
-	srv := New(core.NewSystem(docstore.NewMem()))
+	srv := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 	h := srv.Handler()
 	_, out1 := postCSV(t, h, "/api/v1/sessions?name=first", csvBody(t, datagen.ZipCity(400, 0.01, 26)))
 	_, out2 := postCSV(t, h, "/api/v1/sessions?name=second", csvBody(t, datagen.ZipCity(400, 0.01, 27)))
@@ -699,7 +699,7 @@ func TestErrorsAreJSON(t *testing.T) {
 		{"violation index out of range", "GET", s1 + "/violations/99999", "", 404, false, nil},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			srv := New(core.NewSystem(docstore.NewMem()))
+			srv := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 			h := srv.Handler()
 			if rec, _ := postCSV(t, h, "/api/v1/sessions", csvBody(t, datagen.PhoneState(400, 0.01, 31))); rec.Code != http.StatusOK {
 				t.Fatalf("upload: %d %s", rec.Code, rec.Body.String())

@@ -41,7 +41,7 @@ func newShardedServer(t *testing.T) (http.Handler, string) {
 }
 
 func TestHealthz(t *testing.T) {
-	srv := New(core.NewSystem(docstore.NewMem()))
+	srv := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 	h := srv.Handler()
 	rec, out := getJSON(t, h, "/healthz")
 	if rec.Code != http.StatusOK {

@@ -35,7 +35,7 @@ func postJSON(t *testing.T, h http.Handler, path, body string) (*httptest.Respon
 // pipeline and returns the handler plus the session id.
 func newStreamServer(t *testing.T) (http.Handler, string) {
 	t.Helper()
-	srv := New(core.NewSystem(docstore.NewMem()))
+	srv := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 	h := srv.Handler()
 	d := datagen.PhoneState(400, 0.01, 31)
 	rec, out := postCSV(t, h, "/api/v1/sessions?name=phones", csvBody(t, d))
@@ -46,7 +46,7 @@ func newStreamServer(t *testing.T) (http.Handler, string) {
 }
 
 func TestAPIStagesPartialRunAnd409(t *testing.T) {
-	srv := New(core.NewSystem(docstore.NewMem()))
+	srv := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 	h := srv.Handler()
 	d := datagen.PhoneState(300, 0.01, 32)
 
@@ -295,7 +295,7 @@ func TestAPIConcurrentDeltas(t *testing.T) {
 // the upload's, which would name other tuples — and the session summary
 // counts the same ones.
 func TestRepairsDescribeTheCurrentTable(t *testing.T) {
-	srv := New(core.NewSystem(docstore.NewMem()))
+	srv := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
 	h := srv.Handler()
 	rec, out := postCSV(t, h, "/api/v1/sessions?name=phones", csvBody(t, datagen.PhoneState(400, 0.01, 31)))
 	if rec.Code != http.StatusOK {

@@ -298,10 +298,16 @@ func normalizeRecord(rec []string) {
 	}
 }
 
-// ReadCSV loads a table from CSV data. The first record is the header.
-// Cell values are normalized with NormalizeCell, so loaded tables always
-// survive a WriteCSV/ReadCSV round trip (see the WriteCSV limitations for
-// the one remaining single-column empty-cell case).
+// MaxColumns bounds the width of a table read from CSV. Discovery mines
+// every ordered pair of columns, so its work grows with the square of the
+// width; ReadCSV refuses a wider header before it reads any row.
+const MaxColumns = 256
+
+// ReadCSV loads a table from CSV data. The first record is the header,
+// at most MaxColumns wide. Cell values are normalized with NormalizeCell,
+// so loaded tables always survive a WriteCSV/ReadCSV round trip (see the
+// WriteCSV limitations for the one remaining single-column empty-cell
+// case).
 func ReadCSV(name string, r io.Reader) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
@@ -309,6 +315,9 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("read csv header: %w", err)
+	}
+	if len(header) > MaxColumns {
+		return nil, fmt.Errorf("csv header has %d columns, more than the %d a table may have", len(header), MaxColumns)
 	}
 	normalizeRecord(header)
 	t, err := New(name, header)

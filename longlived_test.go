@@ -43,7 +43,7 @@ func TestLongLivedTableEqualsItsRows(t *testing.T) {
 				live := fam.gen(240, 0.02, seed).Table
 				pool := fam.gen(240, 0.02, seed+100).Table
 				s := &lifeScript{rng: rand.New(rand.NewSource(seed)), live: live, pool: pool}
-				standing, err := discovery.Discover(live, discovery.Default())
+				standing, err := discovery.Discover(context.Background(), live, nil, discovery.Default())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -199,7 +199,7 @@ func compareWithFreshLoad(t *testing.T, live *table.Table, standing []*pfd.PFD) 
 		lc, fc := live.InternedColumn(c), fresh.InternedColumn(c)
 		same("column patterns of "+name, profile.ColumnPatterns(lc), profile.ColumnPatterns(fc))
 		same("token patterns of "+name, profile.TokenPatterns(lc), profile.TokenPatterns(fc))
-		same("DMV suspects of "+name, dmv.Detect(lc, dmv.Options{}), dmv.Detect(fc, dmv.Options{}))
+		same("DMV suspects of "+name, dmv.Detect(lc), dmv.Detect(fc))
 	}
 	for _, mode := range []discovery.Mode{discovery.ModeTokens, discovery.ModeNGrams} {
 		for _, clean := range []bool{false, true} {
@@ -209,7 +209,7 @@ func compareWithFreshLoad(t *testing.T, live *table.Table, standing []*pfd.PFD) 
 			var rendered [2]strings.Builder
 			var violations [2]string
 			for i, tbl := range []*table.Table{live, fresh} {
-				res, err := discovery.Discover(tbl, cfg)
+				res, err := discovery.Discover(context.Background(), tbl, nil, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
