@@ -1,6 +1,7 @@
 // Benchmark harness: one benchmark per evaluation artifact of the paper
-// (DESIGN.md §5 maps artifacts to benches) plus ablations for the design
-// choices in DESIGN.md §6. Run with:
+// (the Table 3 blocks and the stage behind each Figure view) plus
+// ablations for three design choices: the pattern index, blocking, and
+// tableau minimization. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -242,7 +243,7 @@ func phonePFD(b *testing.B, t *table.Table) *pfd.PFD {
 }
 
 // BenchmarkAblation_ConstantDetection compares the pattern index against a
-// full scan (DESIGN.md §6.1).
+// full scan (ARCHITECTURE.md, "Columnar interned hot path").
 func BenchmarkAblation_ConstantDetection(b *testing.B) {
 	ds := datagen.PhoneState(benchRows, 0.005, experiments.Seed)
 	p := phonePFD(b, ds.Table)
@@ -265,9 +266,9 @@ func BenchmarkAblation_ConstantDetection(b *testing.B) {
 }
 
 // BenchmarkAblation_VariableDetection compares blocking against the
-// quadratic pair check (DESIGN.md §6.2). Both variants run at the same
-// size; it is kept below benchRows because the quadratic engine touches
-// every tuple pair (n=1000 → ~500k EquivalentUnder calls per iteration).
+// quadratic pair check (ARCHITECTURE.md, "Columnar interned hot path").
+// Both variants run at the same size; it is kept below benchRows because
+// the quadratic engine touches every tuple pair (n=1000 → ~500k EquivalentUnder calls per iteration).
 func BenchmarkAblation_VariableDetection(b *testing.B) {
 	ds := datagen.ZipCity(1000, 0.01, experiments.Seed)
 	q := pattern.MustParseConstrained(`<\D{4}>\D`)
@@ -291,7 +292,8 @@ func BenchmarkAblation_VariableDetection(b *testing.B) {
 	})
 }
 
-// BenchmarkAblation_TableauMinimize measures minimization (DESIGN.md §6.4).
+// BenchmarkAblation_TableauMinimize measures minimization (ARCHITECTURE.md,
+// "Pattern matching").
 func BenchmarkAblation_TableauMinimize(b *testing.B) {
 	ds := datagen.ZipCity(benchRows, 0.01, experiments.Seed)
 	cfg := discovery.Default()
@@ -396,7 +398,7 @@ func BenchmarkTokenize(b *testing.B) {
 	b.Run("NGrams", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if len(tokenize.NGrams("8505467600", 3)) != 8 {
+			if len(tokenize.AppendNGrams(nil, "8505467600", 3)) != 8 {
 				b.Fatal("bad n-grams")
 			}
 		}

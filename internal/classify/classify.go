@@ -7,10 +7,7 @@
 // value, as when a state is simply wrong).
 package classify
 
-import (
-	"strings"
-	"unicode"
-)
+import "strings"
 
 // Kind is the error category.
 type Kind uint8
@@ -110,22 +107,6 @@ func Levenshtein(a, b string) int {
 		prev, cur = cur, prev
 	}
 	return prev[len(rb)]
-}
-
-// FoldCase reports whether the values differ only in letter case at some
-// positions (stricter than EqualFold for diagnostics): same runes after
-// unicode.ToLower.
-func FoldCase(a, b string) bool {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) != len(rb) {
-		return false
-	}
-	for i := range ra {
-		if unicode.ToLower(ra[i]) != unicode.ToLower(rb[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Summary counts error kinds over (observed, expected) pairs — the

@@ -84,12 +84,6 @@ func TestLevenshteinProperties(t *testing.T) {
 	}
 }
 
-func TestFoldCase(t *testing.T) {
-	if !FoldCase("iL", "IL") || FoldCase("lL", "IL") || FoldCase("ab", "abc") {
-		t.Error("FoldCase misbehaving")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([][2]string{
 		{"Chicag", "Chicago"},

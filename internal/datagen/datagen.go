@@ -1,8 +1,7 @@
 // Package datagen generates the synthetic stand-ins for the demo's
-// datasets (see DESIGN.md §3). Each generator is deterministic under its
-// seed and produces a clean table plus an error-injection step that
-// records ground truth, so experiments can score precision/recall of the
-// detected violations.
+// datasets. Each generator is deterministic under its seed and produces a
+// clean table plus an error-injection step that records ground truth, so
+// experiments can score precision/recall of the detected violations.
 //
 // Families:
 //

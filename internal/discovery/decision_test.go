@@ -58,7 +58,8 @@ func TestWilsonDecision(t *testing.T) {
 
 func TestWilsonSuppressesOverfitRules(t *testing.T) {
 	// At ρ-style raw thresholding with dirty data, low-support long
-	// prefixes flood the tableau (see EXPERIMENTS.md ρ=0 row). Wilson
+	// prefixes flood the tableau (the ρ=0 row of the ρ sweep that
+	// `anmat experiments` prints). Wilson
 	// keeps only well-supported rules.
 	ds := datagen.PhoneState(3000, 0.02, 41)
 	raw := Default()

@@ -9,6 +9,7 @@ import (
 	"github.com/anmat/anmat/internal/invlist"
 	"github.com/anmat/anmat/internal/pfd"
 	"github.com/anmat/anmat/internal/table"
+	"github.com/anmat/anmat/internal/tableau"
 )
 
 // findPFD returns the PFD with the given LHS→RHS, or nil.
@@ -151,7 +152,12 @@ func TestDiscoverVariableRows(t *testing.T) {
 	if p == nil {
 		t.Fatal("no phone→state PFD")
 	}
-	vars := p.Tableau.VariableRows()
+	var vars []tableau.Row
+	for _, r := range p.Tableau.Rows() {
+		if r.Variable() {
+			vars = append(vars, r)
+		}
+	}
 	if len(vars) == 0 {
 		t.Fatalf("expected a variable row (λ5-style); tableau:\n%s", p.Tableau)
 	}

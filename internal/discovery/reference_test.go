@@ -47,11 +47,11 @@ func refEntries(lhs, rhs []string, useTokens bool, cfg Config) []refEntry {
 			}
 			continue
 		}
-		for _, tok := range tokenize.Prefixes(v, cfg.MaxPrefix) {
+		for _, tok := range tokenize.AppendPrefixes(nil, v, cfg.MaxPrefix) {
 			k := "p\x00" + tok.Text
 			m[k] = append(m[k], refPosting{id, 0, rhs[id]})
 		}
-		for _, tok := range tokenize.NGrams(v, cfg.NGramN) {
+		for _, tok := range tokenize.AppendNGrams(nil, v, cfg.NGramN) {
 			if tok.Pos == 0 {
 				continue
 			}

@@ -1,7 +1,7 @@
 // Package docstore is the embedded document store standing in for the
-// demo's MongoDB backend (DESIGN.md §3): named collections of JSON
-// documents with insert/find/update/delete, optional field filters, and
-// durable single-file persistence. It is safe for concurrent use.
+// demo's MongoDB backend: named collections of JSON documents with
+// insert/find/delete, optional field filters, and durable single-file
+// persistence. It is safe for concurrent use.
 package docstore
 
 import (
@@ -245,27 +245,6 @@ func (s *Store) Count(coll string, f Filter) int {
 		}
 	}
 	return n
-}
-
-// Update overwrites the non-id fields of the document with the given id.
-// It reports whether the document existed.
-func (s *Store) Update(coll string, id int64, d Doc) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := s.colls[coll]
-	if c == nil {
-		return false
-	}
-	if _, ok := c.docs[id]; !ok {
-		return false
-	}
-	cp := make(Doc, len(d)+1)
-	for k, v := range d {
-		cp[k] = v
-	}
-	cp[IDField] = id
-	c.docs[id] = cp
-	return true
 }
 
 // Delete removes the matching documents from the collection and returns

@@ -71,23 +71,6 @@ func TestFindFilter(t *testing.T) {
 	}
 }
 
-func TestUpdate(t *testing.T) {
-	s := NewMem()
-	id := s.Insert("c", Doc{"k": "v"})
-	if !s.Update("c", id, Doc{"k": "w"}) {
-		t.Fatal("Update should succeed")
-	}
-	if s.Get("c", id)["k"] != "w" {
-		t.Error("Update not applied")
-	}
-	if s.Update("c", 999, Doc{}) {
-		t.Error("missing id Update should fail")
-	}
-	if s.Update("nope", id, Doc{}) {
-		t.Error("missing collection Update should fail")
-	}
-}
-
 func TestDelete(t *testing.T) {
 	s := NewMem()
 	s.Insert("c", Doc{"session": "s1", "n": 1})

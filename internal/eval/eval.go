@@ -40,12 +40,3 @@ func (m Metrics) String() string {
 	return fmt.Sprintf("injected=%d flagged=%d recall=%.2f precision=%.2f f1=%.2f",
 		m.Injected, m.Flagged, m.Recall, m.Precision, m.F1)
 }
-
-// RowSet builds a row set from a slice of row ids.
-func RowSet(rows []int) map[int]bool {
-	m := make(map[int]bool, len(rows))
-	for _, r := range rows {
-		m[r] = true
-	}
-	return m
-}

@@ -1,9 +1,8 @@
-// Package experiments regenerates the paper's evaluation artifacts
-// (DESIGN.md §5): the four Table 3 blocks, the parameter-setting trade-off
-// of Section 4, the complexity ablations of Section 3, and the
-// PFD-vs-FD/CFD baseline comparison of Section 1. Each experiment returns
-// a printable report; cmd/anmat surfaces them and EXPERIMENTS.md records
-// paper-vs-measured.
+// Package experiments regenerates the paper's evaluation artifacts: the
+// four Table 3 blocks, the parameter-setting trade-off of Section 4, the
+// complexity ablations of Section 3, and the PFD-vs-FD baseline
+// comparison of Section 1. Each experiment returns a printable report;
+// `anmat experiments` prints them.
 package experiments
 
 import (
@@ -384,7 +383,7 @@ func point(n int, opt, naive time.Duration) AblationPoint {
 }
 
 // BaselineReport compares error detection by PFDs against whole-value FDs
-// and CFDs (the Section 1 claim: errors "cannot be captured by existing
+// (the Section 1 claim: errors "cannot be captured by existing
 // approaches").
 type BaselineReport struct {
 	Dataset      string

@@ -1,6 +1,6 @@
 // Package fd implements the classical baselines the paper compares
 // against: exact functional-dependency discovery by partition refinement
-// (the core of TANE) and FD/CFD violation detection over whole attribute
+// (the core of TANE) and FD violation detection over whole attribute
 // values. PFDs subsume these; the baseline exists to demonstrate the
 // errors that whole-value dependencies cannot catch (Section 1:
 // "the fundamental limitation of previous ICs").
@@ -165,104 +165,6 @@ func Check(t *table.Table, f FD) ([]Violation, error) {
 		}
 	}
 	return out, nil
-}
-
-// CFD is a conditional functional dependency with a constant pattern
-// tableau over whole values: rows (lhsValue → rhsValue) where lhsValue "_"
-// is the wildcard matching any value (in which case the rule degrades to
-// the embedded FD on matching rows).
-type CFD struct {
-	LHS, RHS string
-	Rows     []CFDRow
-}
-
-// CFDRow is one tableau row of a CFD.
-type CFDRow struct {
-	LHSVal string // "_" = wildcard
-	RHSVal string // "_" = wildcard (agreement semantics)
-}
-
-// Wild is the CFD wildcard.
-const Wild = "_"
-
-// CheckCFD returns the rows of t violating the CFD. Constant rows flag
-// single tuples; wildcard rows flag whole-value FD violations restricted
-// to the matching tuples.
-func CheckCFD(t *table.Table, c CFD) ([]Violation, error) {
-	li, ok := t.ColIndex(c.LHS)
-	if !ok {
-		return nil, fmt.Errorf("cfd: no column %q", c.LHS)
-	}
-	ri, ok := t.ColIndex(c.RHS)
-	if !ok {
-		return nil, fmt.Errorf("cfd: no column %q", c.RHS)
-	}
-	f := FD{LHS: c.LHS, RHS: c.RHS}
-	var out []Violation
-	for _, row := range c.Rows {
-		switch {
-		case row.LHSVal != Wild && row.RHSVal != Wild:
-			for r := 0; r < t.NumRows(); r++ {
-				if t.Cell(r, li) == row.LHSVal && t.Cell(r, ri) != row.RHSVal {
-					out = append(out, Violation{
-						FD: f, RowI: r, RowJ: r,
-						LHSVal: row.LHSVal, RHSI: row.RHSVal, RHSJ: t.Cell(r, ri),
-					})
-				}
-			}
-		case row.LHSVal != Wild: // constant LHS, wildcard RHS
-			var rows []int
-			for r := 0; r < t.NumRows(); r++ {
-				if t.Cell(r, li) == row.LHSVal {
-					rows = append(rows, r)
-				}
-			}
-			out = append(out, groupViolations(t, f, ri, row.LHSVal, rows)...)
-		default: // wildcard LHS: plain FD semantics
-			vs, err := Check(t, f)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, vs...)
-		}
-	}
-	return out, nil
-}
-
-func groupViolations(t *table.Table, f FD, ri int, lhsVal string, g []int) []Violation {
-	if len(g) < 2 {
-		return nil
-	}
-	counts := make(map[string]int)
-	for _, r := range g {
-		counts[t.Cell(r, ri)]++
-	}
-	maj, majN := "", -1
-	for v, c := range counts {
-		if c > majN || (c == majN && v < maj) {
-			maj, majN = v, c
-		}
-	}
-	if majN == len(g) {
-		return nil
-	}
-	rep := -1
-	for _, r := range g {
-		if t.Cell(r, ri) == maj {
-			rep = r
-			break
-		}
-	}
-	var out []Violation
-	for _, r := range g {
-		if t.Cell(r, ri) != maj {
-			out = append(out, Violation{
-				FD: f, RowI: rep, RowJ: r,
-				LHSVal: lhsVal, RHSI: maj, RHSJ: t.Cell(r, ri),
-			})
-		}
-	}
-	return out
 }
 
 // ViolatingRows collects the distinct offending row ids from violations

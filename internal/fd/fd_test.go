@@ -121,57 +121,6 @@ func TestCheckMissingColumn(t *testing.T) {
 	}
 }
 
-func TestCheckCFDConstant(t *testing.T) {
-	tb := sample()
-	tb.MustAppend("90009", "New York", "CA") // violates (Los Angeles-area constant rule)?
-	c := CFD{
-		LHS: "city", RHS: "state",
-		Rows: []CFDRow{{LHSVal: "New York", RHSVal: "NY"}},
-	}
-	vs, err := CheckCFD(tb, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs) != 1 || vs[0].RowJ != 5 {
-		t.Errorf("CFD constant violations = %+v", vs)
-	}
-}
-
-func TestCheckCFDWildcardLHS(t *testing.T) {
-	tb := sample()
-	tb.MustAppend("60601", "Peoria", "IL")
-	c := CFD{LHS: "zip", RHS: "city", Rows: []CFDRow{{LHSVal: Wild, RHSVal: Wild}}}
-	vs, err := CheckCFD(tb, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs) != 1 || vs[0].RHSJ != "Peoria" {
-		t.Errorf("CFD wildcard violations = %+v", vs)
-	}
-}
-
-func TestCheckCFDConstantLHSWildcardRHS(t *testing.T) {
-	tb := sample()
-	tb.MustAppend("60601", "Chicago", "WI")
-	c := CFD{LHS: "city", RHS: "state", Rows: []CFDRow{{LHSVal: "Chicago", RHSVal: Wild}}}
-	vs, err := CheckCFD(tb, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs) != 1 || vs[0].RHSJ != "WI" {
-		t.Errorf("CFD group violations = %+v", vs)
-	}
-}
-
-func TestCheckCFDMissingColumns(t *testing.T) {
-	if _, err := CheckCFD(sample(), CFD{LHS: "x", RHS: "state"}); err == nil {
-		t.Error("bad LHS should error")
-	}
-	if _, err := CheckCFD(sample(), CFD{LHS: "city", RHS: "x"}); err == nil {
-		t.Error("bad RHS should error")
-	}
-}
-
 // The headline claim of the paper: FDs over whole values cannot catch the
 // error that a PFD catches, because the dirty tuple's LHS value is unique.
 func TestFDBlindSpot(t *testing.T) {

@@ -129,34 +129,3 @@ func LCG(a, b Class) Class {
 	}
 	return All
 }
-
-// LCGRunes returns the least common generalization of two characters. Two
-// equal characters generalize to themselves conceptually; this function
-// operates at the class layer and returns the lowest class containing both.
-func LCGRunes(a, b rune) Class {
-	return LCG(ClassOf(a), ClassOf(b))
-}
-
-// Classes returns all classes from most specific to most general.
-func Classes() []Class {
-	return []Class{Upper, Lower, Digit, Symbol, All}
-}
-
-// ParseClass parses a pattern-language class spelling such as `\LU`.
-// It returns the class and true on success.
-func ParseClass(s string) (Class, bool) {
-	switch s {
-	case `\LU`:
-		return Upper, true
-	case `\LL`:
-		return Lower, true
-	case `\D`:
-		return Digit, true
-	case `\S`:
-		return Symbol, true
-	case `\A`:
-		return All, true
-	default:
-		return 0, false
-	}
-}

@@ -154,40 +154,6 @@ func (h *Histogram) Snapshot() (counts []uint64, sum float64, count uint64) {
 	return counts, math.Float64frombits(h.s.sumBits.Load()), h.s.count.Load()
 }
 
-// Buckets returns the histogram's upper bounds (excluding +Inf).
-func (h *Histogram) Buckets() []float64 { return h.buckets }
-
-// Quantile estimates the q-quantile (0 < q < 1) of the distribution
-// described by bucket counts over bounds, by linear interpolation
-// within the bucket the quantile falls into — the same estimate
-// Prometheus's histogram_quantile computes. Returns NaN when empty.
-func Quantile(q float64, bounds []float64, counts []uint64) float64 {
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(total)
-	var cum uint64
-	for i, c := range counts {
-		cum += c
-		if float64(cum) >= rank {
-			if i >= len(bounds) { // +Inf bucket: clamp to the last finite bound
-				return bounds[len(bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = bounds[i-1]
-			}
-			frac := (rank - float64(cum-c)) / float64(c)
-			return lo + (bounds[i]-lo)*frac
-		}
-	}
-	return bounds[len(bounds)-1]
-}
-
 // register resolves (creating if needed) a family, enforcing the
 // idempotency contract: same name must mean same type, labels, and
 // buckets.

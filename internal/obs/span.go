@@ -40,10 +40,3 @@ func Span(ctx context.Context, name string) func() {
 	_, end := StartSpan(ctx, name)
 	return func() { end(nil) }
 }
-
-// SpanHistogram resolves the duration histogram series of one span name
-// — the handle benchmarks use to compute stage-latency quantiles from
-// Snapshot deltas (see Quantile).
-func SpanHistogram(name string) *Histogram {
-	return spanDur.WithLabelValues(name)
-}

@@ -19,14 +19,6 @@ func (p Pattern) Contains(q Pattern) bool {
 	return included(compiled(q), compiled(p), symbolicAlphabet(p, q))
 }
 
-// ContainedBy is the paper-direction convenience: p ⊆ q.
-func (p Pattern) ContainedBy(q Pattern) bool { return q.Contains(p) }
-
-// EquivalentTo reports whether p and q match exactly the same strings.
-func (p Pattern) EquivalentTo(q Pattern) bool {
-	return p.Contains(q) && q.Contains(p)
-}
-
 // symbolicAlphabet builds a finite alphabet sufficient to distinguish the
 // languages of p and q: every literal rune referenced by either pattern,
 // plus a representative character for each base class chosen to avoid the
@@ -68,42 +60,29 @@ var classMembers = [4]string{
 	gentree.Symbol: " !#$%&()-./:;?@_~^|<>=,",
 }
 
-// Intersects reports whether some string matches both p and q. The
-// pattern index uses it to prune signature groups that cannot contain a
-// match for a query pattern.
-func (p Pattern) Intersects(q Pattern) bool {
-	a, b := compiled(p), compiled(q)
-	alpha := symbolicAlphabet(p, q)
-	if a.small && b.small {
-		return reachSmall(a, b, alpha, true)
-	}
-	return intersectsSets(a, b, alpha)
-}
-
 // included decides L(a) ⊆ L(b): no string may drive a to acceptance while
 // b rejects it. Patterns discovery emits on realistic cells compile to at
 // most 64 states, and their product runs on machine words; the stateSet
 // product decides everything larger.
 func included(a, b *nfa, alpha []rune) bool {
 	if a.small && b.small {
-		return !reachSmall(a, b, alpha, false)
+		return includedSmall(a, b, alpha)
 	}
 	return includedSets(a, b, alpha)
 }
 
-// reachSmall explores the reachable pairs (subset of a-states, subset of
-// b-states) of two small automata over the symbolic alphabet, each subset
-// one machine word, and reports whether in some pair a accepts while b's
-// acceptance equals bAccepts: true asks for a common string (Intersects),
-// false for a counterexample to L(a) ⊆ L(b).
-func reachSmall(a, b *nfa, alpha []rune, bAccepts bool) bool {
+// includedSmall is included for two small automata: it explores the
+// reachable pairs (subset of a-states, subset of b-states) over the
+// symbolic alphabet, each subset one machine word, looking for a pair
+// where a accepts but b does not.
+func includedSmall(a, b *nfa, alpha []rune) bool {
 	type pair struct{ sa, sb uint64 }
-	hit := func(p pair) bool {
-		return p.sa&a.accMask != 0 && (p.sb&b.accMask != 0) == bAccepts
+	counter := func(p pair) bool {
+		return p.sa&a.accMask != 0 && p.sb&b.accMask == 0
 	}
 	start := pair{a.epsClo[0], b.epsClo[0]}
-	if hit(start) {
-		return true
+	if counter(start) {
+		return false
 	}
 	var buf [32]pair
 	queue := append(buf[:0], start)
@@ -116,11 +95,8 @@ func reachSmall(a, b *nfa, alpha []rune, bAccepts bool) bool {
 				continue // a rejects every extension on r
 			}
 			n.sb = b.stepSmall(f.sb, r)
-			if bAccepts && n.sb == 0 {
-				continue // so does b, and a common string needs both
-			}
-			if hit(n) {
-				return true
+			if counter(n) {
+				return false
 			}
 			if _, ok := seen[n]; !ok {
 				seen[n] = struct{}{}
@@ -128,46 +104,11 @@ func reachSmall(a, b *nfa, alpha []rune, bAccepts bool) bool {
 			}
 		}
 	}
-	return false
+	return true
 }
 
-// intersectsSets is Intersects over stateSets: the path for automata past
-// 64 states, and the oracle the word-sized product is fuzzed against.
-func intersectsSets(a, b *nfa, alpha []rune) bool {
-	type pair struct{ ka, kb string }
-	sa, sb := a.start(), b.start()
-	if a.accepts(sa) && b.accepts(sb) {
-		return true
-	}
-	seen := map[pair]bool{{sa.key(), sb.key()}: true}
-	type frame struct{ sa, sb stateSet }
-	queue := []frame{{sa, sb}}
-	for len(queue) > 0 {
-		f := queue[0]
-		queue = queue[1:]
-		for _, r := range alpha {
-			na := a.step(f.sa, r)
-			if na.empty() {
-				continue
-			}
-			nb := b.step(f.sb, r)
-			if nb.empty() {
-				continue
-			}
-			if a.accepts(na) && b.accepts(nb) {
-				return true
-			}
-			pk := pair{na.key(), nb.key()}
-			if !seen[pk] {
-				seen[pk] = true
-				queue = append(queue, frame{na, nb})
-			}
-		}
-	}
-	return false
-}
-
-// includedSets is included over stateSets (see intersectsSets): it explores
+// includedSets is included over stateSets, the path for automata past 64
+// states and the oracle includedSmall is fuzzed against: it explores
 // reachable pairs (subset of a-states, subset of b-states) over the
 // symbolic alphabet, looking for a pair where a accepts but b does not.
 func includedSets(a, b *nfa, alpha []rune) bool {

@@ -105,8 +105,7 @@ func FuzzMatch(f *testing.F) {
 // FuzzContains is the differential test of containment on machine words:
 // for any two patterns whose automata are small, the word-sized product
 // must give the verdicts of the stateSet product, for inclusion in both
-// directions and for intersection; and Contains is reflexive whatever the
-// size.
+// directions; and Contains is reflexive whatever the size.
 func FuzzContains(f *testing.F) {
 	f.Add(`\A*,\ Margaret\A*`, `\A*,\ Margaret`)
 	f.Add(`\D{5}`, `900\D{2}`)
@@ -134,14 +133,11 @@ func FuzzContains(f *testing.F) {
 			return
 		}
 		alpha := symbolicAlphabet(p, q)
-		if got, want := !reachSmall(a, b, alpha, false), includedSets(a, b, alpha); got != want {
+		if got, want := includedSmall(a, b, alpha), includedSets(a, b, alpha); got != want {
 			t.Fatalf("L(%q) ⊆ L(%q): words %v, stateSets %v", ps, qs, got, want)
 		}
-		if got, want := !reachSmall(b, a, alpha, false), includedSets(b, a, alpha); got != want {
+		if got, want := includedSmall(b, a, alpha), includedSets(b, a, alpha); got != want {
 			t.Fatalf("L(%q) ⊆ L(%q): words %v, stateSets %v", qs, ps, got, want)
-		}
-		if got, want := reachSmall(a, b, alpha, true), intersectsSets(a, b, alpha); got != want {
-			t.Fatalf("L(%q) ∩ L(%q) ≠ ∅: words %v, stateSets %v", ps, qs, got, want)
 		}
 	})
 }

@@ -27,7 +27,7 @@ const (
 
 // Generalize maps a string to a pattern at the given level. For every s
 // and every level, the resulting pattern matches s (the generalization
-// invariant; see DESIGN.md §7).
+// invariant, which TestPropGeneralizeMatches checks).
 func Generalize(s string, lvl Level) Pattern {
 	switch lvl {
 	case LevelLiteral:
@@ -113,55 +113,6 @@ func appendClassRun(dst []byte, c gentree.Class, n int) []byte {
 	return dst
 }
 
-// OpenSignature returns the LevelClassRunOpen pattern string for s,
-// grouping values whose class sequences coincide regardless of run length.
-func OpenSignature(s string) string {
-	return classRuns(s, true).String()
-}
-
-// GeneralizePrefix keeps the first k runes of s literal and generalizes
-// the remainder to \A* (if nonempty). Discovery uses it to build prefix
-// rules such as `900\D{2}` from sample values: the literal prefix anchors
-// the rule and the tail is generalized at LevelClassRun.
-func GeneralizePrefix(s string, k int) Pattern {
-	rs := []rune(s)
-	if k > len(rs) {
-		k = len(rs)
-	}
-	head := Literal(string(rs[:k]))
-	if k == len(rs) {
-		return head
-	}
-	return head.Concat(classRuns(string(rs[k:]), false))
-}
-
-// LCGStrings returns the most specific pattern in the language that
-// matches both strings, computed position-wise when the strings have equal
-// rune length (literal where the runes agree, least-common-generalization
-// class where they differ), and by open-run generalization of both
-// otherwise. It is the core "merge" step when discovery folds a set of
-// values into one tableau pattern.
-func LCGStrings(a, b string) Pattern {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == len(rb) {
-		var toks []Token
-		for i := range ra {
-			if ra[i] == rb[i] {
-				toks = append(toks, LitTok(ra[i]))
-			} else {
-				toks = append(toks, ClassTok(gentree.LCGRunes(ra[i], rb[i])))
-			}
-		}
-		return compactSameClassRuns(mk(toks))
-	}
-	// Unequal lengths: fall back to merging the open signatures.
-	pa, pb := classRuns(a, true), classRuns(b, true)
-	if pa.Equal(pb) {
-		return pa
-	}
-	return mergeOpen(pa, pb)
-}
-
 // compactSameClassRuns folds consecutive identical single-occurrence class
 // tokens into class{N}; literal tokens are kept as-is.
 func compactSameClassRuns(p Pattern) Pattern {
@@ -215,8 +166,11 @@ func classOfToken(t Token) gentree.Class {
 	return gentree.ClassOf(t.Lit)
 }
 
-// LCGAll folds a slice of strings into one pattern with LCGStrings.
-// It returns the empty pattern for no input.
+// LCGAll folds a slice of strings into the most specific pattern that
+// matches them all: position-wise where lengths agree (literal where the
+// runes agree, least-common-generalization class where they differ), by
+// open-run generalization otherwise. It returns the empty pattern for no
+// input.
 func LCGAll(values []string) Pattern {
 	if len(values) == 0 {
 		return Pattern{}
@@ -228,10 +182,9 @@ func LCGAll(values []string) Pattern {
 	return acc
 }
 
-// lcgPatternString merges an accumulated pattern with one more string by
-// re-deriving: if the accumulated pattern is all-literal it defers to
-// LCGStrings; otherwise it merges token-wise against the string's runes
-// when lengths permit, else widens to open signatures.
+// lcgPatternString merges an accumulated pattern with one more string: it
+// merges token-wise against the string's runes when lengths permit, else
+// widens to open signatures.
 func lcgPatternString(acc Pattern, v string) Pattern {
 	rs := []rune(v)
 	if fixedLen, ok := fixedTokenLength(acc); ok && fixedLen == len(rs) {

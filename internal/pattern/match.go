@@ -49,15 +49,10 @@ func (p Pattern) Matches(s string) bool {
 	return a.accepts(cur)
 }
 
-// MatchPrefixLengths returns, in increasing order, every byte length l such
-// that s[:l] matches the pattern and l splits s at a rune boundary. It is
-// used by the constrained-pattern matcher to enumerate segment splits.
-func (p Pattern) MatchPrefixLengths(s string) []int {
-	return p.AppendMatchPrefixLengths(nil, s)
-}
-
-// AppendMatchPrefixLengths is MatchPrefixLengths appending into dst, so a
-// caller scanning many values can reuse one buffer across calls.
+// AppendMatchPrefixLengths appends to dst, in increasing order, every byte
+// length l such that s[:l] matches the pattern and l splits s at a rune
+// boundary. The constrained-pattern matcher uses it to enumerate segment
+// splits, reusing one buffer across values.
 func (p Pattern) AppendMatchPrefixLengths(dst []int, s string) []int {
 	a := compiled(p)
 	if a.small {

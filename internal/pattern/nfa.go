@@ -179,12 +179,6 @@ func (s stateSet) empty() bool {
 	return true
 }
 
-func (s stateSet) clone() stateSet {
-	c := make(stateSet, len(s))
-	copy(c, s)
-	return c
-}
-
 // key returns a compact string form usable as a map key.
 func (s stateSet) key() string {
 	b := make([]byte, len(s)*8)

@@ -7,6 +7,10 @@ import (
 	"github.com/anmat/anmat/internal/gentree"
 )
 
+// equivalent reports whether p and q match exactly the same strings: the
+// oracle Normalize is checked against.
+func equivalent(p, q Pattern) bool { return p.Contains(q) && q.Contains(p) }
+
 func TestNormalizeCanonicalForms(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{`\D\D`, `\D{2}`},
@@ -63,7 +67,7 @@ func TestNormalizePreservesLanguage(t *testing.T) {
 		}
 		p := New(toks...)
 		q := p.Normalize()
-		if !p.EquivalentTo(q) {
+		if !equivalent(p, q) {
 			t.Fatalf("Normalize changed language: %q -> %q", p.String(), q.String())
 		}
 		// Idempotent.

@@ -168,7 +168,7 @@ func TestConsecutiveStarsOrdering(t *testing.T) {
 
 func TestMatchPrefixLengths(t *testing.T) {
 	p := MustParse(`\D*`)
-	got := p.MatchPrefixLengths("12a4")
+	got := p.AppendMatchPrefixLengths(nil, "12a4")
 	want := []int{0, 1, 2}
 	if len(got) != len(want) {
 		t.Fatalf("MatchPrefixLengths = %v, want %v", got, want)
@@ -180,11 +180,11 @@ func TestMatchPrefixLengths(t *testing.T) {
 	}
 
 	q := MustParse(`John`)
-	got = q.MatchPrefixLengths("John Charles")
+	got = q.AppendMatchPrefixLengths(nil, "John Charles")
 	if len(got) != 1 || got[0] != 4 {
 		t.Fatalf("literal prefix lengths = %v", got)
 	}
-	if n := len(q.MatchPrefixLengths("Jane")); n != 0 {
+	if n := len(q.AppendMatchPrefixLengths(nil, "Jane")); n != 0 {
 		t.Fatalf("no prefix expected, got %d", n)
 	}
 }
@@ -217,20 +217,17 @@ func TestContainment(t *testing.T) {
 		if got := big.Contains(small); got != c.want {
 			t.Errorf("Contains(%q ⊆ %q) = %v, want %v", c.small, c.big, got, c.want)
 		}
-		if got := small.ContainedBy(big); got != c.want {
-			t.Errorf("ContainedBy(%q ⊆ %q) = %v, want %v", c.small, c.big, got, c.want)
-		}
 	}
 }
 
 func TestEquivalence(t *testing.T) {
 	a := MustParse(`\D\D\D`)
 	b := MustParse(`\D{3}`)
-	if !a.EquivalentTo(b) {
+	if !equivalent(a, b) {
 		t.Error(`\D\D\D should equal \D{3}`)
 	}
 	c := MustParse(`\D{2}`)
-	if a.EquivalentTo(c) {
+	if equivalent(a, c) {
 		t.Error(`\D{3} should differ from \D{2}`)
 	}
 }
@@ -265,21 +262,9 @@ func TestSignature(t *testing.T) {
 	if Signature("Chicago") != Signature("Detroit") {
 		t.Error("same-shape city names should share a signature")
 	}
-	if OpenSignature("Chicago") != OpenSignature("LA"[:2]) && OpenSignature("Chicago") != OpenSignature("Boston") {
+	open := func(s string) string { return Generalize(s, LevelClassRunOpen).String() }
+	if open("Chicago") != open("LA"[:2]) && open("Chicago") != open("Boston") {
 		t.Error("open signatures of capitalized words should coincide")
-	}
-}
-
-func TestGeneralizePrefix(t *testing.T) {
-	p := GeneralizePrefix("90001", 3)
-	if got := p.String(); got != `900\D{2}` {
-		t.Errorf("GeneralizePrefix(90001,3) = %q", got)
-	}
-	if !p.Matches("90099") || p.Matches("91001") {
-		t.Error("prefix pattern semantics wrong")
-	}
-	if got := GeneralizePrefix("abc", 5).String(); got != "abc" {
-		t.Errorf("over-long prefix should return literal, got %q", got)
 	}
 }
 
@@ -296,12 +281,12 @@ func TestLCGStrings(t *testing.T) {
 		{"90001", "9000", `\D+`}, // unequal length digits widen to open run
 	}
 	for _, c := range cases {
-		got := LCGStrings(c.a, c.b)
+		got := LCGAll([]string{c.a, c.b})
 		if got.String() != c.want {
-			t.Errorf("LCGStrings(%q,%q) = %q, want %q", c.a, c.b, got.String(), c.want)
+			t.Errorf("LCGAll(%q,%q) = %q, want %q", c.a, c.b, got.String(), c.want)
 		}
 		if !got.Matches(c.a) || !got.Matches(c.b) {
-			t.Errorf("LCGStrings(%q,%q) does not match its inputs", c.a, c.b)
+			t.Errorf("LCGAll(%q,%q) does not match its inputs", c.a, c.b)
 		}
 	}
 }
@@ -317,21 +302,11 @@ func TestLCGAll(t *testing.T) {
 			t.Errorf("LCGAll result should match %q", v)
 		}
 	}
-	if p2 := LCGAll(nil); !p2.IsEmpty() {
+	if p2 := LCGAll(nil); p2.Len() != 0 {
 		t.Error("LCGAll(nil) should be empty pattern")
 	}
 	if p3 := LCGAll([]string{"solo"}); p3.String() != "solo" {
 		t.Errorf("LCGAll single = %q", p3.String())
-	}
-}
-
-func TestSpecificityOrdering(t *testing.T) {
-	lit := MustParse(`90001`)
-	run := MustParse(`\D{5}`)
-	anyp := AnyString()
-	if !(lit.Specificity() > run.Specificity() && run.Specificity() > anyp.Specificity()) {
-		t.Errorf("specificity ordering violated: %d, %d, %d",
-			lit.Specificity(), run.Specificity(), anyp.Specificity())
 	}
 }
 

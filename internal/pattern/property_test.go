@@ -33,8 +33,8 @@ func randomValue(rng *rand.Rand) string {
 	return b.String()
 }
 
-// Property: every string matches its generalization at every level
-// (DESIGN.md §7, generalization invariant).
+// Property: every string matches its generalization at every level (the
+// generalization invariant).
 func TestPropGeneralizeMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 300; i++ {
@@ -118,12 +118,12 @@ func TestPropContainmentPartialOrder(t *testing.T) {
 	}
 }
 
-// Property: LCGStrings result matches both inputs and is contained by \A*.
+// Property: the LCG of two strings matches both and is contained by \A*.
 func TestPropLCGMatchesBoth(t *testing.T) {
 	f := func(a, b string) bool {
 		// Constrain to printable ASCII to keep the test meaningful.
 		a, b = asciiOnly(a), asciiOnly(b)
-		p := LCGStrings(a, b)
+		p := LCGAll([]string{a, b})
 		return p.Matches(a) && p.Matches(b) && AnyString().Contains(p)
 	}
 	cfg := &quick.Config{MaxCount: 120}
@@ -232,31 +232,5 @@ func TestPropParseRoundTrip(t *testing.T) {
 				t.Fatalf("round trip of %q level %d: %q != %q", s, lvl, p.String(), back.String())
 			}
 		}
-	}
-}
-
-// Property: LiteralPrefix is indeed a prefix of every matching string.
-func TestPropLiteralPrefix(t *testing.T) {
-	cases := []struct{ pat, match string }{
-		{`850\D{7}`, "8505467600"},
-		{`John\ \A*`, "John Charles"},
-		{`\D{5}`, "90001"},
-		{`F-\D-\D{3}`, "F-9-107"},
-	}
-	for _, c := range cases {
-		p := MustParse(c.pat)
-		pre := p.LiteralPrefix()
-		if !p.Matches(c.match) {
-			t.Fatalf("%q should match %s", c.match, c.pat)
-		}
-		if !strings.HasPrefix(c.match, pre) {
-			t.Fatalf("LiteralPrefix(%s) = %q is not a prefix of %q", c.pat, pre, c.match)
-		}
-	}
-	if got := MustParse(`\D{5}`).LiteralPrefix(); got != "" {
-		t.Errorf("class pattern prefix = %q", got)
-	}
-	if got := MustParse(`850\D{7}`).LiteralPrefix(); got != "850" {
-		t.Errorf("850 prefix = %q", got)
 	}
 }

@@ -161,9 +161,6 @@ func (p Pattern) Tokens() []Token {
 // Len returns the number of tokens.
 func (p Pattern) Len() int { return len(p.toks) }
 
-// IsEmpty reports whether the pattern has no tokens (matches only ε).
-func (p Pattern) IsEmpty() bool { return len(p.toks) == 0 }
-
 // MinLen returns the minimum length of a string matching the pattern.
 func (p Pattern) MinLen() int {
 	if p.meta == nil {
@@ -231,49 +228,6 @@ func (p Pattern) Concat(q Pattern) Pattern {
 	toks = append(toks, p.toks...)
 	toks = append(toks, q.toks...)
 	return mk(toks)
-}
-
-// Specificity scores how specific a pattern is; higher is more specific.
-// Literal tokens score 4, bounded class tokens 2 (3 if the class is not
-// All), unbounded tokens 0 (1 if a non-All class). The score ranks
-// candidate pattern-tableau rows during discovery.
-func (p Pattern) Specificity() int {
-	s := 0
-	for _, t := range p.toks {
-		switch {
-		case !t.IsClass:
-			if t.Quant == One || t.Quant == Exactly {
-				s += 4
-			} else {
-				s += 2
-			}
-		case t.Quant == One || t.Quant == Exactly:
-			if t.Class != gentree.All {
-				s += 3
-			} else {
-				s += 2
-			}
-		default:
-			if t.Class != gentree.All {
-				s++
-			}
-		}
-	}
-	return s
-}
-
-// LiteralPrefix returns the longest string every match of the pattern
-// must start with: the leading run of unquantified literal tokens. The
-// pattern index uses it for range scans over sorted values.
-func (p Pattern) LiteralPrefix() string {
-	var b strings.Builder
-	for _, t := range p.toks {
-		if t.IsClass || t.Quant != One {
-			break
-		}
-		b.WriteRune(t.Lit)
-	}
-	return b.String()
 }
 
 // AnyString returns the universal pattern \A*, which every string matches.

@@ -3,13 +3,15 @@ package shard
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/anmat/anmat/internal/datagen"
-	"github.com/anmat/anmat/internal/obs"
 	"github.com/anmat/anmat/internal/pattern"
 	"github.com/anmat/anmat/internal/pfd"
 	"github.com/anmat/anmat/internal/stream"
@@ -65,14 +67,12 @@ func BenchmarkShardDetect(b *testing.B) {
 	rules := benchRules()
 	for _, k := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("rows%d/k%d", tbl.NumRows(), k), func(b *testing.B) {
-			// Detect-stage latency quantiles come from the span histogram
-			// the per-shard engine bootstraps feed: delta the snapshot
-			// around the run so only this sub-benchmark's builds count.
-			span := obs.SpanHistogram("stream.bootstrap")
-			before, _, beforeN := span.Snapshot()
 			var violations int
+			samples := make([]time.Duration, 0, b.N)
 			for i := 0; i < b.N; i++ {
+				start := time.Now()
 				c, err := NewWith(tbl, rules, k, Config{})
+				samples = append(samples, time.Since(start))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -80,16 +80,14 @@ func BenchmarkShardDetect(b *testing.B) {
 			}
 			b.ReportMetric(float64(tbl.NumRows())*float64(b.N)/b.Elapsed().Seconds(), "rows/sec")
 			b.ReportMetric(float64(violations), "violations")
-			after, _, afterN := span.Snapshot()
-			if afterN > beforeN {
-				delta := make([]uint64, len(after))
-				for i := range after {
-					delta[i] = after[i] - before[i]
-				}
-				bounds := span.Buckets()
-				b.ReportMetric(obs.Quantile(0.5, bounds, delta)*1000, "detect_p50_ms")
-				b.ReportMetric(obs.Quantile(0.95, bounds, delta)*1000, "detect_p95_ms")
+			// Nearest-rank quantiles of the per-build wall times.
+			slices.Sort(samples)
+			quantileMS := func(q float64) float64 {
+				i := int(math.Ceil(q*float64(len(samples)))) - 1
+				return float64(samples[max(i, 0)]) / float64(time.Millisecond)
 			}
+			b.ReportMetric(quantileMS(0.5), "detect_p50_ms")
+			b.ReportMetric(quantileMS(0.95), "detect_p95_ms")
 		})
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"github.com/anmat/anmat/internal/pattern"
 )
 
-// Property (DESIGN.md §6.4): minimizing a constant-row tableau never
+// Property: minimizing a constant-row tableau never
 // changes which values violate it. A value violates a tableau when it
 // matches some row's LHS with a different RHS; subsumed rows have a more
 // general row with the same RHS, so the violation set is preserved.

@@ -68,22 +68,11 @@ func (t *Tableau) Len() int { return len(t.rows) }
 // Empty reports whether the tableau has no rows.
 func (t *Tableau) Empty() bool { return len(t.rows) == 0 }
 
-// ConstantRows and VariableRows split the tableau by RHS kind.
+// ConstantRows returns the rows whose RHS is a constant.
 func (t *Tableau) ConstantRows() []Row {
 	var out []Row
 	for _, r := range t.rows {
 		if !r.Variable() {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// VariableRows returns the rows whose RHS is the wildcard.
-func (t *Tableau) VariableRows() []Row {
-	var out []Row
-	for _, r := range t.rows {
-		if r.Variable() {
 			out = append(out, r)
 		}
 	}
@@ -102,19 +91,14 @@ func (t *Tableau) String() string {
 	return b.String()
 }
 
-// Coverage returns the fraction of the given column values that match at
-// least one row's LHS pattern — the "minimum coverage" denominator of
-// Section 4: records containing at least one of the patterns that appear
-// in the tuples of the tableau, over total records.
-func (t *Tableau) Coverage(values []string) float64 {
-	return t.CoverageCounted(values, nil)
-}
-
-// CoverageCounted is Coverage over a dictionary-coded column: values are
-// the distinct cell values and counts[i] the number of records holding
-// values[i] (nil counts mean one record each, zero that the value is
-// listed but not in the column), so each distinct value is matched once
-// however often it occurs.
+// CoverageCounted returns the fraction of a column's records whose value
+// matches at least one row's LHS pattern — the "minimum coverage"
+// denominator of Section 4: records containing at least one of the
+// patterns that appear in the tuples of the tableau, over total records.
+// The column is dictionary-coded: values are the distinct cell values and
+// counts[i] the number of records holding values[i] (nil counts mean one
+// record each, zero that the value is listed but not in the column), so
+// each distinct value is matched once however often it occurs.
 func (t *Tableau) CoverageCounted(values []string, counts []int) float64 {
 	if len(values) == 0 || len(t.rows) == 0 {
 		return 0

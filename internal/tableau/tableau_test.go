@@ -41,27 +41,28 @@ func TestSplitRows(t *testing.T) {
 	if n := len(tp.ConstantRows()); n != 2 {
 		t.Errorf("ConstantRows = %d", n)
 	}
-	if n := len(tp.VariableRows()); n != 1 {
-		t.Errorf("VariableRows = %d", n)
+	if n := tp.Len() - len(tp.ConstantRows()); n != 1 {
+		t.Errorf("variable rows = %d", n)
 	}
 }
 
 func TestCoverage(t *testing.T) {
 	tp := New(row(`<900>\D{2}`, "Los Angeles", 0))
 	values := []string{"90001", "90002", "10001", "20001"}
-	if got := tp.Coverage(values); got != 0.5 {
+	if got := tp.CoverageCounted(values, nil); got != 0.5 {
 		t.Errorf("Coverage = %f", got)
 	}
-	if got := New().Coverage(values); got != 0 {
+	if got := New().CoverageCounted(values, nil); got != 0 {
 		t.Error("empty tableau should cover nothing")
 	}
-	if got := tp.Coverage(nil); got != 0 {
+	if got := tp.CoverageCounted(nil, nil); got != 0 {
 		t.Error("no values should cover nothing")
 	}
 }
 
-// CoverageCounted over distinct values and their counts is Coverage over
-// the expanded column, to the last bit: both divide the same integers.
+// CoverageCounted over distinct values and their counts is its coverage of
+// the expanded column with nil counts, to the last bit: both divide the
+// same integers.
 func TestCoverageCounted(t *testing.T) {
 	tp := New(
 		row(`<900>\D{2}`, "LA", 0),
@@ -75,8 +76,8 @@ func TestCoverageCounted(t *testing.T) {
 			expanded = append(expanded, v)
 		}
 	}
-	if got, want := tp.CoverageCounted(values, counts), tp.Coverage(expanded); got != want || got != 4.0/7.0 {
-		t.Errorf("CoverageCounted = %v, Coverage of the expanded column = %v, want 4/7", got, want)
+	if got, want := tp.CoverageCounted(values, counts), tp.CoverageCounted(expanded, nil); got != want || got != 4.0/7.0 {
+		t.Errorf("CoverageCounted = %v, coverage of the expanded column = %v, want 4/7", got, want)
 	}
 	if got := New().CoverageCounted(values, counts); got != 0 {
 		t.Error("empty tableau should cover nothing")
@@ -89,7 +90,7 @@ func TestCoverageMultipleRows(t *testing.T) {
 		row(`<100>\D{2}`, "NY", 0),
 	)
 	values := []string{"90001", "10001", "55555"}
-	got := tp.Coverage(values)
+	got := tp.CoverageCounted(values, nil)
 	want := 2.0 / 3.0
 	if got < want-1e-9 || got > want+1e-9 {
 		t.Errorf("Coverage = %f, want %f", got, want)

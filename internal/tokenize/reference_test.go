@@ -91,15 +91,15 @@ func TestDecompositionsMatchRuneSliceDefinitions(t *testing.T) {
 		if got, want := Tokenize(v), refTokenize(v, DefaultDelims); !same(got, want) {
 			t.Errorf("Tokenize(%q) = %q, want %q", v, got, want)
 		}
-		if got, want := TokenizeDelims(v, "-a"), refTokenize(v, "-a"); !same(got, want) {
-			t.Errorf("TokenizeDelims(%q, \"-a\") = %q, want %q", v, got, want)
+		if got, want := AppendTokens(nil, v, "-a"), refTokenize(v, "-a"); !same(got, want) {
+			t.Errorf("AppendTokens(nil, %q, \"-a\") = %q, want %q", v, got, want)
 		}
 		for n := 0; n <= 4; n++ {
-			if got, want := NGrams(v, n), refNGrams(v, n); !same(got, want) {
-				t.Errorf("NGrams(%q, %d) = %q, want %q", v, n, got, want)
+			if got, want := AppendNGrams(nil, v, n), refNGrams(v, n); !same(got, want) {
+				t.Errorf("AppendNGrams(nil, %q, %d) = %q, want %q", v, n, got, want)
 			}
-			if got, want := Prefixes(v, n), refPrefixes(v, n); !same(got, want) {
-				t.Errorf("Prefixes(%q, %d) = %q, want %q", v, n, got, want)
+			if got, want := AppendPrefixes(nil, v, n), refPrefixes(v, n); !same(got, want) {
+				t.Errorf("AppendPrefixes(nil, %q, %d) = %q, want %q", v, n, got, want)
 			}
 		}
 	}

@@ -1,4 +1,4 @@
-// Package tokenize provides the Tokenize and NGrams functions of the
+// Package tokenize provides the Tokenize and n-gram functions of the
 // discovery algorithm (Figure 2, lines 6–7). Tokens are delimiter-separated
 // pieces of a cell value with their token positions; n-grams are
 // fixed-length character windows with their character positions. The
@@ -8,7 +8,6 @@ package tokenize
 
 import (
 	"strings"
-	"unicode"
 	"unicode/utf8"
 )
 
@@ -16,7 +15,7 @@ import (
 type Token struct {
 	// Text is the token or n-gram content.
 	Text string
-	// Pos is the token index (Tokenize) or starting rune index (NGrams).
+	// Pos is the token index (Tokenize) or starting rune index (n-grams).
 	Pos int
 }
 
@@ -30,14 +29,6 @@ const DefaultDelims = " \t,;|/"
 // discovered name patterns can anchor on it the way Table 3 does.
 func Tokenize(s string) []Token {
 	return AppendTokens(nil, s, DefaultDelims)
-}
-
-// TokenizeDelims splits on the given delimiter set. Runs of delimiters
-// count as one separator; leading/trailing delimiters produce no empty
-// tokens. A comma in the delimiter set is retained as a suffix of the
-// token it follows.
-func TokenizeDelims(s, delims string) []Token {
-	return AppendTokens(nil, s, delims)
 }
 
 // The Append forms below are the one implementation of each
@@ -56,7 +47,10 @@ func sanitized(s string) string {
 	return string([]rune(s))
 }
 
-// AppendTokens appends the tokens of s (see TokenizeDelims) to dst.
+// AppendTokens appends the tokens of s split at delims to dst. Runs of
+// delimiters count as one separator; leading/trailing delimiters produce
+// no empty tokens. A comma in the delimiter set is retained as a suffix of
+// the token it follows.
 func AppendTokens(dst []Token, s, delims string) []Token {
 	s = sanitized(s)
 	keepComma := strings.ContainsRune(delims, ',')
@@ -83,14 +77,10 @@ func AppendTokens(dst []Token, s, delims string) []Token {
 	return dst
 }
 
-// NGrams returns all n-grams of s with their starting rune positions. When
-// the value is shorter than n, the whole value is returned as a single
-// token at position 0 (a code like "F-9" still yields something to index).
-func NGrams(s string, n int) []Token {
-	return AppendNGrams(nil, s, n)
-}
-
-// AppendNGrams appends the n-grams of s (see NGrams) to dst.
+// AppendNGrams appends all n-grams of s with their starting rune positions
+// to dst. When the value is shorter than n, the whole value is appended as
+// a single token at position 0 (a code like "F-9" still yields something
+// to index).
 func AppendNGrams(dst []Token, s string, n int) []Token {
 	if s == "" {
 		return dst
@@ -114,15 +104,10 @@ func AppendNGrams(dst []Token, s string, n int) []Token {
 	return dst
 }
 
-// Prefixes returns the k-rune prefixes of s for k = 1..max (capped at the
-// value length). Discovery over code-like columns uses prefixes to mine
-// rules anchored at position 0, e.g. the `900`, `850`, `607` prefixes of
-// Table 3.
-func Prefixes(s string, max int) []Token {
-	return AppendPrefixes(nil, s, max)
-}
-
-// AppendPrefixes appends the prefixes of s (see Prefixes) to dst.
+// AppendPrefixes appends the k-rune prefixes of s for k = 1..max (capped
+// at the value length) to dst. Discovery over code-like columns uses
+// prefixes to mine rules anchored at position 0, e.g. the `900`, `850`,
+// `607` prefixes of Table 3.
 func AppendPrefixes(dst []Token, s string, max int) []Token {
 	s = sanitized(s)
 	k := 0
@@ -132,20 +117,6 @@ func AppendPrefixes(dst []Token, s string, max int) []Token {
 		dst = append(dst, Token{Text: s[:i], Pos: 0})
 	}
 	return dst
-}
-
-// IsWordLike reports whether the token consists only of letters,
-// apostrophes, periods and hyphens — the shape of a name token.
-func IsWordLike(s string) bool {
-	if s == "" {
-		return false
-	}
-	for _, r := range s {
-		if !unicode.IsLetter(r) && r != '\'' && r != '.' && r != '-' && r != ',' {
-			return false
-		}
-	}
-	return true
 }
 
 // IsNumeric reports whether the token consists only of digits.

@@ -41,7 +41,7 @@ func TestTokenizeEdgeCases(t *testing.T) {
 }
 
 func TestTokenizeDelimsCustom(t *testing.T) {
-	got := TokenizeDelims("a-b-c", "-")
+	got := AppendTokens(nil, "a-b-c", "-")
 	want := []Token{{"a", 0}, {"b", 1}, {"c", 2}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("custom delims = %v", got)
@@ -49,22 +49,22 @@ func TestTokenizeDelimsCustom(t *testing.T) {
 }
 
 func TestNGrams(t *testing.T) {
-	got := NGrams("abcd", 2)
+	got := AppendNGrams(nil, "abcd", 2)
 	want := []Token{{"ab", 0}, {"bc", 1}, {"cd", 2}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("NGrams = %v", got)
 	}
 	// Shorter than n: whole string.
-	got = NGrams("ab", 3)
+	got = AppendNGrams(nil, "ab", 3)
 	want = []Token{{"ab", 0}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("short NGrams = %v", got)
 	}
-	if got := NGrams("", 3); got != nil {
+	if got := AppendNGrams(nil, "", 3); got != nil {
 		t.Errorf("empty NGrams = %v", got)
 	}
 	// n <= 0 coerces to 1.
-	got = NGrams("ab", 0)
+	got = AppendNGrams(nil, "ab", 0)
 	want = []Token{{"a", 0}, {"b", 1}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("n=0 NGrams = %v", got)
@@ -72,7 +72,7 @@ func TestNGrams(t *testing.T) {
 }
 
 func TestNGramsUnicode(t *testing.T) {
-	got := NGrams("héllo", 3)
+	got := AppendNGrams(nil, "héllo", 3)
 	if len(got) != 3 {
 		t.Fatalf("unicode NGrams = %v", got)
 	}
@@ -82,33 +82,18 @@ func TestNGramsUnicode(t *testing.T) {
 }
 
 func TestPrefixes(t *testing.T) {
-	got := Prefixes("8505467600", 3)
+	got := AppendPrefixes(nil, "8505467600", 3)
 	want := []Token{{"8", 0}, {"85", 0}, {"850", 0}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Prefixes = %v", got)
 	}
-	got = Prefixes("ab", 5)
+	got = AppendPrefixes(nil, "ab", 5)
 	want = []Token{{"a", 0}, {"ab", 0}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("capped Prefixes = %v", got)
 	}
-	if got := Prefixes("", 3); len(got) != 0 {
+	if got := AppendPrefixes(nil, "", 3); len(got) != 0 {
 		t.Errorf("empty Prefixes = %v", got)
-	}
-}
-
-func TestIsWordLike(t *testing.T) {
-	yes := []string{"Donald", "O'Brien", "Smith-Jones", "E.", "Holloway,"}
-	for _, s := range yes {
-		if !IsWordLike(s) {
-			t.Errorf("IsWordLike(%q) = false", s)
-		}
-	}
-	no := []string{"", "123", "a1", "a b"}
-	for _, s := range no {
-		if IsWordLike(s) {
-			t.Errorf("IsWordLike(%q) = true", s)
-		}
 	}
 }
 
