@@ -62,12 +62,15 @@ cluster-e2e:
 # backup/restore suites and the snapshot path's own (crash points inside
 # a checkpoint and inside the rotation behind it, injected faults on the
 # background write, everything that must wait for a write in flight, one
-# file per checkpoint, concurrent restore), under -race. The mid-rotation crash test kills a
+# file per checkpoint, concurrent restore), and the batch protocol's
+# write-ahead rule (the sink sees a batch before anything mutates; a
+# failure after it poisons the stream and answers 500, so no sequence
+# number is journaled twice), under -race. The mid-rotation crash test kills a
 # goroutine at a point other goroutines race past, so it runs ten times
 # more to shake out whatever depends on scheduling.
 hardening:
-	$(GO) test -race -v -run 'TestHardeningMultiTenantRecovery|TestAdmission|TestUploadParamsRejected|TestConfirmEmptyBodyAndCap|TestBackupRestore|TestRestore|TestJournal|TestHTTPServerTimeouts|TestCrashRecoveryEquivalence|TestCheckpoint|TestUnknownMethodsAddNoSeries' \
-		./internal/server/ ./internal/persist/ ./cmd/anmat-server/ ./internal/cluster/
+	$(GO) test -race -v -run 'TestHardeningMultiTenantRecovery|TestAdmission|TestUploadParamsRejected|TestConfirmEmptyBodyAndCap|TestBackupRestore|TestRestore|TestJournal|TestHTTPServerTimeouts|TestCrashRecoveryEquivalence|TestCheckpoint|TestUnknownMethodsAddNoSeries|TestSinkWriteAhead|TestCoordinatorSinkWriteAhead|TestDeltasNotAppliedAnswer500' \
+		./internal/server/ ./internal/persist/ ./cmd/anmat-server/ ./internal/cluster/ ./internal/stream/ ./internal/shard/
 	$(GO) test -race -count=10 -run 'TestCheckpointCrashMidRotation' ./internal/persist/
 
 fuzz:
@@ -92,7 +95,7 @@ loc:
 # The size ratchet, beside CI's coverage ratchet: the tree may not grow
 # past the last reading. Lower LOC_CEILING when the tree shrinks; never
 # raise it without saying why in CHANGES.md.
-LOC_CEILING = 19550
+LOC_CEILING = 19496
 loc-check:
 	@loc=$$($(MAKE) -s loc); echo "non-test Go lines: $$loc (ceiling $(LOC_CEILING))"; [ $$loc -le $(LOC_CEILING) ]
 

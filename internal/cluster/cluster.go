@@ -2,12 +2,12 @@
 // coordinator/translator machinery as internal/shard, but with each
 // shard's engine living in a worker process reached over the /shard/v1
 // HTTP API, and with a snapshot + write-ahead log (store.go) backing
-// worker failover. The cluster Coordinator implements the same
-// incremental-detection surface as stream.Engine and shard.Coordinator
-// (core.Streamer), and its merged violation sets stay byte-identical to
-// single-engine detection at any worker count — the multi-process
-// equivalence tests pin that down over golden corpora and randomized
-// delta scripts, including a worker killed mid-script.
+// worker failover. The cluster Coordinator embeds shard.Coordinator, and
+// through it the one stream.Sequencer batch protocol (core.Streamer); its
+// merged violation sets stay byte-identical to single-engine detection at
+// any worker count — the multi-process equivalence tests pin that down
+// over golden corpora and randomized delta scripts, including a worker
+// killed mid-script.
 //
 // Failover path: every batch is journaled to the store's WAL before any
 // worker sees it. When a worker stops answering (request timeouts, then
@@ -59,9 +59,8 @@ type Options struct {
 }
 
 // Coordinator is the distributed sharded engine: shard.Coordinator
-// routing and merging, RemoteNode transport, WAL-backed failover. It
-// embeds the sharded coordinator, so it satisfies core.Streamer the same
-// way.
+// routing, merging and batch protocol, RemoteNode transport, WAL-backed
+// failover.
 type Coordinator struct {
 	*shard.Coordinator
 	store  *Store

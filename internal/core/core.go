@@ -578,7 +578,6 @@ type Streamer interface {
 	Seq() int64
 	Stale() bool
 	SetSink(func(context.Context, int64, stream.Batch) error)
-	Rules() []*pfd.PFD
 }
 
 // newStreamer builds the session's incremental engine over the given

@@ -733,8 +733,8 @@ func TestSessionHoldsOneDetectionState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if se.det != nil || len(eng.Rules()) != 1 {
-		t.Fatalf("Stream() after Confirm(subset): detector %v, engine over %d rules", se.det, len(eng.Rules()))
+	if eng == nil || se.det != nil || len(se.strRules) != 1 {
+		t.Fatalf("Stream() after Confirm(subset): detector %v, engine over %d rules", se.det, len(se.strRules))
 	}
 }
 

@@ -922,6 +922,13 @@ func (s *Server) apiDeltas(w http.ResponseWriter, r *http.Request) {
 				"deltas applied (seq %d) but checkpoint failed — do not resubmit; resync with violations?since=: %v", diff.Seq, err)
 			return
 		}
+		if errors.Is(err, stream.ErrNotApplied) {
+			// Valid and maybe journaled, but the engine failed applying it
+			// and refuses further batches until the session rebuilds it.
+			writeError(w, http.StatusInternalServerError,
+				"deltas not applied — do not resubmit blindly; resync with violations?since=: %v", err)
+			return
+		}
 		writeError(w, persistStatus(err, http.StatusBadRequest), "%v", err)
 		return
 	}

@@ -143,6 +143,37 @@ func TestDetectionEndpointShardStats(t *testing.T) {
 	}
 }
 
+// TestDeltasNotAppliedAnswer500: a well-formed batch that a dead worker
+// (and no spare) keeps from being applied is the server's failure, not
+// the client's: 500, telling the client to resync rather than resubmit.
+func TestDeltasNotAppliedAnswer500(t *testing.T) {
+	cfg := core.DefaultSystemConfig()
+	var workers []*httptest.Server
+	for s := 0; s < 2; s++ {
+		w := cluster.NewWorker(s, 2)
+		w.SetLogf(nil)
+		ws := httptest.NewServer(w.Handler())
+		t.Cleanup(ws.Close)
+		workers = append(workers, ws)
+		cfg.Workers = append(cfg.Workers, ws.URL)
+	}
+	h := New(core.NewSystemWith(docstore.NewMem(), cfg)).Handler()
+	rec, out := postCSV(t, h, "/api/v1/sessions?name=phones", csvBody(t, datagen.PhoneState(400, 0.01, 31)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("upload: %d %s", rec.Code, rec.Body.String())
+	}
+	path := "/api/v1/sessions/" + out["session"].(string) + "/deltas"
+	if rec, _ := postJSON(t, h, path, `{"deltas":[{"op":"append","rows":[["8509990000","GA"]]}]}`); rec.Code != http.StatusOK {
+		t.Fatalf("deltas: %d %s", rec.Code, rec.Body.String())
+	}
+	workers[1].Close()
+	// Two appended rows have homes on both shards.
+	rec, _ = postJSON(t, h, path, `{"deltas":[{"op":"append","rows":[["8509990001","GA"],["8509990002","GA"]]}]}`)
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "resync with violations?since=") {
+		t.Fatalf("batch a dead worker could not apply: %d %s, want 500 naming the resync", rec.Code, rec.Body.String())
+	}
+}
+
 // TestStatsCarriesWorkerCounters: a distributed session's stats show,
 // under each shard, the worker's applied-batch and redelivery counts as
 // its /shard/v1/stats answers them, and a poisoned worker as that shard's

@@ -132,7 +132,7 @@ func BenchmarkShardApply(b *testing.B) {
 				build()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if c.t.NumRows() < 2 { // delete1 ran the table down
+					if c.tr.t.NumRows() < 2 { // delete1 ran the table down
 						b.StopTimer()
 						build()
 						b.StartTimer()

@@ -67,7 +67,7 @@ func TestFlipHeavyReplayEquivalenceAcrossShards(t *testing.T) {
 							step, mustJSON(t, diff.Added), mustJSON(t, diff.Removed), mustJSON(t, rdiff.Added), mustJSON(t, rdiff.Removed))
 					}
 
-					if got, want := len(c.log.Snapshot()), c.vio.Len(); got != want {
+					if got, want := len(c.Violations()), c.vio.Len(); got != want {
 						t.Fatalf("step %d: patched snapshot holds %d violations, the merged set %d", step, got, want)
 					}
 				}

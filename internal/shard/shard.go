@@ -19,8 +19,10 @@
 //     carry a stream.EngineOptions.KeyFilter restricting them to the keys
 //     they own, so partial replicas of a block never produce pairs.
 //
-// Since PR 6 the coordinator is split in two phases so shards can live
-// behind a network (internal/cluster):
+// The batch protocol (validation, write-ahead sink, numbering, diff log,
+// poisoning) is the stream.Sequencer the coordinator embeds, as the single
+// engine does. Its step works in two phases, so shards can live behind a
+// network (internal/cluster):
 //
 //   - the Translator turns each global delta batch into per-shard
 //     NodeOps — engine operations plus the local→global mapping
@@ -30,12 +32,10 @@
 //     the global and the per-shard row spaces);
 //   - the translated batches fan out concurrently over the Node
 //     interface (in-process LocalNodes here, HTTP workers in
-//     internal/cluster), and the globalized per-shard results merge —
-//     deduplicated and sorted in the detection engine's total order —
-//     into a set byte-identical to a fresh detect.DetectAllContext over
-//     the global table at any K and any parallelism, which the
-//     replay-equivalence property tests assert over randomized delta
-//     scripts for K ∈ {1,2,4,8}.
+//     internal/cluster), and the globalized per-shard results merge into
+//     a set byte-identical to a fresh detect.DetectAllContext over the
+//     global table at any K and any parallelism (the replay-equivalence
+//     property tests, K ∈ {1,2,4,8}).
 //
 // The one ordering subtlety: the blocking pass pairs each deviating tuple
 // against the *first* tuple of a block's majority group, so which pairs
@@ -274,9 +274,6 @@ func (tr *Translator) Boot(s int) NodeBoot {
 	return boot
 }
 
-// Shards returns the shard count K.
-func (tr *Translator) Shards() int { return tr.k }
-
 // Translate applies one validated global batch to the table and the
 // placement bookkeeping, and returns each shard's translated operations
 // (ops[s] empty when the batch never touches shard s) plus whether any
@@ -510,43 +507,32 @@ type Config struct {
 	// the transport's own retries); see RecoverFunc. nil poisons the
 	// coordinator on the first node failure.
 	Recover RecoverFunc
-	// Journal, when set, receives every batch after validation (and after
-	// the write-ahead sink), before translation. It is the coordinator's own failover journal, distinct
-	// from the session-durability sink installed via SetSink.
+	// Journal, when set, receives every batch after validation and the
+	// write-ahead sink, before translation: the coordinator's own failover
+	// journal, distinct from the session-durability sink (SetSink).
 	Journal func(ctx context.Context, seq int64, batch stream.Batch) error
 }
 
 // Coordinator fans one table's delta stream out over K shard nodes and
-// maintains the merged global violation set. It implements the same
-// incremental-detection surface as stream.Engine (ApplyCtx/
-// Violations/Since/Seq/Stale/SetSink) and is safe for concurrent use;
-// batches serialize on an internal lock.
+// maintains the merged global violation set. It embeds the same
+// stream.Sequencer as stream.Engine, so it has the same
+// incremental-detection surface (ApplyCtx/Violations/Since/Seq/Stale/
+// SetSink), and supplies the step that applies a batch. It is safe for
+// concurrent use; batches serialize on the sequencer's lock.
 type Coordinator struct {
-	mu      sync.Mutex
-	t       *table.Table
-	rules   []*pfd.PFD
+	*stream.Sequencer
+
 	tr      *Translator
-	k       int
 	nodes   []Node
-	version int64 // global table version after our last own mutation
-	// broken marks a coordinator whose translated per-shard operation
-	// failed mid-batch without a recovery path: the per-shard state can
-	// no longer be trusted, so further batches are refused and Stale()
-	// reports true until the holder rebuilds.
-	broken  bool
 	recover RecoverFunc
 	journal func(ctx context.Context, seq int64, batch stream.Batch) error
-
-	seq int64
 	// vio is the merged global violation set after the last applied batch,
 	// keyed by Violation.Key() and holding one reference per shard that
 	// reports the violation (a pair whose ambiguous extraction spans keys
 	// owned by two shards is reported by both), so batches that renumber
 	// nothing fold the shards' own diffs into it instead of re-merging
 	// every shard's full set.
-	vio  *stream.Set[string]
-	log  *stream.DiffLog
-	sink func(ctx context.Context, seq int64, batch stream.Batch) error
+	vio *stream.Set[string]
 }
 
 // NewWith builds a coordinator with K shards over the table's current
@@ -559,11 +545,7 @@ func NewWith(t *table.Table, rules []*pfd.PFD, k int, cfg Config) (*Coordinator,
 		return nil, err
 	}
 	c := &Coordinator{
-		t:       t,
-		rules:   rules,
 		tr:      tr,
-		k:       k,
-		seq:     cfg.BaseSeq,
 		recover: cfg.Recover,
 		journal: cfg.Journal,
 		vio:     stream.NewSet[string](),
@@ -603,144 +585,59 @@ func NewWith(t *table.Table, rules []*pfd.PFD, k int, cfg Config) (*Coordinator,
 			return nil, fmt.Errorf("shard: %w", err)
 		}
 	}
-	lists, err := c.mergeNodes()
+	lists, err := c.mergeNodes(cfg.BaseSeq)
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
 	c.vio.Replace(pfd.Violation.Key, lists...)
 	// The diff from nothing adds the whole merged set, sorted: the log's base.
-	c.log = stream.NewDiffLog(0, c.vio.Diff(c.seq, t.NumRows()).Added)
-	c.version = t.Version()
+	c.Sequencer = stream.NewSequencer(t, cfg.BaseSeq, 0, c.vio.Diff(cfg.BaseSeq, t.NumRows()).Added, c.apply)
 	return c, nil
-}
-
-// Shards returns the shard count K.
-func (c *Coordinator) Shards() int { return c.k }
-
-// Rules returns the coordinator's rule set (shared slice; do not mutate).
-func (c *Coordinator) Rules() []*pfd.PFD { return c.rules }
-
-// Translator exposes the coordinator's routing bookkeeping (the cluster
-// layer boots replacement workers from it).
-func (c *Coordinator) Translator() *Translator { return c.tr }
-
-// Node returns shard s's current node.
-func (c *Coordinator) Node(s int) Node {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.nodes[s]
 }
 
 // Close releases every node's resources (the coordinator itself holds
 // none).
 func (c *Coordinator) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var first error
-	for _, n := range c.nodes {
-		if err := n.Close(); err != nil && first == nil {
-			first = err
+	c.Locked(func(int64) {
+		for _, n := range c.nodes {
+			if err := n.Close(); err != nil && first == nil {
+				first = err
+			}
 		}
-	}
+	})
 	return first
 }
 
-// Seq returns the sequence number of the last applied batch.
-func (c *Coordinator) Seq() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.seq
-}
-
-// Stale reports whether the global table was mutated outside the
-// coordinator since its last batch (or a translated shard operation
-// failed, poisoning the per-shard state). A stale coordinator refuses
-// further deltas; rebuild it.
-func (c *Coordinator) Stale() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.broken || c.t.Version() != c.version
-}
-
-// SetSink installs the write-ahead journal hook, called with the global
-// batch and the sequence number it is about to receive — after
-// validation, before any shard is touched. A sink error aborts the batch
-// with nothing applied anywhere. Pass nil to detach.
-func (c *Coordinator) SetSink(fn func(ctx context.Context, seq int64, batch stream.Batch) error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sink = fn
-}
-
-// Violations returns the merged global violation set — byte-identical to
-// a fresh full detection over the current global table. Like
-// stream.Engine.Violations it is the diff log's shared snapshot: the
-// caller must not modify it, and no later batch will.
-func (c *Coordinator) Violations() []pfd.Violation {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.log.Snapshot()
-}
-
-// Since merges the retained per-batch diffs after the cursor into one net
-// global diff, with the same semantics as stream.Engine.Since.
-func (c *Coordinator) Since(seq int64) (*stream.Diff, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.log.Merge(seq, c.seq, c.t.NumRows())
-}
-
-// ApplyCtx validates the batch against the global table, journals it
-// through the sink (when one is set), fans it out to the owning shards,
-// and returns the merged global violation diff. On a validation or
-// journaling error nothing is applied. The fan-out and per-shard apply
-// spans (and, for remote nodes, the RPC spans) join the context's active
-// trace.
-func (c *Coordinator) ApplyCtx(ctx context.Context, batch stream.Batch) (*stream.Diff, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.broken {
-		return nil, fmt.Errorf("shard: coordinator poisoned by an earlier shard failure; rebuild it")
-	}
-	if c.t.Version() != c.version {
-		return nil, fmt.Errorf("shard: table mutated outside the coordinator (version %d, coordinator at %d); rebuild it", c.t.Version(), c.version)
-	}
-	if err := stream.ValidateBatch(c.t, batch); err != nil {
-		return nil, fmt.Errorf("shard: invalid batch: %w", err)
-	}
-	seq := c.seq + 1
-	if c.sink != nil {
-		if err := c.sink(ctx, seq, batch); err != nil {
-			return nil, fmt.Errorf("shard: journal batch %d: %w", seq, err)
-		}
-	}
+// apply is the coordinator's Step: cluster journal → translate → fan
+// out → fail over dead nodes → fold the shards' diffs, or re-merge every
+// shard when row spaces moved. Any error leaves the per-shard state
+// untrusted; the sequencer poisons the coordinator.
+func (c *Coordinator) apply(ctx context.Context, seq int64, batch stream.Batch) (*stream.Diff, error) {
 	if c.journal != nil {
 		if err := c.journal(ctx, seq, batch); err != nil {
 			return nil, fmt.Errorf("shard: cluster journal batch %d: %w", seq, err)
 		}
 	}
-
 	ops, renumbered, err := c.tr.Translate(batch)
 	if err != nil {
 		// Translated per-shard operations are constructed valid; a failure
-		// means the bookkeeping diverged and cannot be trusted. Poison the
-		// coordinator so the holder rebuilds.
-		c.broken = true
-		return nil, fmt.Errorf("shard: %w (coordinator state inconsistent; rebuild it)", err)
+		// means the bookkeeping diverged and cannot be trusted.
+		return nil, fmt.Errorf("shard: %w", err)
 	}
 
 	// Fan the translated batches out concurrently — the shards' engines
 	// are independent, and the bookkeeping is already in place.
 	fanCtx, endFanout := obs.StartSpan(ctx, "shard.fanout")
-	obs.SetSpanAttrs(fanCtx, "seq", strconv.FormatInt(seq, 10), "shards", strconv.Itoa(c.k))
+	obs.SetSpanAttrs(fanCtx, "seq", strconv.FormatInt(seq, 10), "shards", strconv.Itoa(c.tr.k))
 	var (
 		wg      sync.WaitGroup
 		resMu   sync.Mutex
-		results = make([][]*stream.Diff, c.k) // per shard: its globalized per-op diffs
+		results = make([][]*stream.Diff, c.tr.k) // per shard: its globalized per-op diffs
 		failed  []int
-		errsBy  = make([]error, c.k)
+		errsBy  = make([]error, c.tr.k)
 	)
-	for s := 0; s < c.k; s++ {
+	for s := 0; s < c.tr.k; s++ {
 		if len(ops[s]) == 0 {
 			continue
 		}
@@ -779,15 +676,13 @@ func (c *Coordinator) ApplyCtx(ctx context.Context, batch stream.Batch) (*stream
 	// surviving node's incremental application would have.
 	if len(failed) > 0 {
 		if c.recover == nil {
-			c.broken = true
-			return nil, fmt.Errorf("shard %d: %w (coordinator state inconsistent; rebuild it)", failed[0], errsBy[failed[0]])
+			return nil, fmt.Errorf("shard %d: %w", failed[0], errsBy[failed[0]])
 		}
 		sort.Ints(failed)
 		for _, s := range failed {
 			node, rerr := c.recover(s, c.tr.Boot(s), seq)
 			if rerr != nil {
-				c.broken = true
-				return nil, fmt.Errorf("shard %d: %v; recovery failed: %w (coordinator state inconsistent; rebuild it)", s, errsBy[s], rerr)
+				return nil, fmt.Errorf("shard %d: %v; recovery failed: %w", s, errsBy[s], rerr)
 			}
 			_ = c.nodes[s].Close()
 			c.nodes[s] = node
@@ -796,17 +691,14 @@ func (c *Coordinator) ApplyCtx(ctx context.Context, batch stream.Batch) (*stream
 		renumbered = true // per-op diffs are incomplete; re-merge from the nodes
 	}
 
-	c.version = c.t.Version()
-	c.seq = seq
 	if renumbered {
 		// Row spaces moved (delete or cross-shard migration) or a node
 		// failed over: the per-op diffs mix pre- and post-renumbering
 		// coordinates (or are missing), so rebuild the merged set from the
 		// nodes' current state.
-		lists, merr := c.mergeNodes()
+		lists, merr := c.mergeNodes(seq)
 		if merr != nil {
-			c.broken = true
-			return nil, fmt.Errorf("shard: re-merge: %w (coordinator state inconsistent; rebuild it)", merr)
+			return nil, fmt.Errorf("shard: re-merge: %w", merr)
 		}
 		c.vio.Replace(pfd.Violation.Key, lists...)
 	} else {
@@ -824,21 +716,20 @@ func (c *Coordinator) ApplyCtx(ctx context.Context, batch stream.Batch) (*stream
 			}
 		}
 	}
-	diff := c.vio.Diff(c.seq, c.t.NumRows())
-	c.log.Append(diff)
 	coordBatches.Inc()
-	return diff, nil
+	return c.vio.Diff(seq, c.tr.t.NumRows()), nil
 }
 
-// mergeNodes collects every node's globalized violations concurrently, one
-// list per shard (a pair reported by two shards renders the same on both,
-// because both see the same global cells). A node that fails the read is
-// recovered once (when a recovery hook is set) and re-read.
-func (c *Coordinator) mergeNodes() ([][]pfd.Violation, error) {
-	lists := make([][]pfd.Violation, c.k)
-	errs := make([]error, c.k)
+// mergeNodes collects every node's globalized violations at seq
+// concurrently, one list per shard (a pair reported by two shards renders
+// the same on both, because both see the same global cells). A node that
+// fails the read is recovered once (when a recovery hook is set) and
+// re-read.
+func (c *Coordinator) mergeNodes(seq int64) ([][]pfd.Violation, error) {
+	lists := make([][]pfd.Violation, c.tr.k)
+	errs := make([]error, c.tr.k)
 	var wg sync.WaitGroup
-	for s := 0; s < c.k; s++ {
+	for s := 0; s < c.tr.k; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
@@ -853,7 +744,7 @@ func (c *Coordinator) mergeNodes() ([][]pfd.Violation, error) {
 		if c.recover == nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
-		node, rerr := c.recover(s, c.tr.Boot(s), c.seq)
+		node, rerr := c.recover(s, c.tr.Boot(s), seq)
 		if rerr != nil {
 			return nil, fmt.Errorf("shard %d: %v; recovery failed: %w", s, err, rerr)
 		}
@@ -891,26 +782,27 @@ type Stats struct {
 
 // Stats returns a snapshot of the coordinator's maintained state.
 func (c *Coordinator) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := Stats{
-		Shards:     c.k,
-		Seq:        c.seq,
-		Rows:       c.t.NumRows(),
-		Violations: c.vio.Len(),
-	}
-	local := 0
-	for s, node := range c.nodes {
-		ns, err := node.Stats()
-		if err != nil {
-			st.PerShard = append(st.PerShard, ShardStat{Shard: s, Error: err.Error()})
-			continue
+	var st Stats
+	c.Locked(func(seq int64) {
+		st = Stats{
+			Shards:     c.tr.k,
+			Seq:        seq,
+			Rows:       c.tr.t.NumRows(),
+			Violations: c.vio.Len(),
 		}
-		local += ns.Rows
-		st.PerShard = append(st.PerShard, ShardStat{Shard: s, NodeStats: ns})
-	}
-	if st.Rows > 0 {
-		st.Replication = float64(local) / float64(st.Rows)
-	}
+		local := 0
+		for s, node := range c.nodes {
+			ns, err := node.Stats()
+			if err != nil {
+				st.PerShard = append(st.PerShard, ShardStat{Shard: s, Error: err.Error()})
+				continue
+			}
+			local += ns.Rows
+			st.PerShard = append(st.PerShard, ShardStat{Shard: s, NodeStats: ns})
+		}
+		if st.Rows > 0 {
+			st.Replication = float64(local) / float64(st.Rows)
+		}
+	})
 	return st
 }

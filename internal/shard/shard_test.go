@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -68,7 +69,7 @@ func assertMerged(t *testing.T, c *Coordinator, tbl *table.Table, rules []*pfd.P
 	for _, par := range []int{1, 4} {
 		want := mustJSON(t, fullDetect(t, tbl, rules, par))
 		if got != want {
-			t.Fatalf("k=%d merged set diverged from full detection (parallelism %d):\n got %s\nwant %s", c.Shards(), par, got, want)
+			t.Fatalf("k=%d merged set diverged from full detection (parallelism %d):\n got %s\nwant %s", c.tr.k, par, got, want)
 		}
 	}
 }
@@ -321,10 +322,12 @@ func TestOwnerDeterministicAndInRange(t *testing.T) {
 }
 
 // TestCoordinatorSinkWriteAhead pins the coordinator's two journal hooks
-// (the stream.Engine contract, see stream's TestSinkWriteAhead): the
+// (the stream.Sequencer contract, see stream's TestSinkWriteAhead): the
 // session sink sees every applied batch with its seq before anything
 // mutates and its error aborts the batch untouched; a detached sink is
-// bypassed; the coordinator's own Journal hook sees every applied batch.
+// bypassed; the coordinator's own Journal hook sees every applied batch;
+// and a Journal failure after the sink took a batch poisons the
+// coordinator, so that seq never reaches the sink again.
 func TestCoordinatorSinkWriteAhead(t *testing.T) {
 	tbl, rules := testTable(), testRules()
 	var journaled []int64
@@ -339,9 +342,6 @@ func TestCoordinatorSinkWriteAhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Shards() != 2 || len(c.Rules()) != len(rules) || c.Translator().Shards() != 2 || c.Node(1) == nil {
-		t.Fatalf("accessors: shards=%d rules=%d node1=%v", c.Shards(), len(c.Rules()), c.Node(1))
-	}
 	type call struct {
 		seq  int64
 		rows int // table rows observed at call time (pre-mutation)
@@ -366,8 +366,8 @@ func TestCoordinatorSinkWriteAhead(t *testing.T) {
 	if _, err := c.ApplyCtx(context.Background(), stream.Batch{stream.AppendRows([]string{"8503334444", "TX", "i"})}); err == nil {
 		t.Fatal("ApplyCtx should surface the sink error")
 	}
-	if tbl.NumRows() != rows+1 || c.Seq() != 11 {
-		t.Fatalf("failed journal mutated state: %d rows, seq %d", tbl.NumRows(), c.Seq())
+	if tbl.NumRows() != rows+1 || c.Seq() != 11 || c.Stale() {
+		t.Fatalf("failed journal mutated state: %d rows, seq %d, stale %v", tbl.NumRows(), c.Seq(), c.Stale())
 	}
 	// A detached sink is bypassed: the batch advances like any other.
 	c.SetSink(nil)
@@ -381,4 +381,40 @@ func TestCoordinatorSinkWriteAhead(t *testing.T) {
 		t.Fatalf("coordinator journal saw seqs %v, want [11 12] (the sink-refused batch never reached it)", journaled)
 	}
 	assertMerged(t, c, tbl, rules)
+
+	// The cluster journal fails on its second call, after the sink took
+	// batch 2: the coordinator is poisoned, so the next batch is refused
+	// instead of being handed to the sink as 2 again.
+	journals := 0
+	p, err := NewWith(testTable(), rules, 2, Config{
+		Journal: func(context.Context, int64, stream.Batch) error {
+			if journals++; journals == 2 {
+				return fmt.Errorf("cluster journal: disk full")
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	var sunk []int64
+	p.SetSink(func(_ context.Context, seq int64, _ stream.Batch) error {
+		sunk = append(sunk, seq)
+		return nil
+	})
+	for i, row := range [][]string{{"8505556666", "TX", "j"}, {"8507778888", "TX", "k"}, {"8509990000", "TX", "l"}} {
+		_, err := p.ApplyCtx(context.Background(), stream.Batch{stream.AppendRows(row)})
+		switch {
+		case i == 0 && err != nil:
+			t.Fatal(err)
+		case i == 1 && !errors.Is(err, stream.ErrNotApplied):
+			t.Fatalf("batch 2: err = %v, want stream.ErrNotApplied", err)
+		case i == 2 && err == nil:
+			t.Fatal("batch 3 was applied by a poisoned coordinator")
+		}
+	}
+	if mustJSON(t, sunk) != "[1,2]" || p.Seq() != 1 || !p.Stale() {
+		t.Fatalf("after a failed cluster journal: sink saw %v, seq %d, stale %v; want [1 2], 1, true", sunk, p.Seq(), p.Stale())
+	}
 }

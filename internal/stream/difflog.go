@@ -1,8 +1,6 @@
 // DiffLog is the bounded per-batch diff history behind sequence cursors,
-// plus the ordered violation snapshot those diffs lead to. The
-// single-table Engine and the sharded coordinator (internal/shard) both
-// answer "what changed since seq s" and "what is the set now" from one,
-// so the retention, merge and snapshot semantics live here once.
+// plus the ordered violation snapshot those diffs lead to: the Sequencer
+// answers "what changed since seq s" and "what is the set now" from one.
 package stream
 
 import (
@@ -16,7 +14,7 @@ import (
 
 // DiffLog retains the last N applied-batch diffs and the violation set
 // they lead to, in the detection engine's total order. It is not
-// synchronized; the owning engine serializes access under its own lock.
+// synchronized; the Sequencer serializes access under its lock.
 type DiffLog struct {
 	max     int
 	entries []*Diff

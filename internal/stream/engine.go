@@ -32,11 +32,12 @@
 // majority or witness moves. The 0↔1 reference transitions form the
 // batch's diff.
 //
-// Each applied batch advances a sequence number and appends its Diff to a
-// bounded log, so clients can poll "what changed since seq s" (Since)
-// without re-reading the full set; the log also carries the sorted full
-// set, patched by each diff. An Engine is safe for concurrent use;
-// batches serialize on an internal lock.
+// The batch protocol — lock, staleness, validation, write-ahead sink,
+// numbering, and the bounded log of per-batch Diffs behind Since cursors
+// and the sorted full set — is the Sequencer's, which the engine and the
+// sharding coordinator both embed; each supplies only the step that
+// applies a batch. An Engine is safe for concurrent use; batches
+// serialize on the sequencer's lock.
 package stream
 
 import (
@@ -44,8 +45,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
-	"sync"
 	"time"
 
 	"github.com/anmat/anmat/internal/detect"
@@ -216,31 +215,21 @@ func (rs *ruleState) block(tri int, key string) *block {
 }
 
 // Engine maintains the violation set of a rule set over a mutating table.
+// Its Sequencer runs the batch protocol (ApplyCtx, Seq, Stale, SetSink,
+// Violations, Since); the engine supplies the step that applies a batch.
 type Engine struct {
-	mu      sync.Mutex
-	t       *table.Table
-	rules   []*pfd.PFD
-	version int64 // table version after the engine's last own mutation
+	*Sequencer
 
-	seq int64
 	rs  []*ruleState
 	vio *Set[vioKey]
 
 	// extBuf backs extract: per-batch scratch, safe to own because batches
-	// serialize on mu.
+	// serialize on the sequencer's lock.
 	extBuf []string
-
-	log *DiffLog
 
 	// keyFilter and globalID are the sharding hooks of EngineOptions.
 	keyFilter func(key string) bool
 	globalID  func(local int) int
-
-	// sink, when set, is the write-ahead journal hook: ApplyCtx calls it
-	// with the batch and the sequence number the batch will receive, after
-	// validation but before any mutation. A sink error aborts the batch
-	// untouched.
-	sink func(ctx context.Context, seq int64, batch Batch) error
 }
 
 // EngineOptions tunes NewEngineOpts. The zero value reproduces NewEngineFrom at sequence 0.
@@ -303,9 +292,6 @@ func NewEngineOpts(d *detect.Detector, rules []*pfd.PFD, opts EngineOptions) (*E
 	}
 	t := d.Table()
 	e := &Engine{
-		t:         t,
-		rules:     rules,
-		seq:       opts.BaseSeq,
 		vio:       NewSet[vioKey](),
 		keyFilter: opts.KeyFilter,
 		globalID:  opts.GlobalID,
@@ -360,39 +346,9 @@ func NewEngineOpts(d *detect.Detector, rules []*pfd.PFD, opts EngineOptions) (*E
 		e.rs = append(e.rs, rs)
 	}
 	// Bootstrap's own "diff" adds the whole set, sorted: the log's base.
-	e.log = NewDiffLog(opts.LogCap, e.vio.Diff(e.seq, t.NumRows()).Added)
-	e.version = t.Version()
+	e.Sequencer = NewSequencer(t, opts.BaseSeq, opts.LogCap, e.vio.Diff(opts.BaseSeq, t.NumRows()).Added, e.apply)
+	e.traced = true
 	return e, nil
-}
-
-// Stale reports whether the table was mutated outside the engine (e.g. a
-// direct detect.Apply) since the engine's last delta, invalidating its
-// maintained state. A stale engine refuses further deltas; rebuild it.
-func (e *Engine) Stale() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.t.Version() != e.version
-}
-
-// Seq returns the sequence number of the last applied batch (0 right
-// after bootstrap).
-func (e *Engine) Seq() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.seq
-}
-
-// Rules returns the engine's rule set (shared slice; do not mutate).
-func (e *Engine) Rules() []*pfd.PFD { return e.rules }
-
-// Violations returns the maintained violation set in the engine's total
-// order — byte-identical to a fresh full detection over the current
-// table. It is the log's shared snapshot: free to return, not to be
-// modified by the caller, never written by a later batch.
-func (e *Engine) Violations() []pfd.Violation {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.log.Snapshot()
 }
 
 // Stats summarizes the engine's maintained state for observability.
@@ -416,7 +372,7 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := Stats{
-		Seq: e.seq, Rows: e.t.NumRows(), Rules: len(e.rules),
+		Seq: e.seq, Rows: e.t.NumRows(), Rules: len(e.rs),
 		Violations: e.vio.Len(), LogLen: e.log.Len(),
 	}
 	read := make(map[int]bool)
@@ -430,47 +386,9 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// SetSink installs the write-ahead journal hook: a function ApplyCtx
-// calls — under the engine lock, after validating the batch, before
-// mutating anything — with the batch and the sequence number it is about
-// to receive. A sink error aborts the batch with nothing applied, so a
-// batch is never in memory without being durably journaled first. A
-// recovery replaying the journal applies before it installs a sink.
-// Pass nil to detach.
-func (e *Engine) SetSink(fn func(ctx context.Context, seq int64, batch Batch) error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.sink = fn
-}
-
-// ApplyCtx validates the batch, journals it through the sink (when one is
-// set), applies it atomically, and returns the violation diff. On a
-// validation or journaling error nothing is applied. Applying to a stale
-// engine (table mutated externally) fails. The apply span (and the
-// journal sink's spans under it) join the context's active trace, so a
-// server request's trace shows where the batch spent its time.
-func (e *Engine) ApplyCtx(ctx context.Context, batch Batch) (*Diff, error) {
-	ctx, endSpan := obs.StartSpan(ctx, "stream.apply")
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.t.Version() != e.version {
-		endSpan(nil)
-		return nil, fmt.Errorf("stream: table mutated outside the engine (version %d, engine at %d); rebuild the engine", e.t.Version(), e.version)
-	}
-	if err := validate(e.t, batch); err != nil {
-		err = fmt.Errorf("stream: invalid batch: %w", err)
-		endSpan(err)
-		return nil, err
-	}
-	obs.SetSpanAttrs(ctx, "seq", strconv.FormatInt(e.seq+1, 10), "ops", strconv.Itoa(len(batch)))
-	if e.sink != nil {
-		if err := e.sink(ctx, e.seq+1, batch); err != nil {
-			err = fmt.Errorf("stream: journal batch %d: %w", e.seq+1, err)
-			endSpan(err)
-			return nil, err
-		}
-	}
-	defer endSpan(nil)
+// apply is the engine's Step: it runs the batch's ops against the table
+// and the maintained state and returns the batch's diff.
+func (e *Engine) apply(_ context.Context, seq int64, batch Batch) (*Diff, error) {
 	start := time.Now()
 	for _, op := range batch {
 		switch op.Kind {
@@ -484,29 +402,13 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch Batch) (*Diff, error) {
 			e.applyDelete(op.Drop)
 			opsDelete.Inc()
 		}
-		e.version = e.t.Version()
 	}
-	e.seq++
-	diff := e.vio.Diff(e.seq, e.t.NumRows())
-	e.log.Append(diff)
+	diff := e.vio.Diff(seq, e.t.NumRows())
 	applyDur.Observe(time.Since(start).Seconds())
 	batchesApplied.Inc()
-	difflogDepth.Set(float64(e.log.Len()))
+	difflogDepth.Set(float64(min(e.log.Len()+1, e.log.max))) // the depth once the diff is logged
 	violationSize.Set(float64(e.vio.Len()))
 	return diff, nil
-}
-
-// Since merges the retained per-batch diffs after the cursor into one net
-// diff: violations both added and removed in the span cancel out, and a
-// violation whose bytes changed appears in both lists. When the cursor
-// predates the retained log the change cannot be expressed as a diff and
-// the full (shared, immutable) snapshot is returned with Reset set. A
-// cursor ahead of the engine is an error. (The merge itself lives in
-// DiffLog, shared with the sharding coordinator.)
-func (e *Engine) Since(seq int64) (*Diff, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.log.Merge(seq, e.seq, e.t.NumRows())
 }
 
 // extract returns a variable tableau row's block keys for one LHS value,

@@ -56,7 +56,7 @@ func DeleteRows(rows ...int) Op { return Op{Kind: OpDelete, Drop: rows} }
 type Batch []Op
 
 // Diff reports how one applied batch (or a merged span of batches, see
-// Engine.Since) changed the maintained violation set. Added holds
+// Sequencer.Since) changed the maintained violation set. Added holds
 // violations present after but not before; Removed the reverse; a
 // violation whose rendering changed (e.g. its rows were renumbered by a
 // delete) appears in both. Both lists are in the engine's violation
@@ -74,18 +74,11 @@ type Diff struct {
 	Reset bool `json:"reset,omitempty"`
 }
 
-// ValidateBatch checks a batch against a table without applying it — the
-// same validation Engine.ApplyCtx performs before mutating anything. The
-// sharding coordinator validates incoming batches against the global
-// table with it before translating them into per-shard operations.
+// ValidateBatch checks a batch against a table without applying it: the
+// whole batch against the table schema and a virtual row count that
+// tracks appends and deletes through the batch. Sequencer.ApplyCtx runs
+// it before anything is journaled or mutated.
 func ValidateBatch(t *table.Table, batch Batch) error {
-	return validate(t, batch)
-}
-
-// validate checks the whole batch against the table schema and a virtual
-// row count that tracks appends and deletes through the batch, so an
-// invalid batch is rejected before any mutation.
-func validate(t *table.Table, batch Batch) error {
 	n := t.NumRows()
 	for i, op := range batch {
 		switch op.Kind {

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -10,7 +11,8 @@ import (
 
 // TestSinkWriteAhead pins the journal hook contract: the sink sees every
 // applied batch with the seq it receives, before mutation; a sink error
-// aborts the batch untouched; a detached sink is bypassed.
+// aborts the batch untouched; a detached sink is bypassed. Its second
+// half drives the Sequencer alone, through a fake step.
 func TestSinkWriteAhead(t *testing.T) {
 	tbl := table.MustFromRows("T", []string{"code", "city", "phone", "state"}, [][]string{
 		{"90001", "LA", "85123", "FL"},
@@ -75,5 +77,64 @@ func TestSinkWriteAhead(t *testing.T) {
 	}
 	if len(calls) != 1 {
 		t.Errorf("invalid batch reached the sink: %+v", calls)
+	}
+
+	// The protocol with a fake step that appends the batch's rows and
+	// fails on demand.
+	var sunk, stepped []int64
+	var sinkErr, stepErr error
+	seqr := NewSequencer(tbl, 7, 0, nil, func(_ context.Context, seq int64, batch Batch) (*Diff, error) {
+		stepped = append(stepped, seq)
+		if stepErr != nil {
+			return nil, stepErr
+		}
+		for _, r := range batch[0].Rows {
+			_ = tbl.Append(r)
+		}
+		return &Diff{Seq: seq, Rows: tbl.NumRows()}, nil
+	})
+	seqr.SetSink(func(_ context.Context, seq int64, _ Batch) error {
+		if sinkErr != nil {
+			return sinkErr
+		}
+		sunk = append(sunk, seq)
+		return nil
+	})
+	apply := func() error {
+		_, err := seqr.ApplyCtx(context.Background(), Batch{AppendRows([]string{"90005", "SJ", "85127", "CA"})})
+		return err
+	}
+	// A sink error applies nothing and does not poison.
+	sinkErr = fmt.Errorf("disk full")
+	rows := tbl.NumRows()
+	if err := apply(); err == nil || errors.Is(err, ErrNotApplied) {
+		t.Fatalf("sink error: err = %v, want a journaling error that is not ErrNotApplied", err)
+	}
+	if len(stepped) != 0 || tbl.NumRows() != rows || seqr.Seq() != 7 || seqr.Stale() {
+		t.Fatalf("sink error: step ran %v, %d rows, seq %d, stale %v", stepped, tbl.NumRows(), seqr.Seq(), seqr.Stale())
+	}
+	sinkErr = nil
+	if err := apply(); err != nil || seqr.Seq() != 8 || tbl.NumRows() != rows+1 {
+		t.Fatalf("after a sink error the next batch: err %v, seq %d, %d rows", err, seqr.Seq(), tbl.NumRows())
+	}
+	// A validation error never reaches the sink.
+	if _, err := seqr.ApplyCtx(context.Background(), Batch{UpdateCell(0, "nope", "x")}); err == nil {
+		t.Fatal("invalid batch accepted")
+	}
+	if len(sunk) != 1 || len(stepped) != 1 || seqr.Stale() {
+		t.Fatalf("invalid batch: sink saw %v, step %v, stale %v", sunk, stepped, seqr.Stale())
+	}
+	// A failing step poisons the stream without advancing Seq: batch 9
+	// reaches the sink once, and the stream refuses every later batch.
+	stepErr = fmt.Errorf("shard 1 gone")
+	if err := apply(); !errors.Is(err, ErrNotApplied) {
+		t.Fatalf("failing step: err = %v, want ErrNotApplied", err)
+	}
+	stepErr = nil
+	if err := apply(); err == nil {
+		t.Fatal("a poisoned stream applied a batch")
+	}
+	if fmt.Sprint(sunk) != "[8 9]" || seqr.Seq() != 8 || !seqr.Stale() {
+		t.Fatalf("after a failing step: sink saw %v, seq %d, stale %v; want [8 9], 8, true", sunk, seqr.Seq(), seqr.Stale())
 	}
 }

@@ -9,10 +9,17 @@
 #
 #   scripts/pair.sh PARENT_DIR CHANGE_DIR WORKLOAD SEED PAIRS
 #
-# Each directory is a full checkout (git clone / git archive); the bench
-# builds into that checkout's own .bench_build/. Metric names and their
-# better direction come from PARENT_DIR/BENCHMARK.json. PAIRS=0 prints the
-# table header and exits (the CI dry run).
+# Each directory is a full checkout (git clone / git archive). Before every
+# run the script copies that run's checkout, without .git and .bench_build,
+# into one temporary directory, and the bench builds and runs there: both
+# sides build from the same path (a binary embeds its source paths) and
+# share one build cache and one .bench_build. Each side makes one
+# discarded warm-up run before pair 1. Every run's line carries the
+# sha256 of the anmat-server it built; when the two checkouts hold the
+# same tree (an A/A test) the script fails unless every run built the
+# same binary. Metric names and their better direction come from
+# PARENT_DIR/BENCHMARK.json. PAIRS=0 prints the table header and exits
+# (the CI dry run).
 set -euo pipefail
 if [ "$#" -ne 5 ]; then
 	echo "usage: $0 PARENT_DIR CHANGE_DIR WORKLOAD SEED PAIRS" >&2
@@ -29,15 +36,32 @@ if [ "$pairs" -eq 0 ]; then
 fi
 
 raw=$(mktemp)
-trap 'rm -f "$raw"' EXIT
+arm=$(mktemp -d)
+trap 'rm -rf "$raw" "$arm"' EXIT
+same_tree=0
+if diff -rq -x .git -x .bench_build "$parent" "$change" >/dev/null; then same_tree=1; fi
+
+# run SIDE: copy SIDE's checkout into $arm (keeping $arm/.bench_build),
+# run the bench there, and print the built server's hash and the bench's
+# last line.
+run() {
+	local dir=$parent
+	if [ "$1" = change ]; then dir=$change; fi
+	find "$arm" -mindepth 1 -maxdepth 1 ! -name .bench_build -exec rm -rf {} +
+	tar -C "$dir" --exclude=./.git --exclude=./.bench_build -cf - . | tar -C "$arm" -xf -
+	local line
+	line=$(cd "$arm" && bash bench/run.sh --workload "$workload" --seed "$seed" --seconds 10 --trace 0 2>/dev/null | tail -n 1)
+	echo "sha256=$(sha256sum "$arm/.bench_build/bin/anmat-server" | cut -d" " -f1) $line"
+}
+
+for side in parent change; do
+	echo "warm-up $side $(run $side)"
+done
 for ((i = 1; i <= pairs; i++)); do
 	order="parent change"
 	if ((i % 2 == 0)); then order="change parent"; fi
 	for side in $order; do
-		dir=$parent
-		if [ "$side" = change ]; then dir=$change; fi
-		line=$(cd "$dir" && bash bench/run.sh --workload "$workload" --seed "$seed" --seconds 10 --trace 0 2>/dev/null | tail -n 1)
-		echo "pair $i $side $line" | tee -a "$raw"
+		echo "pair $i $side $(run "$side")" | tee -a "$raw"
 	done
 done
 
@@ -89,3 +113,9 @@ END {
 	}
 	printf "runs that failed an operation or a correctness check: %d of %d\n", bad, 2 * pairs
 }' "$parent/BENCHMARK.json" "$raw"
+
+hashes=$(awk '{print $4}' "$raw" | sort -u | wc -l)
+if [ "$same_tree" -eq 1 ]; then
+	echo "A/A: the two checkouts hold the same tree; the runs built $hashes distinct anmat-server binaries"
+	if [ "$hashes" -ne 1 ]; then exit 1; fi
+fi
