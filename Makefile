@@ -80,6 +80,7 @@ fuzz:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/pattern -run '^$$' -fuzz FuzzMatch -fuzztime 30s
 	$(GO) test ./internal/pattern -run '^$$' -fuzz FuzzContains -fuzztime 30s
+	$(GO) test ./internal/pattern -run '^$$' -fuzz FuzzLCGAll -fuzztime 30s
 	$(GO) test ./internal/discovery -run '^$$' -fuzz FuzzEntriesAgainstReference -fuzztime 30s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 30s
 	# A restore runs a whole session; minimizing one of its 15 KB inputs
@@ -95,7 +96,7 @@ loc:
 # The size ratchet, beside CI's coverage ratchet: the tree may not grow
 # past the last reading. Lower LOC_CEILING when the tree shrinks; never
 # raise it without saying why in CHANGES.md.
-LOC_CEILING = 19496
+LOC_CEILING = 19971
 loc-check:
 	@loc=$$($(MAKE) -s loc); echo "non-test Go lines: $$loc (ceiling $(LOC_CEILING))"; [ $$loc -le $(LOC_CEILING) ]
 

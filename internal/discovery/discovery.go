@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"unicode/utf8"
 
 	"github.com/anmat/anmat/internal/dmv"
@@ -22,7 +23,6 @@ import (
 	"github.com/anmat/anmat/internal/profile"
 	"github.com/anmat/anmat/internal/table"
 	"github.com/anmat/anmat/internal/tableau"
-	"github.com/anmat/anmat/internal/tokenize"
 )
 
 // Mode selects how LHS values are decomposed into inverted-list keys.
@@ -138,9 +138,9 @@ type CandidateStats struct {
 // dependency of the table. A caller that already holds the profile of t
 // as it is now (a session that ran its profile stage) passes it as tp;
 // with tp nil, discovery profiles t itself. ctx is checked before each
-// candidate dependency and periodically inside each candidate's
-// inverted-list build and scan, so a cancelled mining run stops within a
-// bounded amount of work and returns an error wrapping ctx.Err().
+// candidate dependency and periodically inside each column's key index
+// build and each candidate's entry scan, so a cancelled mining run stops
+// within a bounded amount of work and returns an error wrapping ctx.Err().
 func Discover(ctx context.Context, t *table.Table, tp *profile.TableProfile, cfg Config) (*Result, error) {
 	if cfg.NGramN <= 0 {
 		cfg.NGramN = 3
@@ -162,18 +162,36 @@ func Discover(ctx context.Context, t *table.Table, tp *profile.TableProfile, cfg
 	}
 	cands := profile.Candidates(*tp)
 	cols := make([]*column, t.NumCols())
-	sides := make([][2]*column, len(cands)) // each candidate's LHS and RHS column
+	type job struct {
+		idx *lhsIndex
+		rhs *column
+	}
+	jobs := make([]job, len(cands))
+	type cutKey struct {
+		col    int
+		tokens bool
+	}
+	idxs := map[cutKey]*lhsIndex{}
 	for c, cand := range cands {
-		for side, name := range [2]string{cand.LHS, cand.RHS} {
-			i, ok := t.ColIndex(name)
+		var side [2]int
+		for i, name := range [2]string{cand.LHS, cand.RHS} {
+			col, ok := t.ColIndex(name)
 			if !ok {
 				return nil, fmt.Errorf("table %q: no column %q", t.Name(), name)
 			}
-			if cols[i] == nil {
-				cols[i] = columnOf(t.InternedColumn(i), cfg.CleanDMVs)
+			if cols[col] == nil {
+				cols[col] = columnOf(t.InternedColumn(col), cfg.CleanDMVs)
 			}
-			sides[c][side] = cols[i]
+			side[i] = col
 		}
+		k := cutKey{side[0], tokenModeFor(cand, cfg.Mode)}
+		x := idxs[k]
+		if x == nil {
+			x = &lhsIndex{col: cols[k.col], cut: cutOf(cfg, k.tokens)}
+			idxs[k] = x
+		}
+		x.left.Add(1)
+		jobs[c] = job{x, cols[side[1]]}
 	}
 
 	workers := cfg.Parallelism
@@ -194,30 +212,37 @@ func Discover(ctx context.Context, t *table.Table, tp *profile.TableProfile, cfg
 	}
 	outs := make([]outcome, len(cands))
 	var wg sync.WaitGroup
-	jobs := make(chan int)
+	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
+			for i := range next {
 				if err := ctx.Err(); err != nil {
 					outs[i] = outcome{err: err}
 					continue
 				}
-				p, stats, err := discoverCandidate(ctx, t.Name(), cands[i], sides[i][0], sides[i][1], cfg, f)
-				outs[i] = outcome{p: p, stats: stats, err: err}
+				j := jobs[i]
+				var o outcome
+				idx, err := j.idx.get(ctx)
+				if err == nil {
+					o.p, o.stats, err = discoverCandidate(ctx, t.Name(), cands[i], j.idx.col, j.rhs, idx, cfg, f)
+				}
+				o.err = err
+				outs[i] = o
+				j.idx.done()
 			}
 		}()
 	}
 feed:
 	for i := range cands {
 		select {
-		case jobs <- i:
+		case next <- i:
 		case <-ctx.Done():
 			break feed
 		}
 	}
-	close(jobs)
+	close(next)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("discovery cancelled: %w", err)
@@ -253,6 +278,39 @@ func columnOf(iv *table.Interned, cleanDMVs bool) *column {
 	return c
 }
 
+// lhsIndex is the key index of one LHS column, built by the first of its
+// candidates to run and dropped when the last one is done.
+type lhsIndex struct {
+	col  *column
+	cut  invlist.Cut
+	once sync.Once
+	idx  *invlist.Index
+	err  error
+	left atomic.Int32 // candidates still to use it
+}
+
+func (x *lhsIndex) get(ctx context.Context) (*invlist.Index, error) {
+	x.once.Do(func() { x.idx, x.err = invlist.NewIndex(ctx, x.col.Column, x.cut) })
+	return x.idx, x.err
+}
+
+func (x *lhsIndex) done() {
+	if x.left.Add(-1) == 0 {
+		x.idx = nil
+	}
+}
+
+// cutOf is how a candidate's LHS values are cut into keys. The default
+// decision and the variable-row miner ignore keys below MinSupport, so
+// those are never materialised; a custom decision is shown every entry.
+func cutOf(cfg Config, useTokens bool) invlist.Cut {
+	cut := invlist.Cut{Tokens: useTokens, NGramN: cfg.NGramN, MaxPrefix: cfg.MaxPrefix, MinSupport: cfg.MinSupport}
+	if cfg.Decision != nil {
+		cut.MinSupport = 0
+	}
+	return cut
+}
+
 // rule is an accepted inverted-list entry on its way to a tableau row,
 // with the ascending numbers of its distinct LHS values: the extension
 // that de-duplication and subset pruning compare (see invlist).
@@ -262,9 +320,9 @@ type rule struct {
 }
 
 // discoverCandidate mines one A → B candidate over the coded columns.
-func discoverCandidate(ctx context.Context, tableName string, cand profile.Candidate, lhs, rhs *column, cfg Config, f DecisionFunc) (*pfd.PFD, CandidateStats, error) {
+func discoverCandidate(ctx context.Context, tableName string, cand profile.Candidate, lhs, rhs *column, idx *invlist.Index, cfg Config, f DecisionFunc) (*pfd.PFD, CandidateStats, error) {
 	stats := CandidateStats{Candidate: cand}
-	tab, err := candidateTableau(ctx, cand, lhs, rhs, cfg, f, &stats)
+	tab, err := candidateTableau(ctx, cand, idx, rhs, cfg, f, &stats)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -289,20 +347,9 @@ func discoverCandidate(ctx context.Context, tableName string, cand profile.Candi
 // minimization: one constant row per accepted inverted-list entry left by
 // the extensional de-duplication, then the variable rows. It fills the
 // entry counts of stats.
-func candidateTableau(ctx context.Context, cand profile.Candidate, lhs, rhs *column, cfg Config, f DecisionFunc, stats *CandidateStats) (*tableau.Tableau, error) {
-	useTokens := tokenModeFor(cand, cfg.Mode)
-	list, err := buildInvertedList(ctx, lhs, rhs, useTokens, cfg)
-	if err != nil {
-		return nil, err
-	}
-	// The default decision and the variable-row miner ignore keys below
-	// MinSupport, so those are not materialised; a custom decision is shown
-	// every entry.
-	floor := cfg.MinSupport
-	if cfg.Decision != nil {
-		floor = 0
-	}
-	entries := list.Entries(floor)
+func candidateTableau(ctx context.Context, cand profile.Candidate, idx *invlist.Index, rhs *column, cfg Config, f DecisionFunc, stats *CandidateStats) (*tableau.Tableau, error) {
+	list := invlist.New(idx, rhs.Column)
+	entries := list.Entries()
 	stats.Entries = list.Keys()
 
 	var accepted []rule
@@ -377,7 +424,7 @@ func candidateTableau(ctx context.Context, cand profile.Candidate, lhs, rhs *col
 	// Variable rows: if almost every key of a positional family is
 	// individually functional, the family generalizes to a wildcard rule.
 	if cfg.MineVariable {
-		for _, vr := range mineVariableRows(entries, useTokens, cfg) {
+		for _, vr := range mineVariableRows(entries, tokenModeFor(cand, cfg.Mode), cfg) {
 			tab.Add(vr)
 		}
 	}
@@ -394,46 +441,6 @@ func tokenModeFor(cand profile.Candidate, m Mode) bool {
 	default:
 		return cand.LHSType == profile.Text
 	}
-}
-
-// buildInvertedList is lines 4–8 of Figure 2. In token mode the keys are
-// tokens of t[A]; in n-gram mode the keys are prefixes (anchored rules
-// like Table 3's `850…`) plus interior n-grams. The RHS value u is the
-// whole of t[B]: Table 3's rules predict complete RHS values, and pairing
-// with whole values keeps multi-token constants like "Los Angeles" intact.
-//
-// Each distinct LHS value with an eligible tuple is decomposed once; the
-// list weights its postings by the tuples that hold it.
-func buildInvertedList(ctx context.Context, lhs, rhs *column, useTokens bool, cfg Config) (*invlist.List, error) {
-	list := invlist.New(lhs.Column, rhs.Column)
-	var toks []tokenize.Token
-	for v := 0; v < list.NumValues(); v++ {
-		if v&8191 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		val := list.Value(v)
-		if useTokens {
-			toks = tokenize.AppendTokens(toks[:0], val, tokenize.DefaultDelims)
-			for _, tok := range toks {
-				list.Insert(invlist.Key{Kind: invlist.Token, Text: tok.Text}, v, tok.Pos)
-			}
-			continue
-		}
-		toks = tokenize.AppendPrefixes(toks[:0], val, cfg.MaxPrefix)
-		for _, tok := range toks {
-			list.Insert(invlist.Key{Kind: invlist.Prefix, Text: tok.Text}, v, 0)
-		}
-		toks = tokenize.AppendNGrams(toks[:0], val, cfg.NGramN)
-		for _, tok := range toks {
-			if tok.Pos == 0 {
-				continue // prefix of same length already indexed
-			}
-			list.Insert(invlist.Key{Kind: invlist.Gram, Pos: int32(tok.Pos), Text: tok.Text}, v, tok.Pos)
-		}
-	}
-	return list, nil
 }
 
 // patternTupleFor is line 12 of Figure 2: turn an accepted entry into a
@@ -498,7 +505,7 @@ func tokenPatternTuple(e invlist.Entry, tok string) (pattern.Constrained, bool) 
 	// comma-terminated token, and drop the trailing \A* when the token is
 	// always value-final (Table 3's `\A*,\ David` row has no tail).
 	prefix := pattern.AnyString().Concat(pattern.Literal(" "))
-	if alwaysAfterComma(e, tok) {
+	if alwaysAfterComma(e) {
 		prefix = pattern.AnyString().Concat(pattern.Literal(", "))
 	}
 	segs := []pattern.Segment{
@@ -528,18 +535,12 @@ func alwaysValueFinal(e invlist.Entry, tok string) bool {
 }
 
 // alwaysAfterComma samples supporting values in tuple order and reports
-// whether the character immediately before the token's occurrences is
-// always ", ".
-func alwaysAfterComma(e invlist.Entry, tok string) bool {
+// whether the token before the entry's token always ends with a comma,
+// i.e. whether the token always follows ", ".
+func alwaysAfterComma(e invlist.Entry) bool {
 	checked, after := 0, true
-	var toks []tokenize.Token
 	e.InTupleOrder(func(_ int32, p invlist.Posting) bool {
-		toks = tokenize.AppendTokens(toks[:0], e.LHS(p), tokenize.DefaultDelims)
-		pos := int(p.Pos)
-		if pos >= len(toks) || toks[pos].Text != tok {
-			return true
-		}
-		after = pos > 0 && strings.HasSuffix(toks[pos-1].Text, ",")
+		after = strings.HasSuffix(e.Token(p, int(p.Pos)-1), ",")
 		checked++
 		return after && checked < 32
 	})

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/anmat/anmat/internal/datagen"
+	"github.com/anmat/anmat/internal/invlist"
 	"github.com/anmat/anmat/internal/profile"
 	"github.com/anmat/anmat/internal/tableau/tableautest"
 )
@@ -33,7 +34,11 @@ func TestMinimizeMatchesPairwiseOnGoldenFamilies(t *testing.T) {
 				li, _ := tbl.ColIndex(cand.LHS)
 				ri, _ := tbl.ColIndex(cand.RHS)
 				var stats CandidateStats
-				tab, err := candidateTableau(context.Background(), cand, columnOf(tbl.InternedColumn(li), false), columnOf(tbl.InternedColumn(ri), false), cfg, cfg.defaultDecision(), &stats)
+				idx, err := invlist.NewIndex(context.Background(), columnOf(tbl.InternedColumn(li), false).Column, cutOf(cfg, tokenModeFor(cand, cfg.Mode)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				tab, err := candidateTableau(context.Background(), cand, idx, columnOf(tbl.InternedColumn(ri), false), cfg, cfg.defaultDecision(), &stats)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -135,27 +135,50 @@ func tuplesOf(e invlist.Entry) []int32 {
 
 // checkAgainstReference builds the flat list for one candidate and checks
 // that its entries — order, support, majority RHS, dominant position,
-// purity, tuple sets — are the reference's.
+// purity, tuple sets — are the reference's: at floor 0 all of them, and at
+// floor MinSupport, where weak prefixes are never cut, those with that
+// much support. Both lists count every key.
 func checkAgainstReference(t *testing.T, lhs, rhs []string, useTokens bool, cfg Config) []invlist.Entry {
 	t.Helper()
 	tbl := table.MustNew("t", []string{"lhs", "rhs"})
 	for i := range lhs {
 		tbl.MustAppend(lhs[i], rhs[i])
 	}
-	list, err := buildInvertedList(context.Background(), columnOf(tbl.InternedColumn(0), false), columnOf(tbl.InternedColumn(1), false), useTokens, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, want := list.Entries(0), refEntries(lhs, rhs, useTokens, cfg)
-	if len(got) != len(want) {
-		t.Fatalf("%d entries, reference has %d", len(got), len(want))
-	}
-	for i := range got {
-		if g, w := describeEntry(got[i]), describeRef(want[i]); g != w {
-			t.Fatalf("entry %d:\n got  %s\n want %s", i, g, w)
+	want := refEntries(lhs, rhs, useTokens, cfg)
+	var all []invlist.Entry
+	for _, floor := range []int{0, cfg.MinSupport} {
+		cut := cutOf(cfg, useTokens)
+		cut.MinSupport = floor
+		idx, err := invlist.NewIndex(context.Background(), columnOf(tbl.InternedColumn(0), false).Column, cut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		list := invlist.New(idx, columnOf(tbl.InternedColumn(1), false).Column)
+		if list.Keys() != len(want) {
+			t.Fatalf("floor %d: %d keys, reference has %d", floor, list.Keys(), len(want))
+		}
+		got := list.Entries()
+		if all == nil {
+			all = got
+		}
+		i := 0
+		for _, w := range want {
+			if w.support < floor {
+				continue
+			}
+			if i == len(got) {
+				t.Fatalf("floor %d: %d entries, reference has more", floor, len(got))
+			}
+			if g, w := describeEntry(got[i]), describeRef(w); g != w {
+				t.Fatalf("floor %d: entry %d:\n got  %s\n want %s", floor, i, g, w)
+			}
+			i++
+		}
+		if i != len(got) {
+			t.Fatalf("floor %d: %d entries, reference has %d", floor, len(got), i)
 		}
 	}
-	return got
+	return all
 }
 
 func find(es []invlist.Entry, kind invlist.Kind, text string, pos int) (invlist.Entry, bool) {

@@ -6,22 +6,25 @@
 // only that bag's set with multiplicities — how many tuples mention a key,
 // with which RHS values, at which positions — so the list stores one
 // posting per (key, distinct LHS value, occurrence) and weights it by the
-// tuples that hold the value. It is built for one candidate dependency
-// A → B over dictionary-coded columns:
+// tuples that hold the value. The keys depend on the LHS column alone, so
+// they are cut once per column, and every candidate A → B built on it
+// does only the per-pair work:
 //
-//   - New groups the eligible tuples (non-empty A and B) by distinct A
-//     value. Values are numbered by first eligible tuple, and each keeps
-//     its ascending tuple run and its histogram of B values;
-//   - Insert takes postings in value order (and enforces it), so a key's
-//     postings are sorted by value and the distinct values of an entry —
-//     what extensional de-duplication and subset pruning compare — are its
+//   - NewIndex cuts each distinct value of a column into its keys (see
+//     Index) and is shared by the column's candidates;
+//   - New groups the candidate's eligible tuples (non-empty A and B) by
+//     distinct A value. Values are numbered by first eligible tuple, and
+//     each keeps its ascending tuple run and its histogram of B values.
+//     It sums each key's support over the eligible values and lays out
+//     the postings of the keys at or above the floor, grouped by key and
+//     sorted by value, so the distinct values of an entry — what
+//     extensional de-duplication and subset pruning compare — are its
 //     postings with adjacent repeats skipped. Every numbered value has a
-//     tuple, so two entries' value sets are equal, or nested, exactly when
-//     their tuple sets are;
-//   - support is kept per key as postings arrive, so Entries groups, sorts
-//     and analyzes only the keys at or above the caller's support floor,
-//     each in one scan with reusable counters indexed by RHS ID and by
-//     position: no per-key maps, no per-key allocations.
+//     tuple, so two entries' value sets are equal, or nested, exactly
+//     when their tuple sets are;
+//   - Entries analyzes those keys, each in one scan with reusable
+//     counters indexed by RHS ID and by position: no per-key maps, no
+//     per-key allocations.
 //
 // The two questions that are about tuple order ("the first 64 mentions")
 // are answered by Entry.InTupleOrder, a lazy merge of the tuple runs.
@@ -29,7 +32,7 @@ package invlist
 
 import (
 	"bytes"
-	"slices"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -115,50 +118,38 @@ type Posting struct {
 
 // List is the inverted list of one candidate dependency.
 type List struct {
-	lhsVals, rhsVals []string // the columns' dictionaries
+	idx     *Index
+	rhsVals []string // the RHS column's dictionary
 
 	// The eligible tuples grouped by LHS value, values numbered by first
-	// eligible tuple: value v is lhsVals[dictID[v]], held by the ascending
-	// tuples[runStart[v]:runStart[v+1]], whose RHS values are counted in
-	// hist[histStart[v]:histStart[v+1]].
-	dictID    []uint32
-	runStart  []int32
-	tuples    []int32
-	histStart []int32
-	hist      []rhsCount
+	// eligible tuple: value v is dictionary value dictID[v], held by the
+	// ascending tuples[starts[v].run:starts[v+1].run], whose RHS values are
+	// counted in hist[starts[v].hist:starts[v+1].hist].
+	dictID []uint32
+	starts []start
+	tuples []int32
+	hist   []rhsCount
 
-	// ids[kind][pos] maps a key's text to its dense ID: one string-keyed
-	// map per (kind, position) instead of one map over a struct key, so a
-	// lookup hashes the text alone.
-	ids  [3][]map[string]uint32
-	keys []keyInfo
-	// raw holds the postings in arrival (= value) order, in fixed-size
-	// chunks so that growing never copies; Entries groups them by key with
-	// a counting sort, which keeps that order per key.
-	raw  [][]keyed
-	n    int // postings inserted
-	last int32
+	keys int // keys with an eligible tuple
+	// The keys at or above the floor in entry order, with their support
+	// and their postings grouped[from:to], in value order.
+	kept    []keptKey
+	grouped []Posting
 }
+
+// start is where a value's tuples and RHS counts start; both end where
+// the next value's start. A value's two reads share a cache line.
+type start struct{ run, hist int32 }
 
 type rhsCount struct {
 	rhs uint32
 	n   int32
 }
 
-// keyInfo is a key with what Insert has learnt about it.
-type keyInfo struct {
-	Key
-	support int32 // tuples holding a value that mentions the key
-	n       int32 // postings
-	last    int32 // number + 1 of the last value inserted under the key
-}
-
-// rawChunk is the number of postings per chunk of List.raw (192 KB).
-const rawChunk = 1 << 14
-
-type keyed struct {
-	key uint32
-	Posting
+type keptKey struct {
+	ord               uint64 // the entry order: support descending, then key
+	id                uint32
+	support, from, to int32
 }
 
 // Column is a dictionary-coded column as the list reads it: row r holds
@@ -171,12 +162,17 @@ type Column struct {
 	IDs    []uint32
 }
 
-// New returns the list of a candidate over its coded LHS and RHS columns,
-// with the eligible tuples grouped by LHS value and no key yet. A tuple
-// missing either side carries no evidence for or against any rule.
-func New(lhs, rhs Column) *List {
-	l := &List{lhsVals: lhs.Values, rhsVals: rhs.Values, runStart: []int32{0}, histStart: []int32{0}}
-	eligible := func(t int, d uint32) bool { return lhs.Values[d] != "" && rhs.Values[rhs.IDs[t]] != "" }
+// New returns the list of a candidate over the index of its LHS column
+// and its coded RHS column. It groups the eligible tuples by LHS value —
+// a tuple missing either side carries no evidence for or against any
+// rule — weights each value's keys by its tuples, and materialises the
+// postings of the keys whose support reaches the index's floor.
+func New(idx *Index, rhs Column) *List {
+	lhs := idx.col
+	l := &List{idx: idx, rhsVals: rhs.Values, starts: make([]start, 1, len(lhs.Values)+1)}
+	eligible := func(t int, d uint32) bool {
+		return lhs.Values[d] != "" && rhs.Values[rhs.IDs[t]] != ""
+	}
 	num := make([]int32, len(lhs.Values)) // LHS dictionary ID → value number + 1
 	for t, d := range lhs.IDs {
 		if !eligible(t, d) {
@@ -184,16 +180,17 @@ func New(lhs, rhs Column) *List {
 		}
 		if num[d] == 0 {
 			l.dictID = append(l.dictID, d)
-			l.runStart = append(l.runStart, 0)
+			l.starts = append(l.starts, start{})
 			num[d] = int32(len(l.dictID))
 		}
-		l.runStart[num[d]]++
+		l.starts[num[d]].run++
 	}
+	next := make([]int32, len(l.dictID)) // where value v's next tuple goes
 	for v := range l.dictID {
-		l.runStart[v+1] += l.runStart[v]
+		l.starts[v+1].run += l.starts[v].run
+		next[v] = l.starts[v].run
 	}
-	l.tuples = make([]int32, l.runStart[len(l.dictID)])
-	next := slices.Clone(l.runStart)
+	l.tuples = make([]int32, l.starts[len(l.dictID)].run)
 	for t, d := range lhs.IDs {
 		if eligible(t, d) {
 			l.tuples[next[num[d]-1]] = int32(t)
@@ -204,7 +201,7 @@ func New(lhs, rhs Column) *List {
 	count := make([]int32, len(rhs.Values))
 	for v := range l.dictID {
 		from := len(l.hist)
-		for _, t := range l.tuples[l.runStart[v]:l.runStart[v+1]] {
+		for _, t := range l.tuples[l.starts[v].run:l.starts[v+1].run] {
 			u := rhs.IDs[t]
 			if count[u] == 0 {
 				l.hist = append(l.hist, rhsCount{rhs: u})
@@ -215,65 +212,99 @@ func New(lhs, rhs Column) *List {
 			h := &l.hist[i]
 			h.n, count[h.rhs] = count[h.rhs], 0
 		}
-		l.histStart = append(l.histStart, int32(len(l.hist)))
+		l.starts[v+1].hist = int32(len(l.hist))
 	}
+	l.keep()
 	return l
 }
 
-// NumValues returns the number of distinct LHS values with an eligible
-// tuple; they are numbered from 0 in order of their first such tuple.
-func (l *List) NumValues() int { return len(l.dictID) }
-
-// Value returns the LHS value numbered v.
-func (l *List) Value(v int) string { return l.lhsVals[l.dictID[v]] }
-
-// Keys returns the number of distinct keys inserted so far.
-func (l *List) Keys() int { return len(l.keys) }
-
-// Insert records that the key occurs at pos in the LHS value numbered
-// value (line 8 of Figure 2, once for every tuple holding the value).
-// Postings must arrive in non-decreasing value order — the analysis
-// depends on it — so an out-of-order insert is a caller bug and panics.
-func (l *List) Insert(key Key, value, pos int) {
-	v := int32(value)
-	if v < l.last {
-		panic("invlist: postings must be inserted in value order")
-	}
-	l.last = v
-	byPos := l.ids[key.Kind]
-	if int(key.Pos) >= len(byPos) {
-		byPos = append(byPos, make([]map[string]uint32, int(key.Pos)+1-len(byPos))...)
-		l.ids[key.Kind] = byPos
-	}
-	m := byPos[key.Pos]
-	if m == nil {
-		m = make(map[string]uint32)
-		byPos[key.Pos] = m
-	}
-	id, ok := m[key.Text]
-	if !ok {
-		id = uint32(len(l.keys))
-		m[key.Text] = id
-		if len(l.keys) == cap(l.keys) {
-			// Double: the keys run to megabytes, where append's own 1.25×
-			// steps would copy them five times over instead of twice.
-			l.keys = slices.Grow(l.keys, max(len(l.keys), 256))
+// keep sums each key's support over the eligible values, counts the keys
+// that have any — the prefixes that are no key of the index included —
+// and groups the postings of those at or above the floor: it counts them
+// per key, lays the keys out in ID order and scatters the postings in
+// value order. The kept keys end in entry order.
+func (l *List) keep() {
+	x := l.idx
+	support := make([]int32, len(x.keys))
+	n := make([]int32, len(x.keys))
+	for v, d := range l.dictID {
+		w := l.starts[v+1].run - l.starts[v].run
+		for _, o := range x.occ[x.occStart[d]:x.occStart[d+1]] {
+			k := o.key & keyMask
+			if o.key&repeat == 0 {
+				support[k] += w
+			}
+			n[k]++
 		}
-		l.keys = append(l.keys, keyInfo{Key: key})
 	}
-	k := &l.keys[id]
-	if k.last != v+1 {
-		k.last = v + 1
-		k.support += l.runStart[v+1] - l.runStart[v]
+	kept, prefixes := 0, 0
+	for _, s := range support {
+		if s >= x.floor && s > 0 {
+			kept++
+		}
 	}
-	k.n++
-	if l.n%rawChunk == 0 {
-		l.raw = append(l.raw, make([]keyed, 0, rawChunk))
+	l.kept = make([]keptKey, 0, kept)
+	total := int32(0)
+	for k, s := range support {
+		if s == 0 {
+			continue
+		}
+		l.keys++
+		if k < x.prefixKeys {
+			prefixes++
+		}
+		if s < x.floor {
+			n[k] = -1
+			continue
+		}
+		ord := uint64(math.MaxInt32-s)<<32 | uint64(x.order[k])
+		l.kept = append(l.kept, keptKey{ord: ord, id: uint32(k), support: s, from: total, to: total + n[k]})
+		n[k], total = total, total+n[k] // n[k] is now where the next posting goes
 	}
-	c := &l.raw[len(l.raw)-1]
-	*c = append(*c, keyed{id, Posting{Value: v, Pos: int32(pos)}})
-	l.n++
+	l.keys += l.prefixRuns() - prefixes // the prefixes that are no key
+	l.grouped = make([]Posting, total)
+	for v, d := range l.dictID {
+		for _, o := range x.occ[x.occStart[d]:x.occStart[d+1]] {
+			if k := o.key & keyMask; n[k] >= 0 {
+				l.grouped[n[k]] = Posting{Value: int32(v), Pos: o.pos}
+				n[k]++
+			}
+		}
+	}
+	sortByHead(l.kept, func(k keptKey) uint64 { return k.ord })
 }
+
+// prefixRuns counts the distinct prefixes of the eligible values: in
+// prefix order, each eligible value adds those of its prefixes that the
+// eligible value before it lacks, and two values share as many prefixes
+// as the values between them all share with their predecessors.
+func (l *List) prefixRuns() int {
+	x := l.idx
+	if x.runs == 0 || len(x.depth) == len(l.dictID) {
+		return x.runs
+	}
+	eligible := make([]bool, len(x.depth))
+	for _, d := range l.dictID {
+		eligible[x.rank[d]] = true
+	}
+	n, shared := 0, int32(0)
+	for r, ok := range eligible {
+		shared = min(shared, x.shared[r])
+		if ok {
+			n += int(x.depth[r] - shared)
+			shared = math.MaxInt32
+		}
+	}
+	return n
+}
+
+// Value returns the LHS value numbered v: the values with an eligible
+// tuple are numbered from 0 in order of their first such tuple.
+func (l *List) Value(v int) string { return l.idx.col.Values[l.dictID[v]] }
+
+// Keys returns the number of distinct keys that occur in a value with an
+// eligible tuple, those below the floor included.
+func (l *List) Keys() int { return l.keys }
 
 // Entry summarizes one inverted-list entry for the decision function f:
 // the key, its postings, and what the tuples that mention it say.
@@ -307,6 +338,17 @@ type Entry struct {
 // LHS returns the LHS value a posting of the entry was cut from.
 func (e Entry) LHS(p Posting) string { return e.l.Value(int(p.Value)) }
 
+// Token returns the text of the token at position pos of the value a
+// posting was cut from, in a list of tokens; "" if there is none.
+func (e Entry) Token(p Posting, pos int) string {
+	x := e.l.idx
+	d := e.l.dictID[p.Value]
+	if pos < 0 || pos >= int(x.occStart[d+1]-x.occStart[d]) {
+		return ""
+	}
+	return x.keys[x.occ[int(x.occStart[d])+pos].key&keyMask].Text
+}
+
 // Values appends the numbers of the entry's distinct LHS values,
 // ascending, to dst.
 func (e Entry) Values(dst []int32) []int32 {
@@ -337,8 +379,8 @@ func (e Entry) InTupleOrder(yield func(tuple int32, p Posting) bool) {
 	for next := 0; next < len(e.Postings) || len(heap) > 0; {
 		if next < len(e.Postings) {
 			v := e.Postings[next].Value
-			if len(heap) == 0 || l.tuples[l.runStart[v]] < l.tuples[heap[0].at] {
-				r := run{at: l.runStart[v], end: l.runStart[v+1], lo: next}
+			if len(heap) == 0 || l.tuples[l.starts[v].run] < l.tuples[heap[0].at] {
+				r := run{at: l.starts[v].run, end: l.starts[v+1].run, lo: next}
 				for next++; next < len(e.Postings) && e.Postings[next].Value == v; next++ {
 				}
 				r.hi = next
@@ -373,68 +415,36 @@ func (e Entry) InTupleOrder(yield func(tuple int32, p Posting) bool) {
 	}
 }
 
-// Entries analyzes the keys whose support reaches minSupport and returns
+// Entries analyzes the keys whose support reaches the floor and returns
 // their entries sorted by descending support and then key, so discovery
 // examines strong keys first. A tuple contributes one support unit and
 // one RHS vote per key however many times it mentions the key; every
 // mention counts towards the position histogram. Both majorities break
 // ties independently of arrival order (the smallest RHS, the lowest
 // position), so the weighted counts are the per-tuple list's exactly.
-func (l *List) Entries(minSupport int) []Entry {
-	// Group the kept keys' postings by key: Insert counted them; prefix-sum
-	// and scatter. Afterwards next[k] is where key k's postings end.
-	next := make([]int32, len(l.keys))
-	var order []uint32
-	total := int32(0)
-	for k := range l.keys {
-		if int(l.keys[k].support) < minSupport {
-			next[k] = -1
-			continue
-		}
-		next[k] = total
-		total += l.keys[k].n
-		order = append(order, uint32(k))
-	}
-	grouped := make([]Posting, total)
-	for _, chunk := range l.raw {
-		for _, p := range chunk {
-			if i := next[p.key]; i >= 0 {
-				grouped[i] = p.Posting
-				next[p.key] = i + 1
-			}
-		}
-	}
-
-	// Order the keys before analyzing them, by sorting key IDs: a swap
-	// moves 4 bytes and each Entry is written once, in its final place.
-	slices.SortFunc(order, func(a, b uint32) int {
-		if sa, sb := l.keys[a].support, l.keys[b].support; sa != sb {
-			return int(sb - sa)
-		}
-		return Compare(l.keys[a].Key, l.keys[b].Key)
-	})
-
-	out := make([]Entry, len(order))
+func (l *List) Entries() []Entry {
+	keys := l.idx.keys
+	out := make([]Entry, len(l.kept))
 	rhsCount := make([]int32, len(l.rhsVals))
 	var posCount []int32
-	for i, k := range order {
-		ki := &l.keys[k]
-		ps := grouped[next[k]-ki.n : next[k]]
-		e := Entry{Key: ki.Key, Postings: ps, Support: int(ki.support), l: l}
+	var voted []uint32 // the RHS values with a vote for the current key
+	for i, k := range l.kept {
+		ps := l.grouped[k.from:k.to]
+		e := Entry{Key: keys[k.id], Postings: ps, Support: int(k.support), l: l}
 		topID, bestPos, bestN := uint32(0), 0, int32(0)
 		prev := int32(-1)
 		for _, p := range ps {
+			from, to := l.starts[p.Value], l.starts[p.Value+1]
 			if p.Value != prev {
 				prev = p.Value
-				for _, h := range l.hist[l.histStart[p.Value]:l.histStart[p.Value+1]] {
-					rhsCount[h.rhs] += h.n
-					c := int(rhsCount[h.rhs])
-					if c > e.TopCount || (c == e.TopCount && h.rhs != topID && l.rhsVals[h.rhs] < l.rhsVals[topID]) {
-						topID, e.TopCount = h.rhs, c
+				for _, h := range l.hist[from.hist:to.hist] {
+					if rhsCount[h.rhs] == 0 {
+						voted = append(voted, h.rhs)
 					}
+					rhsCount[h.rhs] += h.n
 				}
 			}
-			held := l.runStart[p.Value+1] - l.runStart[p.Value]
+			held := to.run - from.run
 			e.Mentions += int(held)
 			if int(p.Pos) >= len(posCount) {
 				posCount = append(posCount, make([]int32, int(p.Pos)+1-len(posCount))...)
@@ -446,10 +456,14 @@ func (l *List) Entries(minSupport int) []Entry {
 		}
 		for _, p := range ps {
 			posCount[p.Pos] = 0
-			for _, h := range l.hist[l.histStart[p.Value]:l.histStart[p.Value+1]] {
-				rhsCount[h.rhs] = 0
-			}
 		}
+		for _, u := range voted {
+			if c := int(rhsCount[u]); c > e.TopCount || c == e.TopCount && l.rhsVals[u] < l.rhsVals[topID] {
+				topID, e.TopCount = u, c
+			}
+			rhsCount[u] = 0
+		}
+		voted = voted[:0]
 		e.TopRHS = l.rhsVals[topID]
 		e.DominantLHSPos = bestPos
 		e.PosPurity = float64(bestN) / float64(e.Mentions)

@@ -1,22 +1,14 @@
 package invlist
 
 import (
-	"strconv"
+	"context"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/anmat/anmat/internal/table"
 )
-
-// newList returns an empty list over tuples with the given RHS values and
-// LHS values that are all distinct, so that value v is tuple v and the
-// list degenerates to the per-tuple one.
-func newList(rhs ...string) *List {
-	lhs := make([]string, len(rhs))
-	for i := range lhs {
-		lhs[i] = "v" + strconv.Itoa(i)
-	}
-	return New(columns(lhs, rhs))
-}
 
 // columns codes two parallel value lists the way a table does.
 func columns(lhs, rhs []string) (Column, Column) {
@@ -28,9 +20,19 @@ func columns(lhs, rhs []string) (Column, Column) {
 	return Column{l.Dict.Values(), l.IDs}, Column{r.Dict.Values(), r.IDs}
 }
 
-func tok(s string) Key { return Key{Kind: Token, Text: s} }
+// tokenList builds the list of a candidate whose LHS values are cut into
+// tokens, postings materialised for the keys at or above floor.
+func tokenList(t testing.TB, lhs, rhs []string, floor int) *List {
+	t.Helper()
+	l, r := columns(lhs, rhs)
+	idx, err := NewIndex(context.Background(), l, Cut{Tokens: true, MinSupport: floor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(idx, r)
+}
 
-func (l *List) insert(key string, value, pos int) { l.Insert(tok(key), value, pos) }
+func tok(s string) Key { return Key{Kind: Token, Text: s} }
 
 // tuples lists the entry's distinct tuple ids in the order the tuple-order
 // walk reaches them.
@@ -47,7 +49,7 @@ func (e Entry) tuples() []int32 {
 
 // entry returns the analyzed entry of a key, or the zero Entry.
 func entry(l *List, k Key) Entry {
-	for _, e := range l.Entries(0) {
+	for _, e := range l.Entries() {
 		if e.Key == k {
 			return e
 		}
@@ -55,48 +57,33 @@ func entry(l *List, k Key) Entry {
 	return Entry{}
 }
 
-func buildSample() *List {
-	// Key "John" appears in tuples 0,1,2 all with RHS "M"; tuple 3 has
-	// RHS "F" (the dirty one).
-	l := newList("M", "M", "M", "F", "F", "F")
-	l.insert("John", 0, 0)
-	l.insert("John", 1, 0)
-	l.insert("John", 2, 0)
-	l.insert("John", 3, 0)
-	l.insert("Susan", 4, 0)
-	l.insert("Susan", 5, 0)
-	return l
+// buildSample: key "John" appears in tuples 0,1,2 all with RHS "M";
+// tuple 3 has RHS "F" (the dirty one). Every value is distinct, so every
+// tuple is a value of its own.
+func buildSample(t *testing.T) *List {
+	return tokenList(t,
+		[]string{"John a", "John b", "John c", "John d", "Susan e", "Susan f"},
+		[]string{"M", "M", "M", "F", "F", "F"}, 0)
 }
 
-func TestInsertAndPostings(t *testing.T) {
-	l := buildSample()
-	if n := len(l.Entries(0)); n != 2 {
+func TestEntryPostings(t *testing.T) {
+	l := buildSample(t)
+	if n := len(l.Entries()); n != 8 {
 		t.Fatalf("%d keys", n)
 	}
-	if n := len(entry(l, tok("John")).Postings); n != 4 {
-		t.Errorf("John postings = %d", n)
+	if ps := entry(l, tok("John")).Postings; len(ps) != 4 || slices.ContainsFunc(ps, func(p Posting) bool { return p.Pos != 0 }) {
+		t.Errorf("John postings = %v", ps)
 	}
 	if entry(l, tok("missing")).Postings != nil {
 		t.Error("missing key should have no postings")
 	}
-	if l.Keys() != 2 {
-		t.Errorf("Keys = %d, want 2", l.Keys())
+	if l.Keys() != 8 {
+		t.Errorf("Keys = %d, want 8", l.Keys())
 	}
 }
 
-func TestInsertOutOfValueOrderPanics(t *testing.T) {
-	l := newList("x", "x")
-	l.insert("k", 1, 0)
-	defer func() {
-		if recover() == nil {
-			t.Error("inserting value 0 after value 1 must panic: the analysis relies on value order")
-		}
-	}()
-	l.insert("k", 0, 0)
-}
-
 func TestAnalyze(t *testing.T) {
-	l := buildSample()
+	l := buildSample(t)
 	e := entry(l, tok("John"))
 	if e.Support != 4 {
 		t.Errorf("Support = %d", e.Support)
@@ -113,11 +100,9 @@ func TestAnalyze(t *testing.T) {
 }
 
 func TestAnalyzeDedupByTuple(t *testing.T) {
-	l := newList("x")
-	// Same tuple mentions the key twice (e.g. "aa aa"): support counts
-	// tuples, not postings.
-	l.insert("aa", 0, 0)
-	l.insert("aa", 0, 1)
+	// Same tuple mentions the key twice: support counts tuples, not
+	// postings.
+	l := tokenList(t, []string{"aa aa"}, []string{"x"}, 0)
 	e := entry(l, tok("aa"))
 	if e.Support != 1 {
 		t.Errorf("Support = %d, want 1 (per-tuple)", e.Support)
@@ -135,39 +120,29 @@ func TestAnalyzeDedupByTuple(t *testing.T) {
 }
 
 func TestAnalyzeEmptyKey(t *testing.T) {
-	l := newList()
+	l := tokenList(t, nil, nil, 0)
 	e := entry(l, tok("missing"))
-	if e.Support != 0 || e.Confidence() != 0 {
-		t.Errorf("empty entry: support=%d conf=%f", e.Support, e.Confidence())
+	if e.Support != 0 || e.Confidence() != 0 || l.Keys() != 0 {
+		t.Errorf("empty entry: support=%d conf=%f keys=%d", e.Support, e.Confidence(), l.Keys())
 	}
 }
 
 func TestEntriesOrdering(t *testing.T) {
-	l := buildSample()
-	es := l.Entries(0)
-	if len(es) != 2 {
-		t.Fatalf("Entries = %d", len(es))
-	}
+	es := buildSample(t).Entries()
 	if es[0].Key.Text != "John" || es[1].Key.Text != "Susan" {
 		t.Errorf("order: %s, %s (want John first, higher support)", es[0].Key.Text, es[1].Key.Text)
 	}
 }
 
 func TestEntriesTieBreaksOnKey(t *testing.T) {
-	l := newList("x", "x")
-	l.insert("b", 0, 0)
-	l.insert("a", 1, 0)
-	es := l.Entries(0)
+	es := tokenList(t, []string{"b", "a"}, []string{"x", "x"}, 0).Entries()
 	if es[0].Key.Text != "a" {
 		t.Errorf("tie should break lexicographically, got %q first", es[0].Key.Text)
 	}
 }
 
 func TestDominantPosition(t *testing.T) {
-	l := newList("x", "x", "x")
-	l.insert("k", 0, 1)
-	l.insert("k", 1, 1)
-	l.insert("k", 2, 3)
+	l := tokenList(t, []string{"a k", "b k", "c d e k"}, []string{"x", "x", "x"}, 0)
 	e := entry(l, tok("k"))
 	if e.DominantLHSPos != 1 {
 		t.Errorf("DominantLHSPos = %d", e.DominantLHSPos)
@@ -177,14 +152,37 @@ func TestDominantPosition(t *testing.T) {
 	}
 }
 
+// at renders a value with the given tokens at the given positions and a
+// filler token, unique to the value, everywhere else.
+func at(filler string, toks map[int]string) string {
+	last := 0
+	for p := range toks {
+		last = max(last, p)
+	}
+	words := make([]string, last+1)
+	for p := range words {
+		if w, ok := toks[p]; ok {
+			words[p] = w
+		} else {
+			words[p] = filler
+		}
+	}
+	return strings.Join(words, " ")
+}
+
 // Ties: the lexicographically smallest RHS wins whatever order the votes
 // arrive in, and the lowest position wins — including positions far past
 // anything a small fixed counter array would hold.
 func TestTopRHSAndPositionTies(t *testing.T) {
-	l := newList("b", "a", "c", "c", "a", "b")
+	var lhs []string
 	for tuple, pos := range []int{70_000, 3, 70_000, 3, 9, 9} {
-		l.insert("k", tuple, pos)
+		toks := map[int]string{pos: "k"}
+		if tuple == 5 {
+			toks[70_000] = "z"
+		}
+		lhs = append(lhs, at(fmt.Sprint("w", tuple), toks))
 	}
+	l := tokenList(t, lhs, []string{"b", "a", "c", "c", "a", "b"}, 0)
 	e := entry(l, tok("k"))
 	if e.Support != 6 || e.TopRHS != "a" || e.TopCount != 2 {
 		t.Errorf("support %d top %q/%d, want 6 a/2", e.Support, e.TopRHS, e.TopCount)
@@ -194,9 +192,64 @@ func TestTopRHSAndPositionTies(t *testing.T) {
 	}
 	// The counters are reused across keys: a second key must not see the
 	// first one's votes.
-	l.insert("z", 5, 70_000)
 	z := entry(l, tok("z"))
 	if z.Support != 1 || z.TopRHS != "b" || z.TopCount != 1 || z.DominantLHSPos != 70_000 || z.PosPurity != 1 {
 		t.Errorf("second key polluted by the first: %+v", z)
+	}
+}
+
+// One index serves every candidate with its LHS, and each candidate
+// numbers the values by its own first eligible tuple: the two RHS columns
+// lack cells in different rows, so the same LHS column yields different
+// numberings, tuple runs, supports and key counts.
+func TestSharedIndexNumbersValuesPerCandidate(t *testing.T) {
+	tbl := table.MustNew("t", []string{"lhs", "b", "c"})
+	for _, row := range [][]string{
+		{"x k", "", "u"},
+		{"y k", "u", ""},
+		{"x k", "u", "u"},
+		{"z", "u", "u"},
+		{"y k", "v", ""},
+	} {
+		tbl.MustAppend(row...)
+	}
+	col := func(i int) Column {
+		iv := tbl.InternedColumn(i)
+		return Column{iv.Dict.Values(), iv.IDs}
+	}
+	for _, cut := range []Cut{{Tokens: true}, {NGramN: 2, MaxPrefix: 2, MinSupport: 2}} {
+		idx, err := NewIndex(context.Background(), col(0), cut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			rhs    int
+			values string
+			tuples map[string]string
+		}{
+			{1, "[y k x k z]", map[string]string{"y": "[1 4]", "x": "[2]", "k": "[1 2 4]"}},
+			{2, "[x k z]", map[string]string{"x": "[0 2]", "k": "[0 2]", "y": "[]"}},
+		} {
+			l := New(idx, col(c.rhs))
+			var values []string
+			for v := range l.dictID {
+				values = append(values, l.Value(v))
+			}
+			if got := fmt.Sprint(values); got != c.values {
+				t.Errorf("%+v, RHS %d: values %s, want %s", cut, c.rhs, got, c.values)
+			}
+			if !cut.Tokens {
+				continue
+			}
+			for key, want := range c.tuples {
+				got := entry(l, tok(key)).tuples()
+				if fmt.Sprint(got) != want && !(want == "[]" && got == nil) {
+					t.Errorf("RHS %d: %s tuples %v, want %s", c.rhs, key, got, want)
+				}
+			}
+			if want := 3 + c.rhs%2; l.Keys() != want {
+				t.Errorf("RHS %d: %d keys, want %d", c.rhs, l.Keys(), want)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package invlist
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -17,31 +18,26 @@ type mention struct {
 // randomList builds a list over a random table dominated by repeated LHS
 // values, with rows missing either side interleaved (so value numbers are
 // not dictionary IDs), and returns with it the per-tuple expansion of
-// every key: each value's mentions are drawn once — a key may repeat
-// inside a value, at the same or at different positions — and replayed
-// for every eligible tuple holding it, in tuple order.
-func randomList(rng *rand.Rand) (*List, map[string][]mention) {
+// every key: each value is a few random tokens — a key may repeat inside
+// a value — whose mentions are replayed for every eligible tuple holding
+// it, in tuple order. floor is the list's support floor.
+func randomList(t testing.TB, rng *rand.Rand, floor int) (*List, map[string][]mention) {
+	shapes := make([]string, 6)
+	for i := range shapes {
+		words := make([]string, 1+rng.Intn(4))
+		for j := range words {
+			words[j] = fmt.Sprintf("k%d", rng.Intn(5))
+		}
+		shapes[i] = strings.Join(words, " ")
+	}
 	nTuples := 1 + rng.Intn(40)
 	lhs, rhs := make([]string, nTuples), make([]string, nTuples)
 	for i := range lhs {
 		if rng.Intn(8) > 0 {
-			lhs[i] = fmt.Sprintf("a%d", rng.Intn(6))
+			lhs[i] = shapes[rng.Intn(len(shapes))]
 		}
 		if rng.Intn(6) > 0 {
 			rhs[i] = fmt.Sprintf("v%d", rng.Intn(4))
-		}
-	}
-	l := New(columns(lhs, rhs))
-	type occ struct {
-		key string
-		pos int
-	}
-	occs := map[string][]occ{}
-	for v := 0; v < l.NumValues(); v++ {
-		for n := rng.Intn(5); n > 0; n-- {
-			o := occ{fmt.Sprintf("k%d", rng.Intn(5)), rng.Intn(3)}
-			occs[l.Value(v)] = append(occs[l.Value(v)], o)
-			l.insert(o.key, v, o.pos)
 		}
 	}
 	want := map[string][]mention{}
@@ -49,11 +45,18 @@ func randomList(rng *rand.Rand) (*List, map[string][]mention) {
 		if v == "" || rhs[tuple] == "" {
 			continue
 		}
-		for _, o := range occs[v] {
-			want[o.key] = append(want[o.key], mention{tuple, o.pos, rhs[tuple]})
+		for pos, key := range strings.Fields(v) {
+			want[key] = append(want[key], mention{tuple, pos, rhs[tuple]})
 		}
 	}
-	return l, want
+	return tokenList(t, lhs, rhs, floor), want
+}
+
+// sameEntry reports whether two lists' entries say the same.
+func sameEntry(a, b Entry) bool {
+	return a.Key == b.Key && slices.Equal(a.Postings, b.Postings) && a.Mentions == b.Mentions &&
+		a.Support == b.Support && a.TopRHS == b.TopRHS && a.TopCount == b.TopCount &&
+		a.DominantLHSPos == b.DominantLHSPos && a.PosPurity == b.PosPurity
 }
 
 // Property: per-entry accounting against a map-based recount of the
@@ -62,17 +65,22 @@ func randomList(rng *rand.Rand) (*List, map[string][]mention) {
 // the smallest such value, the dominant position the most frequent (lowest
 // on ties) over all mentions, the walk's tuples the sorted distinct tuple
 // ids, and entries come out by descending support, then key. A support
-// floor drops exactly the entries below it.
+// floor drops exactly the entries below it, and counts every key still.
 func TestEntryAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 200; trial++ {
-		l, want := randomList(rng)
-		es := l.Entries(0)
+		seed := rng.Int63()
+		l, want := randomList(t, rand.New(rand.NewSource(seed)), 0)
+		es := l.Entries()
 		if len(es) != len(want) || l.Keys() != len(want) {
 			t.Fatalf("trial %d: %d entries, %d keys, want %d", trial, len(es), l.Keys(), len(want))
 		}
 		floor := rng.Intn(6)
-		floored := l.Entries(floor)
+		fl, _ := randomList(t, rand.New(rand.NewSource(seed)), floor)
+		floored := fl.Entries()
+		if fl.Keys() != len(want) {
+			t.Fatalf("trial %d, floor %d: %d keys, want %d", trial, floor, fl.Keys(), len(want))
+		}
 		for i, e := range es {
 			key := e.Key.Text
 			votes, posN := map[string]int{}, map[int]int{}
@@ -119,7 +127,7 @@ func TestEntryAccounting(t *testing.T) {
 				}
 			}
 			if e.Support >= floor {
-				if len(floored) == 0 || fmt.Sprintf("%+v", floored[0]) != fmt.Sprintf("%+v", e) {
+				if len(floored) == 0 || !sameEntry(floored[0], e) {
 					t.Fatalf("floor %d: entry %s missing or different", floor, key)
 				}
 				floored = floored[1:]
@@ -137,8 +145,8 @@ func TestEntryAccounting(t *testing.T) {
 func TestInTupleOrderMatchesExpansion(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 300; trial++ {
-		l, want := randomList(rng)
-		for _, e := range l.Entries(0) {
+		l, want := randomList(t, rng, 0)
+		for _, e := range l.Entries() {
 			ms := want[e.Key.Text]
 			for _, stop := range []int{len(ms) + 1, 1 + rng.Intn(len(ms)), 1} {
 				var got []mention
@@ -147,7 +155,7 @@ func TestInTupleOrderMatchesExpansion(t *testing.T) {
 						t.Fatalf("key %s: walk continued after yield returned false", e.Key.Text)
 					}
 					got = append(got, mention{tuple: int(tuple), pos: int(p.Pos)})
-					if v := e.LHS(p); v == "" || !strings.HasPrefix(v, "a") {
+					if v := e.LHS(p); !slices.Contains(strings.Fields(v), e.Key.Text) {
 						t.Fatalf("key %s: posting's value %q", e.Key.Text, v)
 					}
 					return len(got) < stop

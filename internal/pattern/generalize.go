@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"strconv"
+	"unicode/utf8"
 
 	"github.com/anmat/anmat/internal/gentree"
 )
@@ -186,6 +187,9 @@ func LCGAll(values []string) Pattern {
 // merges token-wise against the string's runes when lengths permit, else
 // widens to open signatures.
 func lcgPatternString(acc Pattern, v string) Pattern {
+	if covers(acc, v) {
+		return acc
+	}
 	rs := []rune(v)
 	if fixedLen, ok := fixedTokenLength(acc); ok && fixedLen == len(rs) {
 		var toks []Token
@@ -208,6 +212,39 @@ func lcgPatternString(acc Pattern, v string) Pattern {
 		return compactSameClassRuns(mk(toks))
 	}
 	return mergeOpen(openOf(acc), classRuns(v, true))
+}
+
+// covers reports whether the token-wise merge of v into acc would give
+// acc back, without building anything: acc has v's length, every literal
+// is v's rune, and every class is All or the rune's own. A fixed-length
+// accumulator is always in the merge's compact form — it starts as
+// literals, and an open merge that keeps every token single has the
+// length of its value, which the token-wise merge takes instead — so the
+// merge would only rebuild it. Once the accumulator covers the values,
+// folding the rest allocates nothing.
+func covers(acc Pattern, v string) bool {
+	i := 0 // byte offset into v
+	for _, t := range acc.toks {
+		reps := 1
+		switch t.Quant {
+		case One:
+		case Exactly:
+			reps = t.N
+		default:
+			return false
+		}
+		for ; reps > 0; reps-- {
+			if i == len(v) {
+				return false
+			}
+			r, w := utf8.DecodeRuneInString(v[i:])
+			i += w
+			if t.IsClass && t.Class != gentree.All && t.Class != gentree.ClassOf(r) || !t.IsClass && t.Lit != r {
+				return false
+			}
+		}
+	}
+	return i == len(v)
 }
 
 // fixedTokenLength reports the exact rune length matched by the pattern

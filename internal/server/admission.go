@@ -168,6 +168,29 @@ func (a *admission) reserveSession(tenant string, rows int) *rejection {
 	return nil
 }
 
+// rowsLeft is how many more rows the tenant's quota admits; -1 when rows
+// are not limited.
+func (a *admission) rowsLeft(tenant string) int {
+	if a.limits.MaxRows <= 0 {
+		return -1
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	left := a.limits.MaxRows
+	if ts := a.tenants[tenant]; ts != nil {
+		left -= ts.rows
+	}
+	return max(left, 0)
+}
+
+// rowsOver is the refusal of an upload that holds more than the left rows
+// rowsLeft gave when its body began to be read.
+func (a *admission) rowsOver(left int) *rejection {
+	return &rejection{reason: "rows", retryAfter: 1,
+		detail: "row quota exhausted (upload over the " + strconv.Itoa(left) +
+			" rows left of " + strconv.Itoa(a.limits.MaxRows) + ")"}
+}
+
 // unreserveSession returns a reservation whose session never came to be.
 func (a *admission) unreserveSession(tenant string, rows int) {
 	a.mu.Lock()

@@ -29,6 +29,34 @@ func postAs(t *testing.T, h http.Handler, tenant, path, body string) *httptest.R
 	return rec
 }
 
+// lineReader hands out its text one line per Read and counts the lines,
+// so that a reader buffering ahead cannot take more than it asks for. If
+// then is set, it runs once when the reader has handed out at lines.
+type lineReader struct {
+	rest  string
+	lines int
+	at    int
+	then  func()
+}
+
+func (r *lineReader) Read(p []byte) (int, error) {
+	if r.rest == "" {
+		return 0, io.EOF
+	}
+	line := r.rest
+	if i := strings.IndexByte(line, '\n'); i >= 0 {
+		line = line[:i+1]
+	}
+	n := copy(p, line)
+	if n == len(line) {
+		if r.lines++; r.lines == r.at && r.then != nil {
+			r.then()
+		}
+	}
+	r.rest = r.rest[n:]
+	return n, nil
+}
+
 // wantReject asserts a 429 with a Retry-After header.
 func wantReject(t *testing.T, rec *httptest.ResponseRecorder, wantReason string) {
 	t.Helper()
@@ -153,7 +181,19 @@ func TestAdmissionRowQuota(t *testing.T) {
 	wantReject(t, postAs(t, h, "acme", "/api/v1/sessions?name=big",
 		csvBody(t, datagen.PhoneState(300, 0.01, 42))), "row quota")
 
-	rec := postAs(t, h, "acme", "/api/v1/sessions?name=ok",
+	// ... and before the rest of its body is read: of a 10 000-row upload
+	// the reader takes the header and one row past the 250 left.
+	body := &lineReader{rest: csvBody(t, datagen.PhoneState(10_000, 0.01, 42))}
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/sessions?name=huge", body)
+	req.Header.Set(obs.TenantHeader, "acme")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	wantReject(t, rec, "row quota")
+	if body.lines > 1+251 {
+		t.Fatalf("the refused upload's reader took %d lines, want at most the header and 251 rows", body.lines)
+	}
+
+	rec = postAs(t, h, "acme", "/api/v1/sessions?name=ok",
 		csvBody(t, datagen.PhoneState(200, 0.01, 42)))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("upload: %d %s", rec.Code, rec.Body.String())
@@ -181,6 +221,43 @@ func TestAdmissionRowQuota(t *testing.T) {
 	}
 	if rec := appendN(15); rec.Code != http.StatusOK {
 		t.Fatalf("append after delete: %d %s", rec.Code, rec.Body.String())
+	}
+}
+
+// The row cap is the budget as the body began to stream: rows the tenant
+// frees while it streams do not let the head of a larger upload become a
+// session.
+func TestAdmissionRowQuotaFreedMidUpload(t *testing.T) {
+	srv := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig()))
+	srv.SetLimits(Limits{MaxRows: 250})
+	h := srv.Handler()
+	rec := postAs(t, h, "acme", "/api/v1/sessions?name=a",
+		csvBody(t, datagen.PhoneState(200, 0.01, 42)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("upload: %d %s", rec.Code, rec.Body.String())
+	}
+	id := jsonField(t, rec, "session")
+
+	// 300 rows against the 50 left; session a goes after 20 of them.
+	body := &lineReader{rest: csvBody(t, datagen.PhoneState(300, 0.01, 43)), at: 20, then: func() {
+		del := httptest.NewRecorder()
+		h.ServeHTTP(del, httptest.NewRequest(http.MethodDelete, "/api/v1/sessions/"+id, nil))
+		if del.Code != http.StatusOK {
+			t.Fatalf("delete: %d %s", del.Code, del.Body.String())
+		}
+	}}
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/sessions?name=b", body)
+	req.Header.Set(obs.TenantHeader, "acme")
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	wantReject(t, rec, "row quota")
+	if body.lines > 1+51 {
+		t.Fatalf("the refused upload's reader took %d lines, want at most the header and 51 rows", body.lines)
+	}
+	list := httptest.NewRecorder()
+	h.ServeHTTP(list, httptest.NewRequest(http.MethodGet, "/api/v1/sessions", nil))
+	if strings.Contains(list.Body.String(), `"session":`) {
+		t.Fatalf("a refused upload left a session: %s", list.Body.String())
 	}
 }
 

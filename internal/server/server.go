@@ -608,12 +608,26 @@ func (s *Server) apiCreateSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxUploadBody)
-	t, err := table.ReadCSV(name, r.Body)
+	tenant := requestTenant(r)
+	// Past the tenant's row budget the upload is refused whatever follows,
+	// so the reader stops one row beyond it.
+	left, maxRows := -1, -1
+	if s.adm != nil {
+		if left = s.adm.rowsLeft(tenant); left >= 0 {
+			maxRows = left + 1
+		}
+	}
+	t, err := table.ReadCSVRows(name, r.Body, maxRows)
 	if err != nil {
 		writeError(w, bodyStatus(err), "%v", err)
 		return
 	}
-	tenant := requestTenant(r)
+	if t.NumRows() == maxRows {
+		// The reader stopped at the cap, so t is only the head of the
+		// upload: refuse it even if rows were freed while it streamed.
+		writeAdmissionReject(w, tenant, s.adm.rowsOver(left))
+		return
+	}
 	if s.adm != nil {
 		// Reserve before the (expensive) pipeline run, so an over-quota
 		// tenant cannot burn server CPU on uploads that would only be

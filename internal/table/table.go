@@ -309,6 +309,13 @@ const MaxColumns = 256
 // WriteCSV limitations for the one remaining single-column empty-cell
 // case).
 func ReadCSV(name string, r io.Reader) (*Table, error) {
+	return ReadCSVRows(name, r, -1)
+}
+
+// ReadCSVRows is ReadCSV that stops after maxRows data rows (all of them
+// when maxRows is negative), leaving the rest of r unread: a caller that
+// may take n more rows passes n+1 and refuses a table that has them.
+func ReadCSVRows(name string, r io.Reader, maxRows int) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
 	cr.ReuseRecord = true // Append interns the cells and keeps no record
@@ -325,7 +332,7 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 		return nil, err
 	}
 	width := len(header)
-	for {
+	for t.NumRows() != maxRows {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			break
