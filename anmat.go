@@ -127,7 +127,9 @@ type options struct {
 }
 
 // WithStorePath persists the document store at path ("" keeps it
-// memory-only, the default).
+// memory-only, the default): New loads the rules stored there, and every
+// discovery stage writes the file again once it has stored its table's
+// rule set.
 func WithStorePath(path string) Option {
 	return func(o *options) error { o.storePath = path; return nil }
 }

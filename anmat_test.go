@@ -3,6 +3,7 @@ package anmat
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -90,6 +91,39 @@ func TestFacadeBadStorePath(t *testing.T) {
 	}
 	if _, err := New(WithStorePath(bad)); err == nil {
 		t.Error("corrupt store should fail to open")
+	}
+}
+
+// TestStorePathKeepsMinedRules: the rules one System mines with a store
+// path are what a second System on that path loads, with no call but Run.
+func TestStorePathKeepsMinedRules(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "anmat.json")
+	tbl, err := LoadCSV(filepath.Join("testdata", "phone_state.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := New(WithStorePath(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := sys.NewSession("p", tbl, DefaultParams())
+	if err := sess.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(sess.Discovered) == 0 {
+		t.Fatal("nothing mined: the round trip below would check nothing")
+	}
+
+	later, err := New(WithStorePath(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := later.LoadPFDs(tbl.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(loaded), fmt.Sprint(sess.Discovered); got != want {
+		t.Errorf("a second System loaded %s, the first mined %s", got, want)
 	}
 }
 

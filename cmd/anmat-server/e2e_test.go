@@ -32,6 +32,7 @@ import (
 
 	anmat "github.com/anmat/anmat"
 	"github.com/anmat/anmat/internal/obs"
+	"github.com/anmat/anmat/internal/obs/obstest"
 )
 
 func TestMain(m *testing.M) {
@@ -398,7 +399,7 @@ func TestE2EFailoverMidScript(t *testing.T) {
 	// Metrics snapshots for the CI artifact: the coordinator registry,
 	// the surviving primary, and the spare now serving the dead shard.
 	// The failover itself must be visible in the coordinator's counters.
-	coordText := obs.Default.Text()
+	coordText := obstest.Text()
 	dumpProm(t, logDir, "failover-coordinator", coordText)
 	samples, _, err := obs.ParseText(coordText)
 	if err != nil {

@@ -165,10 +165,6 @@ func newEpoch() string {
 	return hex.EncodeToString(b[:])
 }
 
-// Epoch returns the coordinator's fencing epoch (every worker it boots
-// is claimed under it).
-func (c *Coordinator) Epoch() string { return c.opts.Client.Epoch }
-
 // Close releases the remote nodes and the failover store (removing its
 // directory when it was auto-created).
 func (c *Coordinator) Close() error {

@@ -17,6 +17,7 @@ import (
 
 	"github.com/anmat/anmat/internal/detect"
 	"github.com/anmat/anmat/internal/obs"
+	"github.com/anmat/anmat/internal/obs/obstest"
 	"github.com/anmat/anmat/internal/pattern"
 	"github.com/anmat/anmat/internal/pfd"
 	"github.com/anmat/anmat/internal/shard"
@@ -812,7 +813,7 @@ func TestWorkerSeqConflicts(t *testing.T) {
 func TestUnknownMethodsAddNoSeries(t *testing.T) {
 	h := NewWorker(-1, -1).Handler()
 	series := func() int {
-		samples, _, err := obs.ParseText(obs.Default.Text())
+		samples, _, err := obs.ParseText(obstest.Text())
 		if err != nil {
 			t.Fatal(err)
 		}

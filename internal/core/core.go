@@ -415,7 +415,8 @@ func (se *Session) RunDMV() []DMVFinding {
 // RunDiscovery mines PFDs with the session parameters and stores them as
 // the rule set of the table's name, in place of what an earlier run over
 // a table of that name stored: the store is bounded by the table names it
-// has seen, not by the runs. Cancelling ctx aborts mining mid-candidate
+// has seen, not by the runs. A store with a path is written through
+// before RunDiscovery returns. Cancelling ctx aborts mining mid-candidate
 // with an error wrapping context.Canceled.
 func (se *Session) RunDiscovery(ctx context.Context) ([]*pfd.PFD, error) {
 	var tp *profile.TableProfile // nil: discovery profiles the table itself
@@ -433,6 +434,9 @@ func (se *Session) RunDiscovery(ctx context.Context) ([]*pfd.PFD, error) {
 		if _, err := se.sys.store.InsertJSON(CollPFDs, p); err != nil {
 			return nil, fmt.Errorf("store pfd %s: %w", p.ID(), err)
 		}
+	}
+	if err := se.sys.store.Flush(); err != nil {
+		return nil, fmt.Errorf("session %s: store rules: %w", se.ID, err)
 	}
 	return res.PFDs, nil
 }

@@ -48,7 +48,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 
 	// Results were persisted.
-	if sys.Store().Count(CollPFDs, nil) == 0 {
+	if len(sys.Store().Find(CollPFDs, nil)) == 0 {
 		t.Error("PFDs not stored")
 	}
 }
@@ -172,9 +172,6 @@ func TestLoadPFDsRoundTrip(t *testing.T) {
 	}
 	wantViolations, err := se.RunDetection(context.Background())
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Flush(); err != nil {
 		t.Fatal(err)
 	}
 

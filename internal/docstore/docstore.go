@@ -110,16 +110,14 @@ func asID(v any) (int64, bool) {
 }
 
 // Flush writes the store to its path (no-op for memory-only stores).
+// It holds the write lock, so concurrent flushes do not share the
+// temporary file.
 func (s *Store) Flush() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.flushLocked()
-}
-
-func (s *Store) flushLocked() error {
 	if s.path == "" {
 		return nil
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	dump := persisted{NextID: s.nextID, Collections: make(map[string][]Doc)}
 	for name, c := range s.colls {
 		docs := make([]Doc, 0, len(c.docs))
@@ -163,21 +161,6 @@ func (s *Store) Insert(coll string, d Doc) int64 {
 	cp[IDField] = id
 	s.coll(coll).docs[id] = cp
 	return id
-}
-
-// Get returns the document with the id, or nil.
-func (s *Store) Get(coll string, id int64) Doc {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	c := s.colls[coll]
-	if c == nil {
-		return nil
-	}
-	d := c.docs[id]
-	if d == nil {
-		return nil
-	}
-	return cloneDoc(d)
 }
 
 // Filter matches documents whose fields equal every filter entry.
@@ -230,23 +213,6 @@ func (s *Store) Find(coll string, f Filter) []Doc {
 	return out
 }
 
-// Count returns the number of matching documents.
-func (s *Store) Count(coll string, f Filter) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	c := s.colls[coll]
-	if c == nil {
-		return 0
-	}
-	n := 0
-	for _, d := range c.docs {
-		if f.matches(d) {
-			n++
-		}
-	}
-	return n
-}
-
 // Delete removes the matching documents from the collection and returns
 // how many it removed. A nil filter empties the collection.
 func (s *Store) Delete(coll string, f Filter) int {
@@ -264,18 +230,6 @@ func (s *Store) Delete(coll string, f Filter) int {
 		}
 	}
 	return n
-}
-
-// Collections lists the collection names in sorted order.
-func (s *Store) Collections() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.colls))
-	for name := range s.colls {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func cloneDoc(d Doc) Doc {

@@ -8,21 +8,26 @@ import (
 	"testing"
 )
 
+// get returns the document with the id, or nil.
+func get(s *Store, coll string, id int64) Doc {
+	if docs := s.Find(coll, Filter{IDField: id}); len(docs) == 1 {
+		return docs[0]
+	}
+	return nil
+}
+
 func TestInsertAndGet(t *testing.T) {
 	s := NewMem()
 	id := s.Insert("c", Doc{"k": "v"})
-	d := s.Get("c", id)
+	d := get(s, "c", id)
 	if d == nil || d["k"] != "v" {
-		t.Fatalf("Get = %v", d)
+		t.Fatalf("get = %v", d)
 	}
 	if got, _ := d[IDField].(int64); got != id {
 		t.Errorf("_id = %v", d[IDField])
 	}
-	if s.Get("c", 999) != nil {
-		t.Error("missing id should return nil")
-	}
-	if s.Get("nope", id) != nil {
-		t.Error("missing collection should return nil")
+	if get(s, "c", 999) != nil {
+		t.Error("missing id should find nothing")
 	}
 }
 
@@ -31,13 +36,13 @@ func TestInsertCopies(t *testing.T) {
 	d := Doc{"k": "v"}
 	id := s.Insert("c", d)
 	d["k"] = "mutated"
-	if got := s.Get("c", id); got["k"] != "v" {
+	if got := get(s, "c", id); got["k"] != "v" {
 		t.Error("Insert should copy the document")
 	}
-	got := s.Get("c", id)
+	got := get(s, "c", id)
 	got["k"] = "mutated2"
-	if s.Get("c", id)["k"] != "v" {
-		t.Error("Get should return a copy")
+	if get(s, "c", id)["k"] != "v" {
+		t.Error("Find should return a copy")
 	}
 }
 
@@ -66,9 +71,6 @@ func TestFindFilter(t *testing.T) {
 	if n := len(s.Find("nope", nil)); n != 0 {
 		t.Errorf("missing collection Find = %d", n)
 	}
-	if s.Count("c", Filter{"kind": "a"}) != 2 {
-		t.Error("Count wrong")
-	}
 }
 
 func TestDelete(t *testing.T) {
@@ -83,7 +85,7 @@ func TestDelete(t *testing.T) {
 	if got := s.Find("c", nil); len(got) != 1 || got[0][IDField] != keep {
 		t.Errorf("left in c: %v", got)
 	}
-	if s.Count("other", nil) != 1 {
+	if len(s.Find("other", nil)) != 1 {
 		t.Error("Delete reached into another collection")
 	}
 	if n := s.Delete("c", Filter{"session": "s1"}); n != 0 {
@@ -92,22 +94,12 @@ func TestDelete(t *testing.T) {
 	if n := s.Delete("nope", nil); n != 0 {
 		t.Errorf("Delete on a missing collection removed %d", n)
 	}
-	if n := s.Delete("c", nil); n != 1 || s.Count("c", nil) != 0 {
-		t.Errorf("nil filter removed %d, %d left", n, s.Count("c", nil))
+	if n := s.Delete("c", nil); n != 1 || len(s.Find("c", nil)) != 0 {
+		t.Errorf("nil filter removed %d, %d left", n, len(s.Find("c", nil)))
 	}
 	// Ids are never reused, so a cursor over ids stays unambiguous.
 	if id := s.Insert("c", Doc{}); id <= keep {
 		t.Errorf("id %d reused after delete (last was %d)", id, keep)
-	}
-}
-
-func TestCollections(t *testing.T) {
-	s := NewMem()
-	s.Insert("b", Doc{})
-	s.Insert("a", Doc{})
-	cs := s.Collections()
-	if len(cs) != 2 || cs[0] != "a" || cs[1] != "b" {
-		t.Errorf("Collections = %v", cs)
 	}
 }
 
@@ -126,7 +118,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := back.Get("pfds", id1)
+	d := get(back, "pfds", id1)
 	if d == nil || d["table"] != "zip" {
 		t.Fatalf("reload lost data: %v", d)
 	}
@@ -142,7 +134,7 @@ func TestOpenMissingFileIsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Collections()) != 0 {
+	if len(s.colls) != 0 {
 		t.Error("fresh store should be empty")
 	}
 }
@@ -228,7 +220,7 @@ func TestFsyncFlushRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Get("c", id)["k"] != "v" {
+	if get(back, "c", id)["k"] != "v" {
 		t.Error("fsync flush lost data")
 	}
 }
@@ -251,7 +243,7 @@ func TestInsertJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := s.Get("c", id)
+	d := get(s, "c", id)
 	if d["name"] != "x" {
 		t.Errorf("InsertJSON doc = %v", d)
 	}
@@ -272,14 +264,46 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
 				id := s.Insert("c", Doc{"worker": i})
-				s.Get("c", id)
+				get(s, "c", id)
 				s.Find("c", Filter{"worker": i})
 			}
 		}(i)
 	}
 	wg.Wait()
-	if s.Count("c", nil) != 800 {
-		t.Errorf("Count = %d", s.Count("c", nil))
+	if n := len(s.Find("c", nil)); n != 800 {
+		t.Errorf("%d documents, want 800", n)
+	}
+}
+
+// TestConcurrentFlush: sessions store their rules and flush at once;
+// every flush succeeds and the file holds every document.
+func TestConcurrentFlush(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.json")
+	s, err := OpenWith(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < 50; j++ {
+				s.Insert("c", Doc{"worker": i})
+				if err := s.Flush(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	back, err := OpenWith(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(back.Find("c", nil)); n != 400 {
+		t.Errorf("the file holds %d documents, want 400", n)
 	}
 }
 

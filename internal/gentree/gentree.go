@@ -34,11 +34,7 @@ const (
 	Symbol
 	// All is the root of the tree and matches any character, written \A.
 	All
-	numClasses
 )
-
-// NumClasses is the number of distinct classes in the tree.
-const NumClasses = int(numClasses)
 
 // String returns the pattern-language spelling of the class.
 func (c Class) String() string {
@@ -58,27 +54,6 @@ func (c Class) String() string {
 	}
 }
 
-// Name returns a human-readable name for the class, matching Figure 1.
-func (c Class) Name() string {
-	switch c {
-	case Upper:
-		return "Upper"
-	case Lower:
-		return "Lower"
-	case Digit:
-		return "Digit"
-	case Symbol:
-		return "Symbol"
-	case All:
-		return "All"
-	default:
-		return fmt.Sprintf("Class(%d)", uint8(c))
-	}
-}
-
-// Valid reports whether c is one of the defined classes.
-func (c Class) Valid() bool { return c < numClasses }
-
 // ClassOf returns the level-1 class of a character: the parent of the leaf
 // r in the generalization tree.
 func ClassOf(r rune) Class {
@@ -92,25 +67,6 @@ func ClassOf(r rune) Class {
 	default:
 		return Symbol
 	}
-}
-
-// Parent returns the parent class of c in the tree. The parent of All is
-// All itself (the root is its own fixed point), which makes repeated
-// generalization terminate.
-func (c Class) Parent() Class {
-	if c == All {
-		return All
-	}
-	return All
-}
-
-// Contains reports whether class c generalizes class d, i.e. every
-// character in d is also in c. A class contains itself.
-func (c Class) Contains(d Class) bool {
-	if c == d {
-		return true
-	}
-	return c == All
 }
 
 // Matches reports whether the character r belongs to class c.

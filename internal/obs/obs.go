@@ -108,9 +108,6 @@ func (c *Counter) Add(v float64) {
 	c.s.addFloat(&c.s.bits, v)
 }
 
-// Value returns the current count.
-func (c *Counter) Value() float64 { return math.Float64frombits(c.s.bits.Load()) }
-
 // Gauge is a series that can go up and down.
 type Gauge struct{ s *series }
 
@@ -126,9 +123,6 @@ func (g *Gauge) Inc() { g.Add(1) }
 // Dec subtracts 1.
 func (g *Gauge) Dec() { g.Add(-1) }
 
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.s.bits.Load()) }
-
 // Histogram is a fixed-bucket distribution series.
 type Histogram struct {
 	s       *series
@@ -141,17 +135,6 @@ func (h *Histogram) Observe(v float64) {
 	h.s.counts[i].Add(1)
 	h.s.addFloat(&h.s.sumBits, v)
 	h.s.count.Add(1)
-}
-
-// Snapshot returns the per-bucket counts (last entry is +Inf), the sum
-// of samples, and the sample count, read non-atomically as a group (an
-// in-flight Observe may straddle the read; fine for reporting).
-func (h *Histogram) Snapshot() (counts []uint64, sum float64, count uint64) {
-	counts = make([]uint64, len(h.s.counts))
-	for i := range h.s.counts {
-		counts[i] = h.s.counts[i].Load()
-	}
-	return counts, math.Float64frombits(h.s.sumBits.Load()), h.s.count.Load()
 }
 
 // register resolves (creating if needed) a family, enforcing the
@@ -361,13 +344,6 @@ func (r *Registry) Families() []FamilyInfo {
 	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// Text renders the registry to a string.
-func (r *Registry) Text() string {
-	var sb strings.Builder
-	r.Render(&sb)
-	return sb.String()
 }
 
 // Handler returns an http.Handler serving the registry as a /metrics

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -12,6 +13,16 @@ import (
 	"testing"
 	"time"
 )
+
+// text renders r.
+func text(r *Registry) string {
+	var sb strings.Builder
+	r.Render(&sb)
+	return sb.String()
+}
+
+// value reads a counter's or gauge's series.
+func value(s *series) float64 { return math.Float64frombits(s.bits.Load()) }
 
 // TestCounterGaugeRender pins the scalar exposition lines.
 func TestCounterGaugeRender(t *testing.T) {
@@ -23,7 +34,7 @@ func TestCounterGaugeRender(t *testing.T) {
 	g := r.NewGauge("test_gauge", "A gauge.")
 	g.Set(1.5)
 	g.Dec()
-	text := r.Text()
+	text := text(r)
 	for _, want := range []string{
 		"# HELP test_total A counter.",
 		"# TYPE test_total counter",
@@ -44,7 +55,7 @@ func TestLabelEscaping(t *testing.T) {
 	v := r.NewCounterVec("esc_total", "", "path")
 	raw := "a\\b\"c\nd"
 	v.WithLabelValues(raw).Inc()
-	text := r.Text()
+	text := text(r)
 	want := `esc_total{path="a\\b\"c\nd"} 1`
 	if !strings.Contains(text, want+"\n") {
 		t.Fatalf("escaped line %q not in:\n%s", want, text)
@@ -66,7 +77,7 @@ func TestHistogramCumulativity(t *testing.T) {
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
 		h.Observe(v)
 	}
-	text := r.Text()
+	text := text(r)
 	for _, want := range []string{
 		`lat_seconds_bucket{le="0.1"} 1`,
 		`lat_seconds_bucket{le="1"} 3`,
@@ -79,13 +90,6 @@ func TestHistogramCumulativity(t *testing.T) {
 			t.Errorf("rendering missing %q:\n%s", want, text)
 		}
 	}
-	counts, sum, count := h.Snapshot()
-	if count != 5 || sum != 56.05 {
-		t.Fatalf("snapshot sum/count = %v/%d", sum, count)
-	}
-	if counts[0] != 1 || counts[1] != 2 || counts[2] != 1 || counts[3] != 1 {
-		t.Fatalf("snapshot counts = %v", counts)
-	}
 }
 
 // TestHistogramBoundaryValue pins le semantics: a sample exactly on a
@@ -94,8 +98,8 @@ func TestHistogramBoundaryValue(t *testing.T) {
 	r := NewRegistry()
 	h := r.NewHistogram("b_seconds", "", []float64{1, 2})
 	h.Observe(1)
-	if !strings.Contains(r.Text(), `b_seconds_bucket{le="1"} 1`) {
-		t.Fatalf("boundary sample not in its le bucket:\n%s", r.Text())
+	if !strings.Contains(text(r), `b_seconds_bucket{le="1"} 1`) {
+		t.Fatalf("boundary sample not in its le bucket:\n%s", text(r))
 	}
 }
 
@@ -120,20 +124,20 @@ func TestConcurrentIncrement(t *testing.T) {
 				h.WithLabelValues(lbl).Observe(0.001)
 				// Render concurrently with writes on a slice of iterations.
 				if i%251 == 0 {
-					_ = r.Text()
+					_ = text(r)
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	samples, _, err := ParseText(r.Text())
+	samples, _, err := ParseText(text(r))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := SumSamples(samples, "cc_total", nil); got != workers*per {
 		t.Fatalf("counter sum = %v, want %d", got, workers*per)
 	}
-	if got := g.Value(); got != workers*per {
+	if got := value(g.s); got != workers*per {
 		t.Fatalf("gauge = %v, want %d", got, workers*per)
 	}
 	if got := SumSamples(samples, "ch_seconds_count", nil); got != workers*per {
@@ -149,8 +153,8 @@ func TestIdempotentRegistration(t *testing.T) {
 	b := r.NewCounter("same_total", "ignored second help")
 	a.Inc()
 	b.Inc()
-	if a.Value() != 2 {
-		t.Fatalf("re-registered counter split series: %v", a.Value())
+	if value(a.s) != 2 {
+		t.Fatalf("re-registered counter split series: %v", value(a.s))
 	}
 	defer func() {
 		if recover() == nil {
@@ -166,12 +170,12 @@ func TestGaugeFunc(t *testing.T) {
 	r := NewRegistry()
 	n := 3
 	r.NewGaugeFunc("sessions", "", func() float64 { return float64(n) })
-	if !strings.Contains(r.Text(), "sessions 3\n") {
-		t.Fatalf("gauge func not rendered:\n%s", r.Text())
+	if !strings.Contains(text(r), "sessions 3\n") {
+		t.Fatalf("gauge func not rendered:\n%s", text(r))
 	}
 	r.NewGaugeFunc("sessions", "", func() float64 { return 7 })
-	if !strings.Contains(r.Text(), "sessions 7\n") {
-		t.Fatalf("gauge func not replaced:\n%s", r.Text())
+	if !strings.Contains(text(r), "sessions 7\n") {
+		t.Fatalf("gauge func not replaced:\n%s", text(r))
 	}
 }
 
@@ -185,7 +189,7 @@ func TestParseRoundTrip(t *testing.T) {
 	h := r.NewHistogramVec("rt_seconds", "", []float64{0.5, 1.5}, "op")
 	h.WithLabelValues("append").Observe(1)
 	h.WithLabelValues("append").Observe(2)
-	text := r.Text()
+	text := text(r)
 	samples, fams, err := ParseText(text)
 	if err != nil {
 		t.Fatalf("round trip parse: %v\n%s", err, text)
@@ -233,13 +237,12 @@ func TestDurationBucketsResolveMicroseconds(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Observe(30e-6)
 	}
-	counts, _, _ := h.Snapshot()
 	i := slices.Index(DurationBuckets, 50e-6)
 	if i < 1 || DurationBuckets[i-1] != 25e-6 {
 		t.Fatalf("no (25µs, 50µs] bucket in %v", DurationBuckets)
 	}
-	if counts[i] != 100 {
-		t.Fatalf("30µs samples: %d of 100 in the (25µs, 50µs] bucket; counts %v", counts[i], counts)
+	if n := h.s.counts[i].Load(); n != 100 {
+		t.Fatalf("30µs samples: %d of 100 in the (25µs, 50µs] bucket", n)
 	}
 }
 
@@ -254,11 +257,11 @@ func TestSeriesCap(t *testing.T) {
 	if n := len(v.f.series); n != maxSeries {
 		t.Fatalf("family holds %d series, want the cap %d", n, maxSeries)
 	}
-	if got := v.WithLabelValues("other", "other").Value(); got != 1500-(maxSeries-1) {
+	if got := value(v.WithLabelValues("other", "other").s); got != 1500-(maxSeries-1) {
 		t.Fatalf("overflow series = %v, want %d", got, 1500-(maxSeries-1))
 	}
 	v.WithLabelValues("t0", "rows").Inc()
-	if got := v.WithLabelValues("t0", "rows").Value(); got != 2 {
+	if got := value(v.WithLabelValues("t0", "rows").s); got != 2 {
 		t.Fatalf("pre-cap series t0 = %v, want 2", got)
 	}
 }
@@ -279,7 +282,7 @@ func TestSpan(t *testing.T) {
 	if !found {
 		t.Fatal("span not in the slow queue at threshold 0")
 	}
-	samples, _, err := ParseText(Default.Text())
+	samples, _, err := ParseText(text(Default))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -288,13 +288,6 @@ func (ts *TraceStore) List(f TraceFilter) []Trace {
 	return out
 }
 
-// Len reports the number of retained traces.
-func (ts *TraceStore) Len() int {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return len(ts.traces)
-}
-
 // ---- context plumbing ----
 
 // activeSpan is the context-carried handle of an in-flight span.

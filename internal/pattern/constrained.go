@@ -103,13 +103,6 @@ func MustParseConstrained(s string) Constrained {
 	return q
 }
 
-// Segments returns a copy of the segments.
-func (q Constrained) Segments() []Segment {
-	cp := make([]Segment, len(q.segs))
-	copy(cp, q.segs)
-	return cp
-}
-
 // Embedded returns the embedded pattern Q̄: the concatenation of all
 // segment patterns with constraints dropped.
 func (q Constrained) Embedded() Pattern {
@@ -145,24 +138,6 @@ func (q Constrained) String() string {
 
 // Key returns a map key identifying the constrained pattern.
 func (q Constrained) Key() string { return q.String() }
-
-// Equal reports syntactic equality.
-func (q Constrained) Equal(r Constrained) bool {
-	if len(q.segs) != len(r.segs) {
-		return false
-	}
-	for i := range q.segs {
-		if q.segs[i].Constrained != r.segs[i].Constrained || !q.segs[i].Pat.Equal(r.segs[i].Pat) {
-			return false
-		}
-	}
-	return true
-}
-
-// Matches reports s 7→ Q, which by definition is s 7→ Q̄.
-func (q Constrained) Matches(s string) bool {
-	return q.Embedded().Matches(s)
-}
 
 // Extract computes s(Q): the set of constrained-key strings obtainable by
 // matching s against the segment sequence. The result is sorted and

@@ -154,7 +154,7 @@ func FuzzConstrained(f *testing.F) {
 		if err != nil {
 			return
 		}
-		matches := q.Matches(v)
+		matches := q.Embedded().Matches(v)
 		keys := q.Extract(v)
 		if matches != (len(keys) > 0) {
 			t.Fatalf("Extract/Matches disagree for (%q, %q): %v vs %d keys", qs, v, matches, len(keys))

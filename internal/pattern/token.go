@@ -158,9 +158,6 @@ func (p Pattern) Tokens() []Token {
 	return cp
 }
 
-// Len returns the number of tokens.
-func (p Pattern) Len() int { return len(p.toks) }
-
 // MinLen returns the minimum length of a string matching the pattern.
 func (p Pattern) MinLen() int {
 	if p.meta == nil {

@@ -16,6 +16,7 @@ import (
 
 	"github.com/anmat/anmat/internal/core"
 	"github.com/anmat/anmat/internal/docstore"
+	"github.com/anmat/anmat/internal/obs/obstest"
 	"github.com/anmat/anmat/internal/stream"
 	"github.com/anmat/anmat/internal/wal"
 )
@@ -132,9 +133,8 @@ func goroutinesBackTo(t *testing.T, base int) {
 }
 
 // cutsTimed is how many checkpoint cuts the process has made so far.
-func cutsTimed() uint64 {
-	_, _, n := checkpointCutDur.Snapshot()
-	return n
+func cutsTimed(t *testing.T) float64 {
+	return obstest.Value(t, "anmat_persist_checkpoint_cut_duration_seconds_count", nil)
 }
 
 // inFlight returns the session's checkpoint write in flight, if any.
@@ -244,7 +244,7 @@ func crashMidRotationOnce(t *testing.T, point crashPoint, seed int64, shards int
 	}
 	close(armed)
 	r.unsettled = true
-	for cuts, tries := cutsTimed(), 0; cutsTimed() == cuts; tries++ {
+	for cuts, tries := cutsTimed(t), 0; cutsTimed(t) == cuts; tries++ {
 		if tries == 20*compactEvery {
 			t.Fatal("no compaction came due")
 		}
@@ -392,7 +392,7 @@ func TestCheckpointWriteFaults(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.set(func(s *seam) { s.fault = fault })
-			failures0, landed0 := checkpointFailures.Value(), checkpoints.Value()
+			failures0, landed0 := obstest.Value(t, "anmat_persist_checkpoint_failures_total", nil), obstest.Value(t, "anmat_persist_checkpoints_total", nil)
 
 			ack := func(n int) {
 				t.Helper()
@@ -407,7 +407,7 @@ func TestCheckpointWriteFaults(t *testing.T) {
 				if st, _ := m.Status(se.ID); st.CheckpointSeq != 0 || st.WALRecords != n {
 					t.Fatalf("after batch %d with writes failing: status %+v, want %d records on the seq-0 snapshot", n, st, n)
 				}
-				if got, want := checkpointFailures.Value()-failures0, float64(max(0, n-compactEvery+1)); got != want {
+				if got, want := obstest.Value(t, "anmat_persist_checkpoint_failures_total", nil)-failures0, float64(max(0, n-compactEvery+1)); got != want {
 					t.Fatalf("after batch %d: %v failed writes counted, want %v (one try per batch once compaction is due)", n, got, want)
 				}
 				seqs := journalSeqs(t, m, se.ID)
@@ -424,7 +424,7 @@ func TestCheckpointWriteFaults(t *testing.T) {
 					}
 				}
 			}
-			if landed := checkpoints.Value() - landed0; landed != 0 {
+			if landed := obstest.Value(t, "anmat_persist_checkpoints_total", nil) - landed0; landed != 0 {
 				t.Fatalf("%v checkpoints counted as landed while every write failed", landed)
 			}
 			// The cut before the first failed write switched segments; no
@@ -441,7 +441,7 @@ func TestCheckpointWriteFaults(t *testing.T) {
 			if seqs := journalSeqs(t, m, se.ID); len(seqs[0])+len(seqs[1]) != 0 {
 				t.Fatalf("landed with no batch behind it, yet segments hold %v", seqs)
 			}
-			if landed := checkpoints.Value() - landed0; landed != 1 {
+			if landed := obstest.Value(t, "anmat_persist_checkpoints_total", nil) - landed0; landed != 1 {
 				t.Fatalf("%v checkpoints counted as landed, want 1", landed)
 			}
 			ack(batches + 2)
@@ -507,7 +507,7 @@ func TestCheckpointCutDoesNoFileWork(t *testing.T) {
 	}
 	before := dirStateWithDirs(t, dir)
 	s.set(func(s *seam) { s.creates, s.writes, s.fsyncs = 0, 0, 0 })
-	fsyncs0, cuts0 := groupFsyncs.Value(), cutsTimed()
+	fsyncs0, cuts0 := obstest.Value(t, "anmat_wal_group_commit_fsyncs_total", nil), cutsTimed(t)
 	if _, err := se.ApplyDeltasCtx(context.Background(), batch); err != nil { // the compacting batch
 		t.Fatal(err)
 	}
@@ -515,15 +515,15 @@ func TestCheckpointCutDoesNoFileWork(t *testing.T) {
 	if w == nil || !w.behind || w.snap.Table == nil || w.snap.TableData != nil {
 		t.Fatalf("the compacting batch left no background write over a table view: %+v", w)
 	}
-	if cuts := cutsTimed() - cuts0; cuts != 1 {
-		t.Fatalf("%d cuts timed, want 1", cuts)
+	if cuts := cutsTimed(t) - cuts0; cuts != 1 {
+		t.Fatalf("%v cuts timed, want 1", cuts)
 	}
 	s.set(func(s *seam) {
 		if s.creates+s.writes+s.fsyncs != 0 {
 			t.Errorf("the request path opened %d temporary files, wrote %d times, fsynced %d times", s.creates, s.writes, s.fsyncs)
 		}
 	})
-	if n := groupFsyncs.Value() - fsyncs0; n != 1 {
+	if n := obstest.Value(t, "anmat_wal_group_commit_fsyncs_total", nil) - fsyncs0; n != 1 {
 		t.Errorf("%v journal fsyncs for one batch", n)
 	}
 	after := dirStateWithDirs(t, dir)
@@ -692,7 +692,7 @@ func TestCheckpointWaiters(t *testing.T) {
 	t.Run("second cut", func(t *testing.T) {
 		m, se, _, release := start(t)
 		defer m.Close()
-		landed0 := checkpoints.Value()
+		landed0 := obstest.Value(t, "anmat_persist_checkpoints_total", nil)
 		for n := compactEvery + 2; n < 2*compactEvery; n++ {
 			if _, err := se.ApplyDeltasCtx(context.Background(), batch); err != nil {
 				t.Fatal(err)
@@ -710,7 +710,7 @@ func TestCheckpointWaiters(t *testing.T) {
 		if st, _ := m.Status(se.ID); st.CheckpointSeq != 2*compactEvery || st.WALRecords != 0 {
 			t.Fatalf("after both writes: status %+v, want a checkpoint every %d batches", st, compactEvery)
 		}
-		if landed := checkpoints.Value() - landed0; landed != 2 {
+		if landed := obstest.Value(t, "anmat_persist_checkpoints_total", nil) - landed0; landed != 2 {
 			t.Fatalf("%v checkpoints landed, want both", landed)
 		}
 	})

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/anmat/anmat/internal/obs"
+	"github.com/anmat/anmat/internal/obs/obstest"
 	"github.com/anmat/anmat/internal/stream"
 	"github.com/anmat/anmat/internal/wal"
 )
@@ -104,7 +105,7 @@ func TestJournalIndependentFailure(t *testing.T) {
 				}
 			}
 			sizeBroken := fileSize(m.segPath(broken, 0))
-			batches0, bytes0 := groupBatches.Value(), walBytes.Value()
+			batches0, bytes0 := obstest.Value(t, "anmat_wal_group_commit_batches_total", nil), obstest.Value(t, "anmat_persist_wal_bytes_total", nil)
 
 			const rounds = 25
 			healthy := []string{"a", "b", "c"}
@@ -143,10 +144,10 @@ func TestJournalIndependentFailure(t *testing.T) {
 			if st, _ := m.Status(broken); st.WALRecords != wantBroken {
 				t.Errorf("broken session: status %+v, want %d records", st, wantBroken)
 			}
-			if got, want := groupBatches.Value()-batches0, float64(rounds*len(healthy)); got != want {
+			if got, want := obstest.Value(t, "anmat_wal_group_commit_batches_total", nil)-batches0, float64(rounds*len(healthy)); got != want {
 				t.Errorf("batches counter advanced %v, want %v", got, want)
 			}
-			if got := walBytes.Value() - bytes0; got != float64(healthyBytes) {
+			if got := obstest.Value(t, "anmat_persist_wal_bytes_total", nil) - bytes0; got != float64(healthyBytes) {
 				t.Errorf("bytes counter advanced %v, want the healthy sessions' %d", got, healthyBytes)
 			}
 		})
@@ -187,7 +188,7 @@ func TestJournalOneSessionSerializes(t *testing.T) {
 // fsync exactly when the manager fsyncs.
 func TestJournalCounters(t *testing.T) {
 	scrape := func(name string) float64 {
-		samples, _, err := obs.ParseText(obs.Default.Text())
+		samples, _, err := obs.ParseText(obstest.Text())
 		if err != nil {
 			t.Fatal(err)
 		}

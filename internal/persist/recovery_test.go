@@ -14,6 +14,7 @@ import (
 
 	"github.com/anmat/anmat/internal/core"
 	"github.com/anmat/anmat/internal/detect"
+	"github.com/anmat/anmat/internal/obs/obstest"
 	"github.com/anmat/anmat/internal/pfd"
 	"github.com/anmat/anmat/internal/stream"
 	"github.com/anmat/anmat/internal/table"
@@ -289,7 +290,7 @@ func crashRecoveryOnce(t *testing.T, style crashStyle, seed int64, shards int) {
 			t.Fatal(err)
 		}
 	}
-	failures0 := checkpointFailures.Value()
+	failures0 := obstest.Value(t, "anmat_persist_checkpoint_failures_total", nil)
 	steps := 3 + rng.Intn(14)
 	for step := 0; step < steps; step++ {
 		if !r.step() || style != crashCkptFailed {
@@ -302,7 +303,7 @@ func crashRecoveryOnce(t *testing.T, style crashStyle, seed int64, shards int) {
 		if st, _ := m.Status(se.ID); st.WALRecords != n || st.CheckpointSeq != 0 {
 			t.Fatalf("status after a failed checkpoint = %+v, want %d journaled batches on the seq-0 snapshot", st, n)
 		}
-		if got, want := checkpointFailures.Value()-failures0, float64(max(0, n-compactEvery+1)); got != want {
+		if got, want := obstest.Value(t, "anmat_persist_checkpoint_failures_total", nil)-failures0, float64(max(0, n-compactEvery+1)); got != want {
 			t.Fatalf("%v failed checkpoint writes counted after %d batches, want %v", got, n, want)
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"github.com/anmat/anmat/internal/datagen"
 	"github.com/anmat/anmat/internal/docstore"
 	"github.com/anmat/anmat/internal/obs"
+	"github.com/anmat/anmat/internal/obs/obstest"
 	"github.com/anmat/anmat/internal/table"
 )
 
@@ -101,7 +102,7 @@ func TestAdmissionSessionQuota(t *testing.T) {
 	if rec := postAs(t, h, "acme", "/api/v1/sessions?name=d", csv); rec.Code != http.StatusOK {
 		t.Fatalf("upload after delete: %d %s", rec.Code, rec.Body.String())
 	}
-	if n := admissionRejects.WithLabelValues("acme", "sessions").Value(); n < 1 {
+	if n := obstest.Value(t, "anmat_admission_rejects_total", map[string]string{"tenant": "acme", "reason": "sessions"}); n < 1 {
 		t.Fatalf("anmat_admission_rejects_total{acme,sessions} = %v, want >= 1", n)
 	}
 }
@@ -142,7 +143,7 @@ func TestAdmissionHostileTenants(t *testing.T) {
 		t.Fatalf("after deleting the tenant's last session: %d entries, want 0", n)
 	}
 
-	samples, fams, err := obs.ParseText(obs.Default.Text())
+	samples, fams, err := obs.ParseText(obstest.Text())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +295,7 @@ func TestAdmissionDeltaRate(t *testing.T) {
 	}
 	// The bucket belongs to the session's owning tenant, whatever header
 	// the delta carried.
-	if n := admissionRejects.WithLabelValues("acme", "rate").Value(); n < 1 {
+	if n := obstest.Value(t, "anmat_admission_rejects_total", map[string]string{"tenant": "acme", "reason": "rate"}); n < 1 {
 		t.Fatalf("rejects{acme,rate} = %v, want >= 1", n)
 	}
 	now = now.Add(time.Second) // refills 2 tokens

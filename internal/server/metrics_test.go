@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/anmat/anmat/internal/obs"
+	"github.com/anmat/anmat/internal/obs/obstest"
 )
 
 // TestMetricsEndpoint exercises the /metrics mount end to end: the
@@ -83,7 +84,7 @@ func scrapeSum(t *testing.T, h http.Handler, name string, match map[string]strin
 func TestUnknownMethodsAddNoSeries(t *testing.T) {
 	h := newLoadedServer(t).Handler()
 	series := func() int {
-		samples, _, err := obs.ParseText(obs.Default.Text())
+		samples, _, err := obs.ParseText(obstest.Text())
 		if err != nil {
 			t.Fatal(err)
 		}

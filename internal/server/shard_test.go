@@ -232,14 +232,20 @@ func TestStatsCarriesWorkerCounters(t *testing.T) {
 	}
 
 	// Poison worker 1 with a batch that fails mid-apply, sent under the
-	// coordinator's epoch.
-	eng, err := srv.handle(id).sess.Stream()
+	// coordinator's epoch, which the worker's probe reports.
+	probe, err := http.Get(cfg.Workers[1] + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var state cluster.StateResponse
+	err = json.NewDecoder(probe.Body).Decode(&state)
+	probe.Body.Close()
+	if err != nil || state.Epoch == "" {
+		t.Fatalf("worker probe: %+v, %v", state, err)
+	}
 	req, _ := http.NewRequest(http.MethodPost, cfg.Workers[1]+cluster.APIPrefix+"/apply",
 		strings.NewReader(`{"seq":1000,"ops":[{"op":{"op":"delete","drop":[99999]}}]}`))
-	req.Header.Set(cluster.EpochHeader, eng.(*cluster.Coordinator).Epoch())
+	req.Header.Set(cluster.EpochHeader, state.Epoch)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

@@ -1,18 +1,22 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
 	"github.com/anmat/anmat/internal/core"
 	"github.com/anmat/anmat/internal/datagen"
+	"github.com/anmat/anmat/internal/docstore"
+	"github.com/anmat/anmat/internal/persist"
 )
 
 func do(t *testing.T, h http.Handler, method, path, body string) *httptest.ResponseRecorder {
@@ -29,12 +33,42 @@ func do(t *testing.T, h http.Handler, method, path, body string) *httptest.Respo
 // across re-runs, and is gone with it.
 func TestStoreBoundedByLiveSessions(t *testing.T) {
 	dir := t.TempDir()
-	srv, h, _ := durableServer(t, dir)
+	m, err := persist.Open(dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	storePath := filepath.Join(t.TempDir(), "store.json")
+	store, err := docstore.OpenWith(storePath, docstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(core.NewSystemWith(store, core.DefaultSystemConfig()))
+	srv.AttachPersist(m)
+	h := srv.Handler()
 	srv.sys.CreateProject("default") // as cmd/anmat-server does
-	store := srv.sys.Store()
+	// The collections the store holds are the ones its file names.
 	wantCollections := func(when string) {
 		t.Helper()
-		if got := store.Collections(); !reflect.DeepEqual(got, []string{core.CollPFDs, core.CollProjects}) {
+		if err := store.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(storePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dump struct {
+			Collections map[string]json.RawMessage `json:"collections"`
+		}
+		if err := json.Unmarshal(b, &dump); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for name := range dump.Collections {
+			got = append(got, name)
+		}
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, []string{core.CollPFDs, core.CollProjects}) {
 			t.Errorf("%s: the store holds collections %v", when, got)
 		}
 	}
@@ -55,11 +89,11 @@ func TestStoreBoundedByLiveSessions(t *testing.T) {
 			t.Fatalf("round %d: delete: %d %s", round, rec.Code, rec.Body.String())
 		}
 		if round == len(families)-1 {
-			pfdDocs = store.Count(core.CollPFDs, nil)
+			pfdDocs = len(store.Find(core.CollPFDs, nil))
 		}
 	}
 	wantCollections("after 50 upload→DELETE rounds")
-	if got := store.Count(core.CollPFDs, nil); pfdDocs == 0 || got > pfdDocs {
+	if got := len(store.Find(core.CollPFDs, nil)); pfdDocs == 0 || got > pfdDocs {
 		t.Errorf("%d PFD documents once every table name had been uploaded, %d after 50 rounds: a name's rule set must be replaced, not added to", pfdDocs, got)
 	}
 

@@ -54,14 +54,10 @@ func subsumes(a, b tableau.Row) bool {
 	return embed(a.LHS).Contains(embed(b.LHS))
 }
 
-// embed concatenates the segment patterns into a pattern of its own, with
+// embed parses the embedded pattern anew into a pattern of its own, with
 // automata no other caller has touched.
 func embed(q pattern.Constrained) pattern.Pattern {
-	var p pattern.Pattern
-	for _, s := range q.Segments() {
-		p = p.Concat(s.Pat)
-	}
-	return p
+	return pattern.MustParse(q.Embedded().String())
 }
 
 // Describe renders rows one per line with everything Minimize must carry

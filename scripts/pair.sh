@@ -20,7 +20,16 @@
 # same binary. Metric names and their better direction come from
 # PARENT_DIR/BENCHMARK.json. PAIRS=0 prints the table header and exits
 # (the CI dry run).
+#
+# The machine's CPU steal and iowait ticks (/proc/stat) are read before
+# and after every run, and each run's line carries their shares of all
+# CPU ticks in its window. Stolen time is time the neighbours of a shared
+# host took, which moves both sides' numbers; a series whose median
+# steal share is above MAX_STEAL is reported void and the script exits
+# non-zero (3), whatever the table says. On the 2-vCPU box the bench was
+# run on, an idle 5 s window read 3 % steal and the worst hours ≈ 20 %.
 set -euo pipefail
+MAX_STEAL=0.10
 if [ "$#" -ne 5 ]; then
 	echo "usage: $0 PARENT_DIR CHANGE_DIR WORKLOAD SEED PAIRS" >&2
 	exit 2
@@ -41,17 +50,31 @@ trap 'rm -rf "$raw" "$arm"' EXIT
 same_tree=0
 if diff -rq -x .git -x .bench_build "$parent" "$change" >/dev/null; then same_tree=1; fi
 
+# cpu_ticks prints the machine's cumulative steal, iowait and total CPU
+# ticks (0 0 0 where /proc/stat cannot be read).
+cpu_ticks() {
+	awk '/^cpu / { for (i = 2; i <= 9; i++) t += $i; print $9, $6, t; found = 1; exit }
+		END { if (!found) print 0, 0, 0 }' /proc/stat 2>/dev/null || echo 0 0 0
+}
+
 # run SIDE: copy SIDE's checkout into $arm (keeping $arm/.bench_build),
-# run the bench there, and print the built server's hash and the bench's
-# last line.
+# run the bench there, and print the built server's hash, the run's CPU
+# steal and iowait shares, and the bench's last line.
 run() {
 	local dir=$parent
 	if [ "$1" = change ]; then dir=$change; fi
 	find "$arm" -mindepth 1 -maxdepth 1 ! -name .bench_build -exec rm -rf {} +
 	tar -C "$dir" --exclude=./.git --exclude=./.bench_build -cf - . | tar -C "$arm" -xf -
-	local line
+	local line before after shares
+	before=$(cpu_ticks)
 	line=$(cd "$arm" && bash bench/run.sh --workload "$workload" --seed "$seed" --seconds 10 --trace 0 2>/dev/null | tail -n 1)
-	echo "sha256=$(sha256sum "$arm/.bench_build/bin/anmat-server" | cut -d" " -f1) $line"
+	after=$(cpu_ticks)
+	shares=$(awk -v a="$before" -v b="$after" 'BEGIN {
+		split(a, x, " "); split(b, y, " "); d = y[3] - x[3]
+		if (d <= 0) d = 1
+		printf "steal=%.4f iowait=%.4f", (y[1] - x[1]) / d, (y[2] - x[2]) / d
+	}')
+	echo "sha256=$(sha256sum "$arm/.bench_build/bin/anmat-server" | cut -d" " -f1) $shares $line"
 }
 
 for side in parent change; do
@@ -114,8 +137,31 @@ END {
 	printf "runs that failed an operation or a correctness check: %d of %d\n", bad, 2 * pairs
 }' "$parent/BENCHMARK.json" "$raw"
 
+# The median and the largest steal share, and the median iowait share,
+# of the measured runs; "void" when the median steal passes MAX_STEAL.
+steal=$(awk -v max="$MAX_STEAL" '
+function median(v, n,    i, j, t) {
+	for (i = 2; i <= n; i++) { t = v[i]; for (j = i - 1; j >= 1 && v[j] > t; j--) v[j + 1] = v[j]; v[j + 1] = t }
+	return n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2
+}
+{
+	n++
+	for (f = 1; f <= NF; f++) {
+		if ($f ~ /^steal=/) { s[n] = substr($f, 7) + 0; if (s[n] > top) top = s[n] }
+		if ($f ~ /^iowait=/) w[n] = substr($f, 8) + 0
+	}
+}
+END {
+	ms = median(s, n)
+	printf "CPU steal share: median %.4f, max %.4f; iowait share: median %.4f", ms, top, median(w, n)
+	if (ms > max) printf " -- void: median steal above %s", max
+	print ""
+}' "$raw")
+echo "$steal"
+
 hashes=$(awk '{print $4}' "$raw" | sort -u | wc -l)
 if [ "$same_tree" -eq 1 ]; then
 	echo "A/A: the two checkouts hold the same tree; the runs built $hashes distinct anmat-server binaries"
 	if [ "$hashes" -ne 1 ]; then exit 1; fi
 fi
+case $steal in *void*) exit 3 ;; esac
