@@ -37,8 +37,9 @@ bench-quick:
 # alternate the benchmark between a checkout of the parent commit and one
 # of the change, e.g.
 #   make pair PARENT=/root/scratch/parent WORKLOAD=upload_discover SEED=7919
-# Every run line carries the run's CPU steal and iowait shares; a series
-# whose median steal passes the script's MAX_STEAL is void (exit 3).
+# Every run line carries the run's CPU steal and iowait shares; a pair
+# where either run's steal passes the script's MAX_STEAL is run again, up
+# to its MAX_RERUNS, and past that the series is void (exit 3).
 # PAIRS=0 prints the table header only (the CI dry run).
 PARENT ?= .
 CHANGE ?= .
@@ -98,7 +99,7 @@ loc:
 # The size ratchet, beside CI's coverage ratchet: the tree may not grow
 # past the last reading. Lower LOC_CEILING when the tree shrinks; never
 # raise it without saying why in CHANGES.md.
-LOC_CEILING = 19896
+LOC_CEILING = 19975
 loc-check:
 	@loc=$$($(MAKE) -s loc); echo "non-test Go lines: $$loc (ceiling $(LOC_CEILING))"; [ $$loc -le $(LOC_CEILING) ]
 

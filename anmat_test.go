@@ -127,6 +127,27 @@ func TestStorePathKeepsMinedRules(t *testing.T) {
 	}
 }
 
+// TestStorePathKeepsProjects: a project one System creates with a store
+// path is listed by a second System on that path, with no call but
+// CreateProject.
+func TestStorePathKeepsProjects(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "anmat.json")
+	sys, err := New(WithStorePath(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.CreateProject("census"); err != nil {
+		t.Fatal(err)
+	}
+	later, err := New(WithStorePath(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := later.Projects(); fmt.Sprint(got) != "[census]" {
+		t.Errorf("a second System lists projects %q, want the first one's [census]", got)
+	}
+}
+
 func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
 }

@@ -179,7 +179,10 @@ func main() {
 	cfg.ClusterSpares = splitList(*spares)
 	cfg.ClusterDir = *clusterData
 	sys := core.NewSystemWith(docstore.NewMem(), cfg)
-	sys.CreateProject("default")
+	if _, err := sys.CreateProject("default"); err != nil {
+		fmt.Fprintln(os.Stderr, "anmat-server:", err)
+		os.Exit(1)
+	}
 	srv := server.New(sys)
 	srv.SetAccessLog(accessLog)
 	srv.SetLimits(server.Limits{MaxSessions: *maxSessions, MaxRows: *maxRows, DeltaRate: *deltaRate})

@@ -11,7 +11,9 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -85,8 +87,8 @@ type SystemConfig struct {
 	//
 	// A worker holds exactly one shard state, so the worker set serves
 	// exactly one distributed session: the first session to build its
-	// engine owns the workers for the system's lifetime, and any other
-	// session fails to build its engine with a clear error.
+	// engine owns the workers until it is closed (Session.Close), and any
+	// other session fails to build its engine with a clear error.
 	Workers []string
 	// ClusterSpares are standby worker base URLs the distributed session
 	// fails over to when a primary stops answering, each handed out at
@@ -116,7 +118,7 @@ type System struct {
 	// workerOwner is the session whose engine the workers serve, "" until
 	// a distributed session builds one. A worker carries exactly one shard
 	// state, so a second session booting them would silently clobber the
-	// first; ownership lasts for the system's lifetime.
+	// first; ownership lasts until the owner is closed.
 	workerOwner string
 	// spares is the failover pool seeded from SystemConfig.ClusterSpares,
 	// primaries removed; each endpoint is handed out at most once.
@@ -190,9 +192,12 @@ const (
 )
 
 // CreateProject registers a project ("new users can create their own
-// projects") and returns its id.
-func (s *System) CreateProject(name string) int64 {
-	return s.store.Insert(CollProjects, docstore.Doc{"name": name})
+// projects") and returns its id. A store with a path is written through
+// before CreateProject returns, as RunDiscovery writes a rule set: the
+// error is the write's.
+func (s *System) CreateProject(name string) (int64, error) {
+	id := s.store.Insert(CollProjects, docstore.Doc{"name": name})
+	return id, s.store.Flush()
 }
 
 // Projects lists the registered project names.
@@ -257,14 +262,11 @@ type Session struct {
 	Violations []pfd.Violation
 	Repairs    []detect.Repair
 	Stats      []discovery.CandidateStats
-	// DetectStats records, per confirmed rule, how long detection took
-	// and how many violations it contributed (filled by RunDetection).
+	// DetectStats records, per active rule, what the boot of the
+	// session's engine cost: tableau rows, violations rendered and busy
+	// time (filled by RunDetection; see detect.Run).
 	DetectStats []detect.RuleStats
 	DMVs        []DMVFinding
-
-	// det is the session's lazily built detector, shared by detection and
-	// repairs; nil while an incremental engine is current (see engine).
-	det *detect.Detector
 
 	// detected records whether detection has run at least once, so API
 	// layers can distinguish "zero violations" from "never detected".
@@ -276,16 +278,20 @@ type Session struct {
 	repairedTable   *table.Table
 	repairedVersion int64
 
-	// str is the session's lazily built incremental detection engine —
-	// a single stream.Engine, or a shard.Coordinator when the session is
-	// sharded (see Session.Stream); strRules snapshots the rule set it
-	// was built over so a Confirm/UseRules change triggers a rebuild.
+	// str is the session's incremental detection engine — a single
+	// stream.Engine, or a shard or cluster coordinator (see newStreamer) —
+	// booted by detection and the one producer of Violations; strRules
+	// snapshots the rule set it was built over so a Confirm/UseRules
+	// change triggers a rebuild.
 	str      Streamer
 	strRules []*pfd.PFD
 	// strNextBase carries the sequence base of an engine whose baseline
-	// checkpoint failed, so the retry rebuild continues the same timeline
-	// instead of restarting cursors at zero.
+	// checkpoint failed, so the retry continues the same timeline instead
+	// of restarting cursors at zero.
 	strNextBase int64
+	// unimaged marks an engine booted with no persister attached, whose
+	// baseline no snapshot holds yet (see detection).
+	unimaged bool
 
 	// persist, when set, is the session's durability sink: delta batches
 	// are journaled write-ahead through the engine sink, and engine
@@ -352,7 +358,10 @@ func FullPipeline() []Stage {
 // stages. This is the composition point for partial flows: profile-only
 // (StageProfile), discovery-only (StageProfile, StageDiscovery), or
 // detect-with-stored-rules (UseRules then StageDetection, StageRepairs).
+// A repairs stage reads the detector the detection stage of the same call
+// booted the engine from; nothing else outlives the call.
 func (se *Session) RunStages(ctx context.Context, stages ...Stage) error {
+	var det *detect.Detector
 	for _, st := range stages {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("session %s: stage %s: %w", se.ID, st, err)
@@ -369,9 +378,9 @@ func (se *Session) RunStages(ctx context.Context, stages ...Stage) error {
 		case StageConfirm:
 			se.Confirm()
 		case StageDetection:
-			_, err = se.RunDetection(ctx)
+			det, err = se.detection(ctx)
 		case StageRepairs:
-			_, err = se.RunRepairs(ctx)
+			_, err = se.repairs(ctx, det)
 		default:
 			err = fmt.Errorf("unknown pipeline stage %q", st)
 		}
@@ -474,21 +483,6 @@ func (se *Session) UseRules(ps []*pfd.PFD) {
 	se.Confirmed = ps
 }
 
-// engine returns the detector detection and repairs run on. A session
-// holds one detection state at a time: without a current incremental
-// engine (see streamCurrent) the detector is cached, rebuilt when the
-// table moved on, and the next engine boots from it and takes it over;
-// while an engine is current the detector is transient.
-func (se *Session) engine() *detect.Detector {
-	if se.streamCurrent() {
-		return detect.New(se.Table, detect.Options{})
-	}
-	if se.det == nil || se.det.Stale() {
-		se.det = detect.New(se.Table, detect.Options{})
-	}
-	return se.det
-}
-
 // rules returns the active rule set: the confirmed PFDs, or every
 // discovered one when none were explicitly confirmed.
 func (se *Session) rules() []*pfd.PFD {
@@ -498,28 +492,30 @@ func (se *Session) rules() []*pfd.PFD {
 	return se.Discovered
 }
 
-// RunDetection evaluates the confirmed PFDs (all discovered ones when
-// none were explicitly confirmed) with the system's parallelism. Per-rule
-// timing lands in DetectStats.
-// Cancelling ctx stops the engine between tableau-row batches.
+// RunDetection evaluates the active rules by booting the session's
+// incremental engine over them (see detection), or keeping it while it
+// is current: Violations is the engine's sorted set, DetectStats its
+// boot's cost. Cancelling ctx stops the boot between tableau rows.
 func (se *Session) RunDetection(ctx context.Context) ([]pfd.Violation, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("session %s: detection: %w", se.ID, err)
+	if _, err := se.detection(ctx); err != nil {
+		return nil, err
 	}
-	res, err := se.engine().DetectAllContext(ctx, se.rules(), se.sys.cfg.Parallelism)
-	if err != nil {
-		return nil, fmt.Errorf("session %s: %w", se.ID, err)
-	}
-	se.Violations = res.Violations
-	se.DetectStats = res.Stats
-	se.detected = true
-	return res.Violations, nil
+	return se.Violations, nil
 }
 
 // RunRepairs derives repair suggestions from the confirmed PFDs with the
 // system's parallelism, checking ctx between rule batches.
 func (se *Session) RunRepairs(ctx context.Context) ([]detect.Repair, error) {
-	out, err := se.engine().RepairsAllContext(ctx, se.rules(), se.sys.cfg.Parallelism)
+	return se.repairs(ctx, nil)
+}
+
+// repairs derives the suggestions from det, the detector the engine
+// booted from in the same run, or from a fresh one.
+func (se *Session) repairs(ctx context.Context, det *detect.Detector) ([]detect.Repair, error) {
+	if det == nil || det.Stale() {
+		det = detect.New(se.Table, detect.Options{})
+	}
+	out, err := det.RepairsAllContext(ctx, se.rules(), se.sys.cfg.Parallelism)
 	if err != nil {
 		return nil, fmt.Errorf("session %s: %w", se.ID, err)
 	}
@@ -552,20 +548,6 @@ func (se *Session) Run(ctx context.Context) error {
 // looked", which the HTTP layer surfaces as a 409.
 func (se *Session) DetectionRan() bool { return se.detected }
 
-// samePFDs reports whether two rule slices hold the same rules in the
-// same order (pointer identity: sessions share *pfd.PFD values).
-func samePFDs(a, b []*pfd.PFD) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Streamer is the incremental-detection surface shared by the single
 // stream.Engine and the sharded shard.Coordinator: apply delta batches,
 // read the maintained violation set, and resolve sequence cursors.
@@ -584,87 +566,161 @@ type Streamer interface {
 	SetSink(func(context.Context, int64, stream.Batch) error)
 }
 
-// newStreamer builds the session's incremental engine over the given
-// rules at the given base sequence: a cluster coordinator when worker
-// endpoints are configured, a shard coordinator when the session is
-// sharded in-process, a single stream engine otherwise. Output is
-// byte-identical in all three modes. The engine takes over from the
-// session's detector: a single engine boots from it, warm after an upload.
-func (se *Session) newStreamer(rules []*pfd.PFD, base int64) (Streamer, error) {
-	det := se.engine()
-	se.det = nil
-	if w := se.Workers(); len(w) > 0 {
-		// The workers serve one session: claim them (for the system's
-		// lifetime) so a second distributed session cannot boot over them
-		// and clobber this one's shard state.
+// newStreamer boots an engine over the rules at the base sequence: a
+// cluster coordinator with worker endpoints, a shard coordinator at
+// K > 1, a single engine otherwise (and for a rule-less session, which
+// has nothing to distribute) — byte-identical in all three — plus a
+// single engine's detector.
+func (se *Session) newStreamer(ctx context.Context, rules []*pfd.PFD, base int64) (Streamer, *detect.Detector, error) {
+	if w := se.Workers(); len(w) > 0 && len(rules) > 0 {
+		// The workers serve one session: claim them (until Close) so a
+		// second distributed session cannot boot over them and clobber
+		// this one's shard state.
 		if err := se.sys.claimWorkers(se.ID); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		dir := ""
 		if d := se.sys.cfg.ClusterDir; d != "" {
 			dir = filepath.Join(d, se.ID)
 		}
-		return cluster.New(se.Table, rules, w, cluster.Options{
+		c, err := cluster.New(se.Table, rules, w, cluster.Options{
 			BaseSeq: base,
 			Dir:     dir,
 			Respawn: se.sys.claimSpare,
 		})
+		return c, nil, err
 	}
 	if k := se.Shards(); k > 1 {
-		return shard.NewWith(se.Table, rules, k, shard.Config{BaseSeq: base})
+		c, err := shard.NewWith(se.Table, rules, k, shard.Config{BaseSeq: base, Parallelism: se.sys.cfg.Parallelism})
+		return c, nil, err
 	}
-	return stream.NewEngineOpts(det, rules, stream.EngineOptions{BaseSeq: base})
+	det := detect.New(se.Table, detect.Options{})
+	eng, err := stream.Boot(ctx, det, rules, se.sys.cfg.Parallelism, stream.EngineOptions{BaseSeq: base})
+	return eng, det, err
 }
 
 // streamCurrent reports whether the session has a current incremental
 // engine: one that exists, is not stale, and was built for the active
 // rules.
 func (se *Session) streamCurrent() bool {
-	return se.str != nil && !se.str.Stale() && samePFDs(se.strRules, se.rules())
+	return se.str != nil && !se.str.Stale() && slices.Equal(se.strRules, se.rules()) // pointer identity: sessions share *pfd.PFD values
 }
 
-// Stream returns the session's incremental detection engine, building it
-// lazily over the active rule set and rebuilding when the table was
-// mutated outside the engine (e.g. a direct detect.Apply) or the rule set
-// changed (Confirm, UseRules). After an upload the bootstrap reads what
-// detection cached (see newStreamer); after that an append or a cell
-// update costs in proportion to what it changes, not to the blocks it
-// touches (stream.NewEngineFrom names the exceptions), so the engine is
-// the cheap path for continuously arriving data.
-func (se *Session) Stream() (Streamer, error) {
-	rules := se.rules()
-	if len(rules) == 0 {
-		return nil, fmt.Errorf("session %s: no rules to stream against (run discovery or UseRules first)", se.ID)
+// detection is the detection stage: it keeps a current engine, or boots
+// a replacement over the active rules one past the old one's sequence
+// timeline, so the old cursors resolve to a reset snapshot, and closes
+// the old one. With a persister the new baseline is durable before
+// detection succeeds — a fresh engine breaks WAL continuity. When that
+// checkpoint fails, both engines are closed and dropped (a cluster
+// coordinator's workers already serve the replacement's epoch, so the
+// old one is dead) and the next call boots again on the same timeline;
+// the violations stay the old ones. A single engine's detector comes
+// back for the repairs stage of the same run.
+func (se *Session) detection(ctx context.Context) (*detect.Detector, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("session %s: detection: %w", se.ID, err)
 	}
-	if !se.streamCurrent() {
-		// A replacement engine continues the old sequence timeline (one
-		// past the last issued seq), so cursors issued by the previous
-		// engine resolve to a reset snapshot rather than an error.
-		base := se.strNextBase
-		if se.str != nil && se.str.Seq()+1 > base {
-			base = se.str.Seq() + 1
-		}
-		eng, err := se.newStreamer(rules, base)
-		if err != nil {
-			return nil, fmt.Errorf("session %s: %w", se.ID, err)
-		}
-		se.str = eng
-		se.strRules = rules
-		if se.persist != nil {
-			// A fresh engine breaks WAL continuity (its bootstrap state is
-			// not snapshot + old WAL), so the new baseline must be durable
-			// before any delta is journaled against it. If the checkpoint
-			// fails the engine must not be cached either — a later call
-			// would otherwise journal batches against a baseline that was
-			// never snapshotted, making them unrecoverable.
-			eng.SetSink(se.journalSink())
+	if se.streamCurrent() {
+		if se.unimaged && se.persist != nil {
 			if err := se.Checkpoint(); err != nil {
-				se.str, se.strRules = nil, nil
-				se.strNextBase = base
 				return nil, err
 			}
-			se.strNextBase = 0
 		}
+		se.Violations = se.str.Violations()
+		return nil, nil
+	}
+	base := se.strNextBase
+	if se.str != nil && se.str.Seq()+1 > base {
+		base = se.str.Seq() + 1
+	}
+	rules := se.rules()
+	str, det, err := se.newStreamer(ctx, rules, base)
+	if err != nil {
+		return nil, fmt.Errorf("session %s: %w", se.ID, err)
+	}
+	old, detected := se.str, se.detected
+	if se.persist != nil {
+		str.SetSink(se.journalSink())
+		se.str, se.strRules, se.detected = str, rules, true // what the snapshot images
+		if err := se.Checkpoint(); err != nil {
+			closeEngine(str)
+			closeEngine(old)
+			se.str, se.strRules, se.detected = nil, nil, detected
+			se.strNextBase = base
+			return nil, err
+		}
+	}
+	closeEngine(old)
+	se.use(str, rules)
+	se.strNextBase, se.unimaged = 0, se.persist == nil
+	return det, nil
+}
+
+// closeEngine releases what an engine holds outside the process's
+// memory: a cluster coordinator's failover store.
+func closeEngine(str Streamer) {
+	if c, ok := str.(io.Closer); ok {
+		_ = c.Close()
+	}
+}
+
+// Close releases the session's engine and, when the session owns the
+// workers, the workers, so another distributed session can boot them.
+// A deleted session is closed; it serves nothing afterwards.
+func (se *Session) Close() {
+	closeEngine(se.str)
+	se.str, se.strRules = nil, nil
+	se.sys.cmu.Lock()
+	defer se.sys.cmu.Unlock()
+	if se.sys.workerOwner == se.ID {
+		se.sys.workerOwner = ""
+	}
+}
+
+// DetectionCurrent reports whether the session's violations come from an
+// engine booted over its active rules and its table as it is: false when
+// detection never ran, or failed and left the session as it was.
+func (se *Session) DetectionCurrent() bool { return se.streamCurrent() }
+
+// use makes a freshly booted engine the session's: its sorted set is the
+// session's violations, and its boot's cost the detection stats — at
+// K > 1 the shards' boots summed (a tuple several shards host renders its
+// constant-row violations on each).
+func (se *Session) use(str Streamer, rules []*pfd.PFD) {
+	se.str, se.strRules, se.detected = str, rules, true
+	se.Violations = str.Violations()
+	st := se.EngineStats()
+	if st.Stream != nil {
+		se.DetectStats = st.Stream.Boot
+		return
+	}
+	se.DetectStats = make([]detect.RuleStats, len(rules))
+	for i, p := range rules {
+		se.DetectStats[i] = detect.RuleStats{PFDID: p.ID(), Rows: p.Tableau.Len()}
+		for _, sh := range st.Sharded.PerShard {
+			if i < len(sh.Engine.Boot) { // a shard whose stats read failed has none
+				se.DetectStats[i].Violations += sh.Engine.Boot[i].Violations
+				se.DetectStats[i].Duration += sh.Engine.Boot[i].Duration
+			}
+		}
+	}
+}
+
+// ErrNoRules is Stream's refusal for a session without active rules: an
+// engine over none has no deltas to evaluate.
+var ErrNoRules = errors.New("no rules to stream against (run discovery or UseRules first)")
+
+// Stream returns the session's incremental detection engine: the one
+// detection booted, booted first when none is current (detection never
+// ran, the table was mutated outside the engine, or the rule set
+// changed). An append or a cell update then costs in proportion to what
+// it changes (stream.NewEngineFrom names the exceptions).
+func (se *Session) Stream() (Streamer, error) {
+	if len(se.rules()) == 0 {
+		return nil, fmt.Errorf("session %s: %w", se.ID, ErrNoRules)
+	}
+	if _, err := se.detection(context.TODO()); err != nil {
+		return nil, err
 	}
 	return se.str, nil
 }

@@ -472,10 +472,10 @@ func TestRunDetectionStatsAndParallelism(t *testing.T) {
 	}
 }
 
-// TestSessionEngineReuseAndStaleness: the session shares one detection
-// engine between detection and repairs, and rebuilds it automatically
-// when the table is mutated in place (the ApplyRepairs-then-redetect
-// flow) — no manual reset required.
+// TestSessionEngineReuseAndStaleness: detection keeps the engine it
+// booted while it is current, and boots a new one when the table is
+// mutated in place (the ApplyRepairs-then-redetect flow) — no manual
+// reset required.
 func TestSessionEngineReuseAndStaleness(t *testing.T) {
 	d := datagen.ZipCity(400, 0.02, 62)
 	sys := NewSystemWith(docstore.NewMem(), DefaultSystemConfig())
@@ -483,19 +483,19 @@ func TestSessionEngineReuseAndStaleness(t *testing.T) {
 	if err := se.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if se.det == nil {
-		t.Fatal("session should cache its detection engine")
+	eng := se.str
+	if eng == nil {
+		t.Fatal("detection left the session without an engine")
 	}
-	eng := se.det
 	if _, err := se.RunDetection(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if se.det != eng {
-		t.Error("re-running detection on an unchanged table should reuse the cached engine")
+	if se.str != eng {
+		t.Error("re-running detection on an unchanged table should keep the engine")
 	}
 	// Apply the repairs in place and re-detect with NO manual reset:
 	// violations covered by repairs disappear only if the stale engine is
-	// rebuilt over the mutated table.
+	// replaced by one booted over the mutated table.
 	if _, err := detect.Apply(se.Table, se.Repairs); err != nil {
 		t.Fatal(err)
 	}
@@ -504,8 +504,8 @@ func TestSessionEngineReuseAndStaleness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if se.det == eng {
-		t.Error("detection after table mutation should rebuild the engine")
+	if se.str == eng {
+		t.Error("detection after table mutation should boot a new engine")
 	}
 	if len(after) >= before {
 		t.Errorf("violations after repair = %d, want < %d", len(after), before)
@@ -679,10 +679,12 @@ func TestApplyRepairsWithoutEngine(t *testing.T) {
 	}
 }
 
-// TestSessionHoldsOneDetectionState pins the session's one-state rule: the
-// detector is cached only while no incremental engine is current, the
-// engine boots from it and takes it over, and detection and repairs
-// against a current engine leave no detector behind.
+// TestSessionHoldsOneDetectionState pins the session's one-state rule:
+// detection boots the incremental engine, and the session's violations
+// and detection stats are that engine's sorted set and boot cost. While
+// the engine is current, detection, repairs and Stream() keep it; a
+// rule-set change makes detection boot the one engine Stream() then
+// serves.
 func TestSessionHoldsOneDetectionState(t *testing.T) {
 	sys := NewSystemWith(docstore.NewMem(), DefaultSystemConfig())
 	d := datagen.ZipCity(800, 0.01, 48)
@@ -694,14 +696,17 @@ func TestSessionHoldsOneDetectionState(t *testing.T) {
 	if len(se.Discovered) < 2 {
 		t.Fatalf("need two rules to confirm a subset, mined %d", len(se.Discovered))
 	}
-	if se.det == nil || se.str != nil {
-		t.Fatalf("after Run: detector %v, engine %v; want a detector and no engine", se.det, se.str)
+	eng, ok := se.str.(*stream.Engine)
+	if !ok {
+		t.Fatalf("after Run: engine %T, want the one *stream.Engine detection booted", se.str)
 	}
-	if _, err := se.Stream(); err != nil {
-		t.Fatal(err)
+	// The session's violations are the engine's shared sorted set, not a
+	// copy rendered beside it.
+	if vs := eng.Violations(); len(vs) == 0 || &se.Violations[0] != &vs[0] {
+		t.Fatal("the session's violations are not the engine's set")
 	}
-	if se.det != nil {
-		t.Fatal("Stream() must take the detector over")
+	if !reflect.DeepEqual(se.DetectStats, eng.Stats().Boot) {
+		t.Fatalf("DetectStats %+v, want the engine's boot stats %+v", se.DetectStats, eng.Stats().Boot)
 	}
 	if _, err := se.RunDetection(ctx); err != nil {
 		t.Fatal(err)
@@ -709,29 +714,22 @@ func TestSessionHoldsOneDetectionState(t *testing.T) {
 	if _, err := se.RunRepairs(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if se.det != nil {
-		t.Fatal("detection and repairs against a current engine cached a detector")
+	if got, err := se.Stream(); err != nil || got != eng {
+		t.Fatalf("Stream() after detection and repairs: %v, %v; want the engine detection booted", got, err)
 	}
 
-	// A rule-set change leaves the engine behind: detection and repairs
-	// share one detector again, and the next Stream() consumes it.
+	// A rule-set change leaves the engine behind: detection boots one
+	// over the new rules, and Stream() serves it.
 	se.Confirm(se.Discovered[0].ID())
 	if _, err := se.RunDetection(ctx); err != nil {
 		t.Fatal(err)
 	}
-	det := se.det
-	if _, err := se.RunRepairs(ctx); err != nil {
-		t.Fatal(err)
+	booted := se.str
+	if booted == Streamer(eng) || len(se.strRules) != 1 || len(se.DetectStats) != 1 {
+		t.Fatalf("detection after Confirm(subset): engine over %d rules, %d stats", len(se.strRules), len(se.DetectStats))
 	}
-	if det == nil || se.det != det {
-		t.Fatalf("after Confirm(subset): detection's detector %p, repairs' %p; want one shared", det, se.det)
-	}
-	eng, err := se.Stream()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng == nil || se.det != nil || len(se.strRules) != 1 {
-		t.Fatalf("Stream() after Confirm(subset): detector %v, engine over %d rules", se.det, len(se.strRules))
+	if got, err := se.Stream(); err != nil || got != booted {
+		t.Fatalf("Stream() after Confirm(subset): %v, %v; want the engine detection booted", got, err)
 	}
 }
 
@@ -744,6 +742,28 @@ func (p *countingPersister) Journal(_ context.Context, _ string, seq int64, _ st
 }
 func (p *countingPersister) Checkpoint(*SessionSnapshot) error { return nil }
 func (p *countingPersister) CompactionDue(string) bool         { return false }
+
+// TestReplayJournalRefusesBatchesWithoutRules: an engine over zero rules
+// refuses deltas, so a detected zero-rule session with a journal is
+// corrupt persistence state, not batches to replay.
+func TestReplayJournalRefusesBatchesWithoutRules(t *testing.T) {
+	sys := NewSystemWith(docstore.NewMem(), DefaultSystemConfig())
+	se := sys.NewSession("p", datagen.PhoneState(50, 0, 1).Table, DefaultParams())
+	se.UseRules(nil)
+	if _, err := se.RunDetection(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	snap := se.Snapshot()
+	snap.TableData = snap.Table.AppendBinary(nil)
+	back, err := sys.RestoreSession(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = back.ReplayJournal(0, []stream.Batch{{stream.UpdateCell(0, "state", "ZZ")}})
+	if err == nil || !strings.Contains(err.Error(), "no rules were snapshotted") {
+		t.Fatalf("replaying a batch without rules: %v, want the corruption error", err)
+	}
+}
 
 // TestReplayJournalWiresTheSink: a persister attached before recovery
 // sees none of the replayed batches, and journals the first batch after

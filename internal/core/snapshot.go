@@ -8,9 +8,9 @@
 // (on engine rebuilds, after delta batches, when compaction is due); the
 // Persister decides *how* bytes become durable. Violations are not
 // snapshotted — they are a pure function of (table, rules), so restore
-// recomputes them by bootstrapping the incremental engine, and the
-// crash-recovery tests assert the result is byte-identical to a fresh
-// full detection.
+// recomputes them by booting the incremental engine, as detection does,
+// and the crash-recovery tests assert the result is byte-identical to a
+// fresh full detection.
 package core
 
 import (
@@ -93,8 +93,10 @@ type Persister interface {
 
 // SetPersist attaches a durability sink to the session: future delta
 // batches are journaled write-ahead, and engine rebuilds checkpoint a
-// fresh baseline. An existing engine is wired up immediately. Pass nil to
-// detach.
+// fresh baseline. An existing engine is wired up immediately; one that
+// detection booted with no persister attached has its baseline
+// checkpointed before the first batch is journaled against it, unless a
+// Checkpoint call writes it first. Pass nil to detach.
 func (se *Session) SetPersist(p Persister) {
 	se.persist = p
 	if se.str != nil {
@@ -169,6 +171,7 @@ func (se *Session) checkpoint(compaction bool) error {
 	if err := se.persist.Checkpoint(snap); err != nil {
 		return &PersistenceError{Err: fmt.Errorf("session %s: checkpoint: %w", se.ID, err)}
 	}
+	se.unimaged = false
 	return nil
 }
 
@@ -235,45 +238,38 @@ func (s *System) adoptID(id string) {
 	}
 }
 
-// ReplayJournal finishes recovery: it bootstraps the incremental engine
-// over the restored table at the checkpoint's sequence cursor, which
-// recomputes the violation set, byte-identical to a full detection, and
-// applies the journaled delta batches through it in order, restoring the
-// sequence timeline so pre-crash `since` cursors resolve. The engine takes
-// the restoring system's topology, whatever K wrote the snapshot: results
-// are byte-identical at every K, and every session journals one WAL
-// whatever its K. The engine gets its sink only afterwards, so no batch
-// is journaled twice. Sessions that never ran detection skip the engine
-// entirely and must have an empty journal.
+// ReplayJournal finishes recovery: it boots the engine over the restored
+// table at the checkpoint's cursor — the boot detection runs, in the
+// restoring system's topology whatever K wrote the snapshot — and applies
+// the journaled batches through it in order, so pre-crash `since` cursors
+// resolve. The sink goes on only afterwards, so no batch is journaled
+// twice. A session that never ran detection must have an empty journal.
 func (se *Session) ReplayJournal(baseSeq int64, batches []stream.Batch) error {
-	rules := se.rules()
 	if !se.detected {
 		if len(batches) > 0 {
 			return fmt.Errorf("session %s: %d journaled batches but detection never ran (corrupt persistence state)", se.ID, len(batches))
 		}
 		return nil
 	}
-	if len(rules) == 0 {
-		// Detection over zero mined rules is a legitimate state (zero
-		// violations, no stream engine possible — so nothing can have
-		// been journaled). Only a non-empty journal marks corruption.
-		if len(batches) > 0 {
-			return fmt.Errorf("session %s: %d journaled batches but no rules were snapshotted (corrupt persistence state)", se.ID, len(batches))
-		}
-		se.Violations = nil
-		return nil
+	rules := se.rules()
+	if len(rules) == 0 && len(batches) > 0 {
+		// An engine over zero rules refuses deltas (see Stream), so
+		// nothing can have been journaled against it.
+		return fmt.Errorf("session %s: %d journaled batches but no rules were snapshotted (corrupt persistence state)", se.ID, len(batches))
 	}
-	eng, err := se.newStreamer(rules, baseSeq)
+	eng, _, err := se.newStreamer(context.TODO(), rules, baseSeq)
 	if err != nil {
+		se.Close() // a failed recovery leaves the workers free
 		return fmt.Errorf("session %s: replay: %w", se.ID, err)
 	}
 	for i, b := range batches {
 		if _, err := eng.ApplyCtx(context.TODO(), b); err != nil {
+			closeEngine(eng)
+			se.Close()
 			return fmt.Errorf("session %s: replay batch %d (seq %d): %w", se.ID, i, baseSeq+int64(i)+1, err)
 		}
 	}
 	eng.SetSink(se.journalSink())
-	se.str, se.strRules = eng, rules
-	se.Violations = eng.Violations()
+	se.use(eng, rules)
 	return nil
 }

@@ -172,47 +172,21 @@ func (d *Detector) cols(verb string, p *pfd.PFD) (li, ri int, err error) {
 	return li, ri, nil
 }
 
-// detectRow evaluates one tableau row of one PFD.
-func (d *Detector) detectRow(p *pfd.PFD, row tableau.Row, li, ri int) ([]pfd.Violation, error) {
-	if row.Variable() {
-		return d.detectVariable(p, row, li, ri)
-	}
-	return d.detectConstant(p, row, li, ri)
-}
-
-// detectRaw evaluates every tableau row of one PFD without de-duplicating,
-// so DetectAllContext callers can dedupe once at their merge point.
-func (d *Detector) detectRaw(p *pfd.PFD) ([]pfd.Violation, error) {
-	li, ri, err := d.cols("detect", p)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]pfd.Violation, 0, p.Tableau.Len())
-	for _, row := range p.Tableau.Rows() {
-		vs, err := d.detectRow(p, row, li, ri)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, vs...)
-	}
-	return out, nil
-}
-
 // Detect returns all violations of the PFD, de-duplicated and sorted by
 // first cell.
 func (d *Detector) Detect(p *pfd.PFD) ([]pfd.Violation, error) {
-	vs, err := d.detectRaw(p)
+	res, err := d.DetectAllContext(context.TODO(), []*pfd.PFD{p}, 1)
 	if err != nil {
 		return nil, err
 	}
-	return dedupe(vs), nil
+	return res.Violations, nil
 }
 
 // RuleStats records the detection cost of one PFD: how many tableau rows
-// were evaluated, how many violations it contributed (before the
-// cross-rule dedupe), and the cumulative wall time of its row tasks.
-// Under parallel execution Duration sums the per-row task times, so it
-// reads as busy time, not elapsed time.
+// were evaluated, how many violations its rows rendered (before the
+// de-duplication of the merge), and the cumulative wall time of its row
+// tasks. Under parallel execution Duration sums the per-row task times,
+// so it reads as busy time, not elapsed time.
 type RuleStats struct {
 	PFDID      string        `json:"pfd"`
 	Rows       int           `json:"rows"`
@@ -228,135 +202,132 @@ type Result struct {
 	Parallelism int             `json:"parallelism"`
 }
 
-// rowTask names one unit of detection work: one tableau row of one rule.
-type rowTask struct {
-	rule, row int
+// Task is one unit of detection work: one tableau row of one rule, with
+// the rule's columns resolved.
+type Task struct {
+	Rule   int // the rule's index in the list Run was given
+	Pos    int // the row's position in the rule's tableau
+	P      *pfd.PFD
+	Row    tableau.Row
+	LI, RI int
 }
 
-// workerCount resolves a parallelism setting to an effective pool size:
-// 0 means GOMAXPROCS, clamped to the task count and at least 1.
-func workerCount(parallelism, tasks int) int {
+// Rendered is what Run returns: every task's rendering in (rule, tableau
+// row) order, each rule's stats, and the effective worker count.
+type Rendered[V any] struct {
+	Tasks   []Task
+	Out     [][]V
+	Stats   []RuleStats
+	Workers int
+}
+
+// Run is the one fan-out of detection work, under DetectAllContext,
+// RepairsAllContext and the incremental engine's boot (stream.Boot). It
+// resolves every rule's columns before any work starts, then renders
+// each (rule, tableau row) task once over at most parallelism workers
+// (0 = GOMAXPROCS), timing it. Renderings come back in (rule, row) order,
+// with per-rule stats: tableau rows, violations rendered, summed busy
+// time. Cancelling ctx stops the pool between tasks with an error
+// wrapping ctx.Err().
+func Run[V any](ctx context.Context, d *Detector, ps []*pfd.PFD, parallelism int, render func(Task) []V) (*Rendered[V], error) {
+	stats := make([]RuleStats, len(ps))
+	var tasks []Task
+	for i, p := range ps {
+		li, ri, err := d.cols("detect", p)
+		if err != nil {
+			return nil, err
+		}
+		rows := p.Tableau.Rows() // a copy: snapshot it once per rule, not per task
+		stats[i] = RuleStats{PFDID: p.ID(), Rows: len(rows)}
+		for pos, row := range rows {
+			tasks = append(tasks, Task{Rule: i, Pos: pos, P: p, Row: row, LI: li, RI: ri})
+		}
+	}
+	// A fixed pool of workers takes task indices in order; each writes
+	// its task's slots only, so nothing locks.
+	out := make([][]V, len(tasks))
+	took := make([]time.Duration, len(tasks))
 	workers := parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > tasks {
-		workers = tasks
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// runPool executes task(i) for every i in [0, n) over a fixed pool of
-// workers, feeding indices in order and stopping the feed when ctx is
-// cancelled (already-queued tasks still run; tasks should check ctx
-// themselves to bail early). Tasks record their own results into
-// caller-owned indexed slices — disjoint slots, so no locking — and the
-// caller checks ctx.Err() after return: a cancelled feed means some
-// tasks never ran.
-func runPool(ctx context.Context, n, workers int, task func(i int)) {
+	workers = max(1, min(workers, len(tasks)))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				task(i)
+			for ti := range jobs {
+				if ctx.Err() != nil {
+					continue
+				}
+				start := time.Now()
+				out[ti] = render(tasks[ti])
+				took[ti] = time.Since(start)
 			}
 		}()
 	}
 feed:
-	for i := 0; i < n; i++ {
+	for ti := range tasks {
 		select {
-		case jobs <- i:
+		case jobs <- ti:
 		case <-ctx.Done():
 			break feed
 		}
 	}
 	close(jobs)
 	wg.Wait()
-}
-
-// DetectAllContext evaluates several PFDs with a worker pool that fans
-// out per tableau row. parallelism bounds the worker count (0 =
-// GOMAXPROCS). Results are merged in (rule, tableau-row) order and
-// de-duplicated once through the dedupe total order, so the violation
-// list is byte-identical to the sequential engine at every parallelism
-// level. Cancelling ctx stops the pool between row tasks and returns an
-// error wrapping ctx.Err().
-func (d *Detector) DetectAllContext(ctx context.Context, ps []*pfd.PFD, parallelism int) (*Result, error) {
-	// Resolve all column positions up front so schema errors surface
-	// deterministically, before any work is spawned. Tableau rows are
-	// snapshotted once per rule (Rows() copies) rather than per task.
-	lis := make([]int, len(ps))
-	ris := make([]int, len(ps))
-	rowsOf := make([][]tableau.Row, len(ps))
-	var tasks []rowTask
-	for i, p := range ps {
-		li, ri, err := d.cols("detect", p)
-		if err != nil {
-			return nil, err
-		}
-		lis[i], ris[i] = li, ri
-		rowsOf[i] = p.Tableau.Rows()
-		for r := range rowsOf[i] {
-			tasks = append(tasks, rowTask{rule: i, row: r})
-		}
-	}
-
-	workers := workerCount(parallelism, len(tasks))
-	type rowResult struct {
-		vs  []pfd.Violation
-		dur time.Duration
-		err error
-	}
-	// Indexed by task position: workers write disjoint slots, and the
-	// merge below reads them back in deterministic (rule, row) order.
-	results := make([]rowResult, len(tasks))
-	runPool(ctx, len(tasks), workers, func(ti int) {
-		if err := ctx.Err(); err != nil {
-			results[ti].err = err
-			return
-		}
-		tk := tasks[ti]
-		start := time.Now()
-		vs, err := d.detectRow(ps[tk.rule], rowsOf[tk.rule][tk.row], lis[tk.rule], ris[tk.rule])
-		results[ti] = rowResult{vs: vs, dur: time.Since(start), err: err}
-	})
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("detection cancelled: %w", err)
 	}
-
-	total := 0
-	for ti := range results {
-		if err := results[ti].err; err != nil {
-			return nil, err
-		}
-		total += len(results[ti].vs)
-	}
-	merged := make([]pfd.Violation, 0, total)
-	stats := make([]RuleStats, len(ps))
-	for i, p := range ps {
-		stats[i] = RuleStats{PFDID: p.ID(), Rows: p.Tableau.Len()}
-	}
 	for ti, tk := range tasks {
-		merged = append(merged, results[ti].vs...)
-		stats[tk.rule].Violations += len(results[ti].vs)
-		stats[tk.rule].Duration += results[ti].dur
+		stats[tk.Rule].Violations += len(out[ti])
+		stats[tk.Rule].Duration += took[ti]
 	}
-	return &Result{Violations: dedupe(merged), Stats: stats, Parallelism: workers}, nil
+	return &Rendered[V]{Tasks: tasks, Out: out, Stats: stats, Workers: workers}, nil
 }
 
-func (d *Detector) detectConstant(p *pfd.PFD, row tableau.Row, li, ri int) ([]pfd.Violation, error) {
+// Merge concatenates per-task renderings in their order and de-duplicates
+// them into the total order: the violation set they render, as every
+// detection path serves it.
+func Merge(lists [][]pfd.Violation) []pfd.Violation {
+	merged := slices.Concat(lists...)
+	if merged == nil {
+		merged = []pfd.Violation{} // the empty set renders as [], not null
+	}
+	// Equal keys end up adjacent: a pair found through two blocks renders
+	// one key (a cell flagged by two tableau rows of the same PFD stays
+	// distinct because the rule differs).
+	SortViolations(merged)
+	return slices.CompactFunc(merged, func(a, b pfd.Violation) bool { return CompareViolations(&a, &b) == 0 })
+}
+
+// DetectAllContext evaluates several PFDs on Run's per-tableau-row
+// fan-out (parallelism bounds the workers, 0 = GOMAXPROCS) and merges the
+// renderings through the one total order, so the violation list is
+// byte-identical at every parallelism level. Cancelling ctx stops the
+// pool between row tasks and returns an error wrapping ctx.Err().
+func (d *Detector) DetectAllContext(ctx context.Context, ps []*pfd.PFD, parallelism int) (*Result, error) {
+	run, err := Run(ctx, d, ps, parallelism, func(tk Task) []pfd.Violation {
+		if tk.Row.Variable() {
+			return d.detectVariable(tk.P, tk.Row, tk.LI, tk.RI)
+		}
+		return d.detectConstant(tk.P, tk.Row, tk.LI, tk.RI)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Violations: Merge(run.Out), Stats: run.Stats, Parallelism: run.Workers}, nil
+}
+
+func (d *Detector) detectConstant(p *pfd.PFD, row tableau.Row, li, ri int) []pfd.Violation {
 	liv, riv := d.t.InternedColumn(li), d.t.InternedColumn(ri)
 	var out []pfd.Violation
 	for _, r := range d.ConstantHits(row, li, ri) {
 		out = append(out, pfd.ConstantViolation(p, row, r, liv.Value(r), riv.Value(r)))
 	}
-	return out, nil
+	return out
 }
 
 // ConstantHits returns, ascending, the rows that violate a constant
@@ -396,7 +367,7 @@ func (d *Detector) ConstantHits(row tableau.Row, li, ri int) []int {
 	return hits
 }
 
-func (d *Detector) detectVariable(p *pfd.PFD, row tableau.Row, li, ri int) ([]pfd.Violation, error) {
+func (d *Detector) detectVariable(p *pfd.PFD, row tableau.Row, li, ri int) []pfd.Violation {
 	liv, riv := d.t.InternedColumn(li), d.t.InternedColumn(ri)
 	if d.opts.DisableBlocking {
 		// Quadratic reference: restrict to rows matching the embedded
@@ -430,13 +401,13 @@ func (d *Detector) detectVariable(p *pfd.PFD, row tableau.Row, li, ri int) ([]pf
 				}
 			}
 		}
-		return out, nil
+		return out
 	}
 	var out []pfd.Violation
 	for _, b := range d.Blocks(li, row.LHS) {
 		out = b.appendConflicts(out, p, row, riv, !d.opts.AllPairs)
 	}
-	return out, nil
+	return out
 }
 
 // Block is one blocking bucket over an interned LHS column: the rows
@@ -558,15 +529,6 @@ func (b *Block) appendConflicts(out []pfd.Violation, p *pfd.PFD, row tableau.Row
 	return out
 }
 
-// dedupe sorts the violations into the total order and removes
-// duplicates: a pair found through two blocks renders one key (a cell
-// flagged by two tableau rows of the same PFD stays distinct because the
-// rule differs), and equal keys end up adjacent.
-func dedupe(vs []pfd.Violation) []pfd.Violation {
-	SortViolations(vs)
-	return slices.CompactFunc(vs, func(a, b pfd.Violation) bool { return CompareViolations(&a, &b) == 0 })
-}
-
 // SortViolations sorts violations into the engine's one total order:
 // cell-less violations first (ordered by key among themselves), then
 // cell-bearing violations by first cell, ties broken by key. Every
@@ -629,96 +591,68 @@ type Repair struct {
 // Repairs derives cell-repair suggestions from the PFD's violations,
 // assuming (as Section 3 does) that the LHS value is correct and the RHS
 // should change. For variable rows the block majority wins; rows already
-// holding the majority value receive no suggestion.
+// holding the majority value receive no suggestion. A cell two tableau
+// rows suggest keeps the earlier row's suggestion.
 func (d *Detector) Repairs(p *pfd.PFD) ([]Repair, error) {
-	li, ri, err := d.cols("repair", p)
+	return d.RepairsAllContext(context.TODO(), []*pfd.PFD{p}, 1)
+}
+
+// rowRepairs derives one tableau row's suggestions.
+func (d *Detector) rowRepairs(tk Task) []Repair {
+	riv := d.t.InternedColumn(tk.RI)
+	rule := tk.Row.String()
+	var out []Repair
+	suggest := func(r int, current, suggested string, conf float64) {
+		out = append(out, Repair{Cell: table.CellRef{Row: r, Column: tk.P.RHS}, Current: current, Suggested: suggested, Rule: rule, Confidence: conf})
+	}
+	if !tk.Row.Variable() {
+		for _, r := range d.ConstantHits(tk.Row, tk.LI, tk.RI) {
+			suggest(r, riv.Value(r), tk.Row.RHS, 1)
+		}
+		return out
+	}
+	for _, b := range d.Blocks(tk.LI, tk.Row.LHS) {
+		groups := b.rhsGroups(riv)
+		if len(groups) < 2 {
+			continue // no disagreement
+		}
+		mi := majorityGroup(groups)
+		conf := float64(len(groups[mi].rows)) / float64(len(b.Rows))
+		for gi := range groups {
+			if gi == mi {
+				continue
+			}
+			for _, r := range groups[gi].rows {
+				suggest(r, groups[gi].val, groups[mi].val, conf)
+			}
+		}
+	}
+	return out
+}
+
+// RepairsAllContext derives repair suggestions for several PFDs on Run's
+// per-tableau-row fan-out (0 = GOMAXPROCS workers). When more than one
+// rule — or tableau row — suggests a repair for the same cell, the
+// earliest in (rule, row) order wins. Cells are compared structurally
+// (row plus column name), never through a rendered string a hostile
+// column name could collide. The merged list is sorted by cell, so output
+// is identical at every parallelism level. Cancelling ctx stops the pool
+// between rows.
+func (d *Detector) RepairsAllContext(ctx context.Context, ps []*pfd.PFD, parallelism int) ([]Repair, error) {
+	run, err := Run(ctx, d, ps, parallelism, d.rowRepairs)
 	if err != nil {
 		return nil, err
 	}
-	var out []Repair
-	seen := map[int]bool{}
-	var rule string // the tableau row at hand, rendered once
-	suggest := func(r int, current, suggested string, conf float64) {
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, Repair{Cell: table.CellRef{Row: r, Column: p.RHS}, Current: current, Suggested: suggested, Rule: rule, Confidence: conf})
-		}
+	out := slices.Concat(run.Out...)
+	if out == nil {
+		out = []Repair{} // no suggestion renders as [], not null
 	}
-	riv := d.t.InternedColumn(ri)
-	for _, row := range p.Tableau.Rows() {
-		rule = row.String()
-		if !row.Variable() {
-			for _, r := range d.ConstantHits(row, li, ri) {
-				suggest(r, riv.Value(r), row.RHS, 1)
-			}
-			continue
-		}
-		for _, b := range d.Blocks(li, row.LHS) {
-			groups := b.rhsGroups(riv)
-			if len(groups) < 2 {
-				continue // no disagreement
-			}
-			mi := majorityGroup(groups)
-			conf := float64(len(groups[mi].rows)) / float64(len(b.Rows))
-			for gi := range groups {
-				if gi == mi {
-					continue
-				}
-				for _, r := range groups[gi].rows {
-					suggest(r, groups[gi].val, groups[mi].val, conf)
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Cell.Less(out[j].Cell) })
-	return out, nil
-}
-
-// RepairsAllContext derives repair suggestions for several PFDs with a
-// worker pool that fans out per rule (0 = GOMAXPROCS workers). When more
-// than one rule suggests a repair for the same cell, the lowest-indexed
-// rule wins. Cells are compared structurally (row plus column name),
-// never through a rendered string a hostile column name could collide.
-// The merged list is sorted by cell, so output is identical at every
-// parallelism level. Cancelling ctx stops the pool between rules.
-func (d *Detector) RepairsAllContext(ctx context.Context, ps []*pfd.PFD, parallelism int) ([]Repair, error) {
-	type ruleResult struct {
-		rs  []Repair
-		err error
-	}
-	results := make([]ruleResult, len(ps))
-	runPool(ctx, len(ps), workerCount(parallelism, len(ps)), func(i int) {
-		if err := ctx.Err(); err != nil {
-			results[i].err = err
-			return
-		}
-		rs, err := d.Repairs(ps[i])
-		results[i] = ruleResult{rs: rs, err: err}
+	taken := make(map[table.CellRef]bool, len(out))
+	out = slices.DeleteFunc(out, func(r Repair) bool {
+		dup := taken[r.Cell]
+		taken[r.Cell] = true
+		return dup
 	})
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("repairs cancelled: %w", err)
-	}
-
-	total := 0
-	for i := range results {
-		if err := results[i].err; err != nil {
-			return nil, err
-		}
-		total += len(results[i].rs)
-	}
-	// Rules are visited in ascending index order, and one rule suggests
-	// at most one repair per cell, so the first suggestion for a cell is
-	// the lowest-indexed rule's.
-	out := make([]Repair, 0, total)
-	taken := make(map[table.CellRef]bool, total)
-	for i := range results {
-		for _, r := range results[i].rs {
-			if !taken[r.Cell] {
-				taken[r.Cell] = true
-				out = append(out, r)
-			}
-		}
-	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Cell.Less(out[j].Cell) })
 	return out, nil
 }

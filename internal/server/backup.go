@@ -129,6 +129,7 @@ func (s *Server) apiRestore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.persistNew(sess); err != nil {
+		sess.Close()
 		writeError(w, http.StatusInternalServerError, "restore %s: checkpoint: %v", img.ID, err)
 		return
 	}

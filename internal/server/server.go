@@ -197,6 +197,7 @@ func (s *Server) create(ctx context.Context, project string, t *table.Table, p c
 		err = s.persistNew(sess)
 	}
 	if err != nil {
+		sess.Close()
 		s.unclaim(sess.ID)
 		return nil, err
 	}
@@ -717,9 +718,11 @@ func (s *Server) apiDeleteSession(w http.ResponseWriter, r *http.Request) {
 	}
 	// Drain in-flight requests that resolved the handle before it left the
 	// registry, then detach the persister, so nothing can journal for the
-	// session again (recreating the WAL file) after the Drop below.
+	// session again (recreating the WAL file) after the Drop below, and
+	// close the session, which frees the workers for another one.
 	h.mu.Lock()
 	h.sess.SetPersist(nil)
+	h.sess.Close()
 	h.mu.Unlock()
 	if s.pm != nil {
 		if err := s.pm.Drop(id); err != nil {
@@ -966,16 +969,16 @@ func (s *Server) apiApplyRepairs(w http.ResponseWriter, r *http.Request) {
 		conflictNoDetection(w, sess.ID)
 		return
 	}
-	if _, err := sess.Stream(); err != nil {
-		writeError(w, persistStatus(err, http.StatusConflict), "%v", err)
-		return
-	}
 	fresh, err := sess.RunRepairs(r.Context())
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	changed, diff, err := sess.ApplyRepairs(r.Context(), fresh)
+	if errors.Is(err, core.ErrNoRules) {
+		writeError(w, http.StatusConflict, "%v", err)
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -1037,29 +1040,24 @@ func (s *Server) apiConfirm(w http.ResponseWriter, r *http.Request) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	sess := h.sess
-	// Snapshot so a mid-detection failure (e.g. client disconnect) does
-	// not leave a new Confirmed set paired with stale violations. Confirm
-	// rebuilds Confirmed in place, so the snapshot must copy it.
+	// Confirm rebuilds Confirmed in place, so the rollback copies it.
 	var prevConfirmed []*pfd.PFD
 	if sess.Confirmed != nil {
 		prevConfirmed = append([]*pfd.PFD{}, sess.Confirmed...)
 	}
-	prevViolations, prevRepairs, prevStats := sess.Violations, sess.Repairs, sess.DetectStats
 	confirmed := sess.Confirm(body.IDs...)
 	if len(body.IDs) > 0 && len(confirmed) == 0 {
 		sess.Confirmed = prevConfirmed
 		writeError(w, http.StatusBadRequest, "no discovered PFD matches the given ids")
 		return
 	}
+	// Detection boots the engine over the new rule set and checkpoints
+	// its baseline, or leaves the session as it was: then (e.g. a client
+	// disconnect) the rule set goes back too.
 	if err := sess.RunStages(r.Context(), core.StageDetection, core.StageRepairs); err != nil {
-		sess.Confirmed, sess.Violations, sess.Repairs = prevConfirmed, prevViolations, prevRepairs
-		sess.DetectStats = prevStats
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	// The durable snapshot must see the new rule set; the stream engine
-	// (and its WAL baseline) rebuilds lazily on the next delta.
-	if err := sess.Checkpoint(); err != nil {
+		if !sess.DetectionCurrent() {
+			sess.Confirmed = prevConfirmed
+		}
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}

@@ -61,7 +61,8 @@ func TestHealthz(t *testing.T) {
 func TestStatsEndpoint(t *testing.T) {
 	h, id := newShardedServer(t)
 
-	// Before any delta the engine is not built: kind "none", shards 4.
+	// Detection booted the sharded coordinator at upload: before any
+	// delta it reads kind "sharded", shards 4, at seq 0.
 	rec, out := getJSON(t, h, "/api/v1/stats")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stats = %d %s", rec.Code, rec.Body.String())
@@ -75,12 +76,12 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatalf("session stats = %v", se)
 	}
 	eng := se["engine"].(map[string]any)
-	if eng["kind"] != "none" || eng["shards"].(float64) != 4 {
+	if eng["kind"] != "sharded" || eng["shards"].(float64) != 4 || eng["sharded"].(map[string]any)["seq"].(float64) != 0 {
 		t.Fatalf("engine stats before deltas = %v", eng)
 	}
 
-	// A delta builds the sharded coordinator; stats now expose per-shard
-	// rows and the replication factor.
+	// A delta goes through that coordinator; stats expose per-shard rows
+	// and the replication factor.
 	rec, _ = postJSON(t, h, "/api/v1/sessions/"+id+"/deltas",
 		`{"deltas":[{"op":"append","rows":[["8509990000","GA"]]}]}`)
 	if rec.Code != http.StatusOK {

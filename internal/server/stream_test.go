@@ -241,6 +241,20 @@ func TestAPIApplyRepairs(t *testing.T) {
 	}
 }
 
+// TestAPIApplyRepairsWithoutRules: a session whose discovery mined no
+// rule has nothing to stream against, so applying repairs is a 409, as
+// posting deltas to a session that never detected is.
+func TestAPIApplyRepairsWithoutRules(t *testing.T) {
+	h := New(core.NewSystemWith(docstore.NewMem(), core.DefaultSystemConfig())).Handler()
+	rec, out := postCSV(t, h, "/api/v1/sessions?name=pairs", "a,b\n1,2\n")
+	if rec.Code != http.StatusOK || out["pfds"].(float64) != 0 {
+		t.Fatalf("upload: %d %s, want a session with no rule", rec.Code, rec.Body.String())
+	}
+	if rec, _ := postJSON(t, h, "/api/v1/sessions/s1/repairs/apply", ""); rec.Code != http.StatusConflict {
+		t.Fatalf("repairs/apply without rules: %d %s, want 409", rec.Code, rec.Body.String())
+	}
+}
+
 // TestAPIConcurrentDeltas hammers one session with concurrent delta
 // batches and cursor polls; run under -race this exercises the
 // handle/engine locking end to end.

@@ -119,8 +119,14 @@ type LocalNode struct {
 
 // NewLocalNode bootstraps an in-process shard node from its boot state:
 // its engine boots from a fresh detector over the sub-table, so the cost
-// follows the sub-table's distinct values.
+// follows the sub-table's distinct values, on GOMAXPROCS workers.
 func NewLocalNode(boot NodeBoot, rules []*pfd.PFD) (*LocalNode, error) {
+	return newLocalNode(boot, rules, 0)
+}
+
+// newLocalNode is NewLocalNode with the boot's worker bound (see
+// stream.Boot).
+func newLocalNode(boot NodeBoot, rules []*pfd.PFD, parallelism int) (*LocalNode, error) {
 	if len(boot.Rows) != len(boot.GlobalOf) {
 		return nil, fmt.Errorf("shard node: %d rows but %d mapping entries", len(boot.Rows), len(boot.GlobalOf))
 	}
@@ -130,7 +136,7 @@ func NewLocalNode(boot NodeBoot, rules []*pfd.PFD) (*LocalNode, error) {
 	}
 	n := &LocalNode{t: t, globalOf: append([]int(nil), boot.GlobalOf...)}
 	shardID, of := boot.Shard, boot.Of
-	eng, err := stream.NewEngineOpts(detect.New(t, detect.Options{}), rules, stream.EngineOptions{
+	eng, err := stream.Boot(context.TODO(), detect.New(t, detect.Options{}), rules, parallelism, stream.EngineOptions{
 		LogCap:    1, // the coordinator keeps the Since log; shard logs are unused
 		KeyFilter: func(key string) bool { return Owner(key, of) == shardID },
 		GlobalID:  func(local int) int { return n.globalOf[local] },

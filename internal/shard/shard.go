@@ -500,6 +500,11 @@ type Config struct {
 	// BaseSeq is the starting sequence number (see stream.NewEngineFrom
 	// for the cursor-continuity contract).
 	BaseSeq int64
+	// Parallelism, when positive, bounds the workers the K node boots run
+	// on together: at most that many nodes boot at once, and an in-process
+	// node boots on its share of them. 0 boots every node at once, each
+	// in-process one on GOMAXPROCS workers.
+	Parallelism int
 	// NewNode overrides shard node construction — internal/cluster
 	// supplies remote workers here. nil builds in-process LocalNodes.
 	NewNode func(s int, boot NodeBoot, rules []*pfd.PFD) (Node, error)
@@ -550,10 +555,14 @@ func NewWith(t *table.Table, rules []*pfd.PFD, k int, cfg Config) (*Coordinator,
 		journal: cfg.Journal,
 		vio:     stream.NewSet[string](),
 	}
+	gate, nodePar := k, 0 // nodes booting at once; an in-process node's workers
+	if p := cfg.Parallelism; p > 0 {
+		gate, nodePar = min(k, p), max(1, p/k)
+	}
 	newNode := cfg.NewNode
 	if newNode == nil {
 		newNode = func(s int, boot NodeBoot, rules []*pfd.PFD) (Node, error) {
-			return NewLocalNode(boot, rules)
+			return newLocalNode(boot, rules, nodePar)
 		}
 	}
 
@@ -561,11 +570,14 @@ func NewWith(t *table.Table, rules []*pfd.PFD, k int, cfg Config) (*Coordinator,
 	// pass, split K ways.
 	c.nodes = make([]Node, k)
 	errs := make([]error, k)
+	slots := make(chan struct{}, gate)
 	var wg sync.WaitGroup
 	for s := 0; s < k; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
+			slots <- struct{}{}
+			defer func() { <-slots }()
 			node, err := newNode(s, tr.Boot(s), rules)
 			if err != nil {
 				errs[s] = err

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/anmat/anmat/internal/detect"
 	"github.com/anmat/anmat/internal/pattern"
@@ -292,6 +294,40 @@ func TestCoordinatorStats(t *testing.T) {
 	}
 	if st.Violations != len(c.Violations()) {
 		t.Fatalf("stats violations %d != %d", st.Violations, len(c.Violations()))
+	}
+}
+
+// TestBootHonoursParallelism: Config.Parallelism bounds the workers the
+// K node boots run on together. At parallelism 1 the two nodes of K = 2
+// boot one at a time, each in-process node on one worker, and the merged
+// set is the full detection's.
+func TestBootHonoursParallelism(t *testing.T) {
+	tbl, rules := testTable(), testRules()
+	c, err := NewWith(tbl, rules, 2, Config{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, ps := range c.Stats().PerShard {
+		if ps.Engine.BootWorkers != 1 {
+			t.Fatalf("shard %d booted on %d workers at parallelism 1", s, ps.Engine.BootWorkers)
+		}
+	}
+	assertMerged(t, c, tbl, rules)
+
+	var live, peak atomic.Int32
+	_, err = NewWith(tbl, rules, 2, Config{Parallelism: 1, NewNode: func(s int, boot NodeBoot, rules []*pfd.PFD) (Node, error) {
+		n := live.Add(1)
+		defer live.Add(-1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		time.Sleep(20 * time.Millisecond) // long enough for a second boot to overlap
+		return NewLocalNode(boot, rules)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p != 1 {
+		t.Fatalf("%d node boots ran at once at parallelism 1", p)
 	}
 }
 

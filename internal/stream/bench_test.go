@@ -136,28 +136,34 @@ func BenchmarkStreamRepair(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineBootstrap measures a cold engine bootstrap
-// (NewEngineFrom: a fresh detector, then the engine) over 50k rows whose
-// phone column holds 50k distinct values against one that holds 50: the
-// bootstrap works per distinct value, so the second should be far cheaper.
+// BenchmarkEngineBootstrap measures a cold engine bootstrap (a fresh
+// detector, then Boot) over 50k rows whose phone column holds 50k
+// distinct values against one that holds 50: the bootstrap works per
+// distinct value, so the second should be far cheaper. p1 runs the boot's
+// per-tableau-row tasks on one worker, pmax on GOMAXPROCS: their ratio is
+// what the fan-out buys.
 func BenchmarkEngineBootstrap(b *testing.B) {
 	for _, c := range []struct {
 		name     string
 		distinct int
 	}{{"distinct50k", 50000}, {"distinct50", 50}} {
-		b.Run(c.name, func(b *testing.B) {
-			tbl := table.MustNew("Phone", []string{"phone", "state"})
-			for i := 0; i < 50000; i++ {
-				tbl.MustAppend(benchRow(i % c.distinct)...)
-			}
-			rules := benchRules()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := NewEngineFrom(tbl, rules, 0); err != nil {
-					b.Fatal(err)
+		tbl := table.MustNew("Phone", []string{"phone", "state"})
+		for i := 0; i < 50000; i++ {
+			tbl.MustAppend(benchRow(i % c.distinct)...)
+		}
+		rules := benchRules()
+		for _, p := range []struct {
+			name        string
+			parallelism int
+		}{{"p1", 1}, {"pmax", 0}} {
+			b.Run(c.name+"/"+p.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := Boot(context.Background(), detect.New(tbl, detect.Options{}), rules, p.parallelism, EngineOptions{}); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

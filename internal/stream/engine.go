@@ -3,12 +3,15 @@
 // table without re-running full detection.
 //
 // An Engine is built once over a table and a fixed set of PFDs, booting
-// from a detect.Detector's per-distinct-value products — the ones a
-// session's upload already computed. Batched deltas (AppendRows,
-// UpdateCell, DeleteRows) flow through ApplyCtx, which updates the table
-// (dictionary-coded columns, table.Interned), the per-block majority state of every variable tableau row, and the
-// materialized violation set — touching only the constant-row tuples and
-// the block memberships a delta changes. The maintained invariant,
+// from a detect.Detector's per-distinct-value products on detect.Run's
+// per-tableau-row fan-out: the boot is the detection pass, and a
+// session's upload is that boot (its violations are the engine's sorted
+// set from the start). Batched deltas (AppendRows, UpdateCell,
+// DeleteRows) flow through ApplyCtx, which updates the table
+// (dictionary-coded columns, table.Interned), the per-block majority
+// state of every variable tableau row, and the materialized violation
+// set — touching only the constant-row tuples and the block memberships
+// a delta changes. The maintained invariant,
 // property-tested by replaying random delta scripts against full
 // re-detection, is:
 //
@@ -187,8 +190,9 @@ type ruleState struct {
 	// blocks holds, per variable row, the state of every tracked block.
 	blocks []map[string]*block
 	// verd memoizes, per constant row, the embedded pattern's verdict per
-	// interned LHS dictionary ID (see matches). IDs are never renumbered
-	// (see intern), so the memo survives every delta.
+	// interned LHS dictionary ID (see matches), seeded with the boot
+	// detector's. IDs are never renumbered (see intern), so the memo
+	// survives every delta.
 	verd []*intern.Verdicts
 }
 
@@ -201,17 +205,6 @@ func (rs *ruleState) matches(tri int, id uint32) bool {
 		rs.verd[tri].Set(id, match)
 	}
 	return match
-}
-
-// block returns the state of the variable row's block under key, tracking
-// an empty one from here on when the key is new.
-func (rs *ruleState) block(tri int, key string) *block {
-	b := rs.blocks[tri][key]
-	if b == nil {
-		b = &block{maj: -1}
-		rs.blocks[tri][key] = b
-	}
-	return b
 }
 
 // Engine maintains the violation set of a rule set over a mutating table.
@@ -230,6 +223,11 @@ type Engine struct {
 	// keyFilter and globalID are the sharding hooks of EngineOptions.
 	keyFilter func(key string) bool
 	globalID  func(local int) int
+
+	// boot is the bootstrap's per-rule cost, and bootWorkers its worker
+	// count, fixed at Boot.
+	boot        []detect.RuleStats
+	bootWorkers int
 }
 
 // EngineOptions tunes NewEngineOpts. The zero value reproduces NewEngineFrom at sequence 0.
@@ -278,12 +276,20 @@ func NewEngineFrom(t *table.Table, rules []*pfd.PFD, baseSeq int64) (*Engine, er
 }
 
 // NewEngineOpts bootstraps an engine over the detector's table with the
-// full option set. Its initial state is the detector's per-distinct-value
-// products: constant tableau rows seed their verdict memo from
-// MatchVerdicts and reference each ConstantHits row; variable rows file
-// the rows of every Block the KeyFilter accepts and derive each block
-// once. The engine keeps nothing of the detector, which must not be stale.
+// full option set: Boot with GOMAXPROCS workers and no deadline.
 func NewEngineOpts(d *detect.Detector, rules []*pfd.PFD, opts EngineOptions) (*Engine, error) {
+	return Boot(context.TODO(), d, rules, 0, opts)
+}
+
+// Boot bootstraps an engine over the detector's table: the detection
+// pass itself, one detect.Run task per tableau row over at most
+// parallelism workers (0 = GOMAXPROCS), each deriving its row's state
+// from the detector's cached products (see bootRow). Sources are
+// numbered, and the renderings load into the set, in (rule, row) order;
+// the sorted set is DetectAllContext's, the per-rule cost Stats().Boot.
+// Of the detector, which must not be stale, the engine keeps only the
+// match verdicts. Cancelling ctx stops the pool between tasks.
+func Boot(ctx context.Context, d *detect.Detector, rules []*pfd.PFD, parallelism int, opts EngineOptions) (*Engine, error) {
 	// One span per bootstrap — the cost every later delta amortizes;
 	// per-row work stays uninstrumented.
 	defer obs.Span(context.Background(), "stream.bootstrap")()
@@ -299,13 +305,14 @@ func NewEngineOpts(d *detect.Detector, rules []*pfd.PFD, opts EngineOptions) (*E
 	type srcIdent struct{ id, lhs, rhs, row string }
 	srcs := make(map[srcIdent]int32)
 	for _, p := range rules {
+		id := p.ID()
 		li, ok := t.ColIndex(p.LHS)
 		if !ok {
-			return nil, fmt.Errorf("stream %s: no column %q", p.ID(), p.LHS)
+			return nil, fmt.Errorf("stream %s: no column %q", id, p.LHS)
 		}
 		ri, ok := t.ColIndex(p.RHS)
 		if !ok {
-			return nil, fmt.Errorf("stream %s: no column %q", p.ID(), p.RHS)
+			return nil, fmt.Errorf("stream %s: no column %q", id, p.RHS)
 		}
 		rows := p.Tableau.Rows()
 		rs := &ruleState{
@@ -319,36 +326,83 @@ func NewEngineOpts(d *detect.Detector, rules []*pfd.PFD, opts EngineOptions) (*E
 		}
 		for tri, row := range rows {
 			rs.emb[tri] = row.LHS.Embedded()
-			ident := srcIdent{p.ID(), p.LHS, p.RHS, row.String()}
+			ident := srcIdent{id, p.LHS, p.RHS, row.String()}
 			if _, ok := srcs[ident]; !ok {
 				srcs[ident] = int32(len(srcs))
 			}
 			rs.src[tri] = srcs[ident]
-			if !row.Variable() {
-				rs.verd[tri] = intern.VerdictsOf(d.MatchVerdicts(li, rs.emb[tri]))
-				for _, r := range d.ConstantHits(row, li, ri) {
-					e.refConst(rs, tri, r)
-				}
-				continue
-			}
-			rs.blocks[tri] = make(map[string]*block)
-			for _, db := range d.Blocks(li, row.LHS) {
-				if e.keyFilter != nil && !e.keyFilter(db.Key) {
-					continue
-				}
-				b := rs.block(tri, db.Key)
-				for _, r := range db.Rows {
-					e.insert(b, b.groupFor(rs.riv.IDs[r]), r)
-				}
-				e.rebuild(rs, tri, b)
-			}
 		}
 		e.rs = append(e.rs, rs)
 	}
-	// Bootstrap's own "diff" adds the whole set, sorted: the log's base.
-	e.Sequencer = NewSequencer(t, opts.BaseSeq, opts.LogCap, e.vio.Diff(opts.BaseSeq, t.NumRows()).Added, e.apply)
+	run, err := detect.Run(ctx, d, rules, parallelism, func(tk detect.Task) []pfd.Violation {
+		return e.bootRow(d, e.rs[tk.Rule], tk.Pos)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for ti, tk := range run.Tasks {
+		for _, v := range run.Out[ti] {
+			k := vioKey{src: e.rs[tk.Rule].src[tk.Pos], lo: int32(v.Tuples[0]), hi: -1}
+			if len(v.Tuples) == 2 {
+				k.hi = int32(v.Tuples[1])
+			}
+			e.vio.load(k, v)
+		}
+	}
+	e.boot, e.bootWorkers = run.Stats, run.Workers
+	e.Sequencer = NewSequencer(t, opts.BaseSeq, opts.LogCap, detect.Merge(run.Out), e.apply)
 	e.traced = true
 	return e, nil
+}
+
+// bootRow is one bootstrap task: it derives tableau row tri's initial
+// state from the detector — a variable row files each block's rows by
+// RHS value in evaluation order and elects the majority — and renders
+// the violations the row owes. It writes only the row's own slots, so
+// rows boot concurrently.
+func (e *Engine) bootRow(d *detect.Detector, rs *ruleState, tri int) []pfd.Violation {
+	row := rs.rows[tri]
+	var out []pfd.Violation
+	if !row.Variable() {
+		rs.verd[tri] = intern.VerdictsOf(d.MatchVerdicts(rs.li, rs.emb[tri]))
+		for _, r := range d.ConstantHits(row, rs.li, rs.ri) {
+			out = append(out, rs.constViolation(tri, r))
+		}
+		return out
+	}
+	rs.blocks[tri] = make(map[string]*block)
+	for _, db := range d.Blocks(rs.li, row.LHS) {
+		if e.keyFilter != nil && !e.keyFilter(db.Key) {
+			continue
+		}
+		b := &block{}
+		var n []int // members per group, so each group's rows are allocated once
+		for _, r := range db.Rows {
+			if g := b.groupFor(rs.riv.IDs[r]); g == len(n) {
+				n = append(n, 1)
+			} else {
+				n[g]++
+			}
+		}
+		for g := range b.groups {
+			b.groups[g].rows = make([]int, 0, n[g])
+		}
+		for _, r := range db.Rows {
+			g := b.groupFor(rs.riv.IDs[r])
+			b.groups[g].rows = append(b.groups[g].rows, r)
+		}
+		if e.globalID != nil {
+			// Local order may differ from evaluation order on a shard
+			// whose rows migrated in.
+			for _, g := range b.groups {
+				slices.SortFunc(g.rows, func(x, y int) int { return e.globalID(x) - e.globalID(y) })
+			}
+		}
+		b.maj = b.leader(rs.riv.Dict, -1, 0)
+		b.owed(func(w, r int) { out = append(out, rs.pairViolation(tri, w, r)) })
+		rs.blocks[tri][db.Key] = b
+	}
+	return out
 }
 
 // Stats summarizes the engine's maintained state for observability.
@@ -365,6 +419,11 @@ type Stats struct {
 	IndexedColumns int `json:"indexed_columns"`
 	// LogLen is the number of retained per-batch diffs (Since horizon).
 	LogLen int `json:"log_len"`
+	// Boot is the bootstrap's cost per rule (see detect.Run): what a
+	// session's detection stage reports.
+	Boot []detect.RuleStats `json:"boot"`
+	// BootWorkers is how many workers the bootstrap ran on.
+	BootWorkers int `json:"boot_workers"`
 }
 
 // Stats returns a snapshot of the engine's maintained state.
@@ -373,7 +432,7 @@ func (e *Engine) Stats() Stats {
 	defer e.mu.Unlock()
 	st := Stats{
 		Seq: e.seq, Rows: e.t.NumRows(), Rules: len(e.rs),
-		Violations: e.vio.Len(), LogLen: e.log.Len(),
+		Violations: e.vio.Len(), LogLen: e.log.Len(), Boot: e.boot, BootWorkers: e.bootWorkers,
 	}
 	read := make(map[int]bool)
 	for _, rs := range e.rs {
@@ -610,14 +669,14 @@ func (e *Engine) recomputeConst(rs *ruleState, tri, tuple int) {
 	}
 	constID, haveConst := rs.riv.Dict.Lookup(rs.rows[tri].RHS)
 	if !haveConst || rs.riv.IDs[tuple] != constID {
-		e.refConst(rs, tri, tuple)
+		e.vio.Ref(constKey(rs.src[tri], tuple), rs.constViolation(tri, tuple))
 	}
 }
 
-// refConst records that the tuple violates the constant tableau row.
-func (e *Engine) refConst(rs *ruleState, tri, tuple int) {
-	v := pfd.ConstantViolation(rs.p, rs.rows[tri], tuple, rs.liv.Value(tuple), rs.riv.Value(tuple))
-	e.vio.Ref(constKey(rs.src[tri], tuple), v)
+// constViolation renders the tuple's violation of constant row tri from
+// the current table.
+func (rs *ruleState) constViolation(tri, tuple int) pfd.Violation {
+	return pfd.ConstantViolation(rs.p, rs.rows[tri], tuple, rs.liv.Value(tuple), rs.riv.Value(tuple))
 }
 
 // before reports whether row a precedes row b in evaluation order: global
@@ -664,7 +723,11 @@ func (e *Engine) remove(b *block, g, r int) {
 // one pair more — r against the witness, if r deviates; otherwise the
 // block is re-derived.
 func (e *Engine) join(rs *ruleState, tri int, key string, r int) {
-	b := rs.block(tri, key)
+	b := rs.blocks[tri][key]
+	if b == nil { // a new key: track its block from here on
+		b = &block{maj: -1}
+		rs.blocks[tri][key] = b
+	}
 	g := b.groupFor(rs.riv.IDs[r])
 	if b.maj >= 0 && b.leader(rs.riv.Dict, g, +1) == b.maj && (g != b.maj || e.before(b.witness(), r)) {
 		e.insert(b, g, r)
@@ -706,17 +769,21 @@ func (e *Engine) release(rs *ruleState, tri int, b *block) {
 }
 
 // rebuild derives a block from its membership: it elects the majority
-// and references every pair the block owes. Bootstrap builds every block
-// with it, and a delta falls back to it (after release) when a membership
-// change moves the majority or its witness.
+// and references every pair the block owes. A delta falls back to it
+// (after release) when a membership change moves the majority or its
+// witness.
 func (e *Engine) rebuild(rs *ruleState, tri int, b *block) {
 	b.maj = b.leader(rs.riv.Dict, -1, 0)
 	b.owed(func(w, r int) { e.refPair(rs, tri, w, r) })
 }
 
-// refPair references the violation of the witness and a deviating member,
-// rendered from the current table.
+// refPair references the violation of the witness and a deviating member.
 func (e *Engine) refPair(rs *ruleState, tri, w, r int) {
-	v := pfd.VariableViolation(rs.p, rs.rows[tri], w, r, rs.riv.Value(w), rs.riv.Value(r))
-	e.vio.Ref(pairKey(rs.src[tri], w, r), v)
+	e.vio.Ref(pairKey(rs.src[tri], w, r), rs.pairViolation(tri, w, r))
+}
+
+// pairViolation renders the violation of variable row tri by the witness
+// and a deviating member from the current table.
+func (rs *ruleState) pairViolation(tri, w, r int) pfd.Violation {
+	return pfd.VariableViolation(rs.p, rs.rows[tri], w, r, rs.riv.Value(w), rs.riv.Value(r))
 }

@@ -48,6 +48,16 @@ func (s *Set[K]) Ref(k K, v pfd.Violation) {
 	}
 }
 
+// load references v under k recording no batch-start state: Boot's set
+// has no batch before it, and its sorted base is rendered apart.
+func (s *Set[K]) load(k K, v pfd.Violation) {
+	if ent := s.m[k]; ent != nil {
+		ent.refs++
+		return
+	}
+	s.m[k] = &setEntry{v: v, refs: 1}
+}
+
 // Unref drops one reference, deleting the violation when no reference
 // holds it any more. Unreferencing an absent key does nothing.
 func (s *Set[K]) Unref(k K) {

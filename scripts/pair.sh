@@ -24,12 +24,15 @@
 # The machine's CPU steal and iowait ticks (/proc/stat) are read before
 # and after every run, and each run's line carries their shares of all
 # CPU ticks in its window. Stolen time is time the neighbours of a shared
-# host took, which moves both sides' numbers; a series whose median
-# steal share is above MAX_STEAL is reported void and the script exits
-# non-zero (3), whatever the table says. On the 2-vCPU box the bench was
-# run on, an idle 5 s window read 3 % steal and the worst hours ≈ 20 %.
+# host took, which moves both sides' numbers. A pair where either run's
+# steal share is above MAX_STEAL is dropped and run again, up to
+# MAX_RERUNS times in a series; one more such pair makes the series void:
+# the script stops, reports what landed, and exits non-zero (3), whatever
+# the table says. On the 2-vCPU box the bench was run on, an idle 5 s
+# window read 3 % steal and the worst hours ≈ 20 %.
 set -euo pipefail
 MAX_STEAL=0.10
+MAX_RERUNS=5
 if [ "$#" -ne 5 ]; then
 	echo "usage: $0 PARENT_DIR CHANGE_DIR WORKLOAD SEED PAIRS" >&2
 	exit 2
@@ -77,19 +80,39 @@ run() {
 	echo "sha256=$(sha256sum "$arm/.bench_build/bin/anmat-server" | cut -d" " -f1) $shares $line"
 }
 
+# stolen LINE... prints the largest steal share of the given run lines.
+stolen() {
+	printf '%s\n' "$@" | awk '{ for (f = 1; f <= NF; f++) if ($f ~ /^steal=/ && substr($f, 7) + 0 > top) top = substr($f, 7) + 0 } END { printf "%.4f", top }'
+}
+
 for side in parent change; do
 	echo "warm-up $side $(run $side)"
 done
+reruns=0 void=""
 for ((i = 1; i <= pairs; i++)); do
 	order="parent change"
 	if ((i % 2 == 0)); then order="change parent"; fi
+	lines=()
 	for side in $order; do
-		echo "pair $i $side $(run "$side")" | tee -a "$raw"
+		lines+=("pair $i $side $(run "$side")")
+		echo "${lines[-1]}"
 	done
+	top=$(stolen "${lines[@]}")
+	if awk -v s="$top" -v max="$MAX_STEAL" 'BEGIN { exit !(s > max) }'; then
+		if ((reruns == MAX_RERUNS)); then
+			void="pair $i read steal $top after $reruns re-run pairs (budget $MAX_RERUNS)"
+			break
+		fi
+		reruns=$((reruns + 1))
+		echo "pair $i dropped: steal $top above $MAX_STEAL; running it again ($reruns of $MAX_RERUNS)"
+		i=$((i - 1))
+		continue
+	fi
+	printf '%s\n' "${lines[@]}" >>"$raw"
 done
 
 echo
-echo "$workload seed $seed, $pairs pairs"
+echo "$workload seed $seed, $pairs pairs ($reruns re-run for steal above $MAX_STEAL)"
 header
 awk -v pairs="$pairs" '
 # quantile of the sorted v[1..n], linear interpolation between ranks
@@ -107,7 +130,7 @@ FNR == NR { # BENCHMARK.json: the end-to-end metrics and their better direction
 	next
 }
 {
-	side = $3
+	side = $3; runs++
 	if ($0 !~ /"failed":0[,}]/ || $0 !~ /"correct":true/) bad++
 	for (m = 1; m <= nm; m++) {
 		if (!match($0, "\"" names[m] "\":\\{\"value\":[-+0-9.eE]+")) continue
@@ -134,12 +157,12 @@ END {
 			sprintf("%.4g [%.4g–%.4g]", P["med"], P["q1"], P["q3"]), sprintf("%.4g [%.4g–%.4g]", C["med"], C["q1"], C["q3"]),
 			P["med"] ? 100 * (C["med"] - P["med"]) / P["med"] : 0, won, lost, verdict
 	}
-	printf "runs that failed an operation or a correctness check: %d of %d\n", bad, 2 * pairs
+	printf "runs that failed an operation or a correctness check: %d of %d\n", bad, runs
 }' "$parent/BENCHMARK.json" "$raw"
 
 # The median and the largest steal share, and the median iowait share,
-# of the measured runs; "void" when the median steal passes MAX_STEAL.
-steal=$(awk -v max="$MAX_STEAL" '
+# of the measured runs.
+steal=$(awk '
 function median(v, n,    i, j, t) {
 	for (i = 2; i <= n; i++) { t = v[i]; for (j = i - 1; j >= 1 && v[j] > t; j--) v[j + 1] = v[j]; v[j + 1] = t }
 	return n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2
@@ -152,16 +175,14 @@ function median(v, n,    i, j, t) {
 	}
 }
 END {
-	ms = median(s, n)
-	printf "CPU steal share: median %.4f, max %.4f; iowait share: median %.4f", ms, top, median(w, n)
-	if (ms > max) printf " -- void: median steal above %s", max
-	print ""
+	printf "CPU steal share: median %.4f, max %.4f; iowait share: median %.4f\n", median(s, n), top, median(w, n)
 }' "$raw")
 echo "$steal"
+if [ -n "$void" ]; then echo "void: $void"; fi
 
 hashes=$(awk '{print $4}' "$raw" | sort -u | wc -l)
 if [ "$same_tree" -eq 1 ]; then
 	echo "A/A: the two checkouts hold the same tree; the runs built $hashes distinct anmat-server binaries"
-	if [ "$hashes" -ne 1 ]; then exit 1; fi
+	if [ "$hashes" -gt 1 ]; then exit 1; fi
 fi
-case $steal in *void*) exit 3 ;; esac
+if [ -n "$void" ]; then exit 3; fi
