@@ -81,6 +81,7 @@ fuzz:
 	$(GO) test ./internal/table -run '^$$' -fuzz FuzzDecodeBinary -fuzztime 30s
 	$(GO) test ./internal/persist -run '^$$' -fuzz FuzzDecodeSnapFile -fuzztime 30s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecode -fuzztime 30s
+	$(GO) test ./internal/tokenize -run '^$$' -fuzz FuzzTokensAgainstReference -fuzztime 30s
 	$(GO) test ./internal/pattern -run '^$$' -fuzz FuzzMatch -fuzztime 30s
 	$(GO) test ./internal/pattern -run '^$$' -fuzz FuzzContains -fuzztime 30s
 	$(GO) test ./internal/pattern -run '^$$' -fuzz FuzzLCGAll -fuzztime 30s
@@ -99,7 +100,7 @@ loc:
 # The size ratchet, beside CI's coverage ratchet: the tree may not grow
 # past the last reading. Lower LOC_CEILING when the tree shrinks; never
 # raise it without saying why in CHANGES.md.
-LOC_CEILING = 19975
+LOC_CEILING = 20061
 loc-check:
 	@loc=$$($(MAKE) -s loc); echo "non-test Go lines: $$loc (ceiling $(LOC_CEILING))"; [ $$loc -le $(LOC_CEILING) ]
 

@@ -126,8 +126,9 @@ func (d *Detector) MatchVerdicts(col int, emb pattern.Pattern) []bool {
 	return cached(d, d.verdicts, matchKey{col, emb.Key()}, func() []bool {
 		vals := d.t.InternedColumn(col).Dict.Values()
 		verd := make([]bool, len(vals))
+		m := emb.Matcher()
 		for id, v := range vals {
-			verd[id] = emb.MatchesDFA(v)
+			verd[id] = m.Match(v)
 		}
 		return verd
 	})
@@ -322,10 +323,11 @@ func (d *Detector) DetectAllContext(ctx context.Context, ps []*pfd.PFD, parallel
 }
 
 func (d *Detector) detectConstant(p *pfd.PFD, row tableau.Row, li, ri int) []pfd.Violation {
-	liv, riv := d.t.InternedColumn(li), d.t.InternedColumn(ri)
+	riv := d.t.InternedColumn(ri)
+	src := pfd.SourceOf(p, row)
 	var out []pfd.Violation
 	for _, r := range d.ConstantHits(row, li, ri) {
-		out = append(out, pfd.ConstantViolation(p, row, r, liv.Value(r), riv.Value(r)))
+		out = append(out, src.Constant(r, riv.Value(r)))
 	}
 	return out
 }
@@ -338,8 +340,9 @@ func (d *Detector) ConstantHits(row tableau.Row, li, ri int) []int {
 	var hits []int
 	if d.opts.DisableIndex {
 		// Ablation: match every row individually, no dictionary memo.
+		m := emb.Matcher()
 		for r, id := range liv.IDs {
-			if emb.MatchesDFA(liv.Dict.Value(id)) && riv.Value(r) != row.RHS {
+			if m.Match(liv.Dict.Value(id)) && riv.Value(r) != row.RHS {
 				hits = append(hits, r)
 			}
 		}
@@ -369,6 +372,7 @@ func (d *Detector) ConstantHits(row tableau.Row, li, ri int) []int {
 
 func (d *Detector) detectVariable(p *pfd.PFD, row tableau.Row, li, ri int) []pfd.Violation {
 	liv, riv := d.t.InternedColumn(li), d.t.InternedColumn(ri)
+	src := pfd.SourceOf(p, row)
 	if d.opts.DisableBlocking {
 		// Quadratic reference: restrict to rows matching the embedded
 		// pattern first (the paper's index optimization applies here too
@@ -383,8 +387,9 @@ func (d *Detector) detectVariable(p *pfd.PFD, row tableau.Row, li, ri int) []pfd
 				}
 			}
 		} else {
+			m := emb.Matcher()
 			for r, id := range liv.IDs {
-				if emb.MatchesDFA(liv.Dict.Value(id)) {
+				if m.Match(liv.Dict.Value(id)) {
 					cand = append(cand, r)
 				}
 			}
@@ -397,7 +402,7 @@ func (d *Detector) detectVariable(p *pfd.PFD, row tableau.Row, li, ri int) []pfd
 					continue
 				}
 				if row.LHS.EquivalentUnder(liv.Value(i), liv.Value(j)) {
-					out = append(out, pfd.VariableViolation(p, row, i, j, riv.Value(i), riv.Value(j)))
+					out = append(out, src.Pair(i, j, riv.Value(i), riv.Value(j)))
 				}
 			}
 		}
@@ -405,7 +410,7 @@ func (d *Detector) detectVariable(p *pfd.PFD, row tableau.Row, li, ri int) []pfd
 	}
 	var out []pfd.Violation
 	for _, b := range d.Blocks(li, row.LHS) {
-		out = b.appendConflicts(out, p, row, riv, !d.opts.AllPairs)
+		out = b.appendConflicts(out, &src, riv, !d.opts.AllPairs)
 	}
 	return out
 }
@@ -499,7 +504,7 @@ func majorityGroup(groups []rhsGroup) int {
 // output linear in the number of erroneous cells; otherwise the full
 // cross product is produced (the reference semantics the equivalence
 // tests compare against).
-func (b *Block) appendConflicts(out []pfd.Violation, p *pfd.PFD, row tableau.Row, riv *table.Interned, firstOnly bool) []pfd.Violation {
+func (b *Block) appendConflicts(out []pfd.Violation, src *pfd.Source, riv *table.Interned, firstOnly bool) []pfd.Violation {
 	groups := b.rhsGroups(riv)
 	if len(groups) < 2 {
 		return out
@@ -512,7 +517,7 @@ func (b *Block) appendConflicts(out []pfd.Violation, p *pfd.PFD, row tableau.Row
 				continue
 			}
 			for _, r := range groups[gi].rows {
-				out = append(out, pfd.VariableViolation(p, row, rep, r, maj, groups[gi].val))
+				out = append(out, src.Pair(rep, r, maj, groups[gi].val))
 			}
 		}
 		return out
@@ -521,7 +526,7 @@ func (b *Block) appendConflicts(out []pfd.Violation, p *pfd.PFD, row tableau.Row
 		for c := a + 1; c < len(groups); c++ {
 			for _, ri := range groups[a].rows {
 				for _, rj := range groups[c].rows {
-					out = append(out, pfd.VariableViolation(p, row, ri, rj, groups[a].val, groups[c].val))
+					out = append(out, src.Pair(ri, rj, groups[a].val, groups[c].val))
 				}
 			}
 		}

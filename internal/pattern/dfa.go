@@ -201,14 +201,31 @@ func compiledDFA(p Pattern) *dfa {
 	return actual.(*dfa)
 }
 
-// MatchesDFA is Matches through the lazily determinized automaton. For
-// patterns evaluated against many values (detection scans, the pattern
-// index) it amortizes the subset construction once per (state, symbol)
-// instead of per character. Semantically identical to Matches.
-func (p Pattern) MatchesDFA(s string) bool {
-	if len(s) < p.MinLen() {
+// Matcher is Matches through the lazily determinized automaton, for a
+// loop that matches one pattern against many values (detection scans,
+// coverage, the engine's per-ID memo): it amortizes the subset
+// construction once per (state, symbol) instead of per character, and
+// resolves the pattern's MinLen and its automaton once instead of per
+// value. The automaton is looked up on the first value long enough to
+// match, so a loop whose values are all too short builds none. A Matcher
+// is one loop's: it is not safe for concurrent use, but any number of
+// Matchers of one pattern are.
+type Matcher struct {
+	p      Pattern
+	minLen int
+	d      *dfa
+}
+
+// Matcher returns a Matcher of p.
+func (p Pattern) Matcher() Matcher { return Matcher{p: p, minLen: p.MinLen()} }
+
+// Match reports whether s matches the pattern: exactly p.Matches(s).
+func (m *Matcher) Match(s string) bool {
+	if len(s) < m.minLen {
 		return false
 	}
-	d := compiledDFA(p)
-	return d.mayMatch(s) && d.matches(s)
+	if m.d == nil {
+		m.d = compiledDFA(m.p)
+	}
+	return m.d.mayMatch(s) && m.d.matches(s)
 }

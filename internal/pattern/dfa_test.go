@@ -7,7 +7,13 @@ import (
 	"testing"
 )
 
-// Property: MatchesDFA agrees with Matches on random patterns and values.
+// matchDFA matches one value through a fresh Matcher.
+func matchDFA(p Pattern, s string) bool {
+	m := p.Matcher()
+	return m.Match(s)
+}
+
+// Property: Matcher.Match agrees with Matches on random patterns and values.
 func TestDFAAgreesWithNFA(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pats := []string{
@@ -18,8 +24,8 @@ func TestDFAAgreesWithNFA(t *testing.T) {
 		p := MustParse(ps)
 		for i := 0; i < 200; i++ {
 			v := randomValue(rng)
-			if got, want := p.MatchesDFA(v), p.Matches(v); got != want {
-				t.Fatalf("MatchesDFA(%q, %q) = %v, Matches = %v", ps, v, got, want)
+			if got, want := matchDFA(p, v), p.Matches(v); got != want {
+				t.Fatalf("Matcher.Match(%q, %q) = %v, Matches = %v", ps, v, got, want)
 			}
 		}
 		// Also check strings that definitely match.
@@ -28,11 +34,11 @@ func TestDFAAgreesWithNFA(t *testing.T) {
 			// reuse known positives for anchored patterns.
 			switch ps {
 			case `850\D{7}`:
-				if !p.MatchesDFA("8505467600") {
+				if !matchDFA(p, "8505467600") {
 					t.Fatal("positive rejected")
 				}
 			case `\D{5}`:
-				if !p.MatchesDFA("12345") {
+				if !matchDFA(p, "12345") {
 					t.Fatal("positive rejected")
 				}
 			}
@@ -63,6 +69,7 @@ func TestDFAConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
+				m := p.Matcher() // one per goroutine; the automaton is shared
 				for round := 0; round < 3; round++ {
 					for i := range values {
 						// Each matcher walks the values from its own offset,
@@ -71,7 +78,7 @@ func TestDFAConcurrent(t *testing.T) {
 						if w%2 == 1 {
 							k = len(values) - 1 - k
 						}
-						if p.MatchesDFA(values[k]) != want[k] {
+						if m.Match(values[k]) != want[k] {
 							t.Errorf("%s: divergence on %q under concurrency", ps, values[k])
 							return
 						}
@@ -113,13 +120,13 @@ func TestNecessaryLiteral(t *testing.T) {
 }
 
 func TestDFAEmptyAndEdge(t *testing.T) {
-	if !MustParse(`\A*`).MatchesDFA("") {
+	if !matchDFA(MustParse(`\A*`), "") {
 		t.Error(`\A* should accept ""`)
 	}
-	if MustParse(`\D+`).MatchesDFA("") {
+	if matchDFA(MustParse(`\D+`), "") {
 		t.Error(`\D+ should reject ""`)
 	}
-	if !New().MatchesDFA("") || New().MatchesDFA("x") {
+	if !matchDFA(New(), "") || matchDFA(New(), "x") {
 		t.Error("empty pattern accepts exactly ε")
 	}
 }
@@ -135,8 +142,9 @@ func BenchmarkDFAvsNFA(b *testing.B) {
 	})
 	b.Run("DFA", func(b *testing.B) {
 		b.ReportAllocs()
+		m := p.Matcher()
 		for i := 0; i < b.N; i++ {
-			p.MatchesDFA(v)
+			m.Match(v)
 		}
 	})
 }

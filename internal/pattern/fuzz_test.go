@@ -76,12 +76,15 @@ func FuzzParsePattern(f *testing.F) {
 }
 
 // FuzzMatch checks that matching never panics, respects the MinLen lower
-// bound, and that MatchesDFA — prefilter, byte-indexed symbol table, rune
-// fallback — agrees with the NFA walk for arbitrary pattern/value pairs.
-// The committed corpus (testdata/fuzz/FuzzMatch) holds the inputs that
-// leave the ASCII fast path: non-ASCII literals, invalid UTF-8 values, a
-// pattern with more symbols than a byte indexes, and values carrying the
-// prefilter's literal at the wrong anchor.
+// bound, and that Matcher.Match — prefilter, byte-indexed symbol table,
+// rune fallback — agrees with the NFA walk for arbitrary pattern/value
+// pairs. One Matcher answers three values in turn, the empty one first,
+// so its automaton is looked up lazily (or never, when every value is
+// shorter than MinLen) and then reused. The committed corpus
+// (testdata/fuzz/FuzzMatch) holds the inputs that leave the ASCII fast
+// path: non-ASCII literals, invalid UTF-8 values, a pattern with more
+// symbols than a byte indexes, and values carrying the prefilter's
+// literal at the wrong anchor.
 func FuzzMatch(f *testing.F) {
 	f.Add(`\D{5}`, "90001")
 	f.Add(`\LU\LL*\ \A*`, "John Charles")
@@ -92,12 +95,15 @@ func FuzzMatch(f *testing.F) {
 		if err != nil {
 			return
 		}
-		got := p.Matches(v)
-		if got && len(v) < p.MinLen() {
-			t.Fatalf("%q matched %q below MinLen %d", v, ps, p.MinLen())
-		}
-		if dfa := p.MatchesDFA(v); dfa != got {
-			t.Fatalf("DFA/NFA divergence on (%q, %q): %v vs %v", ps, v, dfa, got)
+		m := p.Matcher()
+		for _, s := range []string{"", v, v[:len(v)/2]} {
+			got := p.Matches(s)
+			if got && len(s) < p.MinLen() {
+				t.Fatalf("%q matched %q below MinLen %d", s, ps, p.MinLen())
+			}
+			if dfa := m.Match(s); dfa != got {
+				t.Fatalf("DFA/NFA divergence on (%q, %q): %v vs %v", ps, s, dfa, got)
+			}
 		}
 	})
 }

@@ -163,11 +163,12 @@ func (p *PFD) Check(t *table.Table) ([]Violation, error) {
 	n := t.NumRows()
 	for _, row := range p.Tableau.Rows() {
 		emb := row.LHS.Embedded()
+		src := SourceOf(p, row)
 		if !row.Variable() {
 			for i := 0; i < n; i++ {
 				lv, rv := t.Cell(i, li), t.Cell(i, ri)
 				if emb.Matches(lv) && rv != row.RHS {
-					out = append(out, constantViolation(p, row, i, lv, rv))
+					out = append(out, src.Constant(i, rv))
 				}
 			}
 			continue
@@ -186,7 +187,7 @@ func (p *PFD) Check(t *table.Table) ([]Violation, error) {
 					continue
 				}
 				if row.LHS.EquivalentUnder(lvi, lvj) {
-					out = append(out, VariableViolation(p, row, i, j, t.Cell(i, ri), t.Cell(j, ri)))
+					out = append(out, src.Pair(i, j, t.Cell(i, ri), t.Cell(j, ri)))
 				}
 			}
 		}
@@ -194,45 +195,54 @@ func (p *PFD) Check(t *table.Table) ([]Violation, error) {
 	return out, nil
 }
 
-func constantViolation(p *PFD, row tableau.Row, tuple int, lhsVal, rhsVal string) Violation {
+// Source is what the violations of one tableau row of a PFD name: the
+// rule's ID and columns, the row's rendering and its constant. SourceOf
+// renders it once per row, however many violations the row renders.
+type Source struct {
+	PFDID, LHS, RHS string // the rule's ID and its columns
+	Row, Expected   string // the row's rendering and its RHS
+}
+
+// SourceOf renders the names of tableau row row of p.
+func SourceOf(p *PFD, row tableau.Row) Source {
+	return Source{PFDID: p.ID(), LHS: p.LHS, RHS: p.RHS, Row: row.String(), Expected: row.RHS}
+}
+
+// Constant builds the two-cell violation of a constant row by the tuple
+// holding rhsVal.
+func (s *Source) Constant(tuple int, rhsVal string) Violation {
 	cells := []table.CellRef{
-		{Row: tuple, Column: p.LHS},
-		{Row: tuple, Column: p.RHS},
+		{Row: tuple, Column: s.LHS},
+		{Row: tuple, Column: s.RHS},
 	}
 	table.SortCellRefs(cells)
 	return Violation{
-		PFDID:    p.ID(),
-		Row:      row.String(),
+		PFDID:    s.PFDID,
+		Row:      s.Row,
 		Cells:    cells,
 		Tuples:   []int{tuple},
 		Observed: rhsVal,
-		Expected: row.RHS,
+		Expected: s.Expected,
 	}
 }
 
-// ConstantViolation builds the two-cell violation object for a constant
-// row; exported for the detection engine.
-func ConstantViolation(p *PFD, row tableau.Row, tuple int, lhsVal, rhsVal string) Violation {
-	return constantViolation(p, row, tuple, lhsVal, rhsVal)
-}
-
-// VariableViolation builds the four-cell violation object for a variable
-// row over the tuple pair (i, j).
-func VariableViolation(p *PFD, row tableau.Row, i, j int, rhsI, rhsJ string) Violation {
+// Pair builds the four-cell violation of a variable row over the tuple
+// pair (i, j).
+func (s *Source) Pair(i, j int, rhsI, rhsJ string) Violation {
 	if j < i {
 		i, j = j, i
 		rhsI, rhsJ = rhsJ, rhsI
 	}
 	cells := []table.CellRef{
-		{Row: i, Column: p.LHS},
-		{Row: i, Column: p.RHS},
-		{Row: j, Column: p.LHS},
-		{Row: j, Column: p.RHS},
+		{Row: i, Column: s.LHS},
+		{Row: i, Column: s.RHS},
+		{Row: j, Column: s.LHS},
+		{Row: j, Column: s.RHS},
 	}
 	table.SortCellRefs(cells)
 	return Violation{
-		PFDID:    p.ID(),
-		Row:      row.String(),
+		PFDID:    s.PFDID,
+		Row:      s.Row,
 		Cells:    cells,
 		Tuples:   []int{i, j},
 		Observed: rhsJ,

@@ -191,7 +191,8 @@ func TestUnmarshalBadPattern(t *testing.T) {
 func TestVariableViolationOrdering(t *testing.T) {
 	p := lambda5()
 	row := p.Tableau.Rows()[0]
-	v := VariableViolation(p, row, 5, 2, "X", "Y")
+	src := SourceOf(p, row)
+	v := src.Pair(5, 2, "X", "Y")
 	if v.Tuples[0] != 2 || v.Tuples[1] != 5 {
 		t.Errorf("tuples should be ordered: %v", v.Tuples)
 	}

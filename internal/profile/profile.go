@@ -96,7 +96,6 @@ func ProfileCoded(name string, c *table.Interned) ColumnProfile {
 	totalTokens, totalLen := 0, 0
 	var sig []byte
 	var lastSig string
-	var toks []tokenize.Token
 	top := make([]ValueCount, 0, topValues+1)
 	for id, v := range c.Dict.Values() {
 		n := counts[id]
@@ -122,9 +121,9 @@ func ProfileCoded(name string, c *table.Interned) ColumnProfile {
 		if hasDigit(v) && hasNonDigit(v) {
 			mixedShape = true
 		}
-		toks = tokenize.AppendTokens(toks[:0], v, tokenize.DefaultDelims)
-		totalTokens += n * len(toks)
-		if len(toks) > 1 {
+		nt := tokenize.CountTokens(v, tokenize.DefaultDelims)
+		totalTokens += n * nt
+		if nt > 1 {
 			singleToken = false
 		}
 		rl := utf8.RuneCountInString(v)

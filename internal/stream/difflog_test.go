@@ -22,10 +22,10 @@ func TestDiffLogSnapshotMatchesSortedSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	// Keys differ by tuple pair; several share a first cell, so the order
 	// falls through to the key, where row 10 sorts before row 9.
-	rule, row := &pfd.PFD{Table: "T", LHS: "a", RHS: "b"}, propRules()[0].Tableau.Rows()[1]
+	src := pfd.SourceOf(&pfd.PFD{Table: "T", LHS: "a", RHS: "b"}, propRules()[0].Tableau.Rows()[1])
 	draw := func(observed string) pfd.Violation {
 		i := rng.Intn(40)
-		return pfd.VariableViolation(rule, row, i, i+1+rng.Intn(120), "x", observed)
+		return src.Pair(i, i+1+rng.Intn(120), "x", observed)
 	}
 	set := make(map[string]pfd.Violation)
 	for len(set) < 200 {
@@ -172,7 +172,7 @@ func referenceMerge(l *DiffLog, cursor, curSeq int64, rows int) *Diff {
 // (in both lists), and additions — of fresh keys and of keys an earlier
 // diff removed, in the same or another rendering.
 func randomDiff(rng *rand.Rand, set map[string]pfd.Violation, seq int64, keys int) *Diff {
-	rule, row := &pfd.PFD{Table: "T", LHS: "a", RHS: "b"}, propRules()[0].Tableau.Rows()[1]
+	src := pfd.SourceOf(&pfd.PFD{Table: "T", LHS: "a", RHS: "b"}, propRules()[0].Tableau.Rows()[1])
 	renderings := []string{"y", "z", "w"}
 	d := &Diff{Seq: seq}
 	var held []string
@@ -197,7 +197,7 @@ func randomDiff(rng *rand.Rand, set map[string]pfd.Violation, seq int64, keys in
 	}
 	for n := rng.Intn(keys / 4); n > 0; n-- {
 		i := rng.Intn(keys)
-		v := pfd.VariableViolation(rule, row, i%7, i+1, "x", renderings[rng.Intn(len(renderings))])
+		v := src.Pair(i%7, i+1, "x", renderings[rng.Intn(len(renderings))])
 		if _, ok := set[v.Key()]; !ok && !slices.ContainsFunc(d.Removed, func(r pfd.Violation) bool { return r.Key() == v.Key() }) {
 			d.Added = append(d.Added, v)
 			set[v.Key()] = v
@@ -244,10 +244,10 @@ func TestMergeMatchesReference(t *testing.T) {
 // additions removed again — 200 net removals and 200 net additions from
 // cursor 0.
 func sinceLog() *DiffLog {
-	rule, row := &pfd.PFD{Table: "T", LHS: "a", RHS: "b"}, propRules()[0].Tableau.Rows()[1]
+	src := pfd.SourceOf(&pfd.PFD{Table: "T", LHS: "a", RHS: "b"}, propRules()[0].Tableau.Rows()[1])
 	vs := make([]pfd.Violation, 500)
 	for i := range vs {
-		vs[i] = pfd.VariableViolation(rule, row, i, i+1, "x", "y")
+		vs[i] = src.Pair(i, i+1, "x", "y")
 	}
 	detect.SortViolations(vs)
 	rerendered := slices.Clone(vs[100:200])

@@ -173,18 +173,19 @@ func (b *block) renumber(remap func(int) (int, bool)) bool {
 // by tableau-row position; only the slot matching the row kind is
 // populated (verd for constant rows, blocks for variable rows).
 type ruleState struct {
-	p      *pfd.PFD
 	li, ri int
 	// liv/riv are the table's LHS and RHS columns.
 	// The table maintains them through every delta; detection compares
 	// interned IDs and decodes strings only to render a violation.
 	liv, riv *table.Interned
 	rows     []tableau.Row
-	// emb caches each row's embedded pattern so per-delta matching does
-	// not rebuild it.
-	emb []pattern.Pattern
+	// match is each row's matcher of its embedded pattern, which per-delta
+	// matching reuses; names is what each row's violations name, rendered
+	// once per row.
+	match []pattern.Matcher
+	names []pfd.Source
 	// src is each row's violation-key identity: an index per distinct
-	// (rule ID, columns, row rendering). Sources that render equal keys —
+	// name (rule ID, columns, row rendering). Sources that render equal keys —
 	// a rule listed twice — share it, as full detection dedupes them.
 	src []int32
 	// blocks holds, per variable row, the state of every tracked block.
@@ -201,7 +202,7 @@ type ruleState struct {
 func (rs *ruleState) matches(tri int, id uint32) bool {
 	match, known := rs.verd[tri].Known(id)
 	if !known {
-		match = rs.emb[tri].MatchesDFA(rs.liv.Dict.Value(id))
+		match = rs.match[tri].Match(rs.liv.Dict.Value(id))
 		rs.verd[tri].Set(id, match)
 	}
 	return match
@@ -302,8 +303,7 @@ func Boot(ctx context.Context, d *detect.Detector, rules []*pfd.PFD, parallelism
 		keyFilter: opts.KeyFilter,
 		globalID:  opts.GlobalID,
 	}
-	type srcIdent struct{ id, lhs, rhs, row string }
-	srcs := make(map[srcIdent]int32)
+	srcs := make(map[pfd.Source]int32)
 	for _, p := range rules {
 		id := p.ID()
 		li, ok := t.ColIndex(p.LHS)
@@ -316,21 +316,22 @@ func Boot(ctx context.Context, d *detect.Detector, rules []*pfd.PFD, parallelism
 		}
 		rows := p.Tableau.Rows()
 		rs := &ruleState{
-			p: p, li: li, ri: ri, rows: rows,
+			li: li, ri: ri, rows: rows,
 			liv:    t.InternedColumn(li),
 			riv:    t.InternedColumn(ri),
-			emb:    make([]pattern.Pattern, len(rows)),
+			match:  make([]pattern.Matcher, len(rows)),
+			names:  make([]pfd.Source, len(rows)),
 			src:    make([]int32, len(rows)),
 			blocks: make([]map[string]*block, len(rows)),
 			verd:   make([]*intern.Verdicts, len(rows)),
 		}
 		for tri, row := range rows {
-			rs.emb[tri] = row.LHS.Embedded()
-			ident := srcIdent{id, p.LHS, p.RHS, row.String()}
+			rs.match[tri] = row.LHS.Embedded().Matcher()
+			ident := pfd.SourceOf(p, row)
 			if _, ok := srcs[ident]; !ok {
 				srcs[ident] = int32(len(srcs))
 			}
-			rs.src[tri] = srcs[ident]
+			rs.names[tri], rs.src[tri] = ident, srcs[ident]
 		}
 		e.rs = append(e.rs, rs)
 	}
@@ -364,7 +365,7 @@ func (e *Engine) bootRow(d *detect.Detector, rs *ruleState, tri int) []pfd.Viola
 	row := rs.rows[tri]
 	var out []pfd.Violation
 	if !row.Variable() {
-		rs.verd[tri] = intern.VerdictsOf(d.MatchVerdicts(rs.li, rs.emb[tri]))
+		rs.verd[tri] = intern.VerdictsOf(d.MatchVerdicts(rs.li, row.LHS.Embedded()))
 		for _, r := range d.ConstantHits(row, rs.li, rs.ri) {
 			out = append(out, rs.constViolation(tri, r))
 		}
@@ -676,7 +677,7 @@ func (e *Engine) recomputeConst(rs *ruleState, tri, tuple int) {
 // constViolation renders the tuple's violation of constant row tri from
 // the current table.
 func (rs *ruleState) constViolation(tri, tuple int) pfd.Violation {
-	return pfd.ConstantViolation(rs.p, rs.rows[tri], tuple, rs.liv.Value(tuple), rs.riv.Value(tuple))
+	return rs.names[tri].Constant(tuple, rs.riv.Value(tuple))
 }
 
 // before reports whether row a precedes row b in evaluation order: global
@@ -785,5 +786,5 @@ func (e *Engine) refPair(rs *ruleState, tri, w, r int) {
 // pairViolation renders the violation of variable row tri by the witness
 // and a deviating member from the current table.
 func (rs *ruleState) pairViolation(tri, w, r int) pfd.Violation {
-	return pfd.VariableViolation(rs.p, rs.rows[tri], w, r, rs.riv.Value(w), rs.riv.Value(r))
+	return rs.names[tri].Pair(w, r, rs.riv.Value(w), rs.riv.Value(r))
 }

@@ -103,9 +103,9 @@ func (t *Tableau) CoverageCounted(values []string, counts []int) float64 {
 	if len(values) == 0 || len(t.rows) == 0 {
 		return 0
 	}
-	embedded := make([]pattern.Pattern, len(t.rows))
+	embedded := make([]pattern.Matcher, len(t.rows))
 	for i, r := range t.rows {
-		embedded[i] = r.LHS.Embedded()
+		embedded[i] = r.LHS.Embedded().Matcher()
 	}
 	covered, total := 0, 0
 	for i, v := range values {
@@ -117,8 +117,8 @@ func (t *Tableau) CoverageCounted(values []string, counts []int) float64 {
 			continue
 		}
 		total += n
-		for _, p := range embedded {
-			if p.MatchesDFA(v) {
+		for j := range embedded {
+			if embedded[j].Match(v) {
 				covered += n
 				break
 			}

@@ -91,8 +91,13 @@ func TestDecompositionsMatchRuneSliceDefinitions(t *testing.T) {
 		if got, want := Tokenize(v), refTokenize(v, DefaultDelims); !same(got, want) {
 			t.Errorf("Tokenize(%q) = %q, want %q", v, got, want)
 		}
-		if got, want := AppendTokens(nil, v, "-a"), refTokenize(v, "-a"); !same(got, want) {
-			t.Errorf("AppendTokens(nil, %q, \"-a\") = %q, want %q", v, got, want)
+		for _, delims := range fuzzDelims {
+			if got, want := AppendTokens(nil, v, delims), refTokenize(v, delims); !same(got, want) {
+				t.Errorf("AppendTokens(nil, %q, %q) = %q, want %q", v, delims, got, want)
+			}
+			if got, want := CountTokens(v, delims), len(refTokenize(v, delims)); got != want {
+				t.Errorf("CountTokens(%q, %q) = %d, want %d", v, delims, got, want)
+			}
 		}
 		for n := 0; n <= 4; n++ {
 			if got, want := AppendNGrams(nil, v, n), refNGrams(v, n); !same(got, want) {
@@ -117,4 +122,32 @@ func TestAppendFormsDoNotAllocate(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("Append forms allocated %.0f times per run", allocs)
 	}
+}
+
+// fuzzDelims are the delimiter sets the token loops are checked under:
+// the default, ASCII sets with and without the comma, and sets holding a
+// non-ASCII rune, which is looked up in the set rather than the table —
+// U+FFFD among them, which every invalid byte of a value decodes to.
+var fuzzDelims = []string{DefaultDelims, " \t;|/", "-a", "é ,", "日\uFFFD", ",\u00a0"}
+
+// FuzzTokensAgainstReference feeds arbitrary bytes, invalid UTF-8
+// included, through AppendTokens and CountTokens under each delimiter
+// set of fuzzDelims: the cut must be refTokenize's, text for text and
+// position for position, and the count its length. The committed corpus
+// (testdata/fuzz/FuzzTokensAgainstReference) holds values that cross
+// between the byte table and the rune path.
+func FuzzTokensAgainstReference(f *testing.F) {
+	for _, v := range []string{"Holloway, Donald E.", "a,,b", "héllo\twörld", "\xff,\xfe a", "日本 語", "a\u00a0b"} {
+		f.Add(v, uint8(0))
+	}
+	f.Fuzz(func(t *testing.T, v string, set uint8) {
+		delims := fuzzDelims[int(set)%len(fuzzDelims)]
+		got, want := AppendTokens(nil, v, delims), refTokenize(v, delims)
+		if len(got) != len(want) || len(got) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("AppendTokens(%q, %q) = %q, want %q", v, delims, got, want)
+		}
+		if n := CountTokens(v, delims); n != len(want) {
+			t.Fatalf("CountTokens(%q, %q) = %d, want %d", v, delims, n, len(want))
+		}
+	})
 }

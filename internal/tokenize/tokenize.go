@@ -4,6 +4,12 @@
 // fixed-length character windows with their character positions. The
 // position conventions follow Section 4 of the paper: token positions count
 // tokens from 0; n-gram positions count characters from 0.
+//
+// AppendTokens cuts the tokens, for the discovery index; CountTokens
+// counts them without cutting, for the profile, which reads only how
+// many a value has. Both test an ASCII rune against a bit table of the
+// set's ASCII delimiters (DefaultDelims is all ASCII); only a rune past
+// ASCII, under a set that holds one, is searched for in the set.
 package tokenize
 
 import (
@@ -47,18 +53,50 @@ func sanitized(s string) string {
 	return string([]rune(s))
 }
 
+// delimSet is a delimiter set as the token loops test it: its ASCII
+// runes as a bit table, and the set itself when it holds a non-ASCII
+// rune, which is searched for the runes past ASCII.
+type delimSet struct {
+	table [2]uint64 // bit c set: ASCII rune c is a delimiter
+	other string
+}
+
+func newDelimSet(delims string) (d delimSet) {
+	for i := 0; i < len(delims); i++ {
+		if c := delims[i]; c < utf8.RuneSelf {
+			d.table[c>>6] |= 1 << (c & 63)
+		} else {
+			d.other = delims
+		}
+	}
+	return d
+}
+
+func (d *delimSet) has(r rune) bool {
+	if r < utf8.RuneSelf {
+		return d.table[r>>6]&(1<<(r&63)) != 0
+	}
+	return d.hasNonASCII(r)
+}
+
+// hasNonASCII is has past ASCII, kept out of line so that has inlines.
+//
+//go:noinline
+func (d *delimSet) hasNonASCII(r rune) bool { return strings.ContainsRune(d.other, r) }
+
 // AppendTokens appends the tokens of s split at delims to dst. Runs of
 // delimiters count as one separator; leading/trailing delimiters produce
 // no empty tokens. A comma in the delimiter set is retained as a suffix of
 // the token it follows.
 func AppendTokens(dst []Token, s, delims string) []Token {
 	s = sanitized(s)
-	keepComma := strings.ContainsRune(delims, ',')
+	d := newDelimSet(delims)
+	keepComma := d.has(',')
 	first := len(dst)
 	start := -1 // byte offset of the token being read; -1 between tokens
 	for i, r := range s {
 		switch {
-		case !strings.ContainsRune(delims, r):
+		case !d.has(r):
 			if start < 0 {
 				start = i
 			}
@@ -75,6 +113,22 @@ func AppendTokens(dst []Token, s, delims string) []Token {
 		dst = append(dst, Token{Text: s[start:], Pos: len(dst) - first})
 	}
 	return dst
+}
+
+// CountTokens returns len(AppendTokens(nil, s, delims)) without cutting:
+// the number of maximal runs of non-delimiters. Ranging over invalid
+// UTF-8 yields the runes of its sanitized copy, so s is read as is.
+func CountTokens(s, delims string) (n int) {
+	d := newDelimSet(delims)
+	in := false
+	for _, r := range s {
+		delim := d.has(r)
+		if !delim && !in {
+			n++
+		}
+		in = !delim
+	}
+	return n
 }
 
 // AppendNGrams appends all n-grams of s with their starting rune positions
