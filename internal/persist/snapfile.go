@@ -3,10 +3,14 @@
 //	magic "ANMSNP" + version byte | uint32 header length |
 //	header: the SessionSnapshot as JSON, without its table bytes |
 //	uint32 CRC-32 (IEEE) of everything before it |
-//	the table.bin bytes (table.EncodeBinaryBytes), to end of file
+//	the table.bin bytes (View.AppendBinary), to end of file
 //
 // Integers are little-endian. The table section ends in its own checksum
 // (table.DecodeBinaryBytes verifies it), so the two cover the whole file.
+// The table section is written in table.bin version 2, the coded
+// columns; a file written before that holds version 1, which restores to
+// the same table and is rewritten as version 2 by the session's next
+// checkpoint. The container itself did not change with it.
 package persist
 
 import (

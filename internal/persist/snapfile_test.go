@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -323,8 +324,11 @@ func TestSnapFileRoundTripAndCorruption(t *testing.T) {
 
 // FuzzDecodeSnapFile: the snapshot-file decoder never panics on bytes
 // from disk, and whatever it accepts under the name s1 is s1's, carries
-// exactly the bytes after the header as its table, and has a header that
-// survives a re-encode.
+// exactly the bytes after the header as its table, and survives a
+// re-encode: the header unchanged, and the table as the same bytes when
+// it came in as table.bin version 2, or, when it came in as version 1
+// (which a re-encode writes as version 2), as the same values under the
+// same IDs.
 func FuzzDecodeSnapFile(f *testing.F) {
 	good, _ := snapFileFixture(f)
 	f.Add(good)
@@ -339,6 +343,7 @@ func FuzzDecodeSnapFile(f *testing.F) {
 		if snap.ID != "s1" || !bytes.HasSuffix(b, snap.TableData) {
 			t.Fatalf("accepted a file for session %q with %d table bytes of %d", snap.ID, len(snap.TableData), len(b))
 		}
+		in := snap.TableData
 		again, err := encodeSnapFile(nil, snap)
 		if err != nil {
 			t.Fatal(err)
@@ -347,8 +352,39 @@ func FuzzDecodeSnapFile(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded file refused: %v", err)
 		}
+		if in[len("ANMTBL")] == 1 {
+			if diff := sameTables(t, in, back.TableData); diff != "" {
+				t.Fatalf("a version-1 table and its version-2 re-encode decode differently: %s", diff)
+			}
+			snap.TableData, back.TableData = nil, nil
+		}
 		if a, b := mustJSON(t, snap), mustJSON(t, back); a != b {
-			t.Fatalf("snapshot changed across a re-encode:\n%s\n%s", a, b)
+			t.Fatalf("snapshot header changed across a re-encode:\n%s\n%s", a, b)
 		}
 	})
+}
+
+// sameTables decodes two table.bin images and reports how the tables
+// differ — schema, or per column the dictionary's values or the rows' IDs
+// — or "" when they do not.
+func sameTables(t *testing.T, x, y []byte) string {
+	t.Helper()
+	a, err := table.DecodeBinaryBytes(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := table.DecodeBinaryBytes(y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Name() != b.Name() || !slices.Equal(a.Columns(), b.Columns()) {
+		return fmt.Sprintf("schema %q %q against %q %q", a.Name(), a.Columns(), b.Name(), b.Columns())
+	}
+	for i := 0; i < a.NumCols(); i++ {
+		p, q := a.InternedColumn(i), b.InternedColumn(i)
+		if !slices.Equal(p.Dict.Values(), q.Dict.Values()) || !slices.Equal(p.IDs, q.IDs) {
+			return fmt.Sprintf("column %d: %q %v against %q %v", i, p.Dict.Values(), p.IDs, q.Dict.Values(), q.IDs)
+		}
+	}
+	return ""
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -86,17 +88,34 @@ func FuzzReadCSV(f *testing.F) {
 // FuzzDecodeBinary feeds the snapshot decoder — the first thing every
 // restart runs over bytes from disk — both the raw input and the input
 // with a correct checksum appended (so mutations get past the CRC and
-// reach the structure). Decoding never panics, allocates no more than a
-// multiple of the input (no length prefix is trusted further than the
-// bytes behind it), and whatever decodes re-encodes to the same bytes.
-// The hostile bodies (oversized counts and lengths, padded and overflowing
-// varints, schemas New rejects) are the committed corpus under testdata/.
+// reach the structure). Decoding never panics and allocates no more than
+// a multiple of the input (no count or length is trusted further than
+// the bytes behind it). Whatever decodes is canonical: a version-2 input
+// re-encodes to its own bytes; a version-1 input is what the version-1
+// reference encoder writes for the table it decodes to, and that table
+// has the same values under the same IDs as the one its version-2
+// re-encode decodes to. The seeds are the golden tables in version 2 and
+// in the committed version-1 files; the hostile bodies (oversized counts
+// and lengths, padded and overflowing varints, schemas New rejects,
+// version-2 columns out of canonical form) are the committed corpus under
+// testdata/.
 func FuzzDecodeBinary(f *testing.F) {
 	for _, tbl := range append(goldenTables(f), snapshotFixture(), MustNew("empty", []string{"a"}), wideTable()) {
 		b := tbl.EncodeBinaryBytes()
 		f.Add(b)
 		f.Add(b[:len(b)-crc32.Size]) // the body alone: the harness seals it
 		f.Add(b[:len(b)/2])
+	}
+	v1, err := filepath.Glob(filepath.Join("testdata", "v1", "*.bin"))
+	if err != nil || len(v1) == 0 {
+		f.Fatalf("version-1 seeds: %v (found %d)", err, len(v1))
+	}
+	for _, path := range v1 {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		sealed := binary.LittleEndian.AppendUint32(append([]byte(nil), b...), crc32.ChecksumIEEE(b))
@@ -112,8 +131,21 @@ func FuzzDecodeBinary(f *testing.F) {
 				continue
 			}
 			again := tbl.EncodeBinaryBytes()
-			if !bytes.Equal(again, in) {
-				t.Fatalf("decoded %d bytes, re-encoded to %d different ones", len(in), len(again))
+			if in[len(snapshotMagic)] == codedVersion {
+				if !bytes.Equal(again, in) {
+					t.Fatalf("decoded %d bytes, re-encoded to %d different ones", len(in), len(again))
+				}
+				continue
+			}
+			if want := referenceEncodeV1(tbl); !bytes.Equal(in, want) {
+				t.Fatalf("decoded %d version-1 bytes the reference encoder writes as %d different ones", len(in), len(want))
+			}
+			back, err := DecodeBinaryBytes(again)
+			if err != nil {
+				t.Fatalf("the version-2 re-encode of a version-1 input: %v", err)
+			}
+			if diff := sameCoding(back, tbl); diff != "" {
+				t.Fatalf("version 1 and its version-2 re-encode decode differently: %s", diff)
 			}
 		}
 	})

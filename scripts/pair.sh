@@ -5,7 +5,11 @@
 # both sides' medians with quartiles, pairs won and lost, and whether the
 # difference is resolved — medians apart by more than the parent's
 # interquartile range AND at least nine tenths of the pairs one way (ties
-# count for neither). Every run's raw result line is printed as it lands.
+# count for neither). Beside won/lost stands the two-sided sign-test p of
+# that split: the chance of a split at least that lopsided if each pair
+# were a fair coin, ties dropped (10/0 reads 0.002, 9/1 0.021, 8/2 0.11);
+# it does not enter the verdict. Every run's raw result line is printed as
+# it lands.
 #
 #   scripts/pair.sh PARENT_DIR CHANGE_DIR WORKLOAD SEED PAIRS
 #
@@ -40,7 +44,7 @@ fi
 parent=$1 change=$2 workload=$3 seed=$4 pairs=$5
 
 header() {
-	printf '%-12s %-34s %-34s %8s %9s  %s\n' metric 'parent median [q1–q3]' 'change median [q1–q3]' 'Δ' 'won/lost' verdict
+	printf '%-12s %-34s %-34s %8s %9s %6s  %s\n' metric 'parent median [q1–q3]' 'change median [q1–q3]' 'Δ' 'won/lost' 'p' verdict
 }
 if [ "$pairs" -eq 0 ]; then
 	header
@@ -121,6 +125,15 @@ function sorted(src, n, dst,    i, j, t) {
 	for (i = 1; i <= n; i++) dst[i] = src[i]
 	for (i = 2; i <= n; i++) { t = dst[i]; for (j = i - 1; j >= 1 && dst[j] > t; j--) dst[j + 1] = dst[j]; dst[j + 1] = t }
 }
+# signp: the two-sided sign-test p of won against lost, ties dropped:
+# twice the binomial(won+lost, 1/2) tail at the smaller count, at most 1.
+function signp(won, lost,    n, k, i, term, tail) {
+	n = won + lost; k = won < lost ? won : lost
+	if (n == 0) return 1
+	term = 2 ^ -n; tail = term
+	for (i = 1; i <= k; i++) { term *= (n - i + 1) / i; tail += term }
+	return 2 * tail < 1 ? 2 * tail : 1
+}
 function summary(v, n, out,    s) { sorted(v, n, s); out["med"] = quant(s, n, 0.5); out["q1"] = quant(s, n, 0.25); out["q3"] = quant(s, n, 0.75) }
 FNR == NR { # BENCHMARK.json: the end-to-end metrics and their better direction
 	if ($0 ~ /"end_to_end"/) e2e = 1
@@ -153,9 +166,9 @@ END {
 		verdict = "unresolved"
 		if (gap > P["q3"] - P["q1"] && won >= 0.9 * n) verdict = "resolved: better"
 		if (gap > P["q3"] - P["q1"] && lost >= 0.9 * n) verdict = "resolved: worse"
-		printf "%-12s %-34s %-34s %+7.1f%% %4d/%-4d  %s\n", name,
+		printf "%-12s %-34s %-34s %+7.1f%% %4d/%-4d %6.3g  %s\n", name,
 			sprintf("%.4g [%.4g–%.4g]", P["med"], P["q1"], P["q3"]), sprintf("%.4g [%.4g–%.4g]", C["med"], C["q1"], C["q3"]),
-			P["med"] ? 100 * (C["med"] - P["med"]) / P["med"] : 0, won, lost, verdict
+			P["med"] ? 100 * (C["med"] - P["med"]) / P["med"] : 0, won, lost, signp(won, lost), verdict
 	}
 	printf "runs that failed an operation or a correctness check: %d of %d\n", bad, runs
 }' "$parent/BENCHMARK.json" "$raw"
