@@ -80,6 +80,9 @@ fuzz:
 	$(GO) test ./internal/table -run '^$$' -fuzz FuzzReadCSV -fuzztime 30s
 	$(GO) test ./internal/table -run '^$$' -fuzz FuzzDecodeBinary -fuzztime 30s
 	$(GO) test ./internal/persist -run '^$$' -fuzz FuzzDecodeSnapFile -fuzztime 30s
+	# Each run writes and reopens a file; minimizing a 7 KB store input at
+	# the default 60 s would take the run's whole budget.
+	$(GO) test ./internal/docstore -run '^$$' -fuzz FuzzOpenStore -fuzztime 30s -fuzzminimizetime 3s
 	$(GO) test ./internal/intern -run '^$$' -fuzz FuzzDictAgainstMap -fuzztime 30s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/tokenize -run '^$$' -fuzz FuzzTokensAgainstReference -fuzztime 30s
@@ -101,7 +104,7 @@ loc:
 # The size ratchet, beside CI's coverage ratchet: the tree may not grow
 # past the last reading. Lower LOC_CEILING when the tree shrinks; never
 # raise it without saying why in CHANGES.md.
-LOC_CEILING = 20437
+LOC_CEILING = 20344
 loc-check:
 	@loc=$$($(MAKE) -s loc); echo "non-test Go lines: $$loc (ceiling $(LOC_CEILING))"; [ $$loc -le $(LOC_CEILING) ]
 

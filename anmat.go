@@ -198,12 +198,9 @@ func New(opts ...Option) (*System, error) {
 		// One knob: core threads it through discovery and detection alike.
 		o.cfg.Parallelism = *o.parallelism
 	}
-	store := docstore.NewMem()
-	if o.storePath != "" {
-		var err error
-		if store, err = docstore.OpenWith(o.storePath, docstore.Options{}); err != nil {
-			return nil, err
-		}
+	store, err := docstore.OpenWith(o.storePath, docstore.Options{})
+	if err != nil {
+		return nil, err
 	}
 	return core.NewSystemWith(store, o.cfg), nil
 }

@@ -19,7 +19,6 @@ import (
 	"github.com/anmat/anmat/internal/datagen"
 	"github.com/anmat/anmat/internal/detect"
 	"github.com/anmat/anmat/internal/discovery"
-	"github.com/anmat/anmat/internal/docstore"
 	"github.com/anmat/anmat/internal/experiments"
 	"github.com/anmat/anmat/internal/fd"
 	"github.com/anmat/anmat/internal/pattern"
@@ -400,29 +399,6 @@ func BenchmarkTokenize(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if len(tokenize.AppendNGrams(nil, "8505467600", 3)) != 8 {
 				b.Fatal("bad n-grams")
-			}
-		}
-	})
-}
-
-func BenchmarkDocstore(b *testing.B) {
-	b.Run("Insert", func(b *testing.B) {
-		s := docstore.NewMem()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.Insert("c", docstore.Doc{"k": i})
-		}
-	})
-	b.Run("Find", func(b *testing.B) {
-		s := docstore.NewMem()
-		for i := 0; i < 1000; i++ {
-			s.Insert("c", docstore.Doc{"k": i % 10})
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if len(s.Find("c", docstore.Filter{"k": 3})) != 100 {
-				b.Fatal("bad find")
 			}
 		}
 	})

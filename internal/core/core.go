@@ -10,13 +10,11 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -176,66 +174,22 @@ func (s *System) claimSpare(int) string {
 	return ep
 }
 
-// Store exposes the underlying document store.
-func (s *System) Store() *docstore.Store { return s.store }
-
 // Defaults returns the system-wide default session parameters.
 func (s *System) Defaults() Params { return s.cfg.Params }
-
-// Collections used by the system: the projects, and one PFD rule set per
-// table name (LoadPFDs serves it to later sessions). What a session
-// computes — profile, violations, DMV findings — lives on the Session,
-// which is what every reader is served from.
-const (
-	CollProjects = "projects"
-	CollPFDs     = "pfds"
-)
 
 // CreateProject registers a project ("new users can create their own
 // projects") and returns its id. A store with a path is written through
 // before CreateProject returns, as RunDiscovery writes a rule set: the
 // error is the write's.
-func (s *System) CreateProject(name string) (int64, error) {
-	id := s.store.Insert(CollProjects, docstore.Doc{"name": name})
-	return id, s.store.Flush()
-}
+func (s *System) CreateProject(name string) (int64, error) { return s.store.AddProject(name) }
 
-// Projects lists the registered project names.
-func (s *System) Projects() []string {
-	docs := s.store.Find(CollProjects, nil)
-	out := make([]string, 0, len(docs))
-	for _, d := range docs {
-		if n, ok := d["name"].(string); ok {
-			out = append(out, n)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+// Projects lists the registered project names, sorted.
+func (s *System) Projects() []string { return s.store.ProjectNames() }
 
-// LoadPFDs retrieves previously stored PFDs for a table from the document
-// store — the demo's flow of reloading rules mined in an earlier session
-// instead of re-running discovery. Filters by table name; pass "" for all.
-func (s *System) LoadPFDs(tableName string) ([]*pfd.PFD, error) {
-	var f docstore.Filter
-	if tableName != "" {
-		f = docstore.Filter{"table": tableName}
-	}
-	docs := s.store.Find(CollPFDs, f)
-	out := make([]*pfd.PFD, 0, len(docs))
-	for _, d := range docs {
-		b, err := json.Marshal(d)
-		if err != nil {
-			return nil, err
-		}
-		var p pfd.PFD
-		if err := json.Unmarshal(b, &p); err != nil {
-			return nil, fmt.Errorf("load pfd %v: %w", d[docstore.IDField], err)
-		}
-		out = append(out, &p)
-	}
-	return out, nil
-}
+// LoadPFDs returns the rules of the table name's last discovery run, or
+// every name's for "" — the demo's flow of reloading rules mined in an
+// earlier session instead of re-running discovery.
+func (s *System) LoadPFDs(tableName string) []*pfd.PFD { return s.store.Rules(tableName) }
 
 // Session is one dataset loaded into a project, carrying the pipeline's
 // intermediate products. A Session is not safe for concurrent use;
@@ -438,13 +392,7 @@ func (se *Session) RunDiscovery(ctx context.Context) ([]*pfd.PFD, error) {
 	}
 	se.Discovered = res.PFDs
 	se.Stats = res.Stats
-	se.sys.store.Delete(CollPFDs, docstore.Filter{"table": se.Table.Name()})
-	for _, p := range res.PFDs {
-		if _, err := se.sys.store.InsertJSON(CollPFDs, p); err != nil {
-			return nil, fmt.Errorf("store pfd %s: %w", p.ID(), err)
-		}
-	}
-	if err := se.sys.store.Flush(); err != nil {
+	if err := se.sys.store.ReplaceRules(se.Table.Name(), res.PFDs); err != nil {
 		return nil, fmt.Errorf("session %s: store rules: %w", se.ID, err)
 	}
 	return res.PFDs, nil
@@ -599,10 +547,10 @@ func (se *Session) newStreamer(ctx context.Context, rules []*pfd.PFD, base int64
 	return eng, det, err
 }
 
-// streamCurrent reports whether the session has a current incremental
-// engine: one that exists, is not stale, and was built for the active
-// rules.
-func (se *Session) streamCurrent() bool {
+// DetectionCurrent reports whether the session's violations come from an
+// engine booted over its active rules and its table as it is: false when
+// detection never ran, or failed and left the session as it was.
+func (se *Session) DetectionCurrent() bool {
 	return se.str != nil && !se.str.Stale() && slices.Equal(se.strRules, se.rules()) // pointer identity: sessions share *pfd.PFD values
 }
 
@@ -620,7 +568,7 @@ func (se *Session) detection(ctx context.Context) (*detect.Detector, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("session %s: detection: %w", se.ID, err)
 	}
-	if se.streamCurrent() {
+	if se.DetectionCurrent() {
 		if se.unimaged && se.persist != nil {
 			if err := se.Checkpoint(); err != nil {
 				return nil, err
@@ -676,11 +624,6 @@ func (se *Session) Close() {
 		se.sys.workerOwner = ""
 	}
 }
-
-// DetectionCurrent reports whether the session's violations come from an
-// engine booted over its active rules and its table as it is: false when
-// detection never ran, or failed and left the session as it was.
-func (se *Session) DetectionCurrent() bool { return se.streamCurrent() }
 
 // use makes a freshly booted engine the session's: its sorted set is the
 // session's violations, and its boot's cost the detection stats — at

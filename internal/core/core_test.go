@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -48,7 +50,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 
 	// Results were persisted.
-	if len(sys.Store().Find(CollPFDs, nil)) == 0 {
+	if len(sys.LoadPFDs("")) == 0 {
 		t.Error("PFDs not stored")
 	}
 }
@@ -152,67 +154,66 @@ func TestRunDMV(t *testing.T) {
 	}
 }
 
+// TestLoadPFDsRoundTrip: rules reloaded from a memory store and from a
+// reopened path store detect, byte for byte, the violations the mined
+// rules detected.
 func TestLoadPFDsRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/store.json"
+	ctx := context.Background()
+	path := filepath.Join(t.TempDir(), "store.json")
 	store, err := docstore.OpenWith(path, docstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := NewSystemWith(store, DefaultSystemConfig())
 	d := datagen.ZipCity(1000, 0.01, 46)
+	mem := NewSystemWith(docstore.NewMem(), DefaultSystemConfig())
+	var want string
+	for _, sys := range []*System{mem, NewSystemWith(store, DefaultSystemConfig())} {
+		se := sys.NewSession("p", d.Table, DefaultParams())
+		if _, err := se.RunDiscovery(ctx); err != nil {
+			t.Fatal(err)
+		}
+		vs, err := se.RunDetection(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(vs) == 0 {
+			t.Fatal("the mined rules detect nothing: the comparison below would check nothing")
+		}
+		want = mustJSONStr(t, vs)
+	}
 
-	// Session 1: discover and persist.
-	se := sys.NewSession("p", d.Table, DefaultParams())
-	if _, err := se.RunDiscovery(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if len(se.Discovered) == 0 {
-		t.Fatal("nothing discovered")
-	}
-	wantViolations, err := se.RunDetection(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Session 2 (fresh store handle): reload rules and re-detect without
-	// discovery.
+	// A fresh store handle on the path: reload the rules and re-detect
+	// without discovery.
 	store2, err := docstore.OpenWith(path, docstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys2 := NewSystemWith(store2, DefaultSystemConfig())
-	loaded, err := sys2.LoadPFDs(d.Table.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded) != len(se.Discovered) {
-		t.Fatalf("loaded %d PFDs, stored %d", len(loaded), len(se.Discovered))
-	}
-	se2 := sys2.NewSession("p", d.Table, DefaultParams())
-	se2.UseRules(loaded)
-	got, err := se2.RunDetection(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(wantViolations) {
-		t.Errorf("reloaded rules found %d violations, original %d", len(got), len(wantViolations))
+	for name, sys := range map[string]*System{"memory": mem, "reopened path": sys2} {
+		se := sys.NewSession("p", d.Table, DefaultParams())
+		se.UseRules(sys.LoadPFDs(d.Table.Name()))
+		got, err := se.RunDetection(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mustJSONStr(t, got) != want {
+			t.Errorf("%s store: the reloaded rules detect other violations than the mined ones", name)
+		}
 	}
 
 	// Filter by table name.
-	none, err := sys2.LoadPFDs("not-a-table")
-	if err != nil || len(none) != 0 {
-		t.Errorf("LoadPFDs(bogus) = %d, %v", len(none), err)
+	loaded := sys2.LoadPFDs(d.Table.Name())
+	if none := sys2.LoadPFDs("not-a-table"); len(none) != 0 {
+		t.Errorf("LoadPFDs(bogus) = %d", len(none))
 	}
-	all, err := sys2.LoadPFDs("")
-	if err != nil || len(all) != len(loaded) {
-		t.Errorf("LoadPFDs(all) = %d, %v", len(all), err)
+	if all := sys2.LoadPFDs(""); len(all) != len(loaded) {
+		t.Errorf("LoadPFDs(all) = %d, want %d", len(all), len(loaded))
 	}
 
 	// A later discovery run over a table of the same name replaces the
 	// name's rule set; another table's stays as it is.
 	other := sys2.NewSession("p", datagen.PhoneState(600, 0.01, 43).Table, DefaultParams())
-	if _, err := other.RunDiscovery(context.Background()); err != nil {
+	if _, err := other.RunDiscovery(ctx); err != nil {
 		t.Fatal(err)
 	}
 	again := datagen.ZipCity(400, 0.05, 47).Table
@@ -220,17 +221,43 @@ func TestLoadPFDsRoundTrip(t *testing.T) {
 		t.Fatalf("fixture tables are named %q, %q and %q", d.Table.Name(), again.Name(), other.Table.Name())
 	}
 	se3 := sys2.NewSession("p", again, DefaultParams())
-	if _, err := se3.RunDiscovery(context.Background()); err != nil {
+	if _, err := se3.RunDiscovery(ctx); err != nil {
 		t.Fatal(err)
 	}
 	for _, se := range []*Session{se3, other} {
-		got, err := sys2.LoadPFDs(se.Table.Name())
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := sys2.LoadPFDs(se.Table.Name())
 		if len(se.Discovered) == 0 || !reflect.DeepEqual(pfdDocs(got), pfdDocs(se.Discovered)) {
 			t.Errorf("LoadPFDs(%q) = %v, want the rules of the name's last run %v", se.Table.Name(), pfdDocs(got), pfdDocs(se.Discovered))
 		}
+	}
+}
+
+// TestLoadPFDsAllocsConstant: reloading a memory store's rules costs the
+// same few allocations whatever the size of their tableaux — the store
+// holds the mined rules, not documents to decode.
+func TestLoadPFDsAllocsConstant(t *testing.T) {
+	sys := NewSystemWith(docstore.NewMem(), DefaultSystemConfig())
+	var sizes []int
+	for _, n := range []int{300, 10000} {
+		tbl, err := table.ReadCSV("phone", bytes.NewReader(benchCSV(t, datagen.PhoneState, n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps, err := sys.NewSession("p", tbl, DefaultParams()).RunDiscovery(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := 0
+		for _, p := range ps {
+			rows += p.Tableau.Len()
+		}
+		sizes = append(sizes, rows)
+		if a := testing.AllocsPerRun(10, func() { sys.LoadPFDs(tbl.Name()) }); a > 1 {
+			t.Errorf("LoadPFDs over %d tableau rows: %.0f allocations, want at most 1", rows, a)
+		}
+	}
+	if sizes[0] >= sizes[1] {
+		t.Fatalf("tableau rows %v: the fixture does not grow the tableau", sizes)
 	}
 }
 
@@ -243,15 +270,6 @@ func pfdDocs(ps []*pfd.PFD) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func TestLoadPFDsCorruptDoc(t *testing.T) {
-	store := docstore.NewMem()
-	store.Insert(CollPFDs, docstore.Doc{"table": "t", "tableau": []any{map[string]any{"lhs": "<\\L", "rhs": "x"}}})
-	sys := NewSystemWith(store, DefaultSystemConfig())
-	if _, err := sys.LoadPFDs("t"); err == nil {
-		t.Error("corrupt stored PFD should error")
-	}
 }
 
 func TestDefaultParams(t *testing.T) {

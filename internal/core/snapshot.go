@@ -138,7 +138,7 @@ func (se *Session) Snapshot() *SessionSnapshot {
 	}
 	if se.str != nil {
 		snap.Seq = se.str.Seq()
-		if !se.streamCurrent() {
+		if !se.DetectionCurrent() {
 			// The engine no longer describes the session (rules changed,
 			// or the table was mutated outside it): a live rebuild would
 			// start one past its timeline, and the snapshot must agree —

@@ -17,6 +17,7 @@ import (
 	"unicode/utf8"
 
 	"github.com/anmat/anmat/internal/dmv"
+	"github.com/anmat/anmat/internal/gentree"
 	"github.com/anmat/anmat/internal/invlist"
 	"github.com/anmat/anmat/internal/pattern"
 	"github.com/anmat/anmat/internal/pfd"
@@ -465,7 +466,7 @@ func patternTupleFor(e invlist.Entry) (pattern.Constrained, bool) {
 			return pattern.Constrained{}, false
 		}
 		segs := []pattern.Segment{
-			{Pat: pattern.New(pattern.ClassTok(gentreeAll()).WithCount(int(e.Key.Pos)))},
+			{Pat: pattern.New(pattern.ClassTok(gentree.All).WithCount(int(e.Key.Pos)))},
 			{Pat: pattern.Literal(text), Constrained: true},
 			{Pat: pattern.AnyString()},
 		}
@@ -781,18 +782,10 @@ func dedupStrings(ss []string) []string {
 // open form (`\LU\LL*`) used by the paper's variable rules. A first-name
 // key family has a fixed capital plus a variable-length lower-case run.
 func openRunsOf(p pattern.Pattern) pattern.Pattern {
-	toks := p.Tokens()
 	var out []pattern.Token
-	for _, t := range toks {
+	for _, t := range p.Tokens() {
 		if t.IsClass && (t.Quant == pattern.Exactly || t.Quant == pattern.Plus) {
-			out = append(out, pattern.ClassTok(t.Class).WithQuant(pattern.Star))
-			continue
-		}
-		if !t.IsClass && t.Quant == pattern.One {
-			// Literal positions inside a mined key family collapse to
-			// their class: the family members differ there.
-			out = append(out, t)
-			continue
+			t = pattern.ClassTok(t.Class).WithQuant(pattern.Star)
 		}
 		out = append(out, t)
 	}
@@ -807,22 +800,17 @@ func normalizeFamily(p pattern.Pattern) pattern.Pattern {
 	if len(toks) == 0 {
 		return p
 	}
-	letterish := true
 	for _, t := range toks {
 		c := t.Class
 		if !t.IsClass {
-			c = classOfRune(t.Lit)
+			c = gentree.ClassOf(t.Lit)
 		}
-		if c != upperClass() && c != lowerClass() {
-			letterish = false
-			break
+		if c != gentree.Upper && c != gentree.Lower {
+			return p
 		}
-	}
-	if !letterish {
-		return p
 	}
 	return pattern.New(
-		pattern.ClassTok(upperClass()),
-		pattern.ClassTok(lowerClass()).WithQuant(pattern.Star),
+		pattern.ClassTok(gentree.Upper),
+		pattern.ClassTok(gentree.Lower).WithQuant(pattern.Star),
 	)
 }

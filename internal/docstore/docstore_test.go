@@ -1,105 +1,137 @@
 package docstore
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/anmat/anmat/internal/pattern"
+	"github.com/anmat/anmat/internal/pfd"
+	"github.com/anmat/anmat/internal/tableau"
 )
 
-// get returns the document with the id, or nil.
-func get(s *Store, coll string, id int64) Doc {
-	if docs := s.Find(coll, Filter{IDField: id}); len(docs) == 1 {
-		return docs[0]
+// mkRule builds a one-row PFD table.lhs → state.
+func mkRule(table, lhs string) *pfd.PFD {
+	tp := tableau.New()
+	tp.Add(tableau.Row{LHS: pattern.MustParseConstrained(`<\D{3}>\D{7}`), RHS: "NY", Support: 3})
+	return pfd.New(table, lhs, "state", tp)
+}
+
+// rulesJSON renders a rule list the way the API serves rules.
+func rulesJSON(t testing.TB, ps []*pfd.PFD) string {
+	t.Helper()
+	b, err := json.Marshal(ps)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return nil
+	return string(b)
 }
 
 func TestInsertAndGet(t *testing.T) {
 	s := NewMem()
-	id := s.Insert("c", Doc{"k": "v"})
-	d := get(s, "c", id)
-	if d == nil || d["k"] != "v" {
-		t.Fatalf("get = %v", d)
+	id1, err := s.AddProject("zeta")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, _ := d[IDField].(int64); got != id {
-		t.Errorf("_id = %v", d[IDField])
+	id2, err := s.AddProject("alpha")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if get(s, "c", 999) != nil {
-		t.Error("missing id should find nothing")
+	if id1 < 1 || id2 <= id1 {
+		t.Errorf("ids %d, %d: want positive and increasing", id1, id2)
+	}
+	if got := s.ProjectNames(); !slices.Equal(got, []string{"alpha", "zeta"}) {
+		t.Errorf("ProjectNames = %q, want sorted", got)
+	}
+	if got := NewMem().ProjectNames(); len(got) != 0 {
+		t.Errorf("fresh store lists %q", got)
 	}
 }
 
+// TestInsertCopies: the store keeps its own copy of each rule, which
+// renders as the given one, and neither the slice it was given nor the
+// slices it returns are shared with a caller.
 func TestInsertCopies(t *testing.T) {
 	s := NewMem()
-	d := Doc{"k": "v"}
-	id := s.Insert("c", d)
-	d["k"] = "mutated"
-	if got := get(s, "c", id); got["k"] != "v" {
-		t.Error("Insert should copy the document")
+	r := mkRule("zip", "zip")
+	ps := []*pfd.PFD{r}
+	if err := s.ReplaceRules("zip", ps); err != nil {
+		t.Fatal(err)
 	}
-	got := get(s, "c", id)
-	got["k"] = "mutated2"
-	if get(s, "c", id)["k"] != "v" {
-		t.Error("Find should return a copy")
+	ps[0] = mkRule("zip", "other")
+	got := s.Rules("zip")
+	if len(got) != 1 || got[0] == r || rulesJSON(t, got) != rulesJSON(t, []*pfd.PFD{r}) {
+		t.Fatalf("Rules = %v, want a copy of the stored rule", got)
+	}
+	stored := got[0]
+	got[0] = nil
+	if s.Rules("zip")[0] != stored {
+		t.Error("Rules should return a fresh slice of the stored rules")
+	}
+	s.AddProject("p")
+	s.ProjectNames()[0] = "mutated"
+	if s.ProjectNames()[0] != "p" {
+		t.Error("ProjectNames should return a fresh slice")
 	}
 }
 
 func TestFindFilter(t *testing.T) {
 	s := NewMem()
-	s.Insert("c", Doc{"kind": "a", "n": 1})
-	s.Insert("c", Doc{"kind": "b", "n": 2})
-	s.Insert("c", Doc{"kind": "a", "n": 3})
-	all := s.Find("c", nil)
-	if len(all) != 3 {
-		t.Fatalf("Find(nil) = %d", len(all))
+	a1, b1, a2 := mkRule("a", "x"), mkRule("b", "x"), mkRule("a", "y")
+	if err := s.ReplaceRules("a", []*pfd.PFD{a1, a2}); err != nil {
+		t.Fatal(err)
 	}
-	as := s.Find("c", Filter{"kind": "a"})
-	if len(as) != 2 {
-		t.Fatalf("Find(kind=a) = %d", len(as))
+	if err := s.ReplaceRules("b", []*pfd.PFD{b1}); err != nil {
+		t.Fatal(err)
 	}
-	// Sorted by id.
-	id0, _ := asID(as[0][IDField])
-	id1, _ := asID(as[1][IDField])
-	if id0 >= id1 {
-		t.Error("Find results not id-ordered")
+	if got, want := rulesJSON(t, s.Rules("a")), rulesJSON(t, []*pfd.PFD{a1, a2}); got != want {
+		t.Errorf("Rules(a) = %s, want %s", got, want)
 	}
-	if n := len(s.Find("c", Filter{"kind": "z"})); n != 0 {
-		t.Errorf("no-match Find = %d", n)
+	if got, want := rulesJSON(t, s.Rules("")), rulesJSON(t, []*pfd.PFD{a1, a2, b1}); got != want {
+		t.Errorf("Rules(\"\") = %s, want every rule in id order, %s", got, want)
 	}
-	if n := len(s.Find("nope", nil)); n != 0 {
-		t.Errorf("missing collection Find = %d", n)
+	if got := s.Rules("nope"); len(got) != 0 {
+		t.Errorf("Rules(nope) = %v", got)
 	}
 }
 
+// TestDelete: replacing a table name's rule set deletes the rules stored
+// for it before and no other name's; ids are never reused.
 func TestDelete(t *testing.T) {
-	s := NewMem()
-	s.Insert("c", Doc{"session": "s1", "n": 1})
-	keep := s.Insert("c", Doc{"session": "s2", "n": 2})
-	s.Insert("c", Doc{"session": "s1", "n": 3})
-	s.Insert("other", Doc{"session": "s1"})
-	if n := s.Delete("c", Filter{"session": "s1"}); n != 2 {
-		t.Fatalf("Delete removed %d, want 2", n)
+	path := filepath.Join(t.TempDir(), "store.json")
+	s, err := OpenWith(path, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := s.Find("c", nil); len(got) != 1 || got[0][IDField] != keep {
-		t.Errorf("left in c: %v", got)
+	a1, b1, a2 := mkRule("a", "x"), mkRule("b", "x"), mkRule("a", "y")
+	s.ReplaceRules("a", []*pfd.PFD{a1})
+	s.ReplaceRules("b", []*pfd.PFD{b1})
+	if err := s.ReplaceRules("a", []*pfd.PFD{a2}); err != nil {
+		t.Fatal(err)
 	}
-	if len(s.Find("other", nil)) != 1 {
-		t.Error("Delete reached into another collection")
+	if got, want := rulesJSON(t, s.Rules("")), rulesJSON(t, []*pfd.PFD{b1, a2}); got != want {
+		t.Errorf("Rules = %s, want b's rule then a's replacement, %s", got, want)
 	}
-	if n := s.Delete("c", Filter{"session": "s1"}); n != 0 {
-		t.Errorf("second Delete removed %d", n)
+	if err := s.ReplaceRules("a", nil); err != nil {
+		t.Fatal(err)
 	}
-	if n := s.Delete("nope", nil); n != 0 {
-		t.Errorf("Delete on a missing collection removed %d", n)
+	if got, want := rulesJSON(t, s.Rules("")), rulesJSON(t, []*pfd.PFD{b1}); got != want {
+		t.Errorf("an empty rule set left %s, want %s", got, want)
 	}
-	if n := s.Delete("c", nil); n != 1 || len(s.Find("c", nil)) != 0 {
-		t.Errorf("nil filter removed %d, %d left", n, len(s.Find("c", nil)))
+	if id, _ := s.AddProject("p"); id != 4 {
+		t.Errorf("project id %d after three stored rules, want 4: ids are never reused", id)
 	}
-	// Ids are never reused, so a cursor over ids stays unambiguous.
-	if id := s.Insert("c", Doc{}); id <= keep {
-		t.Errorf("id %d reused after delete (last was %d)", id, keep)
+	back, err := OpenWith(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, _ := back.AddProject("q"); id != 5 {
+		t.Errorf("reopened store hands out id %d, want 5", id)
 	}
 }
 
@@ -109,23 +141,26 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id1 := s.Insert("pfds", Doc{"table": "zip", "lhs": "zip"})
-	s.Insert("violations", Doc{"row": 3})
-	if err := s.Flush(); err != nil {
+	id1, err := s.AddProject("census")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ReplaceRules("zip", []*pfd.PFD{mkRule("zip", "zip"), mkRule("zip", "city")}); err != nil {
 		t.Fatal(err)
 	}
 	back, err := OpenWith(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := get(back, "pfds", id1)
-	if d == nil || d["table"] != "zip" {
-		t.Fatalf("reload lost data: %v", d)
+	if got := back.ProjectNames(); !slices.Equal(got, []string{"census"}) {
+		t.Errorf("reload lost projects: %q", got)
 	}
-	// New inserts continue the id sequence.
-	id3 := back.Insert("pfds", Doc{})
-	if id3 <= id1 {
-		t.Errorf("id sequence regressed: %d after %d", id3, id1)
+	if got, want := rulesJSON(t, back.Rules("zip")), rulesJSON(t, s.Rules("zip")); got != want {
+		t.Errorf("reloaded rules %s, stored %s", got, want)
+	}
+	// New documents continue the id sequence.
+	if id3, _ := back.AddProject("x"); id3 <= id1+2 {
+		t.Errorf("id sequence regressed: %d after %d and two rules", id3, id1)
 	}
 }
 
@@ -134,7 +169,7 @@ func TestOpenMissingFileIsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.colls) != 0 {
+	if len(s.ProjectNames()) != 0 || len(s.Rules("")) != 0 {
 		t.Error("fresh store should be empty")
 	}
 }
@@ -157,9 +192,8 @@ func TestOpenTruncatedFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Insert("pfds", Doc{"table": "zip", "payload": "0123456789"})
-	s.Insert("pfds", Doc{"table": "phone", "payload": "abcdefghij"})
-	if err := s.Flush(); err != nil {
+	s.ReplaceRules("zip", []*pfd.PFD{mkRule("zip", "zip")})
+	if err := s.ReplaceRules("phone", []*pfd.PFD{mkRule("phone", "phone")}); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
@@ -191,18 +225,47 @@ func TestOpenGarbageFile(t *testing.T) {
 }
 
 func TestOpenDocWithoutIDReported(t *testing.T) {
-	// Valid JSON whose documents lack the reserved _id is a corrupt store:
-	// it must surface as an error instead of silently dropping documents.
+	// Valid JSON whose documents lack a valid _id is a corrupt store: it
+	// must surface as an error instead of silently dropping documents.
+	for _, doc := range []string{
+		`{"pfds":[{"table":"zip"}]}`,
+		`{"pfds":[{"_id":0,"table":"zip"}]}`,
+		`{"pfds":[{"_id":-3,"table":"zip"}]}`,
+		`{"pfds":[{"_id":1.5,"table":"zip"}]}`,
+		`{"pfds":[{"_id":"1","table":"zip"}]}`,
+		`{"projects":[{"_id":2,"name":"a"},{"_id":2,"name":"b"}]}`,
+		`{"projects":[{"_id":3,"name":"a"},{"_id":2,"name":"b"}]}`,
+		`{"projects":[{"_id":9007199254740992,"name":"a"}]}`,
+	} {
+		path := filepath.Join(t.TempDir(), "store.json")
+		if err := writeFile(path, `{"next_id":5,"collections":`+doc+`}`); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenWith(path, Options{})
+		if err == nil {
+			t.Errorf("%s: should error", doc)
+			continue
+		}
+		if want := "_id"; !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q should mention %q", doc, err, want)
+		}
+	}
+}
+
+// TestOpenRefusesUnparseableRule: a stored rule whose tableau does not
+// parse is refused when the file is opened, and the error names it.
+func TestOpenRefusesUnparseableRule(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.json")
-	if err := writeFile(path, `{"next_id":5,"collections":{"pfds":[{"table":"zip"}]}}`); err != nil {
+	doc := `{"next_id":8,"collections":{"pfds":[{"_id":7,"table":"t","lhs":"a","rhs":"b","tableau":[{"lhs":"<\\L","rhs":"x"}]}]}}`
+	if err := writeFile(path, doc); err != nil {
 		t.Fatal(err)
 	}
 	_, err := OpenWith(path, Options{})
 	if err == nil {
-		t.Fatal("doc without _id should error")
+		t.Fatal("a rule that does not parse should be refused")
 	}
-	if want := "_id"; !strings.Contains(err.Error(), want) {
-		t.Errorf("error %q should mention %q", err, want)
+	if want := "rule 7 (t:a->b)"; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q should name the rule, %q", err, want)
 	}
 }
 
@@ -212,46 +275,38 @@ func TestFsyncFlushRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := s.Insert("c", Doc{"k": "v"})
-	if err := s.Flush(); err != nil {
+	if _, err := s.AddProject("p"); err != nil {
 		t.Fatal(err)
 	}
 	back, err := OpenWith(path, Options{Fsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if get(back, "c", id)["k"] != "v" {
-		t.Error("fsync flush lost data")
+	if got := back.ProjectNames(); !slices.Equal(got, []string{"p"}) {
+		t.Errorf("fsync write lost data: %q", got)
 	}
 }
 
+// TestMemFlushNoop: a memory-only store's changes succeed and write
+// nothing.
 func TestMemFlushNoop(t *testing.T) {
-	s := NewMem()
-	s.Insert("c", Doc{})
-	if err := s.Flush(); err != nil {
-		t.Errorf("mem flush should be a no-op: %v", err)
-	}
-}
-
-func TestInsertJSON(t *testing.T) {
-	s := NewMem()
-	type rec struct {
-		Name string `json:"name"`
-		N    int    `json:"n"`
-	}
-	id, err := s.InsertJSON("c", rec{Name: "x", N: 3})
+	before, err := os.ReadDir(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := get(s, "c", id)
-	if d["name"] != "x" {
-		t.Errorf("InsertJSON doc = %v", d)
+	s := NewMem()
+	if _, err := s.AddProject("p"); err != nil {
+		t.Errorf("memory store AddProject: %v", err)
 	}
-	if _, err := s.InsertJSON("c", []int{1, 2}); err == nil {
-		t.Error("non-object should fail")
+	if err := s.ReplaceRules("zip", []*pfd.PFD{mkRule("zip", "zip")}); err != nil {
+		t.Errorf("memory store ReplaceRules: %v", err)
 	}
-	if _, err := s.InsertJSON("c", make(chan int)); err == nil {
-		t.Error("unmarshalable should fail")
+	after, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(before) {
+		t.Errorf("a memory store wrote into the working directory: %d entries, then %d", len(before), len(after))
 	}
 }
 
@@ -262,21 +317,26 @@ func TestConcurrentAccess(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			table := fmt.Sprint("t", i)
 			for j := 0; j < 100; j++ {
-				id := s.Insert("c", Doc{"worker": i})
-				get(s, "c", id)
-				s.Find("c", Filter{"worker": i})
+				s.AddProject(fmt.Sprint(i, "/", j))
+				s.ReplaceRules(table, []*pfd.PFD{mkRule(table, "a"), mkRule(table, "b")})
+				s.Rules(table)
+				s.ProjectNames()
 			}
 		}(i)
 	}
 	wg.Wait()
-	if n := len(s.Find("c", nil)); n != 800 {
-		t.Errorf("%d documents, want 800", n)
+	if n := len(s.ProjectNames()); n != 800 {
+		t.Errorf("%d projects, want 800", n)
+	}
+	if n := len(s.Rules("")); n != 16 {
+		t.Errorf("%d rules, want two per table name, 16", n)
 	}
 }
 
-// TestConcurrentFlush: sessions store their rules and flush at once;
-// every flush succeeds and the file holds every document.
+// TestConcurrentFlush: sessions store their rules at once; every write
+// succeeds and the file holds every document.
 func TestConcurrentFlush(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.json")
 	s, err := OpenWith(path, Options{})
@@ -288,9 +348,13 @@ func TestConcurrentFlush(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			table := fmt.Sprint("t", i)
 			for j := 0; j < 50; j++ {
-				s.Insert("c", Doc{"worker": i})
-				if err := s.Flush(); err != nil {
+				if _, err := s.AddProject(table); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := s.ReplaceRules(table, []*pfd.PFD{mkRule(table, "a")}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -302,8 +366,11 @@ func TestConcurrentFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(back.Find("c", nil)); n != 400 {
-		t.Errorf("the file holds %d documents, want 400", n)
+	if n := len(back.ProjectNames()); n != 400 {
+		t.Errorf("the file holds %d projects, want 400", n)
+	}
+	if got, want := rulesJSON(t, back.Rules("")), rulesJSON(t, s.Rules("")); got != want {
+		t.Errorf("the file holds rules %s, the store %s", got, want)
 	}
 }
 

@@ -56,6 +56,17 @@ func NewConstrained(segs ...Segment) (Constrained, error) {
 	return mkConstrained(cp), nil
 }
 
+// Uncompiled returns q without the automata that matching and extraction
+// compiled for it, which every copy of q shares: a holder that outlives
+// the matching keeps the definition alone.
+func (q Constrained) Uncompiled() Constrained {
+	segs := make([]Segment, len(q.segs))
+	for i, s := range q.segs {
+		segs[i] = Segment{Pat: mk(s.Pat.toks), Constrained: s.Constrained}
+	}
+	return mkConstrained(segs)
+}
+
 // ParseConstrained parses the syntax used throughout this repository for
 // constrained patterns: segments wrapped in angle brackets are
 // constrained, everything else is free. Example (λ4 of the paper):

@@ -195,3 +195,23 @@ func TestRestrictionOfWholeVsPrefix(t *testing.T) {
 		t.Error("prefix agreement should not restrict whole-value equality")
 	}
 }
+
+// TestUncompiledSharesNoAutomaton: Uncompiled keeps the definition and
+// none of the automata matching compiled for the original.
+func TestUncompiledSharesNoAutomaton(t *testing.T) {
+	q := MustParseConstrained(`<\D{3}>\D{7}`)
+	m := q.Embedded().Matcher()
+	if !m.Match("2125550000") || q.Embedded().meta.dfa == nil {
+		t.Fatal("matching compiled no automaton: the check below would check nothing")
+	}
+	u := q.Uncompiled()
+	if u.String() != q.String() {
+		t.Errorf("Uncompiled renders %q, the original %q", u, q)
+	}
+	if u.emb == q.emb || u.segs[0].Pat.meta == q.segs[0].Pat.meta {
+		t.Error("Uncompiled shares the original's compiled state")
+	}
+	if u.Embedded().meta.dfa != nil {
+		t.Error("Uncompiled carries a compiled automaton")
+	}
+}

@@ -42,6 +42,19 @@ func (p *PFD) String() string {
 	return fmt.Sprintf("%s (%s → %s), %d pattern tuple(s)", p.Table, p.LHS, p.RHS, p.Tableau.Len())
 }
 
+// Uncompiled returns a copy of p whose tableau patterns carry none of the
+// automata detection compiled for p's (pattern.Constrained.Uncompiled):
+// what a store that outlives the session keeps.
+func (p *PFD) Uncompiled() *PFD {
+	rows := p.Tableau.Rows()
+	for i := range rows {
+		rows[i].LHS = rows[i].LHS.Uncompiled()
+	}
+	cp := *p
+	cp.Tableau = tableau.New(rows...)
+	return &cp
+}
+
 // ID returns a stable identifier for storage.
 func (p *PFD) ID() string {
 	return fmt.Sprintf("%s:%s->%s", p.Table, p.LHS, p.RHS)

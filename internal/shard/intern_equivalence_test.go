@@ -140,7 +140,7 @@ func TestWarmBootEqualsColdBoot(t *testing.T) {
 		if _, err := det.RepairsAllContext(ctx, rules, 8); err != nil {
 			t.Fatal(err)
 		}
-		warm, err := stream.NewEngineOpts(det, rules, stream.EngineOptions{})
+		warm, err := stream.Boot(ctx, det, rules, 0, stream.EngineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

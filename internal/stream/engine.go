@@ -231,7 +231,8 @@ type Engine struct {
 	bootWorkers int
 }
 
-// EngineOptions tunes NewEngineOpts. The zero value reproduces NewEngineFrom at sequence 0.
+// EngineOptions tunes Boot. The zero value boots at sequence 0 and keeps
+// DefaultLogCap diffs, as NewEngineFrom does at baseSeq 0.
 type EngineOptions struct {
 	// BaseSeq is the starting sequence number (see NewEngineFrom).
 	BaseSeq int64
@@ -260,26 +261,20 @@ type EngineOptions struct {
 }
 
 // NewEngineFrom bootstraps an engine over the table's current contents,
-// starting at sequence number baseSeq: NewEngineOpts over a fresh
-// detector. The rule set is fixed for the engine's lifetime; build a new
-// engine to change it. After the bootstrap an append or a cell update
-// costs in proportion to the memberships and violations it changes (plus
-// one copy of the sorted set when it changes any), not to the blocks it
-// touches — unless it moves a block's majority or witness, which
-// re-derives that block. A delete renumbers rows: it visits everything.
+// starting at sequence number baseSeq: Boot over a fresh detector with
+// GOMAXPROCS workers and no deadline. The rule set is fixed for the
+// engine's lifetime; build a new engine to change it. After the
+// bootstrap an append or a cell update costs in proportion to the
+// memberships and violations it changes (plus one copy of the sorted set
+// when it changes any), not to the blocks it touches — unless it moves a
+// block's majority or witness, which re-derives that block. A delete renumbers rows: it visits everything.
 // A holder replacing an engine (table mutated externally, rule set
 // changed) passes the old engine's Seq()+1 so client cursors keep a
 // consistent timeline: cursors at or before the old seq fall outside the
 // fresh (empty) diff log and resolve to a reset snapshot instead of an
 // out-of-range error.
 func NewEngineFrom(t *table.Table, rules []*pfd.PFD, baseSeq int64) (*Engine, error) {
-	return NewEngineOpts(detect.New(t, detect.Options{}), rules, EngineOptions{BaseSeq: baseSeq})
-}
-
-// NewEngineOpts bootstraps an engine over the detector's table with the
-// full option set: Boot with GOMAXPROCS workers and no deadline.
-func NewEngineOpts(d *detect.Detector, rules []*pfd.PFD, opts EngineOptions) (*Engine, error) {
-	return Boot(context.TODO(), d, rules, 0, opts)
+	return Boot(context.TODO(), detect.New(t, detect.Options{}), rules, 0, EngineOptions{BaseSeq: baseSeq})
 }
 
 // Boot bootstraps an engine over the detector's table: the detection

@@ -270,7 +270,7 @@ func TestEngineSince(t *testing.T) {
 
 func TestEngineSinceReset(t *testing.T) {
 	tbl := streamTable()
-	e, err := NewEngineOpts(detect.New(tbl, detect.Options{}), streamRules(), EngineOptions{LogCap: 2})
+	e, err := Boot(context.Background(), detect.New(tbl, detect.Options{}), streamRules(), 0, EngineOptions{LogCap: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
