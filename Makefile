@@ -89,6 +89,7 @@ fuzz:
 	$(GO) test ./internal/pattern -run '^$$' -fuzz FuzzMatch -fuzztime 30s
 	$(GO) test ./internal/pattern -run '^$$' -fuzz FuzzContains -fuzztime 30s
 	$(GO) test ./internal/pattern -run '^$$' -fuzz FuzzLCGAll -fuzztime 30s
+	$(GO) test ./internal/pattern -run '^$$' -fuzz FuzzConstrained -fuzztime 30s
 	$(GO) test ./internal/discovery -run '^$$' -fuzz FuzzEntriesAgainstReference -fuzztime 30s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 30s
 	# A restore runs a whole session; minimizing one of its 15 KB inputs
@@ -104,7 +105,7 @@ loc:
 # The size ratchet, beside CI's coverage ratchet: the tree may not grow
 # past the last reading. Lower LOC_CEILING when the tree shrinks; never
 # raise it without saying why in CHANGES.md.
-LOC_CEILING = 20344
+LOC_CEILING = 20595
 loc-check:
 	@loc=$$($(MAKE) -s loc); echo "non-test Go lines: $$loc (ceiling $(LOC_CEILING))"; [ $$loc -le $(LOC_CEILING) ]
 

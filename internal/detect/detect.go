@@ -63,16 +63,23 @@ type Detector struct {
 	opts    Options
 	version int64 // table.Version() at build time; see Stale
 
-	mu       sync.Mutex                  // guards the cache maps (not their slots)
-	verdicts map[matchKey]*slot[[]bool]  // the DFA verdict of every dictionary ID
-	rowsOf   map[int]*slot[rowIndex]     // per LHS column
-	blocked  map[matchKey]*slot[[]Block] // shared by variable-row detection, repairs and engine bootstrap
+	mu       sync.Mutex                     // guards the cache maps (not their slots)
+	verdicts map[matchKey]*slot[[]bool]     // the DFA verdict of every dictionary ID
+	anchored map[anchorKey]*slot[*Anchored] // shared by the constant rows of one anchored shape
+	rowsOf   map[int]*slot[rowIndex]        // per LHS column
+	blocked  map[matchKey]*slot[[]Block]    // shared by variable-row detection, repairs and engine bootstrap
 }
 
 // matchKey identifies one (column, pattern) pass.
 type matchKey struct {
 	col int
 	pat string // pattern.Pattern.Key() / pattern.Constrained.Key()
+}
+
+// anchorKey identifies one anchored pass: column, literal length, rest.
+type anchorKey struct {
+	col, n int
+	rest   string
 }
 
 // slot holds one cached product. The first goroutine to need it builds it
@@ -104,6 +111,7 @@ func New(t *table.Table, opts Options) *Detector {
 		opts:     opts,
 		version:  t.Version(),
 		verdicts: make(map[matchKey]*slot[[]bool]),
+		anchored: make(map[anchorKey]*slot[*Anchored]),
 		rowsOf:   make(map[int]*slot[rowIndex]),
 		blocked:  make(map[matchKey]*slot[[]Block]),
 	}
@@ -134,29 +142,74 @@ func (d *Detector) MatchVerdicts(col int, emb pattern.Pattern) []bool {
 	})
 }
 
-// rowIndex is a column's rows grouped by dictionary ID: the rows holding
-// ID id are rows[start[id]:start[id+1]], ascending. An ID no row holds any
-// more (the table never renumbers its dictionary) has an empty run.
+// Anchored is one pass over a column's dictionary for every constant row
+// of one shape — a literal of n bytes, then a rest pattern (see
+// pattern.Pattern.Anchor). Slots names each ID's literal, its first n
+// bytes numbered from 1 in dictionary order, or holds 0 when the rest of
+// the value does not match; shared, read it only.
+type Anchored struct {
+	Slots []uint32
+	lits  map[string]uint32
+	ids   rowIndex // the IDs by slot
+}
+
+// Slot returns the number of literal lit, 0 when no value has it.
+func (a *Anchored) Slot(lit string) uint32 { return a.lits[lit] }
+
+// Anchored returns the cached anchored pass of column col for rows whose
+// literal is n bytes long and whose rest is rest.
+func (d *Detector) Anchored(col, n int, rest pattern.Pattern) *Anchored {
+	return cached(d, d.anchored, anchorKey{col, n, rest.Key()}, func() *Anchored {
+		vals := d.t.InternedColumn(col).Dict.Values()
+		a := &Anchored{Slots: make([]uint32, len(vals)), lits: make(map[string]uint32)}
+		m := rest.Matcher()
+		for id, v := range vals {
+			if len(v) < n || !m.Match(v[n:]) {
+				continue
+			}
+			s, ok := a.lits[v[:n]]
+			if !ok {
+				s = uint32(len(a.lits) + 1)
+				a.lits[v[:n]] = s
+			}
+			a.Slots[id] = s
+		}
+		a.ids = indexBy(a.Slots, len(a.lits)+1)
+		return a
+	})
+}
+
+// rowIndex files positions by a dense key k, ascending in
+// rows[start[k]:start[k+1]]: a column's rows by dictionary ID (an ID no
+// row holds any more has an empty run), or an anchored pass's IDs by slot.
 type rowIndex struct{ start, rows []int32 }
+
+// indexBy is the counting sort of keys, each below n.
+func indexBy(keys []uint32, n int) rowIndex {
+	start := make([]int32, n+1)
+	for _, k := range keys {
+		start[k+1]++
+	}
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	rows := make([]int32, len(keys))
+	next := slices.Clone(start)
+	for r, k := range keys {
+		rows[next[k]] = int32(r)
+		next[k]++
+	}
+	return rowIndex{start, rows}
+}
+
+// of returns the positions holding key k.
+func (x rowIndex) of(k uint32) []int32 { return x.rows[x.start[k]:x.start[k+1]] }
 
 // rowsByID returns the rows-by-ID index of column col.
 func (d *Detector) rowsByID(col int) rowIndex {
 	return cached(d, d.rowsOf, col, func() rowIndex {
 		iv := d.t.InternedColumn(col)
-		start := make([]int32, iv.Dict.Len()+1)
-		for _, id := range iv.IDs {
-			start[id+1]++
-		}
-		for id := 1; id < len(start); id++ {
-			start[id] += start[id-1]
-		}
-		rows := make([]int32, len(iv.IDs))
-		next := slices.Clone(start)
-		for r, id := range iv.IDs {
-			rows[next[id]] = int32(r)
-			next[id]++
-		}
-		return rowIndex{start, rows}
+		return indexBy(iv.IDs, iv.Dict.Len())
 	})
 }
 
@@ -353,14 +406,31 @@ func (d *Detector) ConstantHits(row tableau.Row, li, ri int) []int {
 	constID, haveConst := riv.Dict.Lookup(row.RHS)
 	idx := d.rowsByID(li)
 	runs := 0
-	for id, ok := range d.MatchVerdicts(li, emb) {
-		if !ok {
-			continue
-		}
+	visit := func(id uint32) {
 		runs++
-		for _, r := range idx.rows[idx.start[id]:idx.start[id+1]] {
+		for _, r := range idx.of(id) {
 			if !haveConst || riv.IDs[r] != constID {
 				hits = append(hits, int(r))
+			}
+		}
+	}
+	// A leading literal visits only the IDs under it.
+	switch lit, rest := emb.Anchor(); {
+	case lit != "" && rest.Key() == "":
+		if id, ok := liv.Dict.Lookup(lit); ok {
+			visit(id)
+		}
+	case lit != "":
+		a := d.Anchored(li, len(lit), rest)
+		if s := a.Slot(lit); s != 0 {
+			for _, id := range a.ids.of(s) {
+				visit(uint32(id))
+			}
+		}
+	default:
+		for id, ok := range d.MatchVerdicts(li, emb) {
+			if ok {
+				visit(uint32(id))
 			}
 		}
 	}

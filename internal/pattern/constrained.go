@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 )
 
 // Segment is one piece of a constrained pattern: a sub-pattern that is
@@ -29,8 +30,10 @@ type Constrained struct {
 }
 
 type embedded struct {
-	once sync.Once
-	pat  Pattern
+	once  sync.Once
+	pat   Pattern
+	ends  []int // see forcedEnds; nil: the split is searched for
+	match Matcher
 }
 
 func mkConstrained(segs []Segment) Constrained {
@@ -120,7 +123,10 @@ func (q Constrained) Embedded() Pattern {
 	if q.emb == nil {
 		return q.embed()
 	}
-	q.emb.once.Do(func() { q.emb.pat = q.embed() })
+	q.emb.once.Do(func() {
+		q.emb.pat, q.emb.ends = q.embed(), forcedEnds(q.segs)
+		q.emb.match = q.emb.pat.Matcher()
+	})
 	return q.emb.pat
 }
 
@@ -179,8 +185,65 @@ type extScratch struct {
 var extPool = sync.Pool{New: func() any { return new(extScratch) }}
 
 // AppendExtract is Extract appending into dst; the keys appended by one
-// call are sorted and de-duplicated among themselves.
+// call are sorted and de-duplicated among themselves. When the split is
+// forced (see forcedEnds) the one key is sliced out after one automaton
+// run, at offsets from one forward decode that reads an invalid byte as
+// one rune, as matching does; any other pattern searches every split.
 func (q Constrained) AppendExtract(dst []string, s string) []string {
+	if q.emb == nil {
+		return q.appendSearch(dst, s)
+	}
+	q.Embedded() // resolves ends and match
+	ends := q.emb.ends
+	if ends == nil {
+		return q.appendSearch(dst, s)
+	}
+	if m := q.emb.match; !m.Match(s) {
+		return dst
+	}
+	parts := make([]string, 0, 4)
+	start, off, runes := 0, 0, 0
+	for i, sg := range q.segs {
+		for ; i < len(ends) && runes < ends[i]; runes++ {
+			if s[off] < utf8.RuneSelf {
+				off++
+			} else {
+				_, size := utf8.DecodeRuneInString(s[off:])
+				off += size
+			}
+		}
+		if i == len(ends) {
+			off = len(s)
+		}
+		if sg.Constrained {
+			parts = append(parts, s[start:off])
+		}
+		start = off
+	}
+	var buf []byte
+	return append(dst, renderKey(parts, &buf))
+}
+
+// forcedEnds returns the cumulative rune count at the end of each segment
+// but the last when all are fixed (only One and {N} tokens), so a value
+// matching the embedded pattern splits one way; nil otherwise.
+func forcedEnds(segs []Segment) []int {
+	if len(segs) == 0 {
+		return nil
+	}
+	ends, n := []int{}, 0
+	for _, sg := range segs[:len(segs)-1] {
+		if sg.Pat.HasUnbounded() {
+			return nil
+		}
+		n += sg.Pat.MinLen()
+		ends = append(ends, n)
+	}
+	return ends
+}
+
+// appendSearch is AppendExtract by a recursive search of every split.
+func (q Constrained) appendSearch(dst []string, s string) []string {
 	segs := q.segs
 	if len(segs) == 0 {
 		return dst
@@ -210,7 +273,7 @@ func (q Constrained) AppendExtract(dst []string, s string) []string {
 	rec = func(i, off int) {
 		if i == len(segs) {
 			if off == len(s) {
-				sc.keys = append(sc.keys, renderKey(sc))
+				sc.keys = append(sc.keys, renderKey(sc.parts, &sc.buf))
 			}
 			return
 		}
@@ -256,20 +319,21 @@ func (q Constrained) AppendExtract(dst []string, s string) []string {
 	return dst
 }
 
-// renderKey builds the key for the current parts stack. A single part is
-// returned as-is (a substring of the input); multiple parts are
-// length-prefixed so distinct splits cannot collide.
-func renderKey(sc *extScratch) string {
-	if len(sc.parts) == 1 {
-		return sc.parts[0]
+// renderKey builds the key of one split's constrained parts, in *buf when
+// it is not a part itself: a single part is returned as-is (a substring
+// of the input); several are length-prefixed, "<decimal len>:<part>"
+// each, so distinct splits cannot collide.
+func renderKey(parts []string, buf *[]byte) string {
+	if len(parts) == 1 {
+		return parts[0]
 	}
-	b := sc.buf[:0]
-	for _, p := range sc.parts {
+	b := (*buf)[:0]
+	for _, p := range parts {
 		b = strconv.AppendInt(b, int64(len(p)), 10)
 		b = append(b, ':')
 		b = append(b, p...)
 	}
-	sc.buf = b
+	*buf = b
 	return string(b)
 }
 

@@ -1,6 +1,9 @@
 package pattern
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // FuzzParse checks that Parse never panics and that every successfully
 // parsed pattern round-trips through its String rendering.
@@ -150,7 +153,13 @@ func FuzzContains(f *testing.F) {
 
 // FuzzConstrained checks the constrained-pattern parser and the
 // extraction/equivalence invariants: a string equivalent to itself iff it
-// matches the embedded pattern.
+// matches the embedded pattern. Extraction takes the forced split exactly
+// when every segment but the last has a fixed rune count, and answers
+// the keys the recursive search finds, in the same order. The committed
+// corpus (testdata/fuzz/FuzzConstrained) holds a seed per case the
+// forced split has to get right: non-ASCII runes, invalid bytes under a
+// U+FFFD literal, two constrained segments, a starred last segment, and a
+// fixed segment after a variable one, which must be searched.
 func FuzzConstrained(f *testing.F) {
 	f.Add(`<\D{3}>\D{2}`, "90001")
 	f.Add(`<\LU\LL*\ >\A*`, "John Charles")
@@ -165,8 +174,25 @@ func FuzzConstrained(f *testing.F) {
 		if matches != (len(keys) > 0) {
 			t.Fatalf("Extract/Matches disagree for (%q, %q): %v vs %d keys", qs, v, matches, len(keys))
 		}
+		if want := q.appendSearch(nil, v); !slices.Equal(keys, want) {
+			t.Fatalf("Extract(%q, %q) = %q, the search finds %q", qs, v, keys, want)
+		}
+		if forced := q.emb.ends != nil; forced != splitIsForced(q) {
+			t.Fatalf("%q: forced split taken = %v, want %v", qs, forced, !forced)
+		}
 		if matches && !q.EquivalentUnder(v, v) {
 			t.Fatalf("≡ not reflexive for (%q, %q)", qs, v)
 		}
 	})
+}
+
+// splitIsForced is the forced split's condition, read off the segments:
+// no segment but the last has a + or * token.
+func splitIsForced(q Constrained) bool {
+	for _, sg := range q.segs[:len(q.segs)-1] {
+		if sg.Pat.HasUnbounded() {
+			return false
+		}
+	}
+	return true
 }

@@ -81,6 +81,28 @@ func (p Pattern) AppendMatchPrefixLengths(dst []int, s string) []int {
 	return dst
 }
 
+// Anchor splits the pattern into its leading literal run — literal
+// tokens quantified One or {N}, U+FFFD (and any rune no value decodes to)
+// excluded as in necessaryLiteral — and the rest: a value matches iff it
+// begins with lit bytewise and rest matches what follows.
+func (p Pattern) Anchor() (lit string, rest Pattern) {
+	if p.meta == nil {
+		return "", p // the zero pattern
+	}
+	p.meta.anchorOnce.Do(func() {
+		i := 0
+		for ; i < len(p.toks); i++ {
+			t := p.toks[i]
+			if t.IsClass || t.Lit == utf8.RuneError || !utf8.ValidRune(t.Lit) || t.Quant != One && t.Quant != Exactly {
+				break
+			}
+			p.meta.lit += strings.Repeat(string(t.Lit), t.MinLen())
+		}
+		p.meta.rest = mk(p.toks[i:len(p.toks):len(p.toks)])
+	})
+	return p.meta.lit, p.meta.rest
+}
+
 // necessaryLiteral derives the prefilter of a token list: the longest run
 // of adjacent mandatory literal characters (unquantified literals and the
 // copies of a literal{N}; a literal+ contributes one character to the run

@@ -136,6 +136,10 @@ type patMeta struct {
 
 	dfaOnce sync.Once
 	dfa     *dfa
+
+	anchorOnce sync.Once
+	lit        string
+	rest       Pattern
 }
 
 // mk wraps a token slice as a Pattern with a fresh meta block. The slice

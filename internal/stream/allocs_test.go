@@ -3,12 +3,16 @@ package stream
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/anmat/anmat/internal/datagen"
+	"github.com/anmat/anmat/internal/detect"
+	"github.com/anmat/anmat/internal/discovery"
 	"github.com/anmat/anmat/internal/pattern"
 	"github.com/anmat/anmat/internal/pfd"
 	"github.com/anmat/anmat/internal/race"
+	"github.com/anmat/anmat/internal/table"
 	"github.com/anmat/anmat/internal/tableau"
 )
 
@@ -116,4 +120,52 @@ func pointRules() []*pfd.PFD {
 		rows = append(rows, tableau.Row{LHS: pattern.MustParseConstrained(`<` + a.area + `>\D{7}`), RHS: a.state})
 	}
 	return []*pfd.PFD{pfd.New("d1_phone_state", "phone", "state", tableau.New(rows...))}
+}
+
+// maxBootBytes bounds the bytes one Boot allocates, on a fresh detector,
+// over the stream_point table with its mined rules: the blocks of the
+// variable row and one anchored pass whose slot per dictionary ID the
+// 20 constant rows share. Matching each constant row on its own into a
+// dictionary-sized verdict vector, which the engine then kept, read
+// ≈ 4.93 MB; this reads ≈ 4.16 MB.
+const maxBootBytes = 4_500_000
+
+// TestBootBytesPointTable is the allocation gate of a cold engine boot —
+// what an upload's detection, the first delta and every restore pay —
+// on the benchmark's stream_point table: 50 000 phone rows, 0.5 % dirty,
+// seed 2019, and the rules discovery mines from it (phone → state: the
+// variable row <\D{3}>\D{7} and 20 constant rows <ddd>\D{7}).
+func TestBootBytesPointTable(t *testing.T) {
+	if testing.Short() || race.Enabled {
+		t.Skip("50k-row table; the race detector's own allocations void the bound")
+	}
+	tbl, rules := pointMined(t)
+	var before, after runtime.MemStats
+	const runs = 3
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Boot(context.Background(), detect.New(tbl, detect.Options{}), rules, 0, EngineOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perBoot := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes per boot (bound %d)", perBoot, maxBootBytes)
+	if perBoot > maxBootBytes {
+		t.Errorf("a boot allocates %d bytes, bound %d", perBoot, maxBootBytes)
+	}
+}
+
+// pointMined returns the stream_point benchmark's table — datagen phone,
+// 50 000 rows, 0.5 % errors, seed 2019 — and the rules discovery mines
+// from it with the server's defaults.
+func pointMined(tb testing.TB) (*table.Table, []*pfd.PFD) {
+	tb.Helper()
+	tbl := datagen.PhoneState(50_000, 0.005, 2019).Table
+	res, err := discovery.Discover(context.Background(), tbl, nil, discovery.Default())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tbl, res.PFDs
 }

@@ -139,10 +139,18 @@ func BenchmarkStreamRepair(b *testing.B) {
 // BenchmarkEngineBootstrap measures a cold engine bootstrap (a fresh
 // detector, then Boot) over 50k rows whose phone column holds 50k
 // distinct values against one that holds 50: the bootstrap works per
-// distinct value, so the second should be far cheaper. p1 runs the boot's
-// per-tableau-row tasks on one worker, pmax on GOMAXPROCS: their ratio is
-// what the fan-out buys.
+// distinct value, so the second should be far cheaper. The point case
+// boots the stream_point benchmark's own table with the rules discovery
+// mines from it (see pointMined): the boot its recover_s pays. p1 runs
+// the boot's per-tableau-row tasks on one worker, pmax on GOMAXPROCS:
+// their ratio is what the fan-out buys.
 func BenchmarkEngineBootstrap(b *testing.B) {
+	type boot struct {
+		name  string
+		tbl   *table.Table
+		rules []*pfd.PFD
+	}
+	var cases []boot
 	for _, c := range []struct {
 		name     string
 		distinct int
@@ -151,14 +159,18 @@ func BenchmarkEngineBootstrap(b *testing.B) {
 		for i := 0; i < 50000; i++ {
 			tbl.MustAppend(benchRow(i % c.distinct)...)
 		}
-		rules := benchRules()
+		cases = append(cases, boot{c.name, tbl, benchRules()})
+	}
+	tbl, rules := pointMined(b)
+	cases = append(cases, boot{"point", tbl, rules})
+	for _, c := range cases {
 		for _, p := range []struct {
 			name        string
 			parallelism int
 		}{{"p1", 1}, {"pmax", 0}} {
 			b.Run(c.name+"/"+p.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := Boot(context.Background(), detect.New(tbl, detect.Options{}), rules, p.parallelism, EngineOptions{}); err != nil {
+					if _, err := Boot(context.Background(), detect.New(c.tbl, detect.Options{}), c.rules, p.parallelism, EngineOptions{}); err != nil {
 						b.Fatal(err)
 					}
 				}

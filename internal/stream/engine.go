@@ -171,7 +171,7 @@ func (b *block) renumber(remap func(int) (int, bool)) bool {
 
 // ruleState is the incremental bookkeeping of one PFD. Slices are indexed
 // by tableau-row position; only the slot matching the row kind is
-// populated (verd for constant rows, blocks for variable rows).
+// populated (cm for constant rows, blocks for variable rows).
 type ruleState struct {
 	li, ri int
 	// liv/riv are the table's LHS and RHS columns.
@@ -179,10 +179,7 @@ type ruleState struct {
 	// interned IDs and decodes strings only to render a violation.
 	liv, riv *table.Interned
 	rows     []tableau.Row
-	// match is each row's matcher of its embedded pattern, which per-delta
-	// matching reuses; names is what each row's violations name, rendered
-	// once per row.
-	match []pattern.Matcher
+	// names is what each row's violations name, rendered once per row.
 	names []pfd.Source
 	// src is each row's violation-key identity: an index per distinct
 	// name (rule ID, columns, row rendering). Sources that render equal keys —
@@ -190,22 +187,84 @@ type ruleState struct {
 	src []int32
 	// blocks holds, per variable row, the state of every tracked block.
 	blocks []map[string]*block
-	// verd memoizes, per constant row, the embedded pattern's verdict per
-	// interned LHS dictionary ID (see matches), seeded with the boot
-	// detector's. IDs are never renumbered (see intern), so the memo
-	// survives every delta.
-	verd []*intern.Verdicts
+	// cm answers, per constant row, whether an LHS dictionary ID matches
+	// the row's embedded pattern (see matches).
+	cm []constMatch
+}
+
+// constMatch is a constant row's verdict per LHS dictionary ID; IDs are
+// never renumbered (see intern), so it survives every delta. An anchored
+// row compares its literal's slot in its group, a literal row compares the
+// value, and any other row memoizes its automaton's verdicts in verd,
+// seeded with the boot detector's.
+type constMatch struct {
+	lit   string
+	group *anchorGroup
+	slot  uint32
+	verd  *intern.Verdicts
+	match pattern.Matcher
 }
 
 // matches reports whether the LHS value with dictionary ID id matches the
-// constant row's embedded pattern, running the DFA at most once per ID.
+// constant row's embedded pattern.
 func (rs *ruleState) matches(tri int, id uint32) bool {
-	match, known := rs.verd[tri].Known(id)
+	c := &rs.cm[tri]
+	switch {
+	case c.group != nil:
+		return c.group.slotOf(id, rs.liv.Dict) == c.slot
+	case c.verd == nil:
+		return rs.liv.Dict.Value(id) == c.lit
+	}
+	match, known := c.verd.Known(id)
 	if !known {
-		match = rs.match[tri].Match(rs.liv.Dict.Value(id))
-		rs.verd[tri].Set(id, match)
+		match = c.match.Match(rs.liv.Dict.Value(id))
+		c.verd.Set(id, match)
 	}
 	return match
+}
+
+// anchorGroup is the constant rows of one rule that share an anchored
+// shape, a literal of n bytes then rest (see detect.Anchored). An ID past
+// the boot pass's slots, which a delta added, is looked up once for the
+// whole group into more (its slot + 1, 0 = not yet): the rows' literals
+// hold their slots in lits, so a value no row's literal begins has slot 0.
+type anchorGroup struct {
+	n     int
+	rest  pattern.Pattern
+	match pattern.Matcher // of rest
+	pass  *detect.Anchored
+	lits  map[string]uint32
+	more  []uint32
+}
+
+func (g *anchorGroup) slotOf(id uint32, dict *intern.Dict) uint32 {
+	i := int(id) - len(g.pass.Slots)
+	if i < 0 {
+		return g.pass.Slots[id]
+	}
+	for len(g.more) <= i {
+		g.more = append(g.more, 0)
+	}
+	if g.more[i] == 0 {
+		g.more[i] = 1
+		if v := dict.Value(id); len(v) >= g.n && g.match.Match(v[g.n:]) {
+			g.more[i] += g.lits[v[:g.n]]
+		}
+	}
+	return g.more[i] - 1
+}
+
+// number returns a row literal's slot: the pass's, or, for a literal no
+// boot value has, one past every slot the pass can hold.
+func (g *anchorGroup) number(lit string) uint32 {
+	s, ok := g.lits[lit]
+	if !ok {
+		if s = g.pass.Slot(lit); s == 0 {
+			s = uint32(len(g.pass.Slots) + 1 + len(g.lits))
+		}
+		g.lits[lit] = s
+	}
+	return s
 }
 
 // Engine maintains the violation set of a rule set over a mutating table.
@@ -284,7 +343,8 @@ func NewEngineFrom(t *table.Table, rules []*pfd.PFD, baseSeq int64) (*Engine, er
 // numbered, and the renderings load into the set, in (rule, row) order;
 // the sorted set is DetectAllContext's, the per-rule cost Stats().Boot.
 // Of the detector, which must not be stale, the engine keeps only the
-// match verdicts. Cancelling ctx stops the pool between tasks.
+// match verdicts and anchored passes. Cancelling ctx stops the pool
+// between tasks.
 func Boot(ctx context.Context, d *detect.Detector, rules []*pfd.PFD, parallelism int, opts EngineOptions) (*Engine, error) {
 	// One span per bootstrap — the cost every later delta amortizes;
 	// per-row work stays uninstrumented.
@@ -314,19 +374,38 @@ func Boot(ctx context.Context, d *detect.Detector, rules []*pfd.PFD, parallelism
 			li: li, ri: ri, rows: rows,
 			liv:    t.InternedColumn(li),
 			riv:    t.InternedColumn(ri),
-			match:  make([]pattern.Matcher, len(rows)),
 			names:  make([]pfd.Source, len(rows)),
 			src:    make([]int32, len(rows)),
 			blocks: make([]map[string]*block, len(rows)),
-			verd:   make([]*intern.Verdicts, len(rows)),
+			cm:     make([]constMatch, len(rows)),
 		}
+		type shape struct {
+			n    int
+			rest string
+		}
+		groups := make(map[shape]*anchorGroup)
 		for tri, row := range rows {
-			rs.match[tri] = row.LHS.Embedded().Matcher()
 			ident := pfd.SourceOf(p, row)
 			if _, ok := srcs[ident]; !ok {
 				srcs[ident] = int32(len(srcs))
 			}
 			rs.names[tri], rs.src[tri] = ident, srcs[ident]
+			if row.Variable() {
+				continue
+			}
+			c := &rs.cm[tri]
+			emb := row.LHS.Embedded()
+			lit, rest := emb.Anchor()
+			switch c.lit = lit; {
+			case lit == "":
+				c.match = emb.Matcher()
+			case rest.Key() != "":
+				k := shape{len(lit), rest.Key()}
+				if c.group = groups[k]; c.group == nil {
+					c.group = &anchorGroup{n: len(lit), rest: rest, match: rest.Matcher(), lits: make(map[string]uint32)}
+					groups[k] = c.group
+				}
+			}
 		}
 		e.rs = append(e.rs, rs)
 	}
@@ -335,6 +414,16 @@ func Boot(ctx context.Context, d *detect.Detector, rules []*pfd.PFD, parallelism
 	})
 	if err != nil {
 		return nil, err
+	}
+	// Each group's pass, which its rows' boot tasks built, numbers the
+	// rows' literals.
+	for _, rs := range e.rs {
+		for tri := range rs.cm {
+			if c := &rs.cm[tri]; c.group != nil {
+				c.group.pass = d.Anchored(rs.li, c.group.n, c.group.rest)
+				c.slot = c.group.number(c.lit)
+			}
+		}
 	}
 	for ti, tk := range run.Tasks {
 		for _, v := range run.Out[ti] {
@@ -360,7 +449,9 @@ func (e *Engine) bootRow(d *detect.Detector, rs *ruleState, tri int) []pfd.Viola
 	row := rs.rows[tri]
 	var out []pfd.Violation
 	if !row.Variable() {
-		rs.verd[tri] = intern.VerdictsOf(d.MatchVerdicts(rs.li, row.LHS.Embedded()))
+		if c := &rs.cm[tri]; c.lit == "" {
+			c.verd = intern.VerdictsOf(d.MatchVerdicts(rs.li, row.LHS.Embedded()))
+		}
 		for _, r := range d.ConstantHits(row, rs.li, rs.ri) {
 			out = append(out, rs.constViolation(tri, r))
 		}

@@ -8,8 +8,12 @@
 # count for neither). Beside won/lost stands the two-sided sign-test p of
 # that split: the chance of a split at least that lopsided if each pair
 # were a fair coin, ties dropped (10/0 reads 0.002, 9/1 0.021, 8/2 0.11);
-# it does not enter the verdict. Every run's raw result line is printed as
-# it lands.
+# it does not enter the verdict. A resolved verdict also needs the
+# median gap, in percent of the parent's median, to exceed the metric's
+# noise floor: the largest A/A gap that NOISE (default BENCH_noise.json at
+# the root of the script's own checkout) records for the workload, on any
+# seed. A metric without a recorded floor never resolves: the table says
+# "no A/A floor". Every run's raw result line is printed as it lands.
 #
 #   scripts/pair.sh PARENT_DIR CHANGE_DIR WORKLOAD SEED PAIRS
 #
@@ -23,7 +27,9 @@
 # same tree (an A/A test) the script fails unless every run built the
 # same binary. Metric names and their better direction come from
 # PARENT_DIR/BENCHMARK.json. PAIRS=0 prints the table header and exits
-# (the CI dry run).
+# (the CI dry run). An A/A series ends with one JSON line per metric
+# ("floor …"): the two arms' medians and quartiles and their gap, the
+# entries BENCH_noise.json lists.
 #
 # The machine's CPU steal and iowait ticks (/proc/stat) are read before
 # and after every run, and each run's line carries their shares of all
@@ -42,9 +48,11 @@ if [ "$#" -ne 5 ]; then
 	exit 2
 fi
 parent=$1 change=$2 workload=$3 seed=$4 pairs=$5
+noise=${NOISE:-$(dirname "$0")/../BENCH_noise.json}
+if [ ! -r "$noise" ]; then noise=/dev/null; fi
 
 header() {
-	printf '%-12s %-34s %-34s %8s %9s %6s  %s\n' metric 'parent median [q1–q3]' 'change median [q1–q3]' 'Δ' 'won/lost' 'p' verdict
+	printf '%-12s %-34s %-34s %8s %9s %6s %6s  %s\n' metric 'parent median [q1–q3]' 'change median [q1–q3]' 'Δ' 'won/lost' 'p' floor verdict
 }
 if [ "$pairs" -eq 0 ]; then
 	header
@@ -118,7 +126,7 @@ done
 echo
 echo "$workload seed $seed, $pairs pairs ($reruns re-run for steal above $MAX_STEAL)"
 header
-awk -v pairs="$pairs" '
+awk -v pairs="$pairs" -v workload="$workload" -v seed="$seed" -v aa="$same_tree" '
 # quantile of the sorted v[1..n], linear interpolation between ranks
 function quant(v, n, q,    h, lo) { h = (n - 1) * q + 1; lo = int(h); return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo]) }
 function sorted(src, n, dst,    i, j, t) {
@@ -135,11 +143,22 @@ function signp(won, lost,    n, k, i, term, tail) {
 	return 2 * tail < 1 ? 2 * tail : 1
 }
 function summary(v, n, out,    s) { sorted(v, n, s); out["med"] = quant(s, n, 0.5); out["q1"] = quant(s, n, 0.25); out["q3"] = quant(s, n, 0.75) }
-FNR == NR { # BENCHMARK.json: the end-to-end metrics and their better direction
+# field prints the value of JSON key k on a one-object line ("" if absent).
+function field(line, k,    v) {
+	if (!match(line, "\"" k "\": *(\"[^\"]*\"|[-+0-9.eE]+)")) return ""
+	v = substr(line, RSTART, RLENGTH); sub(/^[^:]*: */, "", v); gsub(/"/, "", v); return v
+}
+FILENAME == ARGV[1] { # BENCHMARK.json: the end-to-end metrics and their better direction
 	if ($0 ~ /"end_to_end"/) e2e = 1
 	if ($0 ~ /"per_layer"/) e2e = 0
 	if (e2e && $0 ~ /"name":/) { name = $0; gsub(/.*"name": *"|".*/, "", name); names[++nm] = name }
 	if (e2e && $0 ~ /"better":/) better[name] = ($0 ~ /higher/) ? 1 : -1
+	next
+}
+FILENAME == ARGV[2] { # the noise record: one floor object per line
+	if (field($0, "workload") != workload || field($0, "gap_pct") == "") next
+	g = field($0, "gap_pct") + 0; m = field($0, "metric")
+	if (!(m in floor) || g > floor[m]) floor[m] = g
 	next
 }
 {
@@ -163,15 +182,22 @@ END {
 		if (n == 0) continue
 		summary(p, n, P); summary(c, n, C)
 		gap = C["med"] - P["med"]; if (gap < 0) gap = -gap
+		gappct = P["med"] ? 100 * gap / P["med"] : 0
 		verdict = "unresolved"
 		if (gap > P["q3"] - P["q1"] && won >= 0.9 * n) verdict = "resolved: better"
 		if (gap > P["q3"] - P["q1"] && lost >= 0.9 * n) verdict = "resolved: worse"
-		printf "%-12s %-34s %-34s %+7.1f%% %4d/%-4d %6.3g  %s\n", name,
+		fl = (name in floor) ? sprintf("%.1f%%", floor[name]) : "-"
+		if (verdict != "unresolved" && !(name in floor)) verdict = "unresolved (" verdict ", but no A/A floor)"
+		else if (verdict != "unresolved" && gappct <= floor[name]) verdict = "unresolved (" verdict ", but within the A/A floor)"
+		printf "%-12s %-34s %-34s %+7.1f%% %4d/%-4d %6.3g %6s  %s\n", name,
 			sprintf("%.4g [%.4g–%.4g]", P["med"], P["q1"], P["q3"]), sprintf("%.4g [%.4g–%.4g]", C["med"], C["q1"], C["q3"]),
-			P["med"] ? 100 * (C["med"] - P["med"]) / P["med"] : 0, won, lost, signp(won, lost), verdict
+			P["med"] ? 100 * (C["med"] - P["med"]) / P["med"] : 0, won, lost, signp(won, lost), fl, verdict
+		if (aa) floors = floors sprintf("floor {\"workload\": \"%s\", \"seed\": %d, \"metric\": \"%s\", \"a_median\": %.6g, \"a_q1\": %.6g, \"a_q3\": %.6g, \"b_median\": %.6g, \"b_q1\": %.6g, \"b_q3\": %.6g, \"gap_pct\": %.2f, \"won\": %d, \"lost\": %d}\n",
+			workload, seed, name, P["med"], P["q1"], P["q3"], C["med"], C["q1"], C["q3"], gappct, won, lost)
 	}
 	printf "runs that failed an operation or a correctness check: %d of %d\n", bad, runs
-}' "$parent/BENCHMARK.json" "$raw"
+	printf "%s", floors
+}' "$parent/BENCHMARK.json" "$noise" "$raw"
 
 # The median and the largest steal share, and the median iowait share,
 # of the measured runs.
