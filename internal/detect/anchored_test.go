@@ -69,18 +69,40 @@ func groupedRules(rng *rand.Rand) []*pfd.PFD {
 	return ps
 }
 
+// sharedShapes are two rules whose constant rows share anchored shapes
+// on one column: a two-byte literal then \D{2}, a one-byte literal then
+// \A*. Their "z" literals are on no value groupedValue draws.
+var sharedShapes = []*pfd.PFD{
+	pfd.New("T", "k", "v", tableau.New(constRow(`<12>\D{2}`), constRow(`<zz>\D{2}`), constRow(`<z>\A*`), constRow(`<zé>\A*`))),
+	pfd.New("T", "k", "v", tableau.New(constRow(`<ab>\D{2}`), constRow(`<zz>\D{2}`), constRow(`<1>\A*`), constRow(`<zz>`))),
+}
+
+func constRow(lhs string) tableau.Row {
+	return tableau.Row{LHS: pattern.MustParseConstrained(lhs), RHS: "x"}
+}
+
+// grownValues are what the table grows by after the boot: values under
+// prefixes no drawn value has, among them the row literals of
+// sharedShapes, values shorter than a literal, and invalid bytes.
+var grownValues = []string{
+	"zz12", "zz1", "zz", "z", "", "zé", "zé9x", "zz\xff1", "z\xff", "1234", "ab99", "\xff", "12\xff", "zzz",
+}
+
 // Property: on random tables and tableaux whose constant rows share
 // anchored shapes, are pure literals, have literals longer than some
 // values, or anchor nothing, every constant row's ConstantHits — the
 // anchored pass, the dictionary lookup or the verdict scan — equals the
 // DisableIndex scan that matches every row on its own, and
-// DetectAllContext is byte-identical to that ablation.
+// DetectAllContext is byte-identical to that ablation. Then the table
+// grows, and every constant row's ConstMatch, taken at the boot, answers
+// Pattern.Matches for every dictionary ID: the ones the boot saw and the
+// ones the growth added, for rules whose rows share shapes.
 func TestGroupedVerdictsMatchTheScan(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(50))
 	for trial := 0; trial < 300; trial++ {
 		tbl := groupedTable(rng, 1+rng.Intn(60))
-		rules := groupedRules(rng)
+		rules := append(groupedRules(rng), sharedShapes...)
 		grouped, scan := New(tbl, Options{}), New(tbl, Options{DisableIndex: true})
 		for _, p := range rules {
 			for _, row := range p.Tableau.Rows() {
@@ -106,6 +128,31 @@ func TestGroupedVerdictsMatchTheScan(t *testing.T) {
 		}
 		if got, want := render(grouped), render(scan); !bytes.Equal(got, want) {
 			t.Fatalf("trial %d: DetectAllContext differs from the DisableIndex ablation:\n%s\n%s", trial, got, want)
+		}
+
+		var rows []tableau.Row
+		var tests []ConstMatch
+		for _, p := range rules {
+			for _, row := range p.Tableau.Rows() {
+				if !row.Variable() {
+					rows = append(rows, row)
+					tests = append(tests, grouped.ConstMatch(0, row.LHS.Embedded()))
+				}
+			}
+		}
+		for _, v := range grownValues {
+			tbl.MustAppend(v, "x")
+		}
+		for n := rng.Intn(20); n > 0; n-- {
+			tbl.MustAppend(groupedValue(rng), "y")
+		}
+		for i, c := range tests {
+			emb := rows[i].LHS.Embedded()
+			for id, v := range tbl.InternedColumn(0).Dict.Values() {
+				if got, want := c.Matches(uint32(id)), emb.Matches(v); got != want {
+					t.Fatalf("trial %d, after growth, row %s on %q (ID %d): ConstMatch %v, Matches %v", trial, rows[i], v, id, got, want)
+				}
+			}
 		}
 	}
 }

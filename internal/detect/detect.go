@@ -19,7 +19,8 @@
 // out per tableau row and merges through a single total order, so the
 // output is byte-identical at every parallelism level. The one
 // requirement is that the table is not mutated while a Detector built on
-// it is in use — build a fresh Detector after applying repairs.
+// it is in use — build a fresh Detector after applying repairs. (An
+// incremental engine's ConstMatch tests are the exception; see Detector.)
 package detect
 
 import (
@@ -28,6 +29,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -57,17 +59,20 @@ type Options struct {
 // per-row loops compare uint32 dictionary IDs instead of strings. Every
 // per-column and per-(column, pattern) product is cached behind a
 // singleflight slot, so the Detector is safe for concurrent use by any
-// number of goroutines.
+// number of goroutines while its table does not change. After a
+// mutation (see Stale) the constant-row tests (ConstMatch) keep
+// answering, growing to the IDs it added; the row index and the blocks,
+// which hold row numbers, do not.
 type Detector struct {
 	t       *table.Table
 	opts    Options
 	version int64 // table.Version() at build time; see Stale
 
-	mu       sync.Mutex                     // guards the cache maps (not their slots)
-	verdicts map[matchKey]*slot[[]bool]     // the DFA verdict of every dictionary ID
-	anchored map[anchorKey]*slot[*Anchored] // shared by the constant rows of one anchored shape
-	rowsOf   map[int]*slot[rowIndex]        // per LHS column
-	blocked  map[matchKey]*slot[[]Block]    // shared by variable-row detection, repairs and engine bootstrap
+	mu       sync.Mutex                      // guards the cache maps (not their slots)
+	verdicts map[matchKey]*slot[*live[bool]] // the DFA verdict of every dictionary ID
+	anchored map[anchorKey]*slot[*anchored]  // shared by the constant rows of one anchored shape
+	rowsOf   map[int]*slot[rowIndex]         // per LHS column
+	blocked  map[matchKey]*slot[[]Block]     // shared by variable-row detection, repairs and engine bootstrap
 }
 
 // matchKey identifies one (column, pattern) pass.
@@ -110,8 +115,8 @@ func New(t *table.Table, opts Options) *Detector {
 		t:        t,
 		opts:     opts,
 		version:  t.Version(),
-		verdicts: make(map[matchKey]*slot[[]bool]),
-		anchored: make(map[anchorKey]*slot[*Anchored]),
+		verdicts: make(map[matchKey]*slot[*live[bool]]),
+		anchored: make(map[anchorKey]*slot[*anchored]),
 		rowsOf:   make(map[int]*slot[rowIndex]),
 		blocked:  make(map[matchKey]*slot[[]Block]),
 	}
@@ -121,62 +126,119 @@ func New(t *table.Table, opts Options) *Detector {
 func (d *Detector) Table() *table.Table { return d.t }
 
 // Stale reports whether the table has been mutated since the detector
-// was built, invalidating everything it cached: verdicts are per
-// dictionary ID, and a mutation can add IDs; the row index and the blocks
-// hold row numbers. Callers holding a detector across table
-// mutations (e.g. a session re-detecting after applying repairs) should
-// rebuild when Stale returns true.
+// was built. Callers holding a detector across table mutations (e.g. a
+// session re-detecting after applying repairs) should rebuild when Stale
+// returns true: only its ConstMatch tests still answer.
 func (d *Detector) Stale() bool { return d.t.Version() != d.version }
 
-// MatchVerdicts returns the per-dictionary-ID match verdicts of running
-// emb over column col. The slice is cached and shared: read it only.
-func (d *Detector) MatchVerdicts(col int, emb pattern.Pattern) []bool {
-	return cached(d, d.verdicts, matchKey{col, emb.Key()}, func() []bool {
-		vals := d.t.InternedColumn(col).Dict.Values()
-		verd := make([]bool, len(vals))
+// live is a per-dictionary-ID product of one column that grows with
+// the column's dictionary: at, asked for an ID past its length, computes
+// and keeps every entry up to that ID. A fresh detector's products cover
+// the whole dictionary, so only a stale detector's grow, and only in the
+// exclusive phase of whoever mutates the table (intern.Dict's
+// discipline): an engine's batch, under its sequencer's lock.
+type live[T any] struct {
+	col *table.Interned
+	of  func(v string) T
+	v   []T
+}
+
+// newLive computes of over the column's whole dictionary.
+func newLive[T any](col *table.Interned, of func(v string) T) *live[T] {
+	l := &live[T]{col: col, of: of, v: make([]T, col.Dict.Len())}
+	for id, v := range col.Dict.Values() {
+		l.v[id] = of(v)
+	}
+	return l
+}
+
+// at returns the entry of ID id.
+func (l *live[T]) at(id uint32) T {
+	for int(id) >= len(l.v) {
+		l.v = append(l.v, l.of(l.col.Dict.Value(uint32(len(l.v)))))
+	}
+	return l.v[id]
+}
+
+// matchVerdicts returns the cached per-dictionary-ID match verdicts of
+// running emb over column col.
+func (d *Detector) matchVerdicts(col int, emb pattern.Pattern) *live[bool] {
+	return cached(d, d.verdicts, matchKey{col, emb.Key()}, func() *live[bool] {
 		m := emb.Matcher()
-		for id, v := range vals {
-			verd[id] = m.Match(v)
-		}
-		return verd
+		return newLive(d.t.InternedColumn(col), m.Match)
 	})
 }
 
-// Anchored is one pass over a column's dictionary for every constant row
+// anchored is one pass over a column's dictionary for every constant row
 // of one shape — a literal of n bytes, then a rest pattern (see
-// pattern.Pattern.Anchor). Slots names each ID's literal, its first n
-// bytes numbered from 1 in dictionary order, or holds 0 when the rest of
-// the value does not match; shared, read it only.
-type Anchored struct {
-	Slots []uint32
+// pattern.Pattern.Anchor). slots names each ID's literal, its first n
+// bytes numbered from 1 in dictionary order through lits, or holds 0
+// when the rest of the value does not match.
+type anchored struct {
+	slots *live[uint32]
 	lits  map[string]uint32
-	ids   rowIndex // the IDs by slot
+	ids   rowIndex // the IDs by slot, as the pass was built
 }
 
-// Slot returns the number of literal lit, 0 when no value has it.
-func (a *Anchored) Slot(lit string) uint32 { return a.lits[lit] }
-
-// Anchored returns the cached anchored pass of column col for rows whose
-// literal is n bytes long and whose rest is rest.
-func (d *Detector) Anchored(col, n int, rest pattern.Pattern) *Anchored {
-	return cached(d, d.anchored, anchorKey{col, n, rest.Key()}, func() *Anchored {
-		vals := d.t.InternedColumn(col).Dict.Values()
-		a := &Anchored{Slots: make([]uint32, len(vals)), lits: make(map[string]uint32)}
+// anchoredPass returns the cached anchored pass of column col for rows
+// whose literal is n bytes long and whose rest is rest.
+func (d *Detector) anchoredPass(col, n int, rest pattern.Pattern) *anchored {
+	return cached(d, d.anchored, anchorKey{col, n, rest.Key()}, func() *anchored {
+		a := &anchored{lits: make(map[string]uint32)}
 		m := rest.Matcher()
-		for id, v := range vals {
+		a.slots = newLive(d.t.InternedColumn(col), func(v string) uint32 {
 			if len(v) < n || !m.Match(v[n:]) {
-				continue
+				return 0
 			}
 			s, ok := a.lits[v[:n]]
 			if !ok {
 				s = uint32(len(a.lits) + 1)
 				a.lits[v[:n]] = s
 			}
-			a.Slots[id] = s
-		}
-		a.ids = indexBy(a.Slots, len(a.lits)+1)
+			return s
+		})
+		a.ids = indexBy(a.slots.v, len(a.lits)+1)
 		return a
 	})
+}
+
+// ConstMatch is a constant tableau row's LHS test per dictionary ID of
+// its column. Its passes grow with the dictionary, so an engine holds one
+// per constant row for its lifetime.
+type ConstMatch struct {
+	col  *table.Interned
+	lit  string      // the row's leading literal
+	pass *anchored   // the row's shape's pass, when a rest follows lit
+	verd *live[bool] // the row's verdicts, when it has no leading literal
+}
+
+// ConstMatch returns the LHS test of constant rows with embedded pattern
+// emb on column col. A row that is a literal and nothing else compares
+// the value; an anchored row holds when the value begins with its literal
+// and has a slot in its shape's pass (the rest matched); any other row
+// reads its verdicts.
+func (d *Detector) ConstMatch(col int, emb pattern.Pattern) ConstMatch {
+	c := ConstMatch{col: d.t.InternedColumn(col)}
+	lit, rest := emb.Anchor()
+	switch c.lit = lit; {
+	case lit == "":
+		c.verd = d.matchVerdicts(col, emb)
+	case rest.Key() != "":
+		c.pass = d.anchoredPass(col, len(lit), rest)
+	}
+	return c
+}
+
+// Matches reports whether the value with dictionary ID id matches the
+// row's embedded pattern.
+func (c ConstMatch) Matches(id uint32) bool {
+	switch {
+	case c.verd != nil:
+		return c.verd.at(id)
+	case c.pass != nil:
+		return strings.HasPrefix(c.col.Dict.Value(id), c.lit) && c.pass.slots.at(id) != 0
+	}
+	return c.col.Dict.Value(id) == c.lit
 }
 
 // rowIndex files positions by a dense key k, ascending in
@@ -415,23 +477,22 @@ func (d *Detector) ConstantHits(row tableau.Row, li, ri int) []int {
 		}
 	}
 	// A leading literal visits only the IDs under it.
-	switch lit, rest := emb.Anchor(); {
-	case lit != "" && rest.Key() == "":
-		if id, ok := liv.Dict.Lookup(lit); ok {
-			visit(id)
+	switch c := d.ConstMatch(li, emb); {
+	case c.pass != nil:
+		if s := c.pass.lits[c.lit]; s != 0 {
+			for _, id := range c.pass.ids.of(s) {
+				visit(uint32(id))
+			}
 		}
-	case lit != "":
-		a := d.Anchored(li, len(lit), rest)
-		if s := a.Slot(lit); s != 0 {
-			for _, id := range a.ids.of(s) {
+	case c.verd != nil:
+		for id, ok := range c.verd.v {
+			if ok {
 				visit(uint32(id))
 			}
 		}
 	default:
-		for id, ok := range d.MatchVerdicts(li, emb) {
-			if ok {
-				visit(uint32(id))
-			}
+		if id, ok := liv.Dict.Lookup(c.lit); ok {
+			visit(id)
 		}
 	}
 	if runs > 1 {
@@ -450,9 +511,9 @@ func (d *Detector) detectVariable(p *pfd.PFD, row tableau.Row, li, ri int) []pfd
 		emb := row.LHS.Embedded()
 		var cand []int
 		if !d.opts.DisableIndex {
-			verd := d.MatchVerdicts(li, emb)
+			verd := d.matchVerdicts(li, emb)
 			for r, id := range liv.IDs {
-				if verd[id] {
+				if verd.v[id] {
 					cand = append(cand, r)
 				}
 			}

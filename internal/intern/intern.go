@@ -206,43 +206,3 @@ func Decode(b []byte, n, size uint64) (*Dict, int, error) {
 	}
 	return d, off + int(size), nil
 }
-
-// Verdicts memoizes one boolean predicate per dictionary ID — the "run
-// the compiled DFA once over the dictionary, not once per cell" cache.
-// The zero value is ready for use; Set records verdicts as they are
-// evaluated.
-type Verdicts struct {
-	seed []bool  // the verdicts of ids [0, len(seed)), shared and never written
-	seen []uint8 // ids from len(seed) on: 0 = unknown, 1 = false, 2 = true
-}
-
-// VerdictsOf returns a memo holding match[id] for every id in
-// [0, len(match)). It shares match, which must not change afterwards.
-func VerdictsOf(match []bool) *Verdicts { return &Verdicts{seed: match} }
-
-// Known returns the memoized verdict for id and whether one exists.
-func (v *Verdicts) Known(id uint32) (verdict, known bool) {
-	if int(id) < len(v.seed) {
-		return v.seed[id], true
-	}
-	i := int(id) - len(v.seed)
-	if i >= len(v.seen) {
-		return false, false
-	}
-	s := v.seen[i]
-	return s == 2, s != 0
-}
-
-// Set records the verdict for an id past the seed: the memo of an id
-// Known reported unknown.
-func (v *Verdicts) Set(id uint32, verdict bool) {
-	i := int(id) - len(v.seed)
-	if i >= len(v.seen) {
-		v.seen = append(v.seen, make([]uint8, i+1-len(v.seen))...)
-	}
-	if verdict {
-		v.seen[i] = 2
-	} else {
-		v.seen[i] = 1
-	}
-}

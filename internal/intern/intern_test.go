@@ -84,34 +84,6 @@ func TestDictArenaDoesNotAliasInput(t *testing.T) {
 	}
 }
 
-func TestVerdicts(t *testing.T) {
-	match := make([]bool, 100)
-	for id := range match {
-		match[id] = id%2 == 0
-	}
-	v := VerdictsOf(match)
-	for id := uint32(0); id < 100; id++ {
-		if got, known := v.Known(id); !known || got != (id%2 == 0) {
-			t.Fatalf("seeded verdict(%d) = %v, known %v", id, got, known)
-		}
-	}
-	if _, known := v.Known(100); known {
-		t.Fatal("an id past the seed is known")
-	}
-	// A sparse Set grows the table and leaves the ids it skips unknown.
-	v.Set(1<<20, true)
-	if got, known := v.Known(1 << 20); !got || !known {
-		t.Fatal("sparse verdict lost")
-	}
-	if _, known := v.Known(1 << 19); known {
-		t.Fatal("an id between seed and sparse Set is known")
-	}
-	var w Verdicts
-	if _, known := w.Known(0); known {
-		t.Fatal("the zero value knows a verdict")
-	}
-}
-
 // growthSizes are value counts around the index's growth points and the
 // powers of two: 0, 1, and 2^k−1, 2^k, 2^k+1 up to 2^9.
 func growthSizes() []int {

@@ -59,7 +59,7 @@ func TestConstMemoAnswersMatches(t *testing.T) {
 				for tri, row := range rs.rows {
 					m := row.LHS.Embedded()
 					for id, v := range rs.liv.Dict.Values() {
-						if got, want := rs.matches(tri, uint32(id)), m.Matches(v); got != want {
+						if got, want := rs.cm[tri].Matches(uint32(id)), m.Matches(v); got != want {
 							t.Fatalf("trial %d %s: row %s on %q (ID %d): memo %v, Matches %v", trial, when, row, v, id, got, want)
 						}
 					}

@@ -53,7 +53,6 @@ import (
 	"github.com/anmat/anmat/internal/detect"
 	"github.com/anmat/anmat/internal/intern"
 	"github.com/anmat/anmat/internal/obs"
-	"github.com/anmat/anmat/internal/pattern"
 	"github.com/anmat/anmat/internal/pfd"
 	"github.com/anmat/anmat/internal/table"
 	"github.com/anmat/anmat/internal/tableau"
@@ -188,83 +187,9 @@ type ruleState struct {
 	// blocks holds, per variable row, the state of every tracked block.
 	blocks []map[string]*block
 	// cm answers, per constant row, whether an LHS dictionary ID matches
-	// the row's embedded pattern (see matches).
-	cm []constMatch
-}
-
-// constMatch is a constant row's verdict per LHS dictionary ID; IDs are
-// never renumbered (see intern), so it survives every delta. An anchored
-// row compares its literal's slot in its group, a literal row compares the
-// value, and any other row memoizes its automaton's verdicts in verd,
-// seeded with the boot detector's.
-type constMatch struct {
-	lit   string
-	group *anchorGroup
-	slot  uint32
-	verd  *intern.Verdicts
-	match pattern.Matcher
-}
-
-// matches reports whether the LHS value with dictionary ID id matches the
-// constant row's embedded pattern.
-func (rs *ruleState) matches(tri int, id uint32) bool {
-	c := &rs.cm[tri]
-	switch {
-	case c.group != nil:
-		return c.group.slotOf(id, rs.liv.Dict) == c.slot
-	case c.verd == nil:
-		return rs.liv.Dict.Value(id) == c.lit
-	}
-	match, known := c.verd.Known(id)
-	if !known {
-		match = c.match.Match(rs.liv.Dict.Value(id))
-		c.verd.Set(id, match)
-	}
-	return match
-}
-
-// anchorGroup is the constant rows of one rule that share an anchored
-// shape, a literal of n bytes then rest (see detect.Anchored). An ID past
-// the boot pass's slots, which a delta added, is looked up once for the
-// whole group into more (its slot + 1, 0 = not yet): the rows' literals
-// hold their slots in lits, so a value no row's literal begins has slot 0.
-type anchorGroup struct {
-	n     int
-	rest  pattern.Pattern
-	match pattern.Matcher // of rest
-	pass  *detect.Anchored
-	lits  map[string]uint32
-	more  []uint32
-}
-
-func (g *anchorGroup) slotOf(id uint32, dict *intern.Dict) uint32 {
-	i := int(id) - len(g.pass.Slots)
-	if i < 0 {
-		return g.pass.Slots[id]
-	}
-	for len(g.more) <= i {
-		g.more = append(g.more, 0)
-	}
-	if g.more[i] == 0 {
-		g.more[i] = 1
-		if v := dict.Value(id); len(v) >= g.n && g.match.Match(v[g.n:]) {
-			g.more[i] += g.lits[v[:g.n]]
-		}
-	}
-	return g.more[i] - 1
-}
-
-// number returns a row literal's slot: the pass's, or, for a literal no
-// boot value has, one past every slot the pass can hold.
-func (g *anchorGroup) number(lit string) uint32 {
-	s, ok := g.lits[lit]
-	if !ok {
-		if s = g.pass.Slot(lit); s == 0 {
-			s = uint32(len(g.pass.Slots) + 1 + len(g.lits))
-		}
-		g.lits[lit] = s
-	}
-	return s
+	// the row's embedded pattern; it grows with the dictionary, whose IDs
+	// are never renumbered (see intern), so it holds through every delta.
+	cm []detect.ConstMatch
 }
 
 // Engine maintains the violation set of a rule set over a mutating table.
@@ -326,7 +251,8 @@ type EngineOptions struct {
 // bootstrap an append or a cell update costs in proportion to the
 // memberships and violations it changes (plus one copy of the sorted set
 // when it changes any), not to the blocks it touches — unless it moves a
-// block's majority or witness, which re-derives that block. A delete renumbers rows: it visits everything.
+// block's majority or witness, which re-derives that block. A delete
+// renumbers rows, so it visits every maintained violation and block.
 // A holder replacing an engine (table mutated externally, rule set
 // changed) passes the old engine's Seq()+1 so client cursors keep a
 // consistent timeline: cursors at or before the old seq fall outside the
@@ -342,9 +268,10 @@ func NewEngineFrom(t *table.Table, rules []*pfd.PFD, baseSeq int64) (*Engine, er
 // from the detector's cached products (see bootRow). Sources are
 // numbered, and the renderings load into the set, in (rule, row) order;
 // the sorted set is DetectAllContext's, the per-rule cost Stats().Boot.
-// Of the detector, which must not be stale, the engine keeps only the
-// match verdicts and anchored passes. Cancelling ctx stops the pool
-// between tasks.
+// Of the detector, which must not be stale, the engine keeps only each
+// constant row's detect.ConstMatch, whose passes grow with the dictionary
+// under the engine's batches. Cancelling ctx stops the pool between
+// tasks.
 func Boot(ctx context.Context, d *detect.Detector, rules []*pfd.PFD, parallelism int, opts EngineOptions) (*Engine, error) {
 	// One span per bootstrap — the cost every later delta amortizes;
 	// per-row work stays uninstrumented.
@@ -377,35 +304,14 @@ func Boot(ctx context.Context, d *detect.Detector, rules []*pfd.PFD, parallelism
 			names:  make([]pfd.Source, len(rows)),
 			src:    make([]int32, len(rows)),
 			blocks: make([]map[string]*block, len(rows)),
-			cm:     make([]constMatch, len(rows)),
+			cm:     make([]detect.ConstMatch, len(rows)),
 		}
-		type shape struct {
-			n    int
-			rest string
-		}
-		groups := make(map[shape]*anchorGroup)
 		for tri, row := range rows {
 			ident := pfd.SourceOf(p, row)
 			if _, ok := srcs[ident]; !ok {
 				srcs[ident] = int32(len(srcs))
 			}
 			rs.names[tri], rs.src[tri] = ident, srcs[ident]
-			if row.Variable() {
-				continue
-			}
-			c := &rs.cm[tri]
-			emb := row.LHS.Embedded()
-			lit, rest := emb.Anchor()
-			switch c.lit = lit; {
-			case lit == "":
-				c.match = emb.Matcher()
-			case rest.Key() != "":
-				k := shape{len(lit), rest.Key()}
-				if c.group = groups[k]; c.group == nil {
-					c.group = &anchorGroup{n: len(lit), rest: rest, match: rest.Matcher(), lits: make(map[string]uint32)}
-					groups[k] = c.group
-				}
-			}
 		}
 		e.rs = append(e.rs, rs)
 	}
@@ -414,16 +320,6 @@ func Boot(ctx context.Context, d *detect.Detector, rules []*pfd.PFD, parallelism
 	})
 	if err != nil {
 		return nil, err
-	}
-	// Each group's pass, which its rows' boot tasks built, numbers the
-	// rows' literals.
-	for _, rs := range e.rs {
-		for tri := range rs.cm {
-			if c := &rs.cm[tri]; c.group != nil {
-				c.group.pass = d.Anchored(rs.li, c.group.n, c.group.rest)
-				c.slot = c.group.number(c.lit)
-			}
-		}
 	}
 	for ti, tk := range run.Tasks {
 		for _, v := range run.Out[ti] {
@@ -441,17 +337,16 @@ func Boot(ctx context.Context, d *detect.Detector, rules []*pfd.PFD, parallelism
 }
 
 // bootRow is one bootstrap task: it derives tableau row tri's initial
-// state from the detector — a variable row files each block's rows by
-// RHS value in evaluation order and elects the majority — and renders
+// state from the detector — a constant row keeps its ConstMatch, a
+// variable row files each block's rows by RHS value in evaluation order
+// and elects the majority — and renders
 // the violations the row owes. It writes only the row's own slots, so
 // rows boot concurrently.
 func (e *Engine) bootRow(d *detect.Detector, rs *ruleState, tri int) []pfd.Violation {
 	row := rs.rows[tri]
 	var out []pfd.Violation
 	if !row.Variable() {
-		if c := &rs.cm[tri]; c.lit == "" {
-			c.verd = intern.VerdictsOf(d.MatchVerdicts(rs.li, row.LHS.Embedded()))
-		}
+		rs.cm[tri] = d.ConstMatch(rs.li, row.LHS.Embedded())
 		for _, r := range d.ConstantHits(row, rs.li, rs.ri) {
 			out = append(out, rs.constViolation(tri, r))
 		}
@@ -751,7 +646,7 @@ func renumberViolation(v pfd.Violation, remap func(int) (int, bool)) pfd.Violati
 // by every operation, so the key stays held exactly while it is owed.
 func (e *Engine) recomputeConst(rs *ruleState, tri, tuple int) {
 	e.vio.Unref(constKey(rs.src[tri], tuple))
-	if !rs.matches(tri, rs.liv.IDs[tuple]) {
+	if !rs.cm[tri].Matches(rs.liv.IDs[tuple]) {
 		return
 	}
 	constID, haveConst := rs.riv.Dict.Lookup(rs.rows[tri].RHS)
